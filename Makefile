@@ -32,18 +32,22 @@ bench:
 # Machine-readable throughput snapshot: runs the serve/cluster/sweep
 # benchmarks and parses `go test -bench` output into $(BENCH_JSON) via
 # cmd/benchjson (name, iterations, and every metric incl. sim-req/s).
+# There is no default file name: name the snapshot being committed. The
+# end-to-end and per-layer ledger is `bash bench/run.sh` (bench/README.md).
 # CI runs it with BENCHTIME=1x as a smoke test so the bench path cannot
 # rot; locally the default 1s benchtime gives comparable numbers.
-BENCH_JSON ?= BENCH_PR10.json
 BENCHTIME ?= 1s
 bench-json:
+	@test -n "$(BENCH_JSON)" || { echo "bench-json: name the snapshot, e.g. make bench-json BENCH_JSON=BENCH_PR<N>.json"; exit 2; }
 	@set -e; \
 	out=$$($(GO) test -run xxx -bench 'BenchmarkServe|BenchmarkCluster|BenchmarkSweep' -benchmem -benchtime $(BENCHTIME) .); \
 	printf '%s\n' "$$out"; \
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson > $(BENCH_JSON); \
 	echo "bench-json: wrote $(BENCH_JSON)"
 
-# The plan-sweep speedup trajectory: parallel must stay ≥3× serial.
+# Plan-sweep throughput, serial engine vs worker pool. The two differ in
+# feasibility pruning as well as in parallelism; bench/README.md's
+# sweep.prune_speedup and sweep.parallel_speedup measure the two apart.
 sweep-bench:
 	$(GO) test -run xxx -bench 'BenchmarkSweep' -benchmem .
 
@@ -51,8 +55,10 @@ sweep-bench:
 serve-bench:
 	$(GO) test -run xxx -bench 'BenchmarkServe' -benchmem .
 
-# Fleet-simulator throughput: goroutine-per-replica speedup over the
-# single-instance path, and the load-aware routing barrier's overhead.
+# Fleet-simulator throughput per fleet size and routing policy.
+# Round-robin runs each replica's whole share on its own goroutine;
+# least-queue advances replicas inline at every arrival barrier and runs
+# only the final drain in parallel.
 cluster-bench:
 	$(GO) test -run xxx -bench 'BenchmarkCluster' -benchmem .
 

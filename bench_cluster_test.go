@@ -2,9 +2,11 @@ package optimus
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"optimus/internal/cluster"
+	"optimus/internal/serve"
 )
 
 // clusterBenchSpec is the cluster-bench workload: the serve-bench capacity
@@ -58,4 +60,109 @@ func BenchmarkClusterFleet(b *testing.B) {
 			b.ReportMetric(float64(requests*b.N)/b.Elapsed().Seconds(), "req/s")
 		})
 	}
+}
+
+// allocsPerRun averages the heap allocations (count and bytes) of f over
+// runs calls after one warm-up call. Unlike testing.AllocsPerRun it counts
+// bytes too, and it counts every goroutine's allocations — a fleet's
+// replicas drain on their own goroutines.
+func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// disaggFleetSpec is the benchmark's fleet shape at a test-sized request
+// count: 8 disaggregated replicas behind least-kv routing under a
+// lognormal two-tenant mix.
+func disaggFleetSpec(tb testing.TB, requests int) cluster.Spec {
+	tb.Helper()
+	capacity := serveBenchSpec(tb, 0)
+	capacity.PromptTokens, capacity.GenTokens = 0, 0
+	capacity.Rate, capacity.Seed = 0, 0
+	capacity.Policy = serve.Disaggregated
+	capacity.PrefillDevices, capacity.DecodeDevices = 1, 1
+	mix, err := serve.ParseMix("chat:0.7:300~0.8:150~0.6,batch:0.3:1200~0.5:400")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cluster.Spec{
+		Replicas: []cluster.Replica{{Spec: capacity, Count: 8}},
+		Routing:  cluster.LeastKV,
+		Mix:      mix, Rate: 24, Requests: requests, Seed: 1,
+	}
+}
+
+// TestClusterAllocBudget pins the fleet simulator's allocations per run
+// (count and bytes) on the benchmark's fleet shape: a fresh and a pooled
+// least-kv fleet and a fresh round-robin one. Budgets are the measured
+// values with about 2.5× headroom. The instance row pins that a replica
+// pushed k requests allocates for k, however long its envelope: one
+// envelope-sized request slab alone would be 1,024 × 152 bytes.
+func TestClusterAllocBudget(t *testing.T) {
+	const requests = 256
+	lkv := disaggFleetSpec(t, requests)
+	rr := lkv
+	rr.Routing = cluster.RoundRobin
+	pooled := cluster.NewRunner()
+	for _, tc := range []struct {
+		name          string
+		allocs, bytes float64
+		run           func() (cluster.Result, error)
+	}{
+		{"least-kv/fresh", 2300, 1300e3, func() (cluster.Result, error) { return cluster.Run(lkv) }},
+		{"least-kv/pooled", 550, 550e3, func() (cluster.Result, error) { return pooled.Run(lkv) }},
+		{"round-robin/fresh", 2200, 1200e3, func() (cluster.Result, error) { return cluster.Run(rr) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs, bytes := allocsPerRun(5, func() {
+				if _, err := tc.run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > tc.allocs || bytes > tc.bytes {
+				t.Errorf("%v allocs, %v bytes per %d-request fleet run; budget %v allocs, %v bytes",
+					allocs, bytes, requests, tc.allocs, tc.bytes)
+			}
+		})
+	}
+	t.Run("instance", func(t *testing.T) {
+		const k, budget = 16, 48e3
+		capacity := lkv.Replicas[0].Spec
+		shapes, err := serve.MixShapes(lkv.Mix, 1024, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		times := serve.PoissonArrivalTimes(lkv.Rate/8, k, 1)
+		for _, n := range []int{k, len(shapes)} {
+			env := new(serve.Envelope)
+			if err := env.Set(shapes[:n]); err != nil {
+				t.Fatal(err)
+			}
+			_, bytes := allocsPerRun(5, func() {
+				in, err := serve.NewRunner().Instance(capacity, env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, at := range times {
+					if err := in.Push(shapes[i], at); err != nil {
+						t.Fatal(err)
+					}
+				}
+				in.Drain()
+				if _, err := in.Result(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if bytes > budget {
+				t.Errorf("instance pushed %d of a %d-shape envelope: %v bytes, budget %v", k, n, bytes, budget)
+			}
+		}
+	})
 }

@@ -46,7 +46,7 @@ func main() {
 	base := optimus.ServeSpec{
 		Model: cfg, System: sys, TP: 1, Precision: optimus.FP16,
 		PromptTokens: 400, GenTokens: 150,
-		Arrival: optimus.PoissonArrivals,
+		Arrival:  optimus.PoissonArrivals,
 		Requests: 256, Seed: 1,
 	}
 

@@ -9,20 +9,24 @@
 // Replicas are heterogeneous capacity descriptors: each carries its own
 // serve.Spec (system, precision, TP, admission policy, pool split), so a
 // mixed fleet — say four paged H100 boxes plus two disaggregated A100
-// pairs — falls out of listing them. Replicas run on real goroutines, the
-// first genuinely parallel serve path in the repository; results merge
+// pairs — falls out of listing them. Replicas run on their own goroutines
+// wherever the work between synchronization points is real: under
+// load-independent routing (round-robin, tenant affinity) each replica
+// pushes and drains its whole share in parallel, and under load-aware
+// routing the final drain runs in parallel. Results merge
 // deterministically (index-ordered, with global-ID remapping), so a fleet
 // Result is byte-identical at any GOMAXPROCS — the engine==serial
 // discipline of internal/sweep, applied to simulation itself. The
 // load-aware routing policies sample replica load only at arrival-time
-// barriers, where each replica's state is a pure function of the requests
-// pushed so far; scheduling order can never leak into an assignment.
+// barriers, which the router advances inline (a barrier is a few
+// iterations per replica, cheaper than a goroutine hand-off); each
+// replica's state there is a pure function of the requests pushed so far,
+// so scheduling order can never leak into an assignment.
 package cluster
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"optimus/internal/serve"
@@ -245,80 +249,26 @@ func expandReplicas(reps []Replica) (specs []serve.Spec, descriptor []int, err e
 	return specs, descriptor, nil
 }
 
-// workerPool runs fleet barriers on persistent per-replica goroutines —
-// the fleet's only parallelism. Every barrier's per-index work touches
-// disjoint state, so the merge points after each() see a deterministic
-// fleet no matter how the goroutines were scheduled. Workers are spawned
-// once per Run: under load-aware routing each arrival is a barrier, and
-// per-arrival goroutine launches (~R×requests of them) used to dominate
-// the router's wall clock.
-type workerPool struct {
-	cmds []chan func(int)
-	wg   sync.WaitGroup
-}
-
-// newWorkerPool starts r persistent workers; a single-replica pool runs
-// its barriers inline.
-func newWorkerPool(r int) *workerPool {
-	p := new(workerPool)
+// eachReplica runs f(0..r-1) on one goroutine per replica and waits. It
+// is where the fleet runs in parallel: a load-independent router's
+// replicas each push and drain their whole share here, and a load-aware
+// router's replicas run their final drain here. Every index touches
+// disjoint state, so the merge afterwards sees a deterministic fleet no
+// matter how the goroutines were scheduled. A single replica runs inline.
+func eachReplica(r int, f func(int)) {
 	if r == 1 {
-		return p
-	}
-	p.cmds = make([]chan func(int), r)
-	for i := range p.cmds {
-		ch := make(chan func(int), 1)
-		p.cmds[i] = ch
-		go func(i int, ch chan func(int)) {
-			for f := range ch {
-				f(i)
-				p.wg.Done()
-			}
-		}(i, ch)
-	}
-	return p
-}
-
-// each runs f(0..r-1) as one barrier and waits for every worker.
-func (p *workerPool) each(r int, f func(int)) {
-	if p.cmds == nil {
-		for i := 0; i < r; i++ {
-			f(i)
-		}
+		f(0)
 		return
 	}
-	p.wg.Add(r)
-	for _, ch := range p.cmds {
-		ch <- f
-	}
-	p.wg.Wait()
-}
-
-// run dispatches f to the listed workers only and waits — the barrier for
-// arrivals where most replicas have nothing to step. Small barriers run
-// inline and serial: an arrival-time advance is typically one or two
-// batching iterations per busy replica, well under the park/unpark cost
-// of a goroutine hand-off (measured ~1.5× faster at R=4 than dispatching
-// every busy replica).
-func (p *workerPool) run(ids []int, f func(int)) {
-	const inlineMax = 4
-	if len(ids) <= inlineMax || p.cmds == nil {
-		for _, i := range ids {
+	var wg sync.WaitGroup
+	wg.Add(r)
+	for i := 0; i < r; i++ {
+		go func(i int) {
+			defer wg.Done()
 			f(i)
-		}
-		return
+		}(i)
 	}
-	p.wg.Add(len(ids))
-	for _, i := range ids {
-		p.cmds[i] <- f
-	}
-	p.wg.Wait()
-}
-
-// stop terminates the workers; the pool is single-use per Run.
-func (p *workerPool) stop() {
-	for _, ch := range p.cmds {
-		close(ch)
-	}
+	wg.Wait()
 }
 
 // Runner pools fleet simulation state across runs: one serve.Runner per
@@ -330,6 +280,11 @@ func (p *workerPool) stop() {
 // Run (TestClusterRunnerReuseMatchesFresh).
 type Runner struct {
 	reps []*serve.Runner
+	// env is the fleet stream's shape envelope, built once per Run and
+	// read by every replica; times and shapes hold the stream itself.
+	env    serve.Envelope
+	times  []float64
+	shapes []serve.Request
 }
 
 // NewRunner returns an empty Runner; replica slots are grown on first use.
@@ -337,14 +292,13 @@ func NewRunner() *Runner { return new(Runner) }
 
 // Run executes the fleet simulation: generate the seeded fleet-wide
 // arrival stream (byte-identical to what serve.Run would generate for the
-// same workload), route every arrival to a replica, run the replicas —
-// genuinely in parallel — and merge per-replica results into the fleet
-// view deterministically.
+// same workload), route every arrival to a replica, run the replicas, and
+// merge per-replica results into the fleet view deterministically.
 func Run(s Spec) (Result, error) { return new(Runner).Run(s) }
 
 // Run is the pooled form of the package-level Run: replica instances are
-// re-armed from the Runner's per-slot serve.Runners instead of built
-// fresh.
+// re-armed from the Runner's per-slot serve.Runners, and the stream and
+// its envelope reuse the Runner's buffers, instead of being built fresh.
 func (rn *Runner) Run(s Spec) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
@@ -354,21 +308,24 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	// The fleet arrival stream, through the same generation seam serve.Run
 	// draws from — byte-identical timestamps and shapes for the same
 	// workload and seed.
-	var times []float64
-	var shapes []serve.Request
+	times, shapes := rn.times[:0], rn.shapes[:0]
 	if len(s.Trace) > 0 {
-		times = make([]float64, len(s.Trace))
-		shapes = make([]serve.Request, len(s.Trace))
-		for i, ev := range s.Trace {
-			times[i] = ev.Arrival
-			shapes[i] = ev.Request
+		for _, ev := range s.Trace {
+			times = append(times, ev.Arrival)
+			shapes = append(shapes, ev.Request)
 		}
 	} else {
 		proc := workload.ArrivalProcess{
 			Rate: s.Rate, Schedule: s.Schedule,
 			Turns: s.Turns, Think: s.Think, Seed: s.Seed,
 		}
-		times, shapes = proc.Generate(s.Mix, s.Requests, nil, nil)
+		times, shapes = proc.Generate(s.Mix, s.Requests, times, shapes)
+	}
+	rn.times, rn.shapes = times, shapes
+	// Every replica is built on the whole stream's shapes, so each prices
+	// exactly as a single-replica Run of the fleet workload would.
+	if err := rn.env.Set(shapes); err != nil {
+		return Result{}, err
 	}
 
 	specs, descriptor, err := expandReplicas(s.Replicas)
@@ -381,15 +338,12 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	}
 	instances := make([]*serve.Instance, R)
 	for i, cap := range specs {
-		in, err := rn.reps[i].Instance(cap, shapes)
+		in, err := rn.reps[i].Instance(cap, &rn.env)
 		if err != nil {
 			return Result{}, fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
 		instances[i] = in
 	}
-	pool := newWorkerPool(R)
-	defer pool.stop()
-
 	// routed[i] lists replica i's assigned global arrival indices in push
 	// order — the local→global ID remapping the merge applies.
 	routed := make([][]int, R)
@@ -411,7 +365,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 				assign(i, tenantReplica(shapes[i].Tenant, R))
 			}
 		}
-		pool.each(R, func(r int) {
+		eachReplica(R, func(r int) {
 			in := instances[r]
 			for _, g := range routed[r] {
 				if err := in.Push(shapes[g], times[g]); err != nil {
@@ -423,19 +377,16 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		})
 	case LeastQueue, LeastKV:
 		// Load-aware routing: barrier every replica to the arrival
-		// instant (in parallel — each replica steps its own iterations),
-		// then scan loads in index order. The snapshot each replica
-		// reports at time t depends only on its own push history, so the
-		// argmin — ties to the lowest index — is scheduling-independent.
-		var busy []int
+		// instant, then scan loads in index order. A barrier is a few
+		// batching iterations per busy replica — far less than a
+		// goroutine hand-off — so it runs inline on the router. The
+		// snapshot each replica reports at time t depends only on its own
+		// push history, so the argmin (ties to the lowest index) is a pure
+		// function of the stream.
 		for i, at := range times {
-			busy = busy[:0]
-			for r := 0; r < R; r++ {
-				if instances[r].NeedsAdvance(at) {
-					busy = append(busy, r)
-				}
+			for _, in := range instances {
+				in.AdvanceTo(at)
 			}
-			pool.run(busy, func(r int) { instances[r].AdvanceTo(at) })
 			best, bestLoad := 0, instances[0].Load()
 			for r := 1; r < R; r++ {
 				l := instances[r].Load()
@@ -448,7 +399,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 			}
 			assign(i, best)
 		}
-		pool.each(R, func(r int) { instances[r].Drain() })
+		eachReplica(R, func(r int) { instances[r].Drain() })
 	default:
 		return Result{}, fmt.Errorf("cluster: unknown routing policy %v", s.Routing)
 	}
@@ -509,67 +460,31 @@ func merge(s Spec, instances []*serve.Instance, routed [][]int, descriptor []int
 		res.SwapTimeTotal += rr.SwapTimeTotal
 	}
 
-	flat := make([]serve.RequestMetrics, 0, total)
-	res.PerRequest = make([]RequestMetrics, 0, total)
+	// Every replica drained its whole share, so the global arrival indices
+	// are exactly 0..total-1: each request lands at its own index.
+	flat := make([]serve.RequestMetrics, total)
+	res.PerRequest = make([]RequestMetrics, total)
 	for r := range instances {
 		for _, m := range res.PerReplica[r].Result.PerRequest {
 			m.ID = routed[r][m.ID] // local push index → global arrival index
-			res.PerRequest = append(res.PerRequest, RequestMetrics{RequestMetrics: m, Replica: r})
+			res.PerRequest[m.ID] = RequestMetrics{RequestMetrics: m, Replica: r}
+			flat[m.ID] = m
 		}
 	}
-	// IDs are unique global arrival indices, so the unstable generic sort
-	// is deterministic — and free of sort.Slice's reflection.
-	slices.SortFunc(res.PerRequest, func(a, b RequestMetrics) int { return a.ID - b.ID })
-	for _, m := range res.PerRequest {
-		flat = append(flat, m.RequestMetrics)
-	}
-	res.Requests = len(res.PerRequest)
+	res.Requests = total
 
 	if res.SimTime > 0 {
 		genSum := 0
 		for _, m := range flat {
 			genSum += m.GenTokens
 		}
-		res.ThroughputRPS = float64(len(flat)) / res.SimTime
+		res.ThroughputRPS = float64(total) / res.SimTime
 		res.TokensPerSec = float64(genSum) / res.SimTime
 	}
-	res.TTFT = summarizeMetric(flat, func(m serve.RequestMetrics) float64 { return m.TTFT })
-	res.TPOT = summarizeMetric(flat, func(m serve.RequestMetrics) float64 { return m.TPOT })
-	res.E2E = summarizeMetric(flat, func(m serve.RequestMetrics) float64 { return m.E2E })
-	res.Queue = summarizeMetric(flat, func(m serve.RequestMetrics) float64 { return m.Queue })
-	// Single-tenant fleets (the default workload) reuse the fleet-wide
-	// percentiles just computed — same samples, same shared nearest-rank
-	// math, so the reuse is byte-identical to TenantBreakdown's.
-	single := len(flat) > 0
-	for i := 1; i < len(flat); i++ {
-		if flat[i].Tenant != flat[0].Tenant {
-			single = false
-			break
-		}
-	}
-	if single {
-		gen := 0
-		for _, m := range flat {
-			gen += m.GenTokens
-		}
-		res.PerTenant = []serve.TenantMetrics{{
-			Tenant: flat[0].Tenant, Requests: len(flat), GenTokens: gen,
-			TTFT: res.TTFT, TPOT: res.TPOT, E2E: res.E2E, Queue: res.Queue,
-		}}
-	} else {
-		res.PerTenant = serve.TenantBreakdown(flat)
-	}
+	sum := serve.SummarizeRequests(flat)
+	res.TTFT, res.TPOT, res.E2E, res.Queue = sum.TTFT, sum.TPOT, sum.E2E, sum.Queue
+	res.PerTenant = sum.PerTenant
 	return res, nil
-}
-
-// summarizeMetric extracts one per-request metric and summarizes it with
-// serve's nearest-rank percentiles.
-func summarizeMetric(done []serve.RequestMetrics, f func(serve.RequestMetrics) float64) serve.Percentiles {
-	vals := make([]float64, len(done))
-	for i, m := range done {
-		vals[i] = f(m)
-	}
-	return serve.Summarize(vals)
 }
 
 // validateRate mirrors serve's Poisson rate validation for the knee

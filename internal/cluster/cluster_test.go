@@ -99,12 +99,47 @@ func TestSingleReplicaReproducesServe(t *testing.T) {
 	}
 }
 
-// TestFleetDeterministicAcrossGOMAXPROCS: the replicas run on real
-// goroutines, so this is the pin that parallel execution cannot leak into
-// results — fleets at GOMAXPROCS 1 and N must be byte-identical for every
-// routing policy (run under -race in tier 1, which also catches unsynced
-// access in the barrier pattern).
+// disaggFleet is the benchmark's fleet shape: 8 disaggregated replicas
+// (Llama2-13B on TP=2 H100, one prefill and one decode device) behind
+// least-kv routing under a lognormal two-tenant mix.
+func disaggFleet(t testing.TB, requests int) Spec {
+	t.Helper()
+	sys, err := arch.SystemOf(arch.H100(), 2, 8, tech.NVLink4, tech.IBNDR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := model.ByName("Llama2-13B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := serve.ParseMix("chat:0.7:300~0.8:150~0.6,batch:0.3:1200~0.5:400")
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := serve.Spec{
+		Model: cfg, System: sys, TP: 2, Precision: tech.FP16,
+		Policy: serve.Disaggregated, PrefillDevices: 1, DecodeDevices: 1,
+	}
+	return Spec{
+		Replicas: []Replica{{Spec: capacity, Count: 8}},
+		Routing:  LeastKV,
+		Mix:      mix, Rate: 24, Requests: requests, Seed: 1,
+	}
+}
+
+// TestFleetDeterministicAcrossGOMAXPROCS: replicas run on real goroutines
+// wherever the fleet runs in parallel, so this is the pin that scheduling
+// cannot leak into results — fleets at GOMAXPROCS 1, 2 and 8 must be
+// byte-identical for every routing policy and for the benchmark's
+// disaggregated least-kv shape, whose arrival barriers advance replicas
+// inline (run under -race in tier 1, which also catches unsynced access
+// between the router and the draining replicas).
 func TestFleetDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	type tcase struct {
+		name string
+		spec Spec
+	}
+	var cases []tcase
 	for _, routing := range routings {
 		s := fleet0(t, 4)
 		s.Routing = routing
@@ -113,24 +148,34 @@ func TestFleetDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			{Tenant: "batch", Share: 0.4, PromptTokens: 350, GenTokens: 40},
 		}
 		s.PromptTokens, s.GenTokens = 0, 0
+		cases = append(cases, tcase{routing.String(), s})
+	}
+	cases = append(cases, tcase{"disagg-8/least-kv", disaggFleet(t, 256)})
 
-		prev := runtime.GOMAXPROCS(1)
-		serial, err := Run(s)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%v: fleet result differs between GOMAXPROCS 1 and %d", routing, prev)
-		}
-		js, _ := json.Marshal(serial)
-		jp, _ := json.Marshal(parallel)
-		if string(js) != string(jp) {
-			t.Errorf("%v: JSON encodings differ across GOMAXPROCS", routing)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range cases {
+		var first Result
+		var firstJSON string
+		for i, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			res, err := Run(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first, firstJSON = res, string(js)
+				continue
+			}
+			if !reflect.DeepEqual(first, res) {
+				t.Errorf("%s: fleet result differs between GOMAXPROCS 1 and %d", tc.name, procs)
+			}
+			if string(js) != firstJSON {
+				t.Errorf("%s: JSON encodings differ between GOMAXPROCS 1 and %d", tc.name, procs)
+			}
 		}
 	}
 }

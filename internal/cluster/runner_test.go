@@ -19,7 +19,11 @@ func TestClusterRunnerReuseMatchesFresh(t *testing.T) {
 		name string
 		spec Spec
 	}
-	var cases []tcase
+	// First, the benchmark's shape: eight disaggregated replicas behind
+	// least-kv under a lognormal two-tenant mix. Its long-tailed shapes
+	// would widen the smaller fleets' geometry after it if the pooled
+	// envelope kept any of them.
+	cases := []tcase{{"disagg-8/least-kv", disaggFleet(t, 256)}}
 	for _, n := range []int{1, 3} {
 		for _, routing := range []Routing{RoundRobin, LeastQueue, LeastKV} {
 			for _, rate := range []float64{0.5, 4} {

@@ -1,0 +1,114 @@
+package serve
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// mapTenantBreakdown is the map-of-copies tenant breakdown tenantBreakdown
+// replaced, kept as its oracle: group by tenant into copied slices, sort
+// the names, and summarize each tenant in fresh buffers.
+func mapTenantBreakdown(done []RequestMetrics) []TenantMetrics {
+	byTenant := make(map[string][]RequestMetrics)
+	names := make([]string, 0, 4)
+	for _, m := range done {
+		if _, ok := byTenant[m.Tenant]; !ok {
+			names = append(names, m.Tenant)
+		}
+		byTenant[m.Tenant] = append(byTenant[m.Tenant], m)
+	}
+	sort.Strings(names)
+	summarize := func(ms []RequestMetrics, f func(RequestMetrics) float64) Percentiles {
+		vals := make([]float64, 0, len(ms))
+		for _, m := range ms {
+			vals = append(vals, f(m))
+		}
+		sort.Float64s(vals)
+		return percentiles(vals)
+	}
+	out := make([]TenantMetrics, 0, len(names))
+	for _, name := range names {
+		ms := byTenant[name]
+		gen := 0
+		for _, m := range ms {
+			gen += m.GenTokens
+		}
+		out = append(out, TenantMetrics{
+			Tenant: name, Requests: len(ms), GenTokens: gen,
+			TTFT:  summarize(ms, func(m RequestMetrics) float64 { return m.TTFT }),
+			TPOT:  summarize(ms, func(m RequestMetrics) float64 { return m.TPOT }),
+			E2E:   summarize(ms, func(m RequestMetrics) float64 { return m.E2E }),
+			Queue: summarize(ms, func(m RequestMetrics) float64 { return m.Queue }),
+		})
+	}
+	return out
+}
+
+// TestTenantBreakdownMatchesMapOracle pins the permutation-grouped tenant
+// breakdown to the map-based oracle, reflect and JSON, over seeded random
+// request sets: one tenant up to many, tenants with a single request,
+// +Inf samples (a saturated SLO) and the empty set, which must stay a
+// non-nil empty breakdown ("[]", not "null"). The pooled buffers are
+// carried from case to case, as a Runner carries them between runs.
+func TestTenantBreakdownMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var buf []float64
+	var perm []int32
+	check := func(name string, done []RequestMetrics) {
+		t.Helper()
+		want := mapTenantBreakdown(done)
+		var got []TenantMetrics
+		got, buf, perm = tenantBreakdown(done, buf, perm)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: breakdown diverges from the map oracle\n got %+v\nwant %+v", name, got, want)
+		}
+		// encoding/json refuses +Inf, so a saturated set must fail to
+		// encode the same way on both sides.
+		jw, ew := json.Marshal(want)
+		jg, eg := json.Marshal(got)
+		if string(jw) != string(jg) || fmt.Sprint(ew) != fmt.Sprint(eg) {
+			t.Fatalf("%s: JSON diverges from the map oracle\n got %s (%v)\nwant %s (%v)", name, jg, eg, jw, ew)
+		}
+		if sum := SummarizeRequests(done); !reflect.DeepEqual(sum.PerTenant, got) {
+			t.Fatalf("%s: SummarizeRequests' breakdown diverges from tenantBreakdown's", name)
+		}
+	}
+	sample := func(inf float64) float64 {
+		if rng.Float64() < inf {
+			return math.Inf(1)
+		}
+		// Coarse values so tenants tie on samples as well as differ.
+		return float64(rng.Intn(50)) / 8
+	}
+	request := func(id int, tenant string, inf float64) RequestMetrics {
+		return RequestMetrics{
+			ID: id, Tenant: tenant, PromptTokens: 1 + rng.Intn(500), GenTokens: 1 + rng.Intn(300),
+			TTFT: sample(inf), TPOT: sample(inf), E2E: sample(inf), Queue: sample(inf),
+		}
+	}
+
+	check("empty", []RequestMetrics{})
+	check("nil", nil)
+	check("one request", []RequestMetrics{request(0, "solo", 0)})
+	check("single-request tenants", []RequestMetrics{
+		request(0, "c", 0), request(1, "a", 1), request(2, "b", 0), request(3, "a", 0),
+	})
+	for trial := 0; trial < 200; trial++ {
+		tenants := 1 + rng.Intn(40)
+		n := rng.Intn(300)
+		inf := []float64{0, 0, 0.05, 1}[trial%4]
+		done := make([]RequestMetrics, n)
+		for i := range done {
+			// Skewed draws: low-numbered tenants are common, high ones
+			// often get a single request or none.
+			tn := int(float64(tenants) * rng.Float64() * rng.Float64())
+			done[i] = request(i, fmt.Sprintf("t%02d", tn), inf)
+		}
+		check(fmt.Sprintf("trial %d (%d tenants, %d requests, inf %g)", trial, tenants, n, inf), done)
+	}
+}

@@ -46,24 +46,58 @@ type Instance struct {
 	drained bool
 }
 
-// NewInstance builds a steppable replica from a capacity spec and a shape
-// envelope. The spec carries capacity only — model/system/precision,
-// batching and KV limits, and the admission policy; its workload and
-// arrival fields must be zero (the router owns the stream). The envelope
-// is the set of request shapes the router may push (duplicates are fine):
-// the KV geometry, step-cost samples and batch caps are derived from its
-// bounds exactly as Run derives them from a workload, so an instance fed a
-// workload's requests prices them byte-identically to Run on that
-// workload.
-func NewInstance(s Spec, envelope []Request) (*Instance, error) {
-	return new(Runner).Instance(s, envelope)
+// Envelope is the set of request shapes a router may push into an
+// instance (duplicates are fine), validated once and posed as a zero-time
+// trace: every geometry path (shape bounds, KV budget, policy
+// construction, step-coster configuration) then sees exactly the workload
+// Run would see, with no second derivation to drift. An instance fed a
+// workload's requests on that workload's envelope prices them
+// byte-identically to Run. Every replica of a fleet reads one Envelope;
+// Set re-arms it in place, reusing its storage, and invalidates the
+// instances built on its previous contents.
+type Envelope struct {
+	trace []TraceEvent
 }
 
-// Instance re-arms the Runner's pooled simulator as a steppable replica —
-// NewInstance without the per-construction slab allocations. The Runner's
-// single-live-simulation contract applies: building a new Instance (or
-// calling Run) invalidates the previous one.
-func (rn *Runner) Instance(s Spec, envelope []Request) (*Instance, error) {
+// Set validates shapes and makes them the envelope.
+func (e *Envelope) Set(shapes []Request) error {
+	trace := e.trace[:0]
+	for _, sh := range shapes {
+		trace = append(trace, TraceEvent{Request: sh})
+	}
+	// Empty until the shapes validate: no instance can be built on a
+	// failed Set.
+	e.trace = trace[:0]
+	if len(trace) == 0 {
+		return fmt.Errorf("serve: an instance needs a non-empty shape envelope")
+	}
+	if err := ValidateTrace(trace); err != nil {
+		return err
+	}
+	e.trace = trace
+	return nil
+}
+
+// NewInstance builds a steppable replica from a capacity spec and the
+// shapes of a fresh Envelope; see Runner.Instance.
+func NewInstance(s Spec, envelope []Request) (*Instance, error) {
+	env := new(Envelope)
+	if err := env.Set(envelope); err != nil {
+		return nil, err
+	}
+	return new(Runner).Instance(s, env)
+}
+
+// Instance re-arms the Runner's pooled simulator as a steppable replica.
+// The spec carries capacity only — model/system/precision, batching and
+// KV limits, and the admission policy; its workload and arrival fields
+// must be zero (the router owns the stream). The KV geometry, step-cost
+// samples and batch caps are derived from the envelope's bounds exactly
+// as Run derives them from a workload, while the request slabs grow with
+// the pushes — a replica holding a fraction of its envelope pays for that
+// fraction. The Runner's single-live-simulation contract applies:
+// building a new Instance (or calling Run) invalidates the previous one.
+func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 	if len(s.Mix) > 0 || s.Trace != nil || s.PromptTokens != 0 || s.GenTokens != 0 || s.PrefixTokens != 0 {
 		return nil, fmt.Errorf("serve: an instance spec carries capacity only — leave PromptTokens/GenTokens/PrefixTokens/Mix/Trace zero, the router pushes requests")
 	}
@@ -71,31 +105,22 @@ func (rn *Runner) Instance(s Spec, envelope []Request) (*Instance, error) {
 		len(s.Schedule) > 0 || s.Turns != 0 || s.Think != 0 {
 		return nil, fmt.Errorf("serve: an instance spec carries no arrival process — leave Arrival/Rate/Clients/Requests/Seed/Schedule/Turns/Think zero")
 	}
-	if len(envelope) == 0 {
+	if len(env.trace) == 0 {
 		return nil, fmt.Errorf("serve: an instance needs a non-empty shape envelope")
 	}
-	// Pose the envelope as a zero-time trace: every existing validation
-	// and geometry path (shape bounds, KV budget, policy construction,
-	// step-coster configuration) then sees exactly the workload Run would
-	// see, with no second derivation to drift.
-	env := s
-	trace := rn.traceBuf[:0]
-	for _, sh := range envelope {
-		trace = append(trace, TraceEvent{Request: sh})
-	}
-	rn.traceBuf = trace
-	env.Trace = trace
-	env = env.withDefaults()
-	if err := env.validateShape(); err != nil {
+	s.Trace = env.trace
+	if err := s.inferSpec().Validate(); err != nil {
 		return nil, err
 	}
-	if err := rn.sim.reset(env); err != nil {
+	if err := s.validateKnobs(); err != nil {
 		return nil, err
 	}
-	sim := &rn.sim
-	// The envelope trace configured geometry; it is not an arrival stream.
-	sim.arrivals, sim.shapes, sim.target = nil, nil, 0
-	return &Instance{sim: sim}, nil
+	// Requests stays zero: it pre-sizes Run's slabs and sets its
+	// completion target, and an instance's requests arrive by Push.
+	if err := rn.sim.reset(s); err != nil {
+		return nil, err
+	}
+	return &Instance{sim: &rn.sim}, nil
 }
 
 // Push hands the instance one request arriving at time t. Requests must
@@ -161,16 +186,6 @@ func (in *Instance) AdvanceTo(t float64) {
 	for !sim.idle() && sim.now < t {
 		sim.step()
 	}
-}
-
-// NeedsAdvance reports whether AdvanceTo(t) would run at least one
-// iteration — the instance holds work and its clock trails t. A router
-// barriering a fleet checks this inline and dispatches only the replicas
-// with pending iterations, instead of paying a goroutine hand-off for
-// every replica at every arrival (clock overshoot makes the no-op case
-// the common one).
-func (in *Instance) NeedsAdvance(t float64) bool {
-	return !in.sim.idle() && in.sim.now < t
 }
 
 // Drain runs the instance to completion: every pushed request finishes.

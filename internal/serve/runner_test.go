@@ -153,7 +153,11 @@ func TestRunnerInstanceMatchesNewInstance(t *testing.T) {
 	if _, err := rn.Run(s); err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := rn.Instance(capSpec, shapes)
+	env := new(Envelope)
+	if err := env.Set(shapes); err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := rn.Instance(capSpec, env)
 	if err != nil {
 		t.Fatal(err)
 	}

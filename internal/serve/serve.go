@@ -43,7 +43,9 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"optimus/internal/arch"
 	"optimus/internal/comm"
@@ -435,6 +437,13 @@ func (s Spec) validateShape() error {
 			}
 		}
 	}
+	return s.validateKnobs()
+}
+
+// validateKnobs checks the capacity knobs: counts, limits and the
+// policy-specific fields. Instance runs it alone, on an envelope whose
+// shapes were validated once for every replica.
+func (s Spec) validateKnobs() error {
 	switch {
 	case s.Requests < 0:
 		return fmt.Errorf("serve: negative request count %d", s.Requests)
@@ -703,32 +712,54 @@ type TenantMetrics struct {
 }
 
 // tenantBreakdown groups completed requests by tenant, sorted by name.
-func tenantBreakdown(done []RequestMetrics) []TenantMetrics {
-	byTenant := make(map[string][]RequestMetrics)
-	names := make([]string, 0, 4)
-	for _, m := range done {
-		if _, ok := byTenant[m.Tenant]; !ok {
-			names = append(names, m.Tenant)
-		}
-		byTenant[m.Tenant] = append(byTenant[m.Tenant], m)
+// It walks them through perm, an index permutation sorted by tenant, and
+// summarizes each tenant's run of indices in buf. Nearest-rank
+// percentiles depend only on the multiset of samples, so the visiting
+// order cannot change a result. Both buffers are returned, grown, for the
+// next call; an empty set yields a non-nil empty breakdown.
+func tenantBreakdown(done []RequestMetrics, buf []float64, perm []int32) ([]TenantMetrics, []float64, []int32) {
+	perm = perm[:0]
+	for i := range done {
+		perm = append(perm, int32(i))
 	}
-	sort.Strings(names)
-	out := make([]TenantMetrics, 0, len(names))
-	for _, name := range names {
-		ms := byTenant[name]
-		gen := 0
-		for _, m := range ms {
-			gen += m.GenTokens
+	slices.SortStableFunc(perm, func(a, b int32) int { return strings.Compare(done[a].Tenant, done[b].Tenant) })
+	tenants := 0
+	for i := range perm {
+		if i == 0 || done[perm[i]].Tenant != done[perm[i-1]].Tenant {
+			tenants++
 		}
-		out = append(out, TenantMetrics{
-			Tenant: name, Requests: len(ms), GenTokens: gen,
-			TTFT:  metricPercentiles(ms, func(m RequestMetrics) float64 { return m.TTFT }),
-			TPOT:  metricPercentiles(ms, func(m RequestMetrics) float64 { return m.TPOT }),
-			E2E:   metricPercentiles(ms, func(m RequestMetrics) float64 { return m.E2E }),
-			Queue: metricPercentiles(ms, func(m RequestMetrics) float64 { return m.Queue }),
-		})
 	}
-	return out
+	out := make([]TenantMetrics, 0, tenants)
+	for lo := 0; lo < len(perm); {
+		name := done[perm[lo]].Tenant
+		hi := lo + 1
+		for hi < len(perm) && done[perm[hi]].Tenant == name {
+			hi++
+		}
+		group := perm[lo:hi]
+		tm := TenantMetrics{Tenant: name, Requests: len(group)}
+		for _, i := range group {
+			tm.GenTokens += done[i].GenTokens
+		}
+		tm.TTFT, buf = groupPercentiles(buf, done, group, func(m *RequestMetrics) float64 { return m.TTFT })
+		tm.TPOT, buf = groupPercentiles(buf, done, group, func(m *RequestMetrics) float64 { return m.TPOT })
+		tm.E2E, buf = groupPercentiles(buf, done, group, func(m *RequestMetrics) float64 { return m.E2E })
+		tm.Queue, buf = groupPercentiles(buf, done, group, func(m *RequestMetrics) float64 { return m.Queue })
+		out = append(out, tm)
+		lo = hi
+	}
+	return out, buf, perm
+}
+
+// groupPercentiles summarizes one per-request metric over the requests
+// done[group[...]] in buf, returning the grown buffer.
+func groupPercentiles(buf []float64, done []RequestMetrics, group []int32, f func(*RequestMetrics) float64) (Percentiles, []float64) {
+	buf = buf[:0]
+	for _, i := range group {
+		buf = append(buf, f(&done[i]))
+	}
+	sort.Float64s(buf)
+	return percentiles(buf), buf
 }
 
 // request is the in-flight simulator state of one sequence.
@@ -800,11 +831,10 @@ func Run(s Spec) (Result, error) {
 // its own Runner.
 type Runner struct {
 	sim simulator
-	// arrivalsBuf/shapesBuf/traceBuf are the reusable workload-generation
-	// buffers behind Run's arrival stream and Instance's envelope trace.
+	// arrivalsBuf/shapesBuf are the reusable workload-generation buffers
+	// behind Run's arrival stream.
 	arrivalsBuf []float64
 	shapesBuf   []Request
-	traceBuf    []TraceEvent
 }
 
 // NewRunner builds an empty Runner; slabs grow on first use.
@@ -876,18 +906,13 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	return sim.finish(), nil
 }
 
-// metricPercentiles extracts and summarizes one per-request metric.
-func metricPercentiles(done []RequestMetrics, f func(RequestMetrics) float64) Percentiles {
-	p, _ := metricPercentilesBuf(nil, done, f)
-	return p
-}
-
-// metricPercentilesBuf is metricPercentiles over a reusable scratch
-// buffer, returning the (possibly grown) buffer for the next pass.
-func metricPercentilesBuf(buf []float64, done []RequestMetrics, f func(RequestMetrics) float64) (Percentiles, []float64) {
+// metricPercentilesBuf extracts and summarizes one per-request metric in
+// a reusable scratch buffer, returning the (possibly grown) buffer for the
+// next pass.
+func metricPercentilesBuf(buf []float64, done []RequestMetrics, f func(*RequestMetrics) float64) (Percentiles, []float64) {
 	buf = buf[:0]
-	for _, m := range done {
-		buf = append(buf, f(m))
+	for i := range done {
+		buf = append(buf, f(&done[i]))
 	}
 	sort.Float64s(buf)
 	return percentiles(buf), buf

@@ -142,10 +142,10 @@ type simulator struct {
 	// reqs is the request slab: one entry per issued id, indexed by id
 	// (ids are issued densely, so id == slab position).
 	reqs    []request
-	queue   indexDeque // FIFO; preemption re-queues victims at the head
-	running []int32    // admission order
-	victims []int32    // beginStep's reusable victim buffer
-	scratch []float64  // reusable percentile-pass buffer
+	queue   indexDeque     // FIFO; preemption re-queues victims at the head
+	running []int32        // admission order
+	victims []int32        // beginStep's reusable victim buffer
+	sums    summaryScratch // reusable percentile and tenant-grouping buffers
 	done    []RequestMetrics
 
 	iterations int
@@ -594,37 +594,65 @@ func (sim *simulator) finish() Result {
 		res.ThroughputRPS = float64(len(sim.done)) / sim.now
 		res.TokensPerSec = float64(genSum) / sim.now
 	}
-	res.TTFT, sim.scratch = metricPercentilesBuf(sim.scratch, sim.done, func(m RequestMetrics) float64 { return m.TTFT })
-	res.TPOT, sim.scratch = metricPercentilesBuf(sim.scratch, sim.done, func(m RequestMetrics) float64 { return m.TPOT })
-	res.E2E, sim.scratch = metricPercentilesBuf(sim.scratch, sim.done, func(m RequestMetrics) float64 { return m.E2E })
-	res.Queue, sim.scratch = metricPercentilesBuf(sim.scratch, sim.done, func(m RequestMetrics) float64 { return m.Queue })
-	res.PerTenant = sim.perTenant(&res)
+	sum := sim.sums.summarize(sim.done)
+	res.TTFT, res.TPOT, res.E2E, res.Queue = sum.TTFT, sum.TPOT, sum.E2E, sum.Queue
+	res.PerTenant = sum.PerTenant
 	return res
 }
 
-// perTenant assembles the per-tenant breakdown. In the ubiquitous
-// single-tenant case every per-tenant percentile equals the global one
-// finish just computed (same samples, same order, same math — so reuse
-// is byte-identical), skipping tenantBreakdown's map and four re-sorts.
-func (sim *simulator) perTenant(res *Result) []TenantMetrics {
-	single := len(sim.done) > 0
-	for i := 1; i < len(sim.done); i++ {
-		if sim.done[i].Tenant != sim.done[0].Tenant {
+// Summary is the SLO surface of a completed request set: the four latency
+// percentile summaries and the per-tenant breakdown, as Result reports
+// them.
+type Summary struct {
+	TTFT, TPOT, E2E, Queue Percentiles
+	PerTenant              []TenantMetrics
+}
+
+// SummarizeRequests summarizes a completed request set with exactly the
+// math Run applies to its own — exported so fleet-level aggregations
+// (internal/cluster) summarize merged request sets identically.
+func SummarizeRequests(done []RequestMetrics) Summary {
+	var sc summaryScratch
+	return sc.summarize(done)
+}
+
+// summaryScratch holds the buffers a summary pass reuses: the percentile
+// samples and the tenant-grouping permutation.
+type summaryScratch struct {
+	buf  []float64
+	perm []int32
+}
+
+// summarize computes done's Summary in the scratch buffers. In the
+// ubiquitous single-tenant case every per-tenant percentile equals the
+// global one (same samples, same math — so reuse is byte-identical),
+// skipping tenantBreakdown's grouping and four re-sorts.
+func (sc *summaryScratch) summarize(done []RequestMetrics) Summary {
+	var s Summary
+	s.TTFT, sc.buf = metricPercentilesBuf(sc.buf, done, func(m *RequestMetrics) float64 { return m.TTFT })
+	s.TPOT, sc.buf = metricPercentilesBuf(sc.buf, done, func(m *RequestMetrics) float64 { return m.TPOT })
+	s.E2E, sc.buf = metricPercentilesBuf(sc.buf, done, func(m *RequestMetrics) float64 { return m.E2E })
+	s.Queue, sc.buf = metricPercentilesBuf(sc.buf, done, func(m *RequestMetrics) float64 { return m.Queue })
+	single := len(done) > 0
+	for i := 1; i < len(done); i++ {
+		if done[i].Tenant != done[0].Tenant {
 			single = false
 			break
 		}
 	}
 	if !single {
-		return tenantBreakdown(sim.done)
+		s.PerTenant, sc.buf, sc.perm = tenantBreakdown(done, sc.buf, sc.perm)
+		return s
 	}
 	gen := 0
-	for _, m := range sim.done {
+	for _, m := range done {
 		gen += m.GenTokens
 	}
-	return []TenantMetrics{{
-		Tenant: sim.done[0].Tenant, Requests: len(sim.done), GenTokens: gen,
-		TTFT: res.TTFT, TPOT: res.TPOT, E2E: res.E2E, Queue: res.Queue,
+	s.PerTenant = []TenantMetrics{{
+		Tenant: done[0].Tenant, Requests: len(done), GenTokens: gen,
+		TTFT: s.TTFT, TPOT: s.TPOT, E2E: s.E2E, Queue: s.Queue,
 	}}
+	return s
 }
 
 // PoissonArrivalTimes pre-generates n open-loop Poisson arrival timestamps
@@ -660,13 +688,6 @@ func MixShapes(mix []TenantLoad, n int, seed int64) ([]Request, error) {
 		return nil, fmt.Errorf("serve: negative request count %d", n)
 	}
 	return mixShapes(mix, n, seed), nil
-}
-
-// TenantBreakdown groups completed requests by tenant, sorted by tenant
-// name — exported so fleet-level aggregations (internal/cluster) summarize
-// merged request sets with exactly the per-tenant math Run uses.
-func TenantBreakdown(done []RequestMetrics) []TenantMetrics {
-	return tenantBreakdown(done)
 }
 
 // Summarize computes nearest-rank percentiles over a sample (the input
