@@ -112,8 +112,9 @@ cover-race:
 
 # Coverage floors on the serving simulator and sweep engine — the paged
 # KV-cache hot paths — so tier-1 fails when new code in them arrives
-# untested. Floors sit below current coverage (serve ~97%, sweep ~91%)
-# to leave room for honest refactors, not for untested subsystems.
+# untested. Floors sit below current coverage (`make cover` prints
+# workload 88.8%, serve 95.6%, sweep 93.3%, cluster 90.8%) to leave
+# room for honest refactors, not for untested subsystems.
 # Standalone convenience; `make check` enforces the same floors via
 # cover-race.
 cover:

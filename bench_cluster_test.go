@@ -7,6 +7,7 @@ import (
 
 	"optimus/internal/cluster"
 	"optimus/internal/serve"
+	"optimus/internal/workload"
 )
 
 // clusterBenchSpec is the cluster-bench workload: the serve-bench capacity
@@ -88,7 +89,7 @@ func disaggFleetSpec(tb testing.TB, requests int) cluster.Spec {
 	capacity.Rate, capacity.Seed = 0, 0
 	capacity.Policy = serve.Disaggregated
 	capacity.PrefillDevices, capacity.DecodeDevices = 1, 1
-	mix, err := serve.ParseMix("chat:0.7:300~0.8:150~0.6,batch:0.3:1200~0.5:400")
+	mix, err := workload.ParseMix("chat:0.7:300~0.8:150~0.6,batch:0.3:1200~0.5:400")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -135,11 +136,8 @@ func TestClusterAllocBudget(t *testing.T) {
 	t.Run("instance", func(t *testing.T) {
 		const k, budget = 16, 48e3
 		capacity := lkv.Replicas[0].Spec
-		shapes, err := serve.MixShapes(lkv.Mix, 1024, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		times := serve.PoissonArrivalTimes(lkv.Rate/8, k, 1)
+		shapes := workload.AppendMixShapes(nil, lkv.Mix, 1024, 1)
+		times := workload.AppendPoissonArrivals(nil, lkv.Rate/8, k, 1)
 		for _, n := range []int{k, len(shapes)} {
 			env := new(serve.Envelope)
 			if err := env.Set(shapes[:n]); err != nil {

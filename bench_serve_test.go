@@ -8,6 +8,7 @@ import (
 	"optimus/internal/model"
 	"optimus/internal/serve"
 	"optimus/internal/tech"
+	"optimus/internal/workload"
 )
 
 // serveBenchSpec is the serve-bench workload: Llama2-13B on 2 H100s under
@@ -130,7 +131,7 @@ func BenchmarkServeBursty(b *testing.B) {
 	const requests = 256
 	spec := serveBenchSpec(b, requests)
 	spec.Rate = 0
-	spec.Schedule = serve.Schedule{
+	spec.Schedule = workload.Schedule{
 		{Start: 0, End: 30, Rate: 1},
 		{Start: 30, End: 45, Rate: 16},
 		{Start: 45, End: 90, Rate: 2},
@@ -226,7 +227,7 @@ func TestServeSimulatorAllocBudget(t *testing.T) {
 		}},
 		{"bursty", 300, 16, func(s *serve.Spec) {
 			s.Rate = 0
-			s.Schedule = serve.Schedule{
+			s.Schedule = workload.Schedule{
 				{Start: 0, End: 30, Rate: 1},
 				{Start: 30, End: 45, Rate: 16},
 				{Start: 45, End: 90, Rate: 2},

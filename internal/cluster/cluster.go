@@ -65,8 +65,8 @@ type Spec struct {
 	PromptTokens int
 	GenTokens    int
 	PrefixTokens int
-	Mix          []serve.TenantLoad
-	Trace        []serve.TraceEvent
+	Mix          []workload.TenantLoad
+	Trace        []workload.TraceEvent
 
 	// Rate is the fleet-wide open-loop Poisson arrival rate in
 	// requests/sec; Requests the request count (zero means 256); Seed the
@@ -108,10 +108,10 @@ func (s Spec) withDefaults() Spec {
 	if len(s.Mix) == 0 && s.Trace == nil {
 		pid := ""
 		if s.PrefixTokens > 0 {
-			pid = serve.DefaultTenant
+			pid = workload.DefaultTenant
 		}
-		s.Mix = []serve.TenantLoad{{
-			Tenant: serve.DefaultTenant, Share: 1,
+		s.Mix = []workload.TenantLoad{{
+			Tenant: workload.DefaultTenant, Share: 1,
 			PromptTokens: s.PromptTokens, GenTokens: s.GenTokens,
 			PrefixID: pid, PrefixTokens: s.PrefixTokens,
 		}}
@@ -284,7 +284,7 @@ type Runner struct {
 	// read by every replica; times and shapes hold the stream itself.
 	env    serve.Envelope
 	times  []float64
-	shapes []serve.Request
+	shapes []workload.Request
 }
 
 // NewRunner returns an empty Runner; replica slots are grown on first use.

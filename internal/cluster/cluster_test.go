@@ -11,6 +11,7 @@ import (
 	"optimus/internal/model"
 	"optimus/internal/serve"
 	"optimus/internal/tech"
+	"optimus/internal/workload"
 )
 
 // capacity0 is the baseline replica capacity: Llama2-13B on one A100 —
@@ -112,7 +113,7 @@ func disaggFleet(t testing.TB, requests int) Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix, err := serve.ParseMix("chat:0.7:300~0.8:150~0.6,batch:0.3:1200~0.5:400")
+	mix, err := workload.ParseMix("chat:0.7:300~0.8:150~0.6,batch:0.3:1200~0.5:400")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestFleetDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, routing := range routings {
 		s := fleet0(t, 4)
 		s.Routing = routing
-		s.Mix = []serve.TenantLoad{
+		s.Mix = []workload.TenantLoad{
 			{Tenant: "chat", Share: 0.6, PromptTokens: 150, GenTokens: 120},
 			{Tenant: "batch", Share: 0.4, PromptTokens: 350, GenTokens: 40},
 		}
@@ -221,7 +222,7 @@ func TestFleetMergeInvariants(t *testing.T) {
 // one replica, and the load-aware policies never leave a replica unused
 // under sustained load.
 func TestRoutingPolicyBehavior(t *testing.T) {
-	mix := []serve.TenantLoad{
+	mix := []workload.TenantLoad{
 		{Tenant: "a", Share: 1, PromptTokens: 150, GenTokens: 100},
 		{Tenant: "b", Share: 1, PromptTokens: 200, GenTokens: 150},
 		{Tenant: "c", Share: 1, PromptTokens: 250, GenTokens: 50},
@@ -374,19 +375,19 @@ func TestClusterValidate(t *testing.T) {
 	check("replica with clients", "arrival fields", func(s *Spec) { s.Replicas[0].Spec.Clients = 4 })
 	check("zero rate", "rate", func(s *Spec) { s.Rate = 0 })
 	check("mix and shape", "leave them zero", func(s *Spec) {
-		s.Mix = []serve.TenantLoad{{Tenant: "x", Share: 1, PromptTokens: 10, GenTokens: 10}}
+		s.Mix = []workload.TenantLoad{{Tenant: "x", Share: 1, PromptTokens: 10, GenTokens: 10}}
 	})
 	check("empty non-nil trace", "empty trace", func(s *Spec) {
 		s.PromptTokens, s.GenTokens, s.Rate = 0, 0, 0
-		s.Trace = []serve.TraceEvent{}
+		s.Trace = []workload.TraceEvent{}
 	})
 	check("trace with rate", "leave Arrival/Rate/Clients/Seed/Schedule/Turns/Think unset", func(s *Spec) {
 		s.PromptTokens, s.GenTokens = 0, 0
-		s.Trace = []serve.TraceEvent{{Arrival: 0, Request: serve.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}}}
+		s.Trace = []workload.TraceEvent{{Arrival: 0, Request: workload.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}}}
 	})
 	check("trace", "", func(s *Spec) {
 		s.PromptTokens, s.GenTokens, s.Rate, s.Requests, s.Seed = 0, 0, 0, 0, 0
-		s.Trace = []serve.TraceEvent{{Arrival: 0, Request: serve.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}}}
+		s.Trace = []workload.TraceEvent{{Arrival: 0, Request: workload.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}}}
 	})
 	check("infeasible replica", "does not fit", func(s *Spec) { s.Replicas[0].Spec.KVCapacity = 1e6 })
 }
@@ -395,11 +396,11 @@ func TestClusterValidate(t *testing.T) {
 // serve.Run — the R=1 equivalence holds for replayed workloads too, and a
 // multi-replica fleet completes every event.
 func TestClusterTraceWorkload(t *testing.T) {
-	trace := []serve.TraceEvent{
-		{Arrival: 0, Request: serve.Request{Tenant: "a", PromptTokens: 120, GenTokens: 30}},
-		{Arrival: 0.2, Request: serve.Request{Tenant: "b", PromptTokens: 200, GenTokens: 60}},
-		{Arrival: 0.9, Request: serve.Request{Tenant: "a", PromptTokens: 80, GenTokens: 10}},
-		{Arrival: 1.4, Request: serve.Request{Tenant: "c", PromptTokens: 300, GenTokens: 90}},
+	trace := []workload.TraceEvent{
+		{Arrival: 0, Request: workload.Request{Tenant: "a", PromptTokens: 120, GenTokens: 30}},
+		{Arrival: 0.2, Request: workload.Request{Tenant: "b", PromptTokens: 200, GenTokens: 60}},
+		{Arrival: 0.9, Request: workload.Request{Tenant: "a", PromptTokens: 80, GenTokens: 10}},
+		{Arrival: 1.4, Request: workload.Request{Tenant: "c", PromptTokens: 300, GenTokens: 90}},
 	}
 	single := capacity0(t)
 	single.Trace = trace

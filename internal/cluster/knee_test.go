@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"optimus/internal/serve"
+	"optimus/internal/workload"
 )
 
 // kneeFleet is the small fleet the knee tests analyze: two batch-capped
@@ -208,8 +208,8 @@ func TestKneeValidation(t *testing.T) {
 	}
 	check("rate set", "leave Cluster.Rate zero", func(ks *KneeSpec) { ks.Cluster.Rate = 1 })
 	check("trace workload", "trace fixes it", func(ks *KneeSpec) {
-		ks.Cluster.Trace = []serve.TraceEvent{
-			{Arrival: 0, Request: serve.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}},
+		ks.Cluster.Trace = []workload.TraceEvent{
+			{Arrival: 0, Request: workload.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}},
 		}
 	})
 	check("zero SLO", "positive finite p95 E2E SLO", func(ks *KneeSpec) { ks.SLOE2EP95 = 0 })

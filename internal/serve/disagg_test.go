@@ -168,16 +168,27 @@ func splitSpec(t *testing.T) Spec {
 
 // TestDisaggPerPoolConservation is the per-pool KV-conservation probe
 // invariant: at every iteration the pages each pool has committed must
-// exactly equal the pages the running set holds in that pool, stay within
-// that pool's capacity, and the combined commitment within the shared
-// budget — including iterations that preempt and migrate.
+// exactly equal the pages the running set holds in that pool plus the
+// resident prefix pages it caches, stay within that pool's capacity, and
+// the combined commitment within the shared budget — including iterations
+// that preempt and migrate. The paged rows cover the one-pool layout, the
+// decode pool alone, which admission fills directly: nothing is ever held
+// in a prefill pool and nothing migrates.
 func TestDisaggPerPoolConservation(t *testing.T) {
+	tiered := func(s *Spec) {
+		*s = pressureSpec(t)
+		_, perRequest := s.kvBudget()
+		s.HostKVBytes, s.SwapGBps = 3*perRequest, 8
+	}
 	for name, mutate := range map[string]func(*Spec){
 		"split":        func(s *Spec) {},
 		"co-located":   func(s *Spec) { s.PrefillDevices, s.DecodeDevices = 2, 2 },
 		"asym-closed":  func(s *Spec) { s.Arrival = ClosedLoop; s.Rate = 0; s.Clients = 10 },
 		"free-link":    func(s *Spec) { s.TransferGBps = math.Inf(1) },
 		"uneven-pools": func(s *Spec) { s.PrefillDevices, s.DecodeDevices = 1, 2 },
+		"paged":        func(s *Spec) { *s = pressureSpec(t) },
+		"paged-prefix": func(s *Spec) { *s = pressureSpec(t); s.PrefixTokens = 64 },
+		"paged-tiered": tiered,
 	} {
 		s := splitSpec(t)
 		mutate(&s)
@@ -188,9 +199,9 @@ func TestDisaggPerPoolConservation(t *testing.T) {
 				t.Fatalf("%s iter %d: prefill pool committed %d pages, running set holds %d — leak",
 					name, ps.iteration, ps.prefillPages, ps.runningPrefillPages)
 			}
-			if ps.decodePages != ps.runningDecodePages {
-				t.Fatalf("%s iter %d: decode pool committed %d pages, running set holds %d — leak",
-					name, ps.iteration, ps.decodePages, ps.runningDecodePages)
+			if ps.decodePages != ps.runningDecodePages+ps.prefixPages {
+				t.Fatalf("%s iter %d: decode pool committed %d pages, running set holds %d + %d resident prefix — leak",
+					name, ps.iteration, ps.decodePages, ps.runningDecodePages, ps.prefixPages)
 			}
 			if ps.prefillPages+ps.decodePages != ps.usedPages {
 				t.Fatalf("%s iter %d: pools hold %d+%d pages but the policy reports %d",
@@ -225,8 +236,11 @@ func TestDisaggPerPoolConservation(t *testing.T) {
 		if res.Requests != s.Requests {
 			t.Fatalf("%s: completed %d of %d requests", name, res.Requests, s.Requests)
 		}
-		if name == "split" && res.Preemptions == 0 {
+		if (name == "split" || s.Policy == Paged) && res.Preemptions == 0 {
 			t.Fatalf("%s: invariant must be exercised under preemption; tighten the KV budget", name)
+		}
+		if s.Policy == Paged && res.KVTransfers != 0 {
+			t.Fatalf("%s: the one-pool layout migrated %d sequences", name, res.KVTransfers)
 		}
 		if res.PeakPrefillPages > res.PrefillPagesTotal || res.PeakDecodePages > res.DecodePagesTotal {
 			t.Fatalf("%s: per-pool peaks exceed pool capacity: %+v", name, res)

@@ -9,6 +9,7 @@ import (
 	"optimus/internal/arch"
 	"optimus/internal/model"
 	"optimus/internal/tech"
+	"optimus/internal/workload"
 )
 
 // fuzzBase builds the fixed model/system the spec fuzzers mutate around.
@@ -119,15 +120,15 @@ func FuzzMixRoundTrip(f *testing.F) {
 	f.Add("padded ", 1.0, 100, 10, "x", 1.0, 100, 10)
 	f.Add("dup", 1.0, 100, 10, "dup", 2.0, 50, 5)
 	f.Fuzz(func(t *testing.T, n1 string, s1 float64, p1, g1 int, n2 string, s2 float64, p2, g2 int) {
-		mix := []TenantLoad{
+		mix := []workload.TenantLoad{
 			{Tenant: n1, Share: s1, PromptTokens: p1, GenTokens: g1},
 			{Tenant: n2, Share: s2, PromptTokens: p2, GenTokens: g2},
 		}
-		if ValidateMix(mix) != nil {
+		if workload.ValidateMix(mix) != nil {
 			return
 		}
-		rendered := FormatMix(mix)
-		back, err := ParseMix(rendered)
+		rendered := workload.FormatMix(mix)
+		back, err := workload.ParseMix(rendered)
 		if err != nil {
 			t.Fatalf("validated mix failed to round-trip %q: %v", rendered, err)
 		}
@@ -167,15 +168,15 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add("0,chat,300,10,~s1,200,1,2\n1,chat,300,10,~s1,100,1,3\n") // shrinking session prefix
 	f.Add("\xef\xbb\xbf0,chat,100,10,,0,1,1\r\n1,chat,210,10,~s1,110,1,2\r\n")
 	f.Fuzz(func(t *testing.T, raw string) {
-		trace, err := ParseTrace(strings.NewReader(raw)) // must not panic
+		trace, err := workload.ParseTrace(strings.NewReader(raw)) // must not panic
 		if err != nil {
 			return
 		}
 		var b strings.Builder
-		if err := FormatTrace(&b, trace); err != nil {
+		if err := workload.FormatTrace(&b, trace); err != nil {
 			t.Fatalf("accepted trace failed to render: %v (%+v)", err, trace)
 		}
-		back, err := ParseTrace(strings.NewReader(b.String()))
+		back, err := workload.ParseTrace(strings.NewReader(b.String()))
 		if err != nil {
 			t.Fatalf("accepted trace failed to round-trip %q: %v", b.String(), err)
 		}
@@ -185,19 +186,40 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzPagedGeometry: whatever page size and budget a spec asks for, the
-// derived geometry must stay internally consistent — the page size never
-// exceeds the context, a feasible pool covers one full context, and the
-// derived batch cap respects the user's.
+// FuzzPagedGeometry: whatever policy layout, page size, pool split and
+// budget a spec asks for, the derived geometry must stay internally
+// consistent — the page size never exceeds the context, every pool of a
+// feasible spec holds one full context, the pools' combined total stays
+// within the budget's pages, and the derived batch cap respects the
+// user's. The base has two devices so a Disaggregated split can give each
+// pool a strict share of the budget.
 func FuzzPagedGeometry(f *testing.F) {
 	base := fuzzBase(f)
-	f.Add(16, 0.0, 0, 200, 200)
-	f.Add(1, 1e9, 4, 50, 1)
-	f.Add(1<<30, 5e8, 1, 1, 1)
-	f.Add(7, 3.3e8, 100, 333, 77)
-	f.Fuzz(func(t *testing.T, pageTokens int, kvCapacity float64, maxBatch, prompt, gen int) {
+	sys, err := arch.SystemOf(arch.A100(), 2, 8, tech.NVLink3, tech.IBNDR)
+	if err != nil {
+		f.Fatal(err)
+	}
+	base.System, base.TP = sys, 2
+	// pageTokens, kvCapacity, maxBatch, prompt, gen, disagg, prefillDevs,
+	// decodeDevs
+	f.Add(16, 0.0, 0, 200, 200, false, 0, 0)
+	f.Add(1, 1e9, 4, 50, 1, false, 0, 0)
+	f.Add(1<<30, 5e8, 1, 1, 1, false, 0, 0)
+	f.Add(7, 3.3e8, 100, 333, 77, false, 0, 0)
+	f.Add(16, 0.0, 0, 200, 200, true, 0, 0)   // co-located split
+	f.Add(16, 2.2e9, 0, 200, 200, true, 1, 1) // disjoint halves
+	f.Add(7, 1e9, 3, 333, 77, true, 1, 2)     // uneven pools
+	f.Add(1<<30, 5e8, 1, 1, 1, true, 2, 1)    // one page per context
+	f.Add(16, 1e6, 0, 200, 200, true, 1, 1)   // pools below one context
+	f.Add(16, 2.5e8, 0, 200, 200, true, 1, 2) // prefill pool alone below one context
+	f.Add(16, 0.0, 0, 200, 200, true, 3, -1)  // counts outside [0, TP]
+	f.Fuzz(func(t *testing.T, pageTokens int, kvCapacity float64, maxBatch, prompt, gen int, disagg bool, prefillDevs, decodeDevs int) {
 		s := base
 		s.Policy = Paged
+		if disagg {
+			s.Policy = Disaggregated
+			s.PrefillDevices, s.DecodeDevices = prefillDevs, decodeDevs
+		}
 		s.PageTokens = pageTokens
 		s.KVCapacity = kvCapacity
 		s.MaxBatch = maxBatch
@@ -207,8 +229,8 @@ func FuzzPagedGeometry(f *testing.F) {
 		if s.Validate() != nil {
 			return
 		}
-		pol := newPolicy(s.withDefaults())
-		pt, total := pol.PageGeometry()
+		p := newPolicy(s.withDefaults()).(*pagedPolicy)
+		pt, total := p.PageGeometry()
 		if pt < 1 || pt > prompt+gen {
 			t.Fatalf("page size %d outside [1, %d]", pt, prompt+gen)
 		}
@@ -216,10 +238,15 @@ func FuzzPagedGeometry(f *testing.F) {
 			t.Fatalf("feasible paged spec has an empty page pool")
 		}
 		full := (prompt + gen + pt - 1) / pt
-		if full > total {
-			t.Fatalf("feasible spec: full context needs %d pages of a %d-page pool", full, total)
+		if full > p.prefillTotal || full > p.decodeTotal {
+			t.Fatalf("feasible spec: full context needs %d pages of %d-page prefill and %d-page decode pools",
+				full, p.prefillTotal, p.decodeTotal)
 		}
-		if cap := pol.BatchCap(); maxBatch > 0 && cap > maxBatch {
+		if total > p.prefillTotal+p.decodeTotal || float64(total)*p.pageBytes > p.budget*(1+1e-12) {
+			t.Fatalf("pools total %d pages of %g bytes, beyond %d+%d pool pages or the %g-byte budget",
+				total, p.pageBytes, p.prefillTotal, p.decodeTotal, p.budget)
+		}
+		if cap := p.BatchCap(); maxBatch > 0 && cap > maxBatch {
 			t.Fatalf("derived batch cap %d exceeds the user's %d", cap, maxBatch)
 		}
 	})

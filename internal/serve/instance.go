@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"math"
+
+	"optimus/internal/workload"
 )
 
 // Load is one replica's router-visible load snapshot, sampled at an
@@ -56,14 +58,14 @@ type Instance struct {
 // Set re-arms it in place, reusing its storage, and invalidates the
 // instances built on its previous contents.
 type Envelope struct {
-	trace []TraceEvent
+	trace []workload.TraceEvent
 }
 
 // Set validates shapes and makes them the envelope.
-func (e *Envelope) Set(shapes []Request) error {
+func (e *Envelope) Set(shapes []workload.Request) error {
 	trace := e.trace[:0]
 	for _, sh := range shapes {
-		trace = append(trace, TraceEvent{Request: sh})
+		trace = append(trace, workload.TraceEvent{Request: sh})
 	}
 	// Empty until the shapes validate: no instance can be built on a
 	// failed Set.
@@ -71,7 +73,7 @@ func (e *Envelope) Set(shapes []Request) error {
 	if len(trace) == 0 {
 		return fmt.Errorf("serve: an instance needs a non-empty shape envelope")
 	}
-	if err := ValidateTrace(trace); err != nil {
+	if err := workload.ValidateTrace(trace); err != nil {
 		return err
 	}
 	e.trace = trace
@@ -80,7 +82,7 @@ func (e *Envelope) Set(shapes []Request) error {
 
 // NewInstance builds a steppable replica from a capacity spec and the
 // shapes of a fresh Envelope; see Runner.Instance.
-func NewInstance(s Spec, envelope []Request) (*Instance, error) {
+func NewInstance(s Spec, envelope []workload.Request) (*Instance, error) {
 	env := new(Envelope)
 	if err := env.Set(envelope); err != nil {
 		return nil, err
@@ -130,14 +132,14 @@ func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 // arrival joins the queue); pushing into an instance left idle before t
 // jumps the clock to t — Run's idle jump to its next pre-generated
 // arrival.
-func (in *Instance) Push(r Request, t float64) error {
+func (in *Instance) Push(r workload.Request, t float64) error {
 	if in.drained {
 		return fmt.Errorf("serve: push after drain")
 	}
 	if !(t >= in.lastT) || math.IsInf(t, 0) {
 		return fmt.Errorf("serve: push at %g not finite and non-decreasing (previous %g)", t, in.lastT)
 	}
-	if err := validateTenantName(r.Tenant); err != nil {
+	if err := workload.ValidateTenantName(r.Tenant); err != nil {
 		return fmt.Errorf("serve: push: %w", err)
 	}
 	if r.PromptTokens < 1 || r.GenTokens < 1 {
@@ -146,11 +148,11 @@ func (in *Instance) Push(r Request, t float64) error {
 	if c := r.Context(); c > in.sim.kv1 {
 		return fmt.Errorf("serve: pushed request spans %d tokens, beyond the instance envelope's largest context %d", c, in.sim.kv1)
 	}
-	if err := validatePrefix(r.PrefixID, r.PrefixTokens, r.PromptTokens); err != nil {
+	if err := workload.ValidatePrefix(r.PrefixID, r.PrefixTokens, r.PromptTokens); err != nil {
 		return fmt.Errorf("serve: push: %w", err)
 	}
 	if r.PrefixTokens > 0 {
-		if in.sim.pp == nil || in.sim.pp.noPreempt {
+		if !in.sim.spec.cachesPrefixes() {
 			return fmt.Errorf("serve: a prefixed push needs the paged policy with preemption enabled (Policy: Paged, NoPreempt unset)")
 		}
 		// Session rows grow their prefix turn over turn (the session's

@@ -6,20 +6,22 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"optimus/internal/workload"
 )
 
 // capacityOf strips a full workload spec down to the capacity descriptor an
 // Instance carries, and returns the arrival stream (times + shapes) the
-// router would push — generated through the same exported helpers Run uses
-// internally.
-func capacityOf(t *testing.T, s Spec) (cap Spec, times []float64, shapes []Request) {
+// router would push — generated through the same workload generators Run
+// uses internally.
+func capacityOf(t *testing.T, s Spec) (cap Spec, times []float64, shapes []workload.Request) {
 	t.Helper()
 	d := s.withDefaults()
-	shapes, err := MixShapes(d.Mix, d.Requests, d.Seed)
-	if err != nil {
+	if err := workload.ValidateMix(d.Mix); err != nil {
 		t.Fatal(err)
 	}
-	times = PoissonArrivalTimes(d.Rate, d.Requests, d.Seed)
+	shapes = workload.AppendMixShapes(nil, d.Mix, d.Requests, d.Seed)
+	times = workload.AppendPoissonArrivals(nil, d.Rate, d.Requests, d.Seed)
 	cap = s
 	cap.PromptTokens, cap.GenTokens = 0, 0
 	cap.Mix, cap.Trace = nil, nil
@@ -41,7 +43,7 @@ func TestInstanceReproducesRun(t *testing.T) {
 		{"disagg", func(s *Spec) { s.Policy = Disaggregated; s.TransferGBps = 25; s.KVCapacity = 3e9 }},
 		{"mix", func(s *Spec) {
 			s.PromptTokens, s.GenTokens = 0, 0
-			s.Mix = []TenantLoad{
+			s.Mix = []workload.TenantLoad{
 				{Tenant: "chat", Share: 0.7, PromptTokens: 150, GenTokens: 100},
 				{Tenant: "batch", Share: 0.3, PromptTokens: 400, GenTokens: 50},
 			}
@@ -167,7 +169,8 @@ func TestInstanceLoadObservables(t *testing.T) {
 
 // TestInstanceValidation pins the Instance API's rejection surface: specs
 // smuggling workload or arrival fields, empty envelopes, out-of-order or
-// malformed pushes, oversized contexts, and use-after-drain.
+// malformed pushes, oversized contexts, use-after-drain, and prefixed
+// pushes into a policy that cannot cache prefixes.
 func TestInstanceValidation(t *testing.T) {
 	s := spec0(t)
 	capSpec, _, shapes := capacityOf(t, s)
@@ -185,7 +188,7 @@ func TestInstanceValidation(t *testing.T) {
 	if _, err := NewInstance(capSpec, nil); err == nil || !strings.Contains(err.Error(), "envelope") {
 		t.Errorf("empty envelope: got %v", err)
 	}
-	if _, err := NewInstance(capSpec, []Request{{Tenant: "x", PromptTokens: -1, GenTokens: 1}}); err == nil {
+	if _, err := NewInstance(capSpec, []workload.Request{{Tenant: "x", PromptTokens: -1, GenTokens: 1}}); err == nil {
 		t.Error("malformed envelope shape should be rejected")
 	}
 
@@ -203,10 +206,10 @@ func TestInstanceValidation(t *testing.T) {
 	if err := in.Push(sh, math.Inf(1)); err == nil {
 		t.Error("infinite push time should be rejected")
 	}
-	if err := in.Push(Request{Tenant: "x", PromptTokens: 0, GenTokens: 1}, 6); err == nil {
+	if err := in.Push(workload.Request{Tenant: "x", PromptTokens: 0, GenTokens: 1}, 6); err == nil {
 		t.Error("zero-prompt push should be rejected")
 	}
-	if err := in.Push(Request{Tenant: "x", PromptTokens: 1 << 20, GenTokens: 1 << 20}, 6); err == nil ||
+	if err := in.Push(workload.Request{Tenant: "x", PromptTokens: 1 << 20, GenTokens: 1 << 20}, 6); err == nil ||
 		!strings.Contains(err.Error(), "envelope") {
 		t.Errorf("over-envelope context: got %v", err)
 	}
@@ -216,6 +219,53 @@ func TestInstanceValidation(t *testing.T) {
 	in.Drain()
 	if err := in.Push(sh, 7); err == nil || !strings.Contains(err.Error(), "drain") {
 		t.Errorf("push after drain: got %v", err)
+	}
+
+	// The prefixed-push gate: only Paged with preemption enabled caches
+	// prefixes. Disaggregated runs on the same paged policy type, so a gate
+	// keyed on the policy type would silently admit prefixes into its two
+	// pools.
+	prefixed := func(id string, tokens, session int) workload.Request {
+		return workload.Request{Tenant: "x", PromptTokens: 200, GenTokens: 200, PrefixID: id, PrefixTokens: tokens, Session: session}
+	}
+	for name, mutate := range map[string]func(*Spec){
+		"reserve":          func(s *Spec) {},
+		"paged-no-preempt": func(s *Spec) { s.Policy, s.NoPreempt = Paged, true },
+		"disagg":           func(s *Spec) { s.Policy = Disaggregated },
+	} {
+		c := capSpec
+		mutate(&c)
+		in, err := NewInstance(c, shapes)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := in.Push(prefixed("sys", 64, 0), 0); err == nil || !strings.Contains(err.Error(), "prefixed push") {
+			t.Errorf("%s: prefixed push: got %v", name, err)
+		}
+	}
+	paged := capSpec
+	paged.Policy = Paged
+	in, err = NewInstance(paged, shapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		r       workload.Request
+		wantErr string
+	}{
+		{prefixed("sys", 64, 0), ""},
+		{prefixed("sys", 32, 0), "one length"},
+		{prefixed("~s1", 150, 1), ""},
+		{prefixed("~s1", 180, 1), ""},
+		{prefixed("~s1", 120, 1), "shrank"},
+	} {
+		err := in.Push(c.r, float64(i))
+		if c.wantErr == "" && err != nil {
+			t.Errorf("push %d: %v", i, err)
+		}
+		if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+			t.Errorf("push %d: got %v, want an error containing %q", i, err, c.wantErr)
+		}
 	}
 }
 

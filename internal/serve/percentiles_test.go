@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-	"testing"
-)
+import "testing"
 
 // nearestRankIndex computes the nearest-rank index ceil(q·n)-1 in exact
 // integer arithmetic (q = num/100), the ground truth the float path in
@@ -80,105 +75,5 @@ func TestPercentilesNearestRank(t *testing.T) {
 	}
 	if p := percentiles(hundred); p.P99 != 98 || p.Max != 99 {
 		t.Errorf("n=100: P99 = %g (want 98, the first sub-Max rank), Max = %g", p.P99, p.Max)
-	}
-}
-
-// TestSummarize: the exported wrapper sorts a copy — unsorted input yields
-// the same summary as the pre-sorted sample and the caller's slice is left
-// untouched; the empty sample is the zero summary.
-func TestSummarize(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	vals := make([]float64, 257)
-	for i := range vals {
-		vals[i] = rng.Float64() * 100
-	}
-	orig := append([]float64(nil), vals...)
-	got := Summarize(vals)
-	for i := range vals {
-		if vals[i] != orig[i] {
-			t.Fatal("Summarize mutated its input")
-		}
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	if want := percentiles(sorted); got != want {
-		t.Errorf("Summarize = %+v, want %+v", got, want)
-	}
-	if z := Summarize(nil); z != (Percentiles{}) {
-		t.Errorf("empty Summarize = %+v, want zero", z)
-	}
-}
-
-// TestSummarizePanicsOnNaN: a NaN sample breaks the sort's total order —
-// every percentile would silently depend on the input's order — so
-// Summarize refuses it loudly. Infinities are legal samples (a saturated
-// SLO) and sort to the tail.
-func TestSummarizePanicsOnNaN(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		vals      []float64
-		wantPanic bool
-	}{
-		{"clean", []float64{3, 1, 2}, false},
-		{"empty", nil, false},
-		{"positive-inf", []float64{1, math.Inf(1)}, false},
-		{"negative-inf", []float64{math.Inf(-1), 1}, false},
-		{"nan-only", []float64{math.NaN()}, true},
-		{"nan-mixed", []float64{1, math.NaN(), 2}, true},
-		{"nan-tail", []float64{1, 2, math.NaN()}, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if r := recover(); (r != nil) != tc.wantPanic {
-					t.Errorf("panic = %v, wantPanic %v", r, tc.wantPanic)
-				}
-			}()
-			p := Summarize(tc.vals)
-			if tc.name == "positive-inf" && !math.IsInf(p.Max, 1) {
-				t.Errorf("infinite sample should surface as Max, got %g", p.Max)
-			}
-		})
-	}
-}
-
-// TestPoissonArrivalTimesPanicsOnBadInput: a zero, negative, NaN or
-// infinite rate would silently yield Inf/NaN timestamps that stall every
-// downstream event loop, and a negative count has no meaning — both
-// violate the documented contract and panic, exactly as Spec.Validate
-// rejects them for Run.
-func TestPoissonArrivalTimesPanicsOnBadInput(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		rate      float64
-		n         int
-		wantPanic bool
-	}{
-		{"valid", 2.5, 8, false},
-		{"zero-n", 1, 0, false},
-		{"zero-rate", 0, 8, true},
-		{"negative-rate", -1, 8, true},
-		{"nan-rate", math.NaN(), 8, true},
-		{"inf-rate", math.Inf(1), 8, true},
-		{"negative-n", 1, -1, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if r := recover(); (r != nil) != tc.wantPanic {
-					t.Errorf("panic = %v, wantPanic %v", r, tc.wantPanic)
-				}
-			}()
-			times := PoissonArrivalTimes(tc.rate, tc.n, 1)
-			if len(times) != tc.n {
-				t.Errorf("got %d timestamps, want %d", len(times), tc.n)
-			}
-			for i, ts := range times {
-				if !(ts > 0) || math.IsInf(ts, 0) {
-					t.Errorf("timestamp %d = %g, want positive finite", i, ts)
-				}
-				if i > 0 && ts < times[i-1] {
-					t.Errorf("timestamps must be non-decreasing, got %g after %g", ts, times[i-1])
-				}
-			}
-		})
 	}
 }

@@ -18,26 +18,26 @@ const (
 	// than a long-generation request actually needs early in its life.
 	ReserveFull Policy = iota
 	// Paged allocates KV in fixed-size token blocks (vLLM-style) that
-	// grow with a request as it decodes. Under pressure the policy
-	// preempts victims LIFO among the running sequences — the youngest
-	// admission loses its cache and is re-queued at the head of the wait
-	// queue. Readmission prices one prefill pass (the same PrefillCost
-	// step-cost API as any admission) that rebuilds the discarded KV:
-	// vLLM's recompute preemption, where already-generated tokens are
-	// recovered as context by the recompute prefill, and the sequence
-	// resumes decoding from where it was evicted.
+	// grow with a request as it decodes, over one page pool that both
+	// phases share. Under pressure the policy preempts victims LIFO among
+	// the running sequences — the youngest admission loses its cache and
+	// is re-queued at the head of the wait queue. Readmission prices one
+	// prefill pass (the same PrefillCost step-cost API as any admission)
+	// that rebuilds the discarded KV: vLLM's recompute preemption, where
+	// already-generated tokens are recovered as context by the recompute
+	// prefill, and the sequence resumes decoding from where it was
+	// evicted.
 	Paged
-	// Disaggregated splits the KV capacity into two page pools — prefill
-	// and decode — the DistServe-style deployment where the two phases run
-	// on separate device pools joined by a KV transfer. A request admits
-	// against the prefill pool on its prompt's pages alone; when its first
-	// token is emitted it migrates to the decode pool, paying a per-request
-	// KV-transfer cost of its prompt's KV bytes over the
-	// Spec.TransferGBps interconnect (internal/comm's point-to-point link
-	// model); decode growth and LIFO preemption then run against the
-	// decode pool only. Pool sizes follow Spec.PrefillDevices and
-	// Spec.DecodeDevices; block geometry is the paged policy's
-	// (Spec.PageTokens).
+	// Disaggregated is the same paged policy over two page pools —
+	// prefill and decode — the DistServe-style deployment where the two
+	// phases run on separate device pools joined by a KV transfer. A
+	// request admits against the prefill pool on its prompt's pages alone;
+	// when its first token is emitted it migrates to the decode pool,
+	// paying a per-request KV-transfer cost of its prompt's KV bytes over
+	// the Spec.TransferGBps interconnect (internal/comm's point-to-point
+	// link model); decode growth and LIFO preemption then run against the
+	// decode pool. Pool sizes follow Spec.PrefillDevices and
+	// Spec.DecodeDevices; block geometry is Paged's (Spec.PageTokens).
 	Disaggregated
 )
 
@@ -216,11 +216,8 @@ type AdmissionPolicy interface {
 // simulator's hot path never recomputes the footprint model.
 func newPolicy(s Spec) AdmissionPolicy {
 	budget, perRequest := s.kvBudget()
-	switch s.Policy {
-	case Paged:
+	if s.Policy == Paged || s.Policy == Disaggregated {
 		return newPagedPolicy(s, budget, perRequest)
-	case Disaggregated:
-		return newDisaggPolicy(s, budget, perRequest)
 	}
 	b := s.bounds()
 	return &reservePolicy{
@@ -318,49 +315,39 @@ func (p *reservePolicy) counters() (int, int) { return 0, 0 }
 // must fit a 32-bit int so the package keeps building on 32-bit targets.
 const maxTotalPages = 1<<31 - 1
 
-// pagedGeometry derives the block geometry shared by the paged and
-// disaggregated policies: the byte size of one page and the budget's page
-// count. When one page spans the full context the footprint's own bytes
-// are used verbatim (not a divide-and-remultiply round trip), keeping the
-// degenerate configurations bit-identical to ReserveFull accounting; the
-// page count is clamped to maxTotalPages so a huge budget cannot overflow
-// the float→int conversion on 32-bit targets. One implementation, two
-// callers — the PR-3 32-bit regression came from exactly this rule
-// drifting between copies.
-func pagedGeometry(pageTokens, context int, budget, perRequest float64) (pageBytes float64, budgetPages int) {
-	if pageTokens == context {
-		pageBytes = perRequest
-	} else {
-		pageBytes = perRequest * float64(pageTokens) / float64(context)
-	}
-	if budget > 0 && pageBytes > 0 {
-		if f := budget / pageBytes; f > maxTotalPages {
-			budgetPages = maxTotalPages
-		} else {
-			budgetPages = int(f)
-		}
-	}
-	return pageBytes, budgetPages
-}
-
-// pagedPolicy allocates KV in fixed-size token blocks. A request holds
-// ceil(kvTokens/pageTokens) pages for the tokens currently in its cache
-// and grows one page at a time as it decodes; admission only needs its own
-// prompt's pages, so many more long-generation requests run concurrently
-// than under full-context reservation. When a sequence cannot grow, the
-// policy evicts victims LIFO (youngest admission first, itself last) —
-// recompute-style preemption: the victim's pages are freed and the event
-// loop re-queues it for a recompute prefill that rebuilds its cache, after
-// which it resumes decoding. All page counts are priced per request, off
-// the request's own prompt/generation lengths.
+// pagedPolicy allocates KV in fixed-size token blocks over one or two page
+// pools. A request holds ceil(kvTokens/pageTokens) pages for the tokens
+// currently in its cache and grows one page at a time as it decodes;
+// admission only needs its own prompt's pages, so many more
+// long-generation requests run concurrently than under full-context
+// reservation. When a sequence cannot grow, the policy evicts victims
+// LIFO (youngest admission first, itself last) — recompute-style
+// preemption: the victim's pages are freed and the event loop re-queues it
+// for a recompute prefill that rebuilds its cache, after which it resumes
+// decoding. All page counts are priced per request, off the request's own
+// prompt/generation lengths.
+//
+// Paged is the one-pool layout: admission charges the pool decode runs
+// from, so no sequence ever migrates. Disaggregated is the two-pool
+// layout: admissions hold pages in the prefill pool, and a sequence's
+// pages move to the decode pool when its first token is emitted — the
+// DistServe-style hand-off, priced per request as a point-to-point
+// transfer of its prompt's KV bytes over the Spec.TransferGBps link.
+// Decode growth and LIFO preemption then run against the decode pool; a
+// victim rebuilds its cache in the prefill pool and migrates — paying the
+// transfer — again. Each pool owns PrefillDevices (resp. DecodeDevices) of
+// the TP devices' aggregate KV budget; pools may overlap, and the fully
+// co-located split makes every per-pool constraint coincide with the
+// shared-budget one, so it is block for block the one-pool layout (pinned
+// by the degenerate-equivalence suite under an infinite link).
 //
 // With NoPreempt set, admission instead reserves the request's own
 // full-context page count up front (reservation at page granularity),
 // which guarantees growth never fails — the degenerate configuration the
 // equivalence tests pin against ReserveFull.
 //
-// Two optional mechanisms extend the block accounting, both degenerating
-// byte-for-byte to the plain policy when unused:
+// Two optional one-pool mechanisms extend the block accounting, both
+// degenerating byte-for-byte to the plain policy when unused:
 //
 //   - Prefix caching: requests carrying a PrefixID share their leading
 //     PrefixTokens prompt tokens. The first admission of a prefix charges
@@ -380,17 +367,27 @@ type pagedPolicy struct {
 	budget     float64
 	pageBytes  float64
 	pageTokens int
-	totalPages int
-	admitPages int // pages covering the smallest admission need — the derived-cap unit
-	fullPages  int // pages covering the largest full context — the feasibility unit
-	minFull    int // pages covering the smallest full context — NoPreempt's cap unit
-	userCap    int
-	noPreempt  bool
+	// totalPages caps the pools' combined commitment: the budget's pages,
+	// or the two pools' (smaller) sum when a split's pools do not overlap.
+	// prefillTotal and decodeTotal are the pools' own capacities; the one
+	// pool of an unsplit layout is both.
+	totalPages   int
+	prefillTotal int
+	decodeTotal  int
+	admitPages   int // pages covering the smallest admission need — the derived-cap unit
+	fullPages    int // pages covering the largest full context — the feasibility unit
+	minFull      int // pages covering the smallest full context — NoPreempt's cap unit
+	userCap      int
+	split        bool // two pools: admissions migrate from the prefill pool to the decode pool
+	noPreempt    bool
 
-	used       int // pages currently held across the running set (and resident prefixes)
-	reserved   int // NoPreempt: full-context pages reserved by admissions
-	preempts   int
-	recomputed int
+	used        int // pages committed across every pool: running sequences and resident prefixes
+	prefillUsed int // the share of used held in the prefill pool (zero without a split)
+	reserved    int // NoPreempt: full-context pages reserved by admissions
+	peakPrefill int
+	peakDecode  int
+	preempts    int
+	recomputed  int
 
 	// Prefix registry: interned shared prefixes, indexed by the slot ids
 	// the request slab carries. Empty for prefix-free workloads, whose
@@ -400,18 +397,24 @@ type pagedPolicy struct {
 	prefixHits  int
 	prefixSaved int
 
-	// Host tier state: page capacity and occupancy, swap counters, and the
-	// link pricing inputs (perToken KV bytes over swapLink, the PR-5
-	// transfer-pricing pattern). hostTotal == 0 disables the tier.
-	hostTotal   int
-	hostUsed    int
-	peakHost    int
-	swapOuts    int
-	swapIns     int
-	pendingSwap float64
-	swapTotal   float64
-	perToken    float64
-	swapLink    arch.Link
+	// KV links: perToken KV bytes priced point-to-point over the pool
+	// interconnect (link, prefill→decode migrations) and the host tier's
+	// link (swapLink, swaps), each accruing this iteration's seconds until
+	// drainLinks hands them to the event loop. hostTotal == 0 disables the
+	// tier.
+	perToken        float64
+	link            arch.Link
+	swapLink        arch.Link
+	pendingTransfer float64
+	pendingSwap     float64
+	transferTotal   float64
+	swapTotal       float64
+	transfers       int
+	hostTotal       int
+	hostUsed        int
+	peakHost        int
+	swapOuts        int
+	swapIns         int
 	// sim prices the readmission recompute path the swap-in competes
 	// against (set by the simulator after construction; nil in validation-
 	// only uses, which never admit).
@@ -430,24 +433,55 @@ type prefixEntry struct {
 	resident bool
 }
 
+// newPagedPolicy derives the block geometry: the byte size of one page and
+// the budget's page count, split across the pools. When one page spans the
+// full context the footprint's own bytes are used verbatim (not a
+// divide-and-remultiply round trip), keeping the degenerate configurations
+// bit-identical to ReserveFull accounting; page counts are clamped to
+// maxTotalPages so a huge budget cannot overflow the float→int conversion
+// on 32-bit targets.
 func newPagedPolicy(s Spec, budget, perRequest float64) *pagedPolicy {
 	b := s.bounds()
 	context := b.maxContext
-	pt := CanonicalPageTokens(Paged, s.PageTokens, context)
+	pt := CanonicalPageTokens(s.Policy, s.PageTokens, context)
 	p := &pagedPolicy{
 		budget:     budget,
 		pageTokens: pt,
+		split:      s.Policy == Disaggregated,
 		userCap:    s.MaxBatch,
 		noPreempt:  s.NoPreempt,
+		link:       arch.Link{BW: CanonicalTransferGBps(s.Policy, s.TransferGBps) * 1e9, Util: 1},
 	}
 	if pt == 0 {
 		return p // context-free garbage spec; totalPages stays 0 → infeasible
 	}
-	p.pageBytes, p.totalPages = pagedGeometry(pt, context, budget, perRequest)
+	if pt == context {
+		p.pageBytes = perRequest
+	} else {
+		p.pageBytes = perRequest * float64(pt) / float64(context)
+	}
+	if budget > 0 && p.pageBytes > 0 {
+		if f := budget / p.pageBytes; f > maxTotalPages {
+			p.totalPages = maxTotalPages
+		} else {
+			p.totalPages = int(f)
+		}
+	}
+	p.prefillTotal, p.decodeTotal = p.totalPages, p.totalPages
+	if p.split {
+		pre, dec := CanonicalPoolSplit(Disaggregated, s.PrefillDevices, s.DecodeDevices, s.TP)
+		p.prefillTotal = poolPages(p.totalPages, pre, s.TP)
+		p.decodeTotal = poolPages(p.totalPages, dec, s.TP)
+		// int64 sum: both totals fit 32-bit ints but their sum need not.
+		if int64(p.prefillTotal)+int64(p.decodeTotal) < int64(p.totalPages) {
+			p.totalPages = p.prefillTotal + p.decodeTotal
+		}
+	}
+	p.perToken = perRequest / float64(context)
 	p.admitPages = p.pagesFor(b.minPrompt + 1)
 	p.fullPages = p.pagesFor(context)
 	p.minFull = p.pagesFor(b.minContext)
-	if s.prefixed() {
+	if s.prefixed() && !p.split {
 		// Prefixed shapes split their pages into shared + private spans,
 		// each rounded up separately: the feasibility unit is the largest
 		// such split (≥ the unsplit page count), the cap unit the smallest
@@ -460,10 +494,16 @@ func newPagedPolicy(s Spec, budget, perRequest float64) *pagedPolicy {
 		} else {
 			p.hostTotal = int(f)
 		}
-		p.perToken = perRequest / float64(context)
-		p.swapLink = arch.Link{BW: CanonicalSwapGBps(Paged, s.HostKVBytes, s.SwapGBps) * 1e9, Util: 1}
+		p.swapLink = arch.Link{BW: CanonicalSwapGBps(s.Policy, s.HostKVBytes, s.SwapGBps) * 1e9, Util: 1}
 	}
 	return p
+}
+
+// poolPages is one pool's share of the budget's pages: devs of the tp
+// devices' aggregate. 64-bit intermediate so the multiply cannot overflow
+// a 32-bit int.
+func poolPages(budgetPages, devs, tp int) int {
+	return int(int64(budgetPages) * int64(devs) / int64(tp))
 }
 
 // prefixPageUnits derives the paged feasibility and cap units of a
@@ -579,24 +619,65 @@ func (p *pagedPolicy) BatchCap() int {
 	return fit
 }
 
+// Feasible requires the largest request's full context to fit every pool:
+// the decode pool must grow it to completion, and a preemption victim's
+// recompute readmission can need up to its full context in the prefill
+// pool — the progress guarantee that eviction can never wedge the queue.
 func (p *pagedPolicy) Feasible() bool {
-	return p.budget > 0 && p.fullPages > 0 && p.fullPages <= p.totalPages
+	return p.budget > 0 && p.fullPages > 0 &&
+		p.fullPages <= p.prefillTotal && p.fullPages <= p.decodeTotal
 }
 
 func (p *pagedPolicy) PageGeometry() (int, int) { return p.pageTokens, p.totalPages }
 
-// beginStep grows every established sequence's allocation to cover the
-// token its next decode step produces. Sequences are grown oldest-first
-// (admission order); when the free pool runs dry, the youngest running
-// sequence is evicted — possibly the grower itself when it is the
-// youngest. The oldest sequence can always finish: even the largest lone
-// request's full context fits the budget (Feasible), so eviction never
-// empties the running set, which is the simulator's progress guarantee.
+// beginStep migrates every sequence whose first token was emitted last
+// iteration from the prefill pool to the decode pool — accruing its KV
+// transfer; never under one pool — then grows every sequence's allocation
+// to cover the token its next decode step produces. Sequences are grown
+// oldest-first (admission order); when capacity runs dry, idle resident
+// prefixes are reclaimed first, then the youngest running sequence is
+// evicted — possibly the grower itself when it is the youngest. When only
+// a split's decode pool binds, the youngest *decode resident* is evicted
+// instead: preempting a prefill-held sequence cannot free decode pages, it
+// would only thrash recomputes. Shared-budget pressure (every one-pool
+// eviction, and co-located pools) evicts the youngest sequence outright,
+// which keeps the co-located split byte-identical to one pool. The oldest
+// sequence can always finish: even the largest lone request's full context
+// fits every pool (Feasible), so eviction never empties the running set,
+// which is the simulator's progress guarantee.
+//
+// The running set always orders decode residents before prefill-held
+// sequences: the previous beginStep migrated every survivor, and
+// admission appends the prefill-held newcomers at the tail.
 func (p *pagedPolicy) beginStep(pool []request, running, victims []int32) (kept, outVictims []int32) {
 	kept, outVictims = running, victims
+scan:
 	for i := 0; i < len(kept); i++ {
 		id := kept[i]
 		r := &pool[id]
+		if !r.inDecode {
+			// The hand-off: the prefill pool's copy of r's cache moves to
+			// the decode pool before its first decode step. Migration never
+			// touches the shared total, so only the decode pool can bind —
+			// and while it does, a decode resident to evict always exists
+			// (decode use > decodeTotal - r.pages >= 0 by feasibility).
+			for p.used-p.prefillUsed+r.pages > p.decodeTotal {
+				kept, outVictims = p.evictYoungest(pool, kept, outVictims, true)
+				// The victim sat before the scan position (decode residents
+				// precede every prefill-held sequence); keep the cursor on r.
+				i--
+			}
+			p.prefillUsed -= r.pages
+			if d := p.used - p.prefillUsed; d > p.peakDecode {
+				p.peakDecode = d
+			}
+			r.inDecode = true
+			t := comm.P2PTime(float64(r.prompt)*p.perToken, p.link)
+			p.pendingTransfer += t
+			p.transfers++
+			r.transfers++
+			r.transferTime += t
+		}
 		// A sequence needs another page only when its next token spills
 		// past its held pages' capacity: need = ceil(tokens/pageTokens)
 		// exceeds r.pages exactly when tokens > r.pages*pageTokens. The
@@ -609,35 +690,52 @@ func (p *pagedPolicy) beginStep(pool []request, running, victims []int32) (kept,
 		}
 		need := p.pagesFor(r.prompt - r.prefix + r.produced + 1)
 		extra := need - r.pages
-		self := false
-		for p.used+extra > p.totalPages {
+		for p.used-p.prefillUsed+extra > p.decodeTotal || p.used+extra > p.totalPages {
 			if p.reclaimIdle() {
 				continue
 			}
-			vi := kept[len(kept)-1]
-			kept = kept[:len(kept)-1]
-			p.evict(&pool[vi])
-			outVictims = append(outVictims, vi)
-			if vi == id {
-				self = true
-				break
+			// Only the decode pool binds when the shared budget has room —
+			// unreachable with one pool, where both limits coincide.
+			kept, outVictims = p.evictYoungest(pool, kept, outVictims, p.used+extra <= p.totalPages)
+			if outVictims[len(outVictims)-1] == id {
+				// r itself was the LIFO victim. Sequences still behind it —
+				// only prefill-held ones, when the decode-restricted scan
+				// chose r — shifted down one slot and must keep scanning (and
+				// migrate) rather than decode this iteration from the wrong
+				// pool.
+				i--
+				continue scan
 			}
 		}
-		if self {
-			break // r was the youngest; the outer scan is past the end
-		}
 		p.used += extra
+		if d := p.used - p.prefillUsed; d > p.peakDecode {
+			p.peakDecode = d
+		}
 		r.pages = need
 	}
 	return kept, outVictims
 }
 
-// evict frees a victim's private pages and releases its prefix reference
-// (the shared pages stay resident — refcounting survives preemption).
-// With a host tier holding room, the pages swap out to it instead of
-// vanishing — the victim remembers its stored span and readmission
-// decides swap-in vs recompute; otherwise the generated tokens are
-// accounted for the recompute prefill that must rebuild them.
+// evictYoungest evicts the youngest running sequence — the youngest decode
+// resident when decodeOnly — removing it from kept and appending it to the
+// victims.
+func (p *pagedPolicy) evictYoungest(pool []request, kept, victims []int32, decodeOnly bool) ([]int32, []int32) {
+	j := len(kept) - 1
+	for decodeOnly && !pool[kept[j]].inDecode {
+		j--
+	}
+	vi := kept[j]
+	p.evict(&pool[vi])
+	return append(kept[:j], kept[j+1:]...), append(victims, vi)
+}
+
+// evict frees a victim's private pages from whichever pool holds them and
+// releases its prefix reference (the shared pages stay resident —
+// refcounting survives preemption). With a host tier holding room, the
+// pages swap out to it instead of vanishing — the victim remembers its
+// stored span and readmission decides swap-in vs recompute; otherwise the
+// generated tokens are accounted for the recompute prefill that must
+// rebuild them.
 func (p *pagedPolicy) evict(v *request) {
 	if p.hostTotal > 0 && p.hostUsed+v.pages <= p.hostTotal {
 		v.hostPages = v.pages
@@ -654,15 +752,12 @@ func (p *pagedPolicy) evict(v *request) {
 	} else {
 		p.recomputed += v.produced
 	}
-	p.used -= v.pages
-	v.pages = 0
+	p.release(v)
 	p.preempts++
-	if v.prefixSlot >= 0 {
-		p.prefixes[v.prefixSlot].refs--
-	}
 }
 
-// admit reserves the pages a request's next step touches: its private
+// admit reserves the pages a request's next step touches — in the prefill
+// pool of a split, else in the one pool decode runs from: its private
 // prompt's for a fresh sequence, the prompt's plus the already-generated
 // tokens' for a preemption victim resuming after its recompute prefill.
 // A shared prefix charges its own pages only when not already resident —
@@ -680,9 +775,12 @@ func (p *pagedPolicy) admit(r *request) bool {
 			return false
 		}
 		p.reserved += full
-		r.pages = need
+		r.pages, r.inDecode = need, true
 		p.used += need
 		return true
+	}
+	if p.split && p.prefillUsed+need > p.prefillTotal {
+		return false
 	}
 	var pfx *prefixEntry
 	shared := 0
@@ -751,12 +849,23 @@ func (p *pagedPolicy) admit(r *request) bool {
 		r.hostPages, r.hostTokens = 0, 0
 	}
 	r.prefillFree = free
-	r.pages = need
+	r.pages, r.inDecode = need, !p.split
 	p.used += need
+	if p.split {
+		p.prefillUsed += need
+		if p.prefillUsed > p.peakPrefill {
+			p.peakPrefill = p.prefillUsed
+		}
+	}
 	return true
 }
 
+// release frees a request's pages from whichever pool holds them and
+// drops its reservation and prefix reference.
 func (p *pagedPolicy) release(r *request) {
+	if !r.inDecode {
+		p.prefillUsed -= r.pages
+	}
 	p.used -= r.pages
 	r.pages = 0
 	if p.noPreempt {
@@ -774,14 +883,15 @@ func (p *pagedPolicy) swapTime(tokens int) float64 {
 	return comm.P2PTime(float64(tokens)*p.perToken, p.swapLink)
 }
 
-// drainSwap hands the event loop the swap time accrued by this
-// iteration's evictions and readmissions, accumulating the total. Zero —
-// contributing nothing to the iteration — without a host tier.
-func (p *pagedPolicy) drainSwap() float64 {
-	t := p.pendingSwap
-	p.pendingSwap = 0
-	p.swapTotal += t
-	return t
+// drainLinks hands the event loop the link seconds accrued by this
+// iteration's migrations, swap-outs and swap-ins, accumulating each
+// link's total. Exactly zero without a split or a host tier.
+func (p *pagedPolicy) drainLinks() float64 {
+	t, s := p.pendingTransfer, p.pendingSwap
+	p.pendingTransfer, p.pendingSwap = 0, 0
+	p.transferTotal += t
+	p.swapTotal += s
+	return t + s
 }
 
 // residentPrefixPages sums the resident registry entries' pages — the
@@ -813,270 +923,3 @@ func (p *pagedPolicy) budgetBytes() float64 { return p.budget }
 func (p *pagedPolicy) counters() (int, int) {
 	return p.preempts, p.recomputed
 }
-
-// disaggPolicy is paged block allocation split across two pools: prefill
-// admissions hold pages in the prefill pool, and a sequence's pages move
-// to the decode pool when its first token is emitted — the DistServe-style
-// hand-off, priced per request as a point-to-point transfer of its
-// prompt's KV bytes over the configured interconnect. Decode growth and
-// LIFO preemption run against the decode pool only; a preemption victim
-// loses its pages, re-queues, and on readmission rebuilds its cache in the
-// prefill pool (recompute prefill) before migrating — and paying the
-// transfer — again.
-//
-// Each pool owns PrefillDevices (resp. DecodeDevices) of the TP devices'
-// aggregate KV budget; pools may overlap, and the fully co-located split
-// (both counts = TP, every device serving both phases) makes every
-// per-pool constraint coincide with the shared-budget one — block
-// accounting is then exactly pagedPolicy's, which the
-// degenerate-equivalence suite pins byte for byte under an infinite
-// transfer bandwidth.
-type disaggPolicy struct {
-	budget     float64
-	pageBytes  float64
-	pageTokens int
-	// totalPages caps the two pools' combined commitment: the budget's
-	// pages when the pools overlap, their (smaller) sum when they do not.
-	totalPages   int
-	prefillTotal int
-	decodeTotal  int
-	admitPages   int // pages covering the smallest prompt+1 — the derived-cap unit
-	fullPages    int // pages covering the largest full context — the feasibility unit
-	userCap      int
-	// perToken is the linear per-token KV footprint the migration transfer
-	// is priced over; link is the interconnect joining the pools.
-	perToken float64
-	link     arch.Link
-
-	prefillUsed, decodeUsed int
-	peakPrefill, peakDecode int
-	pendingTransfer         float64
-	transferTotal           float64
-	transfers               int
-	preempts, recomputed    int
-}
-
-func newDisaggPolicy(s Spec, budget, perRequest float64) *disaggPolicy {
-	b := s.bounds()
-	context := b.maxContext
-	pt := CanonicalPageTokens(Disaggregated, s.PageTokens, context)
-	pp, dd := CanonicalPoolSplit(Disaggregated, s.PrefillDevices, s.DecodeDevices, s.TP)
-	p := &disaggPolicy{
-		budget:     budget,
-		pageTokens: pt,
-		userCap:    s.MaxBatch,
-		link:       arch.Link{BW: CanonicalTransferGBps(Disaggregated, s.TransferGBps) * 1e9, Util: 1},
-	}
-	if pt == 0 {
-		return p // context-free garbage spec; totalPages stays 0 → infeasible
-	}
-	var budgetPages int
-	p.pageBytes, budgetPages = pagedGeometry(pt, context, budget, perRequest)
-	p.perToken = perRequest / float64(context)
-	p.prefillTotal = poolPages(budgetPages, pp, s.TP)
-	p.decodeTotal = poolPages(budgetPages, dd, s.TP)
-	// int64 sum: both totals fit 32-bit ints but their sum need not.
-	if int64(p.prefillTotal)+int64(p.decodeTotal) < int64(budgetPages) {
-		p.totalPages = p.prefillTotal + p.decodeTotal
-	} else {
-		p.totalPages = budgetPages
-	}
-	p.admitPages = p.pagesFor(b.minPrompt + 1)
-	p.fullPages = p.pagesFor(context)
-	return p
-}
-
-// poolPages is one pool's share of the budget's pages: devs of the tp
-// devices' aggregate. 64-bit intermediate so the multiply cannot overflow
-// a 32-bit int.
-func poolPages(budgetPages, devs, tp int) int {
-	return int(int64(budgetPages) * int64(devs) / int64(tp))
-}
-
-// pagesFor returns the page count covering tokens KV entries.
-func (p *disaggPolicy) pagesFor(tokens int) int {
-	return (tokens + p.pageTokens - 1) / p.pageTokens
-}
-
-// used is the combined committed page count across both pools — what the
-// shared budget sees as unavailable.
-func (p *disaggPolicy) used() int { return p.prefillUsed + p.decodeUsed }
-
-func (p *disaggPolicy) BatchCap() int {
-	fit := 0
-	if p.admitPages > 0 {
-		fit = p.totalPages / p.admitPages
-	}
-	if p.userCap > 0 && p.userCap < fit {
-		return p.userCap
-	}
-	return fit
-}
-
-// Feasible requires the largest request's full context to fit each pool:
-// the decode pool must grow it to completion, and a preemption victim's
-// recompute readmission can need up to its full context in the prefill
-// pool — the progress guarantee that eviction can never wedge the queue.
-func (p *disaggPolicy) Feasible() bool {
-	return p.budget > 0 && p.fullPages > 0 &&
-		p.fullPages <= p.prefillTotal && p.fullPages <= p.decodeTotal
-}
-
-func (p *disaggPolicy) PageGeometry() (int, int) { return p.pageTokens, p.totalPages }
-
-// beginStep migrates every sequence whose first token was emitted last
-// iteration from the prefill pool to the decode pool — accruing its KV
-// transfer — then grows decode allocations one token ahead, exactly as
-// pagedPolicy does, with LIFO eviction when capacity runs dry. Victim
-// selection respects the pools' physical separation: when only the decode
-// pool binds, the youngest *decode resident* is evicted — preempting a
-// prefill-held sequence cannot free decode pages, it would only thrash
-// recomputes — while shared-budget pressure (co-located pools) evicts the
-// youngest sequence outright, the paged policy's rule, which is what
-// keeps the co-located split byte-identical to Paged.
-//
-// The running set always orders decode residents before prefill-held
-// sequences: the previous beginStep migrated every survivor, and
-// admission appends the prefill-held newcomers at the tail.
-func (p *disaggPolicy) beginStep(pool []request, running, victims []int32) (kept, outVictims []int32) {
-	kept, outVictims = running, victims
-	for i := 0; i < len(kept); i++ {
-		id := kept[i]
-		r := &pool[id]
-		self := false
-		if !r.inDecode {
-			// The hand-off: the prefill pool's copy of r's cache moves to
-			// the decode pool before its first decode step. Migration never
-			// touches the shared total, so only the decode pool can bind —
-			// and while it does, a decode resident to evict always exists
-			// (decodeUsed > decodeTotal - r.pages >= 0 by feasibility).
-			for p.decodeUsed+r.pages > p.decodeTotal {
-				j := len(kept) - 1
-				for !pool[kept[j]].inDecode {
-					j--
-				}
-				vi := kept[j]
-				kept = append(kept[:j], kept[j+1:]...)
-				p.evict(&pool[vi])
-				outVictims = append(outVictims, vi)
-				// v sat before the scan position (decode residents precede
-				// every prefill-held sequence); keep the cursor on r.
-				i--
-			}
-			p.prefillUsed -= r.pages
-			p.decodeUsed += r.pages
-			if p.decodeUsed > p.peakDecode {
-				p.peakDecode = p.decodeUsed
-			}
-			r.inDecode = true
-			t := p.transferTime(r.prompt)
-			p.pendingTransfer += t
-			p.transfers++
-			r.transfers++
-			r.transferTime += t
-		}
-		need := p.pagesFor(r.prompt + r.produced + 1)
-		extra := need - r.pages
-		if extra <= 0 {
-			continue
-		}
-		for p.decodeUsed+extra > p.decodeTotal || p.used()+extra > p.totalPages {
-			j := len(kept) - 1
-			if p.used()+extra <= p.totalPages {
-				// Only the decode pool binds: LIFO restricts to its own
-				// residents. Unreachable under co-location, where
-				// decodeUsed <= used and decodeTotal == totalPages.
-				for !pool[kept[j]].inDecode {
-					j--
-				}
-			}
-			vi := kept[j]
-			kept = append(kept[:j], kept[j+1:]...)
-			p.evict(&pool[vi])
-			outVictims = append(outVictims, vi)
-			if vi == id {
-				self = true
-				break
-			}
-		}
-		if self {
-			// r itself was the LIFO victim. Unlike pagedPolicy — where the
-			// victim scan pops strictly from the tail, so nothing remains
-			// past r — the decode-restricted scan can evict r while
-			// prefill-held sequences still sit behind it; they must keep
-			// scanning (and migrate) rather than decode this iteration from
-			// the wrong pool. Removal shifted them down one slot.
-			i--
-			continue
-		}
-		p.decodeUsed += extra
-		if p.decodeUsed > p.peakDecode {
-			p.peakDecode = p.decodeUsed
-		}
-		r.pages = need
-	}
-	return kept, outVictims
-}
-
-// transferTime prices one sequence's KV hand-off: its prompt's KV bytes
-// point-to-point over the pool interconnect. An infinite-bandwidth link
-// prices to exactly zero — the co-located degenerate case.
-func (p *disaggPolicy) transferTime(promptTokens int) float64 {
-	return comm.P2PTime(float64(promptTokens)*p.perToken, p.link)
-}
-
-// drainTransfer hands the event loop the KV-transfer time accrued by this
-// iteration's migrations, accumulating the total.
-func (p *disaggPolicy) drainTransfer() float64 {
-	t := p.pendingTransfer
-	p.pendingTransfer = 0
-	p.transferTotal += t
-	return t
-}
-
-// evict frees a victim's pages from whichever pool holds them and
-// accounts the generated tokens its readmission prefill must rebuild.
-func (p *disaggPolicy) evict(v *request) {
-	if v.inDecode {
-		p.decodeUsed -= v.pages
-	} else {
-		p.prefillUsed -= v.pages
-	}
-	v.pages = 0
-	v.inDecode = false
-	p.preempts++
-	p.recomputed += v.produced
-}
-
-// admit reserves the pages a request's next (pre)fill pass touches in the
-// prefill pool: its own prompt's for a fresh sequence, plus the
-// already-generated tokens' for a preemption victim resuming after its
-// recompute prefill.
-func (p *disaggPolicy) admit(r *request) bool {
-	need := p.pagesFor(r.prompt + r.produced + 1)
-	if p.prefillUsed+need > p.prefillTotal || p.used()+need > p.totalPages {
-		return false
-	}
-	r.pages = need
-	r.inDecode = false
-	p.prefillUsed += need
-	if p.prefillUsed > p.peakPrefill {
-		p.peakPrefill = p.prefillUsed
-	}
-	return true
-}
-
-func (p *disaggPolicy) release(r *request) {
-	if r.inDecode {
-		p.decodeUsed -= r.pages
-	} else {
-		p.prefillUsed -= r.pages
-	}
-	r.pages = 0
-	r.inDecode = false
-}
-
-func (p *disaggPolicy) usedPages() int       { return p.used() }
-func (p *disaggPolicy) usedBytes() float64   { return float64(p.used()) * p.pageBytes }
-func (p *disaggPolicy) budgetBytes() float64 { return p.budget }
-func (p *disaggPolicy) counters() (int, int) { return p.preempts, p.recomputed }

@@ -5,12 +5,14 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"optimus/internal/workload"
 )
 
 // prefixedMix tags every tenant of a mix with a zero-length shared prefix
 // under an explicit id: the degenerate form that must change nothing.
-func prefixedMix(mix []TenantLoad) []TenantLoad {
-	out := make([]TenantLoad, len(mix))
+func prefixedMix(mix []workload.TenantLoad) []workload.TenantLoad {
+	out := make([]workload.TenantLoad, len(mix))
 	for i, tl := range mix {
 		tl.PrefixID = "degenerate-" + tl.Tenant
 		tl.PrefixTokens = 0
@@ -30,7 +32,7 @@ func TestPrefixDegenerateMatchesPaged(t *testing.T) {
 	base := spec0(t)
 	base.Policy = Paged
 	base.PromptTokens, base.GenTokens = 0, 0
-	base.Mix = []TenantLoad{{Tenant: DefaultTenant, Share: 1, PromptTokens: 200, GenTokens: 200}}
+	base.Mix = []workload.TenantLoad{{Tenant: workload.DefaultTenant, Share: 1, PromptTokens: 200, GenTokens: 200}}
 	for _, rate := range []float64{0.25, 2.5, 5} {
 		for _, batchCap := range []int{0, 3} {
 			for _, seed := range []int64{1, 7} {
@@ -65,7 +67,7 @@ func TestPrefixDegenerateMatchesPaged(t *testing.T) {
 	// degenerate prefix bit for bit.
 	pressured := pressureSpec(t)
 	pressured.PromptTokens, pressured.GenTokens = 0, 0
-	pressured.Mix = []TenantLoad{{Tenant: DefaultTenant, Share: 1, PromptTokens: 200, GenTokens: 200}}
+	pressured.Mix = []workload.TenantLoad{{Tenant: workload.DefaultTenant, Share: 1, PromptTokens: 200, GenTokens: 200}}
 	want, err := Run(pressured)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"optimus/internal/workload"
 )
 
 // TestRunnerReuseMatchesFresh is the pooling pin: a Runner recycled across
@@ -56,7 +58,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	mx := base
 	mx.Rate = 2
 	mx.PromptTokens, mx.GenTokens = 0, 0
-	mx.Mix = []TenantLoad{
+	mx.Mix = []workload.TenantLoad{
 		{Tenant: "chat", Share: 0.7, PromptTokens: 150, GenTokens: 100},
 		{Tenant: "batch", Share: 0.3, PromptTokens: 400, GenTokens: 50},
 	}
@@ -78,7 +80,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	pm.Policy, pm.Rate = Paged, 2
 	pm.KVCapacity = 8 * perRequest
 	pm.PromptTokens, pm.GenTokens = 0, 0
-	pm.Mix = []TenantLoad{
+	pm.Mix = []workload.TenantLoad{
 		{Tenant: "chat", Share: 0.6, PromptTokens: 150, GenTokens: 100, PrefixID: "sys", PrefixTokens: 48},
 		{Tenant: "code", Share: 0.3, PromptTokens: 400, GenTokens: 50, PrefixID: "sys", PrefixTokens: 48},
 		{Tenant: "raw", Share: 0.1, PromptTokens: 200, GenTokens: 50},

@@ -37,7 +37,9 @@
 //     fresh prefill — recompute-style preemption, priced through the same
 //     PrefillCost API as any admission. Result counts Preemptions, the
 //     RecomputedTokens they discarded, and page-pool utilization, making
-//     the SLO-versus-utilization trade directly observable.
+//     the SLO-versus-utilization trade directly observable. Paged runs
+//     over one page pool; Disaggregated is the same implementation over
+//     two (prefill and decode) with a priced KV migration between them.
 package serve
 
 import (
@@ -112,11 +114,11 @@ type Spec struct {
 	// prompt/generation lengths. Tenant assignment is drawn from a second
 	// seeded stream, so a single-tenant mix reproduces the spec-wide
 	// workload byte-identically.
-	Mix []TenantLoad
+	Mix []workload.TenantLoad
 	// Trace replays an explicit request timeline (arrival, tenant, prompt,
 	// gen) instead of generating one: it fixes the arrival process and the
 	// request count, so Arrival/Rate/Clients/Requests stay unset.
-	Trace []TraceEvent
+	Trace []workload.TraceEvent
 
 	// Arrival selects the request process; the zero value is Poisson.
 	Arrival Arrival
@@ -127,7 +129,7 @@ type Spec struct {
 	// "0-60:5,60-120:25" syntax). It fixes the rate, so Rate stays zero
 	// with it; a schedule that canonicalizes to a constant reproduces the
 	// plain Rate run byte-identically. Poisson arrivals only.
-	Schedule Schedule
+	Schedule workload.Schedule
 	// Clients is the closed-loop concurrency.
 	Clients int
 	// Turns expands the generated workload into multi-turn session
@@ -214,9 +216,10 @@ type probeState struct {
 	// full contexts they have not yet filled.
 	usedPages, totalPages, runningPages int
 	usedBytes, budget                   float64
-	// Disaggregated-policy pool accounting (zero elsewhere): committed
-	// pages and capacity per pool, plus the running set's held pages
-	// re-summed by the pool each sequence currently occupies.
+	// Page-pool accounting (zero under ReserveFull): committed pages and
+	// capacity per pool, plus the running set's held pages re-summed by
+	// the pool each sequence currently occupies. Paged's one pool is the
+	// decode pool; its prefill side stays empty.
 	prefillPages, prefillTotal              int
 	decodePages, decodeTotal                int
 	runningPrefillPages, runningDecodePages int
@@ -243,10 +246,10 @@ func (s Spec) withDefaults() Spec {
 	if len(s.Mix) == 0 {
 		pid := ""
 		if s.PrefixTokens > 0 {
-			pid = DefaultTenant
+			pid = workload.DefaultTenant
 		}
-		s.Mix = []TenantLoad{{
-			Tenant: DefaultTenant, Share: 1,
+		s.Mix = []workload.TenantLoad{{
+			Tenant: workload.DefaultTenant, Share: 1,
 			PromptTokens: s.PromptTokens, GenTokens: s.GenTokens,
 			PrefixID: pid, PrefixTokens: s.PrefixTokens,
 		}}
@@ -268,6 +271,83 @@ func (s Spec) inferSpec() infer.Spec {
 		Precision: s.Precision, Algorithm: s.Algorithm, Flash: s.Flash,
 	}
 }
+
+// shapeBounds are the extreme request shapes of one workload, derived once
+// per simulation: the step-cost engine is configured at the largest prompt
+// and generation, the KV geometry at the largest context, and the derived
+// batch caps at the smallest (a cap is an upper bound on concurrency — the
+// per-request admission math is the real gate).
+type shapeBounds struct {
+	minPrompt, maxPrompt   int
+	maxGen                 int
+	minContext, maxContext int
+}
+
+// fold folds one request shape into the running bounds.
+func (b *shapeBounds) fold(first bool, prompt, gen int) {
+	c := prompt + gen
+	if first {
+		*b = shapeBounds{minPrompt: prompt, maxPrompt: prompt, maxGen: gen, minContext: c, maxContext: c}
+		return
+	}
+	if prompt < b.minPrompt {
+		b.minPrompt = prompt
+	}
+	if prompt > b.maxPrompt {
+		b.maxPrompt = prompt
+	}
+	if gen > b.maxGen {
+		b.maxGen = gen
+	}
+	if c < b.minContext {
+		b.minContext = c
+	}
+	if c > b.maxContext {
+		b.maxContext = c
+	}
+}
+
+// bounds resolves the workload's shape bounds: the trace's when replaying,
+// the mix's when generating, and the spec-wide fields when neither is set
+// (validation paths that run before withDefaults fills the degenerate mix).
+// Heavy-tailed mix entries fold both clamp corners, and session cohorts
+// fold the largest turn's context-grown prompt — the extremes are knowable
+// from the spec alone (workload.HeavyTailCap bounds every draw), so the
+// step-cost engine and KV geometry never see a shape they were not
+// configured for.
+func (s Spec) bounds() shapeBounds {
+	var b shapeBounds
+	switch {
+	case len(s.Trace) > 0:
+		for i, ev := range s.Trace {
+			b.fold(i == 0, ev.PromptTokens, ev.GenTokens)
+		}
+	case len(s.Mix) > 0:
+		turns := s.Turns
+		if turns < 1 {
+			turns = 1
+		}
+		for i, t := range s.Mix {
+			pmin, pmax := t.PromptBounds()
+			gmin, gmax := t.GenBounds()
+			// Session turn k's prompt carries (k-1)·(P+G) prior context;
+			// the largest turn of the largest draw bounds the workload.
+			pmaxTurn := (turns-1)*(pmax+gmax) + pmax
+			b.fold(i == 0, pmin, gmin)
+			if pmaxTurn != pmin || gmax != gmin {
+				b.fold(false, pmaxTurn, gmax)
+			}
+		}
+	default:
+		b.fold(true, s.PromptTokens, s.GenTokens)
+	}
+	return b
+}
+
+// uniform reports whether every request spans one common context length,
+// which lets the reservation policy keep the PR-3 multiply-by-count float
+// path (bit-identical for the degenerate workload) instead of summing.
+func (b shapeBounds) uniform() bool { return b.minContext == b.maxContext }
 
 // inferenceFootprint is the footprint model behind kvBudget; a package
 // variable so tests can count invocations and pin that Run derives the KV
@@ -325,6 +405,11 @@ func (s Spec) validateExclusive() error {
 	return nil
 }
 
+// cachesPrefixes reports whether the policy can hold shared prefixes:
+// Paged with preemption enabled, the one layout whose block registry
+// prefix caching and session cohorts grow into.
+func (s Spec) cachesPrefixes() bool { return s.Policy == Paged && !s.NoPreempt }
+
 // prefixed reports whether any workload shape carries a non-empty shared
 // prefix. Run on the defaulted spec (the spec-wide PrefixTokens has been
 // folded into the degenerate mix by then). Session cohorts count: their
@@ -355,7 +440,7 @@ func (s Spec) validateShape() error {
 		return err
 	}
 	if len(s.Trace) > 0 {
-		if err := ValidateTrace(s.Trace); err != nil {
+		if err := workload.ValidateTrace(s.Trace); err != nil {
 			return err
 		}
 		// A trace fixes the arrival process and the request count; fields
@@ -370,7 +455,7 @@ func (s Spec) validateShape() error {
 				s.Requests, len(s.Trace))
 		}
 	} else {
-		if err := ValidateMix(s.Mix); err != nil {
+		if err := workload.ValidateMix(s.Mix); err != nil {
 			return err
 		}
 		switch s.Arrival {
@@ -419,7 +504,7 @@ func (s Spec) validateShape() error {
 		if s.Turns > 1 {
 			// Sessions grow a shared prefix turn over turn; only the paged
 			// policy's refcounted block registry can cache and grow it.
-			if s.Policy != Paged || s.NoPreempt {
+			if !s.cachesPrefixes() {
 				return fmt.Errorf("serve: session cohorts grow a shared prefix — they need the paged policy with preemption enabled (Policy: Paged, NoPreempt unset)")
 			}
 			for _, t := range s.Mix {
@@ -463,7 +548,7 @@ func (s Spec) validateKnobs() error {
 	}
 	// Prefix caching lives in the paged policy's block registry, and a
 	// NoPreempt reservation has no block registry growth to share into.
-	if s.prefixed() && (s.Policy != Paged || s.NoPreempt) {
+	if s.prefixed() && !s.cachesPrefixes() {
 		return fmt.Errorf("serve: prefix caching needs the paged policy with preemption enabled (Policy: Paged, NoPreempt unset)")
 	}
 	if s.HostKVBytes != 0 || s.SwapGBps != 0 {
@@ -786,7 +871,8 @@ type request struct {
 	// prefix is the request's shared-prefix token count and prefixSlot its
 	// interned registry slot in the paged policy (-1 without a prefix);
 	// the request's private page math spans prompt-prefix+produced tokens.
-	// inDecode marks which disaggregated pool holds the pages; it packs
+	// inDecode marks pages held in the decode pool (every admission under
+	// Paged's one pool, after the migration under Disaggregated); it packs
 	// into prefixSlot's alignment padding, keeping the slab entry at 152
 	// bytes.
 	prefix     int
@@ -834,7 +920,7 @@ type Runner struct {
 	// arrivalsBuf/shapesBuf are the reusable workload-generation buffers
 	// behind Run's arrival stream.
 	arrivalsBuf []float64
-	shapesBuf   []Request
+	shapesBuf   []workload.Request
 }
 
 // NewRunner builds an empty Runner; slabs grow on first use.
@@ -878,7 +964,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		sim.arrivals, sim.shapes = rn.arrivalsBuf, rn.shapesBuf
 		sim.issued = s.Requests
 	default:
-		rn.shapesBuf = appendMixShapes(rn.shapesBuf[:0], s.Mix, s.Requests, s.Seed)
+		rn.shapesBuf = workload.AppendMixShapes(rn.shapesBuf[:0], s.Mix, s.Requests, s.Seed)
 		sim.shapes = rn.shapesBuf
 		sim.closed = true
 		clients := s.Clients

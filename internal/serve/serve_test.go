@@ -10,6 +10,7 @@ import (
 	"optimus/internal/infer"
 	"optimus/internal/model"
 	"optimus/internal/tech"
+	"optimus/internal/workload"
 )
 
 // spec0 is the baseline experiment: Llama2-13B on one A100, 200/200-token
@@ -260,7 +261,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		s.PromptTokens, s.GenTokens = 0, 0
 		s.Rate, s.Requests, s.Seed = 0, 0, 0
 		s.Arrival, s.Clients = ClosedLoop, 4
-		s.Trace = []TraceEvent{{Arrival: 0, Request: Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}}}
+		s.Trace = []workload.TraceEvent{{Arrival: 0, Request: workload.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}}}
 	})
 	check("unknown arrival", func(s *Spec) { s.Arrival = Arrival(9) })
 	check("negative requests", func(s *Spec) { s.Requests = -1 })

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -95,13 +94,11 @@ func (d *indexDeque) front() int32 { return d.buf[d.head] }
 type simulator struct {
 	spec Spec
 	pol  AdmissionPolicy
-	// dp is the disaggregated policy's widened handle (nil elsewhere): the
-	// only policy with pool-migration state the event loop must drain
-	// (transfer time) and report (per-pool counters).
-	dp *disaggPolicy
-	// pp is the paged policy's widened handle (nil elsewhere): the prefix
-	// registry and host KV tier live on it, and the event loop drains its
-	// accrued swap time each iteration (exactly zero without a tier).
+	// pp is the paged policy's widened handle, for Paged and
+	// Disaggregated (nil under ReserveFull): the prefix registry, host KV
+	// tier and page pools live on it, and the event loop drains its
+	// accrued link time each iteration (exactly zero without a migration
+	// or a swap).
 	pp *pagedPolicy
 
 	coster *infer.StepCoster
@@ -132,7 +129,7 @@ type simulator struct {
 	// through pushShape. target is the completion count Run's driver loop
 	// stops at; closed marks closed-loop issuing on completion.
 	arrivals []float64
-	shapes   []Request
+	shapes   []workload.Request
 	nextArr  int
 	issued   int
 	target   int
@@ -181,7 +178,6 @@ func (sim *simulator) reset(s Spec) error {
 	if err := s.validateFit(pol); err != nil {
 		return err
 	}
-	dp, _ := pol.(*disaggPolicy)
 	pp, _ := pol.(*pagedPolicy)
 	if pp != nil {
 		// The readmission swap-in-vs-recompute decision prices the
@@ -219,7 +215,6 @@ func (sim *simulator) reset(s Spec) error {
 	}
 	sim.spec = s
 	sim.pol = pol
-	sim.dp = dp
 	sim.pp = pp
 	sim.kv0 = kv0
 	sim.kv1 = kv1
@@ -302,7 +297,7 @@ func (sim *simulator) enqueue(id int, t float64) {
 // admission then works with a slot index, never the string.
 //
 //optimus:hotpath
-func (sim *simulator) pushShape(id int, sh Request, t float64) {
+func (sim *simulator) pushShape(id int, sh workload.Request, t float64) {
 	sim.reqs = append(sim.reqs, request{
 		id: id, arrival: t,
 		tenant: sh.Tenant, prompt: sh.PromptTokens, gen: sh.GenTokens,
@@ -393,7 +388,7 @@ func (sim *simulator) step() {
 			// too — bill the true token count below. Tokens the policy
 			// restored for free (a resident prefix's span, a host-tier
 			// swap-in's) drop out of the bill; the swap itself is priced
-			// separately on the link via drainSwap.
+			// separately on the link via drainLinks.
 			prefillTokens += r.prompt + r.produced - r.prefillFree
 		}
 	}
@@ -410,39 +405,8 @@ func (sim *simulator) step() {
 	}
 	// Read the probe hook without copying the whole Spec — step runs once
 	// per iteration and a struct copy here is measurable.
-	if probe := sim.spec.probe; probe != nil {
-		held := 0
-		for _, id := range sim.running {
-			held += sim.reqs[id].pages
-		}
-		_, totalPages := sim.pol.PageGeometry()
-		ps := probeState{
-			iteration: sim.iterations, running: len(sim.running), queued: sim.queue.len(),
-			usedPages: sim.pol.usedPages(), totalPages: totalPages, runningPages: held,
-			usedBytes: kv, budget: sim.budget,
-		}
-		if sim.pp != nil {
-			ps.prefixPages = sim.pp.residentPrefixPages()
-			ps.hostPages, ps.hostTotal = sim.pp.hostUsed, sim.pp.hostTotal
-		}
-		if sim.dp != nil {
-			ps.prefillPages, ps.prefillTotal = sim.dp.prefillUsed, sim.dp.prefillTotal
-			ps.decodePages, ps.decodeTotal = sim.dp.decodeUsed, sim.dp.decodeTotal
-			for _, id := range sim.running {
-				r := &sim.reqs[id]
-				if r.inDecode {
-					ps.runningDecodePages += r.pages
-				} else {
-					ps.runningPrefillPages += r.pages
-				}
-			}
-			for _, id := range sim.running[:len(sim.running)-newbies] {
-				if !sim.reqs[id].inDecode {
-					ps.decidersInPrefill++
-				}
-			}
-		}
-		probe(ps)
+	if sim.spec.probe != nil {
+		sim.observe(kv, newbies)
 	}
 
 	// Price the iteration: one prefill pass over the newly admitted
@@ -477,18 +441,13 @@ func (sim *simulator) step() {
 		}
 		iterTime += sim.decode(float64(kvSum)/float64(len(deciders)), len(deciders))
 	}
-	if sim.dp != nil {
-		// KV migrations accrued by this iteration's pool hand-offs
-		// serialize on the interconnect and stall the step; an
-		// infinite-bandwidth link contributes exactly zero.
-		iterTime += sim.dp.drainTransfer()
-	}
 	if sim.pp != nil {
-		// Host-tier swaps accrued by this iteration's evictions and
-		// readmissions serialize on the PCIe-class link the same way;
-		// without a tier the drain is exactly zero, preserving the
-		// degenerate paged timing bit for bit.
-		iterTime += sim.pp.drainSwap()
+		// KV migrations accrued by this iteration's pool hand-offs, and
+		// host-tier swaps accrued by its evictions and readmissions,
+		// serialize on their links and stall the step. An
+		// infinite-bandwidth link, or a layout with neither, contributes
+		// exactly zero, preserving the degenerate paged timing bit for bit.
+		iterTime += sim.pp.drainLinks()
 	}
 	sim.iterations++
 	sim.batchSum += float64(len(sim.running))
@@ -535,6 +494,42 @@ func (sim *simulator) step() {
 	sim.running = alive
 }
 
+// observe hands the test-only probe this iteration's KV accounting,
+// sampled after admission (newbies of the running set were admitted this
+// iteration) and before pricing.
+func (sim *simulator) observe(kv float64, newbies int) {
+	held := 0
+	for _, id := range sim.running {
+		held += sim.reqs[id].pages
+	}
+	_, totalPages := sim.pol.PageGeometry()
+	ps := probeState{
+		iteration: sim.iterations, running: len(sim.running), queued: sim.queue.len(),
+		usedPages: sim.pol.usedPages(), totalPages: totalPages, runningPages: held,
+		usedBytes: kv, budget: sim.budget,
+	}
+	if pp := sim.pp; pp != nil {
+		ps.prefixPages = pp.residentPrefixPages()
+		ps.hostPages, ps.hostTotal = pp.hostUsed, pp.hostTotal
+		ps.prefillPages, ps.prefillTotal = pp.prefillUsed, pp.prefillTotal
+		ps.decodePages, ps.decodeTotal = pp.used-pp.prefillUsed, pp.decodeTotal
+		for _, id := range sim.running {
+			r := &sim.reqs[id]
+			if r.inDecode {
+				ps.runningDecodePages += r.pages
+			} else {
+				ps.runningPrefillPages += r.pages
+			}
+		}
+		for _, id := range sim.running[:len(sim.running)-newbies] {
+			if !sim.reqs[id].inDecode {
+				ps.decidersInPrefill++
+			}
+		}
+	}
+	sim.spec.probe(ps)
+}
+
 // finish assembles the Result over the completed set. An instance that was
 // never pushed a request reports a zero Result (no iterations to average).
 func (sim *simulator) finish() Result {
@@ -574,17 +569,16 @@ func (sim *simulator) finish() Result {
 		res.MeanBatch = sim.batchSum / float64(sim.iterations)
 		res.MeanKVUtil = sim.utilSum / float64(sim.iterations)
 	}
-	if sim.dp != nil {
-		res.PrefillDevices, res.DecodeDevices = CanonicalPoolSplit(Disaggregated, s.PrefillDevices, s.DecodeDevices, s.TP)
-		res.PrefillPagesTotal, res.DecodePagesTotal = sim.dp.prefillTotal, sim.dp.decodeTotal
-		res.PeakPrefillPages, res.PeakDecodePages = sim.dp.peakPrefill, sim.dp.peakDecode
-		res.KVTransfers, res.TransferTimeTotal = sim.dp.transfers, sim.dp.transferTotal
-	}
-	if sim.pp != nil {
-		res.PrefixHits, res.PrefixSavedTokens = sim.pp.prefixHits, sim.pp.prefixSaved
-		res.HostPagesTotal, res.PeakHostPages = sim.pp.hostTotal, sim.pp.peakHost
-		res.KVSwapOuts, res.KVSwapIns = sim.pp.swapOuts, sim.pp.swapIns
-		res.SwapTimeTotal = sim.pp.swapTotal
+	if pp := sim.pp; pp != nil {
+		res.PrefixHits, res.PrefixSavedTokens = pp.prefixHits, pp.prefixSaved
+		res.HostPagesTotal, res.PeakHostPages = pp.hostTotal, pp.peakHost
+		res.KVSwapOuts, res.KVSwapIns, res.SwapTimeTotal = pp.swapOuts, pp.swapIns, pp.swapTotal
+		res.KVTransfers, res.TransferTimeTotal = pp.transfers, pp.transferTotal
+		if pp.split {
+			res.PrefillDevices, res.DecodeDevices = CanonicalPoolSplit(Disaggregated, s.PrefillDevices, s.DecodeDevices, s.TP)
+			res.PrefillPagesTotal, res.DecodePagesTotal = pp.prefillTotal, pp.decodeTotal
+			res.PeakPrefillPages, res.PeakDecodePages = pp.peakPrefill, pp.peakDecode
+		}
 	}
 	if sim.now > 0 {
 		genSum := 0
@@ -653,56 +647,4 @@ func (sc *summaryScratch) summarize(done []RequestMetrics) Summary {
 		TTFT: s.TTFT, TPOT: s.TPOT, E2E: s.E2E, Queue: s.Queue,
 	}}
 	return s
-}
-
-// PoissonArrivalTimes pre-generates n open-loop Poisson arrival timestamps
-// (exponential interarrivals at rate requests/sec) from the seeded stream
-// Run itself draws — the cluster router generates the fleet-wide arrival
-// stream through this exact helper so a routed workload and a single-replica
-// Run see byte-identical timestamps.
-//
-// The rate must be positive and finite and n non-negative, exactly as
-// Spec.Validate enforces for Run; violations panic (a zero, negative, NaN
-// or infinite rate would otherwise silently yield Inf/NaN timestamps that
-// stall every downstream event loop).
-func PoissonArrivalTimes(rate float64, n int, seed int64) []float64 {
-	return appendPoissonArrivals(nil, rate, n, seed)
-}
-
-// appendPoissonArrivals is PoissonArrivalTimes into a reusable buffer —
-// the Runner pooling seam; the generation itself lives in
-// internal/workload.
-func appendPoissonArrivals(dst []float64, rate float64, n int, seed int64) []float64 {
-	return workload.AppendPoissonArrivals(dst, rate, n, seed)
-}
-
-// MixShapes deterministically assigns each of n arrival indices its request
-// shape from a validated workload mix — the exported form of the assignment
-// Run uses, so routers splitting one generated workload across replicas
-// reproduce Run's per-index shapes exactly.
-func MixShapes(mix []TenantLoad, n int, seed int64) ([]Request, error) {
-	if err := ValidateMix(mix); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("serve: negative request count %d", n)
-	}
-	return mixShapes(mix, n, seed), nil
-}
-
-// Summarize computes nearest-rank percentiles over a sample (the input
-// slice is not modified). See Percentiles for the small-sample semantics.
-//
-// NaN values panic: a NaN breaks the sort's total order, which would make
-// every percentile silently order-dependent. Infinities are legal samples
-// (a saturated SLO) and sort to the tail as expected.
-func Summarize(values []float64) Percentiles {
-	for _, v := range values {
-		if math.IsNaN(v) {
-			panic("serve: Summarize sample contains NaN")
-		}
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	return percentiles(sorted)
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"optimus/internal/workload"
 )
 
 // TestScheduleDegenerateMatchesPoisson is the temporal equivalence gate: a
@@ -32,7 +34,7 @@ func TestScheduleDegenerateMatchesPoisson(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, sched := range []Schedule{
+					for _, sched := range []workload.Schedule{
 						{{Start: 0, End: 60, Rate: rate}},
 						{{Start: 0, End: 30, Rate: rate}, {Start: 30, End: 90, Rate: rate}},
 					} {
@@ -67,7 +69,7 @@ func TestScheduleBurstReshapesArrivals(t *testing.T) {
 
 	burst := flat
 	burst.Rate = 0
-	burst.Schedule = Schedule{{Start: 0, End: 40, Rate: 0.25}, {Start: 40, End: 50, Rate: 20}}
+	burst.Schedule = workload.Schedule{{Start: 0, End: 40, Rate: 0.25}, {Start: 40, End: 50, Rate: 20}}
 	want, err := Run(burst)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +180,7 @@ func TestSessionCohortsExercisePrefixCache(t *testing.T) {
 func TestHeavyTailMixServes(t *testing.T) {
 	s := spec0(t)
 	s.PromptTokens, s.GenTokens = 0, 0
-	s.Mix = []TenantLoad{{
+	s.Mix = []workload.TenantLoad{{
 		Tenant: "chat", Share: 1,
 		PromptTokens: 200, GenTokens: 100, PromptSigma: 1.2, GenSigma: 0.8,
 	}}
@@ -221,10 +223,10 @@ func TestSpecTemporalValidation(t *testing.T) {
 			t.Errorf("%s should validate: %v", name, err)
 		}
 	}
-	sched := Schedule{{Start: 0, End: 60, Rate: 2}}
+	sched := workload.Schedule{{Start: 0, End: 60, Rate: 2}}
 	check("schedule", false, func(s *Spec) { s.Rate, s.Schedule = 0, sched })
 	check("schedule with a rate", true, func(s *Spec) { s.Schedule = sched })
-	check("invalid schedule", true, func(s *Spec) { s.Rate, s.Schedule = 0, Schedule{{Start: 5, End: 60, Rate: 2}} })
+	check("invalid schedule", true, func(s *Spec) { s.Rate, s.Schedule = 0, workload.Schedule{{Start: 5, End: 60, Rate: 2}} })
 	check("closed-loop schedule", true, func(s *Spec) {
 		s.Arrival, s.Rate, s.Clients, s.Schedule = ClosedLoop, 0, 4, sched
 	})
@@ -238,13 +240,13 @@ func TestSpecTemporalValidation(t *testing.T) {
 	check("cohort over a prefix mix", true, func(s *Spec) {
 		s.Policy, s.Turns = Paged, 2
 		s.PromptTokens, s.GenTokens = 0, 0
-		s.Mix = []TenantLoad{{Tenant: "a", Share: 1, PromptTokens: 100, GenTokens: 50, PrefixID: "a", PrefixTokens: 40}}
+		s.Mix = []workload.TenantLoad{{Tenant: "a", Share: 1, PromptTokens: 100, GenTokens: 50, PrefixID: "a", PrefixTokens: 40}}
 	})
 	check("think without turns", true, func(s *Spec) { s.Think = 2 })
 	check("think with one turn", true, func(s *Spec) { s.Turns, s.Think = 1, 2 })
 	check("NaN think", true, func(s *Spec) { s.Policy, s.Turns, s.Think = Paged, 2, math.NaN() })
 	check("negative think", true, func(s *Spec) { s.Policy, s.Turns, s.Think = Paged, 2, -1 })
-	goodTrace := []TraceEvent{{Arrival: 0, Request: Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}}}
+	goodTrace := []workload.TraceEvent{{Arrival: 0, Request: workload.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}}}
 	clearAll := func(s *Spec) {
 		s.PromptTokens, s.GenTokens, s.Rate, s.Clients, s.Requests, s.Seed = 0, 0, 0, 0, 0, 0
 	}

@@ -3,14 +3,16 @@ package serve
 import (
 	"strings"
 	"testing"
+
+	"optimus/internal/workload"
 )
 
 // traceOf builds a small well-formed trace against spec0's capacity.
-func traceOf() []TraceEvent {
-	return []TraceEvent{
-		{Arrival: 0, Request: Request{Tenant: "a", PromptTokens: 120, GenTokens: 20}},
-		{Arrival: 0.5, Request: Request{Tenant: "b", PromptTokens: 80, GenTokens: 30}},
-		{Arrival: 2.0, Request: Request{Tenant: "a", PromptTokens: 200, GenTokens: 10}},
+func traceOf() []workload.TraceEvent {
+	return []workload.TraceEvent{
+		{Arrival: 0, Request: workload.Request{Tenant: "a", PromptTokens: 120, GenTokens: 20}},
+		{Arrival: 0.5, Request: workload.Request{Tenant: "b", PromptTokens: 80, GenTokens: 30}},
+		{Arrival: 2.0, Request: workload.Request{Tenant: "a", PromptTokens: 200, GenTokens: 10}},
 	}
 }
 
@@ -64,7 +66,7 @@ func TestTraceRequestsDerivedInAllEntryPaths(t *testing.T) {
 // asked for. This test fails against that behavior: Run would succeed.
 func TestEmptyTraceRejected(t *testing.T) {
 	s := spec0(t)
-	s.Trace = []TraceEvent{} // non-nil, zero events; generated-workload fields still set
+	s.Trace = []workload.TraceEvent{} // non-nil, zero events; generated-workload fields still set
 
 	if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "empty trace") {
 		t.Errorf("Run with empty non-nil trace: got %v, want an empty-trace rejection", err)
@@ -76,7 +78,7 @@ func TestEmptyTraceRejected(t *testing.T) {
 	// Even with the generated-workload fields cleared — nothing to fall
 	// back to — the error must name the empty trace, not the missing mix.
 	clearWorkload(&s)
-	s.Trace = []TraceEvent{}
+	s.Trace = []workload.TraceEvent{}
 	if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "empty trace") {
 		t.Errorf("Run with only an empty trace: got %v, want an empty-trace rejection", err)
 	}

@@ -6,13 +6,15 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"optimus/internal/workload"
 )
 
 // uniformMix rewrites a spec-wide-shaped spec as its explicit one-tenant
 // mix — the degenerate workload the equivalence suite pins.
 func uniformMix(s Spec) Spec {
-	s.Mix = []TenantLoad{{
-		Tenant: DefaultTenant, Share: 1,
+	s.Mix = []workload.TenantLoad{{
+		Tenant: workload.DefaultTenant, Share: 1,
 		PromptTokens: s.PromptTokens, GenTokens: s.GenTokens,
 	}}
 	s.PromptTokens, s.GenTokens = 0, 0
@@ -107,7 +109,7 @@ func TestUniformMixMatchesSpecWideUnderPressure(t *testing.T) {
 func mixedSpec(t *testing.T) Spec {
 	s := spec0(t)
 	s.PromptTokens, s.GenTokens = 0, 0
-	s.Mix = []TenantLoad{
+	s.Mix = []workload.TenantLoad{
 		{Tenant: "chat", Share: 0.7, PromptTokens: 200, GenTokens: 200},
 		{Tenant: "batch", Share: 0.3, PromptTokens: 1200, GenTokens: 100},
 	}
@@ -129,7 +131,7 @@ func TestMixedWorkloadBehavior(t *testing.T) {
 	if res.Requests != s.Requests {
 		t.Fatalf("completed %d of %d requests", res.Requests, s.Requests)
 	}
-	shapes := map[string]TenantLoad{}
+	shapes := map[string]workload.TenantLoad{}
 	for _, tl := range s.Mix {
 		shapes[tl.Tenant] = tl
 	}
@@ -291,11 +293,11 @@ func TestMixedReserveHeterogeneousAccounting(t *testing.T) {
 func TestTraceReplay(t *testing.T) {
 	s := spec0(t)
 	s.PromptTokens, s.GenTokens, s.Rate, s.Requests, s.Seed = 0, 0, 0, 0, 0
-	s.Trace = []TraceEvent{
-		{Arrival: 0, Request: Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40}},
-		{Arrival: 0.05, Request: Request{Tenant: "batch", PromptTokens: 900, GenTokens: 80}},
-		{Arrival: 0.05, Request: Request{Tenant: "chat", PromptTokens: 120, GenTokens: 30}},
-		{Arrival: 2.5, Request: Request{Tenant: "chat", PromptTokens: 80, GenTokens: 20}},
+	s.Trace = []workload.TraceEvent{
+		{Arrival: 0, Request: workload.Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40}},
+		{Arrival: 0.05, Request: workload.Request{Tenant: "batch", PromptTokens: 900, GenTokens: 80}},
+		{Arrival: 0.05, Request: workload.Request{Tenant: "chat", PromptTokens: 120, GenTokens: 30}},
+		{Arrival: 2.5, Request: workload.Request{Tenant: "chat", PromptTokens: 80, GenTokens: 20}},
 	}
 	res, err := Run(s)
 	if err != nil {
@@ -340,13 +342,13 @@ func TestWorkloadValidation(t *testing.T) {
 		}
 	}
 	clearShape := func(s *Spec) { s.PromptTokens, s.GenTokens = 0, 0 }
-	goodMix := []TenantLoad{
+	goodMix := []workload.TenantLoad{
 		{Tenant: "a", Share: 1, PromptTokens: 100, GenTokens: 50},
 		{Tenant: "b", Share: 2, PromptTokens: 300, GenTokens: 20},
 	}
-	goodTrace := []TraceEvent{
-		{Arrival: 0, Request: Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}},
-		{Arrival: 1, Request: Request{Tenant: "b", PromptTokens: 200, GenTokens: 20}},
+	goodTrace := []workload.TraceEvent{
+		{Arrival: 0, Request: workload.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}},
+		{Arrival: 1, Request: workload.Request{Tenant: "b", PromptTokens: 200, GenTokens: 20}},
 	}
 	clearArrival := func(s *Spec) { s.Rate, s.Clients, s.Requests, s.Seed = 0, 0, 0, 0 }
 
@@ -364,78 +366,78 @@ func TestWorkloadValidation(t *testing.T) {
 	})
 	check("empty tenant name", true, func(s *Spec) {
 		clearShape(s)
-		s.Mix = []TenantLoad{{Share: 1, PromptTokens: 100, GenTokens: 50}}
+		s.Mix = []workload.TenantLoad{{Share: 1, PromptTokens: 100, GenTokens: 50}}
 	})
 	// Separator-bearing tenant names make FormatMix's rendering ambiguous:
 	// "a:1:2:3,b" as one tenant renders identically to two tenants, so two
 	// distinct workloads would share one sweep memo token and CSV column.
 	check("tenant name with colons", true, func(s *Spec) {
 		clearShape(s)
-		s.Mix = []TenantLoad{{Tenant: "a:1:2:3", Share: 1, PromptTokens: 100, GenTokens: 50}}
+		s.Mix = []workload.TenantLoad{{Tenant: "a:1:2:3", Share: 1, PromptTokens: 100, GenTokens: 50}}
 	})
 	check("tenant name with a comma", true, func(s *Spec) {
 		clearShape(s)
-		s.Mix = []TenantLoad{{Tenant: "a,b", Share: 1, PromptTokens: 100, GenTokens: 50}}
+		s.Mix = []workload.TenantLoad{{Tenant: "a,b", Share: 1, PromptTokens: 100, GenTokens: 50}}
 	})
 	check("tenant name with trailing whitespace", true, func(s *Spec) {
 		clearShape(s)
-		s.Mix = []TenantLoad{{Tenant: "a ", Share: 1, PromptTokens: 100, GenTokens: 50}}
+		s.Mix = []workload.TenantLoad{{Tenant: "a ", Share: 1, PromptTokens: 100, GenTokens: 50}}
 	})
 	check("trace tenant name with a comma", true, func(s *Spec) {
 		clearShape(s)
 		clearArrival(s)
-		s.Trace = []TraceEvent{{Arrival: 0, Request: Request{Tenant: "a,b", PromptTokens: 100, GenTokens: 10}}}
+		s.Trace = []workload.TraceEvent{{Arrival: 0, Request: workload.Request{Tenant: "a,b", PromptTokens: 100, GenTokens: 10}}}
 	})
 	check("trace tenant name with a colon", true, func(s *Spec) {
 		clearShape(s)
 		clearArrival(s)
-		s.Trace = []TraceEvent{{Arrival: 0, Request: Request{Tenant: "a:b", PromptTokens: 100, GenTokens: 10}}}
+		s.Trace = []workload.TraceEvent{{Arrival: 0, Request: workload.Request{Tenant: "a:b", PromptTokens: 100, GenTokens: 10}}}
 	})
 	check("trace tenant name with leading whitespace", true, func(s *Spec) {
 		clearShape(s)
 		clearArrival(s)
-		s.Trace = []TraceEvent{{Arrival: 0, Request: Request{Tenant: " a", PromptTokens: 100, GenTokens: 10}}}
+		s.Trace = []workload.TraceEvent{{Arrival: 0, Request: workload.Request{Tenant: " a", PromptTokens: 100, GenTokens: 10}}}
 	})
 	check("duplicate tenant", true, func(s *Spec) {
 		clearShape(s)
-		s.Mix = []TenantLoad{
+		s.Mix = []workload.TenantLoad{
 			{Tenant: "a", Share: 1, PromptTokens: 100, GenTokens: 50},
 			{Tenant: "a", Share: 1, PromptTokens: 200, GenTokens: 50},
 		}
 	})
 	check("zero share", true, func(s *Spec) {
 		clearShape(s)
-		s.Mix = []TenantLoad{{Tenant: "a", Share: 0, PromptTokens: 100, GenTokens: 50}}
+		s.Mix = []workload.TenantLoad{{Tenant: "a", Share: 0, PromptTokens: 100, GenTokens: 50}}
 	})
 	check("NaN share", true, func(s *Spec) {
 		clearShape(s)
-		s.Mix = []TenantLoad{{Tenant: "a", Share: math.NaN(), PromptTokens: 100, GenTokens: 50}}
+		s.Mix = []workload.TenantLoad{{Tenant: "a", Share: math.NaN(), PromptTokens: 100, GenTokens: 50}}
 	})
 	check("zero mix gen", true, func(s *Spec) {
 		clearShape(s)
-		s.Mix = []TenantLoad{{Tenant: "a", Share: 1, PromptTokens: 100}}
+		s.Mix = []workload.TenantLoad{{Tenant: "a", Share: 1, PromptTokens: 100}}
 	})
 	check("zero mix prompt", true, func(s *Spec) {
 		clearShape(s)
-		s.Mix = []TenantLoad{{Tenant: "a", Share: 1, GenTokens: 100}}
+		s.Mix = []workload.TenantLoad{{Tenant: "a", Share: 1, GenTokens: 100}}
 	})
 	check("unsorted trace", true, func(s *Spec) {
 		clearShape(s)
 		clearArrival(s)
-		s.Trace = []TraceEvent{
-			{Arrival: 2, Request: Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}},
-			{Arrival: 1, Request: Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}},
+		s.Trace = []workload.TraceEvent{
+			{Arrival: 2, Request: workload.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}},
+			{Arrival: 1, Request: workload.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}},
 		}
 	})
 	check("negative trace arrival", true, func(s *Spec) {
 		clearShape(s)
 		clearArrival(s)
-		s.Trace = []TraceEvent{{Arrival: -1, Request: Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}}}
+		s.Trace = []workload.TraceEvent{{Arrival: -1, Request: workload.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}}}
 	})
 	check("trace event without tenant", true, func(s *Spec) {
 		clearShape(s)
 		clearArrival(s)
-		s.Trace = []TraceEvent{{Arrival: 0, Request: Request{PromptTokens: 100, GenTokens: 10}}}
+		s.Trace = []workload.TraceEvent{{Arrival: 0, Request: workload.Request{PromptTokens: 100, GenTokens: 10}}}
 	})
 	// The largest mix request must fit, not just the average one.
 	check("mix with an unfittable tenant", true, func(s *Spec) {
@@ -451,19 +453,19 @@ func TestWorkloadValidation(t *testing.T) {
 
 // TestParseFormatMix round-trips the CLI mix syntax and rejects garbage.
 func TestParseFormatMix(t *testing.T) {
-	mix, err := ParseMix("chat:0.7:200:200, batch:0.3:2000:100")
+	mix, err := workload.ParseMix("chat:0.7:200:200, batch:0.3:2000:100")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []TenantLoad{
+	want := []workload.TenantLoad{
 		{Tenant: "chat", Share: 0.7, PromptTokens: 200, GenTokens: 200},
 		{Tenant: "batch", Share: 0.3, PromptTokens: 2000, GenTokens: 100},
 	}
 	if !reflect.DeepEqual(mix, want) {
 		t.Fatalf("ParseMix = %+v, want %+v", mix, want)
 	}
-	formatted := FormatMix(mix)
-	back, err := ParseMix(formatted)
+	formatted := workload.FormatMix(mix)
+	back, err := workload.ParseMix(formatted)
 	if err != nil || !reflect.DeepEqual(back, mix) {
 		t.Fatalf("FormatMix %q does not round-trip: %+v, %v", formatted, back, err)
 	}
@@ -477,7 +479,7 @@ func TestParseFormatMix(t *testing.T) {
 		"chat:1:200:200:-1",    // negative prefix length
 		"chat:1:200:200:9:s,m", // separator-bearing prefix id
 	} {
-		if _, err := ParseMix(bad); err == nil {
+		if _, err := workload.ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) should fail", bad)
 		}
 	}
@@ -488,23 +490,23 @@ func TestParseFormatMix(t *testing.T) {
 		"chat:1:200:200:9",
 		"chat:0.5:200:200:9:sys,batch:0.5:2000:100:9:sys",
 	} {
-		mix, err := ParseMix(src)
+		mix, err := workload.ParseMix(src)
 		if err != nil {
 			t.Fatalf("ParseMix(%q): %v", src, err)
 		}
-		back, err := ParseMix(FormatMix(mix))
+		back, err := workload.ParseMix(workload.FormatMix(mix))
 		if err != nil || !reflect.DeepEqual(back, mix) {
-			t.Fatalf("prefix mix %q does not round-trip via %q: %+v, %v", src, FormatMix(mix), back, err)
+			t.Fatalf("prefix mix %q does not round-trip via %q: %+v, %v", src, workload.FormatMix(mix), back, err)
 		}
 	}
-	mix5, _ := ParseMix("chat:1:200:200:9")
+	mix5, _ := workload.ParseMix("chat:1:200:200:9")
 	if mix5[0].PrefixID != "chat" || mix5[0].PrefixTokens != 9 {
 		t.Fatalf("5-field form must default PrefixID to the tenant: %+v", mix5[0])
 	}
-	zeroID := []TenantLoad{{Tenant: "chat", Share: 1, PromptTokens: 200, GenTokens: 200, PrefixID: "sys"}}
-	backZero, err := ParseMix(FormatMix(zeroID))
+	zeroID := []workload.TenantLoad{{Tenant: "chat", Share: 1, PromptTokens: 200, GenTokens: 200, PrefixID: "sys"}}
+	backZero, err := workload.ParseMix(workload.FormatMix(zeroID))
 	if err != nil || !reflect.DeepEqual(backZero, zeroID) {
-		t.Fatalf("zero-token explicit-id mix does not round-trip via %q: %+v, %v", FormatMix(zeroID), backZero, err)
+		t.Fatalf("zero-token explicit-id mix does not round-trip via %q: %+v, %v", workload.FormatMix(zeroID), backZero, err)
 	}
 }
 
@@ -516,25 +518,25 @@ func TestParseFormatMix(t *testing.T) {
 // traces alike.
 func TestTenantNameCollisionRejected(t *testing.T) {
 	// Pre-fix, these two distinct workloads rendered to the same token.
-	impostor := []TenantLoad{
+	impostor := []workload.TenantLoad{
 		{Tenant: "a:1:2:3,b", Share: 1, PromptTokens: 2, GenTokens: 3},
 	}
-	honest := []TenantLoad{
+	honest := []workload.TenantLoad{
 		{Tenant: "a", Share: 1, PromptTokens: 2, GenTokens: 3},
 		{Tenant: "b", Share: 1, PromptTokens: 2, GenTokens: 3},
 	}
-	if FormatMix(impostor) != FormatMix(honest) {
-		t.Fatalf("collision vector lost: %q vs %q — update the test", FormatMix(impostor), FormatMix(honest))
+	if workload.FormatMix(impostor) != workload.FormatMix(honest) {
+		t.Fatalf("collision vector lost: %q vs %q — update the test", workload.FormatMix(impostor), workload.FormatMix(honest))
 	}
-	if err := ValidateMix(impostor); err == nil {
+	if err := workload.ValidateMix(impostor); err == nil {
 		t.Error("separator-bearing tenant name must be rejected")
 	}
-	if err := ValidateMix(honest); err != nil {
+	if err := workload.ValidateMix(honest); err != nil {
 		t.Errorf("separator-free mix must validate: %v", err)
 	}
 	// The trace CSV reader can quote a comma-bearing tenant per RFC 4180,
 	// so the trace validator must hold the same line.
-	if _, err := ParseTrace(strings.NewReader("0,\"a,b\",100,40\n")); err == nil {
+	if _, err := workload.ParseTrace(strings.NewReader("0,\"a,b\",100,40\n")); err == nil {
 		t.Error("quoted comma-bearing trace tenant must be rejected")
 	}
 }
@@ -543,33 +545,33 @@ func TestTenantNameCollisionRejected(t *testing.T) {
 // tenant defaulting, and malformed rows.
 func TestParseTrace(t *testing.T) {
 	in := "arrival,tenant,prompt,gen\n0.0,chat,100,40\n0.5,,900,80\n1.25,chat,120,30\n"
-	trace, err := ParseTrace(strings.NewReader(in))
+	trace, err := workload.ParseTrace(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []TraceEvent{
-		{Arrival: 0, Request: Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40}},
-		{Arrival: 0.5, Request: Request{Tenant: DefaultTenant, PromptTokens: 900, GenTokens: 80}},
-		{Arrival: 1.25, Request: Request{Tenant: "chat", PromptTokens: 120, GenTokens: 30}},
+	want := []workload.TraceEvent{
+		{Arrival: 0, Request: workload.Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40}},
+		{Arrival: 0.5, Request: workload.Request{Tenant: workload.DefaultTenant, PromptTokens: 900, GenTokens: 80}},
+		{Arrival: 1.25, Request: workload.Request{Tenant: "chat", PromptTokens: 120, GenTokens: 30}},
 	}
 	if !reflect.DeepEqual(trace, want) {
 		t.Fatalf("ParseTrace = %+v, want %+v", trace, want)
 	}
 	// Headerless input parses identically.
-	headerless, err := ParseTrace(strings.NewReader("0.0,chat,100,40\n0.5,,900,80\n1.25,chat,120,30\n"))
+	headerless, err := workload.ParseTrace(strings.NewReader("0.0,chat,100,40\n0.5,,900,80\n1.25,chat,120,30\n"))
 	if err != nil || !reflect.DeepEqual(headerless, want) {
 		t.Fatalf("headerless trace = %+v, %v", headerless, err)
 	}
 	// A first data row with stray whitespace must parse as data, never be
 	// silently swallowed as a misdetected header (regression: the arrival
 	// field was the only one not trimmed).
-	padded, err := ParseTrace(strings.NewReader("0.0 ,chat,100,40\n0.5,,900,80\n1.25,chat,120,30\n"))
+	padded, err := workload.ParseTrace(strings.NewReader("0.0 ,chat,100,40\n0.5,,900,80\n1.25,chat,120,30\n"))
 	if err != nil || !reflect.DeepEqual(padded, want) {
 		t.Fatalf("whitespace-padded first row = %+v, %v; want %+v", padded, err, want)
 	}
 	// A first data row whose arrival alone is malformed is an error, not a
 	// header — its prompt/gen columns are numeric, a real header's are not.
-	if _, err := ParseTrace(strings.NewReader("abc,chat,100,40\n0.5,chat,900,80\n")); err == nil {
+	if _, err := workload.ParseTrace(strings.NewReader("abc,chat,100,40\n0.5,chat,900,80\n")); err == nil {
 		t.Error("malformed first-row arrival should fail loudly, not vanish as a header")
 	}
 	for _, bad := range []string{
@@ -586,7 +588,7 @@ func TestParseTrace(t *testing.T) {
 		"0.0,chat,100,40,sys,20\n0.5,chat,100,40,sys,30\n", // one id, two lengths
 		"0.0,chat,100,40,sys,20\n0.5,chat,100,40\n",        // column count drifts mid-trace
 	} {
-		if _, err := ParseTrace(strings.NewReader(bad)); err == nil {
+		if _, err := workload.ParseTrace(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseTrace(%q) should fail", bad)
 		}
 	}
@@ -598,7 +600,7 @@ func TestParseTrace(t *testing.T) {
 // header cell, failing the header detection and the first row's arrival
 // parse; both byte sequences must now parse identically to the clean file.
 func TestParseTraceBOMAndCRLF(t *testing.T) {
-	want, err := ParseTrace(strings.NewReader("arrival,tenant,prompt,gen\n0.0,chat,100,40\n0.5,,900,80\n"))
+	want, err := workload.ParseTrace(strings.NewReader("arrival,tenant,prompt,gen\n0.0,chat,100,40\n0.5,,900,80\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +610,7 @@ func TestParseTraceBOMAndCRLF(t *testing.T) {
 		"bom+crlf":       "\xef\xbb\xbfarrival,tenant,prompt,gen\r\n0.0,chat,100,40\r\n0.5,,900,80\r\n",
 		"bom+headerless": "\xef\xbb\xbf0.0,chat,100,40\n0.5,,900,80\n",
 	} {
-		got, err := ParseTrace(strings.NewReader(in))
+		got, err := workload.ParseTrace(strings.NewReader(in))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -618,7 +620,7 @@ func TestParseTraceBOMAndCRLF(t *testing.T) {
 		}
 	}
 	// A BOM'd v2 trace exercises both new paths at once.
-	v2, err := ParseTrace(strings.NewReader(
+	v2, err := workload.ParseTrace(strings.NewReader(
 		"\xef\xbb\xbfarrival,tenant,prompt,gen,prefix_id,prefix_tokens\r\n0,chat,100,40,sys,30\r\n1,code,200,50,sys,30\r\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -635,22 +637,22 @@ func TestParseTraceBOMAndCRLF(t *testing.T) {
 // whose events only partially carry prefixes, and one defaulting the
 // prefix id to the tenant.
 func TestParseFormatTrace(t *testing.T) {
-	for name, trace := range map[string][]TraceEvent{
+	for name, trace := range map[string][]workload.TraceEvent{
 		"v1": {
-			{Arrival: 0, Request: Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40}},
-			{Arrival: 0.625, Request: Request{Tenant: DefaultTenant, PromptTokens: 900, GenTokens: 80}},
+			{Arrival: 0, Request: workload.Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40}},
+			{Arrival: 0.625, Request: workload.Request{Tenant: workload.DefaultTenant, PromptTokens: 900, GenTokens: 80}},
 		},
 		"v2": {
-			{Arrival: 0, Request: Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40, PrefixID: "sys", PrefixTokens: 30}},
-			{Arrival: 0.5, Request: Request{Tenant: "code", PromptTokens: 200, GenTokens: 50, PrefixID: "sys", PrefixTokens: 30}},
+			{Arrival: 0, Request: workload.Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40, PrefixID: "sys", PrefixTokens: 30}},
+			{Arrival: 0.5, Request: workload.Request{Tenant: "code", PromptTokens: 200, GenTokens: 50, PrefixID: "sys", PrefixTokens: 30}},
 		},
 		"v2-partial": {
-			{Arrival: 0, Request: Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40, PrefixID: "chat", PrefixTokens: 30}},
-			{Arrival: 0.5, Request: Request{Tenant: "raw", PromptTokens: 200, GenTokens: 50}},
+			{Arrival: 0, Request: workload.Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40, PrefixID: "chat", PrefixTokens: 30}},
+			{Arrival: 0.5, Request: workload.Request{Tenant: "raw", PromptTokens: 200, GenTokens: 50}},
 		},
 	} {
 		var b strings.Builder
-		if err := FormatTrace(&b, trace); err != nil {
+		if err := workload.FormatTrace(&b, trace); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		wantCols := 4
@@ -661,7 +663,7 @@ func TestParseFormatTrace(t *testing.T) {
 		if got := strings.Count(header, ",") + 1; got != wantCols {
 			t.Errorf("%s: rendered a %d-column header, want %d (%q)", name, got, wantCols, header)
 		}
-		back, err := ParseTrace(strings.NewReader(b.String()))
+		back, err := workload.ParseTrace(strings.NewReader(b.String()))
 		if err != nil {
 			t.Fatalf("%s: round-trip parse of %q: %v", name, b.String(), err)
 		}
@@ -678,8 +680,8 @@ func TestSingleTenantPerTenantBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerTenant) != 1 || res.PerTenant[0].Tenant != DefaultTenant {
-		t.Fatalf("degenerate run should report one %q tenant, got %+v", DefaultTenant, res.PerTenant)
+	if len(res.PerTenant) != 1 || res.PerTenant[0].Tenant != workload.DefaultTenant {
+		t.Fatalf("degenerate run should report one %q tenant, got %+v", workload.DefaultTenant, res.PerTenant)
 	}
 	tm := res.PerTenant[0]
 	if tm.Requests != res.Requests || tm.TTFT != res.TTFT || tm.TPOT != res.TPOT ||

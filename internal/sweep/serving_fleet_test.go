@@ -9,8 +9,8 @@ import (
 	"optimus/internal/arch"
 	"optimus/internal/cluster"
 	"optimus/internal/model"
-	"optimus/internal/serve"
 	"optimus/internal/tech"
+	"optimus/internal/workload"
 )
 
 // fleetSpec0 is a one-cell serving grid with a fleet axis: one model, one
@@ -149,7 +149,7 @@ func TestServingFleetEngineMatchesSerial(t *testing.T) {
 // mix, and tenant-affinity fleets report the fleet-wide tenant breakdown.
 func TestServingFleetMixAffinity(t *testing.T) {
 	spec := fleetSpec0(t)
-	spec.Mixes = [][]serve.TenantLoad{{
+	spec.Mixes = [][]workload.TenantLoad{{
 		{Tenant: "chat", Share: 0.5, PromptTokens: 100, GenTokens: 100},
 		{Tenant: "batch", Share: 0.5, PromptTokens: 400, GenTokens: 200},
 	}}

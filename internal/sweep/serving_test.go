@@ -276,7 +276,7 @@ func TestServingValidation(t *testing.T) {
 	check("prefix with mixes", func(s *Spec) {
 		s.Policies = []serve.Policy{serve.Paged}
 		s.PrefixTokens = []int{64}
-		s.Mixes = [][]serve.TenantLoad{{{Tenant: "a", Share: 1, PromptTokens: 100, GenTokens: 50}}}
+		s.Mixes = [][]workload.TenantLoad{{{Tenant: "a", Share: 1, PromptTokens: 100, GenTokens: 50}}}
 	})
 	check("host tier without a paged policy", func(s *Spec) { s.HostKVBytes = []float64{4e9} })
 	check("negative host tier capacity", func(s *Spec) {

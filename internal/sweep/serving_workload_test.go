@@ -9,6 +9,7 @@ import (
 	"optimus/internal/model"
 	"optimus/internal/serve"
 	"optimus/internal/tech"
+	"optimus/internal/workload"
 )
 
 // cell builds the fixed (model, system) grid cell the key-coverage tests
@@ -27,8 +28,8 @@ func cell(t *testing.T) (model.Config, *arch.System) {
 }
 
 // mixes0 is a two-value mix axis: a chat-only mix and a chat+batch blend.
-func mixes0() [][]serve.TenantLoad {
-	return [][]serve.TenantLoad{
+func mixes0() [][]workload.TenantLoad {
+	return [][]workload.TenantLoad{
 		{{Tenant: "chat", Share: 1, PromptTokens: 200, GenTokens: 200}},
 		{
 			{Tenant: "chat", Share: 0.7, PromptTokens: 200, GenTokens: 200},
@@ -47,12 +48,12 @@ func mixSpec0(t *testing.T) Spec {
 }
 
 // trace0 is a short fixed trace for replay candidates.
-func trace0() []serve.TraceEvent {
-	return []serve.TraceEvent{
-		{Arrival: 0, Request: serve.Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40}},
-		{Arrival: 0.1, Request: serve.Request{Tenant: "batch", PromptTokens: 900, GenTokens: 60}},
-		{Arrival: 0.3, Request: serve.Request{Tenant: "chat", PromptTokens: 150, GenTokens: 30}},
-		{Arrival: 1.5, Request: serve.Request{Tenant: "chat", PromptTokens: 80, GenTokens: 20}},
+func trace0() []workload.TraceEvent {
+	return []workload.TraceEvent{
+		{Arrival: 0, Request: workload.Request{Tenant: "chat", PromptTokens: 100, GenTokens: 40}},
+		{Arrival: 0.1, Request: workload.Request{Tenant: "batch", PromptTokens: 900, GenTokens: 60}},
+		{Arrival: 0.3, Request: workload.Request{Tenant: "chat", PromptTokens: 150, GenTokens: 30}},
+		{Arrival: 1.5, Request: workload.Request{Tenant: "chat", PromptTokens: 80, GenTokens: 20}},
 	}
 }
 
@@ -105,7 +106,7 @@ func TestServingMixAxis(t *testing.T) {
 func TestServingMixKeyCoverage(t *testing.T) {
 	cfg, sys := cell(t)
 	mix := mixes0()[1]
-	mk := func(mix []serve.TenantLoad) Point {
+	mk := func(mix []workload.TenantLoad) Point {
 		pts := EnumerateServingMix(cfg, sys, mix, 1, 0, tech.FP16, 32, 1, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0)
 		if len(pts) != 1 {
 			t.Fatalf("expected one candidate, got %d", len(pts))
@@ -116,28 +117,28 @@ func TestServingMixKeyCoverage(t *testing.T) {
 	if base.Key() != mk(mixes0()[1]).Key() {
 		t.Error("identical mixes must share one memo key")
 	}
-	for name, mutate := range map[string]func([]serve.TenantLoad) []serve.TenantLoad{
-		"share": func(m []serve.TenantLoad) []serve.TenantLoad {
-			m = append([]serve.TenantLoad(nil), m...)
+	for name, mutate := range map[string]func([]workload.TenantLoad) []workload.TenantLoad{
+		"share": func(m []workload.TenantLoad) []workload.TenantLoad {
+			m = append([]workload.TenantLoad(nil), m...)
 			m[0].Share = 0.5
 			return m
 		},
-		"prompt": func(m []serve.TenantLoad) []serve.TenantLoad {
-			m = append([]serve.TenantLoad(nil), m...)
+		"prompt": func(m []workload.TenantLoad) []workload.TenantLoad {
+			m = append([]workload.TenantLoad(nil), m...)
 			m[1].PromptTokens++
 			return m
 		},
-		"gen": func(m []serve.TenantLoad) []serve.TenantLoad {
-			m = append([]serve.TenantLoad(nil), m...)
+		"gen": func(m []workload.TenantLoad) []workload.TenantLoad {
+			m = append([]workload.TenantLoad(nil), m...)
 			m[1].GenTokens++
 			return m
 		},
-		"tenant name": func(m []serve.TenantLoad) []serve.TenantLoad {
-			m = append([]serve.TenantLoad(nil), m...)
+		"tenant name": func(m []workload.TenantLoad) []workload.TenantLoad {
+			m = append([]workload.TenantLoad(nil), m...)
 			m[0].Tenant = "chat2"
 			return m
 		},
-		"dropped tenant": func(m []serve.TenantLoad) []serve.TenantLoad { return m[:1] },
+		"dropped tenant": func(m []workload.TenantLoad) []workload.TenantLoad { return m[:1] },
 	} {
 		if mk(mutate(mix)).Key() == base.Key() {
 			t.Errorf("key must change when the mix's %s changes", name)
@@ -198,7 +199,7 @@ func TestServingTraceSweep(t *testing.T) {
 
 	cfg, sys := cell(t)
 	a := EnumerateServingTrace(cfg, sys, trace0(), 0, tech.FP16, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0)[0]
-	shifted := append([]serve.TraceEvent(nil), trace0()...)
+	shifted := append([]workload.TraceEvent(nil), trace0()...)
 	shifted[1].PromptTokens += 64
 	b := EnumerateServingTrace(cfg, sys, shifted, 0, tech.FP16, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0)[0]
 	if a.Key() == b.Key() {
@@ -236,11 +237,11 @@ func TestServingWorkloadValidation(t *testing.T) {
 		s.Rates = nil
 	})
 	check("malformed mix entry", func(s *Spec) {
-		s.Mixes = [][]serve.TenantLoad{{{Tenant: "a", Share: -1, PromptTokens: 100, GenTokens: 10}}}
+		s.Mixes = [][]workload.TenantLoad{{{Tenant: "a", Share: -1, PromptTokens: 100, GenTokens: 10}}}
 	})
 	check("malformed trace", func(s *Spec) {
 		s.Rates = nil
-		s.Trace = []serve.TraceEvent{{Arrival: -2, Request: serve.Request{Tenant: "a", PromptTokens: 10, GenTokens: 1}}}
+		s.Trace = []workload.TraceEvent{{Arrival: -2, Request: workload.Request{Tenant: "a", PromptTokens: 10, GenTokens: 1}}}
 	})
 
 	good := mixSpec0(t)

@@ -158,12 +158,12 @@ type Spec struct {
 	// one grid-axis value, so one sweep can rank a chat-heavy mix against
 	// a batch-heavy one per rate × batch-cap point. Mixes replaces the
 	// Seqs/GenTokens axes (a mix fixes its own request shapes).
-	Mixes [][]serve.TenantLoad
+	Mixes [][]workload.TenantLoad
 	// Trace replays one fixed request timeline per serving candidate
 	// (systems × precisions × batch caps × policies), serving only. It
 	// replaces the Rates, Seqs and GenTokens axes and is mutually
 	// exclusive with Mixes.
-	Trace []serve.TraceEvent
+	Trace []workload.TraceEvent
 	// Policies are the KV admission policies to compare per grid cell
 	// (serve.ReserveFull vs serve.Paged), serving only; nil means
 	// {ReserveFull}. Making the policy a grid axis is what lets one sweep
@@ -530,7 +530,7 @@ func (s Spec) Validate() error {
 					return fmt.Errorf("sweep: Mixes replaces the Seqs/GenTokens axes (a mix fixes its own request shapes)")
 				}
 				for _, mix := range s.Mixes {
-					if err := serve.ValidateMix(mix); err != nil {
+					if err := workload.ValidateMix(mix); err != nil {
 						return err
 					}
 				}
@@ -548,7 +548,7 @@ func (s Spec) Validate() error {
 				if s.ServeRequests != 0 || s.ServeSeed != 0 {
 					return fmt.Errorf("sweep: Trace fixes the request count and arrivals — leave ServeRequests/ServeSeed unset")
 				}
-				if err := serve.ValidateTrace(s.Trace); err != nil {
+				if err := workload.ValidateTrace(s.Trace); err != nil {
 					return err
 				}
 			}
@@ -636,8 +636,8 @@ type Point struct {
 	// shapes); Trace its replayed request timeline. Both shape the
 	// simulated distribution, so they are part of the candidate's
 	// identity. Serving only.
-	Mix   []serve.TenantLoad
-	Trace []serve.TraceEvent
+	Mix   []workload.TenantLoad
+	Trace []workload.TraceEvent
 	// ServeRequests and ServeSeed fix the simulated request count and
 	// arrival seed; serving only. They shape the simulated distribution,
 	// so they are part of the candidate's identity.
@@ -755,7 +755,7 @@ func (p Point) buildKey(modelStr, sysStr, workloadStr string) string {
 // the token is a fingerprint rather than a literal rendering (which could
 // collide with the key's separators); empty for spec-wide-shaped
 // candidates, keeping their keys stable relative to each other.
-func workloadToken(mix []serve.TenantLoad, trace []serve.TraceEvent) string {
+func workloadToken(mix []workload.TenantLoad, trace []workload.TraceEvent) string {
 	switch {
 	case len(trace) > 0:
 		return "trace#" + fingerprint(trace)
@@ -1021,19 +1021,19 @@ func EnumerateServing(cfg model.Config, sys *arch.System, rate float64, batchCap
 // whose requests are shaped by a multi-tenant mix: one continuous-batching
 // simulation per (rate, batch cap, policy, pool split, mix), with the page
 // size canonicalized against the mix's largest context.
-func EnumerateServingMix(cfg model.Config, sys *arch.System, mix []serve.TenantLoad, rate float64, batchCap int, prec tech.Precision, requests int, seed int64, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps float64, hostBytes, swapGBps float64) []Point {
+func EnumerateServingMix(cfg model.Config, sys *arch.System, mix []workload.TenantLoad, rate float64, batchCap int, prec tech.Precision, requests int, seed int64, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps float64, hostBytes, swapGBps float64) []Point {
 	return enumerateServingMix(cfg, sys, mix, rate, batchCap, prec, requests, seed, pol, pageTokens, split, transferGBps, hostBytes, swapGBps, workloadToken(mix, nil))
 }
 
 // enumerateServingMix is EnumerateServingMix with the mix's workload token
 // precomputed, so Enumerate fingerprints each mix once per grid rather
 // than once per candidate.
-func enumerateServingMix(cfg model.Config, sys *arch.System, mix []serve.TenantLoad, rate float64, batchCap int, prec tech.Precision, requests int, seed int64, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps, hostBytes, swapGBps float64, workloadStr string) []Point {
+func enumerateServingMix(cfg model.Config, sys *arch.System, mix []workload.TenantLoad, rate float64, batchCap int, prec tech.Precision, requests int, seed int64, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps, hostBytes, swapGBps float64, workloadStr string) []Point {
 	tp := sys.NumDevices()
 	if cfg.Heads%tp != 0 {
 		return nil
 	}
-	pt, prefill, decode, gbps, host, swap, ok := servingPolicyAxes(pol, pageTokens, serve.MixContext(mix), split, transferGBps, tp, hostBytes, swapGBps)
+	pt, prefill, decode, gbps, host, swap, ok := servingPolicyAxes(pol, pageTokens, workload.MixContext(mix), split, transferGBps, tp, hostBytes, swapGBps)
 	if !ok {
 		return nil
 	}
@@ -1055,19 +1055,19 @@ func enumerateServingMix(cfg model.Config, sys *arch.System, mix []serve.TenantL
 // pool split). The trace fixes arrivals and request count, so Rate and
 // ServeSeed are canonicalized to zero — two candidates differing only in
 // them would simulate identically.
-func EnumerateServingTrace(cfg model.Config, sys *arch.System, trace []serve.TraceEvent, batchCap int, prec tech.Precision, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps float64, hostBytes, swapGBps float64) []Point {
+func EnumerateServingTrace(cfg model.Config, sys *arch.System, trace []workload.TraceEvent, batchCap int, prec tech.Precision, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps float64, hostBytes, swapGBps float64) []Point {
 	return enumerateServingTrace(cfg, sys, trace, batchCap, prec, pol, pageTokens, split, transferGBps, hostBytes, swapGBps, workloadToken(nil, trace))
 }
 
 // enumerateServingTrace is EnumerateServingTrace with the trace's workload
 // token precomputed — a trace can be large, and hashing it per candidate
 // would put reflection back on the enumeration path.
-func enumerateServingTrace(cfg model.Config, sys *arch.System, trace []serve.TraceEvent, batchCap int, prec tech.Precision, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps, hostBytes, swapGBps float64, workloadStr string) []Point {
+func enumerateServingTrace(cfg model.Config, sys *arch.System, trace []workload.TraceEvent, batchCap int, prec tech.Precision, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps, hostBytes, swapGBps float64, workloadStr string) []Point {
 	tp := sys.NumDevices()
 	if cfg.Heads%tp != 0 {
 		return nil
 	}
-	pt, prefill, decode, gbps, host, swap, ok := servingPolicyAxes(pol, pageTokens, serve.TraceContext(trace), split, transferGBps, tp, hostBytes, swapGBps)
+	pt, prefill, decode, gbps, host, swap, ok := servingPolicyAxes(pol, pageTokens, workload.TraceContext(trace), split, transferGBps, tp, hostBytes, swapGBps)
 	if !ok {
 		return nil
 	}
@@ -1379,9 +1379,9 @@ func servingSpec(p Point) serve.Spec {
 func servingContext(p Point) int {
 	switch {
 	case len(p.Trace) > 0:
-		return serve.TraceContext(p.Trace)
+		return workload.TraceContext(p.Trace)
 	case len(p.Mix) > 0:
-		return serve.MixContext(p.Mix)
+		return workload.MixContext(p.Mix)
 	default:
 		return p.Seq + p.GenTokens
 	}

@@ -27,19 +27,45 @@ func TestAppendPoissonArrivalsDeterministic(t *testing.T) {
 	}
 }
 
+// TestAppendPoissonArrivalsPanics: a zero, negative, NaN or infinite rate
+// would silently yield Inf/NaN timestamps that stall every downstream
+// event loop, and a negative count has no meaning — both violate the
+// documented contract and panic; valid inputs yield positive, finite,
+// non-decreasing timestamps.
 func TestAppendPoissonArrivalsPanics(t *testing.T) {
 	for _, tc := range []struct {
-		rate float64
-		n    int
-	}{{0, 4}, {-1, 4}, {math.NaN(), 4}, {math.Inf(1), 4}, {2, -1}} {
-		func() {
+		name      string
+		rate      float64
+		n         int
+		wantPanic bool
+	}{
+		{"valid", 2.5, 8, false},
+		{"zero-n", 1, 0, false},
+		{"zero-rate", 0, 8, true},
+		{"negative-rate", -1, 8, true},
+		{"nan-rate", math.NaN(), 8, true},
+		{"inf-rate", math.Inf(1), 8, true},
+		{"negative-n", 1, -1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("rate %g n %d should panic", tc.rate, tc.n)
+				if r := recover(); (r != nil) != tc.wantPanic {
+					t.Errorf("panic = %v, wantPanic %v", r, tc.wantPanic)
 				}
 			}()
-			AppendPoissonArrivals(nil, tc.rate, tc.n, 1)
-		}()
+			times := AppendPoissonArrivals(nil, tc.rate, tc.n, 1)
+			if len(times) != tc.n {
+				t.Errorf("got %d timestamps, want %d", len(times), tc.n)
+			}
+			for i, ts := range times {
+				if !(ts > 0) || math.IsInf(ts, 0) {
+					t.Errorf("timestamp %d = %g, want positive finite", i, ts)
+				}
+				if i > 0 && ts < times[i-1] {
+					t.Errorf("timestamps must be non-decreasing, got %g after %g", ts, times[i-1])
+				}
+			}
+		})
 	}
 }
 

@@ -209,12 +209,12 @@ type (
 	ServeRequestMetrics = serve.RequestMetrics
 	// ServeRequest is one serving request's shape (tenant + per-request
 	// prompt/generation lengths).
-	ServeRequest = serve.Request
+	ServeRequest = workload.Request
 	// ServeTenantLoad is one tenant's contribution to a generated
 	// multi-tenant workload mix (ServeSpec.Mix).
-	ServeTenantLoad = serve.TenantLoad
+	ServeTenantLoad = workload.TenantLoad
 	// ServeTraceEvent is one replayed request of a ServeSpec.Trace.
-	ServeTraceEvent = serve.TraceEvent
+	ServeTraceEvent = workload.TraceEvent
 	// ServeSchedule is a piecewise-constant arrival-rate timeline
 	// (ServeSpec.Schedule); contiguous segments from time zero, the last
 	// extending indefinitely. ("Schedule" alone names the pipeline
@@ -458,28 +458,28 @@ func ParseServePolicy(s string) (ServePolicy, error) { return serve.ParsePolicy(
 
 // DefaultServeTenant names the tenant of the degenerate single-tenant
 // workload the spec-wide ServeSpec.PromptTokens/GenTokens describe.
-const DefaultServeTenant = serve.DefaultTenant
+const DefaultServeTenant = workload.DefaultTenant
 
 // ParseServeMix parses the CLI multi-tenant mix syntax: comma-separated
 // "tenant:share:prompt:gen" entries, each optionally extended to
 // "tenant:share:prompt:gen:prefix[:prefix-id]" for shared-prefix loads.
-func ParseServeMix(s string) ([]ServeTenantLoad, error) { return serve.ParseMix(s) }
+func ParseServeMix(s string) ([]ServeTenantLoad, error) { return workload.ParseMix(s) }
 
 // FormatServeMix renders a mix back into the ParseServeMix syntax.
-func FormatServeMix(mix []ServeTenantLoad) string { return serve.FormatMix(mix) }
+func FormatServeMix(mix []ServeTenantLoad) string { return workload.FormatMix(mix) }
 
 // ParseServeTrace reads a serving trace in CSV form — one request per row
 // as "arrival,tenant,prompt,gen" (v1),
 // "arrival,tenant,prompt,gen,prefix_id,prefix_tokens" (v2), or the
 // v3 eight-column form appending "session,turn" for multi-turn session
 // rows — optional header — and validates it.
-func ParseServeTrace(r io.Reader) ([]ServeTraceEvent, error) { return serve.ParseTrace(r) }
+func ParseServeTrace(r io.Reader) ([]ServeTraceEvent, error) { return workload.ParseTrace(r) }
 
 // FormatServeTrace renders a trace back into the ParseServeTrace CSV
 // syntax: the v3 eight-column form iff any event carries session fields,
 // the v2 six-column form iff any carries a prefix, v1 otherwise.
 func FormatServeTrace(w io.Writer, events []ServeTraceEvent) error {
-	return serve.FormatTrace(w, events)
+	return workload.FormatTrace(w, events)
 }
 
 // ParseServeSchedule parses the CLI piecewise arrival-rate schedule
