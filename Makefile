@@ -90,6 +90,7 @@ SERVE_COVER_FLOOR := 85
 SWEEP_COVER_FLOOR := 80
 CLUSTER_COVER_FLOOR := 80
 WORKLOAD_COVER_FLOOR := 85
+CMD_COVER_FLOOR := 80
 
 # Tier-1 test pass: -race and -cover in one run, with the `cover` floors
 # enforced from the same output — the heavy simulation suites execute
@@ -108,13 +109,15 @@ cover-race:
 	floor optimus/internal/workload $(WORKLOAD_COVER_FLOOR); \
 	floor optimus/internal/serve $(SERVE_COVER_FLOOR); \
 	floor optimus/internal/sweep $(SWEEP_COVER_FLOOR); \
-	floor optimus/internal/cluster $(CLUSTER_COVER_FLOOR)
+	floor optimus/internal/cluster $(CLUSTER_COVER_FLOOR); \
+	floor optimus/cmd/optimus $(CMD_COVER_FLOOR)
 
-# Coverage floors on the serving simulator and sweep engine — the paged
-# KV-cache hot paths — so tier-1 fails when new code in them arrives
-# untested. Floors sit below current coverage (`make cover` prints
-# workload 88.8%, serve 95.6%, sweep 93.3%, cluster 90.8%) to leave
-# room for honest refactors, not for untested subsystems.
+# Coverage floors on the serving simulator, sweep engine and CLI — the
+# paged KV-cache hot paths and the flag surface over them — so tier-1
+# fails when new code in them arrives untested. Floors sit below current
+# coverage (`make cover` prints workload 89.7%, serve 95.9%, sweep 93.6%,
+# cluster 90.8%, cmd/optimus 84.8%) to leave room for honest refactors,
+# not for untested subsystems.
 # Standalone convenience; `make check` enforces the same floors via
 # cover-race.
 cover:
@@ -130,4 +133,5 @@ cover:
 	check ./internal/workload $(WORKLOAD_COVER_FLOOR); \
 	check ./internal/serve $(SERVE_COVER_FLOOR); \
 	check ./internal/sweep $(SWEEP_COVER_FLOOR); \
-	check ./internal/cluster $(CLUSTER_COVER_FLOOR)
+	check ./internal/cluster $(CLUSTER_COVER_FLOOR); \
+	check ./cmd/optimus $(CMD_COVER_FLOOR)

@@ -10,7 +10,6 @@ import (
 	"strconv"
 
 	"optimus"
-	"optimus/internal/tech"
 	"optimus/internal/units"
 )
 
@@ -21,34 +20,15 @@ import (
 // fleet first misses that SLO.
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
-	modelName := fs.String("model", "llama2-13b", "model preset")
-	device := fs.String("device", "h100", "device preset")
-	deviceFile := fs.String("device-file", "", "JSON device description (overrides -device)")
-	intra := fs.String("intra", "nvlink4", "intra-node fabric")
-	gpus := fs.Int("gpus", 1, "GPU count per replica (= tensor-parallel degree)")
+	sf := addServingFlags(fs)
 	replicas := fs.Int("replicas", 2, "replica count (the CLI fleet is homogeneous; heterogeneous fleets are library-only)")
 	routing := fs.String("routing", "round-robin", "routing policy (round-robin|least-queue|least-kv|tenant-affinity)")
-	prompt := fs.Int("prompt", 200, "prompt tokens per request (single-tenant; see -mix/-trace)")
-	gen := fs.Int("gen", 200, "generated tokens per request (single-tenant; see -mix/-trace)")
-	mix := fs.String("mix", "", "multi-tenant workload mix as tenant:share:prompt[~sigma]:gen[~sigma][:prefix[:prefix-id]][,...] (replaces -prompt/-gen; ~sigma draws heavy-tailed lognormal lengths)")
-	trace := fs.String("trace", "", "CSV trace file to replay (arrival,tenant,prompt,gen[,prefix_id,prefix_tokens[,session,turn]]; replaces the arrival flags)")
-	prefix := fs.Int("prefix", 0, "shared prompt-prefix tokens cached across requests (single-tenant; paged with preemption only)")
-	prec := fs.String("precision", "fp16", "precision")
 	rate := fs.Float64("rate", 2, "fleet-wide Poisson arrival rate in requests/sec")
 	schedule := fs.String("schedule", "", "piecewise fleet arrival-rate schedule as start-end:rate[,...] in seconds and req/s (replaces -rate)")
 	turns := fs.Int("turns", 0, "session-cohort turns per client session, each carrying the session's prior context as a growing shared prefix (paged replicas with preemption only)")
 	think := fs.Float64("think", 0, "think time between a session's turns in seconds (needs -turns > 1)")
 	requests := fs.Int("requests", 256, "requests to simulate")
 	seed := fs.Int64("seed", 1, "arrival-process seed")
-	maxBatch := fs.Int("max-batch", 0, "per-replica iteration batch cap (0 = derive from KV budget)")
-	policy := fs.String("policy", "reserve", "per-replica KV admission policy (reserve|paged|disagg)")
-	pageTokens := fs.Int("page-tokens", 0, "block size in KV tokens (0 = default 16; paged/disagg only)")
-	noPreempt := fs.Bool("no-preempt", false, "disable preemption: paged admission reserves full-context pages (paged only)")
-	prefillDevices := fs.Int("prefill-devices", 0, "devices backing the disagg prefill pool (0 = all; disagg only)")
-	decodeDevices := fs.Int("decode-devices", 0, "devices backing the disagg decode pool (0 = all; disagg only)")
-	transferGBps := fs.Float64("transfer-gbps", 0, "disagg KV-transfer interconnect bandwidth in GB/s (0 = default 50, Inf = free; disagg only)")
-	hostKVGB := fs.Float64("kv-host-gb", 0, "per-replica host-memory KV swap tier capacity in GB (0 = recompute-only preemption; paged with preemption only)")
-	swapGBps := fs.Float64("swap-gbps", 0, "GPU-host KV swap-link bandwidth in GB/s (0 = default 32; needs -kv-host-gb)")
 	slo := fs.Float64("slo-e2e-p95", 0, "saturation analysis: bisect the arrival rate to the knee where fleet p95 E2E first exceeds this SLO in seconds (replaces -rate)")
 	minRate := fs.Float64("min-rate", 0.25, "saturation bracket floor in requests/sec (-slo-e2e-p95 only)")
 	maxRate := fs.Float64("max-rate", 16, "saturation bracket ceiling in requests/sec (-slo-e2e-p95 only)")
@@ -69,19 +49,8 @@ func cmdCluster(args []string) error {
 		return fmt.Errorf("unknown format %q (text|csv|json)", *format)
 	}
 
-	cfg, err := optimus.ModelByName(*modelName)
-	if err != nil {
-		return err
-	}
-	sys, err := systemWithOverride(*device, *deviceFile, *gpus, *intra, "ndr")
-	if err != nil {
-		return err
-	}
-	p, err := tech.ParsePrecision(*prec)
-	if err != nil {
-		return err
-	}
-	pol, err := optimus.ParseServePolicy(*policy)
+	set := flagsSet(fs)
+	capacity, err := sf.capacity(set)
 	if err != nil {
 		return err
 	}
@@ -92,36 +61,10 @@ func cmdCluster(args []string) error {
 	if *replicas < 1 {
 		return fmt.Errorf("-replicas must be at least 1, got %d", *replicas)
 	}
-
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	// Reject admission-policy knobs the chosen -policy would silently
-	// ignore, naming the flags (same surface as optimus serve).
-	if err := rejectPolicyFlagMisuse(set, pol); err != nil {
-		return err
-	}
-	// Resolve the transfer default here so the simulation and every output
-	// format report the same bandwidth (mirrors optimus serve).
-	if pol == optimus.DisaggregatedPolicy && *transferGBps == 0 {
-		*transferGBps = optimus.DefaultServeTransferGBps
-	}
-	if pol == optimus.PagedPolicy && *hostKVGB > 0 && *swapGBps == 0 {
-		*swapGBps = optimus.DefaultServeSwapGBps
-	}
-
-	capacity := optimus.ServeSpec{
-		Model: cfg, System: sys, TP: *gpus, Precision: p,
-		MaxBatch: *maxBatch, Policy: pol,
-		PageTokens: *pageTokens, NoPreempt: *noPreempt,
-		PrefillDevices: *prefillDevices, DecodeDevices: *decodeDevices,
-		TransferGBps: *transferGBps,
-		HostKVBytes:  *hostKVGB * 1e9, SwapGBps: *swapGBps,
-	}
 	spec := optimus.ClusterSpec{
-		Replicas:     []optimus.ClusterReplica{{Spec: capacity, Count: *replicas}},
-		Routing:      rt,
-		PromptTokens: *prompt, GenTokens: *gen, PrefixTokens: *prefix,
-		Rate: *rate, Requests: *requests, Seed: *seed,
+		Replicas: []optimus.ClusterReplica{{Spec: capacity, Count: *replicas}},
+		Routing:  rt,
+		Rate:     *rate, Requests: *requests, Seed: *seed,
 		Turns: *turns, Think: *think,
 	}
 	if *schedule != "" {
@@ -133,33 +76,13 @@ func cmdCluster(args []string) error {
 		}
 		spec.Rate = 0
 	}
-
-	if *mix != "" && *trace != "" {
-		return fmt.Errorf("-mix and -trace are mutually exclusive")
+	w, err := sf.workload(set, []string{"rate", "requests", "seed", "schedule", "turns", "think"})
+	if err != nil {
+		return err
 	}
-	if *mix != "" || *trace != "" {
-		if set["prompt"] || set["gen"] {
-			return fmt.Errorf("-prompt and -gen describe the single-tenant workload (use the per-tenant lengths in -mix, or the trace's)")
-		}
-		if set["prefix"] {
-			return fmt.Errorf("-prefix describes the single-tenant workload (use the per-tenant prefix field in -mix, or the trace's prefix columns)")
-		}
-		spec.PromptTokens, spec.GenTokens, spec.PrefixTokens = 0, 0, 0
-	}
-	if *mix != "" {
-		if spec.Mix, err = optimus.ParseServeMix(*mix); err != nil {
-			return err
-		}
-	}
-	if *trace != "" {
-		for _, f := range []string{"rate", "requests", "seed", "schedule", "turns", "think"} {
-			if set[f] {
-				return fmt.Errorf("-%s does not apply when replaying a trace (-trace fixes the arrival process)", f)
-			}
-		}
-		if spec.Trace, err = loadTrace(*trace); err != nil {
-			return err
-		}
+	spec.PromptTokens, spec.GenTokens, spec.PrefixTokens = w.prompt, w.gen, w.prefix
+	spec.Mix, spec.Trace = w.mix, w.trace
+	if *sf.trace != "" {
 		spec.Rate, spec.Requests, spec.Seed = 0, 0, 0
 	}
 
@@ -168,7 +91,7 @@ func cmdCluster(args []string) error {
 		if set["rate"] {
 			return fmt.Errorf("-rate does not apply to the saturation analysis (-slo-e2e-p95 bisects the rate)")
 		}
-		if *trace != "" {
+		if *sf.trace != "" {
 			return fmt.Errorf("-trace does not apply to the saturation analysis (a trace fixes its own arrival times)")
 		}
 		if set["schedule"] {
@@ -198,45 +121,6 @@ func cmdCluster(args []string) error {
 		return err
 	}
 	return writeCluster(os.Stdout, spec, res, *format)
-}
-
-// rejectPolicyFlagMisuse rejects admission-policy knobs the chosen policy
-// would silently ignore, naming the flags. Shared by the serve, cluster
-// and (axis-adapted) sweep subcommands so all three reject the same
-// combinations with the same kind of message.
-func rejectPolicyFlagMisuse(set map[string]bool, pol optimus.ServePolicy) error {
-	paged := pol == optimus.PagedPolicy || pol == optimus.DisaggregatedPolicy
-	if set["page-tokens"] && !paged {
-		return fmt.Errorf("-page-tokens applies to the paged and disagg policies only (-policy %v ignores it)", pol)
-	}
-	if set["no-preempt"] && pol != optimus.PagedPolicy {
-		return fmt.Errorf("-no-preempt applies to the paged policy only (-policy %v ignores it)", pol)
-	}
-	if pol != optimus.DisaggregatedPolicy {
-		for _, f := range []string{"prefill-devices", "decode-devices", "transfer-gbps"} {
-			if set[f] {
-				return fmt.Errorf("-%s applies to the disagg policy only (-policy %v ignores it)", f, pol)
-			}
-		}
-	}
-	// The prefix cache and host KV tier live on the paged policy's
-	// preemption machinery: any other policy (and paged with -no-preempt)
-	// has no eviction to cache across or swap out from.
-	for _, f := range []string{"prefix", "kv-host-gb", "swap-gbps"} {
-		if !set[f] {
-			continue
-		}
-		if pol != optimus.PagedPolicy {
-			return fmt.Errorf("-%s applies to the paged policy only (-policy %v ignores it)", f, pol)
-		}
-		if set["no-preempt"] {
-			return fmt.Errorf("-%s needs preemption (-no-preempt reserves full context and never evicts)", f)
-		}
-	}
-	if set["swap-gbps"] && !set["kv-host-gb"] {
-		return fmt.Errorf("-swap-gbps prices the host KV tier's swap link (set -kv-host-gb)")
-	}
-	return nil
 }
 
 // clusterWorkloadLabel names the simulated fleet workload for the text

@@ -10,7 +10,6 @@ import (
 	"strconv"
 
 	"optimus"
-	"optimus/internal/tech"
 	"optimus/internal/units"
 )
 
@@ -25,17 +24,7 @@ const defaultClosedClients = 8
 // timelines (csv), or both (json).
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	modelName := fs.String("model", "llama2-13b", "model preset")
-	device := fs.String("device", "h100", "device preset")
-	deviceFile := fs.String("device-file", "", "JSON device description (overrides -device)")
-	intra := fs.String("intra", "nvlink4", "intra-node fabric")
-	gpus := fs.Int("gpus", 1, "GPU count (= tensor-parallel degree)")
-	prompt := fs.Int("prompt", 200, "prompt tokens per request (single-tenant; see -mix/-trace)")
-	gen := fs.Int("gen", 200, "generated tokens per request (single-tenant; see -mix/-trace)")
-	mix := fs.String("mix", "", "multi-tenant workload mix as tenant:share:prompt[~sigma]:gen[~sigma][:prefix[:prefix-id]][,...] (replaces -prompt/-gen; ~sigma draws heavy-tailed lognormal lengths)")
-	trace := fs.String("trace", "", "CSV trace file to replay (arrival,tenant,prompt,gen[,prefix_id,prefix_tokens[,session,turn]]; replaces the arrival flags)")
-	prefix := fs.Int("prefix", 0, "shared prompt-prefix tokens cached across requests (single-tenant; paged with preemption only)")
-	prec := fs.String("precision", "fp16", "precision")
+	sf := addServingFlags(fs)
 	arrival := fs.String("arrival", "poisson", "arrival process (poisson|closed)")
 	rate := fs.Float64("rate", 1, "Poisson arrival rate in requests/sec")
 	schedule := fs.String("schedule", "", "piecewise arrival-rate schedule as start-end:rate[,...] in seconds and req/s (replaces -rate; poisson only)")
@@ -44,15 +33,6 @@ func cmdServe(args []string) error {
 	clients := fs.Int("clients", 0, "closed-loop concurrency (closed arrivals only; default 8)")
 	requests := fs.Int("requests", 256, "requests to simulate")
 	seed := fs.Int64("seed", 1, "arrival-process seed")
-	maxBatch := fs.Int("max-batch", 0, "iteration batch cap (0 = derive from KV budget)")
-	policy := fs.String("policy", "reserve", "KV admission policy (reserve = full-context reservation, paged = vLLM-style block allocation with LIFO preemption, disagg = split prefill/decode pools with KV-transfer pricing)")
-	pageTokens := fs.Int("page-tokens", 0, "block size in KV tokens (0 = default 16; paged/disagg only)")
-	noPreempt := fs.Bool("no-preempt", false, "disable preemption: paged admission reserves full-context pages (paged only)")
-	prefillDevices := fs.Int("prefill-devices", 0, "devices backing the disagg prefill pool (0 = all; disagg only)")
-	decodeDevices := fs.Int("decode-devices", 0, "devices backing the disagg decode pool (0 = all; disagg only)")
-	transferGBps := fs.Float64("transfer-gbps", 0, "disagg KV-transfer interconnect bandwidth in GB/s (0 = default 50, Inf = free; disagg only)")
-	hostKVGB := fs.Float64("kv-host-gb", 0, "host-memory KV swap tier capacity in GB (0 = recompute-only preemption; paged with preemption only)")
-	swapGBps := fs.Float64("swap-gbps", 0, "GPU-host KV swap-link bandwidth in GB/s (0 = default 32; needs -kv-host-gb)")
 	format := fs.String("format", "text", "output format (text|csv|json)")
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -69,78 +49,23 @@ func cmdServe(args []string) error {
 		return fmt.Errorf("unknown format %q (text|csv|json)", *format)
 	}
 
-	cfg, err := optimus.ModelByName(*modelName)
+	// Reject flags the chosen policy, workload or arrival process would
+	// silently ignore — a user who sets them believes they shaped the
+	// simulated load.
+	set := flagsSet(fs)
+	spec, err := sf.capacity(set)
 	if err != nil {
 		return err
 	}
-	sys, err := systemWithOverride(*device, *deviceFile, *gpus, *intra, "ndr")
+	w, err := sf.workload(set, []string{"arrival", "rate", "clients", "requests", "seed", "schedule", "turns", "think"})
 	if err != nil {
 		return err
 	}
-	p, err := tech.ParsePrecision(*prec)
-	if err != nil {
-		return err
-	}
-	pol, err := optimus.ParseServePolicy(*policy)
-	if err != nil {
-		return err
-	}
-	// Resolve the default here so the simulation and every output format
-	// report the same bandwidth (the simulator would derive the identical
-	// value from zero; nonzero flags pass through untouched).
-	if pol == optimus.DisaggregatedPolicy && *transferGBps == 0 {
-		*transferGBps = optimus.DefaultServeTransferGBps
-	}
-	if pol == optimus.PagedPolicy && *hostKVGB > 0 && *swapGBps == 0 {
-		*swapGBps = optimus.DefaultServeSwapGBps
-	}
-	spec := optimus.ServeSpec{
-		Model: cfg, System: sys, TP: *gpus, Precision: p,
-		PromptTokens: *prompt, GenTokens: *gen, PrefixTokens: *prefix,
-		Rate: *rate, Clients: *clients,
-		Requests: *requests, Seed: *seed, MaxBatch: *maxBatch,
-		Policy: pol, PageTokens: *pageTokens, NoPreempt: *noPreempt,
-		PrefillDevices: *prefillDevices, DecodeDevices: *decodeDevices,
-		TransferGBps: *transferGBps,
-		HostKVBytes:  *hostKVGB * 1e9, SwapGBps: *swapGBps,
-		Turns: *turns, Think: *think,
-	}
-	// Reject flags the chosen workload or arrival process would silently
-	// ignore — a user who sets them believes they shaped the simulated
-	// load.
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := rejectPolicyFlagMisuse(set, pol); err != nil {
-		return err
-	}
-	if *mix != "" && *trace != "" {
-		return fmt.Errorf("-mix and -trace are mutually exclusive")
-	}
-	if *mix != "" || *trace != "" {
-		if set["prompt"] || set["gen"] {
-			return fmt.Errorf("-prompt and -gen describe the single-tenant workload (use the per-tenant lengths in -mix, or the trace's)")
-		}
-		if set["prefix"] {
-			return fmt.Errorf("-prefix describes the single-tenant workload (use the per-tenant prefix field in -mix, or the trace's prefix columns)")
-		}
-		spec.PromptTokens, spec.GenTokens, spec.PrefixTokens = 0, 0, 0
-	}
-	if *mix != "" {
-		if spec.Mix, err = optimus.ParseServeMix(*mix); err != nil {
-			return err
-		}
-	}
-	if *trace != "" {
-		for _, f := range []string{"arrival", "rate", "clients", "requests", "seed", "schedule", "turns", "think"} {
-			if set[f] {
-				return fmt.Errorf("-%s does not apply when replaying a trace (-trace fixes the arrival process)", f)
-			}
-		}
-		if spec.Trace, err = loadTrace(*trace); err != nil {
-			return err
-		}
-		spec.Rate, spec.Clients, spec.Requests, spec.Seed = 0, 0, 0, 0
-	} else {
+	spec.PromptTokens, spec.GenTokens, spec.PrefixTokens = w.prompt, w.gen, w.prefix
+	spec.Mix, spec.Trace = w.mix, w.trace
+	if *sf.trace == "" {
+		spec.Rate, spec.Clients, spec.Requests, spec.Seed = *rate, *clients, *requests, *seed
+		spec.Turns, spec.Think = *turns, *think
 		switch *arrival {
 		case "poisson", "open":
 			spec.Arrival = optimus.PoissonArrivals
@@ -231,7 +156,7 @@ func writeServe(w io.Writer, spec optimus.ServeSpec, res optimus.ServeResult, fo
 		fmt.Fprintf(w, "  kv-cache           peak %s of %s budget (mean util %.0f%%)\n",
 			units.FormatBytes(res.PeakKVBytes), units.FormatBytes(res.KVCapacity),
 			100*res.MeanKVUtil)
-		if res.Policy == optimus.PagedPolicy || res.Policy == optimus.DisaggregatedPolicy {
+		if res.PageTokens > 0 {
 			fmt.Fprintf(w, "  paging             %d-token pages, peak %d of %d, %d preemptions (%d tokens recomputed)\n",
 				res.PageTokens, res.PeakKVPages, res.KVPagesTotal,
 				res.Preemptions, res.RecomputedTokens)
@@ -245,7 +170,7 @@ func writeServe(w io.Writer, spec optimus.ServeSpec, res optimus.ServeResult, fo
 				res.HostPagesTotal, res.PeakHostPages, res.KVSwapOuts, res.KVSwapIns,
 				units.FormatSeconds(res.SwapTimeTotal), spec.SwapGBps)
 		}
-		if res.Policy == optimus.DisaggregatedPolicy {
+		if res.PrefillDevices > 0 {
 			fmt.Fprintf(w, "  pools              prefill %d dev (peak %d of %d pages), decode %d dev (peak %d of %d pages)\n",
 				res.PrefillDevices, res.PeakPrefillPages, res.PrefillPagesTotal,
 				res.DecodeDevices, res.PeakDecodePages, res.DecodePagesTotal)

@@ -128,8 +128,7 @@ func cmdSweep(args []string) error {
 	// Reject flag combinations no candidate on the grid would read, naming
 	// the flags — the same parity surface as optimus serve, ahead of the
 	// library's field-named validation.
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	set := flagsSet(fs)
 	if *mixes != "" && *trace != "" {
 		return fmt.Errorf("-mix and -trace are mutually exclusive")
 	}
@@ -173,36 +172,9 @@ func cmdSweep(args []string) error {
 		}
 		spec.Policies = append(spec.Policies, pol)
 	}
-	// Policy knobs only some -policies entries read: reject the combos
-	// where every listed policy would silently ignore the knob.
-	hasPaged, hasStrictPaged, hasDisagg := false, false, false
-	for _, pol := range spec.Policies {
-		hasPaged = hasPaged || pol == optimus.PagedPolicy || pol == optimus.DisaggregatedPolicy
-		hasStrictPaged = hasStrictPaged || pol == optimus.PagedPolicy
-		hasDisagg = hasDisagg || pol == optimus.DisaggregatedPolicy
-	}
-	if set["page-tokens"] && !hasPaged {
-		return fmt.Errorf("-page-tokens needs a paged or disagg entry in -policies (every listed policy ignores it)")
-	}
-	if !hasDisagg {
-		for _, f := range []string{"prefill-devices", "decode-devices", "transfer-gbps"} {
-			if set[f] {
-				return fmt.Errorf("-%s needs a disagg entry in -policies (every listed policy ignores it)", f)
-			}
-		}
-	}
-	// The prefix cache and host KV tier live on the paged policy's
-	// preemption machinery — disagg preempts against its decode pool but
-	// carries neither.
-	if !hasStrictPaged {
-		for _, f := range []string{"prefix", "kv-host-gb", "swap-gbps"} {
-			if set[f] {
-				return fmt.Errorf("-%s needs a paged entry in -policies (every listed policy ignores it)", f)
-			}
-		}
-	}
-	if set["swap-gbps"] && !set["kv-host-gb"] {
-		return fmt.Errorf("-swap-gbps prices the host KV tier's swap link (set -kv-host-gb)")
+	// Policy knobs no -policies entry reads would be silently discarded.
+	if err := rejectPolicyFlagMisuse(set, spec.Policies, "-policies"); err != nil {
+		return err
 	}
 	spec.ServePageTokens = *pageTokens
 	// The pool-split axis zips -prefill-devices with -decode-devices:
@@ -507,19 +479,20 @@ func servingMappingToken(p optimus.SweepPoint) string {
 	if p.BatchCap > 0 {
 		cap = strconv.Itoa(p.BatchCap)
 	}
+	// Enumeration zeroes the knobs a policy ignores and resolves the
+	// defaults of the ones it reads, so the set knobs are the ones to show.
 	pol := p.Policy.String()
-	switch p.Policy {
-	case optimus.PagedPolicy:
-		pol = fmt.Sprintf("paged/%d", p.PageTokens)
-		if p.PrefixTokens > 0 {
-			pol += fmt.Sprintf(",pfx=%d", p.PrefixTokens)
-		}
-		if p.HostKVBytes > 0 {
-			pol += fmt.Sprintf(",host=%gGB,swap=%gGB/s", p.HostKVBytes/1e9, p.SwapGBps)
-		}
-	case optimus.DisaggregatedPolicy:
-		pol = fmt.Sprintf("disagg/%d,split=%d+%d,xfer=%gGB/s",
-			p.PageTokens, p.PrefillDevices, p.DecodeDevices, p.TransferGBps)
+	if p.PageTokens != 0 {
+		pol += fmt.Sprintf("/%d", p.PageTokens)
+	}
+	if p.PrefixTokens > 0 {
+		pol += fmt.Sprintf(",pfx=%d", p.PrefixTokens)
+	}
+	if p.HostKVBytes > 0 {
+		pol += fmt.Sprintf(",host=%gGB,swap=%gGB/s", p.HostKVBytes/1e9, p.SwapGBps)
+	}
+	if p.PrefillDevices != 0 || p.DecodeDevices != 0 {
+		pol += fmt.Sprintf(",split=%d+%d,xfer=%gGB/s", p.PrefillDevices, p.DecodeDevices, p.TransferGBps)
 	}
 	arr := fmt.Sprintf("rate=%g/s", p.Rate)
 	if len(p.Schedule) > 0 {

@@ -435,8 +435,9 @@ func TestDisaggPolicyNames(t *testing.T) {
 	}
 }
 
-// TestCanonicalPoolSplit pins the shared split rule the simulator and the
-// sweep's memo-key canonicalization both build on.
+// TestCanonicalPoolSplit pins the pool-split and link halves of
+// Spec.Canonical, the one rule the simulator and the sweep's memo-key
+// canonicalization share.
 func TestCanonicalPoolSplit(t *testing.T) {
 	for _, c := range []struct {
 		pol                 Policy
@@ -450,22 +451,25 @@ func TestCanonicalPoolSplit(t *testing.T) {
 		{Disaggregated, 1, 3, 4, 1, 3},
 		{Disaggregated, 1, 1, 0, 0, 0}, // no devices → no geometry
 	} {
-		pre, dec := CanonicalPoolSplit(c.pol, c.prefill, c.decode, c.tp)
-		if pre != c.wantPre || dec != c.wantDec {
-			t.Errorf("CanonicalPoolSplit(%v, %d, %d, %d) = %d+%d, want %d+%d",
-				c.pol, c.prefill, c.decode, c.tp, pre, dec, c.wantPre, c.wantDec)
+		got := Spec{Policy: c.pol, PrefillDevices: c.prefill, DecodeDevices: c.decode, TP: c.tp}.Canonical()
+		if got.PrefillDevices != c.wantPre || got.DecodeDevices != c.wantDec {
+			t.Errorf("Canonical split(%v, %d, %d, %d) = %d+%d, want %d+%d",
+				c.pol, c.prefill, c.decode, c.tp, got.PrefillDevices, got.DecodeDevices, c.wantPre, c.wantDec)
 		}
 	}
-	if got := CanonicalTransferGBps(Paged, 50); got != 0 {
+	transfer := func(pol Policy, gbps float64) float64 {
+		return Spec{Policy: pol, TransferGBps: gbps}.Canonical().TransferGBps
+	}
+	if got := transfer(Paged, 50); got != 0 {
 		t.Errorf("paged transfer bandwidth canonicalizes to %g, want 0", got)
 	}
-	if got := CanonicalTransferGBps(Disaggregated, 0); got != DefaultTransferGBps {
+	if got := transfer(Disaggregated, 0); got != DefaultTransferGBps {
 		t.Errorf("unset disagg bandwidth canonicalizes to %g, want %g", got, DefaultTransferGBps)
 	}
-	if got := CanonicalTransferGBps(Disaggregated, math.Inf(1)); !math.IsInf(got, 1) {
+	if got := transfer(Disaggregated, math.Inf(1)); !math.IsInf(got, 1) {
 		t.Errorf("infinite bandwidth must stay infinite, got %g", got)
 	}
-	if got := CanonicalPageTokens(Disaggregated, 0, 400); got != DefaultPageTokens {
+	if got := (Spec{Policy: Disaggregated, PromptTokens: 400}).Canonical().PageTokens; got != DefaultPageTokens {
 		t.Errorf("disagg page size canonicalizes to %d, want the paged default %d", got, DefaultPageTokens)
 	}
 }

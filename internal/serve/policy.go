@@ -93,83 +93,15 @@ func ParsePolicy(s string) (Policy, error) {
 // is zero — vLLM's default block size.
 const DefaultPageTokens = 16
 
-// CanonicalPageTokens resolves the effective paged block size for a
-// (policy, requested size, full context) triple: zero unless the policy
-// pages its KV (Paged or Disaggregated — or the context is empty), the
-// default when unset, clamped to the context. It is the single source of
-// the rule — the simulator's policy construction and the sweep's
-// candidate enumeration both call it, so memo keys canonicalize under
-// exactly the block size the simulator runs.
-func CanonicalPageTokens(pol Policy, pageTokens, context int) int {
-	if (pol != Paged && pol != Disaggregated) || context < 1 {
-		return 0
-	}
-	if pageTokens <= 0 {
-		pageTokens = DefaultPageTokens
-	}
-	if pageTokens > context {
-		pageTokens = context
-	}
-	return pageTokens
-}
-
 // DefaultTransferGBps is the disaggregated policy's KV-transfer
 // interconnect bandwidth when Spec.TransferGBps is zero — a PCIe Gen5
 // x16-class link in GB/s.
 const DefaultTransferGBps = 50.0
 
-// CanonicalPoolSplit resolves the effective disaggregated pool split for
-// (policy, requested device counts, TP devices): zeros unless the policy
-// is Disaggregated; an unset (non-positive) count defaults to tp — each
-// pool then spans every device, the co-located split whose block
-// accounting coincides with Paged's. Shared by the simulator's policy
-// construction and the sweep's memo-key canonicalization.
-func CanonicalPoolSplit(pol Policy, prefill, decode, tp int) (int, int) {
-	if pol != Disaggregated || tp < 1 {
-		return 0, 0
-	}
-	if prefill <= 0 {
-		prefill = tp
-	}
-	if decode <= 0 {
-		decode = tp
-	}
-	return prefill, decode
-}
-
-// CanonicalTransferGBps resolves the effective KV-transfer bandwidth:
-// zero unless the policy is Disaggregated, the default when unset.
-// math.Inf(1) is a legal value — a free transfer, the degenerate
-// co-located interconnect.
-func CanonicalTransferGBps(pol Policy, gbps float64) float64 {
-	if pol != Disaggregated {
-		return 0
-	}
-	if gbps == 0 {
-		return DefaultTransferGBps
-	}
-	return gbps
-}
-
 // DefaultSwapGBps is the host KV tier's link bandwidth when Spec.SwapGBps
 // is zero — a PCIe Gen4 x16-class host link in GB/s, deliberately slower
 // than the GPU-to-GPU DefaultTransferGBps.
 const DefaultSwapGBps = 32.0
-
-// CanonicalSwapGBps resolves the effective host-tier swap bandwidth: zero
-// unless the paged policy runs a host tier (HostKVBytes set), the default
-// when unset. math.Inf(1) is a legal value — a free swap. Shared by the
-// simulator's policy construction and the sweep's memo-key
-// canonicalization, the same single-source rule as CanonicalTransferGBps.
-func CanonicalSwapGBps(pol Policy, hostBytes, gbps float64) float64 {
-	if pol != Paged || !(hostBytes > 0) {
-		return 0
-	}
-	if gbps == 0 {
-		return DefaultSwapGBps
-	}
-	return gbps
-}
 
 // AdmissionPolicy manages the KV-cache budget of one simulation: it
 // decides how many sequences may run concurrently, reserves capacity as
@@ -216,7 +148,7 @@ type AdmissionPolicy interface {
 // simulator's hot path never recomputes the footprint model.
 func newPolicy(s Spec) AdmissionPolicy {
 	budget, perRequest := s.kvBudget()
-	if s.Policy == Paged || s.Policy == Disaggregated {
+	if Knobs[knobPageTokens].readBy(s.Policy) {
 		return newPagedPolicy(s, budget, perRequest)
 	}
 	b := s.bounds()
@@ -443,14 +375,15 @@ type prefixEntry struct {
 func newPagedPolicy(s Spec, budget, perRequest float64) *pagedPolicy {
 	b := s.bounds()
 	context := b.maxContext
-	pt := CanonicalPageTokens(s.Policy, s.PageTokens, context)
+	c := s.canonical(context)
+	pt := c.PageTokens
 	p := &pagedPolicy{
 		budget:     budget,
 		pageTokens: pt,
-		split:      s.Policy == Disaggregated,
+		split:      Knobs[knobPrefillDevices].readBy(s.Policy),
 		userCap:    s.MaxBatch,
 		noPreempt:  s.NoPreempt,
-		link:       arch.Link{BW: CanonicalTransferGBps(s.Policy, s.TransferGBps) * 1e9, Util: 1},
+		link:       arch.Link{BW: c.TransferGBps * 1e9, Util: 1},
 	}
 	if pt == 0 {
 		return p // context-free garbage spec; totalPages stays 0 → infeasible
@@ -469,9 +402,8 @@ func newPagedPolicy(s Spec, budget, perRequest float64) *pagedPolicy {
 	}
 	p.prefillTotal, p.decodeTotal = p.totalPages, p.totalPages
 	if p.split {
-		pre, dec := CanonicalPoolSplit(Disaggregated, s.PrefillDevices, s.DecodeDevices, s.TP)
-		p.prefillTotal = poolPages(p.totalPages, pre, s.TP)
-		p.decodeTotal = poolPages(p.totalPages, dec, s.TP)
+		p.prefillTotal = poolPages(p.totalPages, c.PrefillDevices, s.TP)
+		p.decodeTotal = poolPages(p.totalPages, c.DecodeDevices, s.TP)
 		// int64 sum: both totals fit 32-bit ints but their sum need not.
 		if int64(p.prefillTotal)+int64(p.decodeTotal) < int64(p.totalPages) {
 			p.totalPages = p.prefillTotal + p.decodeTotal
@@ -488,13 +420,13 @@ func newPagedPolicy(s Spec, budget, perRequest float64) *pagedPolicy {
 		// resident-prefix admission (private prompt suffix only).
 		p.fullPages, p.admitPages = prefixPageUnits(s, p)
 	}
-	if s.HostKVBytes > 0 {
-		if f := s.HostKVBytes / p.pageBytes; f > maxTotalPages {
+	if c.HostKVBytes > 0 {
+		if f := c.HostKVBytes / p.pageBytes; f > maxTotalPages {
 			p.hostTotal = maxTotalPages
 		} else {
 			p.hostTotal = int(f)
 		}
-		p.swapLink = arch.Link{BW: CanonicalSwapGBps(s.Policy, s.HostKVBytes, s.SwapGBps) * 1e9, Util: 1}
+		p.swapLink = arch.Link{BW: c.SwapGBps * 1e9, Util: 1}
 	}
 	return p
 }

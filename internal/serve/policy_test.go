@@ -386,8 +386,8 @@ func TestPagedFeasibleMatchesRun(t *testing.T) {
 	}
 }
 
-// TestCanonicalPageTokens pins the shared block-size rule the simulator
-// and the sweep's memo-key canonicalization both build on.
+// TestCanonicalPageTokens pins the block-size half of Spec.Canonical, the
+// one rule the simulator and the sweep's memo-key canonicalization share.
 func TestCanonicalPageTokens(t *testing.T) {
 	for _, c := range []struct {
 		pol           Policy
@@ -401,10 +401,17 @@ func TestCanonicalPageTokens(t *testing.T) {
 		{Paged, 1 << 20, 400, 400}, // clamped to the context
 		{Paged, 16, 0, 0},          // empty context → no geometry
 	} {
-		if got := CanonicalPageTokens(c.pol, c.page, c.context); got != c.want {
-			t.Errorf("CanonicalPageTokens(%v, %d, %d) = %d, want %d",
+		s := Spec{Policy: c.pol, PageTokens: c.page, PromptTokens: c.context}
+		if got := s.Canonical().PageTokens; got != c.want {
+			t.Errorf("Canonical PageTokens(%v, %d, %d) = %d, want %d",
 				c.pol, c.page, c.context, got, c.want)
 		}
+	}
+	// The clamp sees session growth: turn 3 of a 100+100 session carries
+	// a 500-token prompt, so a 300-token page fits its context.
+	s := Spec{Policy: Paged, PageTokens: 300, PromptTokens: 100, GenTokens: 100, Turns: 3}
+	if got := s.Canonical().PageTokens; got != 300 {
+		t.Errorf("Canonical PageTokens of a 3-turn session = %d, want 300", got)
 	}
 }
 

@@ -309,7 +309,8 @@ func (b *shapeBounds) fold(first bool, prompt, gen int) {
 
 // bounds resolves the workload's shape bounds: the trace's when replaying,
 // the mix's when generating, and the spec-wide fields when neither is set
-// (validation paths that run before withDefaults fills the degenerate mix).
+// (Canonical and the validation paths that run before withDefaults fills
+// the degenerate mix).
 // Heavy-tailed mix entries fold both clamp corners, and session cohorts
 // fold the largest turn's context-grown prompt — the extremes are knowable
 // from the spec alone (workload.HeavyTailCap bounds every draw), so the
@@ -317,29 +318,32 @@ func (b *shapeBounds) fold(first bool, prompt, gen int) {
 // configured for.
 func (s Spec) bounds() shapeBounds {
 	var b shapeBounds
-	switch {
-	case len(s.Trace) > 0:
+	if len(s.Trace) > 0 {
 		for i, ev := range s.Trace {
 			b.fold(i == 0, ev.PromptTokens, ev.GenTokens)
 		}
-	case len(s.Mix) > 0:
-		turns := s.Turns
-		if turns < 1 {
-			turns = 1
+		return b
+	}
+	turns := s.Turns
+	if turns < 1 {
+		turns = 1
+	}
+	// The spec-wide shape folds like the one-entry mix withDefaults makes
+	// of it, session growth included.
+	mix := s.Mix
+	if len(mix) == 0 {
+		mix = []workload.TenantLoad{{PromptTokens: s.PromptTokens, GenTokens: s.GenTokens}}
+	}
+	for i, t := range mix {
+		pmin, pmax := t.PromptBounds()
+		gmin, gmax := t.GenBounds()
+		// Session turn k's prompt carries (k-1)·(P+G) prior context;
+		// the largest turn of the largest draw bounds the workload.
+		pmaxTurn := (turns-1)*(pmax+gmax) + pmax
+		b.fold(i == 0, pmin, gmin)
+		if pmaxTurn != pmin || gmax != gmin {
+			b.fold(false, pmaxTurn, gmax)
 		}
-		for i, t := range s.Mix {
-			pmin, pmax := t.PromptBounds()
-			gmin, gmax := t.GenBounds()
-			// Session turn k's prompt carries (k-1)·(P+G) prior context;
-			// the largest turn of the largest draw bounds the workload.
-			pmaxTurn := (turns-1)*(pmax+gmax) + pmax
-			b.fold(i == 0, pmin, gmin)
-			if pmaxTurn != pmin || gmax != gmin {
-				b.fold(false, pmaxTurn, gmax)
-			}
-		}
-	default:
-		b.fold(true, s.PromptTokens, s.GenTokens)
 	}
 	return b
 }
@@ -404,11 +408,6 @@ func (s Spec) validateExclusive() error {
 	}
 	return nil
 }
-
-// cachesPrefixes reports whether the policy can hold shared prefixes:
-// Paged with preemption enabled, the one layout whose block registry
-// prefix caching and session cohorts grow into.
-func (s Spec) cachesPrefixes() bool { return s.Policy == Paged && !s.NoPreempt }
 
 // prefixed reports whether any workload shape carries a non-empty shared
 // prefix. Run on the defaulted spec (the spec-wide PrefixTokens has been
@@ -538,68 +537,32 @@ func (s Spec) validateKnobs() error {
 		// Negative-or-non-finite form: a NaN budget fails every admission
 		// comparison and an infinite one overflows the batch-cap math.
 		return fmt.Errorf("serve: KV capacity %g not finite and non-negative", s.KVCapacity)
+	case s.Policy != ReserveFull && s.Policy != Paged && s.Policy != Disaggregated:
+		return fmt.Errorf("serve: unknown admission policy %v", s.Policy)
 	}
 	// Reject knobs the chosen policy would silently ignore: a user who
 	// sets them believes they shaped the simulation.
-	if s.Policy != Disaggregated &&
-		(s.PrefillDevices != 0 || s.DecodeDevices != 0 || s.TransferGBps != 0) {
-		// NaN bandwidths land here too: NaN != 0.
-		return fmt.Errorf("serve: PrefillDevices/DecodeDevices/TransferGBps apply to the disaggregated policy only")
+	if err := CheckKnobs([]Policy{s.Policy}, s.NoPreempt,
+		func(k Knob) bool { return k.set(s) },
+		func(k Knob) string { return k.Field }, "Policy"); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	// Prefix caching lives in the paged policy's block registry, and a
-	// NoPreempt reservation has no block registry growth to share into.
-	if s.prefixed() && !s.cachesPrefixes() {
-		return fmt.Errorf("serve: prefix caching needs the paged policy with preemption enabled (Policy: Paged, NoPreempt unset)")
-	}
-	if s.HostKVBytes != 0 || s.SwapGBps != 0 {
-		if s.Policy != Paged {
-			return fmt.Errorf("serve: HostKVBytes/SwapGBps apply to the paged policy only")
-		}
-		if s.NoPreempt {
-			return fmt.Errorf("serve: the host KV tier holds preemption victims — NoPreempt never evicts any (unset one)")
-		}
-		if s.HostKVBytes < 0 || math.IsNaN(s.HostKVBytes) || math.IsInf(s.HostKVBytes, 0) {
-			return fmt.Errorf("serve: host KV capacity %g bytes not finite and non-negative", s.HostKVBytes)
-		}
-		if s.SwapGBps != 0 && s.HostKVBytes == 0 {
-			return fmt.Errorf("serve: SwapGBps prices the host KV tier's link — set HostKVBytes too")
-		}
-		if s.SwapGBps < 0 || math.IsNaN(s.SwapGBps) {
-			return fmt.Errorf("serve: swap bandwidth %g GB/s not non-negative (0 derives %g; +Inf is a free swap)",
-				s.SwapGBps, DefaultSwapGBps)
-		}
-	}
-	switch s.Policy {
-	case ReserveFull:
-		if s.PageTokens != 0 {
-			return fmt.Errorf("serve: PageTokens applies to the paged and disaggregated policies only")
-		}
-		if s.NoPreempt {
-			return fmt.Errorf("serve: NoPreempt applies to the paged policy only")
-		}
-	case Paged:
-		if s.PageTokens < 0 {
-			return fmt.Errorf("serve: negative page size %d tokens", s.PageTokens)
-		}
-	case Disaggregated:
-		if s.PageTokens < 0 {
-			return fmt.Errorf("serve: negative page size %d tokens", s.PageTokens)
-		}
-		if s.NoPreempt {
-			return fmt.Errorf("serve: NoPreempt applies to the paged policy only")
-		}
-		if s.PrefillDevices < 0 || s.PrefillDevices > s.TP {
-			return fmt.Errorf("serve: prefill pool of %d devices outside [1, TP=%d] (0 derives TP)", s.PrefillDevices, s.TP)
-		}
-		if s.DecodeDevices < 0 || s.DecodeDevices > s.TP {
-			return fmt.Errorf("serve: decode pool of %d devices outside [1, TP=%d] (0 derives TP)", s.DecodeDevices, s.TP)
-		}
-		if s.TransferGBps < 0 || math.IsNaN(s.TransferGBps) {
-			return fmt.Errorf("serve: KV-transfer bandwidth %g GB/s not non-negative (0 derives %g; +Inf is a free transfer)",
-				s.TransferGBps, DefaultTransferGBps)
-		}
-	default:
-		return fmt.Errorf("serve: unknown admission policy %v", s.Policy)
+	// Every knob is now zero or read by the policy: range-check the values.
+	switch {
+	case s.PageTokens < 0:
+		return fmt.Errorf("serve: negative page size %d tokens", s.PageTokens)
+	case s.PrefillDevices < 0 || s.PrefillDevices > s.TP:
+		return fmt.Errorf("serve: prefill pool of %d devices outside [1, TP=%d] (0 derives TP)", s.PrefillDevices, s.TP)
+	case s.DecodeDevices < 0 || s.DecodeDevices > s.TP:
+		return fmt.Errorf("serve: decode pool of %d devices outside [1, TP=%d] (0 derives TP)", s.DecodeDevices, s.TP)
+	case s.TransferGBps < 0 || math.IsNaN(s.TransferGBps):
+		return fmt.Errorf("serve: KV-transfer bandwidth %g GB/s not non-negative (0 derives %g; +Inf is a free transfer)",
+			s.TransferGBps, DefaultTransferGBps)
+	case s.HostKVBytes < 0 || math.IsNaN(s.HostKVBytes) || math.IsInf(s.HostKVBytes, 0):
+		return fmt.Errorf("serve: host KV capacity %g bytes not finite and non-negative", s.HostKVBytes)
+	case s.SwapGBps < 0 || math.IsNaN(s.SwapGBps):
+		return fmt.Errorf("serve: swap bandwidth %g GB/s not non-negative (0 derives %g; +Inf is a free swap)",
+			s.SwapGBps, DefaultSwapGBps)
 	}
 	return nil
 }

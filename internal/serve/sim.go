@@ -575,7 +575,8 @@ func (sim *simulator) finish() Result {
 		res.KVSwapOuts, res.KVSwapIns, res.SwapTimeTotal = pp.swapOuts, pp.swapIns, pp.swapTotal
 		res.KVTransfers, res.TransferTimeTotal = pp.transfers, pp.transferTotal
 		if pp.split {
-			res.PrefillDevices, res.DecodeDevices = CanonicalPoolSplit(Disaggregated, s.PrefillDevices, s.DecodeDevices, s.TP)
+			c := s.canonical(sim.kv1)
+			res.PrefillDevices, res.DecodeDevices = c.PrefillDevices, c.DecodeDevices
 			res.PrefillPagesTotal, res.DecodePagesTotal = pp.prefillTotal, pp.decodeTotal
 			res.PeakPrefillPages, res.PeakDecodePages = pp.peakPrefill, pp.peakDecode
 		}

@@ -6,6 +6,7 @@ import (
 
 	"optimus/internal/arch"
 	"optimus/internal/model"
+	"optimus/internal/parallel"
 	"optimus/internal/serve"
 	"optimus/internal/tech"
 )
@@ -23,6 +24,17 @@ func fuzzCell(f *testing.F) (model.Config, *arch.System) {
 		f.Fatal(err)
 	}
 	return cfg, sys
+}
+
+// enumerateOne builds one serving candidate of the (cfg, sys) cell at
+// FP16 through the grid's enumerator: raw carries the axis values before
+// canonicalization, shape the request workload.
+func enumerateOne(cfg model.Config, sys *arch.System, raw Point, shape servingShape) (Point, bool) {
+	tp := sys.NumDevices()
+	raw.Workload, raw.Model, raw.System, raw.Precision = Serving, cfg, sys, tech.FP16
+	raw.Map = parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1}
+	shape.tok = workloadToken(shape.mix, shape.trace)
+	return servingPoint(raw, shape, modelToken(cfg), systemToken(sys))
 }
 
 // canonRate keeps the fuzzer inside the rates the sweep accepts (positive
@@ -81,13 +93,15 @@ func FuzzServingPointKey(f *testing.F) {
 		rate1 float64, cap1 int, pol1 int8, page1 int, seed1 int64, reqs1, pre1, dec1 int, gbps1 float64,
 		rate2 float64, cap2 int, pol2 int8, page2 int, seed2 int64, reqs2, pre2, dec2 int, gbps2 float64) {
 		mk := func(rate float64, batchCap int, pol int8, page int, seed int64, reqs, pre, dec int, gbps float64) *Point {
-			pts := EnumerateServing(cfg, sys, canonRate(rate), batchCap, 200, 200, tech.FP16,
-				reqs, seed, serve.Policy(((int(pol)%3)+3)%3), page,
-				PoolSplit{Prefill: canonSplit(pre), Decode: canonSplit(dec)}, canonGBps(gbps), 0, 0, 0)
-			if len(pts) != 1 {
-				t.Fatalf("expected one candidate, got %d", len(pts))
+			p, ok := enumerateOne(cfg, sys, Point{
+				Rate: canonRate(rate), BatchCap: batchCap, ServeRequests: reqs, ServeSeed: seed,
+				Policy: serve.Policy(((int(pol) % 3) + 3) % 3), PageTokens: page,
+				PrefillDevices: canonSplit(pre), DecodeDevices: canonSplit(dec), TransferGBps: canonGBps(gbps),
+			}, servingShape{seq: 200, gen: 200})
+			if !ok {
+				t.Fatal("expected one candidate, got none")
 			}
-			return &pts[0]
+			return &p
 		}
 		p1 := mk(rate1, cap1, pol1, page1, seed1, reqs1, pre1, dec1, gbps1)
 		p2 := mk(rate2, cap2, pol2, page2, seed2, reqs2, pre2, dec2, gbps2)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"optimus/internal/arch"
+	"optimus/internal/model"
 	"optimus/internal/serve"
 	"optimus/internal/workload"
 )
@@ -164,5 +166,36 @@ func TestServingTemporalSweepEndToEnd(t *testing.T) {
 	}
 	if res.Rows[0].Metrics.PrefixHits == 0 {
 		t.Error("three-turn cohort candidates should hit the prefix cache")
+	}
+}
+
+// TestServingTurnsPageTokensMatchRun: a session candidate's page size
+// clamps against the context its longest turn reaches, exactly as the
+// simulator clamps it. Turn 3 of a 100+100 session carries a 500-token
+// prompt, so a 300-token page is not clamped to the 200-token turn-less
+// context: the memo key records the page size serve.Run simulates.
+func TestServingTurnsPageTokensMatchRun(t *testing.T) {
+	cfg, sys := cell(t)
+	spec := Spec{
+		Workload: Serving, Models: []model.Config{cfg}, Systems: []*arch.System{sys},
+		Seqs: []int{100}, GenTokens: []int{100}, Turns: []int{3},
+		Policies: []serve.Policy{serve.Paged}, ServePageTokens: 300, ServeRequests: 16,
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	pts := Enumerate(spec)
+	if len(pts) != 1 {
+		t.Fatalf("expected one candidate, got %d", len(pts))
+	}
+	p := pts[0]
+	raw := servingSpec(p)
+	raw.PageTokens = spec.ServePageTokens
+	res, err := serve.Run(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.PageTokens != res.PageTokens {
+		t.Errorf("candidate enumerates %d-token pages, serve.Run simulates %d", p.PageTokens, res.PageTokens)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"optimus/internal/arch"
 	"optimus/internal/model"
-	"optimus/internal/serve"
 	"optimus/internal/tech"
 	"optimus/internal/workload"
 )
@@ -107,11 +106,11 @@ func TestServingMixKeyCoverage(t *testing.T) {
 	cfg, sys := cell(t)
 	mix := mixes0()[1]
 	mk := func(mix []workload.TenantLoad) Point {
-		pts := EnumerateServingMix(cfg, sys, mix, 1, 0, tech.FP16, 32, 1, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0)
-		if len(pts) != 1 {
-			t.Fatalf("expected one candidate, got %d", len(pts))
+		p, ok := enumerateOne(cfg, sys, Point{Rate: 1, ServeRequests: 32, ServeSeed: 1}, servingShape{mix: mix})
+		if !ok {
+			t.Fatal("expected one candidate, got none")
 		}
-		return pts[0]
+		return p
 	}
 	base := mk(mix)
 	if base.Key() != mk(mixes0()[1]).Key() {
@@ -146,11 +145,11 @@ func TestServingMixKeyCoverage(t *testing.T) {
 	}
 	// A mix candidate must not collide with the spec-wide candidate of the
 	// same cell, nor with a trace candidate.
-	specWide := EnumerateServing(cfg, sys, 1, 0, 200, 200, tech.FP16, 32, 1, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0, 0)[0]
+	specWide, _ := enumerateOne(cfg, sys, Point{Rate: 1, ServeRequests: 32, ServeSeed: 1}, servingShape{seq: 200, gen: 200})
 	if specWide.Key() == base.Key() {
 		t.Error("mix and spec-wide candidates collide")
 	}
-	traced := EnumerateServingTrace(cfg, sys, trace0(), 0, tech.FP16, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0)[0]
+	traced, _ := enumerateOne(cfg, sys, Point{}, servingShape{trace: trace0()})
 	if traced.Key() == base.Key() || traced.Key() == specWide.Key() {
 		t.Error("trace candidate collides with mix or spec-wide candidate")
 	}
@@ -198,10 +197,10 @@ func TestServingTraceSweep(t *testing.T) {
 	}
 
 	cfg, sys := cell(t)
-	a := EnumerateServingTrace(cfg, sys, trace0(), 0, tech.FP16, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0)[0]
+	a, _ := enumerateOne(cfg, sys, Point{}, servingShape{trace: trace0()})
 	shifted := append([]workload.TraceEvent(nil), trace0()...)
 	shifted[1].PromptTokens += 64
-	b := EnumerateServingTrace(cfg, sys, shifted, 0, tech.FP16, serve.ReserveFull, 0, PoolSplit{}, 0, 0, 0)[0]
+	b, _ := enumerateOne(cfg, sys, Point{}, servingShape{trace: shifted})
 	if a.Key() == b.Key() {
 		t.Error("candidates replaying different traces collide on key")
 	}

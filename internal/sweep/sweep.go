@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -165,10 +166,11 @@ type Spec struct {
 	// exclusive with Mixes.
 	Trace []workload.TraceEvent
 	// Policies are the KV admission policies to compare per grid cell
-	// (serve.ReserveFull vs serve.Paged), serving only; nil means
-	// {ReserveFull}. Making the policy a grid axis is what lets one sweep
-	// rank reservation against paged admission per rate × batch-cap
-	// point.
+	// (serve.ReserveFull, serve.Paged and serve.Disaggregated), serving
+	// only; nil means {ReserveFull}. Making the policy a grid axis is what
+	// lets one sweep rank reservation, paged and disaggregated admission
+	// per rate × batch-cap point. A policy knob (serve.Knobs) needs an
+	// entry here that reads it.
 	Policies []serve.Policy
 	// ServePageTokens is the paged policy's KV block size in tokens,
 	// serving only; zero means serve.DefaultPageTokens.
@@ -178,9 +180,9 @@ type Spec struct {
 	// value for the serve.Disaggregated candidates (other policies ignore
 	// the axis), so one sweep can rank a 2+6 split against a 4+4 one per
 	// rate × batch-cap point. Requires a Disaggregated entry in Policies;
-	// nil with one present means the co-located split (both pools spanning
-	// every device). A split asking for more devices than a grid system
-	// has skips that cell, like an indivisible head count.
+	// nil means the co-located split (both pools spanning every device). A
+	// split asking for more devices than a grid system has skips that
+	// cell, like an indivisible head count.
 	PoolSplits []PoolSplit
 	// TransferGBps is the disaggregated policy's KV-transfer interconnect
 	// bandwidth in GB/s, serving only; zero means
@@ -241,15 +243,30 @@ type PoolSplit struct {
 	Decode  int
 }
 
-// hasPolicy reports whether pol appears in the (possibly defaulted)
-// policy axis.
-func hasPolicy(policies []serve.Policy, pol serve.Policy) bool {
-	for _, p := range policies {
-		if p == pol {
-			return true
+// knobAxis names the grid axis that sets a serve.Knob and reports whether
+// the grid sets it. Session cohorts are prefix caching, so Turns entries
+// above 1 answer for the PrefixTokens row when no prefix entry does;
+// NoPreempt has no axis (sweeps always preempt).
+func (s Spec) knobAxis(k serve.Knob) (name string, set bool) {
+	switch k.Field {
+	case "PageTokens":
+		return "ServePageTokens", s.ServePageTokens != 0
+	case "PrefillDevices", "DecodeDevices":
+		return "PoolSplits (PrefillDevices/DecodeDevices)", len(s.PoolSplits) > 0
+	case "TransferGBps":
+		// NaN bandwidths count as set: NaN != 0.
+		return k.Field, s.TransferGBps != 0
+	case "PrefixTokens":
+		if slices.ContainsFunc(s.PrefixTokens, func(n int) bool { return n > 0 }) {
+			return k.Field, true
 		}
+		return "Turns above 1", slices.ContainsFunc(s.Turns, func(n int) bool { return n > 1 })
+	case "HostKVBytes":
+		return k.Field, slices.ContainsFunc(s.HostKVBytes, func(b float64) bool { return b > 0 })
+	case "SwapGBps":
+		return k.Field, s.SwapGBps != 0
 	}
-	return false
+	return k.Field, false
 }
 
 func (s Spec) withDefaults() Spec {
@@ -295,9 +312,10 @@ func (s Spec) withDefaults() Spec {
 	if len(s.Policies) == 0 {
 		s.Policies = []serve.Policy{serve.ReserveFull}
 	}
-	if len(s.PoolSplits) == 0 && hasPolicy(s.Policies, serve.Disaggregated) {
+	if len(s.PoolSplits) == 0 {
 		// The zero split canonicalizes per system to the co-located
-		// configuration (both pools spanning every device).
+		// configuration (both pools spanning every device), and to no
+		// split for the policies that ignore the axis.
 		s.PoolSplits = []PoolSplit{{}}
 	}
 	if s.ServeRequests == 0 {
@@ -396,14 +414,9 @@ func (s Spec) Validate() error {
 			if s.ServeRequests < 0 {
 				return fmt.Errorf("sweep: negative serving request count %d", s.ServeRequests)
 			}
-			hasPaged, hasDisagg := false, false
 			for _, pol := range s.Policies {
 				switch pol {
-				case serve.Paged:
-					hasPaged = true
-				case serve.Disaggregated:
-					hasDisagg = true
-				case serve.ReserveFull:
+				case serve.ReserveFull, serve.Paged, serve.Disaggregated:
 				default:
 					return fmt.Errorf("sweep: unknown serving policy %v", pol)
 				}
@@ -411,52 +424,45 @@ func (s Spec) Validate() error {
 			if s.ServePageTokens < 0 {
 				return fmt.Errorf("sweep: negative serving page size %d tokens", s.ServePageTokens)
 			}
-			// Without a paging policy entry the page size would be silently
-			// discarded at enumeration — reject, matching serve.Spec's
-			// strictness about knobs the chosen policy ignores.
-			if s.ServePageTokens != 0 && !hasPaged && !hasDisagg {
-				return fmt.Errorf("sweep: ServePageTokens needs a Paged or Disaggregated entry in Policies")
-			}
 			for _, sp := range s.PoolSplits {
 				if sp.Prefill < 0 || sp.Decode < 0 {
 					return fmt.Errorf("sweep: negative pool split %d+%d devices", sp.Prefill, sp.Decode)
 				}
 			}
-			if len(s.PoolSplits) > 0 && !hasDisagg {
-				return fmt.Errorf("sweep: PoolSplits needs a Disaggregated entry in Policies")
-			}
 			if s.TransferGBps < 0 || math.IsNaN(s.TransferGBps) {
 				return fmt.Errorf("sweep: KV-transfer bandwidth %g GB/s not non-negative", s.TransferGBps)
 			}
-			if s.TransferGBps != 0 && !hasDisagg {
-				return fmt.Errorf("sweep: TransferGBps needs a Disaggregated entry in Policies")
-			}
-			hasPrefix, hasHost := false, false
 			for _, pre := range s.PrefixTokens {
 				if pre < 0 {
 					return fmt.Errorf("sweep: negative prefix length %d tokens", pre)
 				}
-				if pre > 0 {
-					hasPrefix = true
-				}
 			}
-			if hasPrefix && !hasPaged {
-				return fmt.Errorf("sweep: PrefixTokens needs a Paged entry in Policies")
-			}
-			if hasPrefix && (len(s.Mixes) > 0 || len(s.Trace) > 0) {
-				return fmt.Errorf("sweep: PrefixTokens shapes the spec-wide workload — give Mixes/Trace entries their own per-entry prefixes")
-			}
-			hasSessions := false
 			for _, t := range s.Turns {
 				if t < 0 {
 					return fmt.Errorf("sweep: negative session turns %d", t)
 				}
-				if t > 1 {
-					hasSessions = true
+			}
+			for _, hb := range s.HostKVBytes {
+				if hb < 0 || math.IsNaN(hb) || math.IsInf(hb, 0) {
+					return fmt.Errorf("sweep: host KV capacity %g bytes not finite and non-negative", hb)
 				}
 			}
-			if hasSessions && !hasPaged {
-				return fmt.Errorf("sweep: Turns above 1 needs a Paged entry in Policies (session cohorts grow a shared prefix)")
+			if s.SwapGBps < 0 || math.IsNaN(s.SwapGBps) {
+				return fmt.Errorf("sweep: swap bandwidth %g GB/s not non-negative", s.SwapGBps)
+			}
+			// Without an entry in Policies that reads a knob, the knob would
+			// be silently discarded at enumeration — reject, matching
+			// serve.Spec's strictness about knobs the chosen policy ignores.
+			if err := serve.CheckKnobs(s.Policies, false,
+				func(k serve.Knob) bool { _, set := s.knobAxis(k); return set },
+				func(k serve.Knob) string { name, _ := s.knobAxis(k); return name },
+				"Policies"); err != nil {
+				return fmt.Errorf("sweep: %w", err)
+			}
+			hasPrefix := slices.ContainsFunc(s.PrefixTokens, func(n int) bool { return n > 0 })
+			hasSessions := slices.ContainsFunc(s.Turns, func(n int) bool { return n > 1 })
+			if hasPrefix && (len(s.Mixes) > 0 || len(s.Trace) > 0) {
+				return fmt.Errorf("sweep: PrefixTokens shapes the spec-wide workload — give Mixes/Trace entries their own per-entry prefixes")
 			}
 			if hasSessions && hasPrefix {
 				return fmt.Errorf("sweep: session cohorts own the shared prefix — drop the PrefixTokens axis with Turns above 1")
@@ -475,23 +481,6 @@ func (s Spec) Validate() error {
 			}
 			if !(s.Think >= 0) || math.IsInf(s.Think, 0) {
 				return fmt.Errorf("sweep: think time %g not finite and non-negative", s.Think)
-			}
-			for _, hb := range s.HostKVBytes {
-				if hb < 0 || math.IsNaN(hb) || math.IsInf(hb, 0) {
-					return fmt.Errorf("sweep: host KV capacity %g bytes not finite and non-negative", hb)
-				}
-				if hb > 0 {
-					hasHost = true
-				}
-			}
-			if hasHost && !hasPaged {
-				return fmt.Errorf("sweep: HostKVBytes needs a Paged entry in Policies")
-			}
-			if s.SwapGBps < 0 || math.IsNaN(s.SwapGBps) {
-				return fmt.Errorf("sweep: swap bandwidth %g GB/s not non-negative", s.SwapGBps)
-			}
-			if s.SwapGBps != 0 && !hasHost {
-				return fmt.Errorf("sweep: SwapGBps needs a non-zero host tier capacity in HostKVBytes")
 			}
 			for _, g := range s.GenTokens {
 				if g < 1 {
@@ -950,294 +939,164 @@ func EnumerateInference(cfg model.Config, sys *arch.System, batch, prompt, gen i
 	return []Point{p}
 }
 
-// servingPolicyAxes canonicalizes one serving candidate's policy knobs
-// for a system of tp devices: the block size through
-// serve.CanonicalPageTokens and the disaggregated pool split and transfer
-// bandwidth through serve.CanonicalPoolSplit/CanonicalTransferGBps — all
-// zeroed for policies that ignore them — so equal-behavior candidates
-// always share one memo key, under exactly the rules the simulator
-// applies. ok is false when the split asks for more devices than the
-// system has: that (system, split) cell is skipped, like an indivisible
-// head count.
-func servingPolicyAxes(pol serve.Policy, pageTokens, context int, split PoolSplit, transferGBps float64, tp int, hostBytes, swapGBps float64) (pt, prefill, decode int, gbps, host, swap float64, ok bool) {
-	pt = serve.CanonicalPageTokens(pol, pageTokens, context)
-	prefill, decode = serve.CanonicalPoolSplit(pol, split.Prefill, split.Decode, tp)
-	gbps = serve.CanonicalTransferGBps(pol, transferGBps)
-	if pol != serve.Paged {
-		// Only the paged policy holds a host tier; the axis canonicalizes
-		// away for the others so they keep one memo key per cell.
-		hostBytes = 0
-	}
-	host = hostBytes
-	swap = serve.CanonicalSwapGBps(pol, hostBytes, swapGBps)
-	if pol == serve.Disaggregated && (prefill > tp || decode > tp) {
-		return 0, 0, 0, 0, 0, 0, false
-	}
-	return pt, prefill, decode, gbps, host, swap, true
+// servingShape is one request-shape workload of a serving grid — the
+// spec-wide prompt/generation/prefix triple, a mix, or the trace — with
+// its workload token fingerprinted once per grid, not once per candidate.
+type servingShape struct {
+	seq, gen, prefix int
+	mix              []workload.TenantLoad
+	trace            []workload.TraceEvent
+	tok              string
 }
 
-// EnumerateServing lists the candidate serving points of one grid cell:
-// one continuous-batching simulation per (rate, batch cap, admission
-// policy, pool split), with the mapping fixed to TP = device count as in
-// inference. pageTokens, split and transferGBps are canonicalized per
-// point through the serve package's canonical rules — resolved to the
-// serve defaults for the policies that use them, zeroed for the others —
-// so equal-behavior candidates always share one memo key, under exactly
-// the rules the simulator applies.
-func EnumerateServing(cfg model.Config, sys *arch.System, rate float64, batchCap, prompt, gen int, prec tech.Precision, requests int, seed int64, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps float64, prefix int, hostBytes, swapGBps float64) []Point {
-	tp := sys.NumDevices()
-	if cfg.Heads%tp != 0 {
-		return nil
+// servingShapes lists the grid's request-shape workloads in enumeration
+// order: the trace, every mix, or the spec-wide prefix × seq × gen axes.
+func (s Spec) servingShapes() []servingShape {
+	switch {
+	case len(s.Trace) > 0:
+		return []servingShape{{trace: s.Trace, tok: workloadToken(nil, s.Trace)}}
+	case len(s.Mixes) > 0:
+		out := make([]servingShape, len(s.Mixes))
+		for i, mix := range s.Mixes {
+			out[i] = servingShape{mix: mix, tok: workloadToken(mix, nil)}
+		}
+		return out
 	}
-	if pol != serve.Paged {
-		// Only the paged policy caches prefixes; the axis canonicalizes
-		// away for the others so they keep one memo key per cell.
-		prefix = 0
+	out := make([]servingShape, 0, len(s.PrefixTokens)*len(s.Seqs)*len(s.GenTokens))
+	for _, prefix := range s.PrefixTokens {
+		for _, seq := range s.Seqs {
+			for _, gen := range s.GenTokens {
+				out = append(out, servingShape{seq: seq, gen: gen, prefix: prefix})
+			}
+		}
 	}
-	if prefix > 0 && prefix >= prompt {
-		// A prefix must leave at least one non-shared prompt token; this
-		// (prompt, prefix) cell cannot be simulated, like an indivisible
-		// head count.
-		return nil
-	}
-	pt, prefill, decode, gbps, host, swap, ok := servingPolicyAxes(pol, pageTokens, prompt+gen, split, transferGBps, tp, hostBytes, swapGBps)
-	if !ok {
-		return nil
-	}
-	p := Point{
-		Workload: Serving, Model: cfg, System: sys,
-		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
-		Precision: prec, Seq: prompt, GenTokens: gen,
-		Rate: rate, BatchCap: batchCap, ServeRequests: requests, ServeSeed: seed,
-		Policy: pol, PageTokens: pt,
-		PrefillDevices: prefill, DecodeDevices: decode, TransferGBps: gbps,
-		PrefixTokens: prefix, HostKVBytes: host, SwapGBps: swap,
-	}
-	p.key = p.buildKey(modelToken(cfg), systemToken(sys), "")
-	return []Point{p}
+	return out
 }
 
-// EnumerateServingMix lists the candidate serving points of one grid cell
-// whose requests are shaped by a multi-tenant mix: one continuous-batching
-// simulation per (rate, batch cap, policy, pool split, mix), with the page
-// size canonicalized against the mix's largest context.
-func EnumerateServingMix(cfg model.Config, sys *arch.System, mix []workload.TenantLoad, rate float64, batchCap int, prec tech.Precision, requests int, seed int64, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps float64, hostBytes, swapGBps float64) []Point {
-	return enumerateServingMix(cfg, sys, mix, rate, batchCap, prec, requests, seed, pol, pageTokens, split, transferGBps, hostBytes, swapGBps, workloadToken(mix, nil))
-}
-
-// enumerateServingMix is EnumerateServingMix with the mix's workload token
-// precomputed, so Enumerate fingerprints each mix once per grid rather
-// than once per candidate.
-func enumerateServingMix(cfg model.Config, sys *arch.System, mix []workload.TenantLoad, rate float64, batchCap int, prec tech.Precision, requests int, seed int64, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps, hostBytes, swapGBps float64, workloadStr string) []Point {
-	tp := sys.NumDevices()
-	if cfg.Heads%tp != 0 {
-		return nil
+// servingPoint completes one serving candidate. p carries the grid cell
+// (model, system, mapping, precision) and the raw axis values, the
+// arrival-process axes included; servingPoint applies the request shape,
+// canonicalizes the capacity knobs through serve.Spec.Canonical — so the
+// page size clamps against the shape's largest context, session growth
+// included — and keys the result with the cell's model and system tokens.
+// Equal-behavior candidates therefore share one memo key, under exactly
+// the rules the simulator applies. A trace fixes arrivals, seed and
+// request count, so its candidates zero them. ok is false when the
+// candidate cannot be simulated — a pool split wider than the system, or
+// a prefix that leaves no private prompt token or rides on a session's —
+// and the cell is skipped, like an indivisible head count.
+func servingPoint(p Point, shape servingShape, modelTok, sysTok string) (Point, bool) {
+	if len(shape.trace) > 0 {
+		p.Trace, p.ServeRequests = shape.trace, len(shape.trace)
+		p.Rate, p.ServeSeed, p.Schedule, p.Turns, p.Think = 0, 0, nil, 0, 0
+	} else {
+		p.Mix, p.Seq, p.GenTokens, p.PrefixTokens = shape.mix, shape.seq, shape.gen, shape.prefix
 	}
-	pt, prefill, decode, gbps, host, swap, ok := servingPolicyAxes(pol, pageTokens, workload.MixContext(mix), split, transferGBps, tp, hostBytes, swapGBps)
-	if !ok {
-		return nil
+	c := servingSpec(p).Canonical()
+	tp := p.Map.TP
+	if c.PrefillDevices > tp || c.DecodeDevices > tp ||
+		(c.PrefixTokens > 0 && (c.PrefixTokens >= p.Seq || c.Turns > 1)) {
+		return Point{}, false
 	}
-	p := Point{
-		Workload: Serving, Model: cfg, System: sys,
-		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
-		Precision: prec, Mix: mix,
-		Rate: rate, BatchCap: batchCap, ServeRequests: requests, ServeSeed: seed,
-		Policy: pol, PageTokens: pt,
-		PrefillDevices: prefill, DecodeDevices: decode, TransferGBps: gbps,
-		HostKVBytes: host, SwapGBps: swap,
-	}
-	p.key = p.buildKey(modelToken(cfg), systemToken(sys), workloadStr)
-	return []Point{p}
-}
-
-// EnumerateServingTrace lists the candidate serving points of one grid
-// cell replaying a fixed trace: one simulation per (batch cap, policy,
-// pool split). The trace fixes arrivals and request count, so Rate and
-// ServeSeed are canonicalized to zero — two candidates differing only in
-// them would simulate identically.
-func EnumerateServingTrace(cfg model.Config, sys *arch.System, trace []workload.TraceEvent, batchCap int, prec tech.Precision, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps float64, hostBytes, swapGBps float64) []Point {
-	return enumerateServingTrace(cfg, sys, trace, batchCap, prec, pol, pageTokens, split, transferGBps, hostBytes, swapGBps, workloadToken(nil, trace))
-}
-
-// enumerateServingTrace is EnumerateServingTrace with the trace's workload
-// token precomputed — a trace can be large, and hashing it per candidate
-// would put reflection back on the enumeration path.
-func enumerateServingTrace(cfg model.Config, sys *arch.System, trace []workload.TraceEvent, batchCap int, prec tech.Precision, pol serve.Policy, pageTokens int, split PoolSplit, transferGBps, hostBytes, swapGBps float64, workloadStr string) []Point {
-	tp := sys.NumDevices()
-	if cfg.Heads%tp != 0 {
-		return nil
-	}
-	pt, prefill, decode, gbps, host, swap, ok := servingPolicyAxes(pol, pageTokens, workload.TraceContext(trace), split, transferGBps, tp, hostBytes, swapGBps)
-	if !ok {
-		return nil
-	}
-	p := Point{
-		Workload: Serving, Model: cfg, System: sys,
-		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
-		Precision: prec, Trace: trace,
-		BatchCap: batchCap, ServeRequests: len(trace),
-		Policy: pol, PageTokens: pt,
-		PrefillDevices: prefill, DecodeDevices: decode, TransferGBps: gbps,
-		HostKVBytes: host, SwapGBps: swap,
-	}
-	p.key = p.buildKey(modelToken(cfg), systemToken(sys), workloadStr)
-	return []Point{p}
+	p.PageTokens, p.PrefillDevices, p.DecodeDevices, p.TransferGBps = c.PageTokens, c.PrefillDevices, c.DecodeDevices, c.TransferGBps
+	p.PrefixTokens, p.HostKVBytes, p.SwapGBps = c.PrefixTokens, c.HostKVBytes, c.SwapGBps
+	p.Turns, p.Think = c.Turns, c.Think
+	p.key = p.buildKey(modelTok, sysTok, shape.tok)
+	return p, true
 }
 
 // Enumerate expands the full grid into its deduplicated candidate list,
 // in deterministic order.
 func Enumerate(s Spec) []Point {
 	s = s.withDefaults()
-	// Workload tokens are fingerprints over the full mix/trace contents;
-	// hash each once per grid, not once per candidate.
-	traceTok := workloadToken(nil, s.Trace)
-	mixToks := make([]string, len(s.Mixes))
-	for i, mix := range s.Mixes {
-		mixToks[i] = workloadToken(mix, nil)
-	}
 	var out []Point
 	seen := make(map[string]bool)
-	add := func(points []Point) {
-		for _, p := range points {
-			k := p.cachedKey()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			out = append(out, p)
+	add := func(p Point) {
+		k := p.cachedKey()
+		if seen[k] {
+			return
+		}
+		seen[k] = true
+		out = append(out, p)
+	}
+	var shapes []servingShape
+	type arrivalAxis struct {
+		rate  float64
+		sched workload.Schedule
+	}
+	var arrivals []arrivalAxis
+	if s.Workload == Serving {
+		shapes = s.servingShapes()
+		// The arrival axis: every constant rate, then every schedule —
+		// canonicalized first, so a schedule that is constant after
+		// merging enumerates as the equivalent plain-rate candidate (rate
+		// set, schedule nil) and deduplicates against it. A trace fixes
+		// its own arrivals: one empty entry.
+		for _, r := range s.Rates {
+			arrivals = append(arrivals, arrivalAxis{rate: r})
+		}
+		for _, sch := range s.Schedules {
+			cs, cr := workload.CanonicalSchedule(sch, 0)
+			arrivals = append(arrivals, arrivalAxis{rate: cr, sched: cs})
+		}
+		if len(s.Trace) > 0 {
+			arrivals = []arrivalAxis{{}}
 		}
 	}
+	roundRobin := []cluster.Routing{cluster.RoundRobin}
 	for _, cfg := range s.Models {
 		for _, sys := range s.Systems {
 			for _, prec := range s.Precisions {
 				switch s.Workload {
 				case Serving:
-					// The pool split is a grid axis for disaggregated
-					// candidates only; other policies see the zero split,
-					// which canonicalizes away (no duplicate cells).
-					polSplits := func(pol serve.Policy) []PoolSplit {
-						if pol == serve.Disaggregated {
-							return s.PoolSplits
-						}
-						return []PoolSplit{{}}
+					// Serving maps are fixed to TP = device count, as in
+					// inference.
+					tp := sys.NumDevices()
+					if cfg.Heads%tp != 0 {
+						continue
 					}
-					// addFleet stamps the fleet axes onto the cell's base
-					// candidates: one copy per (fleet size, routing), with
-					// the routing axis collapsed to round-robin for
-					// single-instance and one-replica entries (every policy
-					// routes a fleet of one identically, so they would be
-					// duplicate simulations under distinct keys). The base
-					// enumerators key their points with zero fleet fields,
-					// so only fleet copies need re-keying.
 					modelTok, sysTok := modelToken(cfg), systemToken(sys)
-					// The arrival axis: every constant rate, then every
-					// schedule — canonicalized first, so a schedule that is
-					// constant after merging enumerates as the equivalent
-					// plain-rate candidate (rate set, schedule nil) and
-					// deduplicates against it.
-					type arrivalAxis struct {
-						rate  float64
-						sched workload.Schedule
+					base := Point{
+						Workload: Serving, Model: cfg, System: sys,
+						Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
+						Precision: prec, ServeRequests: s.ServeRequests, ServeSeed: s.ServeSeed,
+						PageTokens: s.ServePageTokens, TransferGBps: s.TransferGBps, SwapGBps: s.SwapGBps,
+						Think: s.Think,
 					}
-					arrivals := make([]arrivalAxis, 0, len(s.Rates)+len(s.Schedules))
-					for _, r := range s.Rates {
-						arrivals = append(arrivals, arrivalAxis{rate: r})
-					}
-					for _, sch := range s.Schedules {
-						cs, cr := workload.CanonicalSchedule(sch, 0)
-						arrivals = append(arrivals, arrivalAxis{rate: cr, sched: cs})
-					}
-					addFleet := func(points []Point, wlTok string) {
-						for _, reps := range s.Replicas {
-							rts := s.Routings
-							if reps <= 1 {
-								rts = []cluster.Routing{cluster.RoundRobin}
-							}
-							for _, rt := range rts {
-								if reps == 0 {
-									add(points)
-									continue
-								}
-								stamped := make([]Point, len(points))
-								for i, p := range points {
-									p.Replicas, p.Routing = reps, rt
-									p.key = p.buildKey(modelTok, sysTok, wlTok)
-									stamped[i] = p
-								}
-								add(stamped)
-							}
-						}
-					}
-					// addTemporal stamps the arrival-process axes onto the
-					// cell's base candidates before the fleet stamping:
-					// schedule, session depth and think time, with the
-					// degenerate values canonicalized away (constant
-					// schedule → nil, single-turn or non-paged → zero
-					// turns, turnless → zero think) so degenerate corners
-					// share the base candidate's memo key.
-					addTemporal := func(points []Point, wlTok string, sched workload.Schedule, turns int) {
-						for i := range points {
-							p := &points[i]
-							t := turns
-							if p.Policy != serve.Paged || t <= 1 {
-								t = 0
-							}
-							if len(sched) == 0 && t == 0 {
-								continue
-							}
-							p.Schedule, p.Turns = sched, t
-							if t > 1 {
-								p.Think = s.Think
-							}
-							p.key = p.buildKey(modelTok, sysTok, wlTok)
-						}
-						addFleet(points, wlTok)
-					}
-					switch {
-					case len(s.Trace) > 0:
-						for _, batchCap := range s.BatchCaps {
-							for _, pol := range s.Policies {
-								for _, split := range polSplits(pol) {
-									for _, host := range s.HostKVBytes {
-										addFleet(enumerateServingTrace(cfg, sys, s.Trace, batchCap, prec, pol, s.ServePageTokens, split, s.TransferGBps, host, s.SwapGBps, traceTok), traceTok)
-									}
-								}
-							}
-						}
-					case len(s.Mixes) > 0:
-						for _, ar := range arrivals {
-							for _, turns := range s.Turns {
-								for _, batchCap := range s.BatchCaps {
-									for _, pol := range s.Policies {
-										for _, split := range polSplits(pol) {
-											for _, host := range s.HostKVBytes {
-												for i, mix := range s.Mixes {
-													addTemporal(enumerateServingMix(cfg, sys, mix, ar.rate, batchCap, prec, s.ServeRequests, s.ServeSeed, pol, s.ServePageTokens, split, s.TransferGBps, host, s.SwapGBps, mixToks[i]), mixToks[i], ar.sched, turns)
+					for _, ar := range arrivals {
+						for _, turns := range s.Turns {
+							for _, batchCap := range s.BatchCaps {
+								for _, pol := range s.Policies {
+									for _, split := range s.PoolSplits {
+										for _, host := range s.HostKVBytes {
+											for _, shape := range shapes {
+												p := base
+												p.Rate, p.Schedule, p.Turns = ar.rate, ar.sched, turns
+												p.BatchCap, p.Policy = batchCap, pol
+												p.PrefillDevices, p.DecodeDevices, p.HostKVBytes = split.Prefill, split.Decode, host
+												p, ok := servingPoint(p, shape, modelTok, sysTok)
+												if !ok {
+													continue
 												}
-											}
-										}
-									}
-								}
-							}
-						}
-					default:
-						for _, ar := range arrivals {
-							for _, turns := range s.Turns {
-								for _, batchCap := range s.BatchCaps {
-									for _, pol := range s.Policies {
-										for _, split := range polSplits(pol) {
-											for _, host := range s.HostKVBytes {
-												for _, prefix := range s.PrefixTokens {
-													if turns > 1 && pol == serve.Paged && prefix > 0 {
-														// A session owns its shared prefix; the
-														// spec-wide prefixed shape cannot carry
-														// one too (serve rejects the combination).
-														continue
+												// The fleet axes: one copy per (fleet size,
+												// routing), the routing collapsed to
+												// round-robin for single-instance and
+												// one-replica entries (every policy routes a
+												// fleet of one identically).
+												for _, reps := range s.Replicas {
+													rts := s.Routings
+													if reps <= 1 {
+														rts = roundRobin
 													}
-													for _, seq := range s.Seqs {
-														for _, gen := range s.GenTokens {
-															addTemporal(EnumerateServing(cfg, sys, ar.rate, batchCap, seq, gen, prec, s.ServeRequests, s.ServeSeed, pol, s.ServePageTokens, split, s.TransferGBps, prefix, host, s.SwapGBps), "", ar.sched, turns)
+													for _, rt := range rts {
+														if reps > 0 {
+															q := p
+															q.Replicas, q.Routing = reps, rt
+															q.key = q.buildKey(modelTok, sysTok, shape.tok)
+															add(q)
+															continue
 														}
+														add(p)
 													}
 												}
 											}
@@ -1251,14 +1110,18 @@ func Enumerate(s Spec) []Point {
 					for _, batch := range s.GlobalBatches {
 						for _, seq := range s.Seqs {
 							for _, gen := range s.GenTokens {
-								add(EnumerateInference(cfg, sys, batch, seq, gen, prec))
+								for _, p := range EnumerateInference(cfg, sys, batch, seq, gen, prec) {
+									add(p)
+								}
 							}
 						}
 					}
 				default:
 					for _, batch := range s.GlobalBatches {
 						for _, seq := range s.Seqs {
-							add(EnumerateTraining(cfg, sys, batch, seq, prec, s.Constraints))
+							for _, p := range EnumerateTraining(cfg, sys, batch, seq, prec, s.Constraints) {
+								add(p)
+							}
 						}
 					}
 				}
@@ -1374,19 +1237,6 @@ func servingSpec(p Point) serve.Spec {
 	return sp
 }
 
-// servingContext is the candidate workload's largest prompt+generation
-// context — the bound the footprint reporting prices KV geometry at.
-func servingContext(p Point) int {
-	switch {
-	case len(p.Trace) > 0:
-		return workload.TraceContext(p.Trace)
-	case len(p.Mix) > 0:
-		return workload.MixContext(p.Mix)
-	default:
-		return p.Seq + p.GenTokens
-	}
-}
-
 // clusterSpec builds the fleet configuration of a Replicas > 0 serving
 // point: the single-instance serve spec split into its capacity descriptor
 // (instantiated Replicas times — sweep fleets are homogeneous) and the
@@ -1429,7 +1279,8 @@ func (ev *evaluator) evaluateServingFleet(p Point) (Metrics, error) {
 	m := Metrics{
 		Time: res.E2E.P95,
 		Footprint: memfoot.InferenceBreakdown{
-			Weights: memfoot.Inference(p.Model, p.Map.TP, 1, servingContext(p), p.Precision.Bytes()).Weights,
+			// The weights are Params·bytes/TP whatever the context.
+			Weights: memfoot.Inference(p.Model, p.Map.TP, 1, 0, p.Precision.Bytes()).Weights,
 			KVCache: peakKV,
 		},
 		Fits:              true,
@@ -1467,7 +1318,7 @@ func (ev *evaluator) evaluateServing(p Point) (Metrics, error) {
 	m := Metrics{
 		Time: res.E2E.P95,
 		Footprint: memfoot.InferenceBreakdown{
-			Weights: memfoot.Inference(p.Model, p.Map.TP, 1, servingContext(p), p.Precision.Bytes()).Weights,
+			Weights: memfoot.Inference(p.Model, p.Map.TP, 1, 0, p.Precision.Bytes()).Weights,
 			KVCache: res.PeakKVBytes,
 		},
 		// Admission never over-commits the device, so a completed

@@ -307,32 +307,6 @@ func ValidateTrace(trace []TraceEvent) error {
 	return nil
 }
 
-// MixContext returns the largest prompt+generation context any mix tenant
-// can reach — the bound KV geometry and page-size canonicalization use.
-// Heavy-tailed entries contribute their clamp maxima.
-func MixContext(mix []TenantLoad) int {
-	max := 0
-	for _, t := range mix {
-		_, pmax := t.PromptBounds()
-		_, gmax := t.GenBounds()
-		if c := pmax + gmax; c > max {
-			max = c
-		}
-	}
-	return max
-}
-
-// TraceContext returns the largest prompt+generation context of a trace.
-func TraceContext(trace []TraceEvent) int {
-	max := 0
-	for _, ev := range trace {
-		if c := ev.Context(); c > max {
-			max = c
-		}
-	}
-	return max
-}
-
 // parseLength parses one mix length field: a plain integer median, or
 // "median~sigma" for a heavy-tailed lognormal draw.
 func parseLength(field string) (median int, sigma float64, err error) {

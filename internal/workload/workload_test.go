@@ -77,10 +77,6 @@ func TestPromptGenBounds(t *testing.T) {
 	if lo, hi := heavy.GenBounds(); lo != 1 || hi != 400 {
 		t.Errorf("heavy gen bounds [%d, %d]", lo, hi)
 	}
-	// MixContext uses the clamp maxima.
-	if c := MixContext([]TenantLoad{heavy, flat}); c != 1200 {
-		t.Errorf("MixContext = %d, want 1200", c)
-	}
 }
 
 func TestValidateTraceSessions(t *testing.T) {
