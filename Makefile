@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386
+.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 loc
 
 check: vet lint build cover-race
 
@@ -68,6 +68,24 @@ cluster-bench:
 build-386:
 	GOOS=linux GOARCH=386 $(GO) build ./...
 
+# Non-test Go lines per package of the optimus module (bench/ is its own
+# module): the total and the code alone, without blank or comment lines
+# (a line inside a /* */ block counts as comment). Refactors report their
+# net delta from two runs of this, before and after.
+loc:
+	@find . \( -path ./bench -o -name testdata \) -prune -o -name '*.go' ! -name '*_test.go' -print | sort | \
+	awk '{ dir = $$0; sub(/\/[^\/]*$$/, "", dir); if (!(dir in total)) { dirs[++n] = dir; total[dir] = 0; code[dir] = 0 } \
+		while ((getline line < $$0) > 0) { \
+			total[dir]++; sum++; t = line; gsub(/^[ \t]+|[ \t]+$$/, "", t); \
+			if (block) { if (t ~ /\*\//) block = 0; continue } \
+			if (t == "" || t ~ /^\/\//) continue; \
+			if (t ~ /^\/\*/) { if (t !~ /\*\//) block = 1; continue } \
+			code[dir]++; csum++ } \
+		close($$0) } \
+	END { printf "%-36s %7s %7s\n", "package", "total", "code"; \
+		for (i = 1; i <= n; i++) printf "%-36s %7d %7d\n", dirs[i], total[dirs[i]], code[dirs[i]]; \
+		printf "%-36s %7d %7d\n", "all", sum, csum }'
+
 # Short smoke run of every checked-in fuzz harness. `go test` allows one
 # -fuzz target per invocation, so iterate; the harnesses double as
 # regression suites under plain `go test`, this actually fuzzes them.
@@ -115,8 +133,8 @@ cover-race:
 # Coverage floors on the serving simulator, sweep engine and CLI — the
 # paged KV-cache hot paths and the flag surface over them — so tier-1
 # fails when new code in them arrives untested. Floors sit below current
-# coverage (`make cover` prints workload 89.7%, serve 95.9%, sweep 93.6%,
-# cluster 90.8%, cmd/optimus 84.8%) to leave room for honest refactors,
+# coverage (`make cover` prints workload 92.0%, serve 95.9%, sweep 93.0%,
+# cluster 89.2%, cmd/optimus 85.6%) to leave room for honest refactors,
 # not for untested subsystems.
 # Standalone convenience; `make check` enforces the same floors via
 # cover-race.

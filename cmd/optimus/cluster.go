@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -20,36 +19,25 @@ import (
 // fleet first misses that SLO.
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
-	sf := addServingFlags(fs)
+	sf := addServingFlags(fs, 2)
 	replicas := fs.Int("replicas", 2, "replica count (the CLI fleet is homogeneous; heterogeneous fleets are library-only)")
 	routing := fs.String("routing", "round-robin", "routing policy (round-robin|least-queue|least-kv|tenant-affinity)")
-	rate := fs.Float64("rate", 2, "fleet-wide Poisson arrival rate in requests/sec")
-	schedule := fs.String("schedule", "", "piecewise fleet arrival-rate schedule as start-end:rate[,...] in seconds and req/s (replaces -rate)")
-	turns := fs.Int("turns", 0, "session-cohort turns per client session, each carrying the session's prior context as a growing shared prefix (paged replicas with preemption only)")
-	think := fs.Float64("think", 0, "think time between a session's turns in seconds (needs -turns > 1)")
-	requests := fs.Int("requests", 256, "requests to simulate")
-	seed := fs.Int64("seed", 1, "arrival-process seed")
 	slo := fs.Float64("slo-e2e-p95", 0, "saturation analysis: bisect the arrival rate to the knee where fleet p95 E2E first exceeds this SLO in seconds (replaces -rate)")
 	minRate := fs.Float64("min-rate", 0.25, "saturation bracket floor in requests/sec (-slo-e2e-p95 only)")
 	maxRate := fs.Float64("max-rate", 16, "saturation bracket ceiling in requests/sec (-slo-e2e-p95 only)")
 	kneeProbes := fs.Int("knee-probes", 0, "fleet-simulation budget for the bisection (0 = default 32; a starved budget reports a LOOSE knee; -slo-e2e-p95 only)")
-	format := fs.String("format", "text", "output format (text|csv|json)")
 	prof := addProfileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProf, err := prof.start()
+	stopProf, err := prof.parse(fs, args)
 	if err != nil {
 		return err
 	}
 	defer stopProf()
-	switch *format {
-	case "text", "csv", "json":
-	default:
-		return fmt.Errorf("unknown format %q (text|csv|json)", *format)
-	}
 
 	set := flagsSet(fs)
+	w, err := sf.workload(set, &clusterWorkloadFlags, false)
+	if err != nil {
+		return err
+	}
 	capacity, err := sf.capacity(set)
 	if err != nil {
 		return err
@@ -64,38 +52,16 @@ func cmdCluster(args []string) error {
 	spec := optimus.ClusterSpec{
 		Replicas: []optimus.ClusterReplica{{Spec: capacity, Count: *replicas}},
 		Routing:  rt,
-		Rate:     *rate, Requests: *requests, Seed: *seed,
-		Turns: *turns, Think: *think,
 	}
-	if *schedule != "" {
-		if set["rate"] {
-			return fmt.Errorf("-schedule fixes the arrival-rate timeline (-rate sets the constant Poisson rate; set one)")
-		}
-		if spec.Schedule, err = optimus.ParseServeSchedule(*schedule); err != nil {
-			return err
-		}
-		spec.Rate = 0
-	}
-	w, err := sf.workload(set, []string{"rate", "requests", "seed", "schedule", "turns", "think"})
-	if err != nil {
-		return err
-	}
-	spec.PromptTokens, spec.GenTokens, spec.PrefixTokens = w.prompt, w.gen, w.prefix
-	spec.Mix, spec.Trace = w.mix, w.trace
-	if *sf.trace != "" {
-		spec.Rate, spec.Requests, spec.Seed = 0, 0, 0
-	}
+	spec.SetWorkload(w)
 
 	if set["slo-e2e-p95"] {
-		// Knee mode: the analyzer owns the rate axis.
-		if set["rate"] {
-			return fmt.Errorf("-rate does not apply to the saturation analysis (-slo-e2e-p95 bisects the rate)")
-		}
-		if *sf.trace != "" {
-			return fmt.Errorf("-trace does not apply to the saturation analysis (a trace fixes its own arrival times)")
-		}
-		if set["schedule"] {
-			return fmt.Errorf("-schedule does not apply to the saturation analysis (-slo-e2e-p95 bisects a constant rate)")
+		// Knee mode: the analyzer bisects a constant rate, which these
+		// would fix.
+		for _, f := range []string{"rate", "schedule", "trace"} {
+			if set[f] {
+				return fmt.Errorf("-%s does not apply to the saturation analysis (-slo-e2e-p95 bisects a constant rate)", f)
+			}
 		}
 		spec.Rate = 0
 		ks := optimus.ClusterKneeSpec{
@@ -107,33 +73,19 @@ func cmdCluster(args []string) error {
 		if kerr != nil {
 			return kerr
 		}
-		return writeKnee(os.Stdout, spec, knee, *format)
+		return writeKnee(os.Stdout, spec, knee, *prof.format)
 	}
-	if set["min-rate"] || set["max-rate"] {
-		return fmt.Errorf("-min-rate and -max-rate bracket the saturation analysis (set -slo-e2e-p95)")
-	}
-	if set["knee-probes"] {
-		return fmt.Errorf("-knee-probes budgets the saturation analysis (set -slo-e2e-p95)")
+	for _, f := range []string{"min-rate", "max-rate", "knee-probes"} {
+		if set[f] {
+			return fmt.Errorf("-%s applies to the saturation analysis only (set -slo-e2e-p95)", f)
+		}
 	}
 
 	res, err := optimus.ServeCluster(spec)
 	if err != nil {
 		return err
 	}
-	return writeCluster(os.Stdout, spec, res, *format)
-}
-
-// clusterWorkloadLabel names the simulated fleet workload for the text
-// header.
-func clusterWorkloadLabel(spec optimus.ClusterSpec) string {
-	switch {
-	case len(spec.Trace) > 0:
-		return fmt.Sprintf("%d-event trace", len(spec.Trace))
-	case len(spec.Mix) > 0:
-		return fmt.Sprintf("%d-tenant mix %s", len(spec.Mix), optimus.FormatServeMix(spec.Mix))
-	default:
-		return fmt.Sprintf("%d+%d tokens", spec.PromptTokens, spec.GenTokens)
-	}
+	return writeCluster(os.Stdout, spec, res, *prof.format)
 }
 
 // writeCluster renders a fleet simulation in the chosen format.
@@ -147,7 +99,7 @@ func writeCluster(w io.Writer, spec optimus.ClusterSpec, res optimus.ClusterResu
 		}
 		fmt.Fprintf(w, "%s on %d replicas of %d x %s (%v routing), %s arrivals, %d requests of %s (seed %d)\n",
 			cap.Model.Name, res.Replicas, cap.TP, cap.System.Device.Name, res.Routing,
-			arrivals, res.Requests, clusterWorkloadLabel(spec), spec.Seed)
+			arrivals, res.Requests, workloadLabel(spec.Workload()), spec.Seed)
 		fmt.Fprintf(w, "  makespan           %s\n", units.FormatSeconds(res.SimTime))
 		fmt.Fprintf(w, "  throughput         %.2f req/s, %.0f tok/s (fleet)\n",
 			res.ThroughputRPS, res.TokensPerSec)
@@ -167,18 +119,7 @@ func writeCluster(w io.Writer, spec optimus.ClusterSpec, res optimus.ClusterResu
 			fmt.Fprintf(w, "  kv-host-tier       %d swap-outs, %d swap-ins, %s swapping (fleet)\n",
 				res.KVSwapOuts, res.KVSwapIns, units.FormatSeconds(res.SwapTimeTotal))
 		}
-		fmt.Fprintf(w, "  %-8s %10s %10s %10s %10s %10s\n", "SLO", "p50", "p95", "p99", "mean", "max")
-		for _, row := range []struct {
-			name string
-			p    optimus.ServePercentiles
-		}{
-			{"ttft", res.TTFT}, {"tpot", res.TPOT}, {"e2e", res.E2E}, {"queue", res.Queue},
-		} {
-			fmt.Fprintf(w, "  %-8s %10s %10s %10s %10s %10s\n", row.name,
-				units.FormatSeconds(row.p.P50), units.FormatSeconds(row.p.P95),
-				units.FormatSeconds(row.p.P99), units.FormatSeconds(row.p.Mean),
-				units.FormatSeconds(row.p.Max))
-		}
+		writeSLOTable(w, res.TTFT, res.TPOT, res.E2E, res.Queue)
 		fmt.Fprintf(w, "  %-8s %8s %10s %10s %8s %10s\n",
 			"replica", "assigned", "makespan", "e2e-p95", "preempt", "peak-kv")
 		for _, rr := range res.PerReplica {
@@ -198,31 +139,18 @@ func writeCluster(w io.Writer, spec optimus.ClusterSpec, res optimus.ClusterResu
 		return nil
 	case "csv":
 		cw := csv.NewWriter(w)
-		if err := cw.Write([]string{"id", "replica", "tenant", "prompt", "gen",
-			"arrival_s", "admitted_s", "first_token_s",
-			"done_s", "queue_s", "ttft_s", "tpot_s", "e2e_s", "preemptions",
-			"kv_transfers", "kv_transfer_s"}); err != nil {
+		if err := cw.Write(append([]string{"id", "replica"}, requestColumns...)); err != nil {
 			return err
 		}
-		g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 		for _, m := range res.PerRequest {
-			if err := cw.Write([]string{
-				strconv.Itoa(m.ID), strconv.Itoa(m.Replica), m.Tenant,
-				strconv.Itoa(m.PromptTokens), strconv.Itoa(m.GenTokens),
-				g(m.Arrival), g(m.Admitted), g(m.FirstToken),
-				g(m.Done), g(m.Queue), g(m.TTFT), g(m.TPOT), g(m.E2E),
-				strconv.Itoa(m.Preemptions),
-				strconv.Itoa(m.KVTransfers), g(m.KVTransferTime),
-			}); err != nil {
+			if err := cw.Write(requestRow(m.RequestMetrics, strconv.Itoa(m.ID), strconv.Itoa(m.Replica))); err != nil {
 				return err
 			}
 		}
 		cw.Flush()
 		return cw.Error()
 	case "json":
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
+		return writeJSON(w, res)
 	default:
 		return fmt.Errorf("unknown format %q (text|csv|json)", format)
 	}
@@ -276,9 +204,7 @@ func writeKnee(w io.Writer, spec optimus.ClusterSpec, knee optimus.ClusterKnee, 
 		cw.Flush()
 		return cw.Error()
 	case "json":
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(knee)
+		return writeJSON(w, knee)
 	default:
 		return fmt.Errorf("unknown format %q (text|csv|json)", format)
 	}

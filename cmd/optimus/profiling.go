@@ -8,23 +8,40 @@ import (
 	"runtime/pprof"
 )
 
-// profileFlags is the shared -cpuprofile/-memprofile wiring for the
-// simulation subcommands (serve, cluster, sweep): the simulator core is
-// fast enough that finding the next bottleneck needs pprof, so the CLI
-// exposes the same profiling surface `go test -cpuprofile` gives the
-// benchmarks.
+// profileFlags is the shared -format, -cpuprofile and -memprofile wiring
+// for the simulation subcommands (serve, cluster, sweep): the simulator
+// core is fast enough that finding the next bottleneck needs pprof, so
+// the CLI exposes the same profiling surface `go test -cpuprofile` gives
+// the benchmarks.
 type profileFlags struct {
-	cpu *string
-	mem *string
+	format *string
+	cpu    *string
+	mem    *string
 }
 
-// addProfileFlags registers the profiling flags on a subcommand's flag
-// set; call before fs.Parse.
+// addProfileFlags registers the report and profiling flags on a
+// subcommand's flag set; call before fs.Parse.
 func addProfileFlags(fs *flag.FlagSet) *profileFlags {
 	return &profileFlags{
-		cpu: fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file"),
-		mem: fs.String("memprofile", "", "write a pprof heap profile to this file at exit"),
+		format: fs.String("format", "text", "output format (text|csv|json)"),
+		cpu:    fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file"),
+		mem:    fs.String("memprofile", "", "write a pprof heap profile to this file at exit"),
 	}
+}
+
+// parse parses the subcommand's args, rejects an unknown -format before
+// any work runs (a typo must not cost a simulation or a grid), and
+// starts profiling; defer the returned stop.
+func (p *profileFlags) parse(fs *flag.FlagSet, args []string) (stop func(), err error) {
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch *p.format {
+	case "text", "csv", "json":
+	default:
+		return nil, fmt.Errorf("unknown format %q (text|csv|json)", *p.format)
+	}
+	return p.start()
 }
 
 // start begins CPU profiling when requested and returns the stop function

@@ -2,27 +2,30 @@ package main
 
 import (
 	"flag"
-	"fmt"
 
 	"optimus"
 	"optimus/internal/serve"
 	"optimus/internal/tech"
+	"optimus/internal/workload"
 )
 
 // servingFlags are the flags optimus serve and optimus cluster share: the
-// capacity of one serving instance and the request-shape workload.
+// capacity of one serving instance and the open-loop workload.
 type servingFlags struct {
 	model, device, deviceFile, intra, prec, policy            *string
 	gpus, maxBatch, pageTokens, prefillDevices, decodeDevices *int
 	noPreempt                                                 *bool
 	transferGBps, hostKVGB, swapGBps                          *float64
 
-	prompt, gen, prefix *int
-	mix, trace          *string
+	prompt, gen, prefix, turns, requests *int
+	mix, trace, schedule                 *string
+	rate, think                          *float64
+	seed                                 *int64
 }
 
-// addServingFlags registers the shared serving flags on fs.
-func addServingFlags(fs *flag.FlagSet) *servingFlags {
+// addServingFlags registers the shared serving flags on fs; rate is the
+// command's default arrival rate.
+func addServingFlags(fs *flag.FlagSet, rate float64) *servingFlags {
 	return &servingFlags{
 		model:          fs.String("model", "llama2-13b", "model preset"),
 		device:         fs.String("device", "h100", "device preset"),
@@ -45,6 +48,13 @@ func addServingFlags(fs *flag.FlagSet) *servingFlags {
 		prefix: fs.Int("prefix", 0, "shared prompt-prefix tokens cached across requests (single-tenant; paged with preemption only)"),
 		mix:    fs.String("mix", "", "multi-tenant workload mix as tenant:share:prompt[~sigma]:gen[~sigma][:prefix[:prefix-id]][,...] (replaces -prompt/-gen; ~sigma draws heavy-tailed lognormal lengths)"),
 		trace:  fs.String("trace", "", "CSV trace file to replay (arrival,tenant,prompt,gen[,prefix_id,prefix_tokens[,session,turn]]; replaces the arrival flags)"),
+
+		rate:     fs.Float64("rate", rate, "Poisson arrival rate in requests/sec (fleet-wide under cluster)"),
+		schedule: fs.String("schedule", "", "piecewise arrival-rate schedule as start-end:rate[,...] in seconds and req/s (replaces -rate; open-loop only)"),
+		turns:    fs.Int("turns", 0, "session-cohort turns per client session, each carrying the session's prior context as a growing shared prefix (open-loop, paged with preemption only)"),
+		think:    fs.Float64("think", 0, "think time between a session's turns in seconds (needs -turns > 1)"),
+		requests: fs.Int("requests", 256, "requests to simulate"),
+		seed:     fs.Int64("seed", 1, "arrival-process seed"),
 	}
 }
 
@@ -77,7 +87,7 @@ func (f *servingFlags) capacity(set map[string]bool) (optimus.ServeSpec, error) 
 	if err != nil {
 		return optimus.ServeSpec{}, err
 	}
-	if err := rejectPolicyFlagMisuse(set, []optimus.ServePolicy{pol}, "-policy"); err != nil {
+	if err := rejectPolicyFlagMisuse(set, []optimus.ServePolicy{pol}, "-policy", *f.turns > 1); err != nil {
 		return optimus.ServeSpec{}, err
 	}
 	spec := optimus.ServeSpec{
@@ -93,57 +103,86 @@ func (f *servingFlags) capacity(set map[string]bool) (optimus.ServeSpec, error) 
 	return spec, nil
 }
 
-// servingWorkload is the request-shape workload the shared flags select:
-// the spec-wide prompt/gen/prefix shape, a mix, or a replayed trace.
-type servingWorkload struct {
-	prompt, gen, prefix int
-	mix                 []optimus.ServeTenantLoad
-	trace               []optimus.ServeTraceEvent
+// serveWorkloadFlags names the flag that sets each workload field under
+// optimus serve, in workload.Field order; clusterWorkloadFlags drops the
+// closed-loop ones a fleet lacks, and sweepWorkloadFlags spells the
+// sweep's axes.
+var (
+	serveWorkloadFlags = [workload.NumFields]string{"prompt", "gen", "prefix", "mix", "mix", "trace",
+		"rate", "schedule", "turns", "turns", "think", "requests", "seed", "arrival", "clients"}
+	clusterWorkloadFlags = [workload.NumFields]string{"prompt", "gen", "prefix", "mix", "mix", "trace",
+		"rate", "schedule", "turns", "turns", "think", "requests", "seed"}
+	sweepWorkloadFlags = [workload.NumFields]string{"seqs", "gen", "prefix", "mix", "mix", "trace",
+		"rates", "schedules", "turns", "turns", "think", "serve-requests", "serve-seed"}
+)
+
+// checkWorkloadFlags applies workload.Check to a command line, naming
+// flags: a field is set when its flag is given, except the ones derived
+// from parsed values — session cohorts (a -turns value above 1), the
+// closed-loop process (-arrival closed) and prefixed -mix entries.
+func checkWorkloadFlags(flags *[workload.NumFields]string, given map[string]bool, sessions, closed, mixPrefix bool) error {
+	var set [workload.NumFields]bool
+	for f, flag := range flags {
+		set[f] = given[flag]
+	}
+	set[workload.FieldSessions], set[workload.FieldClosed], set[workload.FieldMixPrefix] = sessions, closed, mixPrefix
+	return workload.Check(set, func(f workload.Field) string {
+		if flags[f] == "" {
+			return ""
+		}
+		return "-" + flags[f]
+	})
 }
 
-// workload parses the request-shape flags. A mix or trace replaces the
-// spec-wide shape, and a trace fixes the arrival process, so traceFixes
-// names the caller's arrival flags a trace rejects.
-func (f *servingFlags) workload(set map[string]bool, traceFixes []string) (servingWorkload, error) {
-	w := servingWorkload{prompt: *f.prompt, gen: *f.gen, prefix: *f.prefix}
-	if *f.mix != "" && *f.trace != "" {
-		return w, fmt.Errorf("-mix and -trace are mutually exclusive")
-	}
-	if *f.mix != "" || *f.trace != "" {
-		if set["prompt"] || set["gen"] {
-			return w, fmt.Errorf("-prompt and -gen describe the single-tenant workload (use the per-tenant lengths in -mix, or the trace's)")
-		}
-		if set["prefix"] {
-			return w, fmt.Errorf("-prefix describes the single-tenant workload (use the per-tenant prefix field in -mix, or the trace's prefix columns)")
-		}
-		w.prompt, w.gen, w.prefix = 0, 0, 0
-	}
+// workload builds the workload the flags describe once checkWorkloadFlags
+// accepts the flags given. closed selects optimus serve's closed-loop
+// process (the caller supplies its clients); flags is the command's
+// spelling table.
+func (f *servingFlags) workload(set map[string]bool, flags *[workload.NumFields]string, closed bool) (workload.Spec, error) {
+	var w workload.Spec
 	var err error
 	if *f.mix != "" {
-		if w.mix, err = optimus.ParseServeMix(*f.mix); err != nil {
+		if w.Mix, err = optimus.ParseServeMix(*f.mix); err != nil {
 			return w, err
 		}
+	}
+	if err := checkWorkloadFlags(flags, set, *f.turns > 1, closed, workload.MixPrefixed(w.Mix)); err != nil {
+		return w, err
 	}
 	if *f.trace != "" {
-		for _, name := range traceFixes {
-			if set[name] {
-				return w, fmt.Errorf("-%s does not apply when replaying a trace (-trace fixes the arrival process)", name)
-			}
-		}
-		if w.trace, err = loadTrace(*f.trace); err != nil {
-			return w, err
-		}
+		w.Trace, err = loadTrace(*f.trace)
+		return w, err
 	}
-	return w, nil
+	if w.Mix == nil {
+		w.PromptTokens, w.GenTokens, w.PrefixTokens = *f.prompt, *f.gen, *f.prefix
+	}
+	w.Requests, w.Seed, w.Closed = *f.requests, *f.seed, closed
+	if closed {
+		return w, nil
+	}
+	w.Rate, w.Turns, w.Think = *f.rate, *f.turns, *f.think
+	if *f.schedule != "" {
+		w.Rate = 0
+		w.Schedule, err = optimus.ParseServeSchedule(*f.schedule)
+	}
+	return w, err
 }
 
 // rejectPolicyFlagMisuse rejects admission-policy knobs no policy in pols
 // reads, naming the flags. It reads the serve.Knobs table, with the one
 // -policy of optimus serve and cluster and the -policies list of optimus
-// sweep alike; polFlag names the flag that set pols.
-func rejectPolicyFlagMisuse(set map[string]bool, pols []optimus.ServePolicy, polFlag string) error {
+// sweep alike; polFlag names the flag that set pols. Session cohorts
+// (sessions: a -turns value above 1) are prefix caching, so they answer
+// for the -prefix row when -prefix is not given.
+func rejectPolicyFlagMisuse(set map[string]bool, pols []optimus.ServePolicy, polFlag string, sessions bool) error {
+	turnsOnly := sessions && !set["prefix"]
 	return serve.CheckKnobs(pols, set["no-preempt"],
-		func(k serve.Knob) bool { return set[k.Flag] },
-		func(k serve.Knob) string { return "-" + k.Flag },
+		func(k serve.Knob) bool { return set[k.Flag] || (k.Flag == "prefix" && turnsOnly) },
+		func(k serve.Knob) string {
+			if k.Flag == "prefix" && turnsOnly {
+				return "-turns above 1"
+			}
+			return "-" + k.Flag
+		},
 		polFlag)
 }

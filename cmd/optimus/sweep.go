@@ -3,17 +3,18 @@ package main
 import (
 	"context"
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"optimus"
 	"optimus/internal/tech"
 	"optimus/internal/units"
+	"optimus/internal/workload"
 )
 
 // cmdSweep evaluates a cross-product experiment grid with the concurrent
@@ -21,7 +22,7 @@ import (
 // batches × mappings × schedules × recompute regimes).
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	workload := fs.String("workload", "train", "workload (train|infer|serve)")
+	kind := fs.String("workload", "train", "workload (train|infer|serve)")
 	models := fs.String("models", "gpt-175b", "comma-separated model presets")
 	devices := fs.String("devices", "a100", "comma-separated device presets")
 	gpus := fs.String("gpus", "64", "comma-separated device counts")
@@ -58,23 +59,12 @@ func cmdSweep(args []string) error {
 	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	serial := fs.Bool("serial", false, "use the serial reference path instead of the engine")
 	cache := fs.String("cache", "", "persist the memoization cache to this JSON file (load on start, save on exit)")
-	format := fs.String("format", "text", "output format (text|csv|json)")
 	prof := addProfileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProf, err := prof.start()
+	stopProf, err := prof.parse(fs, args)
 	if err != nil {
 		return err
 	}
 	defer stopProf()
-	switch *format {
-	case "text", "csv", "json":
-	default:
-		// Checked before the sweep runs: a typo must not cost a full
-		// grid evaluation.
-		return fmt.Errorf("unknown format %q (text|csv|json)", *format)
-	}
 
 	spec := optimus.SweepSpec{
 		Constraints: optimus.PlanConstraints{
@@ -82,7 +72,7 @@ func cmdSweep(args []string) error {
 		},
 		Workers: *workers,
 	}
-	switch *workload {
+	switch *kind {
 	case "train", "training":
 		spec.Workload = optimus.TrainingSweep
 	case "infer", "inference":
@@ -90,7 +80,7 @@ func cmdSweep(args []string) error {
 	case "serve", "serving":
 		spec.Workload = optimus.ServingSweep
 	default:
-		return fmt.Errorf("unknown workload %q (train|infer|serve)", *workload)
+		return fmt.Errorf("unknown workload %q (train|infer|serve)", *kind)
 	}
 	if spec.Workload != optimus.TrainingSweep {
 		// Inference and serving maps are fixed to TP = device count
@@ -100,54 +90,21 @@ func cmdSweep(args []string) error {
 			return fmt.Errorf("-max-tp, -microbatches and -recomputes apply to training sweeps only")
 		}
 	}
+	set := flagsSet(fs)
 	if spec.Workload != optimus.ServingSweep {
-		if *rates != "" || *caps != "" || *serveReqs != 0 || *serveSeed != 0 {
-			return fmt.Errorf("-rates, -batch-caps, -serve-requests and -serve-seed apply to serving sweeps only")
+		for _, f := range []string{"rates", "batch-caps", "serve-requests", "serve-seed", "schedules", "turns", "think",
+			"mix", "trace", "policies", "page-tokens", "prefill-devices", "decode-devices", "transfer-gbps",
+			"prefix", "kv-host-gb", "swap-gbps", "replicas", "routings"} {
+			if set[f] {
+				return fmt.Errorf("-%s applies to serving sweeps only", f)
+			}
 		}
-		if *schedules != "" || *turnsFlag != "" || *think != 0 {
-			return fmt.Errorf("-schedules, -turns and -think apply to serving sweeps only")
-		}
-		if *policies != "" || *pageTokens != 0 {
-			return fmt.Errorf("-policies and -page-tokens apply to serving sweeps only")
-		}
-		if *prefillDevices != "" || *decodeDevices != "" || *transferGBps != 0 {
-			return fmt.Errorf("-prefill-devices, -decode-devices and -transfer-gbps apply to serving sweeps only")
-		}
-		if *prefixesFlag != "" || *hostKVGBs != "" || *swapGBps != 0 {
-			return fmt.Errorf("-prefix, -kv-host-gb and -swap-gbps apply to serving sweeps only")
-		}
-		if *mixes != "" || *trace != "" {
-			return fmt.Errorf("-mix and -trace apply to serving sweeps only")
-		}
-		if *replicasFlag != "" || *routings != "" {
-			return fmt.Errorf("-replicas and -routings apply to serving sweeps only")
-		}
-	} else if *batches != "" {
+	} else if set["batches"] {
 		return fmt.Errorf("-batches does not apply to serving sweeps (use -batch-caps)")
 	}
 	// Reject flag combinations no candidate on the grid would read, naming
 	// the flags — the same parity surface as optimus serve, ahead of the
-	// library's field-named validation.
-	set := flagsSet(fs)
-	if *mixes != "" && *trace != "" {
-		return fmt.Errorf("-mix and -trace are mutually exclusive")
-	}
-	if *trace != "" {
-		for _, f := range []string{"rates", "seqs", "gen", "prefix", "serve-requests", "serve-seed", "schedules", "turns", "think"} {
-			if set[f] {
-				return fmt.Errorf("-%s does not apply when replaying a trace (-trace fixes arrivals and request shapes)", f)
-			}
-		}
-	}
-	if set["schedules"] && set["rates"] {
-		return fmt.Errorf("-schedules and -rates both fix the arrival rate (set exactly one axis)")
-	}
-	if *mixes != "" && (set["seqs"] || set["gen"]) {
-		return fmt.Errorf("-seqs and -gen describe the single-tenant workload (use the per-tenant lengths in -mix)")
-	}
-	if *mixes != "" && set["prefix"] {
-		return fmt.Errorf("-prefix describes the single-tenant workload (use the per-tenant prefix field in -mix)")
-	}
+	// library's axis-named validation.
 	for _, m := range strings.Split(*mixes, ";") {
 		if m = strings.TrimSpace(m); m == "" {
 			continue
@@ -157,6 +114,14 @@ func cmdSweep(args []string) error {
 			return merr
 		}
 		spec.Mixes = append(spec.Mixes, mix)
+	}
+	if spec.Turns, err = splitInts(*turnsFlag); err != nil {
+		return fmt.Errorf("-turns: %w", err)
+	}
+	sessions := slices.ContainsFunc(spec.Turns, func(n int) bool { return n > 1 })
+	if err := checkWorkloadFlags(&sweepWorkloadFlags, set, sessions, false,
+		slices.ContainsFunc(spec.Mixes, workload.MixPrefixed)); err != nil {
+		return err
 	}
 	if *trace != "" {
 		tr, terr := loadTrace(*trace)
@@ -173,7 +138,7 @@ func cmdSweep(args []string) error {
 		spec.Policies = append(spec.Policies, pol)
 	}
 	// Policy knobs no -policies entry reads would be silently discarded.
-	if err := rejectPolicyFlagMisuse(set, spec.Policies, "-policies"); err != nil {
+	if err := rejectPolicyFlagMisuse(set, spec.Policies, "-policies", sessions); err != nil {
 		return err
 	}
 	spec.ServePageTokens = *pageTokens
@@ -216,14 +181,8 @@ func cmdSweep(args []string) error {
 		}
 		spec.Routings = append(spec.Routings, rt)
 	}
-	if len(spec.Routings) > 0 {
-		fleet := false
-		for _, r := range spec.Replicas {
-			fleet = fleet || r > 0
-		}
-		if !fleet {
-			return fmt.Errorf("-routings needs a positive fleet size in -replicas (a fleet of one routes identically under every policy)")
-		}
+	if len(spec.Routings) > 0 && !slices.ContainsFunc(spec.Replicas, func(r int) bool { return r > 0 }) {
+		return fmt.Errorf("-routings needs a positive fleet size in -replicas (a fleet of one routes identically under every policy)")
 	}
 
 	for _, name := range splitList(*models) {
@@ -270,9 +229,6 @@ func cmdSweep(args []string) error {
 		}
 		spec.Schedules = append(spec.Schedules, parsed)
 	}
-	if spec.Turns, err = splitInts(*turnsFlag); err != nil {
-		return fmt.Errorf("-turns: %w", err)
-	}
 	spec.Think = *think
 	if spec.BatchCaps, err = splitInts(*caps); err != nil {
 		return fmt.Errorf("-batch-caps: %w", err)
@@ -318,7 +274,7 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	return writeSweep(os.Stdout, res, spec.Workload, *format)
+	return writeSweep(os.Stdout, res, spec.Workload, *prof.format)
 }
 
 // splitFloats parses a comma-separated float flag.
@@ -650,9 +606,7 @@ func writeSweep(w io.Writer, res optimus.SweepResult, workload optimus.SweepWork
 		cw.Flush()
 		return cw.Error()
 	case "json":
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(sweepJSON{
+		return writeJSON(w, sweepJSON{
 			Stats: sweepStatsJSON{
 				Enumerated: res.Stats.Enumerated,
 				Pruned:     res.Stats.Pruned,

@@ -26,7 +26,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"optimus/internal/serve"
@@ -45,10 +44,7 @@ type Replica struct {
 }
 
 // Spec fixes one fleet simulation: the replicas, the routing policy, and
-// the fleet-wide workload — the same workload surface as serve.Spec
-// (degenerate shape, multi-tenant mix, or replay trace) minus the
-// closed-loop arrival process, which is replica-local feedback a fleet
-// router cannot see.
+// the fleet-wide workload.
 type Spec struct {
 	// Replicas lists the fleet's capacity descriptors in routing order
 	// (replica indices follow the expansion of Counts).
@@ -56,89 +52,48 @@ type Spec struct {
 	// Routing selects the router policy; the zero value is RoundRobin.
 	Routing Routing
 
-	// PromptTokens/GenTokens, Mix and Trace select the workload exactly
-	// as in serve.Spec: spec-wide shape, generated mix, or replay trace.
-	// PrefixTokens gives the degenerate fleet-wide shape a shared prompt
-	// prefix, exactly as serve.Spec.PrefixTokens does for one replica
-	// (paged replicas only; explicit mixes and traces carry their own
-	// per-entry prefixes instead).
+	// The workload has serve.Spec's fields and meaning minus the closed
+	// loop, replica-local feedback a router cannot see; Workload and
+	// SetWorkload convert it to a workload.Spec. The router may split a
+	// session's turns across replicas, so each replica's prefix cache
+	// warms independently — a routing-policy effect worth measuring.
 	PromptTokens int
 	GenTokens    int
 	PrefixTokens int
 	Mix          []workload.TenantLoad
 	Trace        []workload.TraceEvent
-
-	// Rate is the fleet-wide open-loop Poisson arrival rate in
-	// requests/sec; Requests the request count (zero means 256); Seed the
-	// arrival-process seed. All zero (and derived) when Trace is set.
-	Rate     float64
-	Requests int
-	Seed     int64
-
-	// Schedule shapes the fleet arrival stream as a piecewise-constant
-	// rate timeline instead of the constant Rate, exactly as
-	// serve.Spec.Schedule does for one replica. Turns and Think expand the
-	// stream into multi-turn session cohorts (serve.Spec.Turns/Think); the
-	// router may split a session's turns across replicas — each replica's
-	// prefix cache warms independently, which is itself a routing-policy
-	// effect worth measuring.
-	Schedule workload.Schedule
-	Turns    int
-	Think    float64
+	Rate         float64
+	Requests     int
+	Seed         int64
+	Schedule     workload.Schedule
+	Turns        int
+	Think        float64
 }
 
-// withDefaults fills the derivable fields: singleton Counts, the
-// degenerate one-tenant mix, and the 256-request default (or the trace's
-// count), mirroring serve.Spec.withDefaults.
-func (s Spec) withDefaults() Spec {
-	reps := make([]Replica, len(s.Replicas))
-	for i, r := range s.Replicas {
-		if r.Count == 0 {
-			r.Count = 1
-		}
-		reps[i] = r
+// Workload returns the fleet workload's description; SetWorkload
+// replaces it. A fleet has no closed-loop process: SetWorkload drops
+// Closed and Clients, and Workload never sets them.
+func (s Spec) Workload() workload.Spec {
+	return workload.Spec{
+		PromptTokens: s.PromptTokens, GenTokens: s.GenTokens, PrefixTokens: s.PrefixTokens,
+		Mix: s.Mix, Trace: s.Trace,
+		Rate: s.Rate, Schedule: s.Schedule, Turns: s.Turns, Think: s.Think,
+		Requests: s.Requests, Seed: s.Seed,
 	}
-	s.Replicas = reps
-	if len(s.Trace) > 0 {
-		if s.Requests == 0 {
-			s.Requests = len(s.Trace)
-		}
-		return s
-	}
-	if len(s.Mix) == 0 && s.Trace == nil {
-		pid := ""
-		if s.PrefixTokens > 0 {
-			pid = workload.DefaultTenant
-		}
-		s.Mix = []workload.TenantLoad{{
-			Tenant: workload.DefaultTenant, Share: 1,
-			PromptTokens: s.PromptTokens, GenTokens: s.GenTokens,
-			PrefixID: pid, PrefixTokens: s.PrefixTokens,
-		}}
-	}
-	if s.Requests == 0 {
-		s.Requests = 256
-	}
-	return s
 }
 
-// serveWorkload poses the fleet workload as a single-replica serve.Spec on
-// the given capacity descriptor — the spec a replica would run if it were
-// the whole fleet. Validation delegates to it per replica so a fleet spec
-// is exactly as strict as R copies of serve.Spec.Validate.
-func (s Spec) serveWorkload(cap serve.Spec) serve.Spec {
-	cap.PromptTokens, cap.GenTokens = s.PromptTokens, s.GenTokens
-	cap.PrefixTokens = s.PrefixTokens
-	cap.Mix, cap.Trace = s.Mix, s.Trace
-	cap.Arrival, cap.Clients = serve.Poisson, 0
-	cap.Rate, cap.Requests, cap.Seed = s.Rate, s.Requests, s.Seed
-	cap.Schedule, cap.Turns, cap.Think = s.Schedule, s.Turns, s.Think
-	return cap
+// SetWorkload replaces the spec's workload fields with w's.
+func (s *Spec) SetWorkload(w workload.Spec) {
+	s.PromptTokens, s.GenTokens, s.PrefixTokens = w.PromptTokens, w.GenTokens, w.PrefixTokens
+	s.Mix, s.Trace = w.Mix, w.Trace
+	s.Rate, s.Schedule, s.Turns, s.Think = w.Rate, w.Schedule, w.Turns, w.Think
+	s.Requests, s.Seed = w.Requests, w.Seed
 }
 
-// Validate checks the fleet spec: at least one replica, each descriptor a
-// pure capacity spec whose capacity fits the workload's largest request,
-// a known routing policy, and a workload serve.Spec itself would accept.
+// Validate checks the fleet spec: at least one replica and a known
+// routing policy, the workload once for the whole fleet, then each
+// descriptor — a non-negative count and a pure capacity spec that can
+// serve the workload's largest request.
 func (s Spec) Validate() error {
 	if len(s.Replicas) == 0 {
 		return fmt.Errorf("cluster: fleet needs at least one replica")
@@ -146,23 +101,16 @@ func (s Spec) Validate() error {
 	if !s.Routing.valid() {
 		return fmt.Errorf("cluster: unknown routing policy %v", s.Routing)
 	}
-	d := s.withDefaults()
-	for i, r := range d.Replicas {
+	w := s.Workload()
+	if err := w.Validate(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	w = w.WithDefaults()
+	for i, r := range s.Replicas {
 		if r.Count < 0 {
 			return fmt.Errorf("cluster: replica %d: negative count %d", i, r.Count)
 		}
-		c := r.Spec
-		if c.PromptTokens != 0 || c.GenTokens != 0 || c.PrefixTokens != 0 || len(c.Mix) > 0 || c.Trace != nil {
-			return fmt.Errorf("cluster: replica %d carries workload fields — the fleet spec owns the workload", i)
-		}
-		if c.Arrival != serve.Poisson || c.Rate != 0 || c.Clients != 0 || c.Requests != 0 || c.Seed != 0 ||
-			len(c.Schedule) > 0 || c.Turns != 0 || c.Think != 0 {
-			return fmt.Errorf("cluster: replica %d carries arrival fields — the fleet spec owns the arrival process", i)
-		}
-		// Compose the raw (un-defaulted) workload: serve.Validate applies
-		// its own defaulting, and folding the degenerate mix here first
-		// would trip serve's shape/mix exclusivity.
-		if err := s.serveWorkload(c).Validate(); err != nil {
+		if err := r.Spec.ValidateCapacity(w); err != nil {
 			return fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
 	}
@@ -234,21 +182,6 @@ type Result struct {
 	PerRequest []RequestMetrics
 }
 
-// expandReplicas flattens Count repetitions into the per-replica capacity
-// list, remembering each replica's descriptor index.
-func expandReplicas(reps []Replica) (specs []serve.Spec, descriptor []int, err error) {
-	for d, r := range reps {
-		for k := 0; k < r.Count; k++ {
-			specs = append(specs, r.Spec)
-			descriptor = append(descriptor, d)
-		}
-	}
-	if len(specs) == 0 {
-		return nil, nil, fmt.Errorf("cluster: fleet expanded to zero replicas (all counts zero?)")
-	}
-	return specs, descriptor, nil
-}
-
 // eachReplica runs f(0..r-1) on one goroutine per replica and waits. It
 // is where the fleet runs in parallel: a load-independent router's
 // replicas each push and drain their whole share here, and a load-aware
@@ -303,24 +236,11 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
-	s = s.withDefaults()
 
-	// The fleet arrival stream, through the same generation seam serve.Run
-	// draws from — byte-identical timestamps and shapes for the same
-	// workload and seed.
-	times, shapes := rn.times[:0], rn.shapes[:0]
-	if len(s.Trace) > 0 {
-		for _, ev := range s.Trace {
-			times = append(times, ev.Arrival)
-			shapes = append(shapes, ev.Request)
-		}
-	} else {
-		proc := workload.ArrivalProcess{
-			Rate: s.Rate, Schedule: s.Schedule,
-			Turns: s.Turns, Think: s.Think, Seed: s.Seed,
-		}
-		times, shapes = proc.Generate(s.Mix, s.Requests, times, shapes)
-	}
+	// The fleet arrival stream, through the same workload.Spec.Stream
+	// serve.Run draws from — byte-identical timestamps and shapes for the
+	// same workload and seed.
+	times, shapes := s.Workload().WithDefaults().Stream(rn.times[:0], rn.shapes[:0])
 	rn.times, rn.shapes = times, shapes
 	// Every replica is built on the whole stream's shapes, so each prices
 	// exactly as a single-replica Run of the fleet workload would.
@@ -328,9 +248,15 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		return Result{}, err
 	}
 
-	specs, descriptor, err := expandReplicas(s.Replicas)
-	if err != nil {
-		return Result{}, err
+	// Flatten the descriptors' Counts (zero instantiates one) into the
+	// per-replica capacity list, remembering each one's descriptor.
+	var specs []serve.Spec
+	var descriptor []int
+	for d, r := range s.Replicas {
+		for range max(r.Count, 1) {
+			specs = append(specs, r.Spec)
+			descriptor = append(descriptor, d)
+		}
 	}
 	R := len(specs)
 	for len(rn.reps) < R {
@@ -485,13 +411,4 @@ func merge(s Spec, instances []*serve.Instance, routed [][]int, descriptor []int
 	res.TTFT, res.TPOT, res.E2E, res.Queue = sum.TTFT, sum.TPOT, sum.E2E, sum.Queue
 	res.PerTenant = sum.PerTenant
 	return res, nil
-}
-
-// validateRate mirrors serve's Poisson rate validation for the knee
-// analyzer's probe rates.
-func validateRate(rate float64) error {
-	if !(rate > 0) || math.IsInf(rate, 0) {
-		return fmt.Errorf("cluster: need a positive finite rate, got %g", rate)
-	}
-	return nil
 }

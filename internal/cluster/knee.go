@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
+
+	"optimus/internal/workload"
 )
 
 // DefaultKneeTolerance is the bisection's relative rate tolerance when
@@ -94,10 +96,10 @@ func FindKnee(ks KneeSpec) (Knee, error) {
 	if !(ks.SLOE2EP95 > 0) || math.IsInf(ks.SLOE2EP95, 0) {
 		return Knee{}, fmt.Errorf("cluster: need a positive finite p95 E2E SLO, got %g", ks.SLOE2EP95)
 	}
-	if err := validateRate(ks.MinRate); err != nil {
+	if err := workload.ValidateRate(ks.MinRate); err != nil {
 		return Knee{}, fmt.Errorf("cluster: bad MinRate: %w", err)
 	}
-	if err := validateRate(ks.MaxRate); err != nil {
+	if err := workload.ValidateRate(ks.MaxRate); err != nil {
 		return Knee{}, fmt.Errorf("cluster: bad MaxRate: %w", err)
 	}
 	if ks.MinRate >= ks.MaxRate {

@@ -100,21 +100,14 @@ func NewInstance(s Spec, envelope []workload.Request) (*Instance, error) {
 // fraction. The Runner's single-live-simulation contract applies:
 // building a new Instance (or calling Run) invalidates the previous one.
 func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
-	if len(s.Mix) > 0 || s.Trace != nil || s.PromptTokens != 0 || s.GenTokens != 0 || s.PrefixTokens != 0 {
-		return nil, fmt.Errorf("serve: an instance spec carries capacity only — leave PromptTokens/GenTokens/PrefixTokens/Mix/Trace zero, the router pushes requests")
-	}
-	if s.Arrival != Poisson || s.Rate != 0 || s.Clients != 0 || s.Requests != 0 || s.Seed != 0 ||
-		len(s.Schedule) > 0 || s.Turns != 0 || s.Think != 0 {
-		return nil, fmt.Errorf("serve: an instance spec carries no arrival process — leave Arrival/Rate/Clients/Requests/Seed/Schedule/Turns/Think zero")
+	if err := s.capacityOnly(); err != nil {
+		return nil, err
 	}
 	if len(env.trace) == 0 {
 		return nil, fmt.Errorf("serve: an instance needs a non-empty shape envelope")
 	}
 	s.Trace = env.trace
-	if err := s.inferSpec().Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.validateKnobs(); err != nil {
+	if err := s.validateCapacity(); err != nil {
 		return nil, err
 	}
 	// Requests stays zero: it pre-sizes Run's slabs and sets its
@@ -139,17 +132,11 @@ func (in *Instance) Push(r workload.Request, t float64) error {
 	if !(t >= in.lastT) || math.IsInf(t, 0) {
 		return fmt.Errorf("serve: push at %g not finite and non-decreasing (previous %g)", t, in.lastT)
 	}
-	if err := workload.ValidateTenantName(r.Tenant); err != nil {
+	if err := r.Validate(); err != nil {
 		return fmt.Errorf("serve: push: %w", err)
-	}
-	if r.PromptTokens < 1 || r.GenTokens < 1 {
-		return fmt.Errorf("serve: push needs a positive prompt and at least one generated token, got %d/%d", r.PromptTokens, r.GenTokens)
 	}
 	if c := r.Context(); c > in.sim.kv1 {
 		return fmt.Errorf("serve: pushed request spans %d tokens, beyond the instance envelope's largest context %d", c, in.sim.kv1)
-	}
-	if err := workload.ValidatePrefix(r.PrefixID, r.PrefixTokens, r.PromptTokens); err != nil {
-		return fmt.Errorf("serve: push: %w", err)
 	}
 	if r.PrefixTokens > 0 {
 		if !in.sim.spec.cachesPrefixes() {

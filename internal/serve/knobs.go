@@ -56,7 +56,7 @@ var Knobs = [...]Knob{
 	// the spec-wide one, per-entry mix or trace prefixes and the growing
 	// context of session cohorts.
 	knobPrefixTokens: {Field: "PrefixTokens", Flag: "prefix", Policies: []Policy{Paged}, Preempts: true,
-		set: func(s Spec) bool { return s.PrefixTokens != 0 || s.prefixed() }},
+		set: func(s Spec) bool { return s.Workload().Prefixed() }},
 	knobHostKVBytes: {Field: "HostKVBytes", Flag: "kv-host-gb", Policies: []Policy{Paged}, Preempts: true,
 		set: func(s Spec) bool { return s.HostKVBytes != 0 }},
 	knobSwapGBps: {Field: "SwapGBps", Flag: "swap-gbps", Policies: []Policy{Paged}, Preempts: true, Partner: "HostKVBytes",
@@ -136,7 +136,7 @@ func (s Spec) Canonical() Spec {
 	if !Knobs[knobPrefixTokens].applies(s.Policy, s.NoPreempt) || s.Turns <= 1 {
 		s.Turns, s.Think = 0, 0
 	}
-	return s.canonical(s.bounds().maxContext)
+	return s.canonical(s.bounds().MaxContext)
 }
 
 // canonical is Canonical's knob rule against a precomputed largest

@@ -154,8 +154,8 @@ func newPolicy(s Spec) AdmissionPolicy {
 	b := s.bounds()
 	return &reservePolicy{
 		budget: budget, perRequest: perRequest,
-		maxContext: b.maxContext, minContext: b.minContext,
-		uniform: b.uniform(), userCap: s.MaxBatch,
+		maxContext: b.MaxContext, minContext: b.MinContext,
+		uniform: b.Uniform(), userCap: s.MaxBatch,
 	}
 }
 
@@ -374,7 +374,7 @@ type prefixEntry struct {
 // on 32-bit targets.
 func newPagedPolicy(s Spec, budget, perRequest float64) *pagedPolicy {
 	b := s.bounds()
-	context := b.maxContext
+	context := b.MaxContext
 	c := s.canonical(context)
 	pt := c.PageTokens
 	p := &pagedPolicy{
@@ -410,10 +410,10 @@ func newPagedPolicy(s Spec, budget, perRequest float64) *pagedPolicy {
 		}
 	}
 	p.perToken = perRequest / float64(context)
-	p.admitPages = p.pagesFor(b.minPrompt + 1)
+	p.admitPages = p.pagesFor(b.MinPrompt + 1)
 	p.fullPages = p.pagesFor(context)
-	p.minFull = p.pagesFor(b.minContext)
-	if s.prefixed() && !p.split {
+	p.minFull = p.pagesFor(b.MinContext)
+	if s.Workload().Prefixed() && !p.split {
 		// Prefixed shapes split their pages into shared + private spans,
 		// each rounded up separately: the feasibility unit is the largest
 		// such split (≥ the unsplit page count), the cap unit the smallest
@@ -439,16 +439,13 @@ func poolPages(budgetPages, devs, tp int) int {
 }
 
 // prefixPageUnits derives the paged feasibility and cap units of a
-// prefixed workload by folding every shape: the largest
+// prefixed workload by folding its extreme shapes: the largest
 // prefix-pages + private-full-context-pages sum (what the oldest sequence
 // can need to finish after everything else is evicted and every other
 // prefix reclaimed), and the smallest admission need (a resident-prefix
-// hit charging its private prompt's pages alone). Session cohorts fold
-// their extreme turns — the prefix-free first turn and the largest
-// context-grown last turn — and heavy-tailed mixes fold both clamp
-// corners, so the units bound every shape the generator can emit.
+// hit charging its private prompt's pages alone).
 func prefixPageUnits(s Spec, p *pagedPolicy) (fullPages, admitPages int) {
-	fold := func(first bool, prompt, gen, prefix int) {
+	s.Workload().Extremes(func(first bool, prompt, gen, prefix int) {
 		full := p.pagesFor(prefix) + p.pagesFor(prompt-prefix+gen)
 		admit := p.pagesFor(prompt - prefix + 1)
 		if first || full > fullPages {
@@ -457,33 +454,7 @@ func prefixPageUnits(s Spec, p *pagedPolicy) (fullPages, admitPages int) {
 		if first || admit < admitPages {
 			admitPages = admit
 		}
-	}
-	if len(s.Trace) > 0 {
-		for i, ev := range s.Trace {
-			fold(i == 0, ev.PromptTokens, ev.GenTokens, ev.PrefixTokens)
-		}
-		return fullPages, admitPages
-	}
-	turns := s.Turns
-	if turns < 1 {
-		turns = 1
-	}
-	for i, t := range s.Mix {
-		pmin, pmax := t.PromptBounds()
-		gmin, gmax := t.GenBounds()
-		if turns > 1 {
-			// Turn 1 carries no prefix; turn k's context grows linearly, so
-			// the last turn of the largest draw is the full-pages extreme.
-			fold(i == 0, pmin, gmin, 0)
-			ctx := (turns - 1) * (pmax + gmax)
-			fold(false, ctx+pmax, gmax, ctx)
-			continue
-		}
-		fold(i == 0, pmin, gmin, t.PrefixTokens)
-		if pmax != pmin || gmax != gmin {
-			fold(false, pmax, gmax, t.PrefixTokens)
-		}
-	}
+	})
 	return fullPages, admitPages
 }
 

@@ -16,13 +16,10 @@
 // over the decode steps), and E2E latency, with p50/p95/p99 percentiles —
 // the SLO surface capacity planning ranks on.
 //
-// Requests carry their own per-request prompt/generation lengths: a
-// workload is either generated from a seeded multi-tenant Mix (per-tenant
-// rate shares and shapes), replayed from an explicit Trace, or — the
-// degenerate single-tenant case — shaped by the spec-wide
-// PromptTokens/GenTokens, which a uniform one-entry Mix reproduces
-// byte-identically. Results break the SLO percentiles down per tenant
-// (Result.PerTenant) alongside the aggregate view.
+// Requests carry their own prompt/generation lengths, streamed from the
+// spec's workload.Spec — a multi-tenant Mix, a replayed Trace, or the
+// degenerate spec-wide shape — and results break the SLO percentiles down
+// per tenant (Result.PerTenant) alongside the aggregate view.
 //
 // KV-cache admission is a pluggable AdmissionPolicy with two
 // implementations selected by Spec.Policy:
@@ -95,60 +92,28 @@ type Spec struct {
 	Algorithm comm.Algorithm
 	Flash     bool
 
-	// PromptTokens and GenTokens shape every request (the paper's Table 2
-	// uses 200/200). They are the degenerate single-tenant workload: when
-	// Mix and Trace are empty they become a one-entry Mix under
-	// DefaultTenant. Leave them zero when Mix or Trace is set.
+	// The workload: the request shapes (the spec-wide
+	// PromptTokens/GenTokens/PrefixTokens — the paper's Table 2 uses
+	// 200/200 — or a Mix, or a replayed Trace) and the arrival process
+	// (Poisson at Rate or along a Schedule, optionally in sessions of
+	// Turns requests Think seconds apart, or Clients closed-loop clients;
+	// Requests of them, zero meaning 256, drawn from Seed). Workload and
+	// SetWorkload convert them to a workload.Spec, whose documentation and
+	// rules they follow; Arrival ClosedLoop is its Closed. Shared prefixes
+	// and session cohorts need the paged policy with preemption.
 	PromptTokens int
 	GenTokens    int
-
-	// PrefixTokens marks the leading PrefixTokens prompt tokens of the
-	// degenerate single-tenant workload as a shared prefix, cached by the
-	// paged policy under a DefaultTenant-named prefix id (see
-	// Request.PrefixID). Explicit Mix/Trace workloads carry per-entry
-	// prefixes instead — leave this zero with them. Paged policy only.
 	PrefixTokens int
-
-	// Mix generates a multi-tenant workload: each tenant contributes a
-	// share of the arrival process and shapes its requests with its own
-	// prompt/generation lengths. Tenant assignment is drawn from a second
-	// seeded stream, so a single-tenant mix reproduces the spec-wide
-	// workload byte-identically.
-	Mix []workload.TenantLoad
-	// Trace replays an explicit request timeline (arrival, tenant, prompt,
-	// gen) instead of generating one: it fixes the arrival process and the
-	// request count, so Arrival/Rate/Clients/Requests stay unset.
-	Trace []workload.TraceEvent
-
-	// Arrival selects the request process; the zero value is Poisson.
-	Arrival Arrival
-	// Rate is the Poisson arrival rate in requests/sec.
-	Rate float64
-	// Schedule shapes the Poisson process with a piecewise arrival-rate
-	// timeline (diurnal/burst segments, workload.ParseSchedule's
-	// "0-60:5,60-120:25" syntax). It fixes the rate, so Rate stays zero
-	// with it; a schedule that canonicalizes to a constant reproduces the
-	// plain Rate run byte-identically. Poisson arrivals only.
-	Schedule workload.Schedule
-	// Clients is the closed-loop concurrency.
-	Clients int
-	// Turns expands the generated workload into multi-turn session
-	// cohorts: each session issues Turns requests, and turn n+1's prompt
-	// carries the session's whole prior context as a growing shared prefix
-	// (exercising the paged policy's prefix cache the way production
-	// sessions do). 0 or 1 is the ordinary single-turn workload,
-	// byte-identical to the pre-session behavior. Sessions own their
-	// prefixes, so the mix must be prefix-free; Poisson arrivals and the
-	// paged policy with preemption only.
-	Turns int
-	// Think is the pause between a session's consecutive turns in
-	// simulated seconds; zero means back-to-back turns. Requires Turns > 1.
-	Think float64
-	// Requests is the number of requests to simulate; zero means 256.
-	Requests int
-	// Seed drives the arrival process; runs with equal seeds are
-	// byte-identical.
-	Seed int64
+	Mix          []workload.TenantLoad
+	Trace        []workload.TraceEvent
+	Arrival      Arrival
+	Rate         float64
+	Schedule     workload.Schedule
+	Clients      int
+	Turns        int
+	Think        float64
+	Requests     int
+	Seed         int64
 
 	// MaxBatch caps concurrent sequences per iteration; zero derives the
 	// largest batch the admission policy's KV budget holds.
@@ -236,27 +201,34 @@ type probeState struct {
 	hostPages, hostTotal int
 }
 
+// Workload returns the spec's workload description; SetWorkload
+// replaces it. Every workload rule — defaults, shape bounds, the arrival
+// stream and the field checks — is workload.Spec's.
+func (s Spec) Workload() workload.Spec {
+	return workload.Spec{
+		PromptTokens: s.PromptTokens, GenTokens: s.GenTokens, PrefixTokens: s.PrefixTokens,
+		Mix: s.Mix, Trace: s.Trace,
+		Rate: s.Rate, Schedule: s.Schedule, Turns: s.Turns, Think: s.Think,
+		Requests: s.Requests, Seed: s.Seed,
+		Closed: s.Arrival != Poisson, Clients: s.Clients,
+	}
+}
+
+// SetWorkload replaces the spec's workload fields with w's.
+func (s *Spec) SetWorkload(w workload.Spec) {
+	s.PromptTokens, s.GenTokens, s.PrefixTokens = w.PromptTokens, w.GenTokens, w.PrefixTokens
+	s.Mix, s.Trace = w.Mix, w.Trace
+	s.Rate, s.Schedule, s.Turns, s.Think = w.Rate, w.Schedule, w.Turns, w.Think
+	s.Requests, s.Seed = w.Requests, w.Seed
+	s.Arrival, s.Clients = Poisson, w.Clients
+	if w.Closed {
+		s.Arrival = ClosedLoop
+	}
+}
+
+// withDefaults fills the workload's derivable fields.
 func (s Spec) withDefaults() Spec {
-	if len(s.Trace) > 0 {
-		if s.Requests == 0 {
-			s.Requests = len(s.Trace)
-		}
-		return s
-	}
-	if len(s.Mix) == 0 {
-		pid := ""
-		if s.PrefixTokens > 0 {
-			pid = workload.DefaultTenant
-		}
-		s.Mix = []workload.TenantLoad{{
-			Tenant: workload.DefaultTenant, Share: 1,
-			PromptTokens: s.PromptTokens, GenTokens: s.GenTokens,
-			PrefixID: pid, PrefixTokens: s.PrefixTokens,
-		}}
-	}
-	if s.Requests == 0 {
-		s.Requests = 256
-	}
+	s.SetWorkload(s.Workload().WithDefaults())
 	return s
 }
 
@@ -267,91 +239,13 @@ func (s Spec) inferSpec() infer.Spec {
 	b := s.bounds()
 	return infer.Spec{
 		Model: s.Model, System: s.System, TP: s.TP, Batch: 1,
-		PromptTokens: b.maxPrompt, GenTokens: b.maxGen,
+		PromptTokens: b.MaxPrompt, GenTokens: b.MaxGen,
 		Precision: s.Precision, Algorithm: s.Algorithm, Flash: s.Flash,
 	}
 }
 
-// shapeBounds are the extreme request shapes of one workload, derived once
-// per simulation: the step-cost engine is configured at the largest prompt
-// and generation, the KV geometry at the largest context, and the derived
-// batch caps at the smallest (a cap is an upper bound on concurrency — the
-// per-request admission math is the real gate).
-type shapeBounds struct {
-	minPrompt, maxPrompt   int
-	maxGen                 int
-	minContext, maxContext int
-}
-
-// fold folds one request shape into the running bounds.
-func (b *shapeBounds) fold(first bool, prompt, gen int) {
-	c := prompt + gen
-	if first {
-		*b = shapeBounds{minPrompt: prompt, maxPrompt: prompt, maxGen: gen, minContext: c, maxContext: c}
-		return
-	}
-	if prompt < b.minPrompt {
-		b.minPrompt = prompt
-	}
-	if prompt > b.maxPrompt {
-		b.maxPrompt = prompt
-	}
-	if gen > b.maxGen {
-		b.maxGen = gen
-	}
-	if c < b.minContext {
-		b.minContext = c
-	}
-	if c > b.maxContext {
-		b.maxContext = c
-	}
-}
-
-// bounds resolves the workload's shape bounds: the trace's when replaying,
-// the mix's when generating, and the spec-wide fields when neither is set
-// (Canonical and the validation paths that run before withDefaults fills
-// the degenerate mix).
-// Heavy-tailed mix entries fold both clamp corners, and session cohorts
-// fold the largest turn's context-grown prompt — the extremes are knowable
-// from the spec alone (workload.HeavyTailCap bounds every draw), so the
-// step-cost engine and KV geometry never see a shape they were not
-// configured for.
-func (s Spec) bounds() shapeBounds {
-	var b shapeBounds
-	if len(s.Trace) > 0 {
-		for i, ev := range s.Trace {
-			b.fold(i == 0, ev.PromptTokens, ev.GenTokens)
-		}
-		return b
-	}
-	turns := s.Turns
-	if turns < 1 {
-		turns = 1
-	}
-	// The spec-wide shape folds like the one-entry mix withDefaults makes
-	// of it, session growth included.
-	mix := s.Mix
-	if len(mix) == 0 {
-		mix = []workload.TenantLoad{{PromptTokens: s.PromptTokens, GenTokens: s.GenTokens}}
-	}
-	for i, t := range mix {
-		pmin, pmax := t.PromptBounds()
-		gmin, gmax := t.GenBounds()
-		// Session turn k's prompt carries (k-1)·(P+G) prior context;
-		// the largest turn of the largest draw bounds the workload.
-		pmaxTurn := (turns-1)*(pmax+gmax) + pmax
-		b.fold(i == 0, pmin, gmin)
-		if pmaxTurn != pmin || gmax != gmin {
-			b.fold(false, pmaxTurn, gmax)
-		}
-	}
-	return b
-}
-
-// uniform reports whether every request spans one common context length,
-// which lets the reservation policy keep the PR-3 multiply-by-count float
-// path (bit-identical for the degenerate workload) instead of summing.
-func (b shapeBounds) uniform() bool { return b.minContext == b.maxContext }
+// bounds resolves the workload's shape bounds.
+func (s Spec) bounds() workload.Bounds { return s.Workload().Bounds() }
 
 // inferenceFootprint is the footprint model behind kvBudget; a package
 // variable so tests can count invocations and pin that Run derives the KV
@@ -366,7 +260,7 @@ var inferenceFootprint = memfoot.Inference
 // simulation, from newPolicy — the footprint model is far too slow for the
 // event loop.
 func (s Spec) kvBudget() (budget, perRequest float64) {
-	fp := inferenceFootprint(s.Model, s.TP, 1, s.bounds().maxContext, s.Precision.Bytes())
+	fp := inferenceFootprint(s.Model, s.TP, 1, s.bounds().MaxContext, s.Precision.Bytes())
 	budget = s.KVCapacity
 	if budget <= 0 {
 		budget = s.System.Device.DRAMCapacity() - fp.Weights
@@ -374,152 +268,69 @@ func (s Spec) kvBudget() (budget, perRequest float64) {
 	return budget, fp.KVCache
 }
 
-// Validate checks the experiment, including that the largest request's
+// Validate checks the experiment: the workload (workload.Spec.Validate)
+// and the capacity serving it, including that the largest request's
 // weights + full-context KV-cache fit the device (Feasible's verdict).
 func (s Spec) Validate() error {
-	if err := s.validateExclusive(); err != nil {
-		return err
-	}
-	s = s.withDefaults()
-	if err := s.validateShape(); err != nil {
+	s, err := s.resolve()
+	if err != nil {
 		return err
 	}
 	return s.validateFit(newPolicy(s))
 }
 
-// validateExclusive rejects ambiguous workload-field combinations before
-// withDefaults folds the spec-wide shape into the degenerate mix.
-func (s Spec) validateExclusive() error {
-	if len(s.Mix) > 0 && len(s.Trace) > 0 {
-		return fmt.Errorf("serve: Mix and Trace are mutually exclusive")
+// resolve validates everything but the fit and returns the spec with its
+// workload defaulted.
+func (s Spec) resolve() (Spec, error) {
+	if s.Arrival != Poisson && s.Arrival != ClosedLoop {
+		return s, fmt.Errorf("serve: unknown arrival process %v", s.Arrival)
 	}
-	// A non-nil empty trace is a replay of nothing, not a request to
-	// generate a workload: without this check it would fall through to the
-	// mix path and silently simulate the spec-wide shape instead of the
-	// trace the caller supplied.
-	if s.Trace != nil && len(s.Trace) == 0 {
-		return fmt.Errorf("serve: empty trace — a replay needs at least one event (leave Trace nil to generate a workload)")
+	w := s.Workload()
+	if err := w.Validate(); err != nil {
+		return s, fmt.Errorf("serve: %w", err)
 	}
-	if (len(s.Mix) > 0 || len(s.Trace) > 0) && (s.PromptTokens != 0 || s.GenTokens != 0) {
-		return fmt.Errorf("serve: PromptTokens/GenTokens describe the degenerate single-tenant workload — leave them zero with an explicit Mix or Trace")
+	s.SetWorkload(w.WithDefaults())
+	return s, s.validateCapacity()
+}
+
+// ValidateCapacity checks a capacity-only spec — workload and arrival
+// fields zero — serving the workload w, which the caller validated: the
+// step-cost configuration, the policy knobs against w, and the fit of
+// w's largest request. A fleet validates its one workload once and each
+// replica against it this way.
+func (s Spec) ValidateCapacity(w workload.Spec) error {
+	if err := s.capacityOnly(); err != nil {
+		return err
 	}
-	if (len(s.Mix) > 0 || len(s.Trace) > 0) && s.PrefixTokens != 0 {
-		return fmt.Errorf("serve: PrefixTokens shapes the degenerate single-tenant workload — set per-entry prefixes in an explicit Mix or Trace")
+	s.SetWorkload(w.WithDefaults())
+	if err := s.validateCapacity(); err != nil {
+		return err
+	}
+	return s.validateFit(newPolicy(s))
+}
+
+// capacityOnly rejects the workload and arrival fields of a capacity
+// spec, whose requests a router pushes.
+func (s Spec) capacityOnly() error {
+	for f, set := range s.Workload().SetFields() {
+		switch f := workload.Field(f); {
+		case !set:
+		case f <= workload.FieldTrace:
+			return fmt.Errorf("serve: a capacity spec carries capacity only, no workload fields — leave %s zero, the router pushes requests", f)
+		default:
+			return fmt.Errorf("serve: a capacity spec carries no arrival process, so no arrival fields — leave %s zero", f)
+		}
 	}
 	return nil
 }
 
-// prefixed reports whether any workload shape carries a non-empty shared
-// prefix. Run on the defaulted spec (the spec-wide PrefixTokens has been
-// folded into the degenerate mix by then). Session cohorts count: their
-// mix entries are prefix-free, but every generated turn past the first
-// carries the session's accumulated context as a shared prefix.
-func (s Spec) prefixed() bool {
-	if s.Turns > 1 {
-		return true
-	}
-	for _, t := range s.Mix {
-		if t.PrefixTokens > 0 {
-			return true
-		}
-	}
-	for _, ev := range s.Trace {
-		if ev.PrefixTokens > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// validateShape checks everything that does not need the KV geometry —
-// run before newPolicy, since deriving the geometry dereferences the
-// system a garbage spec may not have.
-func (s Spec) validateShape() error {
+// validateCapacity checks the step-cost configuration and the capacity
+// knobs — everything that does not need the KV geometry, run before
+// newPolicy, since deriving the geometry dereferences the system a
+// garbage spec may not have.
+func (s Spec) validateCapacity() error {
 	if err := s.inferSpec().Validate(); err != nil {
 		return err
-	}
-	if len(s.Trace) > 0 {
-		if err := workload.ValidateTrace(s.Trace); err != nil {
-			return err
-		}
-		// A trace fixes the arrival process and the request count; fields
-		// that would shape a generated workload are rejected rather than
-		// silently ignored.
-		if s.Arrival != Poisson || s.Rate != 0 || s.Clients != 0 || s.Seed != 0 ||
-			len(s.Schedule) > 0 || s.Turns != 0 || s.Think != 0 {
-			return fmt.Errorf("serve: a trace fixes the arrival process — leave Arrival/Rate/Clients/Seed/Schedule/Turns/Think unset")
-		}
-		if s.Requests != len(s.Trace) {
-			return fmt.Errorf("serve: Requests is derived from the trace (leave it zero, got %d for a %d-event trace)",
-				s.Requests, len(s.Trace))
-		}
-	} else {
-		if err := workload.ValidateMix(s.Mix); err != nil {
-			return err
-		}
-		switch s.Arrival {
-		case Poisson:
-			if len(s.Schedule) > 0 {
-				if err := s.Schedule.Validate(); err != nil {
-					return err
-				}
-				// A schedule fixes the whole rate timeline; a spec setting
-				// both believes two different arrival processes shaped the
-				// run.
-				if s.Rate != 0 {
-					return fmt.Errorf("serve: Schedule fixes the arrival rate — leave Rate zero with it, got %g", s.Rate)
-				}
-			} else
-			// Negated-positive form so NaN (which fails every comparison,
-			// and would stall the event loop with NaN arrival times) is
-			// rejected.
-			if !(s.Rate > 0) || math.IsInf(s.Rate, 0) {
-				return fmt.Errorf("serve: Poisson arrivals need a positive finite rate, got %g", s.Rate)
-			}
-			// The CLI rejects -clients under Poisson; the library must be
-			// as strict rather than silently ignoring the field.
-			if s.Clients != 0 {
-				return fmt.Errorf("serve: Clients applies to closed-loop arrivals only — leave it zero with Poisson, got %d", s.Clients)
-			}
-		case ClosedLoop:
-			if s.Clients <= 0 {
-				return fmt.Errorf("serve: closed-loop arrivals need positive clients, got %d", s.Clients)
-			}
-			if s.Rate != 0 {
-				return fmt.Errorf("serve: Rate applies to Poisson arrivals only — leave it zero closed-loop, got %g", s.Rate)
-			}
-			if len(s.Schedule) > 0 {
-				return fmt.Errorf("serve: Schedule shapes open-loop Poisson arrivals only — closed-loop clients issue on completion")
-			}
-			if s.Turns != 0 {
-				return fmt.Errorf("serve: session cohorts are open-loop — Turns applies to Poisson arrivals only, got %d", s.Turns)
-			}
-		default:
-			return fmt.Errorf("serve: unknown arrival process %v", s.Arrival)
-		}
-		if s.Turns < 0 {
-			return fmt.Errorf("serve: negative session turns %d", s.Turns)
-		}
-		if s.Turns > 1 {
-			// Sessions grow a shared prefix turn over turn; only the paged
-			// policy's refcounted block registry can cache and grow it.
-			if !s.cachesPrefixes() {
-				return fmt.Errorf("serve: session cohorts grow a shared prefix — they need the paged policy with preemption enabled (Policy: Paged, NoPreempt unset)")
-			}
-			for _, t := range s.Mix {
-				if t.PrefixID != "" || t.PrefixTokens != 0 {
-					return fmt.Errorf("serve: session cohorts own the shared prefix — drop per-entry prefixes from the mix (tenant %q carries one)", t.Tenant)
-				}
-			}
-		}
-		if s.Think != 0 {
-			if s.Turns <= 1 {
-				return fmt.Errorf("serve: Think is the pause between session turns — set Turns > 1 with it, got Think %g", s.Think)
-			}
-			if !(s.Think >= 0) || math.IsInf(s.Think, 0) {
-				return fmt.Errorf("serve: think time %g not finite and non-negative", s.Think)
-			}
-		}
 	}
 	return s.validateKnobs()
 }
@@ -529,8 +340,6 @@ func (s Spec) validateShape() error {
 // shapes were validated once for every replica.
 func (s Spec) validateKnobs() error {
 	switch {
-	case s.Requests < 0:
-		return fmt.Errorf("serve: negative request count %d", s.Requests)
 	case s.MaxBatch < 0:
 		return fmt.Errorf("serve: negative batch cap %d", s.MaxBatch)
 	case s.KVCapacity < 0 || math.IsNaN(s.KVCapacity) || math.IsInf(s.KVCapacity, 0):
@@ -544,7 +353,14 @@ func (s Spec) validateKnobs() error {
 	// sets them believes they shaped the simulation.
 	if err := CheckKnobs([]Policy{s.Policy}, s.NoPreempt,
 		func(k Knob) bool { return k.set(s) },
-		func(k Knob) string { return k.Field }, "Policy"); err != nil {
+		func(k Knob) string {
+			// A prefix surviving the workload rules alongside Turns above
+			// 1 is the session cohort's own.
+			if k.Field == Knobs[knobPrefixTokens].Field && s.Turns > 1 {
+				return "Turns above 1"
+			}
+			return k.Field
+		}, "Policy"); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	// Every knob is now zero or read by the policy: range-check the values.
@@ -571,7 +387,7 @@ func (s Spec) validateKnobs() error {
 func (s Spec) validateFit(pol AdmissionPolicy) error {
 	if !pol.Feasible() {
 		return fmt.Errorf("serve: one %d-token request does not fit the device (weights + KV-cache exceed %g bytes)",
-			s.bounds().maxContext, s.System.Device.DRAMCapacity())
+			s.bounds().MaxContext, s.System.Device.DRAMCapacity())
 	}
 	return nil
 }
@@ -892,11 +708,8 @@ func NewRunner() *Runner { return new(Runner) }
 // Run executes one simulation on the Runner's pooled state. See Run (the
 // package function) for semantics.
 func (rn *Runner) Run(s Spec) (Result, error) {
-	if err := s.validateExclusive(); err != nil {
-		return Result{}, err
-	}
-	s = s.withDefaults()
-	if err := s.validateShape(); err != nil {
+	s, err := s.resolve()
+	if err != nil {
 		return Result{}, err
 	}
 	sim := &rn.sim
@@ -908,32 +721,14 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	// assignment is identical whether ids are issued open- or closed-loop.
 	// Open-loop arrivals are pre-generated; closed-loop ones are issued on
 	// completion.
-	switch {
-	case len(s.Trace) > 0:
-		arrivals, shapes := rn.arrivalsBuf[:0], rn.shapesBuf[:0]
-		for _, ev := range s.Trace {
-			arrivals = append(arrivals, ev.Arrival)
-			shapes = append(shapes, ev.Request)
-		}
-		rn.arrivalsBuf, rn.shapesBuf = arrivals, shapes
-		sim.arrivals, sim.shapes = arrivals, shapes
+	rn.arrivalsBuf, rn.shapesBuf = s.Workload().Stream(rn.arrivalsBuf[:0], rn.shapesBuf[:0])
+	sim.shapes = rn.shapesBuf
+	if s.Arrival == Poisson {
+		sim.arrivals = rn.arrivalsBuf
 		sim.issued = s.Requests
-	case s.Arrival == Poisson:
-		proc := workload.ArrivalProcess{
-			Rate: s.Rate, Schedule: s.Schedule,
-			Turns: s.Turns, Think: s.Think, Seed: s.Seed,
-		}
-		rn.arrivalsBuf, rn.shapesBuf = proc.Generate(s.Mix, s.Requests, rn.arrivalsBuf[:0], rn.shapesBuf[:0])
-		sim.arrivals, sim.shapes = rn.arrivalsBuf, rn.shapesBuf
-		sim.issued = s.Requests
-	default:
-		rn.shapesBuf = workload.AppendMixShapes(rn.shapesBuf[:0], s.Mix, s.Requests, s.Seed)
-		sim.shapes = rn.shapesBuf
+	} else {
 		sim.closed = true
-		clients := s.Clients
-		if clients > s.Requests {
-			clients = s.Requests
-		}
+		clients := min(s.Clients, s.Requests)
 		for i := 0; i < clients; i++ {
 			sim.enqueue(i, 0)
 		}

@@ -194,7 +194,7 @@ func (sim *simulator) reset(s Spec) error {
 	// intermediate per-request length exactly.
 	bounds := s.bounds()
 	is := s.inferSpec()
-	kv0, kv1 := bounds.minPrompt+1, bounds.maxContext
+	kv0, kv1 := bounds.MinPrompt+1, bounds.MaxContext
 	if sim.coster == nil || is != sim.costerSpec || kv0 != sim.kv0 || kv1 != sim.kv1 {
 		// Pricing inputs changed (or first run): rebuild the coster and
 		// invalidate every cached sample. An identical key prices every
@@ -218,7 +218,7 @@ func (sim *simulator) reset(s Spec) error {
 	sim.pp = pp
 	sim.kv0 = kv0
 	sim.kv1 = kv1
-	sim.refPrompt = bounds.maxPrompt
+	sim.refPrompt = bounds.MaxPrompt
 	sim.budget = pol.budgetBytes()
 	sim.invBudget = 1 / sim.budget
 	sim.batchCap = pol.BatchCap()

@@ -25,7 +25,7 @@ func clearWorkload(s *Spec) {
 
 // TestTraceRequestsDerivedInAllEntryPaths: the CLI zeroes spec.Requests for
 // -trace and relies on withDefaults deriving it from the event count before
-// validateShape checks Requests == len(Trace). That derivation must hold
+// the workload rule checks Requests against len(Trace). That derivation must hold
 // for every entry path a library caller can take — Run, Validate, and
 // Feasible — not just the CLI's.
 func TestTraceRequestsDerivedInAllEntryPaths(t *testing.T) {

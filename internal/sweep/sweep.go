@@ -131,39 +131,37 @@ type Spec struct {
 	GenTokens []int
 	// Rates are Poisson arrival rates in requests/sec, serving only; nil
 	// means {1} (unless Schedules or Trace supplies the arrival process).
+	// The serving workload axes — Seqs, GenTokens, PrefixTokens, Rates,
+	// Schedules, Turns, Think, Mixes, Trace, ServeRequests and ServeSeed —
+	// obey workload.Check's rules: a mix or trace replaces the spec-wide
+	// shape, a trace the arrival axes, a schedule the rate, and a session
+	// cohort the shared prefix.
 	Rates []float64
 	// Schedules are piecewise-constant arrival-rate timelines
 	// (workload.Schedule), serving only: each entry is one grid-axis value
 	// replacing the constant rate, so one sweep can rank a bursty diurnal
-	// profile against its flat average. Mutually exclusive with Rates and
-	// Trace (each fixes the arrival process). A schedule that canonicalizes
-	// to a constant rate enumerates as the equivalent plain-rate candidate
-	// — one memo key, like the policy-knob axes.
+	// profile against its flat average. A schedule that canonicalizes to a
+	// constant rate enumerates as the equivalent plain-rate candidate.
 	Schedules []workload.Schedule
 	// Turns are the session-cohort depths to compare per grid cell, serving
 	// only: each entry above 1 expands the candidate's arrival stream into
 	// multi-turn client sessions (serve.Spec.Turns), whose growing shared
-	// context exercises the paged prefix cache. 0 and 1 are the plain
-	// single-turn stream. Entries above 1 require a Paged entry in Policies
-	// (other policies canonicalize the axis to zero) and replace the
-	// spec-wide PrefixTokens axis (a session owns its shared prefix).
+	// context exercises the paged prefix cache; 0 and 1 are the plain
+	// stream. Entries above 1 need a Paged entry in Policies (other
+	// policies canonicalize the axis to zero).
 	Turns []int
 	// Think is the pause between a session's consecutive turns in seconds,
-	// serving only; requires a Turns entry above 1 (zero with single-turn
-	// candidates).
+	// serving only (zero with single-turn candidates).
 	Think float64
 	// BatchCaps are iteration batch caps, serving only; 0 derives the
 	// largest KV-fitting batch. Nil means {0}.
 	BatchCaps []int
 	// Mixes are multi-tenant workload mixes, serving only: each entry is
 	// one grid-axis value, so one sweep can rank a chat-heavy mix against
-	// a batch-heavy one per rate × batch-cap point. Mixes replaces the
-	// Seqs/GenTokens axes (a mix fixes its own request shapes).
+	// a batch-heavy one per rate × batch-cap point.
 	Mixes [][]workload.TenantLoad
 	// Trace replays one fixed request timeline per serving candidate
-	// (systems × precisions × batch caps × policies), serving only. It
-	// replaces the Rates, Seqs and GenTokens axes and is mutually
-	// exclusive with Mixes.
+	// (systems × precisions × batch caps × policies), serving only.
 	Trace []workload.TraceEvent
 	// Policies are the KV admission policies to compare per grid cell
 	// (serve.ReserveFull, serve.Paged and serve.Disaggregated), serving
@@ -194,9 +192,8 @@ type Spec struct {
 	// one sweep can rank prefix-cache savings across hit fractions. A
 	// zero entry is the plain unprefixed shape; nil means {0}. Requires a
 	// Paged entry in Policies when non-zero (other policies ignore the
-	// axis and canonicalize to zero); Mixes and Trace carry per-entry
-	// prefixes instead, so the axis is rejected alongside them. Entries
-	// at or beyond a cell's prompt length skip that cell.
+	// axis and canonicalize to zero). Entries at or beyond a cell's prompt
+	// length skip that cell.
 	PrefixTokens []int
 	// HostKVBytes are the host KV tier capacities (bytes) to compare per
 	// grid cell, serving only: each entry lets the paged policy's
@@ -267,6 +264,21 @@ func (s Spec) knobAxis(k serve.Knob) (name string, set bool) {
 		return k.Field, s.SwapGBps != 0
 	}
 	return k.Field, false
+}
+
+// workloadAxes names the grid axis that sets each workload.Field, for
+// workload.Check; closed-loop arrivals have no axis.
+var workloadAxes = [workload.NumFields]string{"Seqs", "GenTokens", "PrefixTokens", "Mixes", "Mixes", "Trace",
+	"Rates", "Schedules", "Turns", "Turns", "Think", "ServeRequests", "ServeSeed", "", ""}
+
+// workloadSet reports which workload fields the grid's axes set.
+func (s Spec) workloadSet() [workload.NumFields]bool {
+	return [workload.NumFields]bool{
+		len(s.Seqs) > 0, len(s.GenTokens) > 0, slices.ContainsFunc(s.PrefixTokens, func(n int) bool { return n > 0 }),
+		len(s.Mixes) > 0, slices.ContainsFunc(s.Mixes, workload.MixPrefixed), s.Trace != nil,
+		len(s.Rates) > 0, len(s.Schedules) > 0, len(s.Turns) > 0, slices.ContainsFunc(s.Turns, func(n int) bool { return n > 1 }),
+		s.Think != 0, s.ServeRequests != 0, s.ServeSeed != 0, false, false, // NaN != 0: a NaN Think is set
+	}
 }
 
 func (s Spec) withDefaults() Spec {
@@ -342,29 +354,19 @@ func (s Spec) withDefaults() Spec {
 // Validate checks the grid shape.
 func (s Spec) Validate() error {
 	if s.Workload != Serving {
-		if len(s.Rates) > 0 || len(s.BatchCaps) > 0 || s.ServeRequests != 0 || s.ServeSeed != 0 {
-			return fmt.Errorf("sweep: Rates/BatchCaps/ServeRequests/ServeSeed apply to serving sweeps only")
+		// The workload axes past the request shape an inference sweep
+		// shares, then the capacity and fleet axes.
+		set := s.workloadSet()
+		for f := workload.FieldMix; f < workload.NumFields; f++ {
+			if set[f] {
+				return fmt.Errorf("sweep: %s applies to serving sweeps only", workloadAxes[f])
+			}
 		}
-		if len(s.Policies) > 0 || s.ServePageTokens != 0 {
-			return fmt.Errorf("sweep: Policies/ServePageTokens apply to serving sweeps only")
-		}
-		if len(s.PoolSplits) > 0 || s.TransferGBps != 0 {
-			// NaN bandwidths land here too: NaN != 0.
-			return fmt.Errorf("sweep: PoolSplits/TransferGBps apply to serving sweeps only")
-		}
-		if len(s.Mixes) > 0 || len(s.Trace) > 0 {
-			return fmt.Errorf("sweep: Mixes/Trace apply to serving sweeps only")
-		}
-		if len(s.Replicas) > 0 || len(s.Routings) > 0 {
-			return fmt.Errorf("sweep: Replicas/Routings apply to serving sweeps only")
-		}
-		if len(s.PrefixTokens) > 0 || len(s.HostKVBytes) > 0 || s.SwapGBps != 0 {
-			// NaN bandwidths land here too: NaN != 0.
-			return fmt.Errorf("sweep: PrefixTokens/HostKVBytes/SwapGBps apply to serving sweeps only")
-		}
-		if len(s.Schedules) > 0 || len(s.Turns) > 0 || s.Think != 0 {
-			// NaN think times land here too: NaN != 0.
-			return fmt.Errorf("sweep: Schedules/Turns/Think apply to serving sweeps only")
+		// NaN bandwidths land here too: NaN != 0.
+		if len(s.BatchCaps) > 0 || len(s.Policies) > 0 || s.ServePageTokens != 0 || len(s.PoolSplits) > 0 ||
+			s.TransferGBps != 0 || len(s.PrefixTokens) > 0 || len(s.HostKVBytes) > 0 || s.SwapGBps != 0 ||
+			len(s.Replicas) > 0 || len(s.Routings) > 0 {
+			return fmt.Errorf("sweep: BatchCaps, Policies, ServePageTokens, PoolSplits, TransferGBps, PrefixTokens, HostKVBytes, SwapGBps, Replicas and Routings apply to serving sweeps only")
 		}
 	}
 	switch s.Workload {
@@ -391,15 +393,13 @@ func (s Spec) Validate() error {
 			if len(s.GlobalBatches) > 0 {
 				return fmt.Errorf("sweep: GlobalBatches does not apply to serving sweeps (use BatchCaps)")
 			}
-			for _, r := range s.Rates {
-				// Negated-positive form rejects NaN, which would stall
-				// the serving simulator's event loop.
-				if !(r > 0) || math.IsInf(r, 0) {
-					return fmt.Errorf("sweep: arrival rate %g not positive and finite", r)
-				}
+			if err := workload.Check(s.workloadSet(), func(f workload.Field) string { return workloadAxes[f] }); err != nil {
+				return fmt.Errorf("sweep: %w", err)
 			}
-			if len(s.Schedules) > 0 && len(s.Rates) > 0 {
-				return fmt.Errorf("sweep: Schedules and Rates both fix the arrival rate — set exactly one axis")
+			for _, r := range s.Rates {
+				if err := workload.ValidateRate(r); err != nil {
+					return fmt.Errorf("sweep: %w", err)
+				}
 			}
 			for _, sch := range s.Schedules {
 				if err := sch.Validate(); err != nil {
@@ -459,26 +459,6 @@ func (s Spec) Validate() error {
 				"Policies"); err != nil {
 				return fmt.Errorf("sweep: %w", err)
 			}
-			hasPrefix := slices.ContainsFunc(s.PrefixTokens, func(n int) bool { return n > 0 })
-			hasSessions := slices.ContainsFunc(s.Turns, func(n int) bool { return n > 1 })
-			if hasPrefix && (len(s.Mixes) > 0 || len(s.Trace) > 0) {
-				return fmt.Errorf("sweep: PrefixTokens shapes the spec-wide workload — give Mixes/Trace entries their own per-entry prefixes")
-			}
-			if hasSessions && hasPrefix {
-				return fmt.Errorf("sweep: session cohorts own the shared prefix — drop the PrefixTokens axis with Turns above 1")
-			}
-			if hasSessions {
-				for _, mix := range s.Mixes {
-					for _, t := range mix {
-						if t.PrefixTokens > 0 {
-							return fmt.Errorf("sweep: session cohorts own the shared prefix — drop per-entry prefixes from the mixes (tenant %q carries one)", t.Tenant)
-						}
-					}
-				}
-			}
-			if s.Think != 0 && !hasSessions {
-				return fmt.Errorf("sweep: Think is the pause between session turns — set a Turns entry above 1 with it, got Think %g", s.Think)
-			}
 			if !(s.Think >= 0) || math.IsInf(s.Think, 0) {
 				return fmt.Errorf("sweep: think time %g not finite and non-negative", s.Think)
 			}
@@ -511,32 +491,12 @@ func (s Spec) Validate() error {
 			if len(s.Routings) > 0 && !hasFleet {
 				return fmt.Errorf("sweep: Routings needs a positive fleet size in Replicas")
 			}
-			if len(s.Mixes) > 0 {
-				if len(s.Trace) > 0 {
-					return fmt.Errorf("sweep: Mixes and Trace are mutually exclusive")
-				}
-				if len(s.Seqs) > 0 || len(s.GenTokens) > 0 {
-					return fmt.Errorf("sweep: Mixes replaces the Seqs/GenTokens axes (a mix fixes its own request shapes)")
-				}
-				for _, mix := range s.Mixes {
-					if err := workload.ValidateMix(mix); err != nil {
-						return err
-					}
+			for _, mix := range s.Mixes {
+				if err := workload.ValidateMix(mix); err != nil {
+					return err
 				}
 			}
-			if len(s.Trace) > 0 {
-				if len(s.Rates) > 0 || len(s.Seqs) > 0 || len(s.GenTokens) > 0 {
-					return fmt.Errorf("sweep: Trace replaces the Rates/Seqs/GenTokens axes (a trace fixes arrivals and request shapes)")
-				}
-				if len(s.Schedules) > 0 || len(s.Turns) > 0 {
-					return fmt.Errorf("sweep: Trace fixes the arrival process — leave the Schedules/Turns axes unset")
-				}
-				// The trace also fixes the request count and carries no
-				// arrival randomness — reject the knobs it would silently
-				// ignore.
-				if s.ServeRequests != 0 || s.ServeSeed != 0 {
-					return fmt.Errorf("sweep: Trace fixes the request count and arrivals — leave ServeRequests/ServeSeed unset")
-				}
+			if s.Trace != nil {
 				if err := workload.ValidateTrace(s.Trace); err != nil {
 					return err
 				}
@@ -1205,57 +1165,46 @@ func evaluateInference(p Point) (Metrics, error) {
 	}, nil
 }
 
-// servingSpec builds the simulator configuration of one serving point.
-// Enumeration already canonicalized PageTokens (zero unless paged), so
-// the fields pass straight through serve.Spec's strict validation. The
-// request shapes come from the candidate's trace, mix, or spec-wide
-// prompt/generation fields — exactly one of the three.
+// servingSpec builds the simulator configuration of one serving point,
+// whose knobs enumeration already canonicalized.
 func servingSpec(p Point) serve.Spec {
-	sp := serve.Spec{
+	sp := capacitySpec(p)
+	sp.SetWorkload(p.workload())
+	return sp
+}
+
+// capacitySpec is the serving point's capacity alone: the instance a
+// single-instance candidate simulates and a fleet candidate replicates.
+func capacitySpec(p Point) serve.Spec {
+	return serve.Spec{
 		Model: p.Model, System: p.System, TP: p.Map.TP, Precision: p.Precision,
 		MaxBatch: p.BatchCap, Policy: p.Policy, PageTokens: p.PageTokens,
 		PrefillDevices: p.PrefillDevices, DecodeDevices: p.DecodeDevices,
 		TransferGBps: p.TransferGBps,
 		HostKVBytes:  p.HostKVBytes, SwapGBps: p.SwapGBps,
 	}
-	switch {
-	case len(p.Trace) > 0:
-		// The trace fixes arrivals, seed and request count.
-		sp.Trace = p.Trace
-	case len(p.Mix) > 0:
-		sp.Mix = p.Mix
-		sp.Arrival, sp.Rate = serve.Poisson, p.Rate
-		sp.Requests, sp.Seed = p.ServeRequests, p.ServeSeed
-		sp.Schedule, sp.Turns, sp.Think = p.Schedule, p.Turns, p.Think
-	default:
-		sp.PromptTokens, sp.GenTokens = p.Seq, p.GenTokens
-		sp.PrefixTokens = p.PrefixTokens
-		sp.Arrival, sp.Rate = serve.Poisson, p.Rate
-		sp.Requests, sp.Seed = p.ServeRequests, p.ServeSeed
-		sp.Schedule, sp.Turns, sp.Think = p.Schedule, p.Turns, p.Think
+}
+
+// workload is the serving point's workload. Enumeration zeroes what the
+// point's shape excludes, so the fields map one to one.
+func (p Point) workload() workload.Spec {
+	return workload.Spec{
+		PromptTokens: p.Seq, GenTokens: p.GenTokens, PrefixTokens: p.PrefixTokens,
+		Mix: p.Mix, Trace: p.Trace,
+		Rate: p.Rate, Schedule: p.Schedule, Turns: p.Turns, Think: p.Think,
+		Requests: p.ServeRequests, Seed: p.ServeSeed,
 	}
-	return sp
 }
 
 // clusterSpec builds the fleet configuration of a Replicas > 0 serving
-// point: the single-instance serve spec split into its capacity descriptor
-// (instantiated Replicas times — sweep fleets are homogeneous) and the
-// fleet-wide workload/arrival fields internal/cluster owns.
+// point: the capacity instantiated Replicas times (sweep fleets are
+// homogeneous) serving the point's workload fleet-wide.
 func clusterSpec(p Point) cluster.Spec {
-	cap := servingSpec(p)
 	cs := cluster.Spec{
-		Routing:      p.Routing,
-		PromptTokens: cap.PromptTokens, GenTokens: cap.GenTokens,
-		PrefixTokens: cap.PrefixTokens,
-		Mix:          cap.Mix, Trace: cap.Trace,
-		Rate: cap.Rate, Requests: cap.Requests, Seed: cap.Seed,
-		Schedule: cap.Schedule, Turns: cap.Turns, Think: cap.Think,
+		Replicas: []cluster.Replica{{Spec: capacitySpec(p), Count: p.Replicas}},
+		Routing:  p.Routing,
 	}
-	cap.PromptTokens, cap.GenTokens, cap.PrefixTokens = 0, 0, 0
-	cap.Mix, cap.Trace = nil, nil
-	cap.Arrival, cap.Rate, cap.Requests, cap.Seed = serve.Poisson, 0, 0, 0
-	cap.Schedule, cap.Turns, cap.Think = nil, 0, 0
-	cs.Replicas = []cluster.Replica{{Spec: cap, Count: p.Replicas}}
+	cs.SetWorkload(p.workload())
 	return cs
 }
 

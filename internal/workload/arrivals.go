@@ -182,8 +182,13 @@ func sessionPrefixID(session int) string {
 // across its turns. Turn 1 carries no prefix id (there is nothing cached
 // yet to share). The merged stream is stably sorted by arrival and
 // truncated to n requests, so a cohort workload simulates exactly n
-// requests like any other.
+// requests like any other. A session's turns past the n-th can never
+// survive the truncation (its first n turns arrive no later and precede
+// them in generation order), so none past the n-th is built.
 func expandSessions(arrivals []float64, shapes []Request, n, turns int, think float64) ([]float64, []Request) {
+	if think >= 0 {
+		turns = min(turns, n)
+	}
 	sessions := len(arrivals)
 	total := sessions * turns
 	outT := make([]float64, 0, total)
@@ -229,9 +234,8 @@ func expandSessions(arrivals []float64, shapes []Request, n, turns int, think fl
 
 // ArrivalProcess is the seeded, deterministic description of how a
 // generated workload arrives: a constant Poisson rate or a piecewise
-// Schedule, optionally expanded into multi-turn session cohorts. It is
-// the seam serve.Run, the cluster fleet stream and the sweep evaluator
-// all generate through.
+// Schedule, optionally expanded into multi-turn session cohorts.
+// Spec.Stream draws every generated workload through it.
 type ArrivalProcess struct {
 	// Rate is the constant Poisson arrival rate in requests/sec; ignored
 	// when Schedule is non-empty.

@@ -1,11 +1,15 @@
-// Package workload generates and validates serving workloads: request
-// shapes, multi-tenant mixes, replay traces, piecewise arrival-rate
-// schedules, heavy-tailed length draws, and multi-turn session cohorts.
-// Everything is seeded and deterministic — the serving simulator
-// (internal/serve), the fleet router (internal/cluster) and the sweep
-// engine (internal/sweep) all consume one ArrivalProcess abstraction, so
-// a workload knob behaves identically at every layer and fingerprints
-// into the sweep's memo keys.
+// Package workload describes serving workloads: request shapes,
+// multi-tenant mixes, replay traces, piecewise arrival-rate schedules,
+// heavy-tailed length draws and multi-turn session cohorts. Spec is the
+// one description, and it owns the one rule: its defaults, its shape
+// bounds, its request stream (trace replay or ArrivalProcess.Generate)
+// and Check, the exclusivity and session rules. The serving simulator
+// (internal/serve) and the fleet router (internal/cluster) validate and
+// stream their workload fields through it, the sweep engine
+// (internal/sweep) checks its axes and builds each candidate's Spec, and
+// optimus serve, cluster and sweep check their flags with Check. So a
+// workload behaves, and is rejected, identically at every layer. Every
+// draw is seeded and deterministic.
 //
 // Degenerate corners are load-bearing: a constant (or empty) Schedule
 // reproduces the plain Poisson stream byte-identically, zero length
@@ -63,6 +67,23 @@ type Request struct {
 
 // Context is the request's full KV span.
 func (r Request) Context() int { return r.PromptTokens + r.GenTokens }
+
+// Validate checks one request shape: a tenant name that survives the
+// renderings (ValidateTenantName), at least one prompt and one generated
+// token, and a well-formed shared prefix (ValidatePrefix). Mix entries,
+// trace events and every pushed request pass through it.
+func (r Request) Validate() error {
+	if err := ValidateTenantName(r.Tenant); err != nil {
+		return err
+	}
+	switch {
+	case r.PromptTokens < 1:
+		return fmt.Errorf("needs a positive prompt length, got %d", r.PromptTokens)
+	case r.GenTokens < 1:
+		return fmt.Errorf("needs at least one generated token, got %d", r.GenTokens)
+	}
+	return ValidatePrefix(r.PrefixID, r.PrefixTokens, r.PromptTokens)
+}
 
 // TenantLoad is one tenant's contribution to a generated workload mix: a
 // relative share of the arrival rate (shares are weights — they need not
@@ -227,8 +248,15 @@ func ValidateMix(mix []TenantLoad) error {
 	seen := make(map[string]bool, len(mix))
 	var prefixes map[string]int
 	for _, t := range mix {
-		if err := ValidateTenantName(t.Tenant); err != nil {
-			return fmt.Errorf("workload: mix entry: %w", err)
+		err := t.Shape().Validate()
+		if err == nil {
+			err = validateSigma(t.PromptSigma, "prompt")
+		}
+		if err == nil {
+			err = validateSigma(t.GenSigma, "generation")
+		}
+		if err != nil {
+			return fmt.Errorf("workload: tenant %q: %w", t.Tenant, err)
 		}
 		if seen[t.Tenant] {
 			return fmt.Errorf("workload: duplicate mix tenant %q", t.Tenant)
@@ -237,25 +265,9 @@ func ValidateMix(mix []TenantLoad) error {
 		if !(t.Share > 0) || math.IsInf(t.Share, 0) {
 			return fmt.Errorf("workload: tenant %q needs a positive finite share, got %g", t.Tenant, t.Share)
 		}
-		if t.PromptTokens < 1 {
-			return fmt.Errorf("workload: tenant %q needs a positive prompt length, got %d", t.Tenant, t.PromptTokens)
-		}
-		if t.GenTokens < 1 {
-			return fmt.Errorf("workload: tenant %q needs at least one generated token, got %d", t.Tenant, t.GenTokens)
-		}
-		if err := validateSigma(t.PromptSigma, "prompt"); err != nil {
-			return fmt.Errorf("workload: tenant %q: %w", t.Tenant, err)
-		}
-		if err := validateSigma(t.GenSigma, "generation"); err != nil {
-			return fmt.Errorf("workload: tenant %q: %w", t.Tenant, err)
-		}
-		if err := ValidatePrefix(t.PrefixID, t.PrefixTokens, t.PromptTokens); err != nil {
-			return fmt.Errorf("workload: tenant %q: %w", t.Tenant, err)
-		}
 		// A heavy-tailed prompt with a shared prefix stays legal only
 		// because the draw clamps to PrefixTokens+1; the median itself must
 		// still clear the prefix (ValidatePrefix above uses the median).
-		var err error
 		if prefixes, err = prefixConsistency(prefixes, t.PrefixID, t.PrefixTokens, false); err != nil {
 			return fmt.Errorf("workload: %w", err)
 		}
@@ -270,7 +282,7 @@ func ValidateMix(mix []TenantLoad) error {
 // validation.
 func ValidateTrace(trace []TraceEvent) error {
 	if len(trace) == 0 {
-		return fmt.Errorf("workload: empty trace")
+		return fmt.Errorf("workload: empty trace — a replay needs at least one event (leave Trace nil to generate a workload)")
 	}
 	prev := 0.0
 	var prefixes map[string]int
@@ -280,14 +292,8 @@ func ValidateTrace(trace []TraceEvent) error {
 				i, ev.Arrival, prev)
 		}
 		prev = ev.Arrival
-		if err := ValidateTenantName(ev.Tenant); err != nil {
+		if err := ev.Request.Validate(); err != nil {
 			return fmt.Errorf("workload: trace event %d: %w", i, err)
-		}
-		if ev.PromptTokens < 1 {
-			return fmt.Errorf("workload: trace event %d needs a positive prompt length, got %d", i, ev.PromptTokens)
-		}
-		if ev.GenTokens < 1 {
-			return fmt.Errorf("workload: trace event %d needs at least one generated token, got %d", i, ev.GenTokens)
 		}
 		if ev.Session < 0 || ev.Turn < 0 {
 			return fmt.Errorf("workload: trace event %d: negative session fields (session %d, turn %d)", i, ev.Session, ev.Turn)
@@ -295,9 +301,6 @@ func ValidateTrace(trace []TraceEvent) error {
 		if (ev.Session > 0) != (ev.Turn > 0) {
 			return fmt.Errorf("workload: trace event %d: Session and Turn mark a cohort row together (session %d, turn %d)",
 				i, ev.Session, ev.Turn)
-		}
-		if err := ValidatePrefix(ev.PrefixID, ev.PrefixTokens, ev.PromptTokens); err != nil {
-			return fmt.Errorf("workload: trace event %d: %w", i, err)
 		}
 		var err error
 		if prefixes, err = prefixConsistency(prefixes, ev.PrefixID, ev.PrefixTokens, ev.Session > 0); err != nil {
