@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 loc
+.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 loc examples
 
 check: vet lint build cover-race
 
@@ -67,6 +67,15 @@ cluster-bench:
 # unbuilt.
 build-386:
 	GOOS=linux GOARCH=386 $(GO) build ./...
+
+# Run every example program end to end; a non-zero exit fails the
+# target. The examples drive the public API, sweeps included, so `go
+# build` alone cannot catch one that a validation change now rejects.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null; \
+	done
 
 # Non-test Go lines per package of the optimus module (bench/ is its own
 # module): the total and the code alone, without blank or comment lines

@@ -27,7 +27,7 @@ import (
 	"strings"
 
 	"optimus"
-	"optimus/internal/memfoot"
+	"optimus/internal/repro"
 	"optimus/internal/tech"
 	"optimus/internal/uarch"
 	"optimus/internal/units"
@@ -431,7 +431,7 @@ func cmdValidate(args []string) error {
 	fmt.Println(tb)
 	var errs []float64
 	for i, c := range valdata.Table1() {
-		spec, perr := reproTrainSpec(c)
+		spec, perr := repro.TrainSpecFor(c)
 		if perr != nil {
 			return perr
 		}
@@ -464,24 +464,6 @@ func cmdValidate(args []string) error {
 		return fmt.Errorf("validation gates exceeded")
 	}
 	return nil
-}
-
-// reproTrainSpec rebuilds the Table 1 experiment spec for validation.
-func reproTrainSpec(c valdata.TrainCase) (optimus.TrainSpec, error) {
-	cfg, err := optimus.ModelByName(c.Model)
-	if err != nil {
-		return optimus.TrainSpec{}, err
-	}
-	sys, err := optimus.NewSystem("a100", c.GPUs, "nvlink3", "hdr")
-	if err != nil {
-		return optimus.TrainSpec{}, err
-	}
-	return optimus.TrainSpec{
-		Model: cfg, System: sys,
-		Map:         optimus.Mapping{DP: c.DP, TP: c.TP, PP: c.PP, SP: c.SP, Microbatch: 1, Schedule: optimus.OneFOneB},
-		GlobalBatch: c.Batch, Seq: 2048, Precision: optimus.BF16,
-		Recompute: memfoot.Recompute(c.Recompute),
-	}, nil
 }
 
 func cmdList(args []string) error {

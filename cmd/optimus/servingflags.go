@@ -67,9 +67,9 @@ func flagsSet(fs *flag.FlagSet) map[string]bool {
 
 // capacity builds the capacity spec of one serving instance: model,
 // system, precision, batching and the admission policy with its knobs.
-// Knobs the policy would silently ignore are rejected by flag name, and
-// the link bandwidths resolve their defaults so the simulation and every
-// output format report the same values.
+// Knobs the policy would silently ignore are rejected by flag name from
+// the serve.Knobs table, and the link bandwidths resolve their defaults
+// so the simulation and every output format report the same values.
 func (f *servingFlags) capacity(set map[string]bool) (optimus.ServeSpec, error) {
 	cfg, err := optimus.ModelByName(*f.model)
 	if err != nil {
@@ -87,7 +87,18 @@ func (f *servingFlags) capacity(set map[string]bool) (optimus.ServeSpec, error) 
 	if err != nil {
 		return optimus.ServeSpec{}, err
 	}
-	if err := rejectPolicyFlagMisuse(set, []optimus.ServePolicy{pol}, "-policy", *f.turns > 1); err != nil {
+	// Session cohorts (a -turns value above 1) are prefix caching, so
+	// they answer for the -prefix row when -prefix is not given.
+	turnsOnly := *f.turns > 1 && !set["prefix"]
+	if err := serve.CheckKnobs([]optimus.ServePolicy{pol}, set["no-preempt"],
+		func(k serve.Knob) bool { return set[k.Flag] || (k.Flag == "prefix" && turnsOnly) },
+		func(k serve.Knob) string {
+			if k.Flag == "prefix" && turnsOnly {
+				return "-turns above 1"
+			}
+			return "-" + k.Flag
+		},
+		"-policy"); err != nil {
 		return optimus.ServeSpec{}, err
 	}
 	spec := optimus.ServeSpec{
@@ -105,39 +116,21 @@ func (f *servingFlags) capacity(set map[string]bool) (optimus.ServeSpec, error) 
 
 // serveWorkloadFlags names the flag that sets each workload field under
 // optimus serve, in workload.Field order; clusterWorkloadFlags drops the
-// closed-loop ones a fleet lacks, and sweepWorkloadFlags spells the
-// sweep's axes.
+// closed-loop ones a fleet lacks. optimus sweep spells its axes through
+// the sweep.Axes table instead.
 var (
 	serveWorkloadFlags = [workload.NumFields]string{"prompt", "gen", "prefix", "mix", "mix", "trace",
 		"rate", "schedule", "turns", "turns", "think", "requests", "seed", "arrival", "clients"}
 	clusterWorkloadFlags = [workload.NumFields]string{"prompt", "gen", "prefix", "mix", "mix", "trace",
 		"rate", "schedule", "turns", "turns", "think", "requests", "seed"}
-	sweepWorkloadFlags = [workload.NumFields]string{"seqs", "gen", "prefix", "mix", "mix", "trace",
-		"rates", "schedules", "turns", "turns", "think", "serve-requests", "serve-seed"}
 )
 
-// checkWorkloadFlags applies workload.Check to a command line, naming
-// flags: a field is set when its flag is given, except the ones derived
-// from parsed values — session cohorts (a -turns value above 1), the
-// closed-loop process (-arrival closed) and prefixed -mix entries.
-func checkWorkloadFlags(flags *[workload.NumFields]string, given map[string]bool, sessions, closed, mixPrefix bool) error {
-	var set [workload.NumFields]bool
-	for f, flag := range flags {
-		set[f] = given[flag]
-	}
-	set[workload.FieldSessions], set[workload.FieldClosed], set[workload.FieldMixPrefix] = sessions, closed, mixPrefix
-	return workload.Check(set, func(f workload.Field) string {
-		if flags[f] == "" {
-			return ""
-		}
-		return "-" + flags[f]
-	})
-}
-
-// workload builds the workload the flags describe once checkWorkloadFlags
-// accepts the flags given. closed selects optimus serve's closed-loop
-// process (the caller supplies its clients); flags is the command's
-// spelling table.
+// workload builds the workload the flags describe once workload.Check
+// accepts the flags given, naming them: a field is set when its flag is
+// given, except the ones derived from parsed values — session cohorts (a
+// -turns value above 1), the closed-loop process (closed: -arrival
+// closed, the caller supplying its clients) and prefixed -mix entries.
+// flags is the command's spelling table.
 func (f *servingFlags) workload(set map[string]bool, flags *[workload.NumFields]string, closed bool) (workload.Spec, error) {
 	var w workload.Spec
 	var err error
@@ -146,7 +139,17 @@ func (f *servingFlags) workload(set map[string]bool, flags *[workload.NumFields]
 			return w, err
 		}
 	}
-	if err := checkWorkloadFlags(flags, set, *f.turns > 1, closed, workload.MixPrefixed(w.Mix)); err != nil {
+	var fields [workload.NumFields]bool
+	for fl, flag := range flags {
+		fields[fl] = set[flag]
+	}
+	fields[workload.FieldSessions], fields[workload.FieldClosed], fields[workload.FieldMixPrefix] = *f.turns > 1, closed, workload.MixPrefixed(w.Mix)
+	if err := workload.Check(fields, func(fl workload.Field) string {
+		if flags[fl] == "" {
+			return ""
+		}
+		return "-" + flags[fl]
+	}); err != nil {
 		return w, err
 	}
 	if *f.trace != "" {
@@ -166,23 +169,4 @@ func (f *servingFlags) workload(set map[string]bool, flags *[workload.NumFields]
 		w.Schedule, err = optimus.ParseServeSchedule(*f.schedule)
 	}
 	return w, err
-}
-
-// rejectPolicyFlagMisuse rejects admission-policy knobs no policy in pols
-// reads, naming the flags. It reads the serve.Knobs table, with the one
-// -policy of optimus serve and cluster and the -policies list of optimus
-// sweep alike; polFlag names the flag that set pols. Session cohorts
-// (sessions: a -turns value above 1) are prefix caching, so they answer
-// for the -prefix row when -prefix is not given.
-func rejectPolicyFlagMisuse(set map[string]bool, pols []optimus.ServePolicy, polFlag string, sessions bool) error {
-	turnsOnly := sessions && !set["prefix"]
-	return serve.CheckKnobs(pols, set["no-preempt"],
-		func(k serve.Knob) bool { return set[k.Flag] || (k.Flag == "prefix" && turnsOnly) },
-		func(k serve.Knob) string {
-			if k.Flag == "prefix" && turnsOnly {
-				return "-turns above 1"
-			}
-			return "-" + k.Flag
-		},
-		polFlag)
 }

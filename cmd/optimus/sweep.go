@@ -12,9 +12,9 @@ import (
 	"strings"
 
 	"optimus"
+	"optimus/internal/sweep"
 	"optimus/internal/tech"
 	"optimus/internal/units"
-	"optimus/internal/workload"
 )
 
 // cmdSweep evaluates a cross-product experiment grid with the concurrent
@@ -82,121 +82,29 @@ func cmdSweep(args []string) error {
 	default:
 		return fmt.Errorf("unknown workload %q (train|infer|serve)", *kind)
 	}
-	if spec.Workload != optimus.TrainingSweep {
-		// Inference and serving maps are fixed to TP = device count
-		// (§1.3), so the training-only axes would be silently ignored —
-		// reject instead.
-		if *maxTP != 0 || *micros != "" || *recs != "" {
-			return fmt.Errorf("-max-tp, -microbatches and -recomputes apply to training sweeps only")
-		}
-	}
-	set := flagsSet(fs)
-	if spec.Workload != optimus.ServingSweep {
-		for _, f := range []string{"rates", "batch-caps", "serve-requests", "serve-seed", "schedules", "turns", "think",
-			"mix", "trace", "policies", "page-tokens", "prefill-devices", "decode-devices", "transfer-gbps",
-			"prefix", "kv-host-gb", "swap-gbps", "replicas", "routings"} {
-			if set[f] {
-				return fmt.Errorf("-%s applies to serving sweeps only", f)
-			}
-		}
-	} else if set["batches"] {
-		return fmt.Errorf("-batches does not apply to serving sweeps (use -batch-caps)")
-	}
-	// Reject flag combinations no candidate on the grid would read, naming
-	// the flags — the same parity surface as optimus serve, ahead of the
-	// library's axis-named validation.
-	for _, m := range strings.Split(*mixes, ";") {
-		if m = strings.TrimSpace(m); m == "" {
-			continue
-		}
-		mix, merr := optimus.ParseServeMix(m)
-		if merr != nil {
-			return merr
-		}
-		spec.Mixes = append(spec.Mixes, mix)
-	}
-	if spec.Turns, err = splitInts(*turnsFlag); err != nil {
-		return fmt.Errorf("-turns: %w", err)
-	}
-	sessions := slices.ContainsFunc(spec.Turns, func(n int) bool { return n > 1 })
-	if err := checkWorkloadFlags(&sweepWorkloadFlags, set, sessions, false,
-		slices.ContainsFunc(spec.Mixes, workload.MixPrefixed)); err != nil {
-		return err
-	}
-	if *trace != "" {
-		tr, terr := loadTrace(*trace)
-		if terr != nil {
-			return terr
-		}
-		spec.Trace = tr
-	}
-	for _, name := range splitList(*policies) {
-		pol, polErr := optimus.ParseServePolicy(name)
-		if polErr != nil {
-			return polErr
-		}
-		spec.Policies = append(spec.Policies, pol)
-	}
-	// Policy knobs no -policies entry reads would be silently discarded.
-	if err := rejectPolicyFlagMisuse(set, spec.Policies, "-policies", sessions); err != nil {
-		return err
-	}
+	// Every flag but the trace file parses into the grid first, so the
+	// axis table can check the flags given, naming them, before any file
+	// is read. Mixes and schedules are semicolon-separated because their
+	// entries are themselves comma-separated.
+	atoi, atof := strconv.Atoi, func(f string) (float64, error) { return strconv.ParseFloat(f, 64) }
+	spec.Mixes = splitEach(*mixes, "mix", ";", optimus.ParseServeMix, &err)
+	spec.Turns = splitEach(*turnsFlag, "turns", ",", atoi, &err)
+	spec.Policies = splitEach(*policies, "policies", ",", optimus.ParseServePolicy, &err)
 	spec.ServePageTokens = *pageTokens
-	// The pool-split axis zips -prefill-devices with -decode-devices:
-	// entry i of each list forms one split, so "2,4" + "6,4" compares a
-	// 2+6 split against a 4+4 one.
-	prefills, err := splitInts(*prefillDevices)
-	if err != nil {
-		return fmt.Errorf("-prefill-devices: %w", err)
-	}
-	decodes, err := splitInts(*decodeDevices)
-	if err != nil {
-		return fmt.Errorf("-decode-devices: %w", err)
-	}
-	if len(prefills) != len(decodes) {
-		return fmt.Errorf("-prefill-devices and -decode-devices must zip: got %d vs %d entries", len(prefills), len(decodes))
-	}
-	for i := range prefills {
-		spec.PoolSplits = append(spec.PoolSplits, optimus.SweepPoolSplit{Prefill: prefills[i], Decode: decodes[i]})
-	}
+	prefills := splitEach(*prefillDevices, "prefill-devices", ",", atoi, &err)
+	decodes := splitEach(*decodeDevices, "decode-devices", ",", atoi, &err)
 	spec.TransferGBps = *transferGBps
-	if spec.PrefixTokens, err = splitInts(*prefixesFlag); err != nil {
-		return fmt.Errorf("-prefix: %w", err)
-	}
-	hostGBs, err := splitFloats(*hostKVGBs)
-	if err != nil {
-		return fmt.Errorf("-kv-host-gb: %w", err)
-	}
-	for _, gb := range hostGBs {
-		spec.HostKVBytes = append(spec.HostKVBytes, gb*1e9)
-	}
+	spec.PrefixTokens = splitEach(*prefixesFlag, "prefix", ",", atoi, &err)
+	spec.HostKVBytes = splitEach(*hostKVGBs, "kv-host-gb", ",", func(f string) (float64, error) {
+		gb, gbErr := atof(f)
+		return gb * 1e9, gbErr
+	}, &err)
 	spec.SwapGBps = *swapGBps
-	if spec.Replicas, err = splitInts(*replicasFlag); err != nil {
-		return fmt.Errorf("-replicas: %w", err)
-	}
-	for _, name := range splitList(*routings) {
-		rt, rtErr := optimus.ParseClusterRouting(name)
-		if rtErr != nil {
-			return rtErr
-		}
-		spec.Routings = append(spec.Routings, rt)
-	}
-	if len(spec.Routings) > 0 && !slices.ContainsFunc(spec.Replicas, func(r int) bool { return r > 0 }) {
-		return fmt.Errorf("-routings needs a positive fleet size in -replicas (a fleet of one routes identically under every policy)")
-	}
-
-	for _, name := range splitList(*models) {
-		cfg, cfgErr := optimus.ModelByName(name)
-		if cfgErr != nil {
-			return cfgErr
-		}
-		spec.Models = append(spec.Models, cfg)
-	}
-	counts, err := splitInts(*gpus)
-	if err != nil {
-		return fmt.Errorf("-gpus: %w", err)
-	}
-	for _, dev := range splitList(*devices) {
+	spec.Replicas = splitEach(*replicasFlag, "replicas", ",", atoi, &err)
+	spec.Routings = splitEach(*routings, "routings", ",", optimus.ParseClusterRouting, &err)
+	spec.Models = splitEach(*models, "models", ",", optimus.ModelByName, &err)
+	counts := splitEach(*gpus, "gpus", ",", atoi, &err)
+	for _, dev := range splitEach(*devices, "devices", ",", func(f string) (string, error) { return f, nil }, &err) {
 		for _, n := range counts {
 			sys, sysErr := optimus.NewSystem(dev, n, *intra, *inter)
 			if sysErr != nil {
@@ -205,52 +113,47 @@ func cmdSweep(args []string) error {
 			spec.Systems = append(spec.Systems, sys)
 		}
 	}
-	if spec.GlobalBatches, err = splitInts(*batches); err != nil {
-		return fmt.Errorf("-batches: %w", err)
-	}
-	if spec.Seqs, err = splitInts(*seqs); err != nil {
-		return fmt.Errorf("-seqs: %w", err)
-	}
-	if spec.GenTokens, err = splitInts(*gens); err != nil {
-		return fmt.Errorf("-gen: %w", err)
-	}
-	if spec.Rates, err = splitFloats(*rates); err != nil {
-		return fmt.Errorf("-rates: %w", err)
-	}
-	// Schedules are semicolon-separated at the flag level because each
-	// schedule's segments are themselves comma-separated.
-	for _, sch := range strings.Split(*schedules, ";") {
-		if sch = strings.TrimSpace(sch); sch == "" {
-			continue
-		}
-		parsed, schErr := optimus.ParseServeSchedule(sch)
-		if schErr != nil {
-			return schErr
-		}
-		spec.Schedules = append(spec.Schedules, parsed)
-	}
+	spec.GlobalBatches = splitEach(*batches, "batches", ",", atoi, &err)
+	spec.Seqs = splitEach(*seqs, "seqs", ",", atoi, &err)
+	spec.GenTokens = splitEach(*gens, "gen", ",", atoi, &err)
+	spec.Rates = splitEach(*rates, "rates", ",", atof, &err)
+	spec.Schedules = splitEach(*schedules, "schedules", ";", optimus.ParseServeSchedule, &err)
 	spec.Think = *think
-	if spec.BatchCaps, err = splitInts(*caps); err != nil {
-		return fmt.Errorf("-batch-caps: %w", err)
+	spec.BatchCaps = splitEach(*caps, "batch-caps", ",", atoi, &err)
+	spec.ServeRequests, spec.ServeSeed = *serveReqs, *serveSeed
+	spec.Constraints.Microbatches = splitEach(*micros, "microbatches", ",", atoi, &err)
+	spec.Precisions = splitEach(*precs, "precisions", ",", tech.ParsePrecision, &err)
+	spec.Constraints.Recomputes = splitEach(*recs, "recomputes", ",", parseRecompute, &err)
+	if err != nil {
+		return err
 	}
-	spec.ServeRequests = *serveReqs
-	spec.ServeSeed = *serveSeed
-	if spec.Constraints.Microbatches, err = splitInts(*micros); err != nil {
-		return fmt.Errorf("-microbatches: %w", err)
+	// The pool-split axis zips -prefill-devices with -decode-devices:
+	// entry i of each list forms one split, so "2,4" + "6,4" compares a
+	// 2+6 split against a 4+4 one.
+	if len(prefills) != len(decodes) {
+		return fmt.Errorf("-prefill-devices and -decode-devices must zip: got %d vs %d entries", len(prefills), len(decodes))
 	}
-	for _, p := range splitList(*precs) {
-		prec, precErr := tech.ParsePrecision(p)
-		if precErr != nil {
-			return precErr
+	for i := range prefills {
+		spec.PoolSplits = append(spec.PoolSplits, optimus.SweepPoolSplit{Prefill: prefills[i], Decode: decodes[i]})
+	}
+	// A flag given is an axis set, even at its zero value.
+	given := flagsSet(fs)
+	if err := spec.CheckAxes(
+		func(a sweep.Axis) bool {
+			return slices.ContainsFunc(strings.Split(a.Flag, "/"), func(f string) bool { return given[f] })
+		},
+		func(a sweep.Axis) string {
+			if a.Flag == "" {
+				return ""
+			}
+			return "-" + strings.ReplaceAll(a.Flag, "/", "/-")
+		}); err != nil {
+		return err
+	}
+	if *trace != "" {
+		if spec.Trace, err = loadTrace(*trace); err != nil {
+			return err
 		}
-		spec.Precisions = append(spec.Precisions, prec)
-	}
-	for _, r := range splitList(*recs) {
-		rec, recErr := parseRecompute(r)
-		if recErr != nil {
-			return recErr
-		}
-		spec.Constraints.Recomputes = append(spec.Constraints.Recomputes, rec)
 	}
 
 	var res optimus.SweepResult
@@ -277,41 +180,23 @@ func cmdSweep(args []string) error {
 	return writeSweep(os.Stdout, res, spec.Workload, *prof.format)
 }
 
-// splitFloats parses a comma-separated float flag.
-func splitFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, err
+// splitEach parses a sep-separated flag value entry by entry, dropping
+// empty entries. The first failure lands in *err, naming the flag, and
+// ends the parsing.
+func splitEach[T any](val, flag, sep string, parse func(string) (T, error), err *error) []T {
+	var out []T
+	for _, f := range strings.Split(val, sep) {
+		if f = strings.TrimSpace(f); f == "" || *err != nil {
+			continue
+		}
+		v, perr := parse(f)
+		if perr != nil {
+			*err = fmt.Errorf("-%s: %w", flag, perr)
+			continue
 		}
 		out = append(out, v)
 	}
-	return out, nil
-}
-
-// splitList parses a comma-separated flag, dropping empty elements.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
 	return out
-}
-
-// splitInts parses a comma-separated integer flag.
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range splitList(s) {
-		n, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // sweepRecord flattens one ranked row for the CSV and JSON encoders.

@@ -47,7 +47,6 @@ import (
 	"strings"
 
 	"optimus/internal/arch"
-	"optimus/internal/comm"
 	"optimus/internal/infer"
 	"optimus/internal/memfoot"
 	"optimus/internal/model"
@@ -83,14 +82,12 @@ func (a Arrival) String() string {
 //
 //lint:fieldalign public API struct: fields are grouped by meaning for godoc, and Spec is built once per run, never in bulk
 type Spec struct {
-	// Model, System, TP, Precision, Algorithm and Flash configure the
-	// step-cost engine exactly as in infer.Spec.
+	// Model, System, TP and Precision configure the step-cost engine
+	// exactly as in infer.Spec.
 	Model     model.Config
 	System    *arch.System
 	TP        int
 	Precision tech.Precision
-	Algorithm comm.Algorithm
-	Flash     bool
 
 	// The workload: the request shapes (the spec-wide
 	// PromptTokens/GenTokens/PrefixTokens — the paper's Table 2 uses
@@ -240,7 +237,7 @@ func (s Spec) inferSpec() infer.Spec {
 	return infer.Spec{
 		Model: s.Model, System: s.System, TP: s.TP, Batch: 1,
 		PromptTokens: b.MaxPrompt, GenTokens: b.MaxGen,
-		Precision: s.Precision, Algorithm: s.Algorithm, Flash: s.Flash,
+		Precision: s.Precision,
 	}
 }
 

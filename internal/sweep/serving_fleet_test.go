@@ -184,11 +184,11 @@ func TestServingFleetValidation(t *testing.T) {
 			t.Errorf("%s: got %v, want %q", name, err, wantErr)
 		}
 	}
-	check("negative fleet", "negative fleet size", func(s *Spec) { s.Replicas = []int{-1} })
+	check("negative fleet", "Replicas: negative fleet size", func(s *Spec) { s.Replicas, s.Routings = []int{-1}, nil })
 	check("unknown routing", "unknown routing policy", func(s *Spec) { s.Routings = []cluster.Routing{cluster.Routing(9)} })
-	check("routings without replicas", "Routings needs a positive fleet size", func(s *Spec) { s.Replicas = nil })
-	check("routings with only single-instance", "Routings needs a positive fleet size", func(s *Spec) { s.Replicas = []int{0} })
-	check("fleet axes on training", "apply to serving sweeps only", func(s *Spec) {
+	check("routings without replicas", "Routings needs a positive Replicas entry", func(s *Spec) { s.Replicas = nil })
+	check("routings with only single-instance", "Routings needs a positive Replicas entry", func(s *Spec) { s.Replicas = []int{0} })
+	check("fleet axes on training", "sweep: Replicas applies to serving sweeps only", func(s *Spec) {
 		s.Workload = Training
 		s.Rates, s.BatchCaps, s.ServeRequests, s.Routings = nil, nil, 0, nil
 		s.Constraints = Constraints{}

@@ -26,6 +26,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"optimus/internal/arch"
@@ -111,7 +112,9 @@ func (c Constraints) WithDefaults(sys *arch.System) Constraints {
 
 // Spec describes one experiment grid: the cross product of every axis,
 // with the mapping space of each (model, system) cell enumerated under
-// Constraints.
+// Constraints. The Axes table states which sweep kinds read each field,
+// which workload field or policy knob it feeds and what it needs set
+// with it.
 type Spec struct {
 	// Workload selects training or inference; the zero value is training.
 	Workload Workload
@@ -131,11 +134,6 @@ type Spec struct {
 	GenTokens []int
 	// Rates are Poisson arrival rates in requests/sec, serving only; nil
 	// means {1} (unless Schedules or Trace supplies the arrival process).
-	// The serving workload axes — Seqs, GenTokens, PrefixTokens, Rates,
-	// Schedules, Turns, Think, Mixes, Trace, ServeRequests and ServeSeed —
-	// obey workload.Check's rules: a mix or trace replaces the spec-wide
-	// shape, a trace the arrival axes, a schedule the rate, and a session
-	// cohort the shared prefix.
 	Rates []float64
 	// Schedules are piecewise-constant arrival-rate timelines
 	// (workload.Schedule), serving only: each entry is one grid-axis value
@@ -147,8 +145,7 @@ type Spec struct {
 	// only: each entry above 1 expands the candidate's arrival stream into
 	// multi-turn client sessions (serve.Spec.Turns), whose growing shared
 	// context exercises the paged prefix cache; 0 and 1 are the plain
-	// stream. Entries above 1 need a Paged entry in Policies (other
-	// policies canonicalize the axis to zero).
+	// stream. Policies without prefix caching canonicalize it to zero.
 	Turns []int
 	// Think is the pause between a session's consecutive turns in seconds,
 	// serving only (zero with single-turn candidates).
@@ -167,8 +164,7 @@ type Spec struct {
 	// (serve.ReserveFull, serve.Paged and serve.Disaggregated), serving
 	// only; nil means {ReserveFull}. Making the policy a grid axis is what
 	// lets one sweep rank reservation, paged and disaggregated admission
-	// per rate × batch-cap point. A policy knob (serve.Knobs) needs an
-	// entry here that reads it.
+	// per rate × batch-cap point.
 	Policies []serve.Policy
 	// ServePageTokens is the paged policy's KV block size in tokens,
 	// serving only; zero means serve.DefaultPageTokens.
@@ -177,10 +173,9 @@ type Spec struct {
 	// compare per grid cell, serving only: each entry is one grid-axis
 	// value for the serve.Disaggregated candidates (other policies ignore
 	// the axis), so one sweep can rank a 2+6 split against a 4+4 one per
-	// rate × batch-cap point. Requires a Disaggregated entry in Policies;
-	// nil means the co-located split (both pools spanning every device). A
-	// split asking for more devices than a grid system has skips that
-	// cell, like an indivisible head count.
+	// rate × batch-cap point. Nil means the co-located split (both pools
+	// spanning every device). A split asking for more devices than a grid
+	// system has skips that cell, like an indivisible head count.
 	PoolSplits []PoolSplit
 	// TransferGBps is the disaggregated policy's KV-transfer interconnect
 	// bandwidth in GB/s, serving only; zero means
@@ -190,21 +185,18 @@ type Spec struct {
 	// grid cell, serving only: each entry gives the spec-wide request
 	// shape that many shared prefix tokens (serve.Spec.PrefixTokens), so
 	// one sweep can rank prefix-cache savings across hit fractions. A
-	// zero entry is the plain unprefixed shape; nil means {0}. Requires a
-	// Paged entry in Policies when non-zero (other policies ignore the
-	// axis and canonicalize to zero). Entries at or beyond a cell's prompt
-	// length skip that cell.
+	// zero entry is the plain unprefixed shape; nil means {0}. Other
+	// policies than Paged canonicalize it to zero, and entries at or
+	// beyond a cell's prompt length skip that cell.
 	PrefixTokens []int
 	// HostKVBytes are the host KV tier capacities (bytes) to compare per
 	// grid cell, serving only: each entry lets the paged policy's
 	// preemption victims swap pages to a host tier that large
 	// (serve.Spec.HostKVBytes). A zero entry is the recompute-only
-	// baseline; nil means {0}. Requires a Paged entry in Policies when
-	// non-zero.
+	// baseline; nil means {0}.
 	HostKVBytes []float64
 	// SwapGBps is the host tier's swap-link bandwidth in GB/s, serving
 	// only; zero means serve.DefaultSwapGBps, math.Inf(1) a free swap.
-	// Requires a non-zero HostKVBytes entry.
 	SwapGBps float64
 	// Replicas are the fleet sizes to compare per grid cell, serving only:
 	// each entry runs the candidate's serve configuration as a homogeneous
@@ -213,10 +205,10 @@ type Spec struct {
 	// single-instance simulation; nil means {0}.
 	Replicas []int
 	// Routings are the cluster routing policies to compare per fleet
-	// candidate, serving only. Requires Replicas; nil with fleet sizes
-	// present means {cluster.RoundRobin}. Fleets of one replica route
-	// identically under every policy, so their routing axis canonicalizes
-	// to round-robin (one memo key, like the policy-knob axes).
+	// candidate, serving only; nil means {cluster.RoundRobin}. Fleets of
+	// one replica route identically under every policy, so their routing
+	// axis canonicalizes to round-robin (one memo key, like the
+	// policy-knob axes).
 	Routings []cluster.Routing
 	// ServeRequests is the simulated request count per serving candidate;
 	// zero means 128.
@@ -238,47 +230,6 @@ type Spec struct {
 type PoolSplit struct {
 	Prefill int
 	Decode  int
-}
-
-// knobAxis names the grid axis that sets a serve.Knob and reports whether
-// the grid sets it. Session cohorts are prefix caching, so Turns entries
-// above 1 answer for the PrefixTokens row when no prefix entry does;
-// NoPreempt has no axis (sweeps always preempt).
-func (s Spec) knobAxis(k serve.Knob) (name string, set bool) {
-	switch k.Field {
-	case "PageTokens":
-		return "ServePageTokens", s.ServePageTokens != 0
-	case "PrefillDevices", "DecodeDevices":
-		return "PoolSplits (PrefillDevices/DecodeDevices)", len(s.PoolSplits) > 0
-	case "TransferGBps":
-		// NaN bandwidths count as set: NaN != 0.
-		return k.Field, s.TransferGBps != 0
-	case "PrefixTokens":
-		if slices.ContainsFunc(s.PrefixTokens, func(n int) bool { return n > 0 }) {
-			return k.Field, true
-		}
-		return "Turns above 1", slices.ContainsFunc(s.Turns, func(n int) bool { return n > 1 })
-	case "HostKVBytes":
-		return k.Field, slices.ContainsFunc(s.HostKVBytes, func(b float64) bool { return b > 0 })
-	case "SwapGBps":
-		return k.Field, s.SwapGBps != 0
-	}
-	return k.Field, false
-}
-
-// workloadAxes names the grid axis that sets each workload.Field, for
-// workload.Check; closed-loop arrivals have no axis.
-var workloadAxes = [workload.NumFields]string{"Seqs", "GenTokens", "PrefixTokens", "Mixes", "Mixes", "Trace",
-	"Rates", "Schedules", "Turns", "Turns", "Think", "ServeRequests", "ServeSeed", "", ""}
-
-// workloadSet reports which workload fields the grid's axes set.
-func (s Spec) workloadSet() [workload.NumFields]bool {
-	return [workload.NumFields]bool{
-		len(s.Seqs) > 0, len(s.GenTokens) > 0, slices.ContainsFunc(s.PrefixTokens, func(n int) bool { return n > 0 }),
-		len(s.Mixes) > 0, slices.ContainsFunc(s.Mixes, workload.MixPrefixed), s.Trace != nil,
-		len(s.Rates) > 0, len(s.Schedules) > 0, len(s.Turns) > 0, slices.ContainsFunc(s.Turns, func(n int) bool { return n > 1 }),
-		s.Think != 0, s.ServeRequests != 0, s.ServeSeed != 0, false, false, // NaN != 0: a NaN Think is set
-	}
 }
 
 func (s Spec) withDefaults() Spec {
@@ -351,195 +302,294 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// Validate checks the grid shape.
-func (s Spec) Validate() error {
-	if s.Workload != Serving {
-		// The workload axes past the request shape an inference sweep
-		// shares, then the capacity and fleet axes.
-		set := s.workloadSet()
-		for f := workload.FieldMix; f < workload.NumFields; f++ {
-			if set[f] {
-				return fmt.Errorf("sweep: %s applies to serving sweeps only", workloadAxes[f])
-			}
+// Axis is one field of Spec or Constraints. The Axes table is the one
+// statement of which sweep kinds read each axis, which workload fields
+// and policy knobs it feeds and which axis it needs: Spec.Validate and
+// optimus sweep both apply it through Spec.CheckAxes, so a new axis costs
+// its field, one row, its enumeration loop and its flag.
+type Axis struct {
+	// Field names the field, "Constraints." before a Constraints one;
+	// Flag the optimus sweep flag that sets it, without the dash ("" for
+	// none, "a/b" for an axis zipped from two flags).
+	Field, Flag string
+	// Kinds are the sweep kinds that read the axis.
+	Kinds []Workload
+	// Inputs are the workload.Check fields the axis feeds: its own, then
+	// the one derived from its values (a prefixed Mixes entry, a Turns
+	// entry above 1). Knobs are the serve.Knobs fields it sets.
+	Inputs []workload.Field
+	Knobs  []string
+	// Partner is the Field of the axis that must hold a positive entry
+	// when this one is set; partnered reports whether a spec's does.
+	Partner   string
+	partnered func(Spec) bool
+	// set reports whether a spec sets the axis: a non-empty slice or a
+	// non-zero value (NaN included), a positive entry for the knob axes
+	// whose zero entry is the default. check validates the values.
+	set   func(Spec) bool
+	check func(Spec) error
+}
+
+var (
+	allKinds  = []Workload{Training, Inference, Serving}
+	trainOnly = []Workload{Training}
+	serveOnly = []Workload{Serving}
+)
+
+// Axes is the sweep-axis table, in the order misuse is reported.
+var Axes = [...]Axis{
+	{Field: "Workload", Flag: "workload", Kinds: allKinds},
+	{Field: "Models", Flag: "models", Kinds: allKinds, check: func(s Spec) error {
+		if len(s.Models) == 0 {
+			return fmt.Errorf("no models")
 		}
-		// NaN bandwidths land here too: NaN != 0.
-		if len(s.BatchCaps) > 0 || len(s.Policies) > 0 || s.ServePageTokens != 0 || len(s.PoolSplits) > 0 ||
-			s.TransferGBps != 0 || len(s.PrefixTokens) > 0 || len(s.HostKVBytes) > 0 || s.SwapGBps != 0 ||
-			len(s.Replicas) > 0 || len(s.Routings) > 0 {
-			return fmt.Errorf("sweep: BatchCaps, Policies, ServePageTokens, PoolSplits, TransferGBps, PrefixTokens, HostKVBytes, SwapGBps, Replicas and Routings apply to serving sweeps only")
+		return every(s.Models, model.Config.Validate)
+	}},
+	{Field: "Systems", Flag: "devices/gpus", Kinds: allKinds, check: func(s Spec) error {
+		if len(s.Systems) == 0 {
+			return fmt.Errorf("no systems")
 		}
-	}
-	switch s.Workload {
-	case Training:
-		if len(s.GenTokens) > 0 {
-			return fmt.Errorf("sweep: GenTokens applies to inference and serving sweeps only")
-		}
-		for _, mb := range s.Constraints.Microbatches {
-			if mb <= 0 {
-				return fmt.Errorf("sweep: non-positive microbatch %d", mb)
+		return every(s.Systems, func(sys *arch.System) error {
+			if sys == nil {
+				return fmt.Errorf("nil system")
 			}
-		}
-	case Inference, Serving:
-		// Inference and serving maps are fixed to TP = device count
-		// (§1.3); reject the training-only axes rather than silently
-		// ignoring them.
-		c := s.Constraints
-		if c.MaxTP != 0 || len(c.Microbatches) > 0 || len(c.Recomputes) > 0 || len(c.Schedules) > 0 {
-			return fmt.Errorf("sweep: MaxTP/Microbatches/Recomputes/Schedules apply to training sweeps only")
-		}
-		if s.Workload == Serving {
-			// The simulator's admission policy is the batch: a global
-			// batch axis would be silently ignored.
-			if len(s.GlobalBatches) > 0 {
-				return fmt.Errorf("sweep: GlobalBatches does not apply to serving sweeps (use BatchCaps)")
+			return sys.Validate()
+		})
+	}},
+	{Field: "Precisions", Flag: "precisions", Kinds: allKinds},
+	// The simulator's admission policy is a serving sweep's batch.
+	{Field: "GlobalBatches", Flag: "batches", Kinds: []Workload{Training, Inference},
+		set:   func(s Spec) bool { return len(s.GlobalBatches) > 0 },
+		check: func(s Spec) error { return atLeast(s.GlobalBatches, 1, "non-positive batch %d") }},
+	{Field: "Seqs", Flag: "seqs", Kinds: allKinds, Inputs: []workload.Field{workload.FieldPromptTokens},
+		set:   func(s Spec) bool { return len(s.Seqs) > 0 },
+		check: func(s Spec) error { return atLeast(s.Seqs, 1, "non-positive sequence length %d") }},
+	{Field: "GenTokens", Flag: "gen", Kinds: []Workload{Inference, Serving}, Inputs: []workload.Field{workload.FieldGenTokens},
+		set: func(s Spec) bool { return len(s.GenTokens) > 0 },
+		check: func(s Spec) error {
+			if s.Workload == Serving {
+				return atLeast(s.GenTokens, 1, "serving needs at least one generated token, got %d")
 			}
-			if err := workload.Check(s.workloadSet(), func(f workload.Field) string { return workloadAxes[f] }); err != nil {
-				return fmt.Errorf("sweep: %w", err)
+			return atLeast(s.GenTokens, 0, "negative generation length %d")
+		}},
+	{Field: "Rates", Flag: "rates", Kinds: serveOnly, Inputs: []workload.Field{workload.FieldRate},
+		set:   func(s Spec) bool { return len(s.Rates) > 0 },
+		check: func(s Spec) error { return every(s.Rates, workload.ValidateRate) }},
+	{Field: "Schedules", Flag: "schedules", Kinds: serveOnly, Inputs: []workload.Field{workload.FieldSchedule},
+		set:   func(s Spec) bool { return len(s.Schedules) > 0 },
+		check: func(s Spec) error { return every(s.Schedules, workload.Schedule.Validate) }},
+	{Field: "Turns", Flag: "turns", Kinds: serveOnly, Inputs: []workload.Field{workload.FieldTurns, workload.FieldSessions},
+		set:   func(s Spec) bool { return len(s.Turns) > 0 },
+		check: func(s Spec) error { return atLeast(s.Turns, 0, "negative session turns %d") }},
+	{Field: "Think", Flag: "think", Kinds: serveOnly, Inputs: []workload.Field{workload.FieldThink},
+		set:   func(s Spec) bool { return s.Think != 0 },
+		check: func(s Spec) error { return nonNegative(s.Think, false, "think time %g not finite and non-negative") }},
+	{Field: "BatchCaps", Flag: "batch-caps", Kinds: serveOnly,
+		set:   func(s Spec) bool { return len(s.BatchCaps) > 0 },
+		check: func(s Spec) error { return atLeast(s.BatchCaps, 0, "negative batch cap %d") }},
+	{Field: "Mixes", Flag: "mix", Kinds: serveOnly, Inputs: []workload.Field{workload.FieldMix, workload.FieldMixPrefix},
+		set:   func(s Spec) bool { return len(s.Mixes) > 0 },
+		check: func(s Spec) error { return every(s.Mixes, workload.ValidateMix) }},
+	{Field: "Trace", Flag: "trace", Kinds: serveOnly, Inputs: []workload.Field{workload.FieldTrace},
+		set: func(s Spec) bool { return s.Trace != nil },
+		check: func(s Spec) error {
+			if s.Trace == nil {
+				return nil
 			}
-			for _, r := range s.Rates {
-				if err := workload.ValidateRate(r); err != nil {
-					return fmt.Errorf("sweep: %w", err)
-				}
-			}
-			for _, sch := range s.Schedules {
-				if err := sch.Validate(); err != nil {
-					return fmt.Errorf("sweep: %w", err)
-				}
-			}
-			for _, c := range s.BatchCaps {
-				if c < 0 {
-					return fmt.Errorf("sweep: negative batch cap %d", c)
-				}
-			}
-			if s.ServeRequests < 0 {
-				return fmt.Errorf("sweep: negative serving request count %d", s.ServeRequests)
-			}
-			for _, pol := range s.Policies {
-				switch pol {
-				case serve.ReserveFull, serve.Paged, serve.Disaggregated:
-				default:
-					return fmt.Errorf("sweep: unknown serving policy %v", pol)
-				}
-			}
-			if s.ServePageTokens < 0 {
-				return fmt.Errorf("sweep: negative serving page size %d tokens", s.ServePageTokens)
-			}
+			return workload.ValidateTrace(s.Trace)
+		}},
+	{Field: "Policies", Flag: "policies", Kinds: serveOnly,
+		set: func(s Spec) bool { return len(s.Policies) > 0 },
+		check: func(s Spec) error {
+			return known(s.Policies, []serve.Policy{serve.ReserveFull, serve.Paged, serve.Disaggregated}, "unknown serving policy %v")
+		}},
+	{Field: "ServePageTokens", Flag: "page-tokens", Kinds: serveOnly, Knobs: []string{"PageTokens"},
+		set: func(s Spec) bool { return s.ServePageTokens != 0 },
+		check: func(s Spec) error {
+			return atLeast([]int{s.ServePageTokens}, 0, "negative serving page size %d tokens")
+		}},
+	{Field: "PoolSplits", Flag: "prefill-devices/decode-devices", Kinds: serveOnly, Knobs: []string{"PrefillDevices", "DecodeDevices"},
+		set: func(s Spec) bool { return len(s.PoolSplits) > 0 },
+		check: func(s Spec) error {
 			for _, sp := range s.PoolSplits {
 				if sp.Prefill < 0 || sp.Decode < 0 {
-					return fmt.Errorf("sweep: negative pool split %d+%d devices", sp.Prefill, sp.Decode)
+					return fmt.Errorf("negative pool split %d+%d devices", sp.Prefill, sp.Decode)
 				}
 			}
-			if s.TransferGBps < 0 || math.IsNaN(s.TransferGBps) {
-				return fmt.Errorf("sweep: KV-transfer bandwidth %g GB/s not non-negative", s.TransferGBps)
-			}
-			for _, pre := range s.PrefixTokens {
-				if pre < 0 {
-					return fmt.Errorf("sweep: negative prefix length %d tokens", pre)
-				}
-			}
-			for _, t := range s.Turns {
-				if t < 0 {
-					return fmt.Errorf("sweep: negative session turns %d", t)
-				}
-			}
-			for _, hb := range s.HostKVBytes {
-				if hb < 0 || math.IsNaN(hb) || math.IsInf(hb, 0) {
-					return fmt.Errorf("sweep: host KV capacity %g bytes not finite and non-negative", hb)
-				}
-			}
-			if s.SwapGBps < 0 || math.IsNaN(s.SwapGBps) {
-				return fmt.Errorf("sweep: swap bandwidth %g GB/s not non-negative", s.SwapGBps)
-			}
-			// Without an entry in Policies that reads a knob, the knob would
-			// be silently discarded at enumeration — reject, matching
-			// serve.Spec's strictness about knobs the chosen policy ignores.
-			if err := serve.CheckKnobs(s.Policies, false,
-				func(k serve.Knob) bool { _, set := s.knobAxis(k); return set },
-				func(k serve.Knob) string { name, _ := s.knobAxis(k); return name },
-				"Policies"); err != nil {
-				return fmt.Errorf("sweep: %w", err)
-			}
-			if !(s.Think >= 0) || math.IsInf(s.Think, 0) {
-				return fmt.Errorf("sweep: think time %g not finite and non-negative", s.Think)
-			}
-			for _, g := range s.GenTokens {
-				if g < 1 {
-					return fmt.Errorf("sweep: serving needs at least one generated token, got %d", g)
-				}
-			}
-			hasFleet := false
-			for _, r := range s.Replicas {
-				// Zero is the explicit single-instance entry; a negative
-				// fleet cannot be meant.
-				if r < 0 {
-					return fmt.Errorf("sweep: negative fleet size %d replicas", r)
-				}
-				if r > 0 {
-					hasFleet = true
-				}
-			}
-			for _, rt := range s.Routings {
-				switch rt {
-				case cluster.RoundRobin, cluster.LeastQueue, cluster.LeastKV, cluster.TenantAffinity:
-				default:
-					return fmt.Errorf("sweep: unknown routing policy %v", rt)
-				}
-			}
-			// Without a fleet axis every candidate is single-instance and
-			// the routing axis would be silently discarded — reject, like
-			// ServePageTokens without a paging policy.
-			if len(s.Routings) > 0 && !hasFleet {
-				return fmt.Errorf("sweep: Routings needs a positive fleet size in Replicas")
-			}
-			for _, mix := range s.Mixes {
-				if err := workload.ValidateMix(mix); err != nil {
-					return err
-				}
-			}
-			if s.Trace != nil {
-				if err := workload.ValidateTrace(s.Trace); err != nil {
-					return err
-				}
-			}
-		}
-	default:
-		return fmt.Errorf("sweep: unknown workload %v", s.Workload)
-	}
-	if len(s.Models) == 0 {
-		return fmt.Errorf("sweep: no models")
-	}
-	if len(s.Systems) == 0 {
-		return fmt.Errorf("sweep: no systems")
-	}
-	for _, m := range s.Models {
-		if err := m.Validate(); err != nil {
+			return nil
+		}},
+	{Field: "TransferGBps", Flag: "transfer-gbps", Kinds: serveOnly, Knobs: []string{"TransferGBps"},
+		set: func(s Spec) bool { return s.TransferGBps != 0 },
+		check: func(s Spec) error {
+			return nonNegative(s.TransferGBps, true, "KV-transfer bandwidth %g GB/s not non-negative")
+		}},
+	{Field: "PrefixTokens", Flag: "prefix", Kinds: serveOnly,
+		Inputs: []workload.Field{workload.FieldPrefixTokens}, Knobs: []string{"PrefixTokens"},
+		set:   func(s Spec) bool { return slices.ContainsFunc(s.PrefixTokens, func(n int) bool { return n > 0 }) },
+		check: func(s Spec) error { return atLeast(s.PrefixTokens, 0, "negative prefix length %d tokens") }},
+	{Field: "HostKVBytes", Flag: "kv-host-gb", Kinds: serveOnly, Knobs: []string{"HostKVBytes"},
+		set: func(s Spec) bool { return slices.ContainsFunc(s.HostKVBytes, func(b float64) bool { return b > 0 }) },
+		check: func(s Spec) error {
+			return every(s.HostKVBytes, func(b float64) error {
+				return nonNegative(b, false, "host KV capacity %g bytes not finite and non-negative")
+			})
+		}},
+	{Field: "SwapGBps", Flag: "swap-gbps", Kinds: serveOnly, Knobs: []string{"SwapGBps"},
+		set:   func(s Spec) bool { return s.SwapGBps != 0 },
+		check: func(s Spec) error { return nonNegative(s.SwapGBps, true, "swap bandwidth %g GB/s not non-negative") }},
+	// Zero is the explicit single-instance entry.
+	{Field: "Replicas", Flag: "replicas", Kinds: serveOnly,
+		set:   func(s Spec) bool { return len(s.Replicas) > 0 },
+		check: func(s Spec) error { return atLeast(s.Replicas, 0, "negative fleet size %d replicas") }},
+	// Single-instance candidates have no router.
+	{Field: "Routings", Flag: "routings", Kinds: serveOnly, Partner: "Replicas",
+		partnered: func(s Spec) bool { return slices.ContainsFunc(s.Replicas, func(r int) bool { return r > 0 }) },
+		set:       func(s Spec) bool { return len(s.Routings) > 0 },
+		check: func(s Spec) error {
+			return known(s.Routings, []cluster.Routing{cluster.RoundRobin, cluster.LeastQueue, cluster.LeastKV, cluster.TenantAffinity},
+				"unknown routing policy %v")
+		}},
+	{Field: "ServeRequests", Flag: "serve-requests", Kinds: serveOnly, Inputs: []workload.Field{workload.FieldRequests},
+		set:   func(s Spec) bool { return s.ServeRequests != 0 },
+		check: func(s Spec) error { return atLeast([]int{s.ServeRequests}, 0, "negative serving request count %d") }},
+	{Field: "ServeSeed", Flag: "serve-seed", Kinds: serveOnly, Inputs: []workload.Field{workload.FieldSeed},
+		set: func(s Spec) bool { return s.ServeSeed != 0 }},
+	{Field: "Workers", Flag: "workers", Kinds: allKinds},
+	// Inference and serving maps are fixed to TP = device count (§1.3).
+	{Field: "Constraints.MaxTP", Flag: "max-tp", Kinds: trainOnly, set: func(s Spec) bool { return s.Constraints.MaxTP != 0 }},
+	{Field: "Constraints.Microbatches", Flag: "microbatches", Kinds: trainOnly,
+		set:   func(s Spec) bool { return len(s.Constraints.Microbatches) > 0 },
+		check: func(s Spec) error { return atLeast(s.Constraints.Microbatches, 1, "non-positive microbatch %d") }},
+	{Field: "Constraints.Recomputes", Flag: "recomputes", Kinds: trainOnly,
+		set: func(s Spec) bool { return len(s.Constraints.Recomputes) > 0 }},
+	{Field: "Constraints.Schedules", Kinds: trainOnly, set: func(s Spec) bool { return len(s.Constraints.Schedules) > 0 }},
+	{Field: "Constraints.AllowOverflow", Flag: "allow-overflow", Kinds: allKinds},
+	{Field: "Constraints.TopK", Flag: "top", Kinds: allKinds},
+}
+
+// every reports the first error check returns over xs.
+func every[T any](xs []T, check func(T) error) error {
+	for _, x := range xs {
+		if err := check(x); err != nil {
 			return err
-		}
-	}
-	for _, sys := range s.Systems {
-		if sys == nil {
-			return fmt.Errorf("sweep: nil system")
-		}
-		if err := sys.Validate(); err != nil {
-			return err
-		}
-	}
-	for _, b := range s.GlobalBatches {
-		if b <= 0 {
-			return fmt.Errorf("sweep: non-positive batch %d", b)
-		}
-	}
-	for _, q := range s.Seqs {
-		if q <= 0 {
-			return fmt.Errorf("sweep: non-positive sequence length %d", q)
-		}
-	}
-	for _, g := range s.GenTokens {
-		if g < 0 {
-			return fmt.Errorf("sweep: negative generation length %d", g)
 		}
 	}
 	return nil
+}
+
+// atLeast reports the first entry of xs below floor, in format.
+func atLeast(xs []int, floor int, format string) error {
+	return every(xs, func(x int) error {
+		if x < floor {
+			return fmt.Errorf(format, x)
+		}
+		return nil
+	})
+}
+
+// known reports the first entry of xs outside valid, in format.
+func known[T comparable](xs, valid []T, format string) error {
+	return every(xs, func(x T) error {
+		if !slices.Contains(valid, x) {
+			return fmt.Errorf(format, x)
+		}
+		return nil
+	})
+}
+
+// nonNegative checks x ≥ 0, NaN excluded and +Inf only where inf allows
+// it (a free link), in format.
+func nonNegative(x float64, inf bool, format string) error {
+	if !(x >= 0) || (!inf && math.IsInf(x, 1)) {
+		return fmt.Errorf(format, x)
+	}
+	return nil
+}
+
+// axis returns the Axes row of field.
+func axis(field string) Axis {
+	i := slices.IndexFunc(Axes[:], func(a Axis) bool { return a.Field == field })
+	return Axes[i]
+}
+
+// CheckAxes walks Axes and reports the grid's first misuse, naming axes
+// as the caller spells them (a field, a flag). set says whether the
+// caller sets an axis; the derived workload fields, the partner
+// requirement and the value ranges read the spec's values. In order: an
+// axis the sweep kind does not read; an axis without a positive entry
+// in its partner; workload.Check and serve.CheckKnobs over the fields
+// and knobs the axes feed; then each axis's values.
+func (s Spec) CheckAxes(set func(Axis) bool, name func(Axis) string) error {
+	if s.Workload < Training || s.Workload > Serving {
+		return fmt.Errorf("sweep: unknown workload %v", s.Workload)
+	}
+	var in [workload.NumFields]bool
+	var inName [workload.NumFields]string
+	for _, a := range Axes {
+		if !set(a) {
+			continue
+		}
+		if !slices.Contains(a.Kinds, s.Workload) {
+			kinds := make([]string, len(a.Kinds))
+			for i, k := range a.Kinds {
+				kinds[i] = k.String()
+			}
+			return fmt.Errorf("sweep: %s applies to %s sweeps only", name(a), strings.Join(kinds, " and "))
+		}
+		for _, f := range a.Inputs {
+			in[f], inName[f] = true, name(a)
+		}
+	}
+	for _, a := range Axes {
+		if a.Partner != "" && set(a) && !a.partnered(s) {
+			return fmt.Errorf("sweep: %s needs a positive %s entry", name(a), name(axis(a.Partner)))
+		}
+	}
+	in[workload.FieldMixPrefix] = in[workload.FieldMixPrefix] && slices.ContainsFunc(s.Mixes, workload.MixPrefixed)
+	sessions := in[workload.FieldSessions] && slices.ContainsFunc(s.Turns, func(n int) bool { return n > 1 })
+	in[workload.FieldSessions] = sessions
+	if err := workload.Check(in, func(f workload.Field) string { return inName[f] }); err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
+	// A knob is set by the axis that feeds it, and prefix caching also by
+	// session cohorts when no prefix entry is set; NoPreempt has no axis
+	// (sweeps always preempt). Without an entry in Policies that reads a
+	// knob, the knob would be silently discarded at enumeration.
+	knob := func(k serve.Knob) (a Axis, byTurns bool) {
+		if i := slices.IndexFunc(Axes[:], func(a Axis) bool { return slices.Contains(a.Knobs, k.Field) }); i >= 0 {
+			a = Axes[i]
+		}
+		return a, k.Field == "PrefixTokens" && sessions && !set(a)
+	}
+	if err := serve.CheckKnobs(s.Policies, false,
+		func(k serve.Knob) bool { a, byTurns := knob(k); return a.Field != "" && set(a) || byTurns },
+		func(k serve.Knob) string {
+			switch a, byTurns := knob(k); {
+			case byTurns:
+				return name(axis("Turns")) + " above 1"
+			case a.Field != "":
+				return name(a)
+			}
+			return ""
+		},
+		name(axis("Policies"))); err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
+	for _, a := range Axes {
+		if a.check == nil {
+			continue
+		}
+		if err := a.check(s); err != nil {
+			return fmt.Errorf("sweep: %s: %w", name(a), err)
+		}
+	}
+	return nil
+}
+
+// Validate checks the grid: CheckAxes over the axes the spec sets,
+// naming fields.
+func (s Spec) Validate() error {
+	return s.CheckAxes(func(a Axis) bool { return a.set != nil && a.set(s) }, func(a Axis) string { return a.Field })
 }
 
 // Point is one fully instantiated candidate experiment.
@@ -1225,35 +1275,15 @@ func (ev *evaluator) evaluateServingFleet(p Point) (Metrics, error) {
 		kvUtil += rr.Result.MeanKVUtil
 	}
 	kvUtil /= float64(len(res.PerReplica))
-	m := Metrics{
-		Time: res.E2E.P95,
-		Footprint: memfoot.InferenceBreakdown{
-			// The weights are Params·bytes/TP whatever the context.
-			Weights: memfoot.Inference(p.Model, p.Map.TP, 1, 0, p.Precision.Bytes()).Weights,
-			KVCache: peakKV,
-		},
-		Fits:              true,
-		TTFTP95:           res.TTFT.P95,
-		TPOTP95:           res.TPOT.P95,
-		TokensPerSec:      res.TokensPerSec,
-		Preemptions:       res.Preemptions,
-		RecomputedTokens:  res.RecomputedTokens,
-		KVUtil:            kvUtil,
-		KVTransfers:       res.KVTransfers,
-		TransferTime:      res.TransferTimeTotal,
-		PrefixHits:        res.PrefixHits,
-		PrefixSavedTokens: res.PrefixSavedTokens,
-		KVSwapOuts:        res.KVSwapOuts,
-		KVSwapIns:         res.KVSwapIns,
-		SwapTime:          res.SwapTimeTotal,
-	}
-	for _, tm := range res.PerTenant {
-		m.PerTenant = append(m.PerTenant, TenantSLO{
-			Tenant: tm.Tenant, Requests: tm.Requests,
-			TTFTP95: tm.TTFT.P95, TPOTP95: tm.TPOT.P95, E2EP95: tm.E2E.P95,
-		})
-	}
-	return m, nil
+	return servingMetrics(p, &serve.Result{
+		TokensPerSec: res.TokensPerSec, TTFT: res.TTFT, TPOT: res.TPOT, E2E: res.E2E,
+		PeakKVBytes: peakKV, MeanKVUtil: kvUtil,
+		Preemptions: res.Preemptions, RecomputedTokens: res.RecomputedTokens,
+		KVTransfers: res.KVTransfers, TransferTimeTotal: res.TransferTimeTotal,
+		PrefixHits: res.PrefixHits, PrefixSavedTokens: res.PrefixSavedTokens,
+		KVSwapOuts: res.KVSwapOuts, KVSwapIns: res.KVSwapIns, SwapTimeTotal: res.SwapTimeTotal,
+		PerTenant: res.PerTenant,
+	}), nil
 }
 
 func (ev *evaluator) evaluateServing(p Point) (Metrics, error) {
@@ -1264,9 +1294,15 @@ func (ev *evaluator) evaluateServing(p Point) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
+	return servingMetrics(p, &res), nil
+}
+
+// servingMetrics maps one serving run onto Metrics.
+func servingMetrics(p Point, res *serve.Result) Metrics {
 	m := Metrics{
 		Time: res.E2E.P95,
 		Footprint: memfoot.InferenceBreakdown{
+			// The weights are Params·bytes/TP whatever the context.
 			Weights: memfoot.Inference(p.Model, p.Map.TP, 1, 0, p.Precision.Bytes()).Weights,
 			KVCache: res.PeakKVBytes,
 		},
@@ -1293,7 +1329,7 @@ func (ev *evaluator) evaluateServing(p Point) (Metrics, error) {
 			TTFTP95: tm.TTFT.P95, TPOTP95: tm.TPOT.P95, E2EP95: tm.E2E.P95,
 		})
 	}
-	return m, nil
+	return m
 }
 
 // Feasible reports whether p fits device memory, using only the footprint
