@@ -21,7 +21,8 @@
 // barriers, which the router advances inline (a barrier is a few
 // iterations per replica, cheaper than a goroutine hand-off); each
 // replica's state there is a pure function of the requests pushed so far,
-// so scheduling order can never leak into an assignment.
+// so scheduling order can never leak into an assignment. A replica is
+// armed like serve.Run, so it prices exactly as a single-replica Run.
 package cluster
 
 import (
@@ -105,7 +106,6 @@ func (s Spec) Validate() error {
 	if err := w.Validate(); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	w = w.WithDefaults()
 	for i, r := range s.Replicas {
 		if r.Count < 0 {
 			return fmt.Errorf("cluster: replica %d: negative count %d", i, r.Count)
@@ -213,9 +213,7 @@ func eachReplica(r int, f func(int)) {
 // Run (TestClusterRunnerReuseMatchesFresh).
 type Runner struct {
 	reps []*serve.Runner
-	// env is the fleet stream's shape envelope, built once per Run and
-	// read by every replica; times and shapes hold the stream itself.
-	env    serve.Envelope
+	// times and shapes hold the fleet stream.
 	times  []float64
 	shapes []workload.Request
 }
@@ -230,8 +228,8 @@ func NewRunner() *Runner { return new(Runner) }
 func Run(s Spec) (Result, error) { return new(Runner).Run(s) }
 
 // Run is the pooled form of the package-level Run: replica instances are
-// re-armed from the Runner's per-slot serve.Runners, and the stream and
-// its envelope reuse the Runner's buffers, instead of being built fresh.
+// re-armed from the Runner's per-slot serve.Runners, and the stream
+// reuses the Runner's buffers, instead of being built fresh.
 func (rn *Runner) Run(s Spec) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
@@ -244,7 +242,8 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	rn.times, rn.shapes = times, shapes
 	// Every replica is built on the whole stream's shapes, so each prices
 	// exactly as a single-replica Run of the fleet workload would.
-	if err := rn.env.Set(shapes); err != nil {
+	var env serve.Envelope
+	if err := env.Set(shapes); err != nil {
 		return Result{}, err
 	}
 
@@ -264,7 +263,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	}
 	instances := make([]*serve.Instance, R)
 	for i, cap := range specs {
-		in, err := rn.reps[i].Instance(cap, &rn.env)
+		in, err := rn.reps[i].Instance(cap, &env)
 		if err != nil {
 			return Result{}, fmt.Errorf("cluster: replica %d: %w", i, err)
 		}

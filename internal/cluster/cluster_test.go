@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,61 +43,152 @@ func fleet0(t testing.TB, n int) Spec {
 	}
 }
 
+// lognormalMix is a heavy-tailed two-tenant mix: the drawn stream's
+// largest request stays far below the largest possible one (8× each
+// median).
+func lognormalMix(t testing.TB) []workload.TenantLoad {
+	t.Helper()
+	mix, err := workload.ParseMix("chat:0.7:300~0.8:150~0.6,batch:0.3:1200~0.5:400")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mix
+}
+
 // TestSingleReplicaReproducesServe is the degenerate-equivalence pin: a
 // one-replica round-robin fleet must reproduce plain serve.Run
 // byte-identically (reflect + JSON) — the replica-level result exactly,
 // and the fleet-level summaries agreeing with the serve-level ones —
-// across a rate × cap × policy × seed grid.
+// across a workload × rate × cap × policy × seed grid, each workload
+// under every policy that accepts it.
 func TestSingleReplicaReproducesServe(t *testing.T) {
-	for _, rate := range []float64{0.5, 4.0} {
-		for _, maxBatch := range []int{0, 6} {
-			for _, pol := range []serve.Policy{serve.ReserveFull, serve.Paged, serve.Disaggregated} {
-				for _, seed := range []int64{1, 99} {
-					cap := capacity0(t)
-					cap.MaxBatch = maxBatch
-					cap.Policy = pol
-					if pol != serve.ReserveFull {
-						cap.KVCapacity = 3e9
-					}
-					single := cap
-					single.PromptTokens, single.GenTokens = 200, 200
-					single.Arrival, single.Rate, single.Requests, single.Seed = serve.Poisson, rate, 48, seed
-					want, err := serve.Run(single)
-					if err != nil {
-						t.Fatal(err)
-					}
+	all := []serve.Policy{serve.ReserveFull, serve.Paged, serve.Disaggregated}
+	for _, wc := range []struct {
+		name string
+		w    workload.Spec
+		kv   float64 // KV budget of the paged layouts
+		pols []serve.Policy
+	}{
+		{"fixed", workload.Spec{PromptTokens: 200, GenTokens: 200}, 3e9, all},
+		{"lognormal", workload.Spec{Mix: lognormalMix(t)}, 12e9, all},
+		{"sessions", workload.Spec{PromptTokens: 200, GenTokens: 100, Turns: 3, Think: 2}, 3e9, []serve.Policy{serve.Paged}},
+	} {
+		for _, rate := range []float64{0.5, 4.0} {
+			for _, maxBatch := range []int{0, 6} {
+				for _, pol := range wc.pols {
+					for _, seed := range []int64{1, 99} {
+						name := fmt.Sprintf("%s rate=%g cap=%d %v seed=%d", wc.name, rate, maxBatch, pol, seed)
+						cap := capacity0(t)
+						cap.MaxBatch = maxBatch
+						cap.Policy = pol
+						if pol != serve.ReserveFull {
+							cap.KVCapacity = wc.kv
+						}
+						w := wc.w
+						w.Rate, w.Requests, w.Seed = rate, 48, seed
+						single := cap
+						single.SetWorkload(w)
+						want, err := serve.Run(single)
+						if err != nil {
+							t.Fatal(err)
+						}
 
-					fleet, err := Run(Spec{
-						Replicas:     []Replica{{Spec: cap}},
-						Routing:      RoundRobin,
-						PromptTokens: 200, GenTokens: 200,
-						Rate: rate, Requests: 48, Seed: seed,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := fleet.PerReplica[0].Result
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("rate=%g cap=%d %v seed=%d: R=1 replica result diverges from serve.Run", rate, maxBatch, pol, seed)
-					}
-					jw, _ := json.Marshal(want)
-					jg, _ := json.Marshal(got)
-					if string(jw) != string(jg) {
-						t.Fatalf("rate=%g cap=%d %v seed=%d: JSON encodings differ", rate, maxBatch, pol, seed)
-					}
-					// The fleet summaries must agree with the serve-level
-					// ones exactly — same samples, same percentile math.
-					if fleet.E2E != want.E2E || fleet.TTFT != want.TTFT || fleet.TPOT != want.TPOT || fleet.Queue != want.Queue {
-						t.Fatalf("rate=%g cap=%d %v seed=%d: fleet percentiles diverge from serve.Run's", rate, maxBatch, pol, seed)
-					}
-					if fleet.SimTime != want.SimTime || fleet.ThroughputRPS != want.ThroughputRPS || fleet.TokensPerSec != want.TokensPerSec {
-						t.Fatalf("rate=%g cap=%d %v seed=%d: fleet totals diverge from serve.Run's", rate, maxBatch, pol, seed)
-					}
-					if !reflect.DeepEqual(fleet.PerTenant, want.PerTenant) {
-						t.Fatalf("rate=%g cap=%d %v seed=%d: fleet tenant breakdown diverges", rate, maxBatch, pol, seed)
+						fs := Spec{Replicas: []Replica{{Spec: cap}}, Routing: RoundRobin}
+						fs.SetWorkload(w)
+						fleet, err := Run(fs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := fleet.PerReplica[0].Result
+						if !reflect.DeepEqual(want, got) {
+							t.Fatalf("%s: R=1 replica result diverges from serve.Run: E2E p95 %g vs %g, %d vs %d iterations, MaxBatch %d vs %d",
+								name, got.E2E.P95, want.E2E.P95, got.Iterations, want.Iterations, got.MaxBatch, want.MaxBatch)
+						}
+						jw, _ := json.Marshal(want)
+						jg, _ := json.Marshal(got)
+						if string(jw) != string(jg) {
+							t.Fatalf("%s: JSON encodings differ", name)
+						}
+						// The fleet summaries must agree with the serve-level
+						// ones exactly — same samples, same percentile math.
+						if fleet.E2E != want.E2E || fleet.TTFT != want.TTFT || fleet.TPOT != want.TPOT || fleet.Queue != want.Queue {
+							t.Fatalf("%s: fleet percentiles diverge from serve.Run's", name)
+						}
+						if fleet.SimTime != want.SimTime || fleet.ThroughputRPS != want.ThroughputRPS || fleet.TokensPerSec != want.TokensPerSec {
+							t.Fatalf("%s: fleet totals diverge from serve.Run's", name)
+						}
+						if !reflect.DeepEqual(fleet.PerTenant, want.PerTenant) {
+							t.Fatalf("%s: fleet tenant breakdown diverges", name)
+						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestTenantRenamingInvariance: tenant names label requests and never
+// price them, so renaming every tenant leaves each request's metrics
+// unchanged apart from its Tenant — under serve.Run and behind a least-kv
+// fleet router alike.
+func TestTenantRenamingInvariance(t *testing.T) {
+	rename := func(mix []workload.TenantLoad) []workload.TenantLoad {
+		out := slices.Clone(mix)
+		for i := range out {
+			// Reversed and prefixed, so the tenants also sort the other
+			// way round.
+			r := []rune(out[i].Tenant)
+			slices.Reverse(r)
+			out[i].Tenant = "z" + strings.Repeat("y", i) + string(r)
+		}
+		return out
+	}
+	untenanted := func(ms []serve.RequestMetrics) []serve.RequestMetrics {
+		out := slices.Clone(ms)
+		for i := range out {
+			out[i].Tenant = ""
+		}
+		return out
+	}
+	mix := lognormalMix(t)
+	mix[0].PrefixID, mix[0].PrefixTokens = "sys", 16
+
+	single := capacity0(t)
+	single.Policy, single.KVCapacity = serve.Paged, 12e9
+	single.Mix, single.Rate, single.Requests, single.Seed = mix, 3, 96, 5
+	renamed := single
+	renamed.Mix = rename(mix)
+	a, err := serve.Run(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := serve.Run(renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(untenanted(a.PerRequest), untenanted(b.PerRequest)) {
+		t.Error("serve.Run: renaming tenants changed per-request metrics")
+	}
+
+	fleet := disaggFleet(t, 128)
+	renamedFleet := fleet
+	renamedFleet.Mix = rename(fleet.Mix)
+	fa, err := Run(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := Run(renamedFleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fa.PerRequest) != len(fb.PerRequest) {
+		t.Fatalf("fleet completed %d vs %d requests", len(fa.PerRequest), len(fb.PerRequest))
+	}
+	for i := range fa.PerRequest {
+		x, y := fa.PerRequest[i], fb.PerRequest[i]
+		x.Tenant, y.Tenant = "", ""
+		if x != y {
+			t.Fatalf("least-kv fleet: renaming tenants changed request %d: %+v vs %+v", i, x, y)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"encoding/json"
 	"testing"
 
 	"optimus/internal/serve"
+	"optimus/internal/workload"
 )
 
 // FuzzParseRouting: whatever the input, ParseRouting must never panic, and
@@ -92,6 +94,74 @@ func FuzzClusterSpecValidate(f *testing.F) {
 			if res.Requests != requests {
 				t.Fatalf("fleet completed %d of %d requests", res.Requests, requests)
 			}
+		}
+	})
+}
+
+// FuzzOneReplicaFleet is the differential harness behind
+// TestSingleReplicaReproducesServe: over generated workloads — two-tenant
+// mixes with heavy-tail sigmas and shared prefixes, rate schedules and
+// session cohorts — under every admission policy, each spec
+// cluster.Spec.Validate accepts must run, and its one-replica fleet's
+// replica Result must equal serve.Run's byte for byte.
+func FuzzOneReplicaFleet(f *testing.F) {
+	cap0 := capacity0(f)
+
+	// policy, prompt, gen, promptSigma, genSigma, second tenant, prefix,
+	// turns, think, schedule, rate, requests, seed, maxBatch, kvGB
+	f.Add(uint8(0), 200, 200, 0.0, 0.0, false, 0, 0, 0.0, false, 2.0, 12, int64(1), 0, 0.0)
+	f.Add(uint8(0), 300, 150, 0.8, 0.6, true, 0, 0, 0.0, false, 2.0, 12, int64(1), 0, 0.0)
+	f.Add(uint8(1), 300, 150, 0.8, 0.6, true, 32, 0, 0.0, false, 4.0, 12, int64(3), 0, 12.0)
+	f.Add(uint8(2), 300, 150, 0.8, 0.6, true, 0, 0, 0.0, true, 2.0, 12, int64(7), 4, 12.0)
+	f.Add(uint8(1), 200, 100, 0.0, 0.5, false, 0, 3, 2.0, false, 3.0, 12, int64(5), 0, 3.0)
+	f.Add(uint8(1), 120, 40, 0.0, 0.0, true, 0, 2, 0.0, true, 8.0, 12, int64(9), 2, 1.0)
+
+	f.Fuzz(func(t *testing.T, policy uint8, prompt, gen int, promptSigma, genSigma float64, second bool,
+		prefix, turns int, think float64, schedule bool, rate float64, requests int, seed int64, maxBatch int, kvGB float64) {
+		if prompt > 2048 || gen > 256 || requests > 16 || promptSigma > 1.5 || genSigma > 1.5 {
+			return // accepted, perhaps, but too long a simulation per fuzz input
+		}
+		w := workload.Spec{
+			Mix: []workload.TenantLoad{{Tenant: "chat", Share: 0.7, PromptTokens: prompt, GenTokens: gen,
+				PromptSigma: promptSigma, GenSigma: genSigma}},
+			Turns: turns, Think: think, Requests: requests, Seed: seed, Rate: rate,
+		}
+		if prefix != 0 {
+			w.Mix[0].PrefixID, w.Mix[0].PrefixTokens = "sys", prefix
+		}
+		if second {
+			w.Mix = append(w.Mix, workload.TenantLoad{Tenant: "batch", Share: 0.3, PromptTokens: 4 * prompt, GenTokens: gen / 2,
+				PromptSigma: promptSigma / 2})
+		}
+		if schedule {
+			w.Rate = 0
+			w.Schedule = workload.Schedule{{Start: 0, End: 2, Rate: rate}, {Start: 2, End: 4, Rate: 4 * rate}}
+		}
+		cap := cap0
+		cap.Policy = serve.Policy(policy % 3)
+		cap.MaxBatch = maxBatch
+		cap.KVCapacity = kvGB * 1e9
+		fleet := Spec{Replicas: []Replica{{Spec: cap}}, Routing: RoundRobin}
+		fleet.SetWorkload(w)
+		if fleet.Validate() != nil {
+			return
+		}
+		single := cap
+		single.SetWorkload(w)
+		want, err := serve.Run(single)
+		if err != nil {
+			t.Fatalf("fleet-valid spec rejected by serve.Run: %v", err)
+		}
+		got, err := Run(fleet)
+		if err != nil {
+			t.Fatalf("validated fleet failed to run: %v", err)
+		}
+		jw, _ := json.Marshal(want)
+		jg, _ := json.Marshal(got.PerReplica[0].Result)
+		if string(jw) != string(jg) {
+			t.Fatalf("one-replica fleet diverges from serve.Run: E2E p95 %g vs %g, %d vs %d iterations, MaxBatch %d vs %d",
+				got.PerReplica[0].Result.E2E.P95, want.E2E.P95, got.PerReplica[0].Result.Iterations, want.Iterations,
+				got.PerReplica[0].Result.MaxBatch, want.MaxBatch)
 		}
 	})
 }

@@ -229,7 +229,8 @@ func FuzzPagedGeometry(f *testing.F) {
 		if s.Validate() != nil {
 			return
 		}
-		p := newPolicy(s.withDefaults()).(*pagedPolicy)
+		env := possibleEnvelope(s.Workload())
+		p := newPolicy(s, &env, new(policyStore)).(*pagedPolicy)
 		pt, total := p.PageGeometry()
 		if pt < 1 || pt > prompt+gen {
 			t.Fatalf("page size %d outside [1, %d]", pt, prompt+gen)

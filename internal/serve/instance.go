@@ -30,8 +30,8 @@ type Load struct {
 // InFlight is the total admission-relevant occupancy: queued plus running.
 func (l Load) InFlight() int { return l.Queued + l.Running }
 
-// Instance is one steppable serving simulation: the exact event loop
-// behind Run, exposed request by request so a cluster router can feed R
+// Instance is one steppable serving simulation: the event loop Run
+// drives, exposed request by request so a cluster router can feed R
 // replicas from one split arrival stream and observe per-iteration load.
 //
 // The driving contract: Push requests in non-decreasing arrival-time
@@ -39,8 +39,8 @@ func (l Load) InFlight() int { return l.Queued + l.Running }
 // can never be admitted before it exists, and explicit AdvanceTo calls are
 // purely observational — their granularity never changes the outcome: a
 // replica's result depends only on its Push sequence). Drain runs the loop
-// to completion; Result then assembles exactly what Run would have
-// returned for the same request sequence.
+// to completion; Result then assembles exactly what Run returns for the
+// same request sequence on the same envelope.
 type Instance struct {
 	sim     *simulator
 	pushed  int
@@ -48,36 +48,69 @@ type Instance struct {
 	drained bool
 }
 
-// Envelope is the set of request shapes a router may push into an
-// instance (duplicates are fine), validated once and posed as a zero-time
-// trace: every geometry path (shape bounds, KV budget, policy
-// construction, step-coster configuration) then sees exactly the workload
-// Run would see, with no second derivation to drift. An instance fed a
-// workload's requests on that workload's envelope prices them
-// byte-identically to Run. Every replica of a fleet reads one Envelope;
-// Set re-arms it in place, reusing its storage, and invalidates the
-// instances built on its previous contents.
+// Envelope is the set of request shapes a simulation is sized from
+// (duplicates are fine): the step coster, KV geometry and batch caps read
+// its bounds, and a prefixed envelope's page units each shape's prefix
+// split. Run arms on the stream it draws and a fleet every replica on the
+// fleet's stream; only the pre-draw rules read a workload's possible
+// shapes. The bounds and the prefixed bit are folded once, when the
+// envelope is set; Set re-arms it in place, invalidating the instances
+// built on its previous contents.
 type Envelope struct {
-	trace []workload.TraceEvent
+	shapes []workload.Request
+	// work's possible extremes stand in for shapes in a pre-draw
+	// envelope, which possible marks.
+	work     workload.Spec
+	bounds   workload.Bounds
+	possible bool
+	prefixed bool
 }
 
-// Set validates shapes and makes them the envelope.
+// Set validates shapes and makes them the envelope, by reference: they
+// must stay unchanged while an instance built on it is live.
 func (e *Envelope) Set(shapes []workload.Request) error {
-	trace := e.trace[:0]
-	for _, sh := range shapes {
-		trace = append(trace, workload.TraceEvent{Request: sh})
-	}
-	// Empty until the shapes validate: no instance can be built on a
-	// failed Set.
-	e.trace = trace[:0]
-	if len(trace) == 0 {
+	*e = Envelope{} // empty, and so unusable, until the shapes validate
+	if len(shapes) == 0 {
 		return fmt.Errorf("serve: an instance needs a non-empty shape envelope")
 	}
-	if err := workload.ValidateTrace(trace); err != nil {
-		return err
+	for i := range shapes {
+		if err := shapes[i].Validate(); err != nil {
+			return fmt.Errorf("serve: envelope shape %d: %w", i, err)
+		}
 	}
-	e.trace = trace
+	*e = Envelope{shapes: shapes}.folded()
 	return nil
+}
+
+// possibleEnvelope is the pre-draw envelope of w: its possible extremes.
+func possibleEnvelope(w workload.Spec) Envelope { return Envelope{possible: true, work: w}.folded() }
+
+// each calls f with every shape, as workload.Spec.Extremes does.
+func (e *Envelope) each(f func(first bool, prompt, gen, prefix int)) {
+	if e.possible {
+		e.work.Extremes(f)
+		return
+	}
+	for i, sh := range e.shapes {
+		f(i == 0, sh.PromptTokens, sh.GenTokens, sh.PrefixTokens)
+	}
+}
+
+// folded returns e with its bounds derived and whether any shape carries
+// a prefix.
+func (e Envelope) folded() Envelope {
+	b := &e.bounds
+	e.each(func(first bool, prompt, gen, prefix int) {
+		c := prompt + gen
+		if first {
+			*b = workload.Bounds{MinPrompt: prompt, MaxPrompt: prompt, MaxGen: gen, MinContext: c, MaxContext: c}
+		}
+		b.MinPrompt, b.MaxPrompt = min(b.MinPrompt, prompt), max(b.MaxPrompt, prompt)
+		b.MaxGen = max(b.MaxGen, gen)
+		b.MinContext, b.MaxContext = min(b.MinContext, c), max(b.MaxContext, c)
+		e.prefixed = e.prefixed || prefix > 0
+	})
+	return e
 }
 
 // NewInstance builds a steppable replica from a capacity spec and the
@@ -93,38 +126,34 @@ func NewInstance(s Spec, envelope []workload.Request) (*Instance, error) {
 // Instance re-arms the Runner's pooled simulator as a steppable replica.
 // The spec carries capacity only — model/system/precision, batching and
 // KV limits, and the admission policy; its workload and arrival fields
-// must be zero (the router owns the stream). The KV geometry, step-cost
-// samples and batch caps are derived from the envelope's bounds exactly
-// as Run derives them from a workload, while the request slabs grow with
-// the pushes — a replica holding a fraction of its envelope pays for that
-// fraction. The Runner's single-live-simulation contract applies:
-// building a new Instance (or calling Run) invalidates the previous one.
+// must be zero (the router owns the stream). It is armed on env as Run
+// arms on its drawn stream, while the request slabs grow with the pushes
+// — a replica holding a fraction of its envelope pays for that fraction.
+// The Runner's single-live-simulation contract applies: building a new
+// Instance (or calling Run) invalidates the previous one.
 func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 	if err := s.capacityOnly(); err != nil {
 		return nil, err
 	}
-	if len(env.trace) == 0 {
+	if len(env.shapes) == 0 {
 		return nil, fmt.Errorf("serve: an instance needs a non-empty shape envelope")
 	}
-	s.Trace = env.trace
-	if err := s.validateCapacity(); err != nil {
+	if err := s.validateCapacity(env); err != nil {
 		return nil, err
 	}
-	// Requests stays zero: it pre-sizes Run's slabs and sets its
-	// completion target, and an instance's requests arrive by Push.
-	if err := rn.sim.reset(s); err != nil {
+	if err := rn.sim.arm(s, env, 0, new(policyStore)); err != nil {
 		return nil, err
 	}
 	return &Instance{sim: &rn.sim}, nil
 }
 
 // Push hands the instance one request arriving at time t. Requests must
-// arrive in non-decreasing t order and fit the envelope's largest context
-// (the KV geometry was sized to it). Push first advances the clock to t
-// (running any pending iterations, exactly as Run's loop would before the
-// arrival joins the queue); pushing into an instance left idle before t
-// jumps the clock to t — Run's idle jump to its next pre-generated
-// arrival.
+// arrive in non-decreasing t order and fit the envelope's largest request
+// (the KV geometry was sized to it): its context, and under the paged
+// policy its prefix and private pages together. Push first advances the
+// clock to t (running any pending iterations, exactly as Run does before
+// the arrival joins the queue); pushing into an instance left idle before
+// t jumps the clock to t.
 func (in *Instance) Push(r workload.Request, t float64) error {
 	if in.drained {
 		return fmt.Errorf("serve: push after drain")
@@ -154,7 +183,19 @@ func (in *Instance) Push(r workload.Request, t float64) error {
 				return fmt.Errorf("serve: push: prefix %q spans %d tokens here and %d in an earlier push — a shared prefix has one length", r.PrefixID, r.PrefixTokens, prev)
 			}
 		}
+		// Prefix and private pages round up separately, so the split can
+		// need a page more than the context.
+		if need := in.sim.pp.fullNeed(r.PromptTokens, r.GenTokens, r.PrefixTokens); need > in.sim.pp.fullPages {
+			return fmt.Errorf("serve: pushed request needs %d KV pages with its %d-token prefix, beyond the instance envelope's largest request of %d pages",
+				need, r.PrefixTokens, in.sim.pp.fullPages)
+		}
 	}
+	in.push(r, t)
+	return nil
+}
+
+// push is Push after its checks, the path Run's validated stream takes.
+func (in *Instance) push(r workload.Request, t float64) {
 	in.lastT = t
 	in.AdvanceTo(t)
 	sim := in.sim
@@ -164,12 +205,12 @@ func (in *Instance) Push(r workload.Request, t float64) error {
 	sim.pushShape(in.pushed, r, t)
 	in.pushed++
 	sim.target++
-	return nil
 }
 
 // AdvanceTo runs batching iterations until the instance's clock reaches t
-// or it runs out of work. Iterations are atomic: the clock may overshoot
-// t, exactly as Run's loop overshoots an arrival landing mid-iteration.
+// or it runs out of work. Iterations are atomic, so the clock may
+// overshoot t: an arrival landing mid-iteration waits for the next
+// boundary.
 func (in *Instance) AdvanceTo(t float64) {
 	sim := in.sim
 	for !sim.idle() && sim.now < t {
@@ -181,10 +222,7 @@ func (in *Instance) AdvanceTo(t float64) {
 // Further pushes are rejected.
 func (in *Instance) Drain() {
 	in.drained = true
-	sim := in.sim
-	for !sim.idle() {
-		sim.step()
-	}
+	in.AdvanceTo(math.Inf(1))
 }
 
 // Pushed returns the number of requests routed to this instance so far.

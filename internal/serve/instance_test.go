@@ -12,27 +12,35 @@ import (
 
 // capacityOf strips a full workload spec down to the capacity descriptor an
 // Instance carries, and returns the arrival stream (times + shapes) the
-// router would push — generated through the same workload generators Run
-// uses internally.
+// router would push — drawn by the same workload.Spec.Stream Run draws
+// from.
 func capacityOf(t *testing.T, s Spec) (cap Spec, times []float64, shapes []workload.Request) {
 	t.Helper()
-	d := s.withDefaults()
-	if err := workload.ValidateMix(d.Mix); err != nil {
+	w := s.Workload()
+	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	shapes = workload.AppendMixShapes(nil, d.Mix, d.Requests, d.Seed)
-	times = workload.AppendPoissonArrivals(nil, d.Rate, d.Requests, d.Seed)
+	times, shapes = w.WithDefaults().Stream(nil, nil)
 	cap = s
-	cap.PromptTokens, cap.GenTokens = 0, 0
-	cap.Mix, cap.Trace = nil, nil
-	cap.Arrival, cap.Rate, cap.Clients, cap.Requests, cap.Seed = Poisson, 0, 0, 0, 0
+	cap.SetWorkload(workload.Spec{})
 	return cap, times, shapes
 }
 
+// lognormalMix replaces s's shape with a heavy-tailed two-tenant mix whose
+// largest possible request (8× each median) is far beyond any it draws.
+func lognormalMix(t *testing.T, s *Spec) {
+	t.Helper()
+	mix, err := workload.ParseMix("chat:0.7:300~0.8:150~0.6,batch:0.3:1200~0.5:400")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PromptTokens, s.GenTokens, s.Mix = 0, 0, mix
+}
+
 // TestInstanceReproducesRun: an Instance pushed Run's own arrival stream
-// must reproduce Run byte-identically (reflect + JSON) across the policy
-// axis — the degenerate-equivalence pin for the steppable-core refactor
-// and the foundation of the R=1 cluster equivalence.
+// on that stream's envelope must reproduce Run byte-identically (reflect +
+// JSON) across the policy and workload axes — the pin that Run is the
+// Instance driver, and the foundation of the R=1 cluster equivalence.
 func TestInstanceReproducesRun(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -48,6 +56,12 @@ func TestInstanceReproducesRun(t *testing.T) {
 				{Tenant: "batch", Share: 0.3, PromptTokens: 400, GenTokens: 50},
 			}
 		}},
+		// Heavy-tailed lengths: the drawn stream never reaches the
+		// workload's possible extremes, and Run sizes from the stream.
+		{"lognormal/reserve", func(s *Spec) { lognormalMix(t, s) }},
+		{"lognormal/paged", func(s *Spec) { lognormalMix(t, s); s.Policy = Paged; s.KVCapacity = 12e9 }},
+		{"lognormal/disagg", func(s *Spec) { lognormalMix(t, s); s.Policy = Disaggregated; s.KVCapacity = 12e9 }},
+		{"sessions/paged", func(s *Spec) { s.GenTokens, s.Turns, s.Think = 100, 3, 2; s.Policy = Paged; s.KVCapacity = 3e9 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := spec0(t)
@@ -255,9 +269,12 @@ func TestInstanceValidation(t *testing.T) {
 	}{
 		{prefixed("sys", 64, 0), ""},
 		{prefixed("sys", 32, 0), "one length"},
-		{prefixed("~s1", 150, 1), ""},
-		{prefixed("~s1", 180, 1), ""},
+		{prefixed("~s1", 160, 1), ""},
+		{prefixed("~s1", 176, 1), ""},
 		{prefixed("~s1", 120, 1), "shrank"},
+		// 150 prefix tokens take 10 pages and the 250 private ones 16:
+		// one page beyond the envelope's 25-page largest request.
+		{prefixed("~s2", 150, 2), "26 KV pages"},
 	} {
 		err := in.Push(c.r, float64(i))
 		if c.wantErr == "" && err != nil {
@@ -266,6 +283,27 @@ func TestInstanceValidation(t *testing.T) {
 		if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
 			t.Errorf("push %d: got %v, want an error containing %q", i, err, c.wantErr)
 		}
+	}
+
+	// The page budget holds exactly the envelope's one 128-token request
+	// (8 pages of 16 tokens). A 10-token prefix rounds up to a page of its
+	// own and the 118 private tokens to 8 more: admitting the push would
+	// commit 9 of the 8 pages.
+	small := spec0(t)
+	small.PromptTokens, small.GenTokens = 100, 28
+	_, per := small.kvBudget()
+	paged.PageTokens, paged.KVCapacity = 16, per
+	in, err = NewInstance(paged, []workload.Request{{Tenant: "x", PromptTokens: 100, GenTokens: 28}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := workload.Request{Tenant: "x", PromptTokens: 100, GenTokens: 28, PrefixID: "p", PrefixTokens: 10}
+	if err := in.Push(over, 0); err == nil || !strings.Contains(err.Error(), "9 KV pages") {
+		t.Errorf("prefixed push beyond the page budget: got %v", err)
+	}
+	over.PrefixTokens = 16 // 1 + 7 pages: exactly the budget
+	if err := in.Push(over, 0); err != nil {
+		t.Errorf("page-aligned prefixed push: %v", err)
 	}
 }
 

@@ -136,7 +136,7 @@ func (s Spec) Canonical() Spec {
 	if !Knobs[knobPrefixTokens].applies(s.Policy, s.NoPreempt) || s.Turns <= 1 {
 		s.Turns, s.Think = 0, 0
 	}
-	return s.canonical(s.bounds().MaxContext)
+	return s.canonical(possibleEnvelope(s.Workload()).bounds.MaxContext)
 }
 
 // canonical is Canonical's knob rule against a precomputed largest

@@ -6,6 +6,7 @@ import (
 
 	"optimus/internal/arch"
 	"optimus/internal/comm"
+	"optimus/internal/memfoot"
 )
 
 // Policy selects the KV-cache admission policy of a serving simulation.
@@ -143,20 +144,44 @@ type AdmissionPolicy interface {
 	counters() (preemptions, recomputedTokens int)
 }
 
-// newPolicy resolves the spec's admission policy. It derives the KV
-// geometry exactly once (one memfoot.Inference evaluation), so the
-// simulator's hot path never recomputes the footprint model.
-func newPolicy(s Spec) AdmissionPolicy {
-	budget, perRequest := s.kvBudget()
+// policyStore is where one spec's policies are built, each kind allocated
+// once, with the last footprint evaluation: Run's verdict and its arming
+// share both, the evaluation when the stream reaches the largest context.
+type policyStore struct {
+	paged   *pagedPolicy
+	reserve *reservePolicy
+	fp      memfoot.InferenceBreakdown
+	context int
+}
+
+// newPolicy builds the spec's admission policy over env's geometry, in
+// ps. Its KV budget and largest-request reservation come from the memfoot
+// footprint at env's largest context, evaluated at most once per policy,
+// so the policy never diverges from the footprint the predictors check.
+func newPolicy(s Spec, env *Envelope, ps *policyStore) AdmissionPolicy {
+	b := env.bounds
+	if ps.context != b.MaxContext || b.MaxContext == 0 {
+		ps.context, ps.fp = b.MaxContext, inferenceFootprint(s.Model, s.TP, 1, b.MaxContext, s.Precision.Bytes())
+	}
+	budget, perRequest := s.KVCapacity, ps.fp.KVCache
+	if budget <= 0 {
+		budget = s.System.Device.DRAMCapacity() - ps.fp.Weights
+	}
 	if Knobs[knobPageTokens].readBy(s.Policy) {
-		return newPagedPolicy(s, budget, perRequest)
+		if ps.paged == nil {
+			ps.paged = new(pagedPolicy)
+		}
+		ps.paged.init(s, env, budget, perRequest)
+		return ps.paged
 	}
-	b := s.bounds()
-	return &reservePolicy{
+	if ps.reserve == nil {
+		ps.reserve = new(reservePolicy)
+	}
+	*ps.reserve = reservePolicy{
 		budget: budget, perRequest: perRequest,
-		maxContext: b.MaxContext, minContext: b.MinContext,
-		uniform: b.Uniform(), userCap: s.MaxBatch,
+		maxContext: b.MaxContext, minContext: b.MinContext, userCap: s.MaxBatch,
 	}
+	return ps.reserve
 }
 
 // reservePolicy is the extracted PR-2 admission: every request reserves
@@ -173,7 +198,6 @@ type reservePolicy struct {
 	// per-token fraction of it.
 	perRequest             float64
 	maxContext, minContext int
-	uniform                bool
 	userCap                int
 	kvUsed                 float64
 }
@@ -212,7 +236,7 @@ func (p *reservePolicy) Feasible() bool {
 func (p *reservePolicy) PageGeometry() (int, int) { return 0, 0 }
 
 func (p *reservePolicy) beginStep(pool []request, running, victims []int32) ([]int32, []int32) {
-	if p.uniform {
+	if p.minContext == p.maxContext {
 		// Multiply-by-count, not a sum: the PR-3 float path, preserved
 		// bit for bit for the degenerate-equivalence guarantee.
 		p.kvUsed = p.perRequest * float64(len(running))
@@ -365,19 +389,20 @@ type prefixEntry struct {
 	resident bool
 }
 
-// newPagedPolicy derives the block geometry: the byte size of one page and
-// the budget's page count, split across the pools. When one page spans the
+// init rebuilds the policy and derives its block geometry: the byte size
+// of one page and the budget's page count, split across the pools. When
+// one page spans the
 // full context the footprint's own bytes are used verbatim (not a
 // divide-and-remultiply round trip), keeping the degenerate configurations
 // bit-identical to ReserveFull accounting; page counts are clamped to
 // maxTotalPages so a huge budget cannot overflow the float→int conversion
 // on 32-bit targets.
-func newPagedPolicy(s Spec, budget, perRequest float64) *pagedPolicy {
-	b := s.bounds()
+func (p *pagedPolicy) init(s Spec, env *Envelope, budget, perRequest float64) {
+	b := env.bounds
 	context := b.MaxContext
 	c := s.canonical(context)
 	pt := c.PageTokens
-	p := &pagedPolicy{
+	*p = pagedPolicy{
 		budget:     budget,
 		pageTokens: pt,
 		split:      Knobs[knobPrefillDevices].readBy(s.Policy),
@@ -386,7 +411,7 @@ func newPagedPolicy(s Spec, budget, perRequest float64) *pagedPolicy {
 		link:       arch.Link{BW: c.TransferGBps * 1e9, Util: 1},
 	}
 	if pt == 0 {
-		return p // context-free garbage spec; totalPages stays 0 → infeasible
+		return // context-free garbage spec; totalPages stays 0 → infeasible
 	}
 	if pt == context {
 		p.pageBytes = perRequest
@@ -413,12 +438,12 @@ func newPagedPolicy(s Spec, budget, perRequest float64) *pagedPolicy {
 	p.admitPages = p.pagesFor(b.MinPrompt + 1)
 	p.fullPages = p.pagesFor(context)
 	p.minFull = p.pagesFor(b.MinContext)
-	if s.Workload().Prefixed() && !p.split {
+	if env.prefixed && !p.split {
 		// Prefixed shapes split their pages into shared + private spans,
 		// each rounded up separately: the feasibility unit is the largest
 		// such split (≥ the unsplit page count), the cap unit the smallest
 		// resident-prefix admission (private prompt suffix only).
-		p.fullPages, p.admitPages = prefixPageUnits(s, p)
+		p.fullPages, p.admitPages = p.prefixPageUnits(env)
 	}
 	if c.HostKVBytes > 0 {
 		if f := c.HostKVBytes / p.pageBytes; f > maxTotalPages {
@@ -428,7 +453,6 @@ func newPagedPolicy(s Spec, budget, perRequest float64) *pagedPolicy {
 		}
 		p.swapLink = arch.Link{BW: c.SwapGBps * 1e9, Util: 1}
 	}
-	return p
 }
 
 // poolPages is one pool's share of the budget's pages: devs of the tp
@@ -439,14 +463,13 @@ func poolPages(budgetPages, devs, tp int) int {
 }
 
 // prefixPageUnits derives the paged feasibility and cap units of a
-// prefixed workload by folding its extreme shapes: the largest
-// prefix-pages + private-full-context-pages sum (what the oldest sequence
-// can need to finish after everything else is evicted and every other
-// prefix reclaimed), and the smallest admission need (a resident-prefix
-// hit charging its private prompt's pages alone).
-func prefixPageUnits(s Spec, p *pagedPolicy) (fullPages, admitPages int) {
-	s.Workload().Extremes(func(first bool, prompt, gen, prefix int) {
-		full := p.pagesFor(prefix) + p.pagesFor(prompt-prefix+gen)
+// prefixed envelope by folding its shapes: the largest full need (what
+// the oldest sequence can need to finish after everything else is evicted
+// and every other prefix reclaimed), and the smallest admission need (a
+// resident-prefix hit charging its private prompt's pages alone).
+func (p *pagedPolicy) prefixPageUnits(env *Envelope) (fullPages, admitPages int) {
+	env.each(func(first bool, prompt, gen, prefix int) {
+		full := p.fullNeed(prompt, gen, prefix)
 		admit := p.pagesFor(prompt - prefix + 1)
 		if first || full > fullPages {
 			fullPages = full
@@ -456,6 +479,12 @@ func prefixPageUnits(s Spec, p *pagedPolicy) (fullPages, admitPages int) {
 		}
 	})
 	return fullPages, admitPages
+}
+
+// fullNeed is the full-context page count of a prefixed shape: prefix and
+// private pages, each rounded up.
+func (p *pagedPolicy) fullNeed(prompt, gen, prefix int) int {
+	return p.pagesFor(prefix) + p.pagesFor(prompt-prefix+gen)
 }
 
 // intern resolves a prefix id to its registry slot, creating it cold

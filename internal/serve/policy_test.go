@@ -293,6 +293,16 @@ func TestPagedDeterminism(t *testing.T) {
 	}
 }
 
+// kvBudget is the KV budget and largest-request reservation the pre-draw
+// rules size s from: newPolicy's, at the workload's largest possible
+// context.
+func (s Spec) kvBudget() (budget, perRequest float64) {
+	s.Policy = ReserveFull
+	env := possibleEnvelope(s.Workload())
+	p := newPolicy(s, &env, new(policyStore)).(*reservePolicy)
+	return p.budget, p.perRequest
+}
+
 // TestRunDerivesKVGeometryOnce pins the kvBudget hoist: one simulation
 // must evaluate the memfoot inference footprint exactly once, regardless
 // of policy — the footprint model is far too slow for the event loop, and

@@ -21,6 +21,10 @@
 // degenerate spec-wide shape — and results break the SLO percentiles down
 // per tenant (Result.PerTenant) alongside the aggregate view.
 //
+// Pre-draw rules (Validate, Feasible, Canonical, Run's verdict) read the
+// workload's possible shapes; the simulation reads the drawn stream, whose
+// Envelope Run arms on exactly as every fleet replica does.
+//
 // KV-cache admission is a pluggable AdmissionPolicy with two
 // implementations selected by Spec.Policy:
 //
@@ -223,17 +227,10 @@ func (s *Spec) SetWorkload(w workload.Spec) {
 	}
 }
 
-// withDefaults fills the workload's derivable fields.
-func (s Spec) withDefaults() Spec {
-	s.SetWorkload(s.Workload().WithDefaults())
-	return s
-}
-
-// inferSpec builds the step-cost configuration at the workload's largest
-// request shape; for the degenerate single-tenant workload that is exactly
-// the spec-wide PromptTokens/GenTokens.
-func (s Spec) inferSpec() infer.Spec {
-	b := s.bounds()
+// inferSpec builds the step-cost configuration at the largest request
+// shape of bounds; for the degenerate single-tenant workload that is
+// exactly the spec-wide PromptTokens/GenTokens.
+func (s Spec) inferSpec(b workload.Bounds) infer.Spec {
 	return infer.Spec{
 		Model: s.Model, System: s.System, TP: s.TP, Batch: 1,
 		PromptTokens: b.MaxPrompt, GenTokens: b.MaxGen,
@@ -241,44 +238,24 @@ func (s Spec) inferSpec() infer.Spec {
 	}
 }
 
-// bounds resolves the workload's shape bounds.
-func (s Spec) bounds() workload.Bounds { return s.Workload().Bounds() }
-
-// inferenceFootprint is the footprint model behind kvBudget; a package
+// inferenceFootprint is the footprint model behind newPolicy; a package
 // variable so tests can count invocations and pin that Run derives the KV
 // geometry exactly once per simulation (not once per iteration or per
 // helper call).
 var inferenceFootprint = memfoot.Inference
 
-// kvBudget resolves the per-device KV-cache budget and the full-context
-// reservation of the workload's largest request, both from the memfoot
-// inference model so the admission policy can never diverge from the
-// footprint the predictors check against. It is called exactly once per
-// simulation, from newPolicy — the footprint model is far too slow for the
-// event loop.
-func (s Spec) kvBudget() (budget, perRequest float64) {
-	fp := inferenceFootprint(s.Model, s.TP, 1, s.bounds().MaxContext, s.Precision.Bytes())
-	budget = s.KVCapacity
-	if budget <= 0 {
-		budget = s.System.Device.DRAMCapacity() - fp.Weights
-	}
-	return budget, fp.KVCache
-}
-
 // Validate checks the experiment: the workload (workload.Spec.Validate)
-// and the capacity serving it, including that the largest request's
-// weights + full-context KV-cache fit the device (Feasible's verdict).
+// and the capacity serving it, including that the workload's largest
+// possible request — weights + full-context KV-cache — fits the device
+// (Feasible's verdict).
 func (s Spec) Validate() error {
-	s, err := s.resolve()
-	if err != nil {
-		return err
-	}
-	return s.validateFit(newPolicy(s))
+	_, err := s.resolve(new(policyStore))
+	return err
 }
 
-// resolve validates everything but the fit and returns the spec with its
-// workload defaulted.
-func (s Spec) resolve() (Spec, error) {
+// resolve applies the pre-draw rules, building the fit check's policy in
+// ps, and returns the spec with its workload defaulted.
+func (s Spec) resolve(ps *policyStore) (Spec, error) {
 	if s.Arrival != Poisson && s.Arrival != ClosedLoop {
 		return s, fmt.Errorf("serve: unknown arrival process %v", s.Arrival)
 	}
@@ -287,23 +264,26 @@ func (s Spec) resolve() (Spec, error) {
 		return s, fmt.Errorf("serve: %w", err)
 	}
 	s.SetWorkload(w.WithDefaults())
-	return s, s.validateCapacity()
+	env := possibleEnvelope(s.Workload())
+	if err := s.validateCapacity(&env); err != nil {
+		return s, err
+	}
+	_, err := s.fit(&env, ps)
+	return s, err
 }
 
 // ValidateCapacity checks a capacity-only spec — workload and arrival
-// fields zero — serving the workload w, which the caller validated: the
-// step-cost configuration, the policy knobs against w, and the fit of
-// w's largest request. A fleet validates its one workload once and each
-// replica against it this way.
+// fields zero — serving the workload w: the step-cost configuration, the
+// policy knobs against w, and the fit of w's largest possible request. A
+// fleet validates its one workload first, so that its errors name the
+// fleet, then each replica against it this way.
 func (s Spec) ValidateCapacity(w workload.Spec) error {
 	if err := s.capacityOnly(); err != nil {
 		return err
 	}
-	s.SetWorkload(w.WithDefaults())
-	if err := s.validateCapacity(); err != nil {
-		return err
-	}
-	return s.validateFit(newPolicy(s))
+	s.SetWorkload(w)
+	_, err := s.resolve(new(policyStore))
+	return err
 }
 
 // capacityOnly rejects the workload and arrival fields of a capacity
@@ -321,21 +301,21 @@ func (s Spec) capacityOnly() error {
 	return nil
 }
 
-// validateCapacity checks the step-cost configuration and the capacity
-// knobs — everything that does not need the KV geometry, run before
-// newPolicy, since deriving the geometry dereferences the system a
-// garbage spec may not have.
-func (s Spec) validateCapacity() error {
-	if err := s.inferSpec().Validate(); err != nil {
+// validateCapacity checks the step-cost configuration at env's largest
+// shape and the capacity knobs against env — everything that does not
+// need the KV geometry, run before newPolicy, since deriving the geometry
+// dereferences the system a garbage spec may not have.
+func (s Spec) validateCapacity(env *Envelope) error {
+	if err := s.inferSpec(env.bounds).Validate(); err != nil {
 		return err
 	}
-	return s.validateKnobs()
+	return s.validateKnobs(env)
 }
 
 // validateKnobs checks the capacity knobs: counts, limits and the
-// policy-specific fields. Instance runs it alone, on an envelope whose
-// shapes were validated once for every replica.
-func (s Spec) validateKnobs() error {
+// policy-specific fields, the prefix-caching row set by any prefixed
+// shape of env.
+func (s Spec) validateKnobs(env *Envelope) error {
 	switch {
 	case s.MaxBatch < 0:
 		return fmt.Errorf("serve: negative batch cap %d", s.MaxBatch)
@@ -348,12 +328,13 @@ func (s Spec) validateKnobs() error {
 	}
 	// Reject knobs the chosen policy would silently ignore: a user who
 	// sets them believes they shaped the simulation.
+	prefix := Knobs[knobPrefixTokens].Field
 	if err := CheckKnobs([]Policy{s.Policy}, s.NoPreempt,
-		func(k Knob) bool { return k.set(s) },
+		func(k Knob) bool { return k.set(s) || k.Field == prefix && env.prefixed },
 		func(k Knob) string {
 			// A prefix surviving the workload rules alongside Turns above
 			// 1 is the session cohort's own.
-			if k.Field == Knobs[knobPrefixTokens].Field && s.Turns > 1 {
+			if k.Field == prefix && s.Turns > 1 {
 				return "Turns above 1"
 			}
 			return k.Field
@@ -380,22 +361,25 @@ func (s Spec) validateKnobs() error {
 	return nil
 }
 
-// validateFit checks the policy's feasibility verdict.
-func (s Spec) validateFit(pol AdmissionPolicy) error {
+// fit builds the spec's admission policy over env in ps and checks that
+// env's largest request fits.
+func (s Spec) fit(env *Envelope, ps *policyStore) (AdmissionPolicy, error) {
+	pol := newPolicy(s, env, ps)
 	if !pol.Feasible() {
-		return fmt.Errorf("serve: one %d-token request does not fit the device (weights + KV-cache exceed %g bytes)",
-			s.bounds().MaxContext, s.System.Device.DRAMCapacity())
+		return nil, fmt.Errorf("serve: one %d-token request does not fit the device (weights + KV-cache exceed %g bytes)",
+			env.bounds.MaxContext, s.System.Device.DRAMCapacity())
 	}
-	return nil
+	return pol, nil
 }
 
-// Feasible reports whether the workload's largest request can ever be
-// admitted: the TP-sharded weights plus one full-context KV allocation
-// (reservation or pages) fit the KV budget. The sweep engine uses it to
-// prune hopeless grid cells before simulating; its verdict matches whether
-// Run would reject the spec.
+// Feasible reports whether the workload's largest possible request can
+// ever be admitted: the TP-sharded weights plus one full-context KV
+// allocation (reservation or pages) fit the KV budget. The sweep engine
+// uses it to prune hopeless grid cells before simulating; its verdict
+// matches whether Run would reject the spec.
 func Feasible(s Spec) bool {
-	return newPolicy(s.withDefaults()).Feasible()
+	env := possibleEnvelope(s.Workload())
+	return newPolicy(s, &env, new(policyStore)).Feasible()
 }
 
 // RequestMetrics is one completed request's timeline.
@@ -672,10 +656,11 @@ type request struct {
 
 // Run executes the simulation. It is fully deterministic: the only
 // randomness is the seeded arrival process, and the event loop is a single
-// goroutine over slices in arrival order. Run is a driver over the
-// steppable simulator core (sim.go) that Instance exposes piecemeal — the
-// two paths share every line of event-loop code, so an Instance fed Run's
-// arrival stream reproduces Run byte-identically.
+// goroutine over slices in arrival order. Run judges the spec as Validate
+// does, draws the stream, arms the simulator on the stream's Envelope and
+// drives it as an Instance (closed-loop clients issue on completion), so a
+// one-replica fleet or a trace replay of the stream reproduces it
+// byte-identically.
 func Run(s Spec) (Result, error) {
 	return new(Runner).Run(s)
 }
@@ -693,8 +678,8 @@ func Run(s Spec) (Result, error) {
 // its own Runner.
 type Runner struct {
 	sim simulator
-	// arrivalsBuf/shapesBuf are the reusable workload-generation buffers
-	// behind Run's arrival stream.
+	// arrivalsBuf/shapesBuf are the reusable buffers of Run's drawn
+	// stream.
 	arrivalsBuf []float64
 	shapesBuf   []workload.Request
 }
@@ -705,45 +690,34 @@ func NewRunner() *Runner { return new(Runner) }
 // Run executes one simulation on the Runner's pooled state. See Run (the
 // package function) for semantics.
 func (rn *Runner) Run(s Spec) (Result, error) {
-	s, err := s.resolve()
+	var ps policyStore
+	s, err := s.resolve(&ps)
 	if err != nil {
 		return Result{}, err
 	}
+	w := s.Workload()
+	rn.arrivalsBuf, rn.shapesBuf = w.Stream(rn.arrivalsBuf[:0], rn.shapesBuf[:0])
+	drawn := Envelope{shapes: rn.shapesBuf}.folded()
+	s.SetWorkload(workload.Spec{})
 	sim := &rn.sim
-	if err := sim.reset(s); err != nil {
+	if err := sim.arm(s, &drawn, w.Requests, &ps); err != nil {
 		return Result{}, err
 	}
-
-	// Every arrival index is assigned its request shape up front, so the
-	// assignment is identical whether ids are issued open- or closed-loop.
-	// Open-loop arrivals are pre-generated; closed-loop ones are issued on
-	// completion.
-	rn.arrivalsBuf, rn.shapesBuf = s.Workload().Stream(rn.arrivalsBuf[:0], rn.shapesBuf[:0])
-	sim.shapes = rn.shapesBuf
-	if s.Arrival == Poisson {
-		sim.arrivals = rn.arrivalsBuf
-		sim.issued = s.Requests
+	in := Instance{sim: sim}
+	if w.Closed {
+		// Every client issues at time zero, and each completion issues
+		// the next arrival index's pre-drawn shape.
+		sim.shapes, sim.closed, sim.target = rn.shapesBuf, true, w.Requests
+		sim.issued = min(w.Clients, w.Requests)
+		for i := range sim.issued {
+			sim.pushShape(i, rn.shapesBuf[i], 0)
+		}
 	} else {
-		sim.closed = true
-		clients := min(s.Clients, s.Requests)
-		for i := 0; i < clients; i++ {
-			sim.enqueue(i, 0)
+		for i, t := range rn.arrivalsBuf {
+			in.push(rn.shapesBuf[i], t)
 		}
-		sim.issued = clients
 	}
-
-	for len(sim.done) < sim.target {
-		sim.admitArrived()
-		// Idle: jump to the next arrival.
-		if sim.idle() {
-			if sim.nextArr >= len(sim.arrivals) {
-				return Result{}, fmt.Errorf("serve: simulation stalled with %d/%d requests done", len(sim.done), sim.target)
-			}
-			sim.now = sim.arrivals[sim.nextArr]
-			sim.admitArrived()
-		}
-		sim.step()
-	}
+	in.Drain()
 	return sim.finish(), nil
 }
 

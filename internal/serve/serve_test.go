@@ -43,7 +43,7 @@ func TestLowLoadTTFTMatchesPrefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := infer.PrefillCost(s.inferSpec())
+	pre, err := infer.PrefillCost(s.inferSpec(possibleEnvelope(s.Workload()).bounds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLowLoadTTFTMatchesPrefill(t *testing.T) {
 	}
 	// And E2E converges to prefill + the G-1 decode steps that follow the
 	// prefill-emitted first token.
-	coster, err := infer.NewStepCoster(s.inferSpec())
+	coster, err := infer.NewStepCoster(s.inferSpec(possibleEnvelope(s.Workload()).bounds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,5 +308,108 @@ func TestArrivalString(t *testing.T) {
 	}
 	if Arrival(7).String() == "" {
 		t.Error("unknown arrival should still render")
+	}
+}
+
+// TestRunMatchesTraceReplay: an open-loop spec replayed as a trace of its
+// own drawn stream gives the same Result (reflect + JSON): Run sizes the
+// simulator from the stream it serves, whether it drew the stream or
+// replayed it.
+func TestRunMatchesTraceReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Spec)
+	}{
+		{"fixed", func(s *Spec) {}},
+		{"lognormal/reserve", func(s *Spec) { lognormalMix(t, s) }},
+		{"lognormal/paged", func(s *Spec) { lognormalMix(t, s); s.Policy = Paged; s.KVCapacity = 12e9 }},
+		{"lognormal/disagg", func(s *Spec) { lognormalMix(t, s); s.Policy = Disaggregated; s.KVCapacity = 12e9 }},
+		{"sessions/paged", func(s *Spec) { s.GenTokens, s.Turns, s.Think = 100, 3, 2; s.Policy = Paged; s.KVCapacity = 3e9 }},
+		{"schedule", func(s *Spec) {
+			s.Rate = 0
+			s.Schedule = workload.Schedule{{Start: 0, End: 10, Rate: 1}, {Start: 10, End: 20, Rate: 6}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := spec0(t)
+			s.Rate, s.Requests, s.Seed = 2, 64, 3
+			tc.mut(&s)
+			want, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			times, shapes := s.Workload().WithDefaults().Stream(nil, nil)
+			replay, _, _ := capacityOf(t, s)
+			for i, sh := range shapes {
+				replay.Trace = append(replay.Trace, workload.TraceEvent{Arrival: times[i], Request: sh})
+			}
+			got, err := Run(replay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("trace replay diverges from Run: E2E p95 %g vs %g, %d vs %d iterations, MaxBatch %d vs %d",
+					got.E2E.P95, want.E2E.P95, got.Iterations, want.Iterations, got.MaxBatch, want.MaxBatch)
+			}
+			jw, _ := json.Marshal(want)
+			jg, _ := json.Marshal(got)
+			if string(jw) != string(jg) {
+				t.Error("JSON encodings differ")
+			}
+		})
+	}
+}
+
+// TestRunVerdictMatchesValidate: Run errors exactly when Validate does,
+// with the same error. Both judge the workload's possible shapes, never
+// the stream a seed happens to draw — so a heavy-tailed mix whose largest
+// possible request overflows the KV budget stays rejected even though
+// every request it draws would fit.
+func TestRunVerdictMatchesValidate(t *testing.T) {
+	overflow := spec0(t)
+	lognormalMix(t, &overflow)
+	overflow.Requests = 16
+	_, per := overflow.kvBudget()
+	overflow.KVCapacity = per / 2
+	_, shapes := overflow.Workload().WithDefaults().Stream(nil, nil)
+	b := possibleEnvelope(overflow.Workload()).bounds
+	for _, sh := range shapes {
+		if 2*sh.Context() > b.MaxContext {
+			t.Fatalf("drawn %d-token request would not fit half the largest possible %d-token one", sh.Context(), b.MaxContext)
+		}
+	}
+
+	for _, tc := range []struct {
+		name    string
+		mut     func(*Spec)
+		wantErr bool
+	}{
+		{"fixed", func(s *Spec) {}, false},
+		{"lognormal", func(s *Spec) { lognormalMix(t, s) }, false},
+		{"lognormal paged", func(s *Spec) { lognormalMix(t, s); s.Policy = Paged; s.KVCapacity = 12e9 }, false},
+		{"lognormal beyond the budget", func(s *Spec) { *s = overflow }, true},
+		{"lognormal paged beyond the budget", func(s *Spec) { *s = overflow; s.Policy = Paged }, true},
+		{"sessions", func(s *Spec) { s.Turns = 3; s.Policy = Paged }, false},
+		{"sessions on reserve", func(s *Spec) { s.Turns = 3 }, true},
+		{"closed loop", func(s *Spec) { s.Arrival, s.Rate, s.Clients = ClosedLoop, 0, 4 }, false},
+		{"zero rate", func(s *Spec) { s.Rate = 0 }, true},
+		{"negative requests", func(s *Spec) { s.Requests = -1 }, true},
+		{"page size on reserve", func(s *Spec) { s.PageTokens = 16 }, true},
+		{"KV below one request", func(s *Spec) { s.KVCapacity = 1e6 }, true},
+		{"paged KV below one request", func(s *Spec) { s.Policy, s.KVCapacity = Paged, 1e6 }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := spec0(t)
+			s.Requests = 16
+			tc.mut(&s)
+			verr := s.Validate()
+			_, rerr := Run(s)
+			if (verr != nil) != tc.wantErr {
+				t.Fatalf("Validate: %v, want error %v", verr, tc.wantErr)
+			}
+			if (rerr != nil) != (verr != nil) || rerr != nil && rerr.Error() != verr.Error() {
+				t.Errorf("Run error %v, Validate error %v", rerr, verr)
+			}
+		})
 	}
 }

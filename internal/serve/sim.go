@@ -79,17 +79,16 @@ func (d *indexDeque) popFront() int32 {
 //optimus:hotpath
 func (d *indexDeque) front() int32 { return d.buf[d.head] }
 
-// simulator is the steppable core behind Run and Instance: the full
-// continuous-batching event loop as explicit state plus a step method, so
-// the iteration boundary is a first-class place to observe load (the
-// cluster router hook) without perturbing the sealed admission policies.
-// Run drives it to completion over a pre-generated arrival stream;
-// Instance feeds it request by request.
+// simulator is the steppable core behind Instance, and so behind Run: the
+// full continuous-batching event loop as explicit state plus a step
+// method, so the iteration boundary is a first-class place to observe
+// load (the cluster router hook) without perturbing the sealed admission
+// policies. arm sizes it from a capacity spec and an Envelope.
 //
 // The in-flight request state lives in a flat struct-of-arrays slab
 // (reqs), with the queue and running set as index views over it — the
 // steady-state event loop moves int32 indices, never pointers, so it
-// neither allocates nor pays GC write barriers. reset reuses every slab
+// neither allocates nor pays GC write barriers. arm reuses every slab
 // across simulations (the Runner pooling seam).
 type simulator struct {
 	spec Spec
@@ -103,7 +102,7 @@ type simulator struct {
 
 	coster *infer.StepCoster
 	// costerSpec is the pricing key: the exact infer.Spec the coster was
-	// built from. A reset whose spec prices identically (same key, same
+	// built from. An arm whose spec prices identically (same key, same
 	// kv0/kv1 sample points) keeps the coster and the filled tables warm —
 	// the steady state of a sweep worker or cluster replica re-running one
 	// configuration.
@@ -124,16 +123,13 @@ type simulator struct {
 	invBudget float64
 	batchCap  int
 
-	// arrivals/shapes/nextArr/issued are the Run-mode pre-generated
-	// arrival stream; Instance mode leaves them empty and feeds the queue
-	// through pushShape. target is the completion count Run's driver loop
-	// stops at; closed marks closed-loop issuing on completion.
-	arrivals []float64
-	shapes   []workload.Request
-	nextArr  int
-	issued   int
-	target   int
-	closed   bool
+	// target counts the requests the simulation must complete: one per
+	// push, or a closed loop's whole stream. closed marks closed-loop
+	// issuing on completion, of shapes[issued] next.
+	shapes []workload.Request
+	issued int
+	target int
+	closed bool
 
 	now float64
 	// reqs is the request slab: one entry per issued id, indexed by id
@@ -153,29 +149,19 @@ type simulator struct {
 	utilSum    float64
 }
 
-// newSimulator builds the simulator core for a defaulted, shape-validated
-// spec: one policy (one memfoot.Inference evaluation — pinned by
-// TestRunDerivesKVGeometryOnce), one step coster, and the cached pricing
-// samples the event loop re-uses.
-func newSimulator(s Spec) (*simulator, error) {
-	sim := new(simulator)
-	if err := sim.reset(s); err != nil {
-		return nil, err
-	}
-	return sim, nil
-}
-
-// reset re-arms the simulator for a defaulted, shape-validated spec,
-// reusing every slab the previous simulation grew (request pool, queue,
-// running/victim index buffers, pricing tables, percentile scratch). The
+// arm re-arms the simulator for a capacity spec sized from env, its policy
+// built in ps — every simulation's one construction path — reusing every
+// slab the previous simulation grew (request pool, queue, running/victim
+// index buffers, pricing tables, percentile scratch) and pre-sizing the
+// request slabs for requests completions. The
 // per-spec state — policy, step coster, pricing samples — is rebuilt from
-// scratch, so a reset simulator is byte-identical to a fresh one
+// scratch, so an armed simulator is byte-identical to a fresh one
 // (TestRunnerReuseMatchesFresh).
-func (sim *simulator) reset(s Spec) error {
+func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) error {
 	// One policy per simulation: the KV geometry behind it is derived
 	// exactly once, never per iteration.
-	pol := newPolicy(s)
-	if err := s.validateFit(pol); err != nil {
+	pol, err := s.fit(env, ps)
+	if err != nil {
 		return err
 	}
 	pp, _ := pol.(*pagedPolicy)
@@ -188,18 +174,18 @@ func (sim *simulator) reset(s Spec) error {
 	// prefill cost is fixed per batch, so each batch size needs at most
 	// three kernel-enumeration passes; every further iteration prices in
 	// O(1). Plain float math on cached samples, so determinism is
-	// untouched. The decode line is sampled at the workload's extreme KV
+	// untouched. The decode line is sampled at the envelope's extreme KV
 	// lengths — for the degenerate single-tenant workload exactly the PR-3
 	// prompt+1 .. prompt+gen span — and, being a line, prices every
 	// intermediate per-request length exactly.
-	bounds := s.bounds()
-	is := s.inferSpec()
+	bounds := env.bounds
+	is := s.inferSpec(bounds)
 	kv0, kv1 := bounds.MinPrompt+1, bounds.MaxContext
 	if sim.coster == nil || is != sim.costerSpec || kv0 != sim.kv0 || kv1 != sim.kv1 {
 		// Pricing inputs changed (or first run): rebuild the coster and
 		// invalidate every cached sample. An identical key prices every
 		// batch size byte-identically (same coster math, same kv sample
-		// points), so the tables stay warm across such resets.
+		// points), so the tables stay warm across such re-arms.
 		coster, err := infer.NewStepCoster(is)
 		if err != nil {
 			return err
@@ -222,13 +208,10 @@ func (sim *simulator) reset(s Spec) error {
 	sim.budget = pol.budgetBytes()
 	sim.invBudget = 1 / sim.budget
 	sim.batchCap = pol.BatchCap()
-	sim.arrivals, sim.shapes = nil, nil
-	sim.nextArr, sim.issued = 0, 0
-	sim.target = s.Requests
-	sim.closed = false
+	sim.shapes, sim.issued, sim.target, sim.closed = nil, 0, 0, false
 	sim.now = 0
-	if cap(sim.reqs) < s.Requests {
-		sim.reqs = make([]request, 0, s.Requests)
+	if cap(sim.reqs) < requests {
+		sim.reqs = make([]request, 0, requests)
 	} else {
 		sim.reqs = sim.reqs[:0]
 	}
@@ -237,7 +220,7 @@ func (sim *simulator) reset(s Spec) error {
 	sim.victims = sim.victims[:0]
 	// done escapes into Result.PerRequest, so it is the one per-run
 	// allocation reuse cannot elide.
-	sim.done = make([]RequestMetrics, 0, s.Requests)
+	sim.done = make([]RequestMetrics, 0, requests)
 	sim.iterations = 0
 	sim.batchSum = 0
 	sim.peakBatch = 0
@@ -283,13 +266,6 @@ func (sim *simulator) decode(kvMean float64, batch int) float64 {
 	return ln.base + ln.slope*(kvMean-float64(sim.kv0))
 }
 
-// enqueue issues request id at time t with its pre-assigned shape.
-//
-//optimus:hotpath
-func (sim *simulator) enqueue(id int, t float64) {
-	sim.pushShape(id, sim.shapes[id], t)
-}
-
 // pushShape appends one request to the FIFO queue; it joins the batch at
 // the next iteration boundary (iteration-level batching). Ids are issued
 // densely in order, so the request lands at slab position id. A shared
@@ -323,20 +299,9 @@ func (sim *simulator) recomputeCost(tokens int) float64 {
 	return t
 }
 
-// admitArrived moves every pre-generated arrival with time <= now into
-// the queue (requests landing mid-iteration wait for the next boundary).
-//
-//optimus:hotpath
-func (sim *simulator) admitArrived() {
-	for sim.nextArr < len(sim.arrivals) && sim.arrivals[sim.nextArr] <= sim.now {
-		sim.enqueue(sim.nextArr, sim.arrivals[sim.nextArr])
-		sim.nextArr++
-	}
-}
-
 // idle reports whether the simulator holds no admissible work: stepping an
-// idle simulator would make no progress, so drivers jump the clock (Run,
-// Instance.Push) instead.
+// idle simulator would make no progress, so a push jumps the clock
+// instead.
 //
 //optimus:hotpath
 func (sim *simulator) idle() bool {
@@ -486,8 +451,8 @@ func (sim *simulator) step() {
 		}
 		sim.done = append(sim.done, m)
 		if sim.closed && sim.issued < sim.target {
-			// enqueue may grow the slab; r is not referenced past here.
-			sim.enqueue(sim.issued, sim.now)
+			// pushShape may grow the slab; r is not referenced past here.
+			sim.pushShape(sim.issued, sim.shapes[sim.issued], sim.now)
 			sim.issued++
 		}
 	}

@@ -23,7 +23,9 @@ const cacheFileVersion = 1
 // The pr10 bump covers the temporal-workload generation seam (every
 // Point.Key grew schedule, session-turn and think-time segments, and the
 // paged policy's prefix entries grow in place for session cohorts).
-const costModelVersion = "pr10-temporal-workload"
+// The drawn-stream-geometry bump: a serving simulation is sized from the
+// stream it serves, which moves every heavy-tailed candidate's metrics.
+const costModelVersion = "drawn-stream-geometry"
 
 // cacheFile is the on-disk memoization snapshot: successful evaluations
 // keyed by the canonical Point.Key. Keys already fingerprint the full

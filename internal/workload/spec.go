@@ -292,7 +292,7 @@ func (s Spec) Stream(arrivals []float64, shapes []Request) ([]float64, []Request
 	return proc.Generate(s.Mix, s.Requests, arrivals, shapes)
 }
 
-// Bounds are the extreme request shapes of one workload: a simulator
+// Bounds are the extreme shapes of a set of requests: a simulator
 // configures its step-cost engine at the largest prompt and generation,
 // its KV geometry at the largest context, and its derived batch caps at
 // the smallest.
@@ -300,26 +300,6 @@ type Bounds struct {
 	MinPrompt, MaxPrompt   int
 	MaxGen                 int
 	MinContext, MaxContext int
-}
-
-// Uniform reports whether every request spans one common context length.
-func (b Bounds) Uniform() bool { return b.MinContext == b.MaxContext }
-
-// Bounds resolves the workload's shape bounds, defaulted or not, by
-// folding its Extremes.
-func (s Spec) Bounds() Bounds {
-	var b Bounds
-	s.Extremes(func(first bool, prompt, gen, _ int) {
-		c := prompt + gen
-		if first {
-			b = Bounds{MinPrompt: prompt, MaxPrompt: prompt, MaxGen: gen, MinContext: c, MaxContext: c}
-			return
-		}
-		b.MinPrompt, b.MaxPrompt = min(b.MinPrompt, prompt), max(b.MaxPrompt, prompt)
-		b.MaxGen = max(b.MaxGen, gen)
-		b.MinContext, b.MaxContext = min(b.MinContext, c), max(b.MaxContext, c)
-	})
-	return b
 }
 
 // Extremes calls f with the extreme request shapes (prompt, generation

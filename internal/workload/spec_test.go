@@ -141,7 +141,7 @@ func TestGenerateSessionTurnCap(t *testing.T) {
 // FuzzWorkloadSpec: for arbitrary field combinations Validate never
 // panics, and whenever it accepts a spec the stream carries exactly the
 // defaulted Requests (a replay's length), arrivals never decrease, and
-// every shape lies inside the spec's Bounds.
+// every shape lies inside the bounds of the spec's Extremes.
 func FuzzWorkloadSpec(f *testing.F) {
 	// prompt, gen, prefix, shape (kind in the low bits; 0x80 keeps the
 	// spec-wide fields beside a mix or trace), rate, sched, turns, think,
@@ -213,11 +213,20 @@ func FuzzWorkloadSpec(f *testing.F) {
 				t.Fatalf("arrival %d at %g precedes %g", i, arrivals[i], arrivals[i-1])
 			}
 		}
-		b := s.Bounds()
+		var b Bounds
+		s.Extremes(func(first bool, prompt, gen, _ int) {
+			c := prompt + gen
+			if first {
+				b = Bounds{MinPrompt: prompt, MaxPrompt: prompt, MaxGen: gen, MinContext: c, MaxContext: c}
+			}
+			b.MinPrompt, b.MaxPrompt = min(b.MinPrompt, prompt), max(b.MaxPrompt, prompt)
+			b.MaxGen = max(b.MaxGen, gen)
+			b.MinContext, b.MaxContext = min(b.MinContext, c), max(b.MaxContext, c)
+		})
 		for i, r := range shapes {
 			if r.PromptTokens < b.MinPrompt || r.PromptTokens > b.MaxPrompt || r.GenTokens > b.MaxGen ||
 				r.Context() < b.MinContext || r.Context() > b.MaxContext {
-				t.Fatalf("shape %d (%d+%d) outside bounds %+v", i, r.PromptTokens, r.GenTokens, b)
+				t.Fatalf("shape %d (%d+%d) outside the extremes' bounds %+v", i, r.PromptTokens, r.GenTokens, b)
 			}
 		}
 	})

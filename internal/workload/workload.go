@@ -1,11 +1,12 @@
 // Package workload describes serving workloads: request shapes,
 // multi-tenant mixes, replay traces, piecewise arrival-rate schedules,
 // heavy-tailed length draws and multi-turn session cohorts. Spec is the
-// one description, and it owns the one rule: its defaults, its shape
-// bounds, its request stream (trace replay or ArrivalProcess.Generate)
-// and Check, the exclusivity and session rules. The serving simulator
-// (internal/serve) and the fleet router (internal/cluster) validate and
-// stream their workload fields through it, the sweep engine
+// one description, and it owns the one rule: its defaults, its possible
+// extreme shapes (which the pre-draw rules of every layer read), its
+// request stream (trace replay or ArrivalProcess.Generate) and Check, the
+// exclusivity and session rules. The serving simulator (internal/serve)
+// and the fleet router (internal/cluster) validate and stream their
+// workload fields through it, the sweep engine
 // (internal/sweep) checks its axes and builds each candidate's Spec, and
 // optimus serve, cluster and sweep check their flags with Check. So a
 // workload behaves, and is rejected, identically at every layer. Every
@@ -31,9 +32,10 @@ import (
 const DefaultTenant = "default"
 
 // HeavyTailCap bounds heavy-tailed length draws: a lognormal draw is
-// clamped to HeavyTailCap times its median, so the simulator's KV
-// geometry and step-cost engine can be configured from the spec alone
-// (the extremes are known without generating the workload).
+// clamped to HeavyTailCap times its median, so the pre-draw rules — a
+// serving spec's validation and feasibility verdict, a sweep candidate's
+// canonical page size — judge the spec alone (the extremes are known
+// without generating the workload).
 const HeavyTailCap = 8
 
 // Request is one serving request's shape: who issued it and how many
