@@ -1,9 +1,9 @@
 // Package comm models the collective-communication primitives of
 // distributed LLM execution (paper §3.4): ring all-reduce (Eq. 3),
-// double-binary-tree all-reduce (Eq. 4), all-gather, reduce-scatter,
-// broadcast and point-to-point transfers, together with the
-// message-size-dependent bandwidth utilization the paper applies to
-// low-volume inference collectives.
+// double-binary-tree all-reduce (Eq. 4), all-gather, reduce-scatter and
+// point-to-point transfers, together with the message-size-dependent
+// bandwidth utilization the paper applies to low-volume inference
+// collectives.
 package comm
 
 import (
@@ -101,35 +101,6 @@ func ReduceScatterTime(k float64, n int, link arch.Link) float64 {
 	return AllGatherTime(k, n, link)
 }
 
-// BroadcastTime returns the time to broadcast k bytes from one device to
-// n-1 peers using a binary tree.
-func BroadcastTime(k float64, n int, link arch.Link) float64 {
-	if n <= 1 || k <= 0 {
-		return 0
-	}
-	bw := effBW(link, k)
-	if bw <= 0 {
-		return math.Inf(1)
-	}
-	return k/bw + link.Latency*math.Log2(float64(n))
-}
-
-// AllToAllTime returns the time for each of n devices to exchange
-// distinct k/n-byte shards with every peer (expert-parallel dispatch,
-// sequence resharding). Each device sends and receives k(n-1)/n bytes;
-// with full-duplex links the transfer pipelines in n-1 latency steps.
-func AllToAllTime(k float64, n int, link arch.Link) float64 {
-	if n <= 1 || k <= 0 {
-		return 0
-	}
-	bw := effBW(link, k/float64(n))
-	if bw <= 0 {
-		return math.Inf(1)
-	}
-	nf := float64(n)
-	return k*(nf-1)/(nf*bw) + link.Latency*(nf-1)
-}
-
 // P2PTime returns the time to move k bytes point-to-point over link — the
 // inter-stage activation transfer of pipeline parallelism.
 func P2PTime(k float64, link arch.Link) float64 {
@@ -141,33 +112,4 @@ func P2PTime(k float64, link arch.Link) float64 {
 		return math.Inf(1)
 	}
 	return k/bw + link.Latency
-}
-
-// Cost is an itemized communication time.
-type Cost struct {
-	// Time is the total in seconds.
-	Time float64
-	// BWTime is the bandwidth component.
-	BWTime float64
-	// LatTime is the latency component.
-	LatTime float64
-}
-
-// AllReduceCost returns the itemized ring/tree all-reduce cost, used by the
-// reproduction harness to attribute inference time between bandwidth and
-// latency.
-func AllReduceCost(alg Algorithm, k float64, n int, link arch.Link) Cost {
-	if n <= 1 || k <= 0 {
-		return Cost{}
-	}
-	total := AllReduceTime(alg, k, n, link)
-	nf := float64(n)
-	var lat float64
-	switch alg {
-	case DoubleBinaryTree:
-		lat = 2 * link.Latency * math.Log2(nf)
-	default:
-		lat = 2 * link.Latency * (nf - 1)
-	}
-	return Cost{Time: total, BWTime: total - lat, LatTime: lat}
 }

@@ -99,23 +99,6 @@ func TestReduceScatterSymmetric(t *testing.T) {
 	}
 }
 
-func TestAllToAll(t *testing.T) {
-	link := bigLink()
-	k := 1e9
-	got := AllToAllTime(k, 8, link)
-	// Same wire volume as an all-gather of k bytes.
-	ag := AllGatherTime(k, 8, link)
-	if math.Abs(got-ag)/ag > 1e-9 {
-		t.Errorf("all-to-all %g should match all-gather wire time %g", got, ag)
-	}
-	if AllToAllTime(k, 1, link) != 0 {
-		t.Error("single-device all-to-all is free")
-	}
-	if !math.IsInf(AllToAllTime(k, 4, arch.Link{}), 1) {
-		t.Error("all-to-all over a missing link must be infinite")
-	}
-}
-
 func TestP2P(t *testing.T) {
 	link := bigLink()
 	k := 1e9
@@ -126,15 +109,6 @@ func TestP2P(t *testing.T) {
 	}
 	if P2PTime(0, link) != 0 {
 		t.Error("zero bytes should cost nothing")
-	}
-}
-
-func TestBroadcastLogLatency(t *testing.T) {
-	link := bigLink()
-	b2 := BroadcastTime(1e6, 2, link)
-	b8 := BroadcastTime(1e6, 8, link)
-	if d := b8 - b2; math.Abs(d-2*link.Latency) > 1e-9 {
-		t.Errorf("broadcast latency should grow by 2l from 2 to 8 devices, got %g", d)
 	}
 }
 
@@ -158,19 +132,8 @@ func TestZeroLinkIsInfinite(t *testing.T) {
 	if !math.IsInf(P2PTime(1e6, arch.Link{}), 1) {
 		t.Error("p2p over a missing link must be infinite")
 	}
-}
-
-func TestAllReduceCostItemization(t *testing.T) {
-	link := bigLink()
-	c := AllReduceCost(DoubleBinaryTree, 1e6, 8, link)
-	if math.Abs(c.Time-(c.BWTime+c.LatTime)) > 1e-12 {
-		t.Error("cost components must sum to total")
-	}
-	if c.LatTime != 2*link.Latency*3 {
-		t.Errorf("tree latency = %g, want 2l·log2(8)", c.LatTime)
-	}
-	if z := AllReduceCost(Ring, 0, 8, link); z.Time != 0 {
-		t.Error("zero-byte cost should be zero")
+	if !math.IsInf(AllGatherTime(1e6, 4, arch.Link{}), 1) {
+		t.Error("all-gather over a missing link must be infinite")
 	}
 }
 

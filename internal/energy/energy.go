@@ -122,8 +122,11 @@ func analyze(dev arch.Device, prec tech.Precision, flops, dramBytes, wireBytes, 
 }
 
 // Training returns the energy report of one training iteration predicted
-// by internal/train.
+// by internal/train. A spec train.Predict would reject is an error.
 func Training(spec train.Spec, res train.Result) (Report, error) {
+	if err := spec.Validate(); err != nil {
+		return Report{}, fmt.Errorf("energy: %w", err)
+	}
 	devices := spec.System.NumDevices()
 	perDeviceFLOPs := res.ModelFLOPs / float64(devices)
 	// Recompute FLOPs burn energy too even though they are not "useful".
@@ -135,8 +138,11 @@ func Training(spec train.Spec, res train.Result) (Report, error) {
 }
 
 // Inference returns the energy report of one inference request predicted
-// by internal/infer.
+// by internal/infer. A spec infer.Predict would reject is an error.
 func Inference(spec infer.Spec, res infer.Result) (Report, error) {
+	if err := spec.Validate(); err != nil {
+		return Report{}, fmt.Errorf("energy: %w", err)
+	}
 	// Decode FLOPs are tiny; compute energy is dominated by prefill. The
 	// performance model already tallied exact DRAM/wire traffic; FLOPs
 	// are approximated as 2·params·tokens (dense decoder forward).

@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"strings"
 	"testing"
 
 	"optimus/internal/arch"
@@ -198,5 +199,36 @@ func TestErrors(t *testing.T) {
 	bad.Total = 0
 	if _, err := Training(spec, bad); err == nil {
 		t.Error("zero duration should error")
+	}
+}
+
+// TestRejectsMalformedSpecs pins that a spec without a system, or one its
+// predictor would reject, fails with an energy: error instead of
+// dereferencing a nil system.
+func TestRejectsMalformedSpecs(t *testing.T) {
+	spec, res := gpt175Spec(t)
+	badMap := spec
+	badMap.Map.TP = 3
+	for name, s := range map[string]train.Spec{"zero": {}, "no system": {Model: spec.Model}, "bad mapping": badMap} {
+		if _, err := Training(s, res); err == nil || !strings.HasPrefix(err.Error(), "energy: ") {
+			t.Errorf("Training(%s spec): err = %v, want an energy: error", name, err)
+		}
+		if _, err := PriceTrainingRun(s, res, 1e9, DefaultPrices()); err == nil {
+			t.Errorf("PriceTrainingRun(%s spec) should error", name)
+		}
+	}
+	sys, err := arch.SystemOf(arch.A100(), 1, 8, tech.NVLink3, tech.IBNDR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ires := infer.Result{Total: 1}
+	for name, s := range map[string]infer.Spec{
+		"zero":     {},
+		"bad TP":   {Model: model.Llama2_13B(), System: sys, TP: 2, Batch: 1, PromptTokens: 8},
+		"no model": {System: sys, TP: 1, Batch: 1, PromptTokens: 8},
+	} {
+		if _, err := Inference(s, ires); err == nil || !strings.HasPrefix(err.Error(), "energy: ") {
+			t.Errorf("Inference(%s spec): err = %v, want an energy: error", name, err)
+		}
 	}
 }

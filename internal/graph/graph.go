@@ -218,39 +218,11 @@ type BuildSpec struct {
 	// Layers is how many transformer layers to chain.
 	Layers int
 	// Engine prices kernels; Link and Algorithm price collectives over the
-	// Exec's TP group.
+	// Exec's TP group — together the kernels.Pricer every node goes
+	// through.
 	Engine    *roofline.Engine
 	Link      arch.Link
 	Algorithm comm.Algorithm
-}
-
-// opCost prices one kernels.Op.
-func opCost(s BuildSpec, op kernels.Op) float64 {
-	switch op.Kind {
-	case kernels.KindGEMM:
-		return s.Engine.EstimateGEMM(op.GEMM).Time
-	case kernels.KindElementwise:
-		return s.Engine.EstimateElementwise(op.EW).Time
-	case kernels.KindFused:
-		return s.Engine.EstimateFused(op.Fused).Time
-	case kernels.KindAllReduce:
-		return comm.AllReduceTime(s.Algorithm, op.CommBytes, s.Exec.TP, s.Link)
-	case kernels.KindAllGather:
-		return comm.AllGatherTime(op.CommBytes, s.Exec.TP, s.Link)
-	case kernels.KindReduceScatter:
-		return comm.ReduceScatterTime(op.CommBytes, s.Exec.TP, s.Link)
-	default:
-		return 0
-	}
-}
-
-func opKind(op kernels.Op) Kind {
-	switch op.Kind {
-	case kernels.KindGEMM, kernels.KindElementwise, kernels.KindFused:
-		return Kernel
-	default:
-		return Collective
-	}
 }
 
 // BuildForward constructs the per-device forward task graph: embedding,
@@ -262,23 +234,38 @@ func BuildForward(s BuildSpec) (*Graph, error) {
 	if s.Engine == nil {
 		return nil, fmt.Errorf("graph: nil engine")
 	}
+	if err := s.Model.Validate(); err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
+	}
 	if err := s.Exec.Validate(); err != nil {
 		return nil, err
 	}
 	if s.Layers <= 0 {
 		return nil, fmt.Errorf("graph: non-positive layer count %d", s.Layers)
 	}
+	p := &kernels.Pricer{Engine: s.Engine, Link: s.Link, TP: s.Exec.TP, Algorithm: s.Algorithm}
 	g := &Graph{}
+	// add prices op and appends it after deps as a kernel or collective node.
+	add := func(name string, op *kernels.Op, deps ...NodeID) NodeID {
+		pr := p.Price(op)
+		kind := Kernel
+		if pr.Collective {
+			kind = Collective
+		}
+		return g.MustAdd(name, kind, pr.Time, deps...)
+	}
 	cursor := g.MustAdd("input", Marker, 0)
-	for _, op := range kernels.EmbeddingForward(s.Model, s.Exec) {
-		cursor = g.MustAdd(op.Name, opKind(op), opCost(s, op), cursor)
+	embOps := kernels.EmbeddingForward(s.Model, s.Exec)
+	for i := range embOps {
+		cursor = add(embOps[i].Name, &embOps[i], cursor)
 	}
 
 	layerOps := kernels.LayerForward(s.Model, s.Exec)
 	for l := 0; l < s.Layers; l++ {
 		layerIn := cursor
 		prefix := fmt.Sprintf("L%d/", l)
-		for _, op := range layerOps {
+		for i := range layerOps {
+			op := &layerOps[i]
 			deps := []NodeID{cursor}
 			// Residual joins also consume the block input, forming the
 			// diamond: block input feeds both the kernel chain and the
@@ -286,15 +273,16 @@ func BuildForward(s BuildSpec) (*Graph, error) {
 			if strings.HasSuffix(op.Name, "-skip") {
 				deps = append(deps, layerIn)
 			}
-			cursor = g.MustAdd(prefix+op.Name, opKind(op), opCost(s, op), deps...)
+			cursor = add(prefix+op.Name, op, deps...)
 			if strings.HasSuffix(op.Name, "-skip") {
 				layerIn = cursor // next block's residual input
 			}
 		}
 	}
 
-	for _, op := range kernels.LogitsForward(s.Model, s.Exec) {
-		cursor = g.MustAdd(op.Name, opKind(op), opCost(s, op), cursor)
+	logitOps := kernels.LogitsForward(s.Model, s.Exec)
+	for i := range logitOps {
+		cursor = add(logitOps[i].Name, &logitOps[i], cursor)
 	}
 	g.MustAdd("output", Marker, 0, cursor)
 	return g, nil

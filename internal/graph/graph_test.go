@@ -128,18 +128,18 @@ func TestBuildForwardCostMatchesKernelSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := &kernels.Pricer{Engine: s.Engine, Link: s.Link, TP: s.Exec.TP, Algorithm: s.Algorithm}
 	var want float64
-	for _, op := range kernels.EmbeddingForward(s.Model, s.Exec) {
-		want += opCost(s, op)
-	}
-	for i := 0; i < 3; i++ {
-		for _, op := range kernels.LayerForward(s.Model, s.Exec) {
-			want += opCost(s, op)
+	sum := func(ops []kernels.Op) {
+		for i := range ops {
+			want += p.Price(&ops[i]).Time
 		}
 	}
-	for _, op := range kernels.LogitsForward(s.Model, s.Exec) {
-		want += opCost(s, op)
+	sum(kernels.EmbeddingForward(s.Model, s.Exec))
+	for i := 0; i < 3; i++ {
+		sum(kernels.LayerForward(s.Model, s.Exec))
 	}
+	sum(kernels.LogitsForward(s.Model, s.Exec))
 	if got := g.TotalCost(); math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("graph total %g != op-stream total %g", got, want)
 	}
@@ -176,6 +176,17 @@ func TestBuildForwardRejectsBadSpecs(t *testing.T) {
 	s.Exec.Batch = 0
 	if _, err := BuildForward(s); err == nil {
 		t.Error("invalid exec should error")
+	}
+	// A zero model used to divide by zero while enumerating the layer.
+	s = buildSpec(t, 1)
+	s.Model = model.Config{}
+	if _, err := BuildForward(s); err == nil || !strings.Contains(err.Error(), "graph:") {
+		t.Errorf("zero model: err = %v, want a graph: error", err)
+	}
+	s = buildSpec(t, 1)
+	s.Model.Heads = 0
+	if _, err := BuildForward(s); err == nil {
+		t.Error("model without heads should error")
 	}
 }
 

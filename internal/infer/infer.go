@@ -106,65 +106,44 @@ type phaseCost struct {
 	wireBytes float64
 }
 
-// passCost evaluates the full model (embedding + layers + head) for one
-// Exec, resolving collectives over the TP fabric with the chosen algorithm.
-// The op enumeration runs through scratch (nil means a throwaway local), so
-// a StepCoster pricing thousands of simulator steps reuses one buffer, and
-// the kernel times come from the roofline's allocation-free Cost fast
-// paths, which are pinned bit-identical to the Estimate* breakdowns.
-func passCost(s Spec, eng *roofline.Engine, exec kernels.Exec, scratch *[]kernels.Op) phaseCost {
-	link := s.System.LinkBetween(s.TP)
-	nf := float64(s.TP)
-	cost := func(c *phaseCost, ops []kernels.Op) {
-		for i := range ops {
-			op := &ops[i]
-			switch op.Kind {
-			case kernels.KindGEMM:
-				t, b := eng.GEMMCost(op.GEMM)
-				c.device += t
-				c.dramBytes += b
-			case kernels.KindElementwise:
-				t, b := eng.ElementwiseCost(op.EW)
-				c.device += t
-				c.dramBytes += b
-			case kernels.KindFused:
-				t, b := eng.FusedCost(op.Fused)
-				c.device += t
-				c.dramBytes += b
-			case kernels.KindAllReduce:
-				c.comm += comm.AllReduceTime(s.Algorithm, op.CommBytes, s.TP, link)
-				if s.TP > 1 {
-					c.wireBytes += 2 * op.CommBytes * (nf - 1) / nf
-				}
-			case kernels.KindAllGather:
-				c.comm += comm.AllGatherTime(op.CommBytes, s.TP, link)
-				if s.TP > 1 {
-					c.wireBytes += op.CommBytes * (nf - 1) / nf
-				}
-			case kernels.KindReduceScatter:
-				c.comm += comm.ReduceScatterTime(op.CommBytes, s.TP, link)
-				if s.TP > 1 {
-					c.wireBytes += op.CommBytes * (nf - 1) / nf
-				}
-			}
+// add prices ops and sums their device and collective time and traffic
+// into c in op order.
+func (c *phaseCost) add(p *kernels.Pricer, ops []kernels.Op) {
+	for i := range ops {
+		pr := p.Price(&ops[i])
+		if pr.Collective {
+			c.comm += pr.Time
+			c.wireBytes += pr.Bytes
+		} else {
+			c.device += pr.Time
+			c.dramBytes += pr.Bytes
 		}
 	}
+}
+
+// passCost evaluates the full model (embedding + layers + head) for one
+// Exec through the op pricer, with Spec.Algorithm resolving the
+// collectives over the TP fabric. The op enumeration runs through scratch
+// (nil means a throwaway local), so a StepCoster pricing thousands of
+// simulator steps reuses one buffer and never allocates.
+func passCost(s Spec, eng *roofline.Engine, exec kernels.Exec, scratch *[]kernels.Op) phaseCost {
+	p := &kernels.Pricer{Engine: eng, Link: s.System.LinkBetween(s.TP), TP: s.TP, Algorithm: s.Algorithm}
 	var local []kernels.Op
 	if scratch == nil {
 		scratch = &local
 	}
 	var c phaseCost
 	ops := kernels.AppendEmbeddingForward((*scratch)[:0], s.Model, exec)
-	cost(&c, ops)
+	c.add(p, ops)
 	ops = kernels.AppendLayerForward(ops[:0], s.Model, exec)
-	var layerCost phaseCost
-	cost(&layerCost, ops)
-	c.device += layerCost.device * float64(s.Model.Layers)
-	c.comm += layerCost.comm * float64(s.Model.Layers)
-	c.dramBytes += layerCost.dramBytes * float64(s.Model.Layers)
-	c.wireBytes += layerCost.wireBytes * float64(s.Model.Layers)
+	var layer phaseCost
+	layer.add(p, ops)
+	c.device += layer.device * float64(s.Model.Layers)
+	c.comm += layer.comm * float64(s.Model.Layers)
+	c.dramBytes += layer.dramBytes * float64(s.Model.Layers)
+	c.wireBytes += layer.wireBytes * float64(s.Model.Layers)
 	ops = kernels.AppendLogitsForward(ops[:0], s.Model, exec)
-	cost(&c, ops)
+	c.add(p, ops)
 	*scratch = ops
 	return c
 }
@@ -262,34 +241,4 @@ func PrefillGEMMTable(s Spec) ([]GEMMReport, error) {
 		mk("O1.Wmlp2 = O2", roofline.GEMM{
 			M: rows, N: cfg.Hidden, K: ffn, Precision: s.Precision}),
 	}, nil
-}
-
-// BoundSplit returns the fraction of per-layer prefill GEMM time spent in
-// compute-bound vs memory-bound kernels — the Fig. 8 bars. All GEMMs of a
-// full layer (all heads batched) are counted.
-func BoundSplit(s Spec) (computeBound, memoryBound float64, err error) {
-	if err := s.Validate(); err != nil {
-		return 0, 0, err
-	}
-	eng := roofline.New(s.System.Device)
-	exec := kernels.Exec{
-		Batch:     s.Batch,
-		Seq:       s.PromptTokens,
-		Context:   s.PromptTokens,
-		TP:        s.TP,
-		Precision: s.Precision,
-		Phase:     kernels.Prefill,
-	}
-	for _, op := range kernels.LayerForward(s.Model, exec) {
-		if op.Kind != kernels.KindGEMM {
-			continue
-		}
-		est := eng.EstimateGEMM(op.GEMM)
-		if est.Bound == roofline.BoundCompute {
-			computeBound += est.Time
-		} else {
-			memoryBound += est.Time
-		}
-	}
-	return computeBound, memoryBound, nil
 }

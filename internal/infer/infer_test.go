@@ -179,33 +179,6 @@ func TestPrefillGEMMTableMatchesPaperBounds(t *testing.T) {
 	}
 }
 
-func TestBoundSplitFlipsA100ToH100(t *testing.T) {
-	// Fig. 8: at B=1 the A100 layer is compute-dominated while the H100
-	// layer has zero compute-bound time; at B=16 both are
-	// compute-dominated.
-	a100 := sysFor(t, arch.A100(), 1, tech.NVLink3)
-	h100 := sysFor(t, arch.H100(), 1, tech.NVLink4)
-
-	frac := func(sys *arch.System, batch int) float64 {
-		spec := table2Spec(t, "Llama2-13B", sys, 1)
-		spec.Batch = batch
-		cb, mb, err := BoundSplit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cb / (cb + mb)
-	}
-	if f := frac(a100, 1); f < 0.5 {
-		t.Errorf("A100 B=1 compute fraction = %.2f, want > 0.5", f)
-	}
-	if f := frac(h100, 1); f != 0 {
-		t.Errorf("H100 B=1 compute fraction = %.2f, want 0", f)
-	}
-	if f := frac(h100, 16); f < 0.5 {
-		t.Errorf("H100 B=16 compute fraction = %.2f, want > 0.5", f)
-	}
-}
-
 func TestFootprintGatesFit(t *testing.T) {
 	// Llama2-70B at fp16 (140 GB) cannot fit one 80 GB A100 — Table 2
 	// only lists it from 2 GPUs up.

@@ -1,8 +1,9 @@
 // Package kernels enumerates the per-device operations of one transformer
 // layer under Megatron-style tensor (and sequence) parallelism — the LLM
 // task graph of the paper's Fig. 1 at kernel granularity. Each op is either
-// a (batched) GEMM, a streaming element-wise kernel, or a collective
-// placeholder that the training/inference engines resolve against a fabric.
+// a (batched) GEMM, a streaming element-wise kernel, a fused tensor-core
+// kernel, or a collective over the TP group; one Pricer turns any of them
+// into time and traffic for training, inference and the task graph alike.
 //
 // The op shapes implement the Megatron partitioning of §3.2: QKV columns
 // and attention heads split across the TP group, the output and MLP-down
@@ -14,6 +15,8 @@ package kernels
 import (
 	"fmt"
 
+	"optimus/internal/arch"
+	"optimus/internal/comm"
 	"optimus/internal/model"
 	"optimus/internal/roofline"
 	"optimus/internal/tech"
@@ -64,6 +67,75 @@ type Op struct {
 	// CommBytes is the payload for collective kinds; the group is always
 	// the TP group of the Exec that built the op.
 	CommBytes float64
+}
+
+// Pricer prices ops on one device for one TP group: kernels through the
+// roofline engine, collectives over Link, with Algorithm choosing the
+// all-reduce model (ring for training, the double binary tree for
+// inference). It is the one per-op pricing rule behind training,
+// inference and the task graph.
+type Pricer struct {
+	Engine    *roofline.Engine
+	Link      arch.Link
+	TP        int
+	Algorithm comm.Algorithm
+}
+
+// Price is the priced cost of one op. Four word-sized fields keep it in
+// registers on the per-step pricing path.
+type Price struct {
+	// Time is the kernel or collective time in seconds.
+	Time float64
+	// Bytes is the traffic the op moves: a kernel's off-chip DRAM bytes,
+	// or a collective's per-device ring wire bytes, 2K(n-1)/n for an
+	// all-reduce and K(n-1)/n for an all-gather or reduce-scatter.
+	Bytes float64
+	// Bound classifies a kernel by its limiting resource.
+	Bound roofline.Bound
+	// Collective reports a TP collective rather than an on-device kernel.
+	Collective bool
+}
+
+// Price prices one op.
+//
+//optimus:hotpath
+func (p *Pricer) Price(op *Op) Price {
+	switch op.Kind {
+	case KindGEMM:
+		return kernelPrice(p.Engine.EstimateGEMM(op.GEMM))
+	case KindElementwise:
+		return kernelPrice(p.Engine.EstimateElementwise(op.EW))
+	case KindFused:
+		return kernelPrice(p.Engine.EstimateFused(op.Fused))
+	}
+	return p.collective(op)
+}
+
+// kernelPrice is the price of an on-device kernel.
+func kernelPrice(est roofline.Estimate) Price {
+	return Price{Time: est.Time, Bytes: est.DRAMBytes, Bound: est.Bound}
+}
+
+// collective prices a TP collective; a group of one moves nothing.
+//
+//optimus:hotpath
+func (p *Pricer) collective(op *Op) Price {
+	pr := Price{Collective: true}
+	k := op.CommBytes
+	switch op.Kind {
+	case KindAllReduce:
+		pr.Time = comm.AllReduceTime(p.Algorithm, k, p.TP, p.Link)
+		k *= 2 // an all-reduce moves a reduce-scatter's and an all-gather's traffic
+	case KindAllGather:
+		pr.Time = comm.AllGatherTime(k, p.TP, p.Link)
+	case KindReduceScatter:
+		pr.Time = comm.ReduceScatterTime(k, p.TP, p.Link)
+	}
+	if p.TP > 1 {
+		nf := float64(p.TP)
+		pr.Bytes = k * (nf - 1) / nf
+	}
+	return pr
 }
 
 // Phase selects which pass of which workload the ops describe.

@@ -1,86 +1,52 @@
-package roofline
+package roofline_test
 
 import (
-	"fmt"
 	"testing"
 
 	"optimus/internal/arch"
+	"optimus/internal/kernels"
+	"optimus/internal/roofline"
 	"optimus/internal/tech"
 )
 
-// TestCostPathsMatchEstimates pins the allocation-free Cost fast paths
-// bit-identical to the full Estimate* breakdowns across a grid of shapes
-// spanning GEMV and fat-GEMM regimes, both devices, and the zero-peak
-// corner. The serving simulator prices every step through the fast paths,
-// so any float drift here would silently shift all downstream results.
-func TestCostPathsMatchEstimates(t *testing.T) {
-	engines := map[string]*Engine{"a100": a100Engine(), "h100": h100Engine()}
-	// A device with no supported compute exercises the Inf compute-time arm.
-	crippled := arch.A100()
-	crippled.Compute = map[tech.Precision]float64{}
-	engines["no-compute"] = New(crippled)
-
-	for name, e := range engines {
-		t.Run(name, func(t *testing.T) {
-			for _, m := range []int{1, 8, 64, 2048} {
-				for _, n := range []int{1, 640, 4096} {
-					for _, k := range []int{32, 4096} {
-						for _, batch := range []int{0, 1, 40} {
-							g := GEMM{M: m, N: n, K: k, Batch: batch, Precision: tech.FP16}
-							est := e.EstimateGEMM(g)
-							time, bytes := e.GEMMCost(g)
-							if time != est.Time || bytes != est.DRAMBytes {
-								t.Fatalf("GEMMCost(%+v) = (%v, %v), Estimate = (%v, %v)",
-									g, time, bytes, est.Time, est.DRAMBytes)
-							}
-						}
-					}
-				}
-			}
-			for _, w := range []Elementwise{
-				{Name: "softmax", Elements: 1 << 20, BytesPerElem: 6, FLOPsPerElem: 5},
-				{Name: "tiny", Elements: 1, BytesPerElem: 2, FLOPsPerElem: 1},
-				{Name: "compute-heavy", Elements: 1 << 10, BytesPerElem: 2, FLOPsPerElem: 1e6},
-			} {
-				est := e.EstimateElementwise(w)
-				time, bytes := e.ElementwiseCost(w)
-				if time != est.Time || bytes != est.DRAMBytes {
-					t.Fatalf("ElementwiseCost(%+v) = (%v, %v), Estimate = (%v, %v)",
-						w, time, bytes, est.Time, est.DRAMBytes)
-				}
-			}
-			for _, f := range []Fused{
-				{Name: "flash", FLOPs: 1e12, DRAMBytes: 1e9, Precision: tech.FP16},
-				{Name: "flash-onchip", FLOPs: 1e9, DRAMBytes: 1e6, OnChipBytes: 1e8, Precision: tech.BF16},
-				{Name: "tiny", FLOPs: 10, DRAMBytes: 10, Precision: tech.FP16},
-			} {
-				est := e.EstimateFused(f)
-				time, bytes := e.FusedCost(f)
-				if time != est.Time || bytes != est.DRAMBytes {
-					t.Fatalf("FusedCost(%+v) = (%v, %v), Estimate = (%v, %v)",
-						f, time, bytes, est.Time, est.DRAMBytes)
-				}
-			}
-		})
-	}
-}
-
-// TestCostPathsAllocFree pins that the fast paths (and the BestCompute
-// preference resolution under them) stay off the heap.
+// TestCostPathsAllocFree pins that every pricing entry point — the three
+// Estimate* evaluations (and the BestCompute preference resolution under
+// them) and the op pricer over them — stays off the heap. The serving
+// simulator prices every step and a plan sweep every candidate through
+// them.
 func TestCostPathsAllocFree(t *testing.T) {
-	e := h100Engine()
-	g := GEMM{M: 4, N: 640, K: 5120, Batch: 1, Precision: tech.FP16}
-	w := Elementwise{Name: "softmax", Elements: 1 << 16, BytesPerElem: 6, FLOPsPerElem: 5}
-	f := Fused{Name: "flash", FLOPs: 1e10, DRAMBytes: 1e8, Precision: tech.FP16}
+	e := roofline.New(arch.H100())
+	g := roofline.GEMM{M: 4, N: 640, K: 5120, Batch: 1, Precision: tech.FP16}
+	w := roofline.Elementwise{Name: "softmax", Elements: 1 << 16, BytesPerElem: 6, FLOPsPerElem: 5}
+	f := roofline.Fused{Name: "flash", FLOPs: 1e10, DRAMBytes: 1e8, Precision: tech.FP16}
+	p := kernels.Pricer{Engine: e, Link: arch.IntraLink(tech.NVLink4), TP: 8}
+	ops := []kernels.Op{
+		{Kind: kernels.KindGEMM, GEMM: g},
+		{Kind: kernels.KindElementwise, EW: w},
+		{Kind: kernels.KindFused, Fused: f},
+		{Kind: kernels.KindAllReduce, CommBytes: 1 << 20},
+		{Kind: kernels.KindAllGather, CommBytes: 1 << 20},
+		{Kind: kernels.KindReduceScatter, CommBytes: 1 << 20},
+	}
 	var sink float64
-	for name, fn := range map[string]func(){
-		"gemm":        func() { t1, b := e.GEMMCost(g); sink += t1 + b },
-		"elementwise": func() { t1, b := e.ElementwiseCost(w); sink += t1 + b },
-		"fused":       func() { t1, b := e.FusedCost(f); sink += t1 + b },
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"EstimateGEMM", func() { sink += e.EstimateGEMM(g).Time }},
+		{"EstimateElementwise", func() { sink += e.EstimateElementwise(w).Time }},
+		{"EstimateFused", func() { sink += e.EstimateFused(f).Time }},
+		{"Pricer.Price", func() {
+			for i := range ops {
+				sink += p.Price(&ops[i]).Time
+			}
+		}},
 	} {
-		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
-			t.Errorf("%s cost path allocates %g objects per call, want 0", name, allocs)
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
+			t.Errorf("%s allocates %g objects per call, want 0", c.name, allocs)
 		}
 	}
-	_ = fmt.Sprint(sink)
+	if sink <= 0 {
+		t.Fatal("pricing returned no time")
+	}
 }

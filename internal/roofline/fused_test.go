@@ -42,17 +42,16 @@ func TestEstimateFusedLaunchFloor(t *testing.T) {
 
 func TestEstimateFusedOnChipDefault(t *testing.T) {
 	e := a100Engine()
-	est := e.EstimateFused(Fused{Name: "f", FLOPs: 1e9, DRAMBytes: 1e8, Precision: tech.FP16})
-	if len(est.Levels) != 2 {
-		t.Fatalf("fused estimate should report 2 levels, got %d", len(est.Levels))
-	}
-	if est.Levels[0].Bytes != 2e8 {
-		t.Errorf("default on-chip traffic = %g, want 2x DRAM", est.Levels[0].Bytes)
+	levels := make([]levelTime, len(e.Device().Mem))
+	dram := len(levels) - 1
+	e.fused(Fused{Name: "f", FLOPs: 1e9, DRAMBytes: 1e8, Precision: tech.FP16}, levels)
+	if levels[0].bytes != 2e8 || levels[dram].bytes != 1e8 {
+		t.Errorf("default on-chip traffic = %g (DRAM %g), want 2x DRAM", levels[0].bytes, levels[dram].bytes)
 	}
 	// Explicit on-chip traffic overrides the default.
-	est = e.EstimateFused(Fused{Name: "f", FLOPs: 1e9, DRAMBytes: 1e8, OnChipBytes: 5e8, Precision: tech.FP16})
-	if est.Levels[0].Bytes != 5e8 {
-		t.Errorf("explicit on-chip traffic = %g, want 5e8", est.Levels[0].Bytes)
+	e.fused(Fused{Name: "f", FLOPs: 1e9, DRAMBytes: 1e8, OnChipBytes: 5e8, Precision: tech.FP16}, levels)
+	if levels[0].bytes != 5e8 {
+		t.Errorf("explicit on-chip traffic = %g, want 5e8", levels[0].bytes)
 	}
 }
 

@@ -9,6 +9,11 @@
 // specific level — the classification driving the paper's Table 4, Fig. 7
 // and Fig. 8 — and models the fixed kernel-launch software overhead that
 // dominates tiny autoregressive-generation kernels.
+//
+// Each kernel class — GEMM, fused tensor-core kernel, element-wise stream —
+// has exactly one evaluation body, and it allocates nothing, so the
+// per-step pricing of the serving simulator and the per-candidate pricing
+// of a plan sweep call the same Estimate* methods the reports print.
 package roofline
 
 import (
@@ -91,13 +96,14 @@ func (g GEMM) ArithmeticIntensity() float64 {
 	return g.FLOPs() / b
 }
 
-// LevelTime is the data-movement time attributed to one memory level.
-type LevelTime struct {
-	Level string
-	// Bytes crossing the boundary between this level and the next-inner one.
-	Bytes float64
-	// Time = Bytes / effective bandwidth of this level.
-	Time float64
+// levelTime is the data-movement time attributed to one memory level; the
+// hierarchy tests read it through the buffer an evaluation body fills.
+type levelTime struct {
+	name string
+	// bytes crossing the boundary between this level and the next-inner one.
+	bytes float64
+	// time = bytes / effective bandwidth of this level.
+	time float64
 }
 
 // Estimate is the roofline prediction for one kernel.
@@ -107,8 +113,8 @@ type Estimate struct {
 	Time float64
 	// ComputeTime is FLOPs over effective compute throughput.
 	ComputeTime float64
-	// Levels holds per-memory-level traffic and times, innermost first.
-	Levels []LevelTime
+	// MemoryTime is the slowest memory level's data-movement time.
+	MemoryTime float64
 	// Launch is the fixed software overhead included in Time.
 	Launch float64
 	// Bound classifies the kernel by its largest component.
@@ -121,15 +127,52 @@ type Estimate struct {
 	DRAMBytes float64
 }
 
-// MemoryTime returns the slowest memory-level time.
-func (e Estimate) MemoryTime() float64 {
-	var m float64
-	for _, l := range e.Levels {
-		if l.Time > m {
-			m = l.Time
-		}
+// roof is the running state of one evaluation body: the time of the
+// binding resource so far, the slowest memory level's time, and the bound
+// they imply, with the limiting level as an index into the device's
+// memory hierarchy (-1 for none). Four word-sized fields keep it in
+// registers, so folding a level costs no memory traffic.
+type roof struct {
+	time, memory float64
+	level        int
+	bound        Bound
+}
+
+// newRoof starts an evaluation at its compute time.
+func newRoof(compute float64) roof {
+	return roof{time: compute, level: -1, bound: BoundCompute}
+}
+
+// fold folds memory level i's traffic time into r, recording the level in
+// levels[i] when the caller supplied a buffer: the level may become the
+// slowest one and, past every earlier component, the binding resource.
+func (r roof) fold(levels []levelTime, mem []arch.MemLevel, i int, bytes, time float64) roof {
+	if levels != nil {
+		levels[i] = levelTime{name: mem[i].Name, bytes: bytes, time: time}
 	}
-	return m
+	if time > r.memory {
+		r.memory = time
+	}
+	if time > r.time {
+		r.time, r.level, r.bound = time, i, BoundMemory
+	}
+	return r
+}
+
+// finish adds the fixed launch overhead on top of the binding resource,
+// classifying the kernel launch-bound when the overhead exceeds every
+// other component, and names the limiting memory level. It returns
+// scalars, not an Estimate: each body builds its Estimate in its own
+// return statement, which spares a copy of the struct through memory.
+func (r roof) finish(mem []arch.MemLevel, launch float64) (time float64, bound Bound, level string) {
+	bound = r.bound
+	if launch > r.time {
+		bound = BoundLaunch
+	}
+	if r.level >= 0 {
+		level = mem[r.level].Name
+	}
+	return r.time + launch, bound, level
 }
 
 // Engine evaluates kernels against one device.
@@ -243,18 +286,22 @@ func (e *Engine) dramUtil(g GEMM) float64 {
 // tiling at the next-inner level forces across this level's boundary; the
 // kernel time is the max of compute time and every level's traffic time,
 // plus the fixed launch overhead.
-func (e *Engine) EstimateGEMM(g GEMM) Estimate {
-	est := Estimate{FLOPs: g.FLOPs(), Launch: e.dev.KernelLaunch}
+func (e *Engine) EstimateGEMM(g GEMM) Estimate { return e.gemm(g, nil) }
 
+// gemm is the one GEMM evaluation; levels, when non-nil, holds one entry
+// per memory level and receives each level's traffic, innermost first.
+//
+//optimus:hotpath
+func (e *Engine) gemm(g GEMM, levels []levelTime) Estimate {
+	flops := g.FLOPs()
+	compute := math.Inf(1)
 	if thru := e.computeThroughput(g); thru > 0 {
-		est.ComputeTime = est.FLOPs / thru
-	} else {
-		est.ComputeTime = math.Inf(1)
+		compute = flops / thru
 	}
-
-	levels := e.dev.Mem
-	est.Levels = make([]LevelTime, len(levels))
-	for i, lvl := range levels {
+	r := newRoof(compute)
+	var dramBytes float64
+	mem := e.dev.Mem
+	for i, lvl := range mem {
 		var bytes float64
 		if i == 0 {
 			// Traffic into the innermost level is governed by the
@@ -262,64 +309,20 @@ func (e *Engine) EstimateGEMM(g GEMM) Estimate {
 			// L1 capacity (operands staged through shared memory).
 			bytes = trafficThrough(g, lvl.Capacity/8)
 		} else {
-			bytes = trafficThrough(g, levels[i-1].Capacity)
+			bytes = trafficThrough(g, mem[i-1].Capacity)
 		}
 		bw := lvl.EffBW()
-		if i == len(levels)-1 {
-			bw *= e.dramUtil(g)
-		}
-		est.Levels[i] = LevelTime{Level: lvl.Name, Bytes: bytes, Time: bytes / bw}
-	}
-	est.DRAMBytes = est.Levels[len(est.Levels)-1].Bytes
-
-	est.Time = est.ComputeTime
-	est.Bound = BoundCompute
-	for _, l := range est.Levels {
-		if l.Time > est.Time {
-			est.Time = l.Time
-			est.Bound = BoundMemory
-			est.BoundLevel = l.Level
-		}
-	}
-	if e.dev.KernelLaunch > est.Time {
-		est.Bound = BoundLaunch
-	}
-	est.Time += e.dev.KernelLaunch
-	return est
-}
-
-// GEMMCost returns the Time and DRAMBytes fields of EstimateGEMM without
-// materializing the per-level breakdown — the allocation-free fast path
-// used by the serving simulator's pricing loop. The float operations run
-// in the same order as EstimateGEMM, so the two are bit-identical (pinned
-// by TestCostPathsMatchEstimates).
-func (e *Engine) GEMMCost(g GEMM) (time, dramBytes float64) {
-	var computeTime float64
-	if thru := e.computeThroughput(g); thru > 0 {
-		computeTime = g.FLOPs() / thru
-	} else {
-		computeTime = math.Inf(1)
-	}
-	levels := e.dev.Mem
-	time = computeTime
-	for i, lvl := range levels {
-		var bytes float64
-		if i == 0 {
-			bytes = trafficThrough(g, lvl.Capacity/8)
-		} else {
-			bytes = trafficThrough(g, levels[i-1].Capacity)
-		}
-		bw := lvl.EffBW()
-		if i == len(levels)-1 {
+		if i == len(mem)-1 {
 			bw *= e.dramUtil(g)
 			dramBytes = bytes
 		}
-		if t := bytes / bw; t > time {
-			time = t
-		}
+		r = r.fold(levels, mem, i, bytes, bytes/bw)
 	}
-	time += e.dev.KernelLaunch
-	return time, dramBytes
+	time, bound, level := r.finish(mem, e.dev.KernelLaunch)
+	return Estimate{
+		Time: time, ComputeTime: compute, MemoryTime: r.memory, Launch: e.dev.KernelLaunch,
+		Bound: bound, BoundLevel: level, FLOPs: flops, DRAMBytes: dramBytes,
+	}
 }
 
 // Fused describes a tensor-core kernel whose data movement is decoupled
@@ -341,64 +344,34 @@ type Fused struct {
 }
 
 // EstimateFused predicts a fused tensor-core kernel: compute at the
-// device's fat-GEMM efficiency versus its explicit DRAM stream.
-func (e *Engine) EstimateFused(f Fused) Estimate {
-	est := Estimate{FLOPs: f.FLOPs, Launch: e.dev.KernelLaunch, DRAMBytes: f.DRAMBytes}
-	_, peak := e.dev.BestCompute(f.Precision)
-	if peak > 0 {
-		est.ComputeTime = f.FLOPs / (peak * e.dev.GEMMEff)
-	} else {
-		est.ComputeTime = math.Inf(1)
-	}
-	onChip := f.OnChipBytes
-	if onChip <= 0 {
-		onChip = 2 * f.DRAMBytes
-	}
-	inner := e.dev.Mem[0]
-	dram := e.dev.DRAMLevel()
-	est.Levels = []LevelTime{
-		{Level: inner.Name, Bytes: onChip, Time: onChip / inner.EffBW()},
-		{Level: dram.Name, Bytes: f.DRAMBytes, Time: f.DRAMBytes / dram.EffBW()},
-	}
-	est.Time = est.ComputeTime
-	est.Bound = BoundCompute
-	for _, l := range est.Levels {
-		if l.Time > est.Time {
-			est.Time = l.Time
-			est.Bound = BoundMemory
-			est.BoundLevel = l.Level
-		}
-	}
-	if e.dev.KernelLaunch > est.Time {
-		est.Bound = BoundLaunch
-	}
-	est.Time += e.dev.KernelLaunch
-	return est
-}
+// device's fat-GEMM efficiency versus its on-chip and explicit DRAM
+// streams.
+func (e *Engine) EstimateFused(f Fused) Estimate { return e.fused(f, nil) }
 
-// FusedCost returns the Time and DRAMBytes fields of EstimateFused without
-// allocating the per-level breakdown; bit-identical to EstimateFused.
-func (e *Engine) FusedCost(f Fused) (time, dramBytes float64) {
-	var computeTime float64
-	_, peak := e.dev.BestCompute(f.Precision)
-	if peak > 0 {
-		computeTime = f.FLOPs / (peak * e.dev.GEMMEff)
-	} else {
-		computeTime = math.Inf(1)
+// fused is the one fused-kernel evaluation; levels, when non-nil, holds
+// one entry per memory level and receives the on-chip traffic at the
+// innermost level and the DRAM traffic at the outermost.
+//
+//optimus:hotpath
+func (e *Engine) fused(f Fused, levels []levelTime) Estimate {
+	compute := math.Inf(1)
+	if _, peak := e.dev.BestCompute(f.Precision); peak > 0 {
+		compute = f.FLOPs / (peak * e.dev.GEMMEff)
 	}
 	onChip := f.OnChipBytes
 	if onChip <= 0 {
 		onChip = 2 * f.DRAMBytes
 	}
-	time = computeTime
-	if t := onChip / e.dev.Mem[0].EffBW(); t > time {
-		time = t
+	mem := e.dev.Mem
+	dram := len(mem) - 1
+	r := newRoof(compute)
+	r = r.fold(levels, mem, 0, onChip, onChip/mem[0].EffBW())
+	r = r.fold(levels, mem, dram, f.DRAMBytes, f.DRAMBytes/mem[dram].EffBW())
+	time, bound, level := r.finish(mem, e.dev.KernelLaunch)
+	return Estimate{
+		Time: time, ComputeTime: compute, MemoryTime: r.memory, Launch: e.dev.KernelLaunch,
+		Bound: bound, BoundLevel: level, FLOPs: f.FLOPs, DRAMBytes: f.DRAMBytes,
 	}
-	if t := f.DRAMBytes / e.dev.DRAMLevel().EffBW(); t > time {
-		time = t
-	}
-	time += e.dev.KernelLaunch
-	return time, f.DRAMBytes
 }
 
 // Elementwise describes a streaming non-GEMM kernel (softmax, layer-norm,
@@ -415,53 +388,26 @@ type Elementwise struct {
 // DRAM streaming time and its vector-compute time, plus launch overhead.
 // Fused kernels should be expressed as a single Elementwise with combined
 // traffic (kernel fusion improves arithmetic intensity, paper §1.2).
+//
+//optimus:hotpath
 func (e *Engine) EstimateElementwise(w Elementwise) Estimate {
 	bytes := w.Elements * w.BytesPerElem
 	flops := w.Elements * w.FLOPsPerElem
-	dram := e.dev.DRAMLevel()
-	memTime := bytes / dram.EffBW()
-	var compTime float64
+	mem := e.dev.Mem
+	dram := len(mem) - 1
+	memory := bytes / mem[dram].EffBW()
+	var compute float64
 	if e.dev.VectorCompute > 0 {
-		compTime = flops / e.dev.VectorCompute
+		compute = flops / e.dev.VectorCompute
 	}
-	est := Estimate{
-		ComputeTime: compTime,
-		Levels:      []LevelTime{{Level: dram.Name, Bytes: bytes, Time: memTime}},
-		Launch:      e.dev.KernelLaunch,
-		FLOPs:       flops,
-		DRAMBytes:   bytes,
+	r := newRoof(compute)
+	r.memory = memory
+	if memory >= compute {
+		r.time, r.level, r.bound = memory, dram, BoundMemory
 	}
-	if memTime >= compTime {
-		est.Time = memTime
-		est.Bound = BoundMemory
-		est.BoundLevel = dram.Name
-	} else {
-		est.Time = compTime
-		est.Bound = BoundCompute
+	time, bound, level := r.finish(mem, e.dev.KernelLaunch)
+	return Estimate{
+		Time: time, ComputeTime: compute, MemoryTime: r.memory, Launch: e.dev.KernelLaunch,
+		Bound: bound, BoundLevel: level, FLOPs: flops, DRAMBytes: bytes,
 	}
-	if e.dev.KernelLaunch > est.Time {
-		est.Bound = BoundLaunch
-	}
-	est.Time += e.dev.KernelLaunch
-	return est
-}
-
-// ElementwiseCost returns the Time and DRAMBytes fields of
-// EstimateElementwise without allocating the per-level breakdown;
-// bit-identical to EstimateElementwise.
-func (e *Engine) ElementwiseCost(w Elementwise) (time, dramBytes float64) {
-	bytes := w.Elements * w.BytesPerElem
-	flops := w.Elements * w.FLOPsPerElem
-	memTime := bytes / e.dev.DRAMLevel().EffBW()
-	var compTime float64
-	if e.dev.VectorCompute > 0 {
-		compTime = flops / e.dev.VectorCompute
-	}
-	if memTime >= compTime {
-		time = memTime
-	} else {
-		time = compTime
-	}
-	time += e.dev.KernelLaunch
-	return time, bytes
 }

@@ -72,8 +72,8 @@ func TestGEMVMemoryBound(t *testing.T) {
 	// Time ≈ weight bytes / (1.935e12 * 0.80 * 0.88) + launch.
 	weights := 4096.0 * 4096 * 2
 	wantMem := weights / (1.935e12 * 0.80 * 0.88)
-	if est.MemoryTime() < wantMem*0.95 || est.MemoryTime() > wantMem*1.15 {
-		t.Errorf("GEMV memory time = %g, want ≈ %g", est.MemoryTime(), wantMem)
+	if est.MemoryTime < wantMem*0.95 || est.MemoryTime > wantMem*1.15 {
+		t.Errorf("GEMV memory time = %g, want ≈ %g", est.MemoryTime, wantMem)
 	}
 }
 
@@ -125,26 +125,37 @@ func TestPrefillQKVBoundFlipsA100ToH100(t *testing.T) {
 
 func TestHierarchyLevelsReported(t *testing.T) {
 	e := a100Engine()
-	est := e.EstimateGEMM(GEMM{M: 4096, N: 4096, K: 4096, Precision: tech.FP16})
-	if len(est.Levels) != 3 {
-		t.Fatalf("want 3 levels, got %d", len(est.Levels))
+	g := GEMM{M: 4096, N: 4096, K: 4096, Precision: tech.FP16}
+	levels := make([]levelTime, len(e.Device().Mem))
+	est := e.gemm(g, levels)
+	if len(levels) != 3 {
+		t.Fatalf("want 3 levels, got %d", len(levels))
 	}
 	names := []string{"L1", "L2", "HBM"}
-	for i, l := range est.Levels {
-		if l.Level != names[i] {
-			t.Errorf("level %d = %s, want %s", i, l.Level, names[i])
+	var slowest float64
+	for i, l := range levels {
+		if l.name != names[i] {
+			t.Errorf("level %d = %s, want %s", i, l.name, names[i])
 		}
-		if l.Bytes <= 0 || l.Time <= 0 {
-			t.Errorf("level %s has non-positive traffic", l.Level)
+		if l.bytes <= 0 || l.time <= 0 {
+			t.Errorf("level %s has non-positive traffic", l.name)
 		}
+		slowest = math.Max(slowest, l.time)
+	}
+	// The breakdown comes from the same body as the estimate itself.
+	if est != e.EstimateGEMM(g) {
+		t.Errorf("estimate with a level buffer %+v differs from EstimateGEMM %+v", est, e.EstimateGEMM(g))
+	}
+	if est.MemoryTime != slowest || est.DRAMBytes != levels[2].bytes {
+		t.Errorf("MemoryTime %g / DRAMBytes %g disagree with the levels %+v", est.MemoryTime, est.DRAMBytes, levels)
 	}
 	// Inner levels see at least the traffic of outer levels (reuse only
 	// reduces traffic moving outward).
-	for i := 1; i < len(est.Levels); i++ {
-		if est.Levels[i].Bytes > est.Levels[i-1].Bytes*1.000001 {
+	for i := 1; i < len(levels); i++ {
+		if levels[i].bytes > levels[i-1].bytes*1.000001 {
 			t.Errorf("traffic should not grow outward: %s=%g > %s=%g",
-				est.Levels[i].Level, est.Levels[i].Bytes,
-				est.Levels[i-1].Level, est.Levels[i-1].Bytes)
+				levels[i].name, levels[i].bytes,
+				levels[i-1].name, levels[i-1].bytes)
 		}
 	}
 }
@@ -176,8 +187,8 @@ func TestElementwiseMemoryBound(t *testing.T) {
 		t.Errorf("layernorm bound = %v, want memory", est.Bound)
 	}
 	wantMem := 2048 * 12288 * 6 / (1.935e12 * 0.80)
-	if math.Abs(est.MemoryTime()-wantMem)/wantMem > 1e-9 {
-		t.Errorf("elementwise memory time = %g, want %g", est.MemoryTime(), wantMem)
+	if math.Abs(est.MemoryTime-wantMem)/wantMem > 1e-9 {
+		t.Errorf("elementwise memory time = %g, want %g", est.MemoryTime, wantMem)
 	}
 }
 
@@ -243,7 +254,7 @@ func TestEstimateLowerBoundsProperty(t *testing.T) {
 		g := GEMM{M: int(m) + 1, N: int(n) + 1, K: int(k) + 1, Precision: tech.FP16}
 		est := e.EstimateGEMM(g)
 		return est.Time >= est.ComputeTime &&
-			est.Time >= est.MemoryTime() &&
+			est.Time >= est.MemoryTime &&
 			est.Time >= est.Launch
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -133,12 +133,11 @@ const bwdEWFactor = 1.5
 
 // layerCost aggregates the per-microbatch forward cost of an op list.
 type layerCost struct {
-	gemm      float64
-	gemmComp  float64 // compute-bound share of gemm
-	gemmMem   float64 // memory-bound share
-	ew        float64
-	comm      float64
-	commCount int
+	gemm     float64
+	gemmComp float64 // compute-bound share of gemm
+	gemmMem  float64 // memory-bound share
+	ew       float64
+	comm     float64
 
 	// traffic accounting for the energy model
 	gemmBytes float64 // off-chip bytes moved by GEMMs
@@ -146,60 +145,27 @@ type layerCost struct {
 	wireBytes float64 // per-device network bytes (ring-equivalent)
 }
 
-// collectiveTime resolves one collective op against the TP group fabric.
-func collectiveTime(op kernels.Op, tp int, link arch.Link) float64 {
-	switch op.Kind {
-	case kernels.KindAllReduce:
-		return comm.AllReduceTime(comm.Ring, op.CommBytes, tp, link)
-	case kernels.KindAllGather:
-		return comm.AllGatherTime(op.CommBytes, tp, link)
-	case kernels.KindReduceScatter:
-		return comm.ReduceScatterTime(op.CommBytes, tp, link)
-	default:
-		return 0
-	}
-}
-
-// costOps runs an op list through the roofline engine and the TP fabric.
-func costOps(eng *roofline.Engine, ops []kernels.Op, tp int, link arch.Link) layerCost {
+// costOps prices an op list and splits the sums by kernel class: GEMM and
+// fused tensor-core kernels, element-wise kernels, and TP collectives.
+func costOps(p *kernels.Pricer, ops []kernels.Op) layerCost {
 	var c layerCost
-	nf := float64(tp)
-	for _, op := range ops {
-		switch op.Kind {
-		case kernels.KindGEMM:
-			est := eng.EstimateGEMM(op.GEMM)
-			c.gemm += est.Time
-			c.gemmBytes += est.DRAMBytes
-			if est.Bound == roofline.BoundCompute {
-				c.gemmComp += est.Time
-			} else {
-				c.gemmMem += est.Time
-			}
-		case kernels.KindElementwise:
-			est := eng.EstimateElementwise(op.EW)
-			c.ew += est.Time
-			c.ewBytes += est.DRAMBytes
-		case kernels.KindFused:
-			est := eng.EstimateFused(op.Fused)
-			c.gemm += est.Time
-			c.gemmBytes += est.DRAMBytes
-			if est.Bound == roofline.BoundCompute {
-				c.gemmComp += est.Time
-			} else {
-				c.gemmMem += est.Time
-			}
+	for i := range ops {
+		op := &ops[i]
+		pr := p.Price(op)
+		switch {
+		case pr.Collective:
+			c.comm += pr.Time
+			c.wireBytes += pr.Bytes
+		case op.Kind == kernels.KindElementwise:
+			c.ew += pr.Time
+			c.ewBytes += pr.Bytes
 		default:
-			c.comm += collectiveTime(op, tp, link)
-			c.commCount++
-			if tp > 1 {
-				// Per-device wire traffic of a ring collective: an
-				// all-reduce moves 2K(N-1)/N, an all-gather or
-				// reduce-scatter K(N-1)/N.
-				factor := (nf - 1) / nf
-				if op.Kind == kernels.KindAllReduce {
-					factor *= 2
-				}
-				c.wireBytes += op.CommBytes * factor
+			c.gemm += pr.Time
+			c.gemmBytes += pr.Bytes
+			if pr.Bound == roofline.BoundCompute {
+				c.gemmComp += pr.Time
+			} else {
+				c.gemmMem += pr.Time
 			}
 		}
 	}
@@ -225,25 +191,13 @@ func Predict(s Spec) (Result, error) {
 		return Result{}, err
 	}
 	sys := s.System
-	eng := roofline.New(sys.Device)
 	m := s.Map
 	nMicro := m.Microbatches(s.GlobalBatch)
-	tpLink := sys.LinkBetween(m.TP)
-
-	exec := kernels.Exec{
-		Batch:     m.Microbatch,
-		Seq:       s.Seq,
-		Context:   s.Seq,
-		TP:        m.TP,
-		SP:        m.SP,
-		Flash:     s.Flash,
-		Precision: s.Precision,
-		Store:     s.store(),
-		Phase:     kernels.TrainForward,
-	}
+	pricer := s.pricer()
+	exec := s.exec()
 
 	layerOps := kernels.LayerForward(s.Model, exec)
-	fwd := costOps(eng, layerOps, m.TP, tpLink)
+	fwd := costOps(pricer, layerOps)
 
 	// Recompute cost per layer per microbatch (device + comm components).
 	var recompute layerCost
@@ -251,7 +205,7 @@ func Predict(s Spec) (Result, error) {
 	case memfoot.Full:
 		recompute = fwd
 	case memfoot.Selective:
-		recompute = costOps(eng, selectiveOps(layerOps), m.TP, tpLink)
+		recompute = costOps(pricer, selectiveOps(layerOps))
 	}
 
 	layers := m.LayersPerDevice(s.Model.Layers)
@@ -269,8 +223,8 @@ func Predict(s Spec) (Result, error) {
 	// critical path takes the slower of the two.
 	embOps := kernels.EmbeddingForward(s.Model, exec)
 	logitOps := kernels.LogitsForward(s.Model, exec)
-	embCost := costOps(eng, embOps, m.TP, tpLink)
-	logitCost := costOps(eng, logitOps, m.TP, tpLink)
+	embCost := costOps(pricer, embOps)
+	logitCost := costOps(pricer, logitOps)
 	embDevice := embCost.gemm + embCost.ew
 	logitDevice := logitCost.gemm + logitCost.ew
 	boundary := math.Max(embDevice*(1+bwdGEMMFactor), logitDevice*(1+bwdGEMMFactor))
@@ -388,8 +342,13 @@ func LayerGEMMBoundSplit(s Spec) (computeBound, memoryBound float64, err error) 
 	if err := s.Validate(); err != nil {
 		return 0, 0, err
 	}
-	eng := roofline.New(s.System.Device)
-	exec := kernels.Exec{
+	c := costOps(s.pricer(), kernels.LayerForward(s.Model, s.exec()))
+	return c.gemmComp, c.gemmMem, nil
+}
+
+// exec is the per-device execution context of one forward microbatch.
+func (s Spec) exec() kernels.Exec {
+	return kernels.Exec{
 		Batch:     s.Map.Microbatch,
 		Seq:       s.Seq,
 		Context:   s.Seq,
@@ -400,6 +359,15 @@ func LayerGEMMBoundSplit(s Spec) (computeBound, memoryBound float64, err error) 
 		Store:     s.store(),
 		Phase:     kernels.TrainForward,
 	}
-	c := costOps(eng, kernels.LayerForward(s.Model, exec), s.Map.TP, s.System.LinkBetween(s.Map.TP))
-	return c.gemmComp, c.gemmMem, nil
+}
+
+// pricer prices ops on the system's device and TP group; training
+// collectives are data-intensive and use the ring algorithm.
+func (s Spec) pricer() *kernels.Pricer {
+	return &kernels.Pricer{
+		Engine:    roofline.New(s.System.Device),
+		Link:      s.System.LinkBetween(s.Map.TP),
+		TP:        s.Map.TP,
+		Algorithm: comm.Ring,
+	}
 }
