@@ -56,11 +56,12 @@ func lognormalMix(t testing.TB) []workload.TenantLoad {
 }
 
 // TestSingleReplicaReproducesServe is the degenerate-equivalence pin: a
-// one-replica round-robin fleet must reproduce plain serve.Run
-// byte-identically (reflect + JSON) — the replica-level result exactly,
-// and the fleet-level summaries agreeing with the serve-level ones —
-// across a workload × rate × cap × policy × seed grid, each workload
-// under every policy that accepts it.
+// one-replica fleet must reproduce plain serve.Run byte-identically
+// (reflect + JSON) — the replica-level result exactly, and the
+// fleet-level summaries agreeing with the serve-level ones — across a
+// workload × rate × cap × policy × seed grid, each workload under every
+// policy that accepts it, behind every router. The least-* routers step
+// the replica in per-arrival barriers, which must not change its result.
 func TestSingleReplicaReproducesServe(t *testing.T) {
 	all := []serve.Policy{serve.ReserveFull, serve.Paged, serve.Disaggregated}
 	for _, wc := range []struct {
@@ -77,7 +78,6 @@ func TestSingleReplicaReproducesServe(t *testing.T) {
 			for _, maxBatch := range []int{0, 6} {
 				for _, pol := range wc.pols {
 					for _, seed := range []int64{1, 99} {
-						name := fmt.Sprintf("%s rate=%g cap=%d %v seed=%d", wc.name, rate, maxBatch, pol, seed)
 						cap := capacity0(t)
 						cap.MaxBatch = maxBatch
 						cap.Policy = pol
@@ -92,33 +92,36 @@ func TestSingleReplicaReproducesServe(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-
-						fs := Spec{Replicas: []Replica{{Spec: cap}}, Routing: RoundRobin}
-						fs.SetWorkload(w)
-						fleet, err := Run(fs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := fleet.PerReplica[0].Result
-						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("%s: R=1 replica result diverges from serve.Run: E2E p95 %g vs %g, %d vs %d iterations, MaxBatch %d vs %d",
-								name, got.E2E.P95, want.E2E.P95, got.Iterations, want.Iterations, got.MaxBatch, want.MaxBatch)
-						}
 						jw, _ := json.Marshal(want)
-						jg, _ := json.Marshal(got)
-						if string(jw) != string(jg) {
-							t.Fatalf("%s: JSON encodings differ", name)
-						}
-						// The fleet summaries must agree with the serve-level
-						// ones exactly — same samples, same percentile math.
-						if fleet.E2E != want.E2E || fleet.TTFT != want.TTFT || fleet.TPOT != want.TPOT || fleet.Queue != want.Queue {
-							t.Fatalf("%s: fleet percentiles diverge from serve.Run's", name)
-						}
-						if fleet.SimTime != want.SimTime || fleet.ThroughputRPS != want.ThroughputRPS || fleet.TokensPerSec != want.TokensPerSec {
-							t.Fatalf("%s: fleet totals diverge from serve.Run's", name)
-						}
-						if !reflect.DeepEqual(fleet.PerTenant, want.PerTenant) {
-							t.Fatalf("%s: fleet tenant breakdown diverges", name)
+
+						for _, routing := range routings {
+							name := fmt.Sprintf("%s rate=%g cap=%d %v seed=%d %v", wc.name, rate, maxBatch, pol, seed, routing)
+							fs := Spec{Replicas: []Replica{{Spec: cap}}, Routing: routing}
+							fs.SetWorkload(w)
+							fleet, err := Run(fs)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := fleet.PerReplica[0].Result
+							if !reflect.DeepEqual(want, got) {
+								t.Fatalf("%s: R=1 replica result diverges from serve.Run: E2E p95 %g vs %g, %d vs %d iterations, MaxBatch %d vs %d",
+									name, got.E2E.P95, want.E2E.P95, got.Iterations, want.Iterations, got.MaxBatch, want.MaxBatch)
+							}
+							jg, _ := json.Marshal(got)
+							if string(jw) != string(jg) {
+								t.Fatalf("%s: JSON encodings differ", name)
+							}
+							// The fleet summaries must agree with the serve-level
+							// ones exactly — same samples, same percentile math.
+							if fleet.E2E != want.E2E || fleet.TTFT != want.TTFT || fleet.TPOT != want.TPOT || fleet.Queue != want.Queue {
+								t.Fatalf("%s: fleet percentiles diverge from serve.Run's", name)
+							}
+							if fleet.SimTime != want.SimTime || fleet.ThroughputRPS != want.ThroughputRPS || fleet.TokensPerSec != want.TokensPerSec {
+								t.Fatalf("%s: fleet totals diverge from serve.Run's", name)
+							}
+							if !reflect.DeepEqual(fleet.PerTenant, want.PerTenant) {
+								t.Fatalf("%s: fleet tenant breakdown diverges", name)
+							}
 						}
 					}
 				}

@@ -210,11 +210,12 @@ func (in *Instance) push(r workload.Request, t float64) {
 // AdvanceTo runs batching iterations until the instance's clock reaches t
 // or it runs out of work. Iterations are atomic, so the clock may
 // overshoot t: an arrival landing mid-iteration waits for the next
-// boundary.
+// boundary. Between events the instance coasts: see simulator.coast.
 func (in *Instance) AdvanceTo(t float64) {
 	sim := in.sim
 	for !sim.idle() && sim.now < t {
 		sim.step()
+		sim.coast(t)
 	}
 }
 

@@ -77,3 +77,30 @@ func TestPercentilesNearestRank(t *testing.T) {
 		t.Errorf("n=100: P99 = %g (want 98, the first sub-Max rank), Max = %g", p.P99, p.Max)
 	}
 }
+
+// TestPercentilesMeanSumsInSortedOrder pins Mean to the sum taken in
+// sorted order. On this sample the arrival-order sum lands one ulp away,
+// so replacing the sort with a selection that leaves the sample unsorted
+// would change every reported Mean.
+func TestPercentilesMeanSumsInSortedOrder(t *testing.T) {
+	sample := []float64{0.87, 2.88, 1.62, 2.03}
+	arrival := 0.0
+	for _, v := range sample {
+		arrival += v
+	}
+	sorted := []float64{0.87, 1.62, 2.03, 2.88}
+	inOrder := 0.0
+	for _, v := range sorted {
+		inOrder += v
+	}
+	if arrival/4 == inOrder/4 {
+		t.Fatalf("the sample no longer separates the two summation orders (%v)", arrival/4)
+	}
+	done := make([]RequestMetrics, len(sample))
+	for i, v := range sample {
+		done[i] = RequestMetrics{ID: i, E2E: v}
+	}
+	if got := SummarizeRequests(done).E2E.Mean; got != inOrder/4 {
+		t.Errorf("E2E mean %v, want the sorted-order %v (arrival order gives %v)", got, inOrder/4, arrival/4)
+	}
+}

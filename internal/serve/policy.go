@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"optimus/internal/arch"
 	"optimus/internal/comm"
@@ -125,8 +127,16 @@ type AdmissionPolicy interface {
 	// for each sequence's next token, returning the sequences that keep
 	// running and the preemption victims (appended to the caller's
 	// reusable buffer), which the event loop re-queues. Victims are
-	// collected youngest-first.
+	// collected youngest-first, each with its produced count written back
+	// from the running set's epoch offset. An iteration that changes
+	// nothing the policy accounts for costs O(1): the policy tracks the
+	// next epoch at which its accounting can change.
 	beginStep(pool []request, running, victims []int32) (kept, outVictims []int32)
+	// steadyUntil is the epoch from which beginStep has work again: before
+	// it, while the running set stands and nothing is admitted or
+	// released, beginStep returns the running set as it is and leaves
+	// every count the policy reports unchanged.
+	steadyUntil(pool []request, running []int32) int
 	// admit reserves capacity for the request, or reports that it does
 	// not fit right now.
 	admit(r *request) bool
@@ -200,6 +210,9 @@ type reservePolicy struct {
 	maxContext, minContext int
 	userCap                int
 	kvUsed                 float64
+	// stale marks an admission or release since beginStep last derived
+	// kvUsed from the running set; until then the value stands.
+	stale bool
 }
 
 // contextBytes prices a context-token full reservation. The footprint's
@@ -235,11 +248,19 @@ func (p *reservePolicy) Feasible() bool {
 
 func (p *reservePolicy) PageGeometry() (int, int) { return 0, 0 }
 
+// beginStep re-sums the running set's reservations. The sum changes only
+// with the running set, so a mixed-shape set is re-summed only after an
+// admission or a release.
+//
+//optimus:hotpath
 func (p *reservePolicy) beginStep(pool []request, running, victims []int32) ([]int32, []int32) {
 	if p.minContext == p.maxContext {
 		// Multiply-by-count, not a sum: the PR-3 float path, preserved
 		// bit for bit for the degenerate-equivalence guarantee.
-		p.kvUsed = p.perRequest * float64(len(running))
+		p.kvUsed, p.stale = p.perRequest*float64(len(running)), false
+		return running, victims
+	}
+	if !p.stale {
 		return running, victims
 	}
 	kv := 0.0
@@ -247,8 +268,17 @@ func (p *reservePolicy) beginStep(pool []request, running, victims []int32) ([]i
 		r := &pool[id]
 		kv += p.contextBytes(r.prompt + r.gen)
 	}
-	p.kvUsed = kv
+	p.kvUsed, p.stale = kv, false
 	return running, victims
+}
+
+// steadyUntil reports no work while kvUsed stands: re-deriving it from an
+// unchanged running set gives the same value.
+func (p *reservePolicy) steadyUntil([]request, []int32) int {
+	if p.stale {
+		return math.MinInt
+	}
+	return math.MaxInt
 }
 
 func (p *reservePolicy) admit(r *request) bool {
@@ -257,10 +287,11 @@ func (p *reservePolicy) admit(r *request) bool {
 		return false
 	}
 	p.kvUsed += need
+	p.stale = true
 	return true
 }
 
-func (p *reservePolicy) release(*request)     {}
+func (p *reservePolicy) release(*request)     { p.stale = true }
 func (p *reservePolicy) usedBytes() float64   { return p.kvUsed }
 func (p *reservePolicy) usedPages() int       { return 0 }
 func (p *reservePolicy) budgetBytes() float64 { return p.budget }
@@ -345,6 +376,10 @@ type pagedPolicy struct {
 	preempts    int
 	recomputed  int
 
+	// nextGrow is a lower bound on the earliest epoch at which a running
+	// sequence's next token spills past its held pages.
+	nextGrow int
+
 	// Prefix registry: interned shared prefixes, indexed by the slot ids
 	// the request slab carries. Empty for prefix-free workloads, whose
 	// admission arithmetic is untouched.
@@ -352,6 +387,10 @@ type pagedPolicy struct {
 	prefixIdx   map[string]int32
 	prefixHits  int
 	prefixSaved int
+	// idle holds one bit per registry slot, set while the entry is
+	// resident with no references. Its words are handed from one
+	// simulation's policy to the next.
+	idle []uint64
 
 	// KV links: perToken KV bytes priced point-to-point over the pool
 	// interconnect (link, prefill→decode migrations) and the host tier's
@@ -500,6 +539,9 @@ func (p *pagedPolicy) intern(id string, tokens int) int32 {
 	i := int32(len(p.prefixes))
 	p.prefixes = append(p.prefixes, prefixEntry{id: id, tokens: tokens, pages: p.pagesFor(tokens)})
 	p.prefixIdx[id] = i
+	if i%64 == 0 {
+		p.idle = append(p.idle, 0)
+	}
 	return i
 }
 
@@ -516,17 +558,32 @@ func (p *pagedPolicy) internedPrefixTokens(id string) (int, bool) {
 // reclaimIdle frees one resident idle (refs == 0) prefix — lowest slot
 // first, a deterministic order — reporting whether it freed anything. The
 // eviction loops try it before preempting any running victim: a cached
-// prefix nobody references is the cheapest capacity to reclaim.
+// prefix nobody references is the cheapest capacity to reclaim. The idle
+// bitset's lowest set bit is that slot.
+//
+//optimus:hotpath
 func (p *pagedPolicy) reclaimIdle() bool {
-	for i := range p.prefixes {
-		e := &p.prefixes[i]
-		if e.resident && e.refs == 0 {
+	for w, word := range p.idle {
+		if word != 0 {
+			b := bits.TrailingZeros64(word)
+			p.idle[w] = word &^ (1 << b)
+			e := &p.prefixes[w*64+b]
 			e.resident = false
 			p.used -= e.pages
 			return true
 		}
 	}
 	return false
+}
+
+// spill is the token slots r's held pages have left past its produced
+// field: while r runs, produced is an epoch offset, so spill is the epoch
+// at which r's next token first needs another page; for a count, it is
+// the advances until then.
+//
+//optimus:hotpath
+func (p *pagedPolicy) spill(r *request) int {
+	return r.pages*p.pageTokens - (r.prompt - r.prefix + r.produced)
 }
 
 // pagesFor returns the page count covering tokens KV entries.
@@ -581,8 +638,21 @@ func (p *pagedPolicy) PageGeometry() (int, int) { return p.pageTokens, p.totalPa
 // The running set always orders decode residents before prefill-held
 // sequences: the previous beginStep migrated every survivor, and
 // admission appends the prefill-held newcomers at the tail.
+//
+// The scan runs only when it can change something: on an epoch reaching
+// nextGrow, or with a split admission's migration pending, which the
+// prefill-held tail shows. Every scan leaves each survivor migrated with
+// room for its next token, so it then recomputes nextGrow over them;
+// evictions, which happen only inside a scan, are covered by that
+// recompute. Otherwise the running set is returned as it is.
+//
+//optimus:hotpath
 func (p *pagedPolicy) beginStep(pool []request, running, victims []int32) (kept, outVictims []int32) {
 	kept, outVictims = running, victims
+	epoch := p.sim.epoch
+	if epoch < p.steadyUntil(pool, kept) {
+		return kept, outVictims
+	}
 scan:
 	for i := 0; i < len(kept); i++ {
 		id := kept[i]
@@ -617,10 +687,11 @@ scan:
 		// the ceil's integer division. Page math spans the request's
 		// private tokens only — its shared prefix (zero without one) lives
 		// in the registry's pages.
-		if r.prompt-r.prefix+r.produced+1 <= r.pages*p.pageTokens {
+		produced := r.produced + epoch
+		if r.prompt-r.prefix+produced+1 <= r.pages*p.pageTokens {
 			continue
 		}
-		need := p.pagesFor(r.prompt - r.prefix + r.produced + 1)
+		need := p.pagesFor(r.prompt - r.prefix + produced + 1)
 		extra := need - r.pages
 		for p.used-p.prefillUsed+extra > p.decodeTotal || p.used+extra > p.totalPages {
 			if p.reclaimIdle() {
@@ -645,7 +716,23 @@ scan:
 		}
 		r.pages = need
 	}
+	p.nextGrow = math.MaxInt
+	for _, id := range kept {
+		p.nextGrow = min(p.nextGrow, p.spill(&pool[id]))
+	}
 	return kept, outVictims
+}
+
+// steadyUntil is the next page crossing, nextGrow, or the current epoch
+// while a split admission's migration is pending, which the running set's
+// prefill-held tail shows.
+//
+//optimus:hotpath
+func (p *pagedPolicy) steadyUntil(pool []request, running []int32) int {
+	if len(running) > 0 && !pool[running[len(running)-1]].inDecode {
+		return p.sim.epoch
+	}
+	return p.nextGrow
 }
 
 // evictYoungest evicts the youngest running sequence — the youngest decode
@@ -661,14 +748,15 @@ func (p *pagedPolicy) evictYoungest(pool []request, kept, victims []int32, decod
 	return append(kept[:j], kept[j+1:]...), append(victims, vi)
 }
 
-// evict frees a victim's private pages from whichever pool holds them and
-// releases its prefix reference (the shared pages stay resident —
-// refcounting survives preemption). With a host tier holding room, the
-// pages swap out to it instead of vanishing — the victim remembers its
-// stored span and readmission decides swap-in vs recompute; otherwise the
-// generated tokens are accounted for the recompute prefill that must
-// rebuild them.
+// evict writes a victim's produced count back from its epoch offset, frees
+// its private pages from whichever pool holds them and releases its prefix
+// reference (the shared pages stay resident — refcounting survives
+// preemption). With a host tier holding room, the pages swap out to it
+// instead of vanishing — the victim remembers its stored span and
+// readmission decides swap-in vs recompute; otherwise the generated tokens
+// are accounted for the recompute prefill that must rebuild them.
 func (p *pagedPolicy) evict(v *request) {
+	v.produced += p.sim.epoch
 	if p.hostTotal > 0 && p.hostUsed+v.pages <= p.hostTotal {
 		v.hostPages = v.pages
 		v.hostTokens = v.prompt - v.prefix + v.produced
@@ -709,6 +797,7 @@ func (p *pagedPolicy) admit(r *request) bool {
 		p.reserved += full
 		r.pages, r.inDecode = need, true
 		p.used += need
+		p.nextGrow = min(p.nextGrow, p.sim.epoch+p.spill(r))
 		return true
 	}
 	if p.split && p.prefillUsed+need > p.prefillTotal {
@@ -731,6 +820,8 @@ func (p *pagedPolicy) admit(r *request) bool {
 	}
 	free := 0
 	if pfx != nil {
+		// Whichever case applies, the entry ends referenced.
+		p.idle[r.prefixSlot/64] &^= 1 << (r.prefixSlot % 64)
 		// Re-test residency: the reclaim loop above may have dropped this
 		// very entry (resident, unreferenced) to make room.
 		switch {
@@ -783,6 +874,8 @@ func (p *pagedPolicy) admit(r *request) bool {
 	r.prefillFree = free
 	r.pages, r.inDecode = need, !p.split
 	p.used += need
+	// r joins the running set at this epoch.
+	p.nextGrow = min(p.nextGrow, p.sim.epoch+p.spill(r))
 	if p.split {
 		p.prefillUsed += need
 		if p.prefillUsed > p.peakPrefill {
@@ -803,8 +896,12 @@ func (p *pagedPolicy) release(r *request) {
 	if p.noPreempt {
 		p.reserved -= p.pagesFor(r.prompt + r.gen)
 	}
-	if r.prefixSlot >= 0 {
-		p.prefixes[r.prefixSlot].refs--
+	if i := r.prefixSlot; i >= 0 {
+		e := &p.prefixes[i]
+		e.refs--
+		if e.refs == 0 && e.resident {
+			p.idle[i/64] |= 1 << (i % 64)
+		}
 	}
 }
 

@@ -432,6 +432,10 @@ type Percentiles struct {
 }
 
 // percentiles computes nearest-rank percentiles over a sorted sample.
+// Mean sums the sample in sorted order: float addition does not
+// associate, so a selection that leaves the sample unsorted (nth-element
+// for the ranks) would move Mean in its last bits
+// (TestPercentilesMeanSumsInSortedOrder).
 func percentiles(sorted []float64) Percentiles {
 	if len(sorted) == 0 {
 		return Percentiles{}
@@ -623,7 +627,9 @@ type request struct {
 	firstToken float64
 	// produced counts generated tokens; 0 means the prefill pass is still
 	// pending. Preemption keeps it — the readmission prefill rebuilds the
-	// discarded KV and decoding resumes from here.
+	// discarded KV and decoding resumes from here. While the request is
+	// in the running set the field holds produced − simulator.epoch
+	// instead, written back when it leaves.
 	produced int
 	// pages is the KV page count currently held (paged and disaggregated
 	// policies).

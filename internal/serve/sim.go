@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"optimus/internal/infer"
 	"optimus/internal/workload"
@@ -141,6 +142,18 @@ type simulator struct {
 	sums    summaryScratch // reusable percentile and tenant-grouping buffers
 	done    []RequestMetrics
 
+	// Next-event state, which keeps an iteration that nobody joins or
+	// leaves O(1). epoch counts advance rounds; while a sequence runs, its
+	// slab entry's produced holds produced − epoch, so one increment of
+	// epoch advances every running sequence. kvBase is Σ(prompt + that
+	// offset) over the running set, from which the decoders' KV sum is
+	// exact integer math. nextDone is a lower bound on the earliest epoch
+	// at which a running sequence completes: only an advance reaching it
+	// walks the running set.
+	epoch    int
+	kvBase   int
+	nextDone int
+
 	iterations int
 	batchSum   float64
 	peakBatch  int
@@ -169,6 +182,11 @@ func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) 
 		// The readmission swap-in-vs-recompute decision prices the
 		// recompute path through the simulator's prefill table.
 		pp.sim = sim
+		if sim.pp != nil {
+			// The previous simulation's policy is dead; its idle-prefix
+			// bitset words serve this one.
+			pp.idle = sim.pp.idle[:0]
+		}
 	}
 	// The step cost is linear in the KV length at fixed batch and the
 	// prefill cost is fixed per batch, so each batch size needs at most
@@ -221,6 +239,7 @@ func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) 
 	// done escapes into Result.PerRequest, so it is the one per-run
 	// allocation reuse cannot elide.
 	sim.done = make([]RequestMetrics, 0, requests)
+	sim.epoch, sim.kvBase, sim.nextDone = 0, 0, 0
 	sim.iterations = 0
 	sim.batchSum = 0
 	sim.peakBatch = 0
@@ -310,7 +329,15 @@ func (sim *simulator) idle() bool {
 
 // step executes one batching iteration: policy bookkeeping and preemption,
 // admission, pricing, and sequence advancement. It requires pending work
-// (queue or running non-empty) and always advances the clock.
+// (queue or running non-empty) and always advances the clock. An
+// iteration in which nobody joins, leaves, crosses a page or migrates
+// costs O(1): the advance is one epoch increment, the decoders' KV sum
+// comes from kvBase, and the running set is walked only by a newcomer's
+// first token and by an advance that reaches nextDone; the iterations
+// after it that change nothing at all run in coast's tight loop. The
+// float adds to now, utilSum and batchSum stay one per iteration, in
+// order, so results are bit-identical to walking every sequence
+// (FuzzStepMatchesReference).
 //
 //optimus:hotpath
 func (sim *simulator) step() {
@@ -324,12 +351,15 @@ func (sim *simulator) step() {
 	// Victims were collected youngest-first; pushing each to the queue
 	// head in that order leaves the longest-running (most to rebuild)
 	// victim at the head for readmission. A victim keeps its produced
-	// count: readmission prices one prefill pass that rebuilds the
-	// discarded KV — vLLM's recompute preemption, where already-generated
-	// tokens are recovered as context by the recompute prefill, not
-	// decoded again — and the sequence resumes from where it was evicted.
+	// count (evict wrote it back from the epoch offset): readmission
+	// prices one prefill pass that rebuilds the discarded KV — vLLM's
+	// recompute preemption, where already-generated tokens are recovered
+	// as context by the recompute prefill, not decoded again — and the
+	// sequence resumes from where it was evicted.
 	for _, vi := range victims {
-		sim.reqs[vi].preempts++
+		r := &sim.reqs[vi]
+		sim.kvBase -= r.prompt + r.produced - sim.epoch
+		r.preempts++
 		sim.queue.pushFront(vi)
 	}
 
@@ -337,7 +367,7 @@ func (sim *simulator) step() {
 	// capacity. An iteration that just preempted skips admission — the
 	// pool is under pressure, and admitting would thrash the victim
 	// straight back in.
-	newbies, prefillTokens := 0, 0
+	newbies, prefillTokens, newbieKV := 0, 0, 0
 	if len(victims) == 0 {
 		for sim.queue.len() > 0 && len(sim.running) < sim.batchCap && sim.pol.admit(&sim.reqs[sim.queue.front()]) {
 			id := sim.queue.popFront()
@@ -355,6 +385,13 @@ func (sim *simulator) step() {
 			// swap-in's) drop out of the bill; the swap itself is priced
 			// separately on the link via drainLinks.
 			prefillTokens += r.prompt + r.produced - r.prefillFree
+			// Join the next-event state: produced becomes an offset from
+			// the epoch, and the completion epoch gen − offset bounds
+			// nextDone.
+			r.produced -= sim.epoch
+			sim.nextDone = min(sim.nextDone, r.gen-r.produced)
+			sim.kvBase += r.prompt + r.produced
+			newbieKV += r.prompt + r.produced
 		}
 	}
 	kv := sim.pol.usedBytes()
@@ -378,7 +415,6 @@ func (sim *simulator) step() {
 	// sequences plus one decode step over the established ones. The
 	// decode batch is priced at its mean KV length — exact under the
 	// step cost's linearity in kvLen (TestDecodeStepLinearInKV).
-	deciders := sim.running[:len(sim.running)-newbies]
 	var iterTime float64
 	if newbies > 0 {
 		// The prefill sample prices newbies * refPrompt tokens. Batches
@@ -395,16 +431,13 @@ func (sim *simulator) step() {
 		}
 		iterTime += t
 	}
-	if len(deciders) > 0 {
-		kvSum := 0
-		for _, id := range deciders {
-			// The step generating token produced+1 attends over the
-			// request's own prompt plus every generated token including
-			// the new one.
-			r := &sim.reqs[id]
-			kvSum += r.prompt + r.produced + 1
-		}
-		iterTime += sim.decode(float64(kvSum)/float64(len(deciders)), len(deciders))
+	if deciders := len(sim.running) - newbies; deciders > 0 {
+		// The step generating token produced+1 attends over each
+		// decoder's own prompt plus every generated token including the
+		// new one: Σ(prompt + offset + epoch + 1) over the decoders, the
+		// running set's kvBase without the newcomers' terms.
+		kvSum := sim.kvBase - newbieKV + deciders*(sim.epoch+1)
+		iterTime += sim.decode(float64(kvSum)/float64(deciders), deciders)
 	}
 	if sim.pp != nil {
 		// KV migrations accrued by this iteration's pool hand-offs, and
@@ -418,21 +451,86 @@ func (sim *simulator) step() {
 	sim.batchSum += float64(len(sim.running))
 	sim.now += iterTime
 
-	// Advance sequences: prefill emits the first token, decode steps
-	// one more each; completed requests leave and free their KV. The
-	// firstToken guard keeps the first emission across preemptions
-	// (every iteration has positive duration, so 0 means unset).
-	alive := sim.running[:0]
-	for _, id := range sim.running {
+	// Advance sequences: prefill emits the first token, decode steps one
+	// more each — one epoch for the whole running set. Only a newcomer can
+	// emit its first token; the firstToken guard keeps the first emission
+	// across preemptions (every iteration has positive duration, so 0
+	// means unset).
+	sim.epoch++
+	for _, id := range sim.running[len(sim.running)-newbies:] {
 		r := &sim.reqs[id]
-		r.produced++
-		if r.produced == 1 && r.firstToken == 0 {
+		if r.produced+sim.epoch == 1 && r.firstToken == 0 {
 			r.firstToken = sim.now
 		}
-		if r.produced < r.gen {
+	}
+	if sim.epoch >= sim.nextDone {
+		sim.complete()
+	}
+}
+
+// coast runs the iterations that follow while each would be pure decode
+// with nothing changing — nobody joins, leaves, crosses a page or
+// migrates — and the clock is short of t: the stretches between arrivals,
+// page crossings and completions that dominate a lightly loaded instance.
+// Such an iteration's KV bytes, pages and batch are the previous one's;
+// only the decoders' KV sum moves, by one token each per epoch. Each
+// coasted iteration still prices its decode step and makes the one add
+// apiece to utilSum, batchSum and now, in step's order, so a coasted run
+// is bit-identical to stepping it (FuzzStepMatchesReference). The probe
+// observes every iteration, so a probed run never coasts.
+//
+//optimus:hotpath
+func (sim *simulator) coast(t float64) {
+	n := len(sim.running)
+	if n == 0 || sim.spec.probe != nil || (sim.queue.len() > 0 && n < sim.batchCap) {
+		return
+	}
+	// The iteration starting at epoch e coasts while the policy's
+	// beginStep has nothing to do and its advance to e+1 stays short of
+	// nextDone, which would need the completion walk.
+	end := min(sim.pol.steadyUntil(sim.reqs, sim.running), sim.nextDone-1)
+	e := sim.epoch
+	if e >= end || !(sim.now < t) {
+		return
+	}
+	kv := sim.pol.usedBytes()
+	if kv > sim.peakKV {
+		sim.peakKV = kv
+	}
+	if up := sim.pol.usedPages(); up > sim.peakPages {
+		sim.peakPages = up
+	}
+	if n > sim.peakBatch {
+		sim.peakBatch = n
+	}
+	now, utilSum, batchSum := sim.now, sim.utilSum, sim.batchSum
+	for ; e < end && now < t; e++ {
+		utilSum += kv * sim.invBudget
+		now += sim.decode(float64(sim.kvBase+n*(e+1))/float64(n), n)
+		batchSum += float64(n)
+	}
+	sim.iterations += e - sim.epoch
+	sim.epoch = e
+	sim.now, sim.utilSum, sim.batchSum = now, utilSum, batchSum
+}
+
+// complete walks the running set in admission order once an advance
+// reaches nextDone: completed requests leave and free their KV, and the
+// survivors' earliest completion epoch becomes nextDone.
+//
+//optimus:hotpath
+func (sim *simulator) complete() {
+	alive := sim.running[:0]
+	next := math.MaxInt
+	for _, id := range sim.running {
+		r := &sim.reqs[id]
+		if done := r.gen - r.produced; done > sim.epoch {
 			alive = append(alive, id)
+			next = min(next, done)
 			continue
 		}
+		sim.kvBase -= r.prompt + r.produced
+		r.produced += sim.epoch
 		sim.pol.release(r)
 		m := RequestMetrics{
 			ID: r.id, Tenant: r.tenant,
@@ -457,6 +555,7 @@ func (sim *simulator) step() {
 		}
 	}
 	sim.running = alive
+	sim.nextDone = next
 }
 
 // observe hands the test-only probe this iteration's KV accounting,
@@ -510,7 +609,8 @@ func (sim *simulator) finish() Result {
 		}
 	}
 	if !ordered {
-		sort.Slice(sim.done, func(i, j int) bool { return sim.done[i].ID < sim.done[j].ID })
+		// IDs are unique, so any sort gives the one order.
+		slices.SortFunc(sim.done, func(a, b RequestMetrics) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	pageTokens, totalPages := sim.pol.PageGeometry()
 	preemptions, recomputed := sim.pol.counters()
