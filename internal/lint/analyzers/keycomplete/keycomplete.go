@@ -1,6 +1,7 @@
 // Package keycomplete enforces the sweep memo-cache identity invariant:
-// every field of sweep.Point — every sweep axis — must be folded into the
-// candidate's canonical key.
+// every field of sweep.Point — every sweep axis — must be folded into
+// both of the candidate's identities: the canonical string key and the
+// comparable struct the engine deduplicates on.
 //
 // The memo cache (and the on-disk cache it persists to) deduplicates
 // evaluations by Point.Key; a field that shapes the evaluation but is
@@ -8,13 +9,19 @@
 // entry and silently serves the wrong metrics. That bug class is exactly
 // why the cost-model version bump exists, and it has historically been
 // caught only when someone remembered to extend the hand-written key
-// test. This analyzer makes the omission a lint failure instead: it walks
-// every function statically reachable from the key builders (Key and
-// buildKey, so token helpers like modelToken count) and reports any Point
-// field never read along the way.
+// test. The engine also deduplicates the grid on the struct identity
+// (ident), without rendering the key; a field missing from it would
+// silently drop a distinct candidate as a duplicate. This analyzer makes
+// either omission a lint failure instead: for each identity it walks
+// every function statically reachable from its builders (Key and
+// buildKey for the string key; ident and tokensOf, which derives the
+// tokens ident compares, for the struct identity — so token helpers like
+// modelToken count) and reports any Point field never read along the
+// way. A package without the struct identity's builders is checked
+// against the string key alone.
 //
-// A field that is deliberately not an axis — e.g. the cached key string
-// itself — carries //lint:nokey with a justification.
+// A field that is deliberately not an axis carries //lint:nokey with a
+// justification.
 package keycomplete
 
 import (
@@ -25,18 +32,20 @@ import (
 	"optimus/internal/lint/directive"
 )
 
-// StructName and KeyFuncs name the struct and its key-builder roots. The
-// analyzer triggers on any package declaring both, so fixtures exercise
-// the real code path.
+// StructName names the struct, KeyFuncs the roots of its string key and
+// IdentFuncs those of its struct identity. The analyzer triggers on any
+// package declaring the struct and a root, so fixtures exercise the real
+// code path.
 var (
 	StructName = "Point"
 	KeyFuncs   = []string{"Key", "buildKey"}
+	IdentFuncs = []string{"ident", "tokensOf"}
 )
 
 // Analyzer is the key-completeness check.
 var Analyzer = &analysis.Analyzer{
 	Name: "keycomplete",
-	Doc:  "every sweep.Point field must be referenced from Key/buildKey (directly or via a helper) or carry //lint:nokey",
+	Doc:  "every sweep.Point field must be referenced from Key/buildKey and from ident/tokensOf (directly or via a helper) or carry //lint:nokey",
 	Run:  run,
 }
 
@@ -69,11 +78,43 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 
-	// Roots: the key builders, as methods of Point or free functions.
+	// Point's fields by identity, for coverage matching.
+	isField := make(map[*types.Var]bool, st.NumFields())
+	for i := 0; i < st.NumFields(); i++ {
+		isField[st.Field(i)] = true
+	}
+
+	for _, id := range []struct {
+		roots []string
+		harm  string
+	}{
+		{KeyFuncs, "would alias one memo entry"},
+		{IdentFuncs, "would be deduplicated as one"},
+	} {
+		covered, ok := reach(pass, decls, isField, id.roots)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if covered[f] || directive.Suppressed(pass, f.Pos(), "nokey") {
+				continue
+			}
+			pass.Reportf(f.Pos(), "%s.%s is not folded into %v: two candidates differing only in it %s (annotate //lint:nokey if it is not an axis)",
+				StructName, f.Name(), id.roots, id.harm)
+		}
+	}
+	return nil, nil
+}
+
+// reach walks every same-package function statically reachable from the
+// functions named roots (methods or free functions) and returns the
+// struct fields read along the way; ok is false when no root exists.
+func reach(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, isField map[*types.Var]bool, roots []string) (covered map[*types.Var]bool, ok bool) {
 	var work []*ast.FuncDecl
 	seen := make(map[*types.Func]bool)
 	for fn, fd := range decls {
-		for _, name := range KeyFuncs {
+		for _, name := range roots {
 			if fn.Name() == name {
 				work = append(work, fd)
 				seen[fn] = true
@@ -81,18 +122,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 	if len(work) == 0 {
-		return nil, nil
+		return nil, false
 	}
-
-	// Point's fields by identity, for coverage matching.
-	isField := make(map[*types.Var]bool, st.NumFields())
-	for i := 0; i < st.NumFields(); i++ {
-		isField[st.Field(i)] = true
-	}
-
-	// BFS over same-package static calls, recording every Point field
-	// read anywhere along the way.
-	covered := make(map[*types.Var]bool)
+	covered = make(map[*types.Var]bool)
 	for len(work) > 0 {
 		fd := work[0]
 		work = work[1:]
@@ -115,19 +147,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if covered[f] {
-			continue
-		}
-		if directive.Suppressed(pass, f.Pos(), "nokey") {
-			continue
-		}
-		pass.Reportf(f.Pos(), "%s.%s is not folded into %v: two candidates differing only in it would alias one memo entry (annotate //lint:nokey if it is not an axis)",
-			StructName, f.Name(), KeyFuncs)
-	}
-	return nil, nil
+	return covered, true
 }
 
 // callee resolves a call expression to its static *types.Func target

@@ -8,5 +8,5 @@ import (
 )
 
 func TestKeyComplete(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), keycomplete.Analyzer, "sweep", "nopoint")
+	analysistest.Run(t, analysistest.TestData(), keycomplete.Analyzer, "sweep", "identity", "nopoint")
 }

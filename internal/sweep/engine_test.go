@@ -1,13 +1,17 @@
 package sweep_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"optimus/internal/arch"
+	"optimus/internal/memfoot"
 	"optimus/internal/model"
 	"optimus/internal/sweep"
 )
@@ -168,5 +172,139 @@ func TestWorkerCountClamped(t *testing.T) {
 	}
 	if res.Stats.Workers > res.Stats.Enumerated {
 		t.Errorf("pool of %d workers for %d candidates", res.Stats.Workers, res.Stats.Enumerated)
+	}
+}
+
+// TestRepeatedAxisEntriesDeduplicate: a grid that repeats axis entries
+// (the same model twice, an equal system value twice, one global batch
+// twice, one recompute regime twice) enumerates exactly the candidates
+// of its deduplicated axes, and the engine ranks it as Serial does at
+// any pool size, pruning included.
+func TestRepeatedAxisEntriesDeduplicate(t *testing.T) {
+	unique := sweep.Spec{
+		Models:        []model.Config{model.GPT175B(), model.GPT22B()},
+		Systems:       []*arch.System{dgx(t, 64)},
+		GlobalBatches: []int{64},
+		Constraints: sweep.Constraints{
+			Recomputes: []memfoot.Recompute{memfoot.Selective, memfoot.Full},
+			TopK:       1000,
+		},
+	}
+	dup := unique
+	dup.Models = []model.Config{model.GPT175B(), model.GPT22B(), model.GPT175B()}
+	dup.Systems = []*arch.System{dgx(t, 64), dgx(t, 64)}
+	dup.GlobalBatches = []int{64, 64}
+	dup.Constraints.Recomputes = []memfoot.Recompute{memfoot.Selective, memfoot.Full, memfoot.Selective}
+	// The size of the grid without its repeated entries, pinned.
+	const enumerated = 382
+	if n, m := len(sweep.Enumerate(dup)), len(sweep.Enumerate(unique)); n != enumerated || m != enumerated {
+		t.Fatalf("enumerated %d candidates with repeated entries, %d without; want %d", n, m, enumerated)
+	}
+	ref, err := sweep.Serial(dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Rows) == 0 {
+		t.Fatal("empty reference ranking")
+	}
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		dup.Workers = workers
+		res, err := sweep.Run(context.Background(), dup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.Enumerated != enumerated || st.Pruned == 0 || st.Pruned+st.Evaluated+st.MemoHits+st.Errors != st.Enumerated {
+			t.Errorf("workers=%d: %s", workers, st)
+		}
+		if got, want := formatRows(res.Rows), formatRows(ref.Rows); got != want {
+			t.Errorf("workers=%d ranking diverges from Serial:\ngot:\n%swant:\n%s", workers, got, want)
+		}
+	}
+}
+
+// TestWarmMemoHitIsNotPruned: on an engine whose memo was loaded with
+// every candidate's evaluation, overflowing ones included, a candidate
+// the feasibility check would prune is answered from the memo and counts
+// as a memo hit: the memo is consulted before the check.
+func TestWarmMemoHitIsNotPruned(t *testing.T) {
+	spec := sweep.Spec{
+		Models:        []model.Config{model.GPT175B()},
+		Systems:       []*arch.System{dgx(t, 64)},
+		GlobalBatches: []int{64},
+		Constraints:   sweep.Constraints{TopK: 1000},
+	}
+	cold, err := sweep.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Stats.Pruned == 0 {
+		t.Fatalf("grid prunes nothing: %s", cold.Stats)
+	}
+	over := spec
+	over.Constraints.AllowOverflow = true
+	src := sweep.New(2)
+	if _, err := src.Run(context.Background(), over); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.SaveCache(&buf); err != nil {
+		t.Fatal(err)
+	}
+	warm := sweep.New(2)
+	if err := warm.LoadCache(&buf); err != nil {
+		t.Fatal(err)
+	}
+	res, err := warm.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.Pruned != 0 || st.Evaluated != 0 || st.MemoHits != st.Enumerated || st.Enumerated != cold.Stats.Enumerated {
+		t.Errorf("warm run: %s; want every one of %d candidates a memo hit", st, cold.Stats.Enumerated)
+	}
+	if got, want := formatRows(res.Rows), formatRows(cold.Rows); got != want {
+		t.Errorf("warm ranking diverges from the cold one:\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// cancelOnDone is live until its Done channel is first asked for and
+// cancelled from then on. Engine.Run checks Err on entry and asks for
+// Done as pass 1 begins, so the cancellation lands before the first
+// candidate is sifted.
+type cancelOnDone struct {
+	context.Context
+	asked atomic.Bool
+}
+
+var closedDone = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+func (c *cancelOnDone) Done() <-chan struct{} {
+	c.asked.Store(true)
+	return closedDone
+}
+
+func (c *cancelOnDone) Err() error {
+	if c.asked.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelInPassOneCountsTheGrid: a run cancelled during pass 1 still
+// reports the deduplicated grid size as Enumerated, and after the
+// cancellation pass 1 only counts: nothing is pruned or costed.
+func TestCancelInPassOneCountsTheGrid(t *testing.T) {
+	spec := bigGrid(t)
+	spec.Constraints.AllowOverflow = false
+	res, err := sweep.Run(&cancelOnDone{Context: context.Background()}, spec)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	st := res.Stats
+	if want := len(sweep.Enumerate(spec)); st.Enumerated != want {
+		t.Errorf("enumerated %d after cancellation, grid has %d", st.Enumerated, want)
+	}
+	if st.Pruned+st.Evaluated+st.MemoHits+st.Errors != 0 || len(res.Rows) != 0 {
+		t.Errorf("cancelled pass 1 still disposed of candidates: %s, %d rows", st, len(res.Rows))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"optimus/internal/parallel"
 	"optimus/internal/serve"
 	"optimus/internal/tech"
+	"optimus/internal/workload"
 )
 
 // fuzzCell builds the fixed (model, system, precision) cell the serving
@@ -34,7 +35,8 @@ func enumerateOne(cfg model.Config, sys *arch.System, raw Point, shape servingSh
 	raw.Workload, raw.Model, raw.System, raw.Precision = Serving, cfg, sys, tech.FP16
 	raw.Map = parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1}
 	shape.tok = workloadToken(shape.mix, shape.trace)
-	return servingPoint(raw, shape, modelToken(cfg), systemToken(sys))
+	raw.tok = tokens{model: modelToken(cfg), system: systemToken(sys), schedule: workload.FormatSchedule(raw.Schedule)}
+	return servingPoint(raw, shape)
 }
 
 // canonRate keeps the fuzzer inside the rates the sweep accepts (positive
@@ -66,8 +68,8 @@ func canonGBps(g float64) float64 {
 }
 
 // FuzzServingPointKey is the satellite memo-key gate: for any pair of
-// serving candidates in one grid cell, Point.Key must collide exactly
-// when the candidates are behaviorally identical — equal canonicalized
+// serving candidates in one grid cell, Point.Key and the engine's ident
+// must collide exactly when the candidates are behaviorally identical — equal canonicalized
 // policy axes give equal keys (cache hits), any differing axis gives
 // differing keys (no silent aliasing of metrics). The f.Add corpus runs
 // as a regression suite under plain `go test`.
@@ -88,6 +90,7 @@ func FuzzServingPointKey(f *testing.F) {
 	f.Add(1.0, 0, int8(2), 0, int64(1), 32, 0, 0, 0.0, 1.0, 0, int8(2), 0, int64(1), 32, 2, 2, 50.0)         // zero split canonicalizes co-located
 	f.Add(1.0, 0, int8(0), 0, int64(1), 32, 1, 1, 50.0, 1.0, 0, int8(0), 0, int64(1), 32, 2, 2, 100.0)       // reserve zeroes disagg knobs
 	f.Add(1.0, 0, int8(2), 0, int64(1), 32, 1, 1, math.Inf(1), 1.0, 0, int8(2), 0, int64(1), 32, 1, 1, 50.0) // infinite vs finite link
+	f.Add(1.0, 0, int8(2), 0, int64(1), 32, 1, 1, negZero, 1.0, 0, int8(2), 0, int64(1), 32, 1, 1, 0.0)      // -0 bandwidth canonicalizes like 0
 
 	f.Fuzz(func(t *testing.T,
 		rate1 float64, cap1 int, pol1 int8, page1 int, seed1 int64, reqs1, pre1, dec1 int, gbps1 float64,
@@ -112,16 +115,21 @@ func FuzzServingPointKey(f *testing.F) {
 			p1.PrefillDevices == p2.PrefillDevices && p1.DecodeDevices == p2.DecodeDevices &&
 			p1.TransferGBps == p2.TransferGBps
 		k1, k2 := p1.Key(), p2.Key()
+		// The engine deduplicates on ident: it must split and merge the
+		// pair exactly as the key does.
+		if (p1.ident() == p2.ident()) != (k1 == k2) {
+			t.Fatalf("ident and key disagree:\n%s\n%s", k1, k2)
+		}
 		if same && k1 != k2 {
 			t.Fatalf("identical candidates got distinct keys:\n%s\n%s", k1, k2)
 		}
 		if !same && k1 == k2 {
 			t.Fatalf("distinct candidates collide on key %s:\n%+v\n%+v", k1, p1, p2)
 		}
-		// The enumeration-time cached key must agree with the recomputed
-		// one — a stale cache would poison the memo.
-		if p1.cachedKey() != k1 || p2.cachedKey() != k2 {
-			t.Fatal("cached key diverges from recomputed key")
+		// The key rendered from the enumeration-time tokens must agree
+		// with the recomputed one — a stale token would poison the memo.
+		if memoKey(p1) != k1 || memoKey(p2) != k2 {
+			t.Fatal("enumeration-time key diverges from recomputed key")
 		}
 	})
 }

@@ -70,8 +70,8 @@ func TestServingFleetEnumeration(t *testing.T) {
 			t.Errorf("candidate %d: duplicate key %q", i, k)
 		}
 		seen[k] = true
-		if k != p.cachedKey() {
-			t.Errorf("candidate %d: enumeration key %q != recomputed %q", i, p.cachedKey(), k)
+		if memoKey(&p) != k {
+			t.Errorf("candidate %d: enumeration key %q != recomputed %q", i, memoKey(&p), k)
 		}
 	}
 }

@@ -11,20 +11,26 @@
 //   - Serial is the golden reference: it costs every candidate one at a
 //     time, in enumeration order, with no shortcuts. internal/mapsearch
 //     builds its single-cell planner on it.
-//   - Engine.Run is the production path: a bounded worker pool with
-//     memory-feasibility pruning before costing, memoization of repeated
-//     evaluations, and context cancellation. Its rankings are
-//     byte-identical to Serial's at any worker count. The memo can be
-//     persisted across processes with SaveCache/LoadCache, so repeated
-//     CLI invocations and CI sweeps skip re-costing unchanged grid cells.
+//   - Engine.Run is the production path, in two passes. Pass 1 streams
+//     the grid, deduplicates it on a comparable identity and keeps only
+//     the candidates that are memoized or pass the memory-feasibility
+//     check; nothing is held for a pruned candidate. Pass 2 costs the
+//     survivors on a bounded worker pool that claims chunks of them from
+//     an atomic cursor, memoizing repeated evaluations, and honours
+//     context cancellation. Its rankings are byte-identical to Serial's
+//     at any worker count. The string key is rendered only for memo
+//     traffic, and the memo can be persisted across processes with
+//     SaveCache/LoadCache, so repeated CLI invocations and CI sweeps skip
+//     re-costing unchanged grid cells.
 package sweep
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"hash/maphash"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -592,7 +598,11 @@ func (s Spec) Validate() error {
 	return s.CheckAxes(func(a Axis) bool { return a.set != nil && a.set(s) }, func(a Axis) string { return a.Field })
 }
 
-// Point is one fully instantiated candidate experiment.
+// Point is one fully instantiated candidate experiment. Enumeration
+// stamps it with the formatted tokens of its model, system, workload and
+// schedule, interned once per axis entry, so that the engine can tell
+// candidates apart (ident) and render their memo key without formatting
+// a configuration per candidate; the public Key re-derives them.
 type Point struct {
 	Workload  Workload
 	Model     model.Config
@@ -659,26 +669,112 @@ type Point struct {
 	Turns    int
 	Think    float64
 
-	// key is the precomputed canonical identity; enumeration fills it so
-	// the engine's hot path never formats strings.
-	key string //lint:nokey memo slot for the key itself, not an input to it
+	// tok holds the tokens enumeration interned for the fields above; see
+	// tokensOf.
+	tok tokens
 }
 
 // Key canonically identifies everything the evaluation depends on — the
-// memoization and deduplication key. It is always computed from the
-// current field values, so mutated Point copies never alias a stale
-// identity; the engine uses the enumeration-time cache internally.
+// memoization key, and the on-disk key of SaveCache. It re-derives the
+// tokens from the current field values, so a mutated Point copy never
+// keeps a stale identity; the engine renders the same string from the
+// enumeration-time tokens, and only for memo traffic.
 func (p Point) Key() string {
-	return p.buildKey(modelToken(p.Model), systemToken(p.System), workloadToken(p.Mix, p.Trace))
+	p.tok = tokensOf(&p)
+	id := p.ident()
+	return string(id.appendKey(make([]byte, 0, len(id.tok.model)+len(id.tok.system)+128)))
 }
 
-// cachedKey returns the enumeration-time key without re-formatting; hot
-// paths use it on points the enumerators built.
-func (p Point) cachedKey() string {
-	if p.key != "" {
-		return p.key
+// tokens are a point's formatted identity parts: its model, system,
+// request-shape workload and arrival schedule, each rendered once.
+type tokens struct {
+	model, system, workload, schedule string
+}
+
+// tokensOf derives p's tokens from its configuration fields — what Key
+// renders, and what enumeration interns once per axis entry with the same
+// helpers. ident compares these tokens in place of the fields they stand
+// for.
+func tokensOf(p *Point) tokens {
+	return tokens{
+		model:    modelToken(p.Model),
+		system:   systemToken(p.System),
+		workload: workloadToken(p.Mix, p.Trace),
+		schedule: workload.FormatSchedule(p.Schedule),
 	}
-	return p.Key()
+}
+
+// ident is a point's comparable identity: the tokens, the integer fields
+// and the bits of the float fields, in key order. Two points have equal
+// idents exactly when they have equal keys (TestIdentMatchesKey), so the
+// engine deduplicates on it without formatting anything.
+type ident struct {
+	tok tokens
+	num numbers
+}
+
+// numbers are an identity's integer fields and float bits.
+type numbers struct {
+	ints   [24]int64
+	floats [5]uint64
+}
+
+// ident builds p's identity from its interned tokens.
+//
+//optimus:hotpath
+func (p *Point) ident() ident {
+	sp := 0
+	if p.Map.SP {
+		sp = 1
+	}
+	return ident{tok: p.tok, num: numbers{
+		ints: [24]int64{
+			int64(p.Workload), int64(p.Map.DP), int64(p.Map.TP), int64(p.Map.PP), int64(sp),
+			int64(p.Map.Microbatch), int64(p.Map.Schedule), int64(p.Map.VirtualStages),
+			int64(p.Recompute), int64(p.Precision), int64(p.GlobalBatch), int64(p.Seq), int64(p.GenTokens),
+			int64(p.BatchCap), int64(p.ServeRequests), int64(p.Policy), int64(p.PageTokens),
+			int64(p.PrefillDevices), int64(p.DecodeDevices), int64(p.Replicas), int64(p.Routing),
+			int64(p.PrefixTokens), int64(p.Turns), p.ServeSeed,
+		},
+		floats: [5]uint64{
+			floatBits(p.Rate), floatBits(p.TransferGBps), floatBits(p.HostKVBytes),
+			floatBits(p.SwapGBps), floatBits(p.Think),
+		},
+	}}
+}
+
+// floatBits is x's identity: 'g' formatting tells every float apart, -0
+// from +0 included, except that every NaN renders as "NaN".
+func floatBits(x float64) uint64 {
+	if math.IsNaN(x) {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(x)
+}
+
+// appendKey renders the identity as the canonical key string onto buf,
+// without fmt: '|'-separated, the model and system tokens first and the
+// schedule and workload tokens last. The schedule token is
+// FormatSchedule's canonical rendering (digits and ,-:. only), so it
+// cannot collide with the separators.
+//
+//optimus:hotpath
+func (id *ident) appendKey(buf []byte) []byte {
+	buf = append(buf, id.tok.model...)
+	buf = append(buf, '|')
+	buf = append(buf, id.tok.system...)
+	for _, v := range id.num.ints {
+		buf = append(buf, '|')
+		buf = strconv.AppendInt(buf, v, 10)
+	}
+	for _, b := range id.num.floats {
+		buf = append(buf, '|')
+		buf = strconv.AppendFloat(buf, math.Float64frombits(b), 'g', -1, 64)
+	}
+	buf = append(buf, '|')
+	buf = append(buf, id.tok.schedule...)
+	buf = append(buf, '|')
+	return append(buf, id.tok.workload...)
 }
 
 // modelToken identifies a model configuration: names alone are not enough,
@@ -701,52 +797,6 @@ func fingerprint(v any) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", v)
 	return strconv.FormatUint(h.Sum64(), 16)
-}
-
-// buildKey assembles the canonical key without fmt: key construction runs
-// once per enumerated candidate and dominated sweep time when it used
-// reflection-based formatting. The model, system and workload tokens are
-// computed once per grid cell (or once per grid, for a shared trace) by
-// the enumerators.
-func (p Point) buildKey(modelStr, sysStr, workloadStr string) string {
-	sp := 0
-	if p.Map.SP {
-		sp = 1
-	}
-	buf := make([]byte, 0, len(modelStr)+len(sysStr)+64)
-	buf = append(buf, modelStr...)
-	buf = append(buf, '|')
-	buf = append(buf, sysStr...)
-	for _, v := range [...]int{
-		int(p.Workload), p.Map.DP, p.Map.TP, p.Map.PP, sp,
-		p.Map.Microbatch, int(p.Map.Schedule), p.Map.VirtualStages,
-		int(p.Recompute), int(p.Precision), p.GlobalBatch, p.Seq, p.GenTokens,
-		p.BatchCap, p.ServeRequests, int(p.Policy), p.PageTokens,
-		p.PrefillDevices, p.DecodeDevices, p.Replicas, int(p.Routing),
-		p.PrefixTokens, p.Turns,
-	} {
-		buf = append(buf, '|')
-		buf = strconv.AppendInt(buf, int64(v), 10)
-	}
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, p.ServeSeed, 10)
-	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, p.Rate, 'g', -1, 64)
-	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, p.TransferGBps, 'g', -1, 64)
-	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, p.HostKVBytes, 'g', -1, 64)
-	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, p.SwapGBps, 'g', -1, 64)
-	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, p.Think, 'g', -1, 64)
-	// The schedule token is FormatSchedule's canonical rendering: digits
-	// and ,-:. only, so it cannot collide with the key's separators.
-	buf = append(buf, '|')
-	buf = append(buf, workload.FormatSchedule(p.Schedule)...)
-	buf = append(buf, '|')
-	buf = append(buf, workloadStr...)
-	return string(buf)
 }
 
 // workloadToken identifies a serving candidate's request-shape workload —
@@ -880,11 +930,18 @@ func divisors(n int) []int {
 // EnumerateTraining lists the candidate training points of one (model,
 // system, batch, seq, precision) grid cell: the feasible (DP, TP, PP, SP,
 // microbatch, schedule, recompute) space under c, in deterministic order.
+// It collects the walk that grid enumeration streams.
 func EnumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec tech.Precision, c Constraints) []Point {
-	c = c.WithDefaults(sys)
-	devices := sys.NumDevices()
-	modelStr, sysStr := modelToken(cfg), systemToken(sys)
 	var out []Point
+	eachTraining(cfg, sys, batch, seq, prec, c.WithDefaults(sys), tokens{model: modelToken(cfg), system: systemToken(sys)},
+		func(p Point) { out = append(out, p) })
+	return out
+}
+
+// eachTraining visits the training candidates of one grid cell, stamped
+// with the cell's tokens; c carries its defaults.
+func eachTraining(cfg model.Config, sys *arch.System, batch, seq int, prec tech.Precision, c Constraints, tok tokens, visit func(Point)) {
+	devices := sys.NumDevices()
 	for _, tp := range divisors(devices) {
 		if tp > c.MaxTP || cfg.Heads%tp != 0 {
 			continue
@@ -917,36 +974,16 @@ func EnumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec 
 					}
 					pp1Done = true
 					for _, rec := range c.Recomputes {
-						p := Point{
+						visit(Point{
 							Workload: Training, Model: cfg, System: sys,
 							Map: m, Recompute: rec, Precision: prec,
-							GlobalBatch: batch, Seq: seq,
-						}
-						p.key = p.buildKey(modelStr, sysStr, "")
-						out = append(out, p)
+							GlobalBatch: batch, Seq: seq, tok: tok,
+						})
 					}
 				}
 			}
 		}
 	}
-	return out
-}
-
-// EnumerateInference lists the candidate inference points of one grid
-// cell. Inference involves only TP across the devices of the system
-// (§1.3), so each cell yields at most one mapping.
-func EnumerateInference(cfg model.Config, sys *arch.System, batch, prompt, gen int, prec tech.Precision) []Point {
-	tp := sys.NumDevices()
-	if cfg.Heads%tp != 0 {
-		return nil
-	}
-	p := Point{
-		Workload: Inference, Model: cfg, System: sys,
-		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
-		Precision: prec, GlobalBatch: batch, Seq: prompt, GenTokens: gen,
-	}
-	p.key = p.buildKey(modelToken(cfg), systemToken(sys), "")
-	return []Point{p}
 }
 
 // servingShape is one request-shape workload of a serving grid — the
@@ -983,22 +1020,51 @@ func (s Spec) servingShapes() []servingShape {
 	return out
 }
 
+// arrival is one entry of a serving grid's arrival axis, with its
+// schedule token interned once.
+type arrival struct {
+	rate  float64
+	sched workload.Schedule
+	tok   string
+}
+
+// arrivals lists the serving grid's arrival axis: every constant rate,
+// then every schedule — canonicalized first, so a schedule that is
+// constant after merging enumerates as the equivalent plain-rate
+// candidate (rate set, schedule nil) and deduplicates against it. A
+// trace fixes its own arrivals: one empty entry.
+func (s Spec) arrivals() []arrival {
+	if len(s.Trace) > 0 {
+		return []arrival{{}}
+	}
+	out := make([]arrival, 0, len(s.Rates)+len(s.Schedules))
+	for _, r := range s.Rates {
+		out = append(out, arrival{rate: r})
+	}
+	for _, sch := range s.Schedules {
+		cs, cr := workload.CanonicalSchedule(sch, 0)
+		out = append(out, arrival{rate: cr, sched: cs, tok: workload.FormatSchedule(cs)})
+	}
+	return out
+}
+
 // servingPoint completes one serving candidate. p carries the grid cell
-// (model, system, mapping, precision) and the raw axis values, the
-// arrival-process axes included; servingPoint applies the request shape,
-// canonicalizes the capacity knobs through serve.Spec.Canonical — so the
-// page size clamps against the shape's largest context, session growth
-// included — and keys the result with the cell's model and system tokens.
-// Equal-behavior candidates therefore share one memo key, under exactly
-// the rules the simulator applies. A trace fixes arrivals, seed and
-// request count, so its candidates zero them. ok is false when the
-// candidate cannot be simulated — a pool split wider than the system, or
-// a prefix that leaves no private prompt token or rides on a session's —
-// and the cell is skipped, like an indivisible head count.
-func servingPoint(p Point, shape servingShape, modelTok, sysTok string) (Point, bool) {
+// (model, system, mapping, precision) with its tokens and the raw axis
+// values, the arrival-process axes included; servingPoint applies the
+// request shape, canonicalizes the capacity knobs through
+// serve.Spec.Canonical — so the page size clamps against the shape's
+// largest context, session growth included — and stamps the shape's
+// workload token. Equal-behavior candidates therefore share one
+// identity, under exactly the rules the simulator applies. A trace fixes
+// arrivals, seed and request count, so its candidates zero them. ok is
+// false when the candidate cannot be simulated — a pool split wider than
+// the system, or a prefix that leaves no private prompt token or rides on
+// a session's — and the cell is skipped, like an indivisible head count.
+func servingPoint(p Point, shape servingShape) (Point, bool) {
 	if len(shape.trace) > 0 {
 		p.Trace, p.ServeRequests = shape.trace, len(shape.trace)
 		p.Rate, p.ServeSeed, p.Schedule, p.Turns, p.Think = 0, 0, nil, 0, 0
+		p.tok.schedule = ""
 	} else {
 		p.Mix, p.Seq, p.GenTokens, p.PrefixTokens = shape.mix, shape.seq, shape.gen, shape.prefix
 	}
@@ -1011,126 +1077,60 @@ func servingPoint(p Point, shape servingShape, modelTok, sysTok string) (Point, 
 	p.PageTokens, p.PrefillDevices, p.DecodeDevices, p.TransferGBps = c.PageTokens, c.PrefillDevices, c.DecodeDevices, c.TransferGBps
 	p.PrefixTokens, p.HostKVBytes, p.SwapGBps = c.PrefixTokens, c.HostKVBytes, c.SwapGBps
 	p.Turns, p.Think = c.Turns, c.Think
-	p.key = p.buildKey(modelTok, sysTok, shape.tok)
+	p.tok.workload = shape.tok
 	return p, true
 }
 
-// Enumerate expands the full grid into its deduplicated candidate list,
-// in deterministic order.
-func Enumerate(s Spec) []Point {
-	s = s.withDefaults()
-	var out []Point
-	seen := make(map[string]bool)
-	add := func(p Point) {
-		k := p.cachedKey()
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		out = append(out, p)
+// eachServing visits the serving candidates of one (model, system,
+// precision) cell. Serving maps are fixed to TP = device count, as in
+// inference.
+func (s *Spec) eachServing(cfg model.Config, sys *arch.System, prec tech.Precision, tok tokens,
+	shapes []servingShape, arrivals []arrival, visit func(Point)) {
+	tp := sys.NumDevices()
+	if cfg.Heads%tp != 0 {
+		return
 	}
-	var shapes []servingShape
-	type arrivalAxis struct {
-		rate  float64
-		sched workload.Schedule
-	}
-	var arrivals []arrivalAxis
-	if s.Workload == Serving {
-		shapes = s.servingShapes()
-		// The arrival axis: every constant rate, then every schedule —
-		// canonicalized first, so a schedule that is constant after
-		// merging enumerates as the equivalent plain-rate candidate (rate
-		// set, schedule nil) and deduplicates against it. A trace fixes
-		// its own arrivals: one empty entry.
-		for _, r := range s.Rates {
-			arrivals = append(arrivals, arrivalAxis{rate: r})
-		}
-		for _, sch := range s.Schedules {
-			cs, cr := workload.CanonicalSchedule(sch, 0)
-			arrivals = append(arrivals, arrivalAxis{rate: cr, sched: cs})
-		}
-		if len(s.Trace) > 0 {
-			arrivals = []arrivalAxis{{}}
-		}
+	base := Point{
+		Workload: Serving, Model: cfg, System: sys,
+		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
+		Precision: prec, ServeRequests: s.ServeRequests, ServeSeed: s.ServeSeed,
+		PageTokens: s.ServePageTokens, TransferGBps: s.TransferGBps, SwapGBps: s.SwapGBps,
+		Think: s.Think, tok: tok,
 	}
 	roundRobin := []cluster.Routing{cluster.RoundRobin}
-	for _, cfg := range s.Models {
-		for _, sys := range s.Systems {
-			for _, prec := range s.Precisions {
-				switch s.Workload {
-				case Serving:
-					// Serving maps are fixed to TP = device count, as in
-					// inference.
-					tp := sys.NumDevices()
-					if cfg.Heads%tp != 0 {
-						continue
-					}
-					modelTok, sysTok := modelToken(cfg), systemToken(sys)
-					base := Point{
-						Workload: Serving, Model: cfg, System: sys,
-						Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
-						Precision: prec, ServeRequests: s.ServeRequests, ServeSeed: s.ServeSeed,
-						PageTokens: s.ServePageTokens, TransferGBps: s.TransferGBps, SwapGBps: s.SwapGBps,
-						Think: s.Think,
-					}
-					for _, ar := range arrivals {
-						for _, turns := range s.Turns {
-							for _, batchCap := range s.BatchCaps {
-								for _, pol := range s.Policies {
-									for _, split := range s.PoolSplits {
-										for _, host := range s.HostKVBytes {
-											for _, shape := range shapes {
-												p := base
-												p.Rate, p.Schedule, p.Turns = ar.rate, ar.sched, turns
-												p.BatchCap, p.Policy = batchCap, pol
-												p.PrefillDevices, p.DecodeDevices, p.HostKVBytes = split.Prefill, split.Decode, host
-												p, ok := servingPoint(p, shape, modelTok, sysTok)
-												if !ok {
-													continue
-												}
-												// The fleet axes: one copy per (fleet size,
-												// routing), the routing collapsed to
-												// round-robin for single-instance and
-												// one-replica entries (every policy routes a
-												// fleet of one identically).
-												for _, reps := range s.Replicas {
-													rts := s.Routings
-													if reps <= 1 {
-														rts = roundRobin
-													}
-													for _, rt := range rts {
-														if reps > 0 {
-															q := p
-															q.Replicas, q.Routing = reps, rt
-															q.key = q.buildKey(modelTok, sysTok, shape.tok)
-															add(q)
-															continue
-														}
-														add(p)
-													}
-												}
-											}
+	for _, ar := range arrivals {
+		for _, turns := range s.Turns {
+			for _, batchCap := range s.BatchCaps {
+				for _, pol := range s.Policies {
+					for _, split := range s.PoolSplits {
+						for _, host := range s.HostKVBytes {
+							for _, shape := range shapes {
+								p := base
+								p.Rate, p.Schedule, p.tok.schedule, p.Turns = ar.rate, ar.sched, ar.tok, turns
+								p.BatchCap, p.Policy = batchCap, pol
+								p.PrefillDevices, p.DecodeDevices, p.HostKVBytes = split.Prefill, split.Decode, host
+								p, ok := servingPoint(p, shape)
+								if !ok {
+									continue
+								}
+								// The fleet axes: one copy per (fleet size,
+								// routing), the routing collapsed to
+								// round-robin for single-instance and
+								// one-replica entries (every policy routes a
+								// fleet of one identically).
+								for _, reps := range s.Replicas {
+									rts := s.Routings
+									if reps <= 1 {
+										rts = roundRobin
+									}
+									for _, rt := range rts {
+										q := p
+										if reps > 0 {
+											q.Replicas, q.Routing = reps, rt
 										}
+										visit(q)
 									}
 								}
-							}
-						}
-					}
-				case Inference:
-					for _, batch := range s.GlobalBatches {
-						for _, seq := range s.Seqs {
-							for _, gen := range s.GenTokens {
-								for _, p := range EnumerateInference(cfg, sys, batch, seq, gen, prec) {
-									add(p)
-								}
-							}
-						}
-					}
-				default:
-					for _, batch := range s.GlobalBatches {
-						for _, seq := range s.Seqs {
-							for _, p := range EnumerateTraining(cfg, sys, batch, seq, prec, s.Constraints) {
-								add(p)
 							}
 						}
 					}
@@ -1138,6 +1138,134 @@ func Enumerate(s Spec) []Point {
 			}
 		}
 	}
+}
+
+// each visits the grid's candidates in enumeration order, duplicates
+// included: the one walk behind Enumerate and Engine.Run, neither of
+// which holds a visited candidate it does not keep. The model and system
+// tokens are interned once per axis entry, the schedule and workload
+// tokens once per grid.
+func (s Spec) each(visit func(Point)) {
+	s = s.withDefaults()
+	sysToks := make([]string, len(s.Systems))
+	for i, sys := range s.Systems {
+		sysToks[i] = systemToken(sys)
+	}
+	var shapes []servingShape
+	var arrivals []arrival
+	if s.Workload == Serving {
+		shapes, arrivals = s.servingShapes(), s.arrivals()
+	}
+	for _, cfg := range s.Models {
+		modelTok := modelToken(cfg)
+		for i, sys := range s.Systems {
+			tok := tokens{model: modelTok, system: sysToks[i]}
+			for _, prec := range s.Precisions {
+				switch s.Workload {
+				case Serving:
+					s.eachServing(cfg, sys, prec, tok, shapes, arrivals, visit)
+				case Inference:
+					// Inference involves only TP across the devices of the
+					// system (§1.3), so each cell yields at most one mapping.
+					tp := sys.NumDevices()
+					if cfg.Heads%tp != 0 {
+						continue
+					}
+					for _, batch := range s.GlobalBatches {
+						for _, seq := range s.Seqs {
+							for _, gen := range s.GenTokens {
+								visit(Point{
+									Workload: Inference, Model: cfg, System: sys,
+									Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
+									Precision: prec, GlobalBatch: batch, Seq: seq, GenTokens: gen, tok: tok,
+								})
+							}
+						}
+					}
+				default:
+					c := s.Constraints.WithDefaults(sys)
+					for _, batch := range s.GlobalBatches {
+						for _, seq := range s.Seqs {
+							eachTraining(cfg, sys, batch, seq, prec, c, tok, visit)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// candidates visits the grid's deduplicated candidates in enumeration
+// order: a candidate whose ident an earlier one has is skipped. The
+// idents seen are all it holds per candidate: one numberSet per distinct
+// tokens, found again only when the tokens change, which enumeration
+// makes rare.
+func (s Spec) candidates(visit func(Point)) {
+	seen := make(map[tokens]*numberSet)
+	var tok tokens
+	var cell *numberSet
+	s.each(func(p Point) {
+		id := p.ident()
+		if cell == nil || id.tok != tok {
+			tok = id.tok
+			if cell = seen[tok]; cell == nil {
+				cell = &numberSet{seed: maphash.MakeSeed()}
+				seen[tok] = cell
+			}
+		}
+		if cell.add(&id.num) {
+			visit(p)
+		}
+	})
+}
+
+// numberSet is an open-addressing hash set of identity numbers. A Go map
+// would store each 232-byte key behind an allocation of its own; here the
+// keys share blocks and the table holds their indices. The seed moves
+// where a key is filed, never whether it is found.
+type numberSet struct {
+	seed  maphash.Seed
+	keys  blocks[numbers]
+	slots []int32 // 1 + an index into keys, 0 for an empty slot; a power of two long
+}
+
+// add inserts n and reports whether it was absent.
+func (s *numberSet) add(n *numbers) bool {
+	if 2*(s.keys.n+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := maphash.Comparable(s.seed, *n) & mask; ; i = (i + 1) & mask {
+		k := s.slots[i]
+		if k == 0 {
+			s.keys.add(*n)
+			s.slots[i] = int32(s.keys.n)
+			return true
+		}
+		if *s.keys.at(int(k) - 1) == *n {
+			return false
+		}
+	}
+}
+
+// grow doubles the table and re-files every key.
+func (s *numberSet) grow() {
+	s.slots = make([]int32, max(16, 2*len(s.slots)))
+	mask := uint64(len(s.slots) - 1)
+	for k := 0; k < s.keys.n; k++ {
+		i := maphash.Comparable(s.seed, *s.keys.at(k)) & mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = int32(k + 1)
+	}
+}
+
+// Enumerate lists the grid's deduplicated candidates in enumeration
+// order. Engine.Run streams the same walk instead of collecting it.
+func Enumerate(s Spec) []Point {
+	var out []Point
+	s.candidates(func(p Point) { out = append(out, p) })
 	return out
 }
 
@@ -1360,32 +1488,34 @@ func Feasible(p Point) (bool, error) {
 }
 
 // rank filters and orders rows: fitting candidates first, then by
-// predicted time, ties broken by enumeration order — fully deterministic
-// regardless of how the rows were produced.
-func rank(rows []Row, c Constraints) []Row {
+// predicted time, ties broken by enumeration order. Enumeration orders
+// are unique, so this is a total order and the ranking is fully
+// deterministic regardless of how the rows were produced. It sorts the
+// pointers and copies out only the rows it returns, at most TopK.
+func rank(rows []*Row, c Constraints) []Row {
 	if !c.AllowOverflow {
-		kept := rows[:0]
-		for _, r := range rows {
-			if r.Metrics.Fits {
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
+		rows = slices.DeleteFunc(rows, func(r *Row) bool { return !r.Metrics.Fits })
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Metrics.Fits != rows[j].Metrics.Fits {
-			return rows[i].Metrics.Fits
+	slices.SortFunc(rows, func(a, b *Row) int {
+		if a.Metrics.Fits != b.Metrics.Fits {
+			if a.Metrics.Fits {
+				return -1
+			}
+			return 1
 		}
-		//lint:floateq exact compare guarding a strict-< tiebreak: equal bit patterns must fall through to the stable order index
-		if rows[i].Metrics.Time != rows[j].Metrics.Time {
-			return rows[i].Metrics.Time < rows[j].Metrics.Time
+		if c := cmp.Compare(a.Metrics.Time, b.Metrics.Time); c != 0 {
+			return c
 		}
-		return rows[i].order < rows[j].order
+		return cmp.Compare(a.order, b.order)
 	})
 	if c.TopK > 0 && len(rows) > c.TopK {
 		rows = rows[:c.TopK]
 	}
-	return rows
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		out[i] = *r
+	}
+	return out
 }
 
 // Serial evaluates the grid one candidate at a time in enumeration order,
@@ -1410,8 +1540,12 @@ func Serial(s Spec) (Result, error) {
 		stats.Evaluated++
 		rows = append(rows, Row{Point: p, Metrics: m, order: i})
 	}
+	ranked := make([]*Row, len(rows))
+	for i := range rows {
+		ranked[i] = &rows[i]
+	}
 	stats.Elapsed = time.Since(start) //lint:deterministic instrumentation-only elapsed time, not part of results
-	return Result{Rows: rank(rows, c), Stats: stats}, nil
+	return Result{Rows: rank(ranked, c), Stats: stats}, nil
 }
 
 func firstSystem(s Spec) *arch.System {
