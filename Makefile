@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 loc examples
+.PHONY: check vet lint build test test-procs1 race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 loc examples
 
 check: vet lint build cover-race
 
@@ -26,6 +26,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The sweep engine's and the fleet simulator's pools default to
+# GOMAXPROCS workers. Their suites at one proc: a default pool has one
+# worker, and an explicit one interleaves on a single thread.
+test-procs1:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/sweep ./internal/cluster
+
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
@@ -47,7 +53,9 @@ bench-json:
 
 # Plan-sweep throughput, serial engine vs worker pool. The two differ in
 # feasibility pruning as well as in parallelism; bench/README.md's
-# sweep.prune_speedup and sweep.parallel_speedup measure the two apart.
+# sweep.prune_speedup measures pruning's share. Its
+# sweep.parallel_speedup no longer isolates the pool, since pass 1 runs
+# on it too (ROADMAP item 3 redefines it).
 sweep-bench:
 	$(GO) test -run xxx -bench 'BenchmarkSweep' -benchmem .
 

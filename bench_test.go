@@ -359,34 +359,78 @@ func sweepPlanSpec(tb testing.TB) sweep.Spec {
 
 // TestSweepEngineAllocBudget pins the sweep engine's memory to the
 // candidates that survive pruning: bytes and allocations per enumerated
-// candidate of a fresh-engine run over a pruning-heavy training grid.
-// Pass 1 streams the grid and holds nothing for a pruned candidate but
-// its identity in the deduplication set. Measured 1,284 bytes and 1.66
-// allocations per candidate (1,302 and 1.84 under -race), most of both
-// in the survivors' train.Predict calls; the budgets leave 30% headroom.
-// A whole-grid []Point (464 bytes a candidate even presized) or a key
-// string or map entry per candidate breaks them: an engine that
-// enumerates into a slice and keys every candidate by string takes
-// 5,423 bytes and 4.80 allocations.
+// candidate of a fresh-engine run over a pruning-heavy training grid, on
+// a pool of four workers, so that the count does not follow the host's
+// core count. Pass 1 holds nothing for a pruned training candidate, not
+// even an identity, and pass 2 predicts into per-worker op buffers.
+// Measured 194 bytes and 0.45 allocations per candidate (188 and 0.46
+// under -race), most of both in the survivors' rows, memo entries and
+// ranking; the budgets leave 30% headroom. An identity set over the grid
+// (232 bytes a candidate plus its table), op lists rebuilt from nil per
+// prediction, or rejected mappings formatting an error each break them:
+// with all three the engine took 1,286 bytes and 1.66 allocations.
 func TestSweepEngineAllocBudget(t *testing.T) {
-	const bytesBudget, allocsBudget = 1700, 2.5
+	const bytesBudget, allocsBudget = 250, 0.6
 	spec := sweepPlanSpec(t)
-	var enumerated int
+	spec.Workers = 4
+	perBytes, perAllocs, enumerated := sweepAllocs(t, spec)
+	if perBytes > bytesBudget || perAllocs > allocsBudget {
+		t.Errorf("%.0f bytes and %.2f allocs per enumerated candidate over %d candidates; budget %d bytes and %v allocs",
+			perBytes, perAllocs, enumerated, bytesBudget, allocsBudget)
+	}
+}
+
+// TestSweepPrunedGridHeapBound: a training grid of 205,056 candidates on
+// devices too small for any of them allocates a few bytes per enumerated
+// candidate, for its cells alone. Pass 1 keeps no state per training
+// candidate, so the heap a sweep needs follows its survivors, not its
+// grid. Measured 2.6 bytes per candidate; an identity set over the grid
+// takes 281.
+func TestSweepPrunedGridHeapBound(t *testing.T) {
+	const bytesBudget = 8
+	dev := arch.A100()
+	// Below FitsDevice's 2 GB reserve: no candidate fits.
+	dev.Mem[len(dev.Mem)-1].Capacity = 1e9
+	sys, err := arch.SystemOf(dev, 64, 8, tech.NVLink3, tech.IBHDR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sweep.Spec{
+		Models:        []model.Config{model.GPT175B()},
+		Systems:       []*arch.System{sys},
+		GlobalBatches: []int{64, 128, 256, 512, 1024},
+		Workers:       4,
+	}
+	for seq := 1024; seq < 1024+128; seq++ {
+		spec.Seqs = append(spec.Seqs, seq)
+	}
+	perBytes, _, enumerated := sweepAllocs(t, spec)
+	if enumerated < 100000 {
+		t.Fatalf("grid of %d candidates, want at least 10⁵", enumerated)
+	}
+	if perBytes > bytesBudget {
+		t.Errorf("%.1f bytes per enumerated candidate over %d pruned candidates; budget %d", perBytes, enumerated, bytesBudget)
+	}
+}
+
+// sweepAllocs runs spec on fresh engines and returns the bytes and
+// allocations per enumerated candidate of one run, and the candidate
+// count. Every candidate must be pruned or costed.
+func sweepAllocs(t *testing.T, spec sweep.Spec) (perBytes, perAllocs float64, enumerated int) {
+	t.Helper()
+	var st sweep.Stats
 	allocs, bytes := allocsPerRun(5, func() {
 		res, err := sweep.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		enumerated = res.Stats.Enumerated
+		st = res.Stats
 	})
-	if enumerated == 0 {
-		t.Fatal("empty grid")
+	if st.Enumerated == 0 || st.Pruned+st.Evaluated != st.Enumerated {
+		t.Fatalf("unexpected sweep: %s", st)
 	}
-	perBytes, perAllocs := bytes/float64(enumerated), allocs/float64(enumerated)
-	if perBytes > bytesBudget || perAllocs > allocsBudget {
-		t.Errorf("%.0f bytes and %.2f allocs per enumerated candidate over %d candidates; budget %d bytes and %v allocs",
-			perBytes, perAllocs, enumerated, bytesBudget, allocsBudget)
-	}
+	n := float64(st.Enumerated)
+	return bytes / n, allocs / n, st.Enumerated
 }
 
 // BenchmarkSweepSerial is the golden reference path: every candidate is

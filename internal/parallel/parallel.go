@@ -61,17 +61,52 @@ func (m Mapping) chunks() int {
 	return 1
 }
 
+// fault names the first rule a mapping breaks; faultNone when it breaks
+// none.
+type fault int
+
+const (
+	faultNone fault = iota
+	faultDegrees
+	faultMicrobatch
+	faultLayers
+	faultBatch
+)
+
+// check is the mapping rule against a model's layer count and the global
+// batch size, without building an error: positive degrees and
+// microbatch, layers divisible into the pipeline chunks and the batch
+// into DP × microbatch. Valid reads its verdict, Validate formats it.
+func (m Mapping) check(layers, globalBatch int) fault {
+	switch {
+	case m.DP <= 0 || m.TP <= 0 || m.PP <= 0:
+		return faultDegrees
+	case m.Microbatch <= 0:
+		return faultMicrobatch
+	case layers%(m.PP*m.chunks()) != 0:
+		return faultLayers
+	case globalBatch%(m.DP*m.Microbatch) != 0:
+		return faultBatch
+	}
+	return faultNone
+}
+
+// Valid reports whether Validate accepts the mapping, without allocating.
+func (m Mapping) Valid(layers, globalBatch int) bool {
+	return m.check(layers, globalBatch) == faultNone
+}
+
 // Validate checks the mapping against a model's layer count and the global
 // batch size.
 func (m Mapping) Validate(layers, globalBatch int) error {
-	switch {
-	case m.DP <= 0 || m.TP <= 0 || m.PP <= 0:
+	switch m.check(layers, globalBatch) {
+	case faultDegrees:
 		return fmt.Errorf("parallel: non-positive degrees %d-%d-%d", m.DP, m.TP, m.PP)
-	case m.Microbatch <= 0:
+	case faultMicrobatch:
 		return fmt.Errorf("parallel: non-positive microbatch %d", m.Microbatch)
-	case layers%(m.PP*m.chunks()) != 0:
+	case faultLayers:
 		return fmt.Errorf("parallel: %d layers not divisible into %d pipeline chunks", layers, m.PP*m.chunks())
-	case globalBatch%(m.DP*m.Microbatch) != 0:
+	case faultBatch:
 		return fmt.Errorf("parallel: batch %d not divisible by DP %d x microbatch %d", globalBatch, m.DP, m.Microbatch)
 	}
 	return nil

@@ -13,9 +13,11 @@ func TestDevices(t *testing.T) {
 	}
 }
 
+// TestValidate: Validate and Valid read one rule. A valid mapping passes
+// both; each broken rule fails both, and Validate's message names it.
 func TestValidate(t *testing.T) {
 	good := Mapping{DP: 1, TP: 8, PP: 8, Microbatch: 1}
-	if err := good.Validate(96, 64); err != nil {
+	if err := good.Validate(96, 64); err != nil || !good.Valid(96, 64) {
 		t.Errorf("valid mapping rejected: %v", err)
 	}
 	cases := []struct {
@@ -23,17 +25,25 @@ func TestValidate(t *testing.T) {
 		m      Mapping
 		layers int
 		batch  int
+		msg    string
 	}{
-		{"zero degree", Mapping{DP: 0, TP: 8, PP: 8, Microbatch: 1}, 96, 64},
-		{"zero microbatch", Mapping{DP: 1, TP: 8, PP: 8}, 96, 64},
-		{"layers not divisible", Mapping{DP: 1, TP: 8, PP: 7, Microbatch: 1}, 96, 64},
-		{"batch not divisible", Mapping{DP: 3, TP: 8, PP: 8, Microbatch: 1}, 96, 64},
-		{"chunks not divisible", Mapping{DP: 1, TP: 8, PP: 8, Microbatch: 1, Schedule: Interleaved1F1B, VirtualStages: 5}, 96, 64},
+		{"zero degree", Mapping{DP: 0, TP: 8, PP: 8, Microbatch: 1}, 96, 64, "parallel: non-positive degrees 0-8-8"},
+		{"zero microbatch", Mapping{DP: 1, TP: 8, PP: 8}, 96, 64, "parallel: non-positive microbatch 0"},
+		{"layers not divisible", Mapping{DP: 1, TP: 8, PP: 7, Microbatch: 1}, 96, 64, "parallel: 96 layers not divisible into 7 pipeline chunks"},
+		{"batch not divisible", Mapping{DP: 3, TP: 8, PP: 8, Microbatch: 1}, 96, 64, "parallel: batch 64 not divisible by DP 3 x microbatch 1"},
+		{"chunks not divisible", Mapping{DP: 1, TP: 8, PP: 8, Microbatch: 1, Schedule: Interleaved1F1B, VirtualStages: 5}, 96, 64, "parallel: 96 layers not divisible into 40 pipeline chunks"},
 	}
 	for _, c := range cases {
-		if err := c.m.Validate(c.layers, c.batch); err == nil {
-			t.Errorf("%s should fail validation", c.name)
+		err := c.m.Validate(c.layers, c.batch)
+		if err == nil || err.Error() != c.msg {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.msg)
 		}
+		if c.m.Valid(c.layers, c.batch) {
+			t.Errorf("%s: Valid accepts a mapping Validate rejects", c.name)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { good.Valid(96, 64); Mapping{DP: 3, TP: 8, PP: 8, Microbatch: 1}.Valid(96, 64) }); n != 0 {
+		t.Errorf("Valid allocates %v times", n)
 	}
 }
 

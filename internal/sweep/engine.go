@@ -1,8 +1,10 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,16 +45,16 @@ func (e *Engine) CacheSize() int {
 	return len(e.memo)
 }
 
-// counters aggregates per-run statistics across workers.
+// counters aggregates pass 2's statistics across workers.
 type counters struct {
-	pruned    atomic.Int64
 	evaluated atomic.Int64
 	memoHits  atomic.Int64
 	errors    atomic.Int64
 }
 
-// survivor is a candidate pass 1 kept for costing: its row (enumeration
-// order set, metrics filled by pass 2), the memo entry pass 1 found for it
+// survivor is a candidate pass 1 kept for costing: its row (order set to
+// its index in its cell, metrics filled by pass 2; Run adds the cell's
+// base to the order), the memo entry pass 1 found for it
 // (nil when pass 2 must look it up or claim it) and whether pass 2 costed
 // it successfully.
 type survivor struct {
@@ -84,10 +86,11 @@ func (l *blocks[T]) at(i int) *T {
 	return &l.b[i/blockLen][i%blockLen]
 }
 
-// sifter is pass 1 of Run: it numbers the deduplicated candidates and
-// keeps those worth costing.
+// sifter is one worker of pass 1: it sifts the cells it claims and keeps,
+// in one list, the survivors of all of them.
 type sifter struct {
 	e    *Engine
+	g    *grid
 	done <-chan struct{}
 	// prune is set when overflowing candidates are dropped anyway, warm
 	// when the memo held entries as the run began.
@@ -95,23 +98,46 @@ type sifter struct {
 	// stopped is set once the run is cancelled: from then on sift only
 	// counts.
 	stopped bool
-	n       int
-	ct      *counters
 	buf     []byte
 	kept    blocks[survivor]
+	// out is the account of the cell being sifted.
+	out *sifted
 }
 
-// sift is pass 1's body for one candidate. A memoized candidate is kept
-// whatever it would cost, and counts as a memo hit in pass 2. Otherwise,
-// when pruning is sound, the footprint model decides: an error or an
-// overflow is counted and the candidate dropped. The memo is consulted
-// only when it held entries as the run began; a run's own evaluations
-// start only in pass 2, and within one grid every identity is distinct.
+// sifted is pass 1's account of one cell: the candidates it walked, how
+// many were pruned or rejected, and where its survivors sit: count of
+// them from index first of kept. base counts the survivors of the cells
+// before it.
+type sifted struct {
+	n, pruned, errors  int
+	kept               *blocks[survivor]
+	first, count, base int
+}
+
+// siftCell is pass 1's loop over one cell: its distinct candidates, each
+// sifted into out.
+//
+//optimus:hotpath
+func (f *sifter) siftCell(c *cell, out *sifted) {
+	out.kept, out.first = &f.kept, f.kept.n
+	f.out = out
+	f.g.candidates(c, f.sift)
+	out.count = f.kept.n - out.first
+}
+
+// sift is pass 1's body for one candidate, numbered by its index in its
+// cell. A memoized candidate is kept whatever it would cost, and counts
+// as a memo hit in pass 2. Otherwise, when pruning is sound, the
+// footprint model decides: an error or an overflow is counted and the
+// candidate dropped. The memo is consulted only when it held entries as
+// the run began; a run's own evaluations start only in pass 2, and within
+// one grid every identity is distinct.
 //
 //optimus:hotpath
 func (f *sifter) sift(p Point) {
-	order := f.n
-	f.n++
+	out := f.out
+	order := out.n
+	out.n++
 	if f.stopped || cancelled(f.done) {
 		f.stopped = true
 		return
@@ -127,15 +153,23 @@ func (f *sifter) sift(p Point) {
 	if ent == nil && f.prune {
 		fit, err := Feasible(p)
 		if err != nil {
-			f.ct.errors.Add(1)
+			out.errors++
 			return
 		}
 		if !fit {
-			f.ct.pruned.Add(1)
+			out.pruned++
 			return
 		}
 	}
 	f.kept.add(survivor{row: Row{Point: p, order: order}, ent: ent})
+}
+
+// survivorAt returns survivor i of the run without copying it: it sits in
+// the last cell whose base is at most i.
+func survivorAt(cells []sifted, i int) *survivor {
+	c, _ := slices.BinarySearchFunc(cells, i+1, func(s sifted, t int) int { return cmp.Compare(s.base, t) })
+	out := &cells[c-1]
+	return out.kept.at(out.first + i - out.base)
 }
 
 // cancelled reports, without blocking, whether done is closed.
@@ -148,16 +182,39 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
+// pool runs work(w) for w in [0, n) on n goroutines and waits for them;
+// a pool of one runs on the calling goroutine.
+func pool(n int, work func(w int)) {
+	if n == 1 {
+		work(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for w := 0; w < n; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	wg.Wait()
+}
+
 // Run evaluates the grid and returns the same ranking Serial would
-// produce, in two passes. Pass 1 streams the deduplicated grid on the
-// calling goroutine and keeps the candidates that are memoized or fit
-// device memory (all of them when Constraints.AllowOverflow keeps
-// overflowing candidates in the ranking); it holds nothing for the rest.
-// Pass 2 costs the survivors on the worker pool: workers claim chunks of
-// them from an atomic cursor and write each outcome into that survivor's
-// own slot, so rankings do not depend on scheduling. On cancellation Run
-// returns ctx.Err() alongside the statistics accumulated so far; pass 1
-// still counts the whole grid, so Stats.Enumerated stays the grid size.
+// produce, in two passes over the worker pool. Pass 1 splits the grid
+// into its cells (see layout), which workers claim from an atomic cursor
+// and sift: each worker walks its cells' distinct candidates and keeps
+// those that are memoized or fit device memory (all of them when
+// Constraints.AllowOverflow keeps overflowing candidates in the ranking);
+// it holds nothing for the rest. A survivor's enumeration order is its
+// cell's base, the candidates of the cells before it, plus its index in
+// the cell. Pass 2 starts once every cell is sifted and costs the
+// survivors where pass 1 left them: workers claim chunks of them from a
+// second cursor and write each outcome into that survivor's own slot.
+// Neither pass's result depends on scheduling: rankings are Serial's and
+// Stats the same at any worker count. On cancellation Run returns ctx.Err()
+// alongside the statistics accumulated so far; pass 1 still counts the
+// whole grid, so Stats.Enumerated stays the grid size.
 func (e *Engine) Run(ctx context.Context, s Spec) (Result, error) {
 	start := time.Now() //lint:deterministic wall-clock feeds Stats.Elapsed instrumentation only, never rankings or metrics
 	if err := s.Validate(); err != nil {
@@ -169,84 +226,102 @@ func (e *Engine) Run(ctx context.Context, s Spec) (Result, error) {
 		return Result{}, err
 	}
 	c := s.Constraints.WithDefaults(firstSystem(s))
-	var ct counters
-	f := sifter{
-		e: e, done: ctx.Done(), ct: &ct,
-		// Overflowing candidates must still be costed when they are kept
-		// in the ranking, so pruning is only sound when they would be
-		// dropped.
-		prune: !c.AllowOverflow,
-		warm:  e.CacheSize() > 0,
-	}
-	s.candidates(f.sift)
-
 	workers := e.workers
 	if s.Workers > 0 {
 		workers = s.Workers
 	}
-	workers = max(1, min(workers, f.n))
-	e.cost(ctx, &f.kept, workers, &ct)
 
-	stats := Stats{
-		Enumerated: f.n,
-		Pruned:     int(ct.pruned.Load()),
-		Evaluated:  int(ct.evaluated.Load()),
-		MemoHits:   int(ct.memoHits.Load()),
-		Errors:     int(ct.errors.Load()),
-		Workers:    workers,
-		Elapsed:    time.Since(start), //lint:deterministic instrumentation-only elapsed time, not part of results
+	// Overflowing candidates must still be costed when they are kept in
+	// the ranking, so pruning is only sound when they would be dropped.
+	cells := e.siftCells(ctx, s.layout(true), workers, !c.AllowOverflow)
+	var stats Stats
+	kept := 0
+	for i := range cells {
+		cells[i].base = kept
+		kept += cells[i].count
+		stats.Enumerated += cells[i].n
+		stats.Pruned += cells[i].pruned
+		stats.Errors += cells[i].errors
 	}
+	workers = max(1, min(workers, stats.Enumerated))
+	var ct counters
+	e.cost(ctx, cells, kept, workers, &ct)
+	stats.Evaluated = int(ct.evaluated.Load())
+	stats.MemoHits = int(ct.memoHits.Load())
+	stats.Errors += int(ct.errors.Load())
+	stats.Workers = workers
+	stats.Elapsed = time.Since(start) //lint:deterministic instrumentation-only elapsed time, not part of results
 	if err := ctx.Err(); err != nil {
 		return Result{Stats: stats}, err
 	}
-	costed := make([]*Row, 0, f.kept.n)
-	for i := 0; i < f.kept.n; i++ {
-		if sv := f.kept.at(i); sv.ok {
-			costed = append(costed, &sv.row)
+	costed := make([]*Row, 0, kept)
+	base := 0
+	for i := range cells {
+		out := &cells[i]
+		for j := out.first; j < out.first+out.count; j++ {
+			sv := out.kept.at(j)
+			sv.row.order += base
+			if sv.ok {
+				costed = append(costed, &sv.row)
+			}
 		}
+		base += out.n
 	}
 	stats.Elapsed = time.Since(start) //lint:deterministic instrumentation-only elapsed time, not part of results
 	return Result{Rows: rank(costed, c), Stats: stats}, nil
 }
 
-// cost is pass 2: up to workers goroutines claim chunks of kept from an
-// atomic cursor until it runs out or ctx is cancelled. A chunk is an
-// eighth of a worker's even share, at most 64 survivors, so claims stay
-// rare without leaving one worker a long tail.
-func (e *Engine) cost(ctx context.Context, kept *blocks[survivor], workers int, ct *counters) {
-	if kept.n == 0 || ctx.Err() != nil {
-		return
-	}
-	workers = min(workers, kept.n)
-	chunk := min(64, max(1, kept.n/(8*workers)))
+// siftCells is pass 1: up to workers goroutines claim g's cells from an
+// atomic cursor and sift them. It returns the cells' accounts in cell
+// order.
+func (e *Engine) siftCells(ctx context.Context, g *grid, workers int, prune bool) []sifted {
+	cells := make([]sifted, len(g.cells))
+	sifters := make([]sifter, max(1, min(workers, len(cells))))
+	warm := e.CacheSize() > 0
 	done := ctx.Done()
 	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			// One pooled evaluator per worker: simulator slabs and pricing
-			// tables survive across the points this goroutine costs
-			// (byte-identical to fresh evaluation — see Evaluate).
-			ev := newEvaluator()
-			var buf []byte
-			for {
-				hi := int(cursor.Add(int64(chunk)))
-				lo := hi - chunk
-				if lo >= kept.n {
+	pool(len(sifters), func(w int) {
+		f := &sifters[w]
+		*f = sifter{e: e, g: g, done: done, prune: prune, warm: warm}
+		for i := int(cursor.Add(1)) - 1; i < len(cells); i = int(cursor.Add(1)) - 1 {
+			f.siftCell(&g.cells[i], &cells[i])
+		}
+	})
+	return cells
+}
+
+// cost is pass 2: up to workers goroutines claim chunks of the kept
+// survivors of cells from an atomic cursor until it runs out or ctx is
+// cancelled. A chunk is an eighth of a worker's even share, at most 64
+// survivors, so claims stay rare without leaving one worker a long tail.
+func (e *Engine) cost(ctx context.Context, cells []sifted, kept, workers int, ct *counters) {
+	if kept == 0 || ctx.Err() != nil {
+		return
+	}
+	workers = min(workers, kept)
+	chunk := min(64, max(1, kept/(8*workers)))
+	done := ctx.Done()
+	var cursor atomic.Int64
+	pool(workers, func(int) {
+		// One pooled evaluator per worker: simulator slabs, pricing
+		// tables and op buffers survive across the points this goroutine
+		// costs (byte-identical to fresh evaluation — see Evaluate).
+		ev := newEvaluator()
+		var buf []byte
+		for {
+			hi := int(cursor.Add(int64(chunk)))
+			lo := hi - chunk
+			if lo >= kept {
+				return
+			}
+			for i := lo; i < min(hi, kept); i++ {
+				if cancelled(done) {
 					return
 				}
-				for i := lo; i < min(hi, kept.n); i++ {
-					if cancelled(done) {
-						return
-					}
-					buf = e.settle(ctx, kept.at(i), ct, ev, buf)
-				}
+				buf = e.settle(ctx, survivorAt(cells, i), ct, ev, buf)
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // settle costs one survivor through the memo: the entry pass 1 found, or

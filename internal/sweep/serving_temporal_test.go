@@ -175,7 +175,7 @@ func TestServingTemporalSweepEndToEnd(t *testing.T) {
 // prompt, so a 300-token page is not clamped to the 200-token turn-less
 // context: the memo key records the page size serve.Run simulates.
 func TestServingTurnsPageTokensMatchRun(t *testing.T) {
-	cfg, sys := cell(t)
+	cfg, sys := cell0(t)
 	spec := Spec{
 		Workload: Serving, Models: []model.Config{cfg}, Systems: []*arch.System{sys},
 		Seqs: []int{100}, GenTokens: []int{100}, Turns: []int{3},

@@ -11,9 +11,9 @@ import (
 	"optimus/internal/workload"
 )
 
-// cell builds the fixed (model, system) grid cell the key-coverage tests
+// cell0 builds the fixed (model, system) grid cell the key-coverage tests
 // enumerate within.
-func cell(t *testing.T) (model.Config, *arch.System) {
+func cell0(t *testing.T) (model.Config, *arch.System) {
 	t.Helper()
 	cfg, err := model.ByName("Llama2-13B")
 	if err != nil {
@@ -103,7 +103,7 @@ func TestServingMixAxis(t *testing.T) {
 // TestServingMixKeyCoverage: the memo key must cover the mix — same mix
 // collides (cache hit), any differing tenant/share/shape separates.
 func TestServingMixKeyCoverage(t *testing.T) {
-	cfg, sys := cell(t)
+	cfg, sys := cell0(t)
 	mix := mixes0()[1]
 	mk := func(mix []workload.TenantLoad) Point {
 		p, ok := enumerateOne(cfg, sys, Point{Rate: 1, ServeRequests: 32, ServeSeed: 1}, servingShape{mix: mix})
@@ -196,7 +196,7 @@ func TestServingTraceSweep(t *testing.T) {
 		t.Error("engine trace ranking must match serial byte for byte")
 	}
 
-	cfg, sys := cell(t)
+	cfg, sys := cell0(t)
 	a, _ := enumerateOne(cfg, sys, Point{}, servingShape{trace: trace0()})
 	shifted := append([]workload.TraceEvent(nil), trace0()...)
 	shifted[1].PromptTokens += 64

@@ -11,17 +11,21 @@
 //   - Serial is the golden reference: it costs every candidate one at a
 //     time, in enumeration order, with no shortcuts. internal/mapsearch
 //     builds its single-cell planner on it.
-//   - Engine.Run is the production path, in two passes. Pass 1 streams
-//     the grid, deduplicates it on a comparable identity and keeps only
-//     the candidates that are memoized or pass the memory-feasibility
-//     check; nothing is held for a pruned candidate. Pass 2 costs the
-//     survivors on a bounded worker pool that claims chunks of them from
-//     an atomic cursor, memoizing repeated evaluations, and honours
-//     context cancellation. Its rankings are byte-identical to Serial's
-//     at any worker count. The string key is rendered only for memo
-//     traffic, and the memo can be persisted across processes with
-//     SaveCache/LoadCache, so repeated CLI invocations and CI sweeps skip
-//     re-costing unchanged grid cells.
+//   - Engine.Run is the production path, in two passes on a bounded
+//     worker pool. Pass 1 splits the grid into independent cells that
+//     workers claim from an atomic cursor; each worker walks its cells'
+//     distinct candidates and keeps only those that are memoized or pass
+//     the memory-feasibility check. Nothing is held for a pruned
+//     candidate: repeated axis entries are dropped before the walk, so
+//     only a serving cell, whose canonicalization can merge raw values,
+//     keeps an identity set. Pass 2 costs the survivors where pass 1
+//     left them, claiming chunks of them from a second cursor, memoizing
+//     repeated evaluations, and honours context cancellation. Its
+//     rankings are byte-identical to Serial's, and neither they nor its
+//     Stats depend on the worker count. The string key is rendered only for memo traffic, and the
+//     memo can be persisted across processes with SaveCache/LoadCache,
+//     so repeated CLI invocations and CI sweeps skip re-costing unchanged
+//     grid cells.
 package sweep
 
 import (
@@ -706,8 +710,9 @@ func tokensOf(p *Point) tokens {
 
 // ident is a point's comparable identity: the tokens, the integer fields
 // and the bits of the float fields, in key order. Two points have equal
-// idents exactly when they have equal keys (TestIdentMatchesKey), so the
-// engine deduplicates on it without formatting anything.
+// idents exactly when they have equal keys (TestIdentMatchesKey), so a
+// serving cell deduplicates on it, and the engine renders memo keys from
+// it, without formatting anything.
 type ident struct {
 	tok tokens
 	num numbers
@@ -930,56 +935,54 @@ func divisors(n int) []int {
 // EnumerateTraining lists the candidate training points of one (model,
 // system, batch, seq, precision) grid cell: the feasible (DP, TP, PP, SP,
 // microbatch, schedule, recompute) space under c, in deterministic order.
-// It collects the walk that grid enumeration streams.
+// It is Enumerate over a one-cell grid.
 func EnumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec tech.Precision, c Constraints) []Point {
-	var out []Point
-	eachTraining(cfg, sys, batch, seq, prec, c.WithDefaults(sys), tokens{model: modelToken(cfg), system: systemToken(sys)},
-		func(p Point) { out = append(out, p) })
-	return out
+	return Enumerate(Spec{
+		Models: []model.Config{cfg}, Systems: []*arch.System{sys}, Precisions: []tech.Precision{prec},
+		GlobalBatches: []int{batch}, Seqs: []int{seq}, Constraints: c,
+	})
 }
 
-// eachTraining visits the training candidates of one grid cell, stamped
-// with the cell's tokens; c carries its defaults.
-func eachTraining(cfg model.Config, sys *arch.System, batch, seq int, prec tech.Precision, c Constraints, tok tokens, visit func(Point)) {
+// eachTraining visits the training candidates of one grid cell at tensor
+// degree tp, stamped with the cell's tokens; c carries its defaults.
+func eachTraining(cfg model.Config, sys *arch.System, batch, seq, tp int, prec tech.Precision, c *Constraints, tok tokens, visit func(Point)) {
 	devices := sys.NumDevices()
-	for _, tp := range divisors(devices) {
-		if tp > c.MaxTP || cfg.Heads%tp != 0 {
+	for pp := 1; pp <= devices/tp; pp++ {
+		if devices%(tp*pp) != 0 {
 			continue
 		}
-		for _, pp := range divisors(devices / tp) {
-			dp := devices / (tp * pp)
-			for _, mb := range c.Microbatches {
-				if batch%(dp*mb) != 0 {
+		dp := devices / (tp * pp)
+		for _, mb := range c.Microbatches {
+			if batch%(dp*mb) != 0 {
+				continue
+			}
+			// The schedule is meaningless at PP=1 (no bubble, one
+			// microbatch in flight): keep only the first valid one.
+			pp1Done := false
+			for _, sched := range c.Schedules {
+				if pp == 1 && pp1Done {
 					continue
 				}
-				// The schedule is meaningless at PP=1 (no bubble, one
-				// microbatch in flight): keep only the first valid one.
-				pp1Done := false
-				for _, sched := range c.Schedules {
-					if pp == 1 && pp1Done {
+				m := parallel.Mapping{
+					DP: dp, TP: tp, PP: pp, SP: tp > 1,
+					Microbatch: mb, Schedule: sched,
+				}
+				if sched == parallel.Interleaved1F1B {
+					if pp < 2 || cfg.Layers%(pp*2) != 0 {
 						continue
 					}
-					m := parallel.Mapping{
-						DP: dp, TP: tp, PP: pp, SP: tp > 1,
-						Microbatch: mb, Schedule: sched,
-					}
-					if sched == parallel.Interleaved1F1B {
-						if pp < 2 || cfg.Layers%(pp*2) != 0 {
-							continue
-						}
-						m.VirtualStages = 2
-					}
-					if m.Validate(cfg.Layers, batch) != nil {
-						continue
-					}
-					pp1Done = true
-					for _, rec := range c.Recomputes {
-						visit(Point{
-							Workload: Training, Model: cfg, System: sys,
-							Map: m, Recompute: rec, Precision: prec,
-							GlobalBatch: batch, Seq: seq, tok: tok,
-						})
-					}
+					m.VirtualStages = 2
+				}
+				if !m.Valid(cfg.Layers, batch) {
+					continue
+				}
+				pp1Done = true
+				for _, rec := range c.Recomputes {
+					visit(Point{
+						Workload: Training, Model: cfg, System: sys,
+						Map: m, Recompute: rec, Precision: prec,
+						GlobalBatch: batch, Seq: seq, tok: tok,
+					})
 				}
 			}
 		}
@@ -1083,13 +1086,10 @@ func servingPoint(p Point, shape servingShape) (Point, bool) {
 
 // eachServing visits the serving candidates of one (model, system,
 // precision) cell. Serving maps are fixed to TP = device count, as in
-// inference.
+// inference; layout keeps only the cells whose heads divide over it.
 func (s *Spec) eachServing(cfg model.Config, sys *arch.System, prec tech.Precision, tok tokens,
 	shapes []servingShape, arrivals []arrival, visit func(Point)) {
 	tp := sys.NumDevices()
-	if cfg.Heads%tp != 0 {
-		return
-	}
 	base := Point{
 		Workload: Serving, Model: cfg, System: sys,
 		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
@@ -1140,80 +1140,165 @@ func (s *Spec) eachServing(cfg model.Config, sys *arch.System, prec tech.Precisi
 	}
 }
 
-// each visits the grid's candidates in enumeration order, duplicates
-// included: the one walk behind Enumerate and Engine.Run, neither of
-// which holds a visited candidate it does not keep. The model and system
-// tokens are interned once per axis entry, the schedule and workload
-// tokens once per grid.
-func (s Spec) each(visit func(Point)) {
+// grid is a Spec laid out for its walk: defaults filled, the model and
+// system tokens interned once per axis entry, the schedule and workload
+// tokens once per grid, and the walk split into cells.
+type grid struct {
+	s         Spec
+	cons      Constraints // the training walk's axes, defaults filled
+	modelToks []string
+	sysToks   []string
+	shapes    []servingShape
+	arrivals  []arrival
+	cells     []cell
+}
+
+// cell is one independent part of a grid's walk: a (model, system,
+// precision) triple, and for training also a batch, a sequence length and
+// a tensor degree, so that a one-cell grid still splits into several.
+// Concatenated in order, the cells' walks are the grid's.
+type cell struct {
+	model, system  int // indices into the grid's Models and Systems
+	prec           tech.Precision
+	batch, seq, tp int // training only, but tp: every device otherwise
+}
+
+// layout lays s out. With distinct, repeated axis entries are dropped,
+// first occurrences kept: models and systems by token, and precisions,
+// batches, sequence lengths, generation lengths, microbatches, schedules
+// and recomputes by value. The cells are then distinct, since every cell
+// coordinate is part of the identity, and a training or inference cell's
+// walk visits distinct candidates: its remaining loops each set an
+// identity field to a distinct value. A serving cell's canonicalization
+// can still collapse distinct raw values (see candidates). Without
+// distinct, the walk is the raw one, duplicates included.
+func (s Spec) layout(distinct bool) *grid {
 	s = s.withDefaults()
-	sysToks := make([]string, len(s.Systems))
-	for i, sys := range s.Systems {
-		sysToks[i] = systemToken(sys)
+	g := &grid{s: s}
+	g.s.Models, g.modelToks = interned(s.Models, modelToken, distinct)
+	g.s.Systems, g.sysToks = interned(s.Systems, systemToken, distinct)
+	if distinct {
+		g.s.Precisions, g.s.GlobalBatches, g.s.Seqs, g.s.GenTokens =
+			firsts(s.Precisions), firsts(s.GlobalBatches), firsts(s.Seqs), firsts(s.GenTokens)
 	}
-	var shapes []servingShape
-	var arrivals []arrival
-	if s.Workload == Serving {
-		shapes, arrivals = s.servingShapes(), s.arrivals()
+	switch s.Workload {
+	case Serving:
+		g.shapes, g.arrivals = g.s.servingShapes(), g.s.arrivals()
+	case Training:
+		if len(s.Systems) > 0 {
+			g.cons = s.Constraints.WithDefaults(s.Systems[0])
+			if distinct {
+				g.cons.Microbatches, g.cons.Schedules, g.cons.Recomputes =
+					firsts(g.cons.Microbatches), firsts(g.cons.Schedules), firsts(g.cons.Recomputes)
+			}
+		}
 	}
-	for _, cfg := range s.Models {
-		modelTok := modelToken(cfg)
-		for i, sys := range s.Systems {
-			tok := tokens{model: modelTok, system: sysToks[i]}
-			for _, prec := range s.Precisions {
-				switch s.Workload {
-				case Serving:
-					s.eachServing(cfg, sys, prec, tok, shapes, arrivals, visit)
-				case Inference:
-					// Inference involves only TP across the devices of the
-					// system (§1.3), so each cell yields at most one mapping.
-					tp := sys.NumDevices()
-					if cfg.Heads%tp != 0 {
-						continue
-					}
-					for _, batch := range s.GlobalBatches {
-						for _, seq := range s.Seqs {
-							for _, gen := range s.GenTokens {
-								visit(Point{
-									Workload: Inference, Model: cfg, System: sys,
-									Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
-									Precision: prec, GlobalBatch: batch, Seq: seq, GenTokens: gen, tok: tok,
-								})
-							}
-						}
-					}
-				default:
-					c := s.Constraints.WithDefaults(sys)
-					for _, batch := range s.GlobalBatches {
-						for _, seq := range s.Seqs {
-							eachTraining(cfg, sys, batch, seq, prec, c, tok, visit)
+	for m, cfg := range g.s.Models {
+		for sy, sys := range g.s.Systems {
+			devices := sys.NumDevices()
+			if g.s.Workload != Training {
+				// Inference and serving map TP across every device (§1.3).
+				if cfg.Heads%devices != 0 {
+					continue
+				}
+				for _, prec := range g.s.Precisions {
+					g.cells = append(g.cells, cell{model: m, system: sy, prec: prec, tp: devices})
+				}
+				continue
+			}
+			maxTP := s.Constraints.WithDefaults(sys).MaxTP
+			tps := slices.DeleteFunc(divisors(devices), func(tp int) bool { return tp > maxTP || cfg.Heads%tp != 0 })
+			for _, prec := range g.s.Precisions {
+				for _, batch := range g.s.GlobalBatches {
+					for _, seq := range g.s.Seqs {
+						for _, tp := range tps {
+							g.cells = append(g.cells, cell{model: m, system: sy, prec: prec, batch: batch, seq: seq, tp: tp})
 						}
 					}
 				}
 			}
 		}
 	}
+	return g
 }
 
-// candidates visits the grid's deduplicated candidates in enumeration
-// order: a candidate whose ident an earlier one has is skipped. The
-// idents seen are all it holds per candidate: one numberSet per distinct
-// tokens, found again only when the tokens change, which enumeration
-// makes rare.
-func (s Spec) candidates(visit func(Point)) {
-	seen := make(map[tokens]*numberSet)
-	var tok tokens
-	var cell *numberSet
-	s.each(func(p Point) {
-		id := p.ident()
-		if cell == nil || id.tok != tok {
-			tok = id.tok
-			if cell = seen[tok]; cell == nil {
-				cell = &numberSet{seed: maphash.MakeSeed()}
-				seen[tok] = cell
+// interned returns xs with the token of each entry; with distinct, an
+// entry whose token an earlier one has is dropped.
+func interned[T any](xs []T, token func(T) string, distinct bool) ([]T, []string) {
+	toks := make([]string, 0, len(xs))
+	out := make([]T, 0, len(xs))
+	for _, x := range xs {
+		tok := token(x)
+		if distinct && slices.Contains(toks, tok) {
+			continue
+		}
+		toks = append(toks, tok)
+		out = append(out, x)
+	}
+	return out, toks
+}
+
+// firsts returns xs without its repeated entries, first occurrences kept
+// in order.
+func firsts[T comparable](xs []T) []T {
+	out := xs[:0:0]
+	for i, x := range xs {
+		if !slices.Contains(xs[:i], x) {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// walk visits cell c's candidates in enumeration order, duplicates
+// included.
+func (g *grid) walk(c *cell, visit func(Point)) {
+	cfg, sys := g.s.Models[c.model], g.s.Systems[c.system]
+	tok := tokens{model: g.modelToks[c.model], system: g.sysToks[c.system]}
+	switch g.s.Workload {
+	case Serving:
+		g.s.eachServing(cfg, sys, c.prec, tok, g.shapes, g.arrivals, visit)
+	case Inference:
+		for _, batch := range g.s.GlobalBatches {
+			for _, seq := range g.s.Seqs {
+				for _, gen := range g.s.GenTokens {
+					visit(Point{
+						Workload: Inference, Model: cfg, System: sys,
+						Map:       parallel.Mapping{DP: 1, TP: c.tp, PP: 1, SP: c.tp > 1, Microbatch: 1},
+						Precision: c.prec, GlobalBatch: batch, Seq: seq, GenTokens: gen, tok: tok,
+					})
+				}
 			}
 		}
-		if cell.add(&id.num) {
+	default:
+		eachTraining(cfg, sys, c.batch, c.seq, c.tp, c.prec, &g.cons, tok, visit)
+	}
+}
+
+// candidates visits cell c's distinct candidates in enumeration order. A
+// training or inference cell of a distinct layout visits nothing twice,
+// so it is walked as is. A serving cell's walk drops a candidate whose
+// ident an earlier one of the cell has; no other cell can hold it. The
+// cell keeps one numberSet per distinct tokens, found again only when the
+// tokens change, which the walk makes rare.
+func (g *grid) candidates(c *cell, visit func(Point)) {
+	if g.s.Workload != Serving {
+		g.walk(c, visit)
+		return
+	}
+	seen := make(map[tokens]*numberSet)
+	var tok tokens
+	var set *numberSet
+	g.walk(c, func(p Point) {
+		id := p.ident()
+		if set == nil || id.tok != tok {
+			tok = id.tok
+			if set = seen[tok]; set == nil {
+				set = &numberSet{seed: maphash.MakeSeed()}
+				seen[tok] = set
+			}
+		}
+		if set.add(&id.num) {
 			visit(p)
 		}
 	})
@@ -1261,30 +1346,36 @@ func (s *numberSet) grow() {
 	}
 }
 
-// Enumerate lists the grid's deduplicated candidates in enumeration
-// order. Engine.Run streams the same walk instead of collecting it.
+// Enumerate lists the grid's distinct candidates in enumeration order:
+// the serial driver of the cell walk that Engine.Run spreads over its
+// pool.
 func Enumerate(s Spec) []Point {
+	g := s.layout(true)
 	var out []Point
-	s.candidates(func(p Point) { out = append(out, p) })
+	for i := range g.cells {
+		g.candidates(&g.cells[i], func(p Point) { out = append(out, p) })
+	}
 	return out
 }
 
 // Evaluate runs the full cost model on one point — on fresh simulator
 // state. The engine and Serial evaluate through a pooled per-worker
-// evaluator instead, which reuses simulator slabs across points;
-// TestRunnerReuseMatchesFresh (serve) and TestClusterRunnerReuseMatchesFresh
-// pin that reuse byte-identical, so the two paths cannot diverge.
+// evaluator instead, which reuses simulator slabs and the training op
+// buffer across points; TestRunnerReuseMatchesFresh (serve),
+// TestClusterRunnerReuseMatchesFresh and TestPredictorReuseMatchesFresh
+// (train) pin that reuse byte-identical, so the two paths cannot diverge.
 func Evaluate(p Point) (Metrics, error) {
 	return newEvaluator().evaluate(p)
 }
 
-// evaluator carries the pooled serving simulators one sweep worker reuses
-// across the points it costs. Inference and training predictions are
-// stateless; only the serving paths hold reusable state. NOT safe for
-// concurrent use — each worker owns one.
+// evaluator carries the pooled serving simulators and the training op
+// buffer one sweep worker reuses across the points it costs. Inference
+// predictions are stateless. NOT safe for concurrent use — each worker
+// owns one.
 type evaluator struct {
 	serve   *serve.Runner
 	cluster *cluster.Runner
+	train   train.Predictor
 }
 
 func newEvaluator() *evaluator {
@@ -1298,12 +1389,12 @@ func (ev *evaluator) evaluate(p Point) (Metrics, error) {
 	case Serving:
 		return ev.evaluateServing(p)
 	default:
-		return evaluateTraining(p)
+		return ev.evaluateTraining(p)
 	}
 }
 
-func evaluateTraining(p Point) (Metrics, error) {
-	res, err := train.Predict(train.Spec{
+func (ev *evaluator) evaluateTraining(p Point) (Metrics, error) {
+	res, err := ev.train.Predict(train.Spec{
 		Model:       p.Model,
 		System:      p.System,
 		Map:         p.Map,

@@ -172,21 +172,35 @@ func costOps(p *kernels.Pricer, ops []kernels.Op) layerCost {
 	return c
 }
 
-// selectiveOps filters the attention-core ops that selective recomputation
-// replays (scores, softmax, attention dropout — Eq. 2's discarded tensors).
-func selectiveOps(ops []kernels.Op) []kernels.Op {
-	var out []kernels.Op
-	for _, op := range ops {
-		switch op.Name {
+// appendSelective appends to dst the attention-core ops that selective
+// recomputation replays (scores, softmax, attention dropout — Eq. 2's
+// discarded tensors). ops may share dst's buffer.
+func appendSelective(dst, ops []kernels.Op) []kernels.Op {
+	for i := range ops {
+		switch ops[i].Name {
 		case "scores", "softmax", "attn-dropout":
-			out = append(out, op)
+			dst = append(dst, ops[i])
 		}
 	}
-	return out
+	return dst
+}
+
+// Predictor predicts training iterations into one reusable op buffer, so
+// that repeated predictions do not rebuild their op lists from nil. NOT
+// safe for concurrent use; the zero value is ready.
+type Predictor struct {
+	ops []kernels.Op
+}
+
+// Predict estimates the iteration time of one training batch on a fresh
+// Predictor.
+func Predict(s Spec) (Result, error) {
+	var p Predictor
+	return p.Predict(s)
 }
 
 // Predict estimates the iteration time of one training batch.
-func Predict(s Spec) (Result, error) {
+func (pr *Predictor) Predict(s Spec) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -196,7 +210,19 @@ func Predict(s Spec) (Result, error) {
 	pricer := s.pricer()
 	exec := s.exec()
 
-	layerOps := kernels.LayerForward(s.Model, exec)
+	// The layer's ops, then the ones selective recomputation replays, the
+	// embedding's and the output head's, in one buffer.
+	ops := kernels.AppendLayerForward(pr.ops[:0], s.Model, exec)
+	nLayer := len(ops)
+	if s.Recompute == memfoot.Selective {
+		ops = appendSelective(ops, ops)
+	}
+	nRecomp := len(ops)
+	ops = kernels.AppendEmbeddingForward(ops, s.Model, exec)
+	nEmb := len(ops)
+	ops = kernels.AppendLogitsForward(ops, s.Model, exec)
+	pr.ops = ops
+	layerOps, embOps, logitOps := ops[:nLayer], ops[nRecomp:nEmb], ops[nEmb:]
 	fwd := costOps(pricer, layerOps)
 
 	// Recompute cost per layer per microbatch (device + comm components).
@@ -205,7 +231,7 @@ func Predict(s Spec) (Result, error) {
 	case memfoot.Full:
 		recompute = fwd
 	case memfoot.Selective:
-		recompute = costOps(pricer, selectiveOps(layerOps))
+		recompute = costOps(pricer, ops[nLayer:nRecomp])
 	}
 
 	layers := m.LayersPerDevice(s.Model.Layers)
@@ -221,8 +247,6 @@ func Predict(s Spec) (Result, error) {
 
 	// Embedding and output head on the boundary stages; the pipeline's
 	// critical path takes the slower of the two.
-	embOps := kernels.EmbeddingForward(s.Model, exec)
-	logitOps := kernels.LogitsForward(s.Model, exec)
 	embCost := costOps(pricer, embOps)
 	logitCost := costOps(pricer, logitOps)
 	embDevice := embCost.gemm + embCost.ew

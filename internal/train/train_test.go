@@ -276,3 +276,38 @@ func TestMoreMicrobatchesAmortizeBubble(t *testing.T) {
 		t.Error("larger batch should amortize the pipeline bubble")
 	}
 }
+
+// TestPredictorReuseMatchesFresh: one Predictor reused across every
+// Table 1 row under every recompute regime, whose op lists differ in
+// length, predicts exactly what a fresh Predict does, and once its buffer
+// has grown it allocates less than a fresh prediction.
+func TestPredictorReuseMatchesFresh(t *testing.T) {
+	var pr Predictor
+	var specs []Spec
+	for _, c := range valdata.Table1() {
+		for _, rec := range []memfoot.Recompute{memfoot.Selective, memfoot.NoRecompute, memfoot.Full} {
+			s := specFor(t, c)
+			s.Recompute = rec
+			specs = append(specs, s)
+		}
+	}
+	for _, s := range specs {
+		want, err := Predict(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pr.Predict(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s %v: reused predictor %+v, fresh %+v", s.Model.Name, s.Recompute, got, want)
+		}
+	}
+	s := specs[0]
+	fresh := testing.AllocsPerRun(10, func() { _, _ = Predict(s) })
+	reused := testing.AllocsPerRun(10, func() { _, _ = pr.Predict(s) })
+	if reused >= fresh {
+		t.Errorf("reused predictor allocates %v times a call, fresh %v", reused, fresh)
+	}
+}
