@@ -26,9 +26,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The sweep engine's and the fleet simulator's pools default to
-# GOMAXPROCS workers. Their suites at one proc: a default pool has one
-# worker, and an explicit one interleaves on a single thread.
+# The sweep engine's pool defaults to GOMAXPROCS workers. The sweep
+# suite at one proc: a default pool has one worker, and an explicit one
+# interleaves on a single thread. The fleet suite runs beside it, since
+# serving sweeps evaluate fleets on that pool.
 test-procs1:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/sweep ./internal/cluster
 
@@ -63,10 +64,10 @@ sweep-bench:
 serve-bench:
 	$(GO) test -run xxx -bench 'BenchmarkServe' -benchmem .
 
-# Fleet-simulator throughput per fleet size and routing policy.
-# Round-robin runs each replica's whole share on its own goroutine;
-# least-queue advances replicas inline at every arrival barrier and runs
-# only the final drain in parallel.
+# Fleet-simulator throughput per fleet size and routing policy. The
+# fleet runs on one goroutine; least-queue also advances every replica
+# at each arrival barrier, so round-robin and least-queue bracket the
+# router's overhead.
 cluster-bench:
 	$(GO) test -run xxx -bench 'BenchmarkCluster' -benchmem .
 

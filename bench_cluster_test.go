@@ -28,9 +28,8 @@ func clusterBenchSpec(tb testing.TB, reps int, rt cluster.Routing, requests int)
 
 // BenchmarkClusterFleet reports fleet-simulation throughput across fleet
 // sizes and routing policies — the `make cluster-bench` gate. Round-robin
-// assigns upfront and runs replicas embarrassingly parallel; least-queue
-// pays a per-arrival synchronization barrier, so the two bracket the
-// router's overhead.
+// picks a replica by index alone; least-queue advances every replica to
+// each arrival before it picks, so the two bracket the router's overhead.
 func BenchmarkClusterFleet(b *testing.B) {
 	const requests = 256
 	for _, bench := range []struct {
@@ -65,8 +64,7 @@ func BenchmarkClusterFleet(b *testing.B) {
 
 // allocsPerRun averages the heap allocations (count and bytes) of f over
 // runs calls after one warm-up call. Unlike testing.AllocsPerRun it counts
-// bytes too, and it counts every goroutine's allocations — a fleet's
-// replicas drain on their own goroutines.
+// bytes too.
 func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 	f()
 	var before, after runtime.MemStats

@@ -7,8 +7,8 @@
 // fleet degrades as replicas are heterogeneous, and what arrival rate a
 // given fleet can absorb before the tail latency knee. The cluster package
 // answers those with the same determinism discipline as the single-instance
-// simulator: one seeded arrival stream, replicas on real goroutines, and a
-// merge that is byte-identical at any GOMAXPROCS.
+// simulator: one seeded arrival stream, replicas interleaved in arrival
+// order, and a merge that is byte-identical at any GOMAXPROCS.
 //
 // Step 1 anchors the model: a fleet of one replica reproduces the plain
 // serving simulator byte for byte. Step 2 compares routing policies on a

@@ -9,25 +9,22 @@
 // Replicas are heterogeneous capacity descriptors: each carries its own
 // serve.Spec (system, precision, TP, admission policy, pool split), so a
 // mixed fleet — say four paged H100 boxes plus two disaggregated A100
-// pairs — falls out of listing them. Replicas run on their own goroutines
-// wherever the work between synchronization points is real: under
-// load-independent routing (round-robin, tenant affinity) each replica
-// pushes and drains its whole share in parallel, and under load-aware
-// routing the final drain runs in parallel. Results merge
-// deterministically (index-ordered, with global-ID remapping), so a fleet
-// Result is byte-identical at any GOMAXPROCS — the engine==serial
-// discipline of internal/sweep, applied to simulation itself. The
-// load-aware routing policies sample replica load only at arrival-time
-// barriers, which the router advances inline (a barrier is a few
-// iterations per replica, cheaper than a goroutine hand-off); each
-// replica's state there is a pure function of the requests pushed so far,
-// so scheduling order can never leak into an assignment. A replica is
-// armed like serve.Run, so it prices exactly as a single-replica Run.
+// pairs — falls out of listing them. The whole fleet runs on the
+// caller's goroutine, in one loop over the arrival stream: pick a
+// replica, push the arrival into it, and drain every replica once the
+// stream ends. A replica's result depends only on its own push sequence,
+// so interleaving the replicas' pushes in arrival order reproduces each
+// one's result exactly as a serial replay of its share would. The
+// load-aware routing policies first advance every replica to the arrival
+// instant and sample their loads there; each replica's state at that
+// barrier is a pure function of the requests pushed so far. Results merge
+// in replica-index order with global-ID remapping, so a fleet Result is
+// byte-identical at any GOMAXPROCS. A replica is armed like serve.Run, so
+// it prices exactly as a single-replica Run.
 package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"optimus/internal/serve"
 	"optimus/internal/workload"
@@ -91,10 +88,15 @@ func (s *Spec) SetWorkload(w workload.Spec) {
 	s.Requests, s.Seed = w.Requests, w.Seed
 }
 
+// MaxReplicas bounds a fleet's expanded size, the sum of its
+// descriptors' counts: Run builds one simulator per replica, so an
+// unbounded count would exhaust memory before the first arrival.
+const MaxReplicas = 4096
+
 // Validate checks the fleet spec: at least one replica and a known
 // routing policy, the workload once for the whole fleet, then each
-// descriptor — a non-negative count and a pure capacity spec that can
-// serve the workload's largest request.
+// descriptor — a non-negative count, a fleet of at most MaxReplicas, and
+// a pure capacity spec that can serve the workload's largest request.
 func (s Spec) Validate() error {
 	if len(s.Replicas) == 0 {
 		return fmt.Errorf("cluster: fleet needs at least one replica")
@@ -106,10 +108,17 @@ func (s Spec) Validate() error {
 	if err := w.Validate(); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
+	total := 0
 	for i, r := range s.Replicas {
 		if r.Count < 0 {
 			return fmt.Errorf("cluster: replica %d: negative count %d", i, r.Count)
 		}
+		// Compared before it is added, so the running total cannot overflow.
+		n := max(r.Count, 1)
+		if n > MaxReplicas-total {
+			return fmt.Errorf("cluster: replica %d: count %d expands the fleet beyond the %d-replica limit", i, r.Count, MaxReplicas)
+		}
+		total += n
 		if err := r.Spec.ValidateCapacity(w); err != nil {
 			return fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
@@ -182,28 +191,6 @@ type Result struct {
 	PerRequest []RequestMetrics
 }
 
-// eachReplica runs f(0..r-1) on one goroutine per replica and waits. It
-// is where the fleet runs in parallel: a load-independent router's
-// replicas each push and drain their whole share here, and a load-aware
-// router's replicas run their final drain here. Every index touches
-// disjoint state, so the merge afterwards sees a deterministic fleet no
-// matter how the goroutines were scheduled. A single replica runs inline.
-func eachReplica(r int, f func(int)) {
-	if r == 1 {
-		f(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(r)
-	for i := 0; i < r; i++ {
-		go func(i int) {
-			defer wg.Done()
-			f(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
 // Runner pools fleet simulation state across runs: one serve.Runner per
 // replica slot, so every replica's slabs, pricing tables and scratch
 // survive from one fleet simulation to the next — the steady state of a
@@ -223,8 +210,9 @@ func NewRunner() *Runner { return new(Runner) }
 
 // Run executes the fleet simulation: generate the seeded fleet-wide
 // arrival stream (byte-identical to what serve.Run would generate for the
-// same workload), route every arrival to a replica, run the replicas, and
-// merge per-replica results into the fleet view deterministically.
+// same workload), route every arrival to a replica and push it there,
+// drain the replicas, and merge per-replica results into the fleet view
+// deterministically.
 func Run(s Spec) (Result, error) { return new(Runner).Run(s) }
 
 // Run is the pooled form of the package-level Run: replica instances are
@@ -272,69 +260,44 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	// routed[i] lists replica i's assigned global arrival indices in push
 	// order — the local→global ID remapping the merge applies.
 	routed := make([][]int, R)
-	assign := func(i, replica int) {
-		routed[replica] = append(routed[replica], i)
-	}
-
-	pushErrs := make([]error, R)
-	switch s.Routing {
-	case RoundRobin, TenantAffinity:
-		// Load-independent routing: the whole assignment is a pure
-		// function of the stream, so compute it up front and run every
-		// replica's full push+drain embarrassingly parallel.
-		for i := range times {
-			switch s.Routing {
-			case RoundRobin:
-				assign(i, i%R)
-			default:
-				assign(i, tenantReplica(shapes[i].Tenant, R))
-			}
+	for i, at := range times {
+		var r int
+		switch s.Routing {
+		case RoundRobin:
+			r = i % R
+		case TenantAffinity:
+			r = tenantReplica(shapes[i].Tenant, R)
+		default: // LeastQueue, LeastKV: Validate rejected every other policy
+			r = leastLoaded(s.Routing, instances, at)
 		}
-		eachReplica(R, func(r int) {
-			in := instances[r]
-			for _, g := range routed[r] {
-				if err := in.Push(shapes[g], times[g]); err != nil {
-					pushErrs[r] = err
-					return
-				}
-			}
-			in.Drain()
-		})
-	case LeastQueue, LeastKV:
-		// Load-aware routing: barrier every replica to the arrival
-		// instant, then scan loads in index order. A barrier is a few
-		// batching iterations per busy replica — far less than a
-		// goroutine hand-off — so it runs inline on the router. The
-		// snapshot each replica reports at time t depends only on its own
-		// push history, so the argmin (ties to the lowest index) is a pure
-		// function of the stream.
-		for i, at := range times {
-			for _, in := range instances {
-				in.AdvanceTo(at)
-			}
-			best, bestLoad := 0, instances[0].Load()
-			for r := 1; r < R; r++ {
-				l := instances[r].Load()
-				if lessLoaded(s.Routing, l, bestLoad) {
-					best, bestLoad = r, l
-				}
-			}
-			if err := instances[best].Push(shapes[i], at); err != nil {
-				return Result{}, fmt.Errorf("cluster: replica %d: %w", best, err)
-			}
-			assign(i, best)
-		}
-		eachReplica(R, func(r int) { instances[r].Drain() })
-	default:
-		return Result{}, fmt.Errorf("cluster: unknown routing policy %v", s.Routing)
-	}
-	for r, err := range pushErrs {
-		if err != nil {
+		if err := instances[r].Push(shapes[i], at); err != nil {
 			return Result{}, fmt.Errorf("cluster: replica %d: %w", r, err)
 		}
+		routed[r] = append(routed[r], i)
+	}
+	for _, in := range instances {
+		in.Drain()
 	}
 
 	return merge(s, instances, routed, descriptor)
+}
+
+// leastLoaded is the load-aware routers' pick for an arrival at t:
+// barrier every replica to t, then scan their loads in index order and
+// take the least loaded (ties to the lowest index). The snapshot each
+// replica reports at t depends only on its own push history, so the pick
+// is a pure function of the stream.
+func leastLoaded(r Routing, instances []*serve.Instance, t float64) int {
+	for _, in := range instances {
+		in.AdvanceTo(t)
+	}
+	best, bestLoad := 0, instances[0].Load()
+	for i := 1; i < len(instances); i++ {
+		if l := instances[i].Load(); lessLoaded(r, l, bestLoad) {
+			best, bestLoad = i, l
+		}
+	}
+	return best
 }
 
 // lessLoaded ranks replica load snapshots for the load-aware routers:

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -224,13 +225,11 @@ func disaggFleet(t testing.TB, requests int) Spec {
 	}
 }
 
-// TestFleetDeterministicAcrossGOMAXPROCS: replicas run on real goroutines
-// wherever the fleet runs in parallel, so this is the pin that scheduling
-// cannot leak into results — fleets at GOMAXPROCS 1, 2 and 8 must be
-// byte-identical for every routing policy and for the benchmark's
-// disaggregated least-kv shape, whose arrival barriers advance replicas
-// inline (run under -race in tier 1, which also catches unsynced access
-// between the router and the draining replicas).
+// TestFleetDeterministicAcrossGOMAXPROCS: the fleet runs on the caller's
+// goroutine, and this pins that it stays that way in effect — fleets at
+// GOMAXPROCS 1, 2 and 8 must be byte-identical for every routing policy
+// and for the benchmark's disaggregated least-kv shape, whose arrival
+// barriers advance every replica.
 func TestFleetDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	type tcase struct {
 		name string
@@ -272,6 +271,64 @@ func TestFleetDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			}
 			if string(js) != firstJSON {
 				t.Errorf("%s: JSON encodings differ between GOMAXPROCS 1 and %d", tc.name, procs)
+			}
+		}
+	}
+}
+
+// TestFleetReplicaReplay is the premise the fleet's one loop rests on: a
+// replica's result depends only on its own push sequence. Under every
+// router, a heterogeneous three-replica fleet (reserve-full A100, paged
+// A100, disaggregated H100 pair) must reproduce, replica by replica, a
+// fresh Instance on the fleet's envelope fed exactly the requests the
+// fleet routed to it at their fleet arrival times — equal JSON bytes.
+func TestFleetReplicaReplay(t *testing.T) {
+	paged := capacity0(t)
+	paged.Policy, paged.PageTokens, paged.KVCapacity = serve.Paged, 32, 12e9
+	disagg := disaggFleet(t, 1).Replicas[0].Spec
+	mix, err := workload.ParseMix("chat:0.5:300~0.8:150~0.6,batch:0.3:1200~0.5:400,code:0.2:600:200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, routing := range routings {
+		s := Spec{
+			Replicas: []Replica{{Spec: capacity0(t)}, {Spec: paged}, {Spec: disagg}},
+			Routing:  routing,
+			Mix:      mix, Rate: 6, Requests: 120, Seed: 4,
+		}
+		res, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		times, shapes := s.Workload().WithDefaults().Stream(nil, nil)
+		for r, rr := range res.PerReplica {
+			in, err := serve.NewInstance(s.Replicas[r].Spec, shapes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// PerRequest is in global arrival order, which is each
+			// replica's push order.
+			for _, m := range res.PerRequest {
+				if m.Replica != r {
+					continue
+				}
+				if err := in.Push(shapes[m.ID], times[m.ID]); err != nil {
+					t.Fatalf("%v replica %d: replaying request %d: %v", routing, r, m.ID, err)
+				}
+			}
+			in.Drain()
+			want, err := in.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Requests != rr.Assigned {
+				t.Fatalf("%v replica %d: replay completed %d of its %d assigned", routing, r, want.Requests, rr.Assigned)
+			}
+			jw, _ := json.Marshal(want)
+			jg, _ := json.Marshal(rr.Result)
+			if string(jw) != string(jg) {
+				t.Errorf("%v replica %d (%d requests): fleet result diverges from its replay: E2E p95 %g vs %g, %d vs %d iterations",
+					routing, r, rr.Assigned, rr.Result.E2E.P95, want.E2E.P95, rr.Result.Iterations, want.Iterations)
 			}
 		}
 	}
@@ -465,6 +522,20 @@ func TestClusterValidate(t *testing.T) {
 	check("no replicas", "at least one replica", func(s *Spec) { s.Replicas = nil })
 	check("zero-count fleet", "", func(s *Spec) { s.Replicas[0].Count = 1 })
 	check("negative count", "negative count", func(s *Spec) { s.Replicas[0].Count = -1 })
+	// A zero count instantiates one replica, so it counts toward the limit.
+	check("fleet at the limit", "", func(s *Spec) {
+		s.Replicas[0].Count = MaxReplicas - 1
+		s.Replicas = append(s.Replicas, Replica{Spec: s.Replicas[0].Spec})
+	})
+	check("one past the limit", "4096-replica limit", func(s *Spec) {
+		s.Replicas[0].Count = MaxReplicas
+		s.Replicas = append(s.Replicas, Replica{Spec: s.Replicas[0].Spec})
+	})
+	// A sum taken before the comparison would wrap to a negative total.
+	check("overflowing sum of counts", "4096-replica limit", func(s *Spec) {
+		s.Replicas[0].Count = 1
+		s.Replicas = append(s.Replicas, Replica{Spec: s.Replicas[0].Spec, Count: math.MaxInt})
+	})
 	check("unknown routing", "unknown routing", func(s *Spec) { s.Routing = Routing(42) })
 	check("replica with workload", "workload fields", func(s *Spec) { s.Replicas[0].Spec.PromptTokens = 100 })
 	check("replica with arrival", "arrival fields", func(s *Spec) { s.Replicas[0].Spec.Rate = 1 })

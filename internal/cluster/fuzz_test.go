@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"optimus/internal/serve"
@@ -60,6 +61,8 @@ func FuzzClusterSpecValidate(f *testing.F) {
 	f.Add(1, 0, int8(0), 0, 0, 1.0, 8, int64(1), 0, 0.0, 0, 0.0)       // empty workload
 	f.Add(1, 0, int8(0), 200, 200, 1.0, -4, int64(1), 0, 0.0, -2, 0.0) // negative counts
 	f.Add(1, 0, int8(0), 200, 200, 1.0, 8, int64(1), 0, 0.0, 0, 1e6)   // KV too small
+	// The two counts sum past MaxInt and wrap negative.
+	f.Add(math.MaxInt, 1, int8(0), 200, 200, 1.0, 8, int64(1), 0, 0.0, 0, 0.0)
 
 	f.Fuzz(func(t *testing.T, count1, count2 int, routing int8,
 		prompt, gen int, rate float64, requests int, seed int64,
@@ -101,22 +104,22 @@ func FuzzClusterSpecValidate(f *testing.F) {
 // FuzzOneReplicaFleet is the differential harness behind
 // TestSingleReplicaReproducesServe: over generated workloads — two-tenant
 // mixes with heavy-tail sigmas and shared prefixes, rate schedules and
-// session cohorts — under every admission policy, each spec
-// cluster.Spec.Validate accepts must run, and its one-replica fleet's
-// replica Result must equal serve.Run's byte for byte.
+// session cohorts — under every admission policy and behind every router,
+// each spec cluster.Spec.Validate accepts must run, and its one-replica
+// fleet's replica Result must equal serve.Run's byte for byte.
 func FuzzOneReplicaFleet(f *testing.F) {
 	cap0 := capacity0(f)
 
-	// policy, prompt, gen, promptSigma, genSigma, second tenant, prefix,
-	// turns, think, schedule, rate, requests, seed, maxBatch, kvGB
-	f.Add(uint8(0), 200, 200, 0.0, 0.0, false, 0, 0, 0.0, false, 2.0, 12, int64(1), 0, 0.0)
-	f.Add(uint8(0), 300, 150, 0.8, 0.6, true, 0, 0, 0.0, false, 2.0, 12, int64(1), 0, 0.0)
-	f.Add(uint8(1), 300, 150, 0.8, 0.6, true, 32, 0, 0.0, false, 4.0, 12, int64(3), 0, 12.0)
-	f.Add(uint8(2), 300, 150, 0.8, 0.6, true, 0, 0, 0.0, true, 2.0, 12, int64(7), 4, 12.0)
-	f.Add(uint8(1), 200, 100, 0.0, 0.5, false, 0, 3, 2.0, false, 3.0, 12, int64(5), 0, 3.0)
-	f.Add(uint8(1), 120, 40, 0.0, 0.0, true, 0, 2, 0.0, true, 8.0, 12, int64(9), 2, 1.0)
+	// policy, routing, prompt, gen, promptSigma, genSigma, second tenant,
+	// prefix, turns, think, schedule, rate, requests, seed, maxBatch, kvGB
+	f.Add(uint8(0), uint8(0), 200, 200, 0.0, 0.0, false, 0, 0, 0.0, false, 2.0, 12, int64(1), 0, 0.0)
+	f.Add(uint8(0), uint8(1), 300, 150, 0.8, 0.6, true, 0, 0, 0.0, false, 2.0, 12, int64(1), 0, 0.0)
+	f.Add(uint8(1), uint8(2), 300, 150, 0.8, 0.6, true, 32, 0, 0.0, false, 4.0, 12, int64(3), 0, 12.0)
+	f.Add(uint8(2), uint8(3), 300, 150, 0.8, 0.6, true, 0, 0, 0.0, true, 2.0, 12, int64(7), 4, 12.0)
+	f.Add(uint8(1), uint8(1), 200, 100, 0.0, 0.5, false, 0, 3, 2.0, false, 3.0, 12, int64(5), 0, 3.0)
+	f.Add(uint8(1), uint8(2), 120, 40, 0.0, 0.0, true, 0, 2, 0.0, true, 8.0, 12, int64(9), 2, 1.0)
 
-	f.Fuzz(func(t *testing.T, policy uint8, prompt, gen int, promptSigma, genSigma float64, second bool,
+	f.Fuzz(func(t *testing.T, policy, routing uint8, prompt, gen int, promptSigma, genSigma float64, second bool,
 		prefix, turns int, think float64, schedule bool, rate float64, requests int, seed int64, maxBatch int, kvGB float64) {
 		if prompt > 2048 || gen > 256 || requests > 16 || promptSigma > 1.5 || genSigma > 1.5 {
 			return // accepted, perhaps, but too long a simulation per fuzz input
@@ -141,7 +144,7 @@ func FuzzOneReplicaFleet(f *testing.F) {
 		cap.Policy = serve.Policy(policy % 3)
 		cap.MaxBatch = maxBatch
 		cap.KVCapacity = kvGB * 1e9
-		fleet := Spec{Replicas: []Replica{{Spec: cap}}, Routing: RoundRobin}
+		fleet := Spec{Replicas: []Replica{{Spec: cap}}, Routing: routings[int(routing)%len(routings)]}
 		fleet.SetWorkload(w)
 		if fleet.Validate() != nil {
 			return

@@ -8,9 +8,9 @@ import (
 
 // Routing selects how the router splits the fleet-wide arrival stream
 // across replicas. Every policy is deterministic: given one seeded stream
-// and one fleet, the assignment is a pure function — byte-identical at any
-// GOMAXPROCS (the load-aware policies sample replica state only at
-// arrival-time barriers, where it is scheduling-independent).
+// and one fleet, the assignment is a pure function of it (the load-aware
+// policies sample replica state only at arrival-time barriers, where it
+// depends on nothing but the pushes so far).
 type Routing int
 
 const (

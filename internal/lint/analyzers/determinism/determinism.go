@@ -12,9 +12,11 @@
 //   - the global math/rand source (top-level rand.* functions)
 //   - rand.New over anything but an inline seeded rand.NewSource
 //   - range over a map, whose iteration order is randomized per run
+//   - go statements, whose scheduling varies from run to run
 //
 // Deliberate sites — wall-clock instrumentation that never reaches
-// results, order-insensitive map folds — carry //lint:deterministic with
+// results, order-insensitive map folds, a worker pool whose results do
+// not depend on which worker ran what — carry //lint:deterministic with
 // a justification.
 package determinism
 
@@ -42,7 +44,7 @@ var Packages = []string{
 // Analyzer is the determinism check.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "reject wall-clock, global/unseeded rand and map-iteration order in the simulator packages",
+	Doc:  "reject wall-clock, global/unseeded rand, map-iteration order and unexplained goroutines in the simulator packages",
 	Run:  run,
 }
 
@@ -66,6 +68,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				checkCall(pass, n)
 			case *ast.RangeStmt:
 				checkRange(pass, n)
+			case *ast.GoStmt:
+				if !directive.Suppressed(pass, n.Pos(), "deterministic") {
+					pass.Reportf(n.Pos(), "go statement: goroutine scheduling varies per run; annotate //lint:deterministic with why results cannot depend on it")
+				}
 			}
 			return true
 		})

@@ -57,3 +57,12 @@ func RangeSlice(s []int) int {
 	}
 	return total
 }
+
+func Spawn(done chan<- int) {
+	go func() { done <- 1 }() // want `go statement: goroutine scheduling varies per run`
+}
+
+func Pool(work func()) {
+	//lint:deterministic every worker writes its own slot, so results do not depend on scheduling
+	go work()
+}

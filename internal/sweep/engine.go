@@ -192,6 +192,7 @@ func pool(n int, work func(w int)) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for w := 0; w < n; w++ {
+		//lint:deterministic every worker writes only its own slots, so rankings and Stats do not depend on scheduling (TestPassOneWorkerInvariance)
 		go func() {
 			defer wg.Done()
 			work(w)

@@ -932,17 +932,6 @@ func divisors(n int) []int {
 	return out
 }
 
-// EnumerateTraining lists the candidate training points of one (model,
-// system, batch, seq, precision) grid cell: the feasible (DP, TP, PP, SP,
-// microbatch, schedule, recompute) space under c, in deterministic order.
-// It is Enumerate over a one-cell grid.
-func EnumerateTraining(cfg model.Config, sys *arch.System, batch, seq int, prec tech.Precision, c Constraints) []Point {
-	return Enumerate(Spec{
-		Models: []model.Config{cfg}, Systems: []*arch.System{sys}, Precisions: []tech.Precision{prec},
-		GlobalBatches: []int{batch}, Seqs: []int{seq}, Constraints: c,
-	})
-}
-
 // eachTraining visits the training candidates of one grid cell at tensor
 // degree tp, stamped with the cell's tokens; c carries its defaults.
 func eachTraining(cfg model.Config, sys *arch.System, batch, seq, tp int, prec tech.Precision, c *Constraints, tok tokens, visit func(Point)) {

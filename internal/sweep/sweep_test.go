@@ -211,12 +211,21 @@ func TestEnumerateCrossProduct(t *testing.T) {
 	}
 }
 
+// trainingCell is the one-cell training grid of cfg on sys at a global
+// batch, 2048-token sequences and BF16.
+func trainingCell(cfg model.Config, sys *arch.System, batch int, c sweep.Constraints) sweep.Spec {
+	return sweep.Spec{
+		Models: []model.Config{cfg}, Systems: []*arch.System{sys}, Precisions: []tech.Precision{tech.BF16},
+		GlobalBatches: []int{batch}, Seqs: []int{2048}, Constraints: c,
+	}
+}
+
 // TestMicrobatchDiversity guards the enumeration against the seed bug
 // where the dedup key omitted the microbatch, so only the first candidate
 // microbatch size was ever evaluated.
 func TestMicrobatchDiversity(t *testing.T) {
-	points := sweep.EnumerateTraining(model.GPT22B(), dgx(t, 8), 16, 2048, tech.BF16,
-		sweep.Constraints{Microbatches: []int{1, 2, 4}})
+	points := sweep.Enumerate(trainingCell(model.GPT22B(), dgx(t, 8), 16,
+		sweep.Constraints{Microbatches: []int{1, 2, 4}}))
 	seen := make(map[int]bool)
 	for _, p := range points {
 		seen[p.Map.Microbatch] = true
@@ -232,8 +241,8 @@ func TestMicrobatchDiversity(t *testing.T) {
 // mappings when 1F1B is not the first entry of a custom schedule list
 // (interleaved is invalid at PP=1, so the next schedule must step in).
 func TestPP1SurvivesScheduleOrder(t *testing.T) {
-	points := sweep.EnumerateTraining(model.GPT22B(), dgx(t, 8), 16, 2048, tech.BF16,
-		sweep.Constraints{Schedules: []parallel.Schedule{parallel.Interleaved1F1B, parallel.OneFOneB}})
+	points := sweep.Enumerate(trainingCell(model.GPT22B(), dgx(t, 8), 16,
+		sweep.Constraints{Schedules: []parallel.Schedule{parallel.Interleaved1F1B, parallel.OneFOneB}}))
 	pp1 := 0
 	for _, p := range points {
 		if p.Map.PP == 1 {
@@ -423,8 +432,7 @@ func TestDivisorsViaEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := sweep.EnumerateTraining(model.GPT7B(), sys, 24, 2048, tech.BF16,
-		sweep.Constraints{MaxTP: 12})
+	points := sweep.Enumerate(trainingCell(model.GPT7B(), sys, 24, sweep.Constraints{MaxTP: 12}))
 	seen := make(map[int]bool)
 	for _, p := range points {
 		seen[p.Map.TP] = true

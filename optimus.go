@@ -128,8 +128,9 @@
 // least-queue, least-kv, tenant-affinity), all fed from one seeded arrival
 // stream the router splits deterministically. Replicas are heterogeneous
 // capacity descriptors — each carries its own ServeSpec system, precision
-// and admission policy — and run on real goroutines with a deterministic
-// merge, so a fleet result is byte-identical at any GOMAXPROCS:
+// and admission policy. The router interleaves the replicas in arrival
+// order on the calling goroutine and merges them in replica order, so a
+// fleet result is byte-identical at any GOMAXPROCS:
 //
 //	res, _ := optimus.ServeCluster(optimus.ClusterSpec{
 //	    Replicas: []optimus.ClusterReplica{{Spec: capacity, Count: 4}},
@@ -508,9 +509,9 @@ func NewServeInstance(s ServeSpec, envelope []ServeRequest) (*ServeInstance, err
 
 // ServeCluster runs the multi-replica fleet simulator: R independent
 // serving simulations behind a deterministic routing policy, fed from one
-// seeded fleet-wide arrival stream. Replicas run on parallel goroutines;
-// results merge deterministically, so a fleet result is byte-identical at
-// any GOMAXPROCS.
+// seeded fleet-wide arrival stream. The fleet runs on the calling
+// goroutine and its results merge deterministically, so a fleet result is
+// byte-identical at any GOMAXPROCS.
 func ServeCluster(s ClusterSpec) (ClusterResult, error) { return cluster.Run(s) }
 
 // FindClusterKnee bisects the fleet arrival rate to the saturation knee:
