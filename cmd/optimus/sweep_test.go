@@ -504,6 +504,8 @@ func TestCmdSweepFleetFlags(t *testing.T) {
 			"-replicas", "2", "-routings", "random"}, "unknown routing"}, // bad policy name
 		{[]string{"-workload", "serve", "-models", "llama2-13b", "-gpus", "1",
 			"-replicas", "-1"}, "negative fleet size"}, // library floor still reachable
+		{[]string{"-workload", "serve", "-models", "llama2-13b", "-gpus", "1",
+			"-replicas", "0,5000"}, "-replicas: fleet size 5000 replicas beyond the 4096-replica limit"}, // fails before any fleet is built
 	} {
 		err := cmdSweep(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {

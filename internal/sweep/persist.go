@@ -1,14 +1,19 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 )
 
 // cacheFileVersion guards the on-disk format; bump it when Metrics or the
-// canonical Point.Key change incompatibly.
+// canonical Point.Key change incompatibly (a file without a new field
+// loads it as zero). Metrics is also the schema of the file's codec
+// (cachecodec.go): a field added, removed or retyped must be written and
+// read there too, and TestCacheCodecMatchesEncodingJSON fails until it
+// is.
 const cacheFileVersion = 1
 
 // costModelVersion stamps the predictors behind the cached numbers. The
@@ -27,49 +32,35 @@ const cacheFileVersion = 1
 // stream it serves, which moves every heavy-tailed candidate's metrics.
 const costModelVersion = "drawn-stream-geometry"
 
-// cacheFile is the on-disk memoization snapshot: successful evaluations
-// keyed by the canonical Point.Key. Keys already fingerprint the full
-// model and system configuration, so stale entries for edited
-// configurations can never be served — they simply stop matching.
-type cacheFile struct {
-	Version   int                `json:"version"`
-	CostModel string             `json:"cost_model"`
-	Entries   map[string]Metrics `json:"entries"`
-}
-
 // SaveCache writes every completed, successful evaluation in the memo as
-// JSON. In-flight and errored entries are skipped: an error is cheap to
-// rediscover and may be transient across binary versions.
+// indented JSON, keyed by the canonical Point.Key. Keys already
+// fingerprint the full model and system configuration, so stale entries
+// for edited configurations can never be served — they simply stop
+// matching. In-flight and errored entries are skipped: an error is cheap
+// to rediscover and may be transient across binary versions. Nothing is
+// written when a metric is NaN or infinite.
 func (e *Engine) SaveCache(w io.Writer) error {
 	e.mu.Lock()
-	snapshot := make([]*memoEntry, 0, len(e.memo))
-	keys := make([]string, 0, len(e.memo))
-	//lint:deterministic order-insensitive fold into a JSON map; encoding/json marshals map keys sorted
+	entries := make([]savedEntry, 0, len(e.memo))
+	//lint:deterministic collected in any order, then sorted by key below
 	for k, ent := range e.memo {
-		snapshot = append(snapshot, ent)
-		keys = append(keys, k)
-	}
-	e.mu.Unlock()
-
-	out := cacheFile{
-		Version:   cacheFileVersion,
-		CostModel: costModelVersion,
-		Entries:   make(map[string]Metrics, len(keys)),
-	}
-	for i, ent := range snapshot {
 		select {
 		case <-ent.done:
 		default:
 			continue // still being evaluated
 		}
-		if ent.err != nil {
-			continue
+		if ent.err == nil {
+			entries = append(entries, savedEntry{k, &ent.m})
 		}
-		out.Entries[keys[i]] = ent.m
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(out); err != nil {
+	e.mu.Unlock()
+
+	slices.SortFunc(entries, func(a, b savedEntry) int { return strings.Compare(a.key, b.key) })
+	b, err := appendCache(make([]byte, 0, cacheSize(entries)), entries)
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	if err != nil {
 		return fmt.Errorf("sweep: save cache: %w", err)
 	}
 	return nil
@@ -77,30 +68,41 @@ func (e *Engine) SaveCache(w io.Writer) error {
 
 // LoadCache merges a SaveCache snapshot into the memo. Entries already in
 // the memo win — they were computed by this process and are at least as
-// fresh. Unknown versions are rejected rather than misread.
+// fresh. Unknown versions are rejected rather than misread, and so is a
+// file with an unknown field or trailing data.
 func (e *Engine) LoadCache(r io.Reader) error {
-	var in cacheFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
+	data, err := readAll(r)
+	if err != nil {
 		return fmt.Errorf("sweep: load cache: %w", err)
 	}
-	if in.Version != cacheFileVersion {
-		return fmt.Errorf("sweep: cache version %d unsupported (want %d)", in.Version, cacheFileVersion)
+	return e.loadCache(data)
+}
+
+// loadCache merges the cache file held in data into the memo.
+func (e *Engine) loadCache(data []byte) error {
+	in, err := decodeCache(data)
+	if err != nil {
+		return fmt.Errorf("sweep: load cache: %w", err)
 	}
-	if in.CostModel != costModelVersion {
+	if in.version != cacheFileVersion {
+		return fmt.Errorf("sweep: cache version %d unsupported (want %d)", in.version, cacheFileVersion)
+	}
+	if in.costModel != costModelVersion {
 		return fmt.Errorf("sweep: cache written by cost model %q, this binary is %q — delete the cache file",
-			in.CostModel, costModelVersion)
+			in.costModel, costModelVersion)
 	}
 	closed := make(chan struct{})
 	close(closed)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	//lint:deterministic order-insensitive merge: each key is written at most once regardless of visit order
-	for k, m := range in.Entries {
-		if _, ok := e.memo[k]; ok {
+	// Backwards, so that of a key the file repeats the last one wins.
+	for i := in.entries.n - 1; i >= 0; i-- {
+		c := in.entries.at(i)
+		if _, ok := e.memo[c.key]; ok {
 			continue
 		}
-		e.memo[k] = &memoEntry{done: closed, m: m}
+		c.ent.done = closed
+		e.memo[c.key] = &c.ent
 	}
 	return nil
 }
@@ -108,15 +110,14 @@ func (e *Engine) LoadCache(r io.Reader) error {
 // LoadCacheFile loads a cache snapshot from disk; a missing file is not an
 // error (first run of a cached workflow).
 func (e *Engine) LoadCacheFile(path string) error {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("sweep: load cache: %w", err)
 	}
-	defer f.Close()
-	return e.LoadCache(f)
+	return e.loadCache(data)
 }
 
 // SaveCacheFile atomically writes the cache snapshot to disk (temp file +

@@ -7,10 +7,11 @@ import (
 )
 
 // TestSaveCacheDeterministic pins the justification on SaveCache's
-// //lint:deterministic map range: the memo is folded into a JSON map and
-// encoding/json marshals map keys sorted, so two engines that evaluated
-// the same grid — with different worker counts, hence different memo
-// insertion orders — must persist byte-identical caches.
+// //lint:deterministic map range: the memo's entries are collected in
+// map order and then sorted by key before they are written, so two
+// engines that evaluated the same grid — with different worker counts,
+// hence different memo insertion orders — must persist byte-identical
+// caches.
 func TestSaveCacheDeterministic(t *testing.T) {
 	spec := trainSpec0(t)
 	spec.GlobalBatches = []int{8, 16, 32}

@@ -148,6 +148,25 @@ func TestLoadCacheMissingAndMalformed(t *testing.T) {
 	if err := eng.LoadCache(strings.NewReader(pr8)); err == nil {
 		t.Error("pre-temporal-workload cache should be rejected by the cost-model bump")
 	}
+	// The reader is stricter than encoding/json, which ignores unknown
+	// fields and, through a Decoder, trailing data; and it refuses what
+	// encoding/json refuses: a number of the wrong type or one that
+	// overflows an int.
+	head := `{"version":1,"cost_model":"` + costModelVersion + `","entries":{"k":`
+	for _, tc := range []struct{ name, in string }{
+		{"trailing data", head + `{"Time":1}}} {}`},
+		{"unknown field", head + `{"Time":1,"Latency":2}}}`},
+		{"unknown top-level field", `{"version":1,"cost_model":"` + costModelVersion + `","entries":{},"extra":0}`},
+		{"float for an int", head + `{"Preemptions":1.5}}}`},
+		{"string for a float", head + `{"Time":"1"}}}`},
+		{"int overflow", head + `{"KVSwapIns":9223372036854775808}}}`},
+		{"float overflow", head + `{"Time":1e400}}}`},
+	} {
+		err := New(1).LoadCache(strings.NewReader(tc.in))
+		if err == nil || !strings.HasPrefix(err.Error(), "sweep: load cache: ") {
+			t.Errorf("%s: got %v, want a load cache error", tc.name, err)
+		}
+	}
 }
 
 // TestSaveCacheFileBareFilename: a separator-free -cache path must stage

@@ -185,6 +185,8 @@ func TestServingFleetValidation(t *testing.T) {
 		}
 	}
 	check("negative fleet", "Replicas: negative fleet size", func(s *Spec) { s.Replicas, s.Routings = []int{-1}, nil })
+	check("oversized fleet", "Replicas: fleet size 4097 replicas beyond the 4096-replica limit",
+		func(s *Spec) { s.Replicas = []int{0, cluster.MaxReplicas + 1} })
 	check("unknown routing", "unknown routing policy", func(s *Spec) { s.Routings = []cluster.Routing{cluster.Routing(9)} })
 	check("routings without replicas", "Routings needs a positive Replicas entry", func(s *Spec) { s.Replicas = nil })
 	check("routings with only single-instance", "Routings needs a positive Replicas entry", func(s *Spec) { s.Replicas = []int{0} })

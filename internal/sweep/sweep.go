@@ -447,10 +447,21 @@ var Axes = [...]Axis{
 	{Field: "SwapGBps", Flag: "swap-gbps", Kinds: serveOnly, Knobs: []string{"SwapGBps"},
 		set:   func(s Spec) bool { return s.SwapGBps != 0 },
 		check: func(s Spec) error { return nonNegative(s.SwapGBps, true, "swap bandwidth %g GB/s not non-negative") }},
-	// Zero is the explicit single-instance entry.
+	// Zero is the explicit single-instance entry; a fleet holds at most
+	// cluster.MaxReplicas.
 	{Field: "Replicas", Flag: "replicas", Kinds: serveOnly,
-		set:   func(s Spec) bool { return len(s.Replicas) > 0 },
-		check: func(s Spec) error { return atLeast(s.Replicas, 0, "negative fleet size %d replicas") }},
+		set: func(s Spec) bool { return len(s.Replicas) > 0 },
+		check: func(s Spec) error {
+			return every(s.Replicas, func(r int) error {
+				if r < 0 {
+					return fmt.Errorf("negative fleet size %d replicas", r)
+				}
+				if r > cluster.MaxReplicas {
+					return fmt.Errorf("fleet size %d replicas beyond the %d-replica limit", r, cluster.MaxReplicas)
+				}
+				return nil
+			})
+		}},
 	// Single-instance candidates have no router.
 	{Field: "Routings", Flag: "routings", Kinds: serveOnly, Partner: "Replicas",
 		partnered: func(s Spec) bool { return slices.ContainsFunc(s.Replicas, func(r int) bool { return r > 0 }) },
