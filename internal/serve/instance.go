@@ -210,7 +210,9 @@ func (in *Instance) push(r workload.Request, t float64) {
 // AdvanceTo runs batching iterations until the instance's clock reaches t
 // or it runs out of work. Iterations are atomic, so the clock may
 // overshoot t: an arrival landing mid-iteration waits for the next
-// boundary. Between events the instance coasts: see simulator.coast.
+// boundary. Between events the instance coasts, through the KV page
+// crossings that fit too: see simulator.coast. Whatever it coasted, the
+// Load it returns to is the one stepping every iteration would show.
 func (in *Instance) AdvanceTo(t float64) {
 	sim := in.sim
 	for !sim.idle() && sim.now < t {

@@ -181,6 +181,78 @@ func TestInstanceLoadObservables(t *testing.T) {
 	}
 }
 
+// TestCoastedLoadMatchesProbed: a paged instance coasts through page
+// crossings that fit, growing the committed pages in O(1) and the held
+// ones once at the end, while a probed instance — which never coasts —
+// steps and scans every iteration. Driven through the same pushes and a
+// grid of AdvanceTo targets, the two must show the same Load after every
+// call, because a load-aware router reads it between advances, and the
+// same Result once drained. One layout is a single pool with a host tier,
+// the other a split; the probed side checks the next-event state at each
+// of its iterations. Both budgets are tight enough that some crossings a
+// coast reaches do not fit.
+func TestCoastedLoadMatchesProbed(t *testing.T) {
+	tiered := spec0(t)
+	tiered.Policy, tiered.Rate, tiered.Requests = Paged, 2, 48
+	_, perRequest := tiered.kvBudget()
+	tiered.KVCapacity, tiered.HostKVBytes, tiered.SwapGBps = 3*perRequest, 4*perRequest, 8
+	split := splitSpec(t)
+	_, perRequest = split.kvBudget()
+	split.Rate, split.KVCapacity = 2, 4*perRequest
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{{"tiered", tiered}, {"split", split}} {
+		t.Run(tc.name, func(t *testing.T) {
+			capSpec, times, shapes := capacityOf(t, tc.spec)
+			coasted, err := NewInstance(capSpec, shapes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var probed *Instance
+			capSpec.probe = func(probeState) { checkNextEvent(t, probed.sim) }
+			if probed, err = NewInstance(capSpec, shapes); err != nil {
+				t.Fatal(err)
+			}
+			advance := func(to float64) {
+				coasted.AdvanceTo(to)
+				probed.AdvanceTo(to)
+				if got, want := coasted.Load(), probed.Load(); got != want {
+					t.Fatalf("after AdvanceTo(%g): coasted load %+v, stepped %+v", to, got, want)
+				}
+			}
+			const grid = 0.3
+			for i, at := range times {
+				for to := coasted.Load().Now + grid; to < at; to += grid {
+					advance(to)
+				}
+				advance(at)
+				for _, in := range []*Instance{coasted, probed} {
+					if err := in.Push(shapes[i], at); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for l := coasted.Load(); l.InFlight() > 0; l = coasted.Load() {
+				advance(l.Now + grid)
+			}
+			var res [2]Result
+			for i, in := range []*Instance{coasted, probed} {
+				in.Drain()
+				if res[i], err = in.Result(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			jc, _ := json.Marshal(res[0])
+			jp, _ := json.Marshal(res[1])
+			if string(jc) != string(jp) {
+				t.Errorf("coasted result diverges from the stepped one: %d vs %d iterations, %d vs %d preemptions",
+					res[0].Iterations, res[1].Iterations, res[0].Preemptions, res[1].Preemptions)
+			}
+		})
+	}
+}
+
 // TestInstanceValidation pins the Instance API's rejection surface: specs
 // smuggling workload or arrival fields, empty envelopes, out-of-order or
 // malformed pushes, oversized contexts, use-after-drain, and prefixed

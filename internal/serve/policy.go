@@ -129,14 +129,20 @@ type AdmissionPolicy interface {
 	// reusable buffer), which the event loop re-queues. Victims are
 	// collected youngest-first, each with its produced count written back
 	// from the running set's epoch offset. An iteration that changes
-	// nothing the policy accounts for costs O(1): the policy tracks the
-	// next epoch at which its accounting can change.
+	// nothing the policy accounts for costs O(1): the policy knows from
+	// counters, without a walk, whether its accounting changes at the
+	// current epoch.
 	beginStep(pool []request, running, victims []int32) (kept, outVictims []int32)
-	// steadyUntil is the epoch from which beginStep has work again: before
-	// it, while the running set stands and nothing is admitted or
+	// steadyUntil is the first epoch, from the current one up to limit, at
+	// which beginStep has work: limit when it has none before it. Before
+	// that epoch, while the running set stands and nothing is admitted or
 	// released, beginStep returns the running set as it is and leaves
-	// every count the policy reports unchanged.
-	steadyUntil(pool []request, running []int32) int
+	// every count the policy reports unchanged. math.MinInt means work
+	// now that only beginStep's scan does (a reserve re-sum, a split
+	// migration); the paged policy's work at the returned epoch is page
+	// crossings, which the event loop grows itself when they fit
+	// (pagedPolicy.absorb).
+	steadyUntil(pool []request, running []int32, limit int) int
 	// admit reserves capacity for the request, or reports that it does
 	// not fit right now.
 	admit(r *request) bool
@@ -274,11 +280,11 @@ func (p *reservePolicy) beginStep(pool []request, running, victims []int32) ([]i
 
 // steadyUntil reports no work while kvUsed stands: re-deriving it from an
 // unchanged running set gives the same value.
-func (p *reservePolicy) steadyUntil([]request, []int32) int {
+func (p *reservePolicy) steadyUntil(_ []request, _ []int32, limit int) int {
 	if p.stale {
 		return math.MinInt
 	}
-	return math.MaxInt
+	return limit
 }
 
 func (p *reservePolicy) admit(r *request) bool {
@@ -375,10 +381,6 @@ type pagedPolicy struct {
 	peakDecode  int
 	preempts    int
 	recomputed  int
-
-	// nextGrow is a lower bound on the earliest epoch at which a running
-	// sequence's next token spills past its held pages.
-	nextGrow int
 
 	// Prefix registry: interned shared prefixes, indexed by the slot ids
 	// the request slab carries. Empty for prefix-free workloads, whose
@@ -576,14 +578,23 @@ func (p *pagedPolicy) reclaimIdle() bool {
 	return false
 }
 
-// spill is the token slots r's held pages have left past its produced
-// field: while r runs, produced is an epoch offset, so spill is the epoch
-// at which r's next token first needs another page; for a count, it is
-// the advances until then.
+// crossSlot is r's slot in the crossing ring (simulator.cross): the
+// residue mod pageTokens of the epoch at which its next token first needs
+// another page. Each crossing adds exactly one page, moving that epoch by
+// exactly pageTokens, so the slot is fixed while r runs; and every
+// running sequence crosses within pageTokens epochs, so a slot's count
+// is the count at its one epoch in that window. admit counts r in and
+// release out. The slot comes from the tokens r has reached, not its
+// pages: r.produced must hold the absolute count, as it does when admit
+// and release see it.
 //
 //optimus:hotpath
-func (p *pagedPolicy) spill(r *request) int {
-	return r.pages*p.pageTokens - (r.prompt - r.prefix + r.produced)
+func (p *pagedPolicy) crossSlot(r *request) int {
+	s := (p.sim.epoch - (r.prompt - r.prefix + r.produced)) % p.pageTokens
+	if s < 0 {
+		s += p.pageTokens
+	}
+	return s
 }
 
 // pagesFor returns the page count covering tokens KV entries.
@@ -639,18 +650,16 @@ func (p *pagedPolicy) PageGeometry() (int, int) { return p.pageTokens, p.totalPa
 // sequences: the previous beginStep migrated every survivor, and
 // admission appends the prefill-held newcomers at the tail.
 //
-// The scan runs only when it can change something: on an epoch reaching
-// nextGrow, or with a split admission's migration pending, which the
-// prefill-held tail shows. Every scan leaves each survivor migrated with
-// room for its next token, so it then recomputes nextGrow over them;
-// evictions, which happen only inside a scan, are covered by that
-// recompute. Otherwise the running set is returned as it is.
+// The scan runs only when it can change something: when the crossing
+// ring counts sequences that cross a page at this epoch, or with a split
+// admission's migration pending. Otherwise the running set is returned
+// as it is.
 //
 //optimus:hotpath
 func (p *pagedPolicy) beginStep(pool []request, running, victims []int32) (kept, outVictims []int32) {
 	kept, outVictims = running, victims
 	epoch := p.sim.epoch
-	if epoch < p.steadyUntil(pool, kept) {
+	if p.sim.cross[epoch%p.pageTokens] == 0 && !p.migrating(pool, kept) {
 		return kept, outVictims
 	}
 scan:
@@ -716,23 +725,80 @@ scan:
 		}
 		r.pages = need
 	}
-	p.nextGrow = math.MaxInt
-	for _, id := range kept {
-		p.nextGrow = min(p.nextGrow, p.spill(&pool[id]))
-	}
 	return kept, outVictims
 }
 
-// steadyUntil is the next page crossing, nextGrow, or the current epoch
-// while a split admission's migration is pending, which the running set's
-// prefill-held tail shows.
+// migrating reports a split admission's migration pending, which the
+// running set's prefill-held tail shows.
 //
 //optimus:hotpath
-func (p *pagedPolicy) steadyUntil(pool []request, running []int32) int {
-	if len(running) > 0 && !pool[running[len(running)-1]].inDecode {
-		return p.sim.epoch
+func (p *pagedPolicy) migrating(pool []request, running []int32) bool {
+	return len(running) > 0 && !pool[running[len(running)-1]].inDecode
+}
+
+// steadyUntil is the next page-crossing epoch before limit, or
+// math.MinInt while a migration is pending.
+//
+//optimus:hotpath
+func (p *pagedPolicy) steadyUntil(pool []request, running []int32, limit int) int {
+	if p.migrating(pool, running) {
+		return math.MinInt
 	}
-	return p.nextGrow
+	return p.nextCross(p.sim.epoch, limit)
+}
+
+// nextCross is the first epoch in [from, limit) at which the crossing
+// ring counts crossers, or limit when there is none. It reads one slot an
+// epoch, and no more than pageTokens of them: every running sequence
+// crosses within that window.
+//
+//optimus:hotpath
+func (p *pagedPolicy) nextCross(from, limit int) int {
+	cross, s := p.sim.cross, from%p.pageTokens
+	for e := from; e < limit && e-from < p.pageTokens; e++ {
+		if cross[s] != 0 {
+			return e
+		}
+		if s++; s == p.pageTokens {
+			s = 0
+		}
+	}
+	return limit
+}
+
+// absorb grows the sequences crossing a page at epoch when they fit
+// both limits, and reports whether it did. Then beginStep's scan would
+// neither reclaim nor evict, and would add exactly one page per crosser:
+// absorb makes those adds to used and the decode peak in O(1), leaving
+// the crossers' held pages for settle to catch up. No migration may be
+// pending.
+//
+//optimus:hotpath
+func (p *pagedPolicy) absorb(epoch int) bool {
+	c := int(p.sim.cross[epoch%p.pageTokens])
+	if p.used-p.prefillUsed+c > p.decodeTotal || p.used+c > p.totalPages {
+		return false
+	}
+	p.used += c
+	if d := p.used - p.prefillUsed; d > p.peakDecode {
+		p.peakDecode = d
+	}
+	return true
+}
+
+// settle sets every running sequence's held pages to those the absorbed
+// crossings grew it to: the pages covering its private tokens up to
+// epoch, where the next scan expects them. Only a sequence that crossed
+// pays the division.
+//
+//optimus:hotpath
+func (p *pagedPolicy) settle(pool []request, running []int32, epoch int) {
+	for _, id := range running {
+		r := &pool[id]
+		if tokens := r.prompt - r.prefix + r.produced + epoch; tokens > r.pages*p.pageTokens {
+			r.pages = p.pagesFor(tokens)
+		}
+	}
 }
 
 // evictYoungest evicts the youngest running sequence — the youngest decode
@@ -797,7 +863,7 @@ func (p *pagedPolicy) admit(r *request) bool {
 		p.reserved += full
 		r.pages, r.inDecode = need, true
 		p.used += need
-		p.nextGrow = min(p.nextGrow, p.sim.epoch+p.spill(r))
+		p.sim.cross[p.crossSlot(r)]++
 		return true
 	}
 	if p.split && p.prefillUsed+need > p.prefillTotal {
@@ -874,8 +940,7 @@ func (p *pagedPolicy) admit(r *request) bool {
 	r.prefillFree = free
 	r.pages, r.inDecode = need, !p.split
 	p.used += need
-	// r joins the running set at this epoch.
-	p.nextGrow = min(p.nextGrow, p.sim.epoch+p.spill(r))
+	p.sim.cross[p.crossSlot(r)]++
 	if p.split {
 		p.prefillUsed += need
 		if p.prefillUsed > p.peakPrefill {
@@ -886,12 +951,13 @@ func (p *pagedPolicy) admit(r *request) bool {
 }
 
 // release frees a request's pages from whichever pool holds them and
-// drops its reservation and prefix reference.
+// drops its reservation, crossing-ring count and prefix reference.
 func (p *pagedPolicy) release(r *request) {
 	if !r.inDecode {
 		p.prefillUsed -= r.pages
 	}
 	p.used -= r.pages
+	p.sim.cross[p.crossSlot(r)]--
 	r.pages = 0
 	if p.noPreempt {
 		p.reserved -= p.pagesFor(r.prompt + r.gen)

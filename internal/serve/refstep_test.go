@@ -12,8 +12,8 @@ import (
 )
 
 // This file freezes the event loop as it stood before the next-event
-// bookkeeping (epochs, incremental KV sums, next-completion and
-// next-page-crossing epochs, the idle-prefix bitset) replaced its
+// bookkeeping (epochs, incremental KV sums, the next-completion epoch,
+// the page-crossing ring, the idle-prefix bitset) replaced its
 // per-sequence walks: refStep, the two policies' refBeginStep and
 // refReclaimIdle are the earlier bodies, kept as the reference that
 // FuzzStepMatchesReference runs the live loop against. Only the calls
@@ -63,6 +63,12 @@ func FuzzStepMatchesReference(f *testing.F) {
 	f.Add(uint8(2), 100, 50, 0.3, 0.3, true, 0, 0, 0.0, false, 16.0, 16, int64(14), 0, 3.0, 16, false, 0.0, true, 0)
 	f.Add(uint8(2), 120, 60, 0.0, 0.0, false, 0, 0, 0.0, true, 8.0, 16, int64(15), 0, 0.3, 8, false, 0.0, true, 0)
 	f.Add(uint8(2), 100, 50, 0.3, 0.3, true, 0, 0, 0.0, false, 0.0, 16, int64(16), 0, 3.0, 16, false, 0.0, true, 5)
+	// Coasted page crossings: four lockstep clients whose crossers fill
+	// the one pool exactly (used + crossers == totalPages), a split whose
+	// decode pool binds at a crossing the coast reaches, and NoPreempt.
+	f.Add(uint8(1), 200, 100, 0.0, 0.0, false, 0, 0, 0.0, false, 4.0, 16, int64(3), 0, 0.4, 16, false, 0.0, false, 4)
+	f.Add(uint8(2), 100, 50, 0.3, 0.3, false, 0, 0, 0.0, false, 16.0, 16, int64(5), 0, 1.0, 16, false, 0.0, true, 0)
+	f.Add(uint8(1), 200, 100, 0.3, 0.3, false, 0, 0, 0.0, false, 4.0, 16, int64(17), 0, 1.4, 16, true, 0.0, false, 4)
 
 	f.Fuzz(func(t *testing.T, policy uint8, prompt, gen int, promptSigma, genSigma float64, second bool,
 		prefix, turns int, think float64, schedule bool, rate float64, requests int, seed int64, maxBatch int,
@@ -130,15 +136,21 @@ func FuzzStepMatchesReference(f *testing.F) {
 
 // checkNextEvent asserts the live loop's next-event state against the
 // running set it summarizes, between admission and pricing: kvBase is the
-// sum of its terms, nextDone and nextGrow bound every sequence's
-// completion and page-crossing epochs, prefill-held sequences form the
-// running set's tail, a referenced prefix is resident, and the idle
-// bitset names exactly the resident unreferenced prefixes. Some of these
-// (nextGrow under NoPreempt, a stale idle bit on a referenced prefix) can
-// be wrong without changing a Result until much later, if ever.
+// sum of its terms, nextDone bounds every sequence's completion epoch,
+// every sequence's next page crossing lies in the next iteration's
+// pageTokens-epoch window and the crossing ring's counts are a recount of
+// them, prefill-held sequences form the running set's tail, a referenced
+// prefix is resident, and the idle bitset names exactly the resident
+// unreferenced prefixes. Some of these (a ring count under NoPreempt, a
+// stale idle bit on a referenced prefix) can be wrong without changing a
+// Result until much later, if ever.
 func checkNextEvent(t *testing.T, sim *simulator) {
 	t.Helper()
 	kv, prefillHeld := 0, false
+	var cross []int32
+	if pp := sim.pp; pp != nil {
+		cross = make([]int32, pp.pageTokens)
+	}
 	for _, id := range sim.running {
 		r := &sim.reqs[id]
 		kv += r.prompt + r.produced
@@ -146,9 +158,14 @@ func checkNextEvent(t *testing.T, sim *simulator) {
 			t.Fatalf("epoch %d: request %d completes at epoch %d, before nextDone %d", sim.epoch, r.id, done, sim.nextDone)
 		}
 		if pp := sim.pp; pp != nil {
-			if pp.spill(r) < pp.nextGrow {
-				t.Fatalf("epoch %d: request %d needs a page at epoch %d, before nextGrow %d", sim.epoch, r.id, pp.spill(r), pp.nextGrow)
+			// The epoch at which r's next token spills past its held
+			// pages: this iteration's token has room, so it lies in
+			// [epoch+1, epoch+pageTokens], the next iteration's window.
+			spill := r.pages*pp.pageTokens - (r.prompt - r.prefix + r.produced)
+			if spill <= sim.epoch || spill > sim.epoch+pp.pageTokens {
+				t.Fatalf("epoch %d: request %d next crosses a %d-token page at epoch %d", sim.epoch, r.id, pp.pageTokens, spill)
 			}
+			cross[spill%pp.pageTokens]++
 			if prefillHeld && r.inDecode {
 				t.Fatalf("epoch %d: decode resident %d follows a prefill-held sequence", sim.epoch, r.id)
 			}
@@ -159,6 +176,11 @@ func checkNextEvent(t *testing.T, sim *simulator) {
 		t.Fatalf("epoch %d: kvBase %d, running set sums to %d", sim.epoch, sim.kvBase, kv)
 	}
 	if pp := sim.pp; pp != nil {
+		for c := range cross {
+			if sim.cross[c] != cross[c] {
+				t.Fatalf("epoch %d: crossing ring slot %d counts %d, the running set %d", sim.epoch, c, sim.cross[c], cross[c])
+			}
+		}
 		for i, e := range pp.prefixes {
 			if e.refs > 0 && !e.resident {
 				t.Fatalf("epoch %d: prefix slot %d has %d refs but is not resident", sim.epoch, i, e.refs)

@@ -24,6 +24,10 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	type tcase struct {
 		name string
 		spec Spec
+		// dirty first abandons a paged instance on the pooled Runner
+		// with sequences still running, so the arm reuses words that
+		// hold counts.
+		dirty bool
 	}
 	var cases []tcase
 	for _, rate := range []float64{0.5, 4} {
@@ -32,11 +36,11 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 				s := base
 				s.Rate, s.Seed, s.KVCapacity = rate, seed, kvCap
 				cases = append(cases, tcase{
-					fmt.Sprintf("reserve/rate=%g/seed=%d/tight=%v", rate, seed, kvCap > 0), s})
+					fmt.Sprintf("reserve/rate=%g/seed=%d/tight=%v", rate, seed, kvCap > 0), s, false})
 				p := s
 				p.Policy = Paged
 				cases = append(cases, tcase{
-					fmt.Sprintf("paged/rate=%g/seed=%d/tight=%v", rate, seed, kvCap > 0), p})
+					fmt.Sprintf("paged/rate=%g/seed=%d/tight=%v", rate, seed, kvCap > 0), p, false})
 			}
 		}
 	}
@@ -46,13 +50,13 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		d := dis
 		d.Seed = seed
-		cases = append(cases, tcase{fmt.Sprintf("disagg/seed=%d", seed), d})
+		cases = append(cases, tcase{fmt.Sprintf("disagg/seed=%d", seed), d, false})
 	}
 	// Closed loop: the completion-driven arrival path grows the request
 	// slab mid-step — the reuse-hostile shape.
 	cl := base
 	cl.Arrival, cl.Rate, cl.Clients = ClosedLoop, 0, 8
-	cases = append(cases, tcase{"closed-loop", cl})
+	cases = append(cases, tcase{"closed-loop", cl, false})
 	// Multi-tenant mix: exercises the map-based tenant breakdown (the
 	// single-tenant fast path must not leak into it).
 	mx := base
@@ -62,18 +66,18 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		{Tenant: "chat", Share: 0.7, PromptTokens: 150, GenTokens: 100},
 		{Tenant: "batch", Share: 0.3, PromptTokens: 400, GenTokens: 50},
 	}
-	cases = append(cases, tcase{"mix", mx})
+	cases = append(cases, tcase{"mix", mx, false})
 	// Prefix cache: the interned-registry state (slots, refcounts,
 	// residency) must rebuild identically on a recycled Runner.
 	pf := base
 	pf.Policy, pf.Rate, pf.PrefixTokens = Paged, 4, 64
 	pf.KVCapacity = 8 * perRequest
-	cases = append(cases, tcase{"prefix", pf})
+	cases = append(cases, tcase{"prefix", pf, false})
 	// Tiered KV: host-tier occupancy and pending swap time are per-run
 	// state the pool must fully reset.
 	tk := pf
 	tk.HostKVBytes, tk.SwapGBps = 4*perRequest, 8
-	cases = append(cases, tcase{"prefix+tiered", tk})
+	cases = append(cases, tcase{"prefix+tiered", tk, false})
 	// Prefixed multi-tenant mix: two tenants sharing one prefix id plus a
 	// private one, through the pooled slabs.
 	pm := base
@@ -85,14 +89,51 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		{Tenant: "code", Share: 0.3, PromptTokens: 400, GenTokens: 50, PrefixID: "sys", PrefixTokens: 48},
 		{Tenant: "raw", Share: 0.1, PromptTokens: 200, GenTokens: 50},
 	}
-	cases = append(cases, tcase{"prefix-mix", pm})
+	cases = append(cases, tcase{"prefix-mix", pm, false})
+	// Page sizes changing from arm to arm, then a split. Each of these
+	// arms follows an instance abandoned with sequences running, so the
+	// crossing-ring words it reuses hold counts it must clear.
+	for _, pt := range []int{8, 32, 16} {
+		p := base
+		p.Policy, p.Rate, p.PageTokens = Paged, 4, pt
+		p.KVCapacity = 8 * perRequest
+		cases = append(cases, tcase{fmt.Sprintf("paged/pages=%d", pt), p, true})
+	}
+	cases = append(cases, tcase{"disagg/after-pages", dis, true})
 
 	rn := NewRunner()
+	// abandon arms rn as a paged instance with 32-token pages and leaves
+	// it undrained.
+	abandon := func(t *testing.T) {
+		t.Helper()
+		s := base
+		s.Policy, s.Rate, s.PageTokens = Paged, 4, 32
+		capSpec, times, shapes := capacityOf(t, s)
+		env := new(Envelope)
+		if err := env.Set(shapes); err != nil {
+			t.Fatal(err)
+		}
+		in, err := rn.Instance(capSpec, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 8 {
+			if err := in.Push(shapes[i], times[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if in.AdvanceTo(times[7] + 1); in.Load().Running == 0 {
+			t.Fatal("the abandoned instance has nothing running")
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fresh, err := Run(tc.spec)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.dirty {
+				abandon(t)
 			}
 			for pass, label := range []string{"cold", "warm"} {
 				pooled, err := rn.Run(tc.spec)

@@ -100,6 +100,11 @@ type simulator struct {
 	// accrued link time each iteration (exactly zero without a migration
 	// or a swap).
 	pp *pagedPolicy
+	// cross is the paged policy's crossing ring (pagedPolicy.crossSlot):
+	// cross[e % pageTokens] counts the running sequences whose next token
+	// at epoch e needs another page. It lives here, not on the policy, so
+	// that its words serve every paged simulation the simulator arms.
+	cross []int32
 
 	coster *infer.StepCoster
 	// costerSpec is the pricing key: the exact infer.Spec the coster was
@@ -186,6 +191,14 @@ func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) 
 			// The previous simulation's policy is dead; its idle-prefix
 			// bitset words serve this one.
 			pp.idle = sim.pp.idle[:0]
+		}
+		// An instance abandoned before it drained leaves counts in the
+		// crossing ring.
+		if cap(sim.cross) < pp.pageTokens {
+			sim.cross = make([]int32, pp.pageTokens)
+		} else {
+			sim.cross = sim.cross[:pp.pageTokens]
+			clear(sim.cross)
 		}
 	}
 	// The step cost is linear in the KV length at fixed batch and the
@@ -332,11 +345,13 @@ func (sim *simulator) idle() bool {
 // (queue or running non-empty) and always advances the clock. An
 // iteration in which nobody joins, leaves, crosses a page or migrates
 // costs O(1): the advance is one epoch increment, the decoders' KV sum
-// comes from kvBase, and the running set is walked only by a newcomer's
-// first token and by an advance that reaches nextDone; the iterations
-// after it that change nothing at all run in coast's tight loop. The
-// float adds to now, utilSum and batchSum stay one per iteration, in
-// order, so results are bit-identical to walking every sequence
+// comes from kvBase, the paged policy's crossing ring says whether its
+// scan has work, and the running set is walked only by that scan, by a
+// newcomer's first token and by an advance that reaches nextDone. The
+// iterations after it in which nobody joins, leaves or migrates, and
+// whose page crossings fit, run in coast's tight loop. The float adds to
+// now, utilSum and batchSum stay one per iteration, in order, so results
+// are bit-identical to walking every sequence
 // (FuzzStepMatchesReference).
 //
 //optimus:hotpath
@@ -395,12 +410,7 @@ func (sim *simulator) step() {
 		}
 	}
 	kv := sim.pol.usedBytes()
-	if kv > sim.peakKV {
-		sim.peakKV = kv
-	}
-	if up := sim.pol.usedPages(); up > sim.peakPages {
-		sim.peakPages = up
-	}
+	sim.notePeaks(kv, sim.pol.usedPages())
 	sim.utilSum += kv * sim.invBudget
 	if len(sim.running) > sim.peakBatch {
 		sim.peakBatch = len(sim.running)
@@ -469,15 +479,21 @@ func (sim *simulator) step() {
 }
 
 // coast runs the iterations that follow while each would be pure decode
-// with nothing changing — nobody joins, leaves, crosses a page or
-// migrates — and the clock is short of t: the stretches between arrivals,
-// page crossings and completions that dominate a lightly loaded instance.
-// Such an iteration's KV bytes, pages and batch are the previous one's;
-// only the decoders' KV sum moves, by one token each per epoch. Each
-// coasted iteration still prices its decode step and makes the one add
-// apiece to utilSum, batchSum and now, in step's order, so a coasted run
-// is bit-identical to stepping it (FuzzStepMatchesReference). The probe
-// observes every iteration, so a probed run never coasts.
+// — nobody joins, leaves or migrates, and any page crossing fits — and
+// the clock is short of t: the stretches between arrivals and completions
+// that dominate a lightly loaded instance. Such an iteration's batch is
+// the previous one's and the decoders' KV sum moves by one token each per
+// epoch. Its KV bytes and pages are the previous one's too, except at a
+// page-crossing epoch: when the crossers fit, coast grows them as
+// beginStep's scan would (pagedPolicy.absorb) and re-derives the
+// iteration's KV bytes and peaks; when they do not, it stops and leaves
+// the eviction to step. Each coasted iteration still prices its decode
+// step and makes the one add apiece to utilSum, batchSum and now, in
+// step's order, so a coasted run is bit-identical to stepping it
+// (FuzzStepMatchesReference). The committed pages are exact whenever
+// coast returns, for a router reading Load; the crossers' held page
+// counts catch up once at its end. The probe observes every iteration,
+// so a probed run never coasts.
 //
 //optimus:hotpath
 func (sim *simulator) coast(t float64) {
@@ -485,26 +501,46 @@ func (sim *simulator) coast(t float64) {
 	if n == 0 || sim.spec.probe != nil || (sim.queue.len() > 0 && n < sim.batchCap) {
 		return
 	}
-	// The iteration starting at epoch e coasts while the policy's
-	// beginStep has nothing to do and its advance to e+1 stays short of
-	// nextDone, which would need the completion walk.
-	end := min(sim.pol.steadyUntil(sim.reqs, sim.running), sim.nextDone-1)
-	e := sim.epoch
-	if e >= end || !(sim.now < t) {
+	// The iteration starting at epoch e coasts while its advance to e+1
+	// stays short of nextDone, which would need the completion walk, and
+	// while the policy's beginStep has nothing to do at e but page
+	// crossings that fit.
+	e, last := sim.epoch, sim.nextDone-1
+	cross := sim.pol.steadyUntil(sim.reqs, sim.running, last)
+	if e >= last || cross < e || !(sim.now < t) {
 		return
 	}
 	kv := sim.pol.usedBytes()
-	if kv > sim.peakKV {
-		sim.peakKV = kv
-	}
-	if up := sim.pol.usedPages(); up > sim.peakPages {
-		sim.peakPages = up
-	}
+	sim.notePeaks(kv, sim.pol.usedPages())
 	if n > sim.peakBatch {
 		sim.peakBatch = n
 	}
+	grew := false
+	for {
+		sim.stretch(min(cross, last), t, kv)
+		// Short of last and t, the stretch stopped at a page crossing.
+		e = sim.epoch
+		if e == last || !(sim.now < t) || !sim.pp.absorb(e) {
+			break
+		}
+		grew = true
+		cross = sim.pp.nextCross(e+1, last)
+		kv = sim.pp.usedBytes()
+		sim.notePeaks(kv, sim.pp.usedPages())
+	}
+	if grew {
+		sim.pp.settle(sim.reqs, sim.running, e)
+	}
+}
+
+// stretch runs coast's decode-only iterations from the current epoch up
+// to stop while the clock is short of t, each at KV bytes kv.
+//
+//optimus:hotpath
+func (sim *simulator) stretch(stop int, t, kv float64) {
+	n, e := len(sim.running), sim.epoch
 	now, utilSum, batchSum := sim.now, sim.utilSum, sim.batchSum
-	for ; e < end && now < t; e++ {
+	for ; e < stop && now < t; e++ {
 		utilSum += kv * sim.invBudget
 		now += sim.decode(float64(sim.kvBase+n*(e+1))/float64(n), n)
 		batchSum += float64(n)
@@ -512,6 +548,19 @@ func (sim *simulator) coast(t float64) {
 	sim.iterations += e - sim.epoch
 	sim.epoch = e
 	sim.now, sim.utilSum, sim.batchSum = now, utilSum, batchSum
+}
+
+// notePeaks raises the KV-byte and committed-page peaks to an
+// iteration's values.
+//
+//optimus:hotpath
+func (sim *simulator) notePeaks(kv float64, pages int) {
+	if kv > sim.peakKV {
+		sim.peakKV = kv
+	}
+	if pages > sim.peakPages {
+		sim.peakPages = pages
+	}
 }
 
 // complete walks the running set in admission order once an advance
