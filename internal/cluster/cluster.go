@@ -359,17 +359,12 @@ func merge(s Spec, instances []*serve.Instance, routed [][]int, descriptor []int
 			flat[m.ID] = m
 		}
 	}
-	res.Requests = total
-
-	if res.SimTime > 0 {
-		genSum := 0
-		for _, m := range flat {
-			genSum += m.GenTokens
-		}
-		res.ThroughputRPS = float64(total) / res.SimTime
-		res.TokensPerSec = float64(genSum) / res.SimTime
-	}
 	sum := serve.SummarizeRequests(flat)
+	res.Requests = sum.Requests
+	if res.SimTime > 0 {
+		res.ThroughputRPS = float64(sum.Requests) / res.SimTime
+		res.TokensPerSec = float64(sum.GenTokens) / res.SimTime
+	}
 	res.TTFT, res.TPOT, res.E2E, res.Queue = sum.TTFT, sum.TPOT, sum.E2E, sum.Queue
 	res.PerTenant = sum.PerTenant
 	return res, nil

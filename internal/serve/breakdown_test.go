@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-// mapTenantBreakdown is the map-of-copies tenant breakdown tenantBreakdown
-// replaced, kept as its oracle: group by tenant into copied slices, sort
-// the names, and summarize each tenant in fresh buffers.
+// mapTenantBreakdown is the map-of-copies tenant breakdown the
+// permutation grouping replaced, kept as its oracle: group by tenant into
+// copied slices, sort the names, and summarize each tenant in fresh
+// buffers.
 func mapTenantBreakdown(done []RequestMetrics) []TenantMetrics {
 	byTenant := make(map[string][]RequestMetrics)
 	names := make([]string, 0, 4)
@@ -49,21 +50,22 @@ func mapTenantBreakdown(done []RequestMetrics) []TenantMetrics {
 	return out
 }
 
-// TestTenantBreakdownMatchesMapOracle pins the permutation-grouped tenant
-// breakdown to the map-based oracle, reflect and JSON, over seeded random
-// request sets: one tenant up to many, tenants with a single request,
-// +Inf samples (a saturated SLO) and the empty set, which must stay a
-// non-nil empty breakdown ("[]", not "null"). The pooled buffers are
-// carried from case to case, as a Runner carries them between runs.
+// TestTenantBreakdownMatchesMapOracle pins SummarizeRequests to the
+// map-based oracle, reflect and JSON, over seeded random request sets: one
+// tenant up to many, tenants with a single request, +Inf samples (a
+// saturated SLO) and the empty set, whose breakdown must stay non-nil and
+// empty ("[]", not "null"). The aggregate must be the oracle's summary of
+// the set as one tenant, its generated tokens the set's sum. A pooled
+// scratch, carried from case to case as a Runner carries it between runs,
+// must summarize identically.
 func TestTenantBreakdownMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	var buf []float64
-	var perm []int32
+	var sc summaryScratch
 	check := func(name string, done []RequestMetrics) {
 		t.Helper()
 		want := mapTenantBreakdown(done)
-		var got []TenantMetrics
-		got, buf, perm = tenantBreakdown(done, buf, perm)
+		sum := SummarizeRequests(done)
+		got := sum.PerTenant
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: breakdown diverges from the map oracle\n got %+v\nwant %+v", name, got, want)
 		}
@@ -74,8 +76,21 @@ func TestTenantBreakdownMatchesMapOracle(t *testing.T) {
 		if string(jw) != string(jg) || fmt.Sprint(ew) != fmt.Sprint(eg) {
 			t.Fatalf("%s: JSON diverges from the map oracle\n got %s (%v)\nwant %s (%v)", name, jg, eg, jw, ew)
 		}
-		if sum := SummarizeRequests(done); !reflect.DeepEqual(sum.PerTenant, got) {
-			t.Fatalf("%s: SummarizeRequests' breakdown diverges from tenantBreakdown's", name)
+		gen := 0
+		one := make([]RequestMetrics, len(done))
+		for i, m := range done {
+			gen += m.GenTokens
+			m.Tenant = ""
+			one[i] = m
+		}
+		if sum.Requests != len(done) || sum.GenTokens != gen {
+			t.Fatalf("%s: aggregate counts %d requests and %d generated tokens, want %d and %d", name, sum.Requests, sum.GenTokens, len(done), gen)
+		}
+		if agg := mapTenantBreakdown(one); len(agg) > 0 && !reflect.DeepEqual(agg[0], sum.TenantMetrics) {
+			t.Fatalf("%s: aggregate diverges from the map oracle\n got %+v\nwant %+v", name, sum.TenantMetrics, agg[0])
+		}
+		if pooled := sc.summarize(done); !reflect.DeepEqual(pooled, sum) {
+			t.Fatalf("%s: the pooled scratch's summary diverges from SummarizeRequests'", name)
 		}
 	}
 	sample := func(inf float64) float64 {

@@ -204,7 +204,6 @@ func (in *Instance) push(r workload.Request, t float64) {
 	}
 	sim.pushShape(in.pushed, r, t)
 	in.pushed++
-	sim.target++
 }
 
 // AdvanceTo runs batching iterations until the instance's clock reaches t
@@ -240,7 +239,7 @@ func (in *Instance) Load() Load {
 		Now:     sim.now,
 		Queued:  sim.queue.len(),
 		Running: len(sim.running),
-		Done:    len(sim.done),
+		Done:    sim.completed,
 		KVPages: sim.pol.usedPages(),
 		KVBytes: sim.pol.usedBytes(),
 	}
@@ -252,7 +251,7 @@ func (in *Instance) Load() Load {
 // indices.
 func (in *Instance) Result() (Result, error) {
 	if !in.drained {
-		return Result{}, fmt.Errorf("serve: result before drain (%d requests still in flight)", in.sim.target-len(in.sim.done))
+		return Result{}, fmt.Errorf("serve: result before drain (%d requests still in flight)", in.pushed-in.sim.completed)
 	}
 	return in.sim.finish(), nil
 }

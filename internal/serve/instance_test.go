@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -178,6 +179,88 @@ func TestInstanceLoadObservables(t *testing.T) {
 	}
 	if in.Pushed() != len(times) {
 		t.Errorf("Pushed() = %d, want %d", in.Pushed(), len(times))
+	}
+}
+
+// TestInstanceLedgerCounts checks the completion counts an instance
+// reports against an oracle that reads only the drained result: after
+// every AdvanceTo, Load().Done must equal the number of requests in the
+// final PerRequest whose Done is at or before the Load's clock (a later
+// completion lands strictly after it, every iteration having positive
+// duration), and Result called before Drain must report the rest of the
+// pushes as in flight. A heavy-tailed two-tenant mix makes completions
+// leave push order, which the test confirms, while PerRequest stays in
+// push order.
+func TestInstanceLedgerCounts(t *testing.T) {
+	s := spec0(t)
+	lognormalMix(t, &s)
+	s.Rate, s.Requests = 6, 64
+	capSpec, times, shapes := capacityOf(t, s)
+	in, err := NewInstance(capSpec, shapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type snapshot struct {
+		now          float64
+		done, pushed int
+		err          string
+	}
+	var snaps []snapshot
+	advance := func(to float64) {
+		in.AdvanceTo(to)
+		l := in.Load()
+		_, err := in.Result()
+		if err == nil {
+			t.Fatalf("Result before Drain at %g returned no error", l.Now)
+		}
+		snaps = append(snaps, snapshot{l.Now, l.Done, in.Pushed(), err.Error()})
+	}
+	for i, at := range times {
+		advance((in.Load().Now + at) / 2)
+		advance(at)
+		if err := in.Push(shapes[i], at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for l := in.Load(); l.InFlight() > 0; l = in.Load() {
+		advance(l.Now + 0.5)
+	}
+	in.Drain()
+	res, err := in.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != len(times) || len(res.PerRequest) != len(times) {
+		t.Fatalf("drained %d requests (%d in PerRequest), want %d", res.Requests, len(res.PerRequest), len(times))
+	}
+	reordered := false
+	for i, m := range res.PerRequest {
+		if m.ID != i {
+			t.Fatalf("PerRequest[%d] holds request %d: the ledger left push order", i, m.ID)
+		}
+		reordered = reordered || (i > 0 && m.Done < res.PerRequest[i-1].Done)
+	}
+	if !reordered {
+		t.Fatal("every request completed in push order; the mix no longer exercises out-of-order completion")
+	}
+	inFlight := 0
+	for _, sn := range snaps {
+		completed := 0
+		for _, m := range res.PerRequest {
+			if m.Done <= sn.now {
+				completed++
+			}
+		}
+		if sn.done != completed {
+			t.Fatalf("at %g: Load().Done = %d, but %d requests of the drained result completed by then", sn.now, sn.done, completed)
+		}
+		if want := fmt.Sprintf("serve: result before drain (%d requests still in flight)", sn.pushed-completed); sn.err != want {
+			t.Fatalf("at %g: Result before Drain reported %q, want %q", sn.now, sn.err, want)
+		}
+		inFlight = max(inFlight, sn.pushed-completed)
+	}
+	if inFlight == 0 {
+		t.Fatal("no snapshot had a request in flight; the counts were never tested mid-run")
 	}
 }
 

@@ -106,13 +106,13 @@ const DefaultTransferGBps = 50.0
 // than the GPU-to-GPU DefaultTransferGBps.
 const DefaultSwapGBps = 32.0
 
-// AdmissionPolicy manages the KV-cache budget of one simulation: it
+// admissionPolicy manages the KV-cache budget of one simulation: it
 // decides how many sequences may run concurrently, reserves capacity as
 // requests are admitted and decode, and selects preemption victims under
-// pressure. The interface is sealed (its stepping methods take the
-// simulator's unexported request type); newPolicy builds the
+// pressure. The interface is sealed (unexported, and its stepping methods
+// take the simulator's unexported request type); newPolicy builds the
 // implementation Spec.Policy selects.
-type AdmissionPolicy interface {
+type admissionPolicy interface {
 	// BatchCap resolves the concurrent-sequence bound: the user's
 	// Spec.MaxBatch, bounded by how many admissions the KV budget holds.
 	BatchCap() int
@@ -174,7 +174,7 @@ type policyStore struct {
 // ps. Its KV budget and largest-request reservation come from the memfoot
 // footprint at env's largest context, evaluated at most once per policy,
 // so the policy never diverges from the footprint the predictors check.
-func newPolicy(s Spec, env *Envelope, ps *policyStore) AdmissionPolicy {
+func newPolicy(s Spec, env *Envelope, ps *policyStore) admissionPolicy {
 	b := env.bounds
 	if ps.context != b.MaxContext || b.MaxContext == 0 {
 		ps.context, ps.fp = b.MaxContext, inferenceFootprint(s.Model, s.TP, 1, b.MaxContext, s.Precision.Bytes())

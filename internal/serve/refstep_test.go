@@ -227,7 +227,6 @@ func refRun(s Spec) (Result, error) {
 				sim.now = t
 			}
 			sim.pushShape(i, shapes[i], t)
-			sim.target++
 		}
 	}
 	advance(math.Inf(1))
@@ -235,7 +234,7 @@ func refRun(s Spec) (Result, error) {
 }
 
 // refBeginStep dispatches to the frozen beginStep of the armed policy.
-func refBeginStep(pol AdmissionPolicy, pool []request, running, victims []int32) ([]int32, []int32) {
+func refBeginStep(pol admissionPolicy, pool []request, running, victims []int32) ([]int32, []int32) {
 	switch p := pol.(type) {
 	case *pagedPolicy:
 		return p.refBeginStep(pool, running, victims)
@@ -382,7 +381,8 @@ func (sim *simulator) refStep() {
 		if r.gen > 1 {
 			m.TPOT = (sim.now - r.firstToken) / float64(r.gen-1)
 		}
-		sim.done = append(sim.done, m)
+		sim.done[r.id] = m
+		sim.completed++
 		if sim.closed && sim.issued < sim.target {
 			// pushShape may grow the slab; r is not referenced past here.
 			sim.pushShape(sim.issued, sim.shapes[sim.issued], sim.now)

@@ -25,7 +25,7 @@
 // workload's possible shapes; the simulation reads the drawn stream, whose
 // Envelope Run arms on exactly as every fleet replica does.
 //
-// KV-cache admission is a pluggable AdmissionPolicy with two
+// KV-cache admission is a sealed, pluggable policy with two
 // implementations selected by Spec.Policy:
 //
 //   - ReserveFull (the default) reserves each request's full
@@ -46,9 +46,7 @@ package serve
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
-	"strings"
 
 	"optimus/internal/arch"
 	"optimus/internal/infer"
@@ -363,7 +361,7 @@ func (s Spec) validateKnobs(env *Envelope) error {
 
 // fit builds the spec's admission policy over env in ps and checks that
 // env's largest request fits.
-func (s Spec) fit(env *Envelope, ps *policyStore) (AdmissionPolicy, error) {
+func (s Spec) fit(env *Envelope, ps *policyStore) (admissionPolicy, error) {
 	pol := newPolicy(s, env, ps)
 	if !pol.Feasible() {
 		return nil, fmt.Errorf("serve: one %d-token request does not fit the device (weights + KV-cache exceed %g bytes)",
@@ -431,32 +429,33 @@ type Percentiles struct {
 	Mean, Max     float64
 }
 
-// percentiles computes nearest-rank percentiles over a sorted sample.
-// Mean sums the sample in sorted order: float addition does not
-// associate, so a selection that leaves the sample unsorted (nth-element
-// for the ranks) would move Mean in its last bits
+// percentiles sorts sample in place and computes its nearest-rank
+// percentiles. Mean sums the sample in sorted order: float addition does
+// not associate, so a selection that leaves the sample unsorted
+// (nth-element for the ranks) would move Mean in its last bits
 // (TestPercentilesMeanSumsInSortedOrder).
-func percentiles(sorted []float64) Percentiles {
-	if len(sorted) == 0 {
+func percentiles(sample []float64) Percentiles {
+	sort.Float64s(sample)
+	if len(sample) == 0 {
 		return Percentiles{}
 	}
 	rank := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(sorted)))) - 1
+		i := int(math.Ceil(q*float64(len(sample)))) - 1
 		if i < 0 {
 			i = 0
 		}
-		return sorted[i]
+		return sample[i]
 	}
 	var sum float64
-	for _, v := range sorted {
+	for _, v := range sample {
 		sum += v
 	}
 	return Percentiles{
 		P50:  rank(0.50),
 		P95:  rank(0.95),
 		P99:  rank(0.99),
-		Mean: sum / float64(len(sorted)),
-		Max:  sorted[len(sorted)-1],
+		Mean: sum / float64(len(sample)),
+		Max:  sample[len(sample)-1],
 	}
 }
 
@@ -546,7 +545,9 @@ type Result struct {
 	PerRequest []RequestMetrics
 }
 
-// TenantMetrics is one tenant's SLO summary within a simulation.
+// TenantMetrics is one group summary: a tenant's SLO summary within a
+// simulation or a fleet, or, embedded in Summary with an empty Tenant,
+// the whole request set's.
 type TenantMetrics struct {
 	Tenant string
 	// Requests is the tenant's completed request count; GenTokens its
@@ -558,57 +559,6 @@ type TenantMetrics struct {
 	TPOT  Percentiles
 	E2E   Percentiles
 	Queue Percentiles
-}
-
-// tenantBreakdown groups completed requests by tenant, sorted by name.
-// It walks them through perm, an index permutation sorted by tenant, and
-// summarizes each tenant's run of indices in buf. Nearest-rank
-// percentiles depend only on the multiset of samples, so the visiting
-// order cannot change a result. Both buffers are returned, grown, for the
-// next call; an empty set yields a non-nil empty breakdown.
-func tenantBreakdown(done []RequestMetrics, buf []float64, perm []int32) ([]TenantMetrics, []float64, []int32) {
-	perm = perm[:0]
-	for i := range done {
-		perm = append(perm, int32(i))
-	}
-	slices.SortStableFunc(perm, func(a, b int32) int { return strings.Compare(done[a].Tenant, done[b].Tenant) })
-	tenants := 0
-	for i := range perm {
-		if i == 0 || done[perm[i]].Tenant != done[perm[i-1]].Tenant {
-			tenants++
-		}
-	}
-	out := make([]TenantMetrics, 0, tenants)
-	for lo := 0; lo < len(perm); {
-		name := done[perm[lo]].Tenant
-		hi := lo + 1
-		for hi < len(perm) && done[perm[hi]].Tenant == name {
-			hi++
-		}
-		group := perm[lo:hi]
-		tm := TenantMetrics{Tenant: name, Requests: len(group)}
-		for _, i := range group {
-			tm.GenTokens += done[i].GenTokens
-		}
-		tm.TTFT, buf = groupPercentiles(buf, done, group, func(m *RequestMetrics) float64 { return m.TTFT })
-		tm.TPOT, buf = groupPercentiles(buf, done, group, func(m *RequestMetrics) float64 { return m.TPOT })
-		tm.E2E, buf = groupPercentiles(buf, done, group, func(m *RequestMetrics) float64 { return m.E2E })
-		tm.Queue, buf = groupPercentiles(buf, done, group, func(m *RequestMetrics) float64 { return m.Queue })
-		out = append(out, tm)
-		lo = hi
-	}
-	return out, buf, perm
-}
-
-// groupPercentiles summarizes one per-request metric over the requests
-// done[group[...]] in buf, returning the grown buffer.
-func groupPercentiles(buf []float64, done []RequestMetrics, group []int32, f func(*RequestMetrics) float64) (Percentiles, []float64) {
-	buf = buf[:0]
-	for _, i := range group {
-		buf = append(buf, f(&done[i]))
-	}
-	sort.Float64s(buf)
-	return percentiles(buf), buf
 }
 
 // request is the in-flight simulator state of one sequence.
@@ -725,16 +675,4 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	}
 	in.Drain()
 	return sim.finish(), nil
-}
-
-// metricPercentilesBuf extracts and summarizes one per-request metric in
-// a reusable scratch buffer, returning the (possibly grown) buffer for the
-// next pass.
-func metricPercentilesBuf(buf []float64, done []RequestMetrics, f func(*RequestMetrics) float64) (Percentiles, []float64) {
-	buf = buf[:0]
-	for i := range done {
-		buf = append(buf, f(&done[i]))
-	}
-	sort.Float64s(buf)
-	return percentiles(buf), buf
 }

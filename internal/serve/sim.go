@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"cmp"
 	"math"
 	"slices"
+	"strings"
 
 	"optimus/internal/infer"
 	"optimus/internal/workload"
@@ -93,7 +93,7 @@ func (d *indexDeque) front() int32 { return d.buf[d.head] }
 // across simulations (the Runner pooling seam).
 type simulator struct {
 	spec Spec
-	pol  AdmissionPolicy
+	pol  admissionPolicy
 	// pp is the paged policy's widened handle, for Paged and
 	// Disaggregated (nil under ReserveFull): the prefix registry, host KV
 	// tier and page pools live on it, and the event loop drains its
@@ -129,9 +129,8 @@ type simulator struct {
 	invBudget float64
 	batchCap  int
 
-	// target counts the requests the simulation must complete: one per
-	// push, or a closed loop's whole stream. closed marks closed-loop
-	// issuing on completion, of shapes[issued] next.
+	// closed marks closed-loop issuing on completion, of shapes[issued]
+	// next, until target requests are issued.
 	shapes []workload.Request
 	issued int
 	target int
@@ -145,7 +144,12 @@ type simulator struct {
 	running []int32        // admission order
 	victims []int32        // beginStep's reusable victim buffer
 	sums    summaryScratch // reusable percentile and tenant-grouping buffers
-	done    []RequestMetrics
+	// done is the request ledger, indexed by id: pushShape appends each
+	// request's slot and complete writes its metrics there, so the ledger
+	// is in push order however completions interleave. completed counts
+	// the slots written.
+	done      []RequestMetrics
+	completed int
 
 	// Next-event state, which keeps an iteration that nobody joins or
 	// leaves O(1). epoch counts advance rounds; while a sequence runs, its
@@ -251,7 +255,7 @@ func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) 
 	sim.victims = sim.victims[:0]
 	// done escapes into Result.PerRequest, so it is the one per-run
 	// allocation reuse cannot elide.
-	sim.done = make([]RequestMetrics, 0, requests)
+	sim.done, sim.completed = make([]RequestMetrics, 0, requests), 0
 	sim.epoch, sim.kvBase, sim.nextDone = 0, 0, 0
 	sim.iterations = 0
 	sim.batchSum = 0
@@ -300,9 +304,9 @@ func (sim *simulator) decode(kvMean float64, batch int) float64 {
 
 // pushShape appends one request to the FIFO queue; it joins the batch at
 // the next iteration boundary (iteration-level batching). Ids are issued
-// densely in order, so the request lands at slab position id. A shared
-// prefix is interned into the paged policy's registry here, once per id —
-// admission then works with a slot index, never the string.
+// densely in order, so the request lands at slab and ledger position id.
+// A shared prefix is interned into the paged policy's registry here, once
+// per id — admission then works with a slot index, never the string.
 //
 //optimus:hotpath
 func (sim *simulator) pushShape(id int, sh workload.Request, t float64) {
@@ -314,6 +318,7 @@ func (sim *simulator) pushShape(id int, sh workload.Request, t float64) {
 	if sh.PrefixTokens > 0 {
 		sim.reqs[len(sim.reqs)-1].prefixSlot = sim.pp.intern(sh.PrefixID, sh.PrefixTokens)
 	}
+	sim.done = append(sim.done, RequestMetrics{})
 	sim.queue.pushBack(int32(id))
 }
 
@@ -564,8 +569,9 @@ func (sim *simulator) notePeaks(kv float64, pages int) {
 }
 
 // complete walks the running set in admission order once an advance
-// reaches nextDone: completed requests leave and free their KV, and the
-// survivors' earliest completion epoch becomes nextDone.
+// reaches nextDone: completed requests leave, free their KV and write
+// their metrics into the ledger, and the survivors' earliest completion
+// epoch becomes nextDone.
 //
 //optimus:hotpath
 func (sim *simulator) complete() {
@@ -596,7 +602,8 @@ func (sim *simulator) complete() {
 		if r.gen > 1 {
 			m.TPOT = (sim.now - r.firstToken) / float64(r.gen-1)
 		}
-		sim.done = append(sim.done, m)
+		sim.done[r.id] = m
+		sim.completed++
 		if sim.closed && sim.issued < sim.target {
 			// pushShape may grow the slab; r is not referenced past here.
 			sim.pushShape(sim.issued, sim.shapes[sim.issued], sim.now)
@@ -643,28 +650,16 @@ func (sim *simulator) observe(kv float64, newbies int) {
 	sim.spec.probe(ps)
 }
 
-// finish assembles the Result over the completed set. An instance that was
-// never pushed a request reports a zero Result (no iterations to average).
+// finish assembles the Result over the request ledger. An instance that
+// was never pushed a request reports a zero Result (no iterations to
+// average).
 func (sim *simulator) finish() Result {
 	s := sim.spec
-	// Completions in the common open-loop uniform case already come out in
-	// ID order; skip the sort (and its closure machinery) when a linear
-	// scan confirms it.
-	ordered := true
-	for i := 1; i < len(sim.done); i++ {
-		if sim.done[i-1].ID > sim.done[i].ID {
-			ordered = false
-			break
-		}
-	}
-	if !ordered {
-		// IDs are unique, so any sort gives the one order.
-		slices.SortFunc(sim.done, func(a, b RequestMetrics) int { return cmp.Compare(a.ID, b.ID) })
-	}
+	sum := sim.sums.summarize(sim.done)
 	pageTokens, totalPages := sim.pol.PageGeometry()
 	preemptions, recomputed := sim.pol.counters()
 	res := Result{
-		Requests:         len(sim.done),
+		Requests:         sum.Requests,
 		SimTime:          sim.now,
 		Iterations:       sim.iterations,
 		PeakBatch:        sim.peakBatch,
@@ -696,30 +691,28 @@ func (sim *simulator) finish() Result {
 		}
 	}
 	if sim.now > 0 {
-		genSum := 0
-		for _, m := range sim.done {
-			genSum += m.GenTokens
-		}
-		res.ThroughputRPS = float64(len(sim.done)) / sim.now
-		res.TokensPerSec = float64(genSum) / sim.now
+		res.ThroughputRPS = float64(sum.Requests) / sim.now
+		res.TokensPerSec = float64(sum.GenTokens) / sim.now
 	}
-	sum := sim.sums.summarize(sim.done)
 	res.TTFT, res.TPOT, res.E2E, res.Queue = sum.TTFT, sum.TPOT, sum.E2E, sum.Queue
 	res.PerTenant = sum.PerTenant
 	return res
 }
 
-// Summary is the SLO surface of a completed request set: the four latency
-// percentile summaries and the per-tenant breakdown, as Result reports
-// them.
+// Summary is the SLO surface of a completed request set — a simulator's
+// request ledger or a fleet's merged one, in any order: the aggregate
+// group summary over every request (its Tenant is empty), whose request
+// count and generated tokens the throughputs divide, and one group
+// summary per tenant, as Result reports them.
 type Summary struct {
-	TTFT, TPOT, E2E, Queue Percentiles
-	PerTenant              []TenantMetrics
+	TenantMetrics
+	PerTenant []TenantMetrics
 }
 
 // SummarizeRequests summarizes a completed request set with exactly the
-// math Run applies to its own — exported so fleet-level aggregations
-// (internal/cluster) summarize merged request sets identically.
+// math Run applies to its own ledger — exported so fleet-level
+// aggregations (internal/cluster) summarize merged request sets
+// identically.
 func SummarizeRequests(done []RequestMetrics) Summary {
 	var sc summaryScratch
 	return sc.summarize(done)
@@ -732,34 +725,75 @@ type summaryScratch struct {
 	perm []int32
 }
 
-// summarize computes done's Summary in the scratch buffers. In the
-// ubiquitous single-tenant case every per-tenant percentile equals the
-// global one (same samples, same math — so reuse is byte-identical),
-// skipping tenantBreakdown's grouping and four re-sorts.
+// summarize computes done's Summary in the scratch buffers. The aggregate
+// reads its samples straight from done; the tenants are the runs of perm,
+// an index permutation sorted by tenant name. In the ubiquitous
+// single-tenant case the tenant's summary is the aggregate (same samples,
+// same math — so reuse is byte-identical), skipping the grouping and four
+// re-sorts. An empty set yields a non-nil empty breakdown.
 func (sc *summaryScratch) summarize(done []RequestMetrics) Summary {
-	var s Summary
-	s.TTFT, sc.buf = metricPercentilesBuf(sc.buf, done, func(m *RequestMetrics) float64 { return m.TTFT })
-	s.TPOT, sc.buf = metricPercentilesBuf(sc.buf, done, func(m *RequestMetrics) float64 { return m.TPOT })
-	s.E2E, sc.buf = metricPercentilesBuf(sc.buf, done, func(m *RequestMetrics) float64 { return m.E2E })
-	s.Queue, sc.buf = metricPercentilesBuf(sc.buf, done, func(m *RequestMetrics) float64 { return m.Queue })
+	s := Summary{TenantMetrics: sc.group(done, nil)}
 	single := len(done) > 0
-	for i := 1; i < len(done); i++ {
-		if done[i].Tenant != done[0].Tenant {
-			single = false
-			break
-		}
+	for i := 1; i < len(done) && single; i++ {
+		single = done[i].Tenant == done[0].Tenant
 	}
-	if !single {
-		s.PerTenant, sc.buf, sc.perm = tenantBreakdown(done, sc.buf, sc.perm)
+	if single {
+		s.PerTenant = []TenantMetrics{s.TenantMetrics}
+		s.PerTenant[0].Tenant = done[0].Tenant
 		return s
 	}
-	gen := 0
-	for _, m := range done {
-		gen += m.GenTokens
+	perm := sc.perm[:0]
+	for i := range done {
+		perm = append(perm, int32(i))
 	}
-	s.PerTenant = []TenantMetrics{{
-		Tenant: done[0].Tenant, Requests: len(done), GenTokens: gen,
-		TTFT: s.TTFT, TPOT: s.TPOT, E2E: s.E2E, Queue: s.Queue,
-	}}
+	slices.SortStableFunc(perm, func(a, b int32) int { return strings.Compare(done[a].Tenant, done[b].Tenant) })
+	sc.perm = perm
+	tenants := 0
+	for i, p := range perm {
+		if i == 0 || done[p].Tenant != done[perm[i-1]].Tenant {
+			tenants++
+		}
+	}
+	s.PerTenant = make([]TenantMetrics, 0, tenants)
+	for lo := 0; lo < len(perm); {
+		name := done[perm[lo]].Tenant
+		hi := lo + 1
+		for hi < len(perm) && done[perm[hi]].Tenant == name {
+			hi++
+		}
+		tm := sc.group(done, perm[lo:hi])
+		tm.Tenant = name
+		s.PerTenant = append(s.PerTenant, tm)
+		lo = hi
+	}
 	return s
+}
+
+// group summarizes the requests done[idx[...]], or all of done when idx
+// is nil: their count, generated tokens and the four latency percentile
+// sets, in that field order, each metric's samples sorted in sc.buf.
+// Nearest-rank percentiles depend only on the multiset of samples, so the
+// visiting order cannot change a result.
+func (sc *summaryScratch) group(done []RequestMetrics, idx []int32) TenantMetrics {
+	n := len(done)
+	if idx != nil {
+		n = len(idx)
+	}
+	g := TenantMetrics{Requests: n}
+	sc.buf = slices.Grow(sc.buf[:0], n)[:n]
+	for k, p := range [...]*Percentiles{&g.TTFT, &g.TPOT, &g.E2E, &g.Queue} {
+		for j := range sc.buf {
+			i := j
+			if idx != nil {
+				i = int(idx[j])
+			}
+			m := &done[i]
+			sc.buf[j] = [...]float64{m.TTFT, m.TPOT, m.E2E, m.Queue}[k]
+			if k == 0 {
+				g.GenTokens += m.GenTokens
+			}
+		}
+		*p = percentiles(sc.buf)
+	}
+	return g
 }
