@@ -101,9 +101,14 @@ func disaggFleetSpec(tb testing.TB, requests int) cluster.Spec {
 // TestClusterAllocBudget pins the fleet simulator's allocations per run
 // (count and bytes) on the benchmark's fleet shape: a fresh and a pooled
 // least-kv fleet and a fresh round-robin one. Budgets are the measured
-// values with about 2.5× headroom. The instance row pins that a replica
-// pushed k requests allocates for k, however long its envelope: one
-// envelope-sized request slab alone would be 1,024 × 152 bytes.
+// values with about 2.5× headroom. A fresh fleet of eight identical
+// replicas builds one step coster and fills one pricing table, and its
+// summaries merge the replicas' sorted samples instead of copying every
+// request into one more ledger: about 406 allocations and 357 KB for
+// least-kv and 394 and 314 KB for round-robin (439 and 427 allocations
+// under -race). The instance row pins that a replica pushed k requests
+// allocates for k, however long its envelope: one envelope-sized request
+// slab alone would be 1,024 × 152 bytes.
 func TestClusterAllocBudget(t *testing.T) {
 	const requests = 256
 	lkv := disaggFleetSpec(t, requests)
@@ -115,9 +120,9 @@ func TestClusterAllocBudget(t *testing.T) {
 		allocs, bytes float64
 		run           func() (cluster.Result, error)
 	}{
-		{"least-kv/fresh", 2300, 1300e3, func() (cluster.Result, error) { return cluster.Run(lkv) }},
+		{"least-kv/fresh", 1100, 900e3, func() (cluster.Result, error) { return cluster.Run(lkv) }},
 		{"least-kv/pooled", 550, 550e3, func() (cluster.Result, error) { return pooled.Run(lkv) }},
-		{"round-robin/fresh", 2200, 1200e3, func() (cluster.Result, error) { return cluster.Run(rr) }},
+		{"round-robin/fresh", 1050, 800e3, func() (cluster.Result, error) { return cluster.Run(rr) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs, bytes := allocsPerRun(5, func() {

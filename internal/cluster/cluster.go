@@ -19,12 +19,17 @@
 // instant and sample their loads there; each replica's state at that
 // barrier is a pure function of the requests pushed so far. Results merge
 // in replica-index order with global-ID remapping, so a fleet Result is
-// byte-identical at any GOMAXPROCS. A replica is armed like serve.Run, so
-// it prices exactly as a single-replica Run.
+// byte-identical at any GOMAXPROCS. A replica is armed like serve.Run, on
+// the envelope of the whole stream, so it prices exactly as a
+// single-replica Run: through a pricing table it shares with every
+// replica of an equal step-cost key, each slot of which is a pure
+// function of that key. The fleet summaries merge the replicas' sorted
+// latency samples rather than sort them again.
 package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"optimus/internal/serve"
 	"optimus/internal/workload"
@@ -192,17 +197,23 @@ type Result struct {
 }
 
 // Runner pools fleet simulation state across runs: one serve.Runner per
-// replica slot, so every replica's slabs, pricing tables and scratch
-// survive from one fleet simulation to the next — the steady state of a
-// rate sweep or a knee bisection re-running one fleet at many rates.
+// replica slot and the fleet's envelope, so every replica's slabs and
+// scratch, and the pricing tables the replicas share, survive from one
+// fleet simulation to the next — the steady state of a rate sweep or a
+// knee bisection re-running one fleet at many rates.
 // A Runner is NOT safe for concurrent use and supports one live fleet
 // simulation at a time; results are byte-identical to the package-level
 // Run (TestClusterRunnerReuseMatchesFresh).
 type Runner struct {
 	reps []*serve.Runner
-	// times and shapes hold the fleet stream.
+	// env is the fleet's envelope, on which every replica is armed and
+	// whose pricing tables the replicas share; made by the first Run.
+	env *serve.Envelope
+	// times and shapes hold the fleet stream; assign holds each arrival's
+	// replica.
 	times  []float64
 	shapes []workload.Request
+	assign []int32
 }
 
 // NewRunner returns an empty Runner; replica slots are grown on first use.
@@ -230,7 +241,10 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	rn.times, rn.shapes = times, shapes
 	// Every replica is built on the whole stream's shapes, so each prices
 	// exactly as a single-replica Run of the fleet workload would.
-	var env serve.Envelope
+	if rn.env == nil {
+		rn.env = new(serve.Envelope)
+	}
+	env := rn.env
 	if err := env.Set(shapes); err != nil {
 		return Result{}, err
 	}
@@ -251,15 +265,16 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	}
 	instances := make([]*serve.Instance, R)
 	for i, cap := range specs {
-		in, err := rn.reps[i].Instance(cap, &env)
+		in, err := rn.reps[i].Instance(cap, env)
 		if err != nil {
 			return Result{}, fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
 		instances[i] = in
 	}
-	// routed[i] lists replica i's assigned global arrival indices in push
-	// order — the local→global ID remapping the merge applies.
-	routed := make([][]int, R)
+	// assign[i] is arrival i's replica, from which the merge maps each
+	// replica's local push indices back to global arrival indices.
+	assign := slices.Grow(rn.assign[:0], len(times))[:len(times)]
+	rn.assign = assign
 	for i, at := range times {
 		var r int
 		switch s.Routing {
@@ -273,13 +288,13 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		if err := instances[r].Push(shapes[i], at); err != nil {
 			return Result{}, fmt.Errorf("cluster: replica %d: %w", r, err)
 		}
-		routed[r] = append(routed[r], i)
+		assign[i] = int32(r)
 	}
 	for _, in := range instances {
 		in.Drain()
 	}
 
-	return merge(s, instances, routed, descriptor)
+	return merge(s, instances, assign, descriptor)
 }
 
 // leastLoaded is the load-aware routers' pick for an arrival at t:
@@ -315,15 +330,14 @@ func lessLoaded(r Routing, a, b serve.Load) bool {
 
 // merge assembles the fleet Result from drained replicas: per-replica
 // results in index order, the global-ID-remapped request view, and
-// fleet-wide summaries over it.
-func merge(s Spec, instances []*serve.Instance, routed [][]int, descriptor []int) (Result, error) {
+// fleet-wide summaries that merge the replicas' sorted samples.
+func merge(s Spec, instances []*serve.Instance, assign []int32, descriptor []int) (Result, error) {
 	R := len(instances)
 	res := Result{
 		Replicas:   R,
 		Routing:    s.Routing,
 		PerReplica: make([]ReplicaResult, R),
 	}
-	total := 0
 	for r, in := range instances {
 		rr, err := in.Result()
 		if err != nil {
@@ -331,9 +345,8 @@ func merge(s Spec, instances []*serve.Instance, routed [][]int, descriptor []int
 		}
 		res.PerReplica[r] = ReplicaResult{
 			Index: r, Descriptor: descriptor[r],
-			Assigned: len(routed[r]), Result: rr,
+			Assigned: in.Pushed(), Result: rr,
 		}
-		total += len(routed[r])
 		if rr.SimTime > res.SimTime {
 			res.SimTime = rr.SimTime
 		}
@@ -348,18 +361,21 @@ func merge(s Spec, instances []*serve.Instance, routed [][]int, descriptor []int
 		res.SwapTimeTotal += rr.SwapTimeTotal
 	}
 
-	// Every replica drained its whole share, so the global arrival indices
-	// are exactly 0..total-1: each request lands at its own index.
-	flat := make([]serve.RequestMetrics, total)
-	res.PerRequest = make([]RequestMetrics, total)
-	for r := range instances {
-		for _, m := range res.PerReplica[r].Result.PerRequest {
-			m.ID = routed[r][m.ID] // local push index → global arrival index
-			res.PerRequest[m.ID] = RequestMetrics{RequestMetrics: m, Replica: r}
-			flat[m.ID] = m
-		}
+	// Every replica drained its whole share in push order, so arrival i is
+	// the next unread entry of its replica's ledger: a cursor per replica
+	// maps local push indices to global arrival indices.
+	next := make([]int, R)
+	res.PerRequest = make([]RequestMetrics, len(assign))
+	for i, r := range assign {
+		m := res.PerReplica[r].Result.PerRequest[next[r]]
+		next[r]++
+		m.ID = i
+		res.PerRequest[i] = RequestMetrics{RequestMetrics: m, Replica: int(r)}
 	}
-	sum := serve.SummarizeRequests(flat)
+	sum, err := serve.SummarizeInstances(instances)
+	if err != nil {
+		return Result{}, fmt.Errorf("cluster: %w", err)
+	}
 	res.Requests = sum.Requests
 	if res.SimTime > 0 {
 		res.ThroughputRPS = float64(sum.Requests) / res.SimTime

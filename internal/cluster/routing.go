@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 )
 
 // Routing selects how the router splits the fleet-wide arrival stream
@@ -93,11 +92,15 @@ func (r Routing) valid() bool {
 	return r >= RoundRobin && r <= TenantAffinity
 }
 
-// tenantReplica is TenantAffinity's stable assignment: FNV-1a over the
-// tenant name, mod the replica count. Pure string math — identical on
-// every platform and run.
+// tenantReplica is TenantAffinity's stable assignment: 32-bit FNV-1a over
+// the tenant name's bytes, mod the replica count. Pure string math —
+// identical on every platform and run, and computed in place, with no
+// hasher or byte copy per arrival.
 func tenantReplica(tenant string, replicas int) int {
-	h := fnv.New32a()
-	h.Write([]byte(tenant))
-	return int(h.Sum32() % uint32(replicas))
+	h := uint32(2166136261)
+	for i := 0; i < len(tenant); i++ {
+		h ^= uint32(tenant[i])
+		h *= 16777619
+	}
+	return int(h % uint32(replicas))
 }

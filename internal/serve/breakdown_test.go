@@ -89,7 +89,7 @@ func TestTenantBreakdownMatchesMapOracle(t *testing.T) {
 		if agg := mapTenantBreakdown(one); len(agg) > 0 && !reflect.DeepEqual(agg[0], sum.TenantMetrics) {
 			t.Fatalf("%s: aggregate diverges from the map oracle\n got %+v\nwant %+v", name, sum.TenantMetrics, agg[0])
 		}
-		if pooled := sc.summarize(done); !reflect.DeepEqual(pooled, sum) {
+		if pooled := sc.summarize(done, false); !reflect.DeepEqual(pooled, sum) {
 			t.Fatalf("%s: the pooled scratch's summary diverges from SummarizeRequests'", name)
 		}
 	}
@@ -125,5 +125,71 @@ func TestTenantBreakdownMatchesMapOracle(t *testing.T) {
 			done[i] = request(i, fmt.Sprintf("t%02d", tn), inf)
 		}
 		check(fmt.Sprintf("trial %d (%d tenants, %d requests, inf %g)", trial, tenants, n, inf), done)
+	}
+}
+
+// keptInstance is a drained instance whose assembled Result summarized
+// done, as a fleet replica's does.
+func keptInstance(done []RequestMetrics) *Instance {
+	sim := new(simulator)
+	sum := sim.sums.summarize(done, true)
+	return &Instance{sim: sim, pushed: len(done), drained: true, tenants: sum.PerTenant}
+}
+
+// TestSummarizeInstancesMatchesConcatenation is the fleet merge's
+// property: random multi-tenant ledgers split across k replicas — with
+// tied and zero latencies, one-request tenants, replicas that drew nothing
+// and k = 1 — must summarize, merged, exactly as SummarizeRequests
+// summarizes their concatenation, and as the map oracle breaks it down.
+func TestSummarizeInstancesMatchesConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	sample := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			// Coarse values tie across tenants and replicas.
+			return float64(rng.Intn(8)) / 4
+		}
+		return rng.ExpFloat64()
+	}
+	for trial := 0; trial < 300; trial++ {
+		k := 1 + rng.Intn(9)
+		tenants := 1 + rng.Intn(12)
+		n := rng.Intn(200)
+		if trial%10 == 0 {
+			n = rng.Intn(3)
+		}
+		var all []RequestMetrics
+		shares := make([][]RequestMetrics, k)
+		for i := 0; i < n; i++ {
+			tn := int(float64(tenants) * rng.Float64() * rng.Float64())
+			m := RequestMetrics{
+				ID: i, Tenant: fmt.Sprintf("t%02d", tn), GenTokens: 1 + rng.Intn(300),
+				TTFT: sample(), TPOT: sample(), E2E: sample(), Queue: sample(),
+			}
+			all = append(all, m)
+			// Skewed routing leaves high-numbered replicas empty often.
+			r := int(float64(k) * rng.Float64() * rng.Float64())
+			shares[r] = append(shares[r], m)
+		}
+		ins := make([]*Instance, k)
+		for r, share := range shares {
+			ins[r] = keptInstance(share)
+		}
+		got, err := SummarizeInstances(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("trial %d (%d replicas, %d tenants, %d requests)", trial, k, tenants, n)
+		if want := SummarizeRequests(all); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: merged summary diverges from the concatenation's\n got %+v\nwant %+v", name, got, want)
+		}
+		if want := mapTenantBreakdown(all); !reflect.DeepEqual(got.PerTenant, want) {
+			t.Fatalf("%s: merged breakdown diverges from the map oracle\n got %+v\nwant %+v", name, got.PerTenant, want)
+		}
+	}
+	if _, err := SummarizeInstances([]*Instance{keptInstance(nil), {sim: new(simulator), drained: true}}); err == nil {
+		t.Error("an instance without an assembled Result was merged")
 	}
 }

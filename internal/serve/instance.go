@@ -46,6 +46,9 @@ type Instance struct {
 	pushed  int
 	lastT   float64
 	drained bool
+	// tenants is the breakdown of the assembled Result, nil until then:
+	// it delimits the sorted runs SummarizeInstances merges.
+	tenants []TenantMetrics
 }
 
 // Envelope is the set of request shapes a simulation is sized from
@@ -56,11 +59,18 @@ type Instance struct {
 // shapes. The bounds and the prefixed bit are folded once, when the
 // envelope is set; Set re-arms it in place, invalidating the instances
 // built on its previous contents.
+//
+// The instances built on one envelope share a pricing table wherever
+// their step-cost keys are equal — a fleet of identical replicas prices
+// each step shape once — so they must be driven from one goroutine.
 type Envelope struct {
 	shapes []workload.Request
 	// work's possible extremes stand in for shapes in a pre-draw
 	// envelope, which possible marks.
-	work     workload.Spec
+	work workload.Spec
+	// tables are the pricing tables of the instances built on the
+	// envelope's contents, one per key.
+	tables   []*pricing
 	bounds   workload.Bounds
 	possible bool
 	prefixed bool
@@ -69,7 +79,13 @@ type Envelope struct {
 // Set validates shapes and makes them the envelope, by reference: they
 // must stay unchanged while an instance built on it is live.
 func (e *Envelope) Set(shapes []workload.Request) error {
-	*e = Envelope{} // empty, and so unusable, until the shapes validate
+	// The instances built on the previous contents are dead, so their
+	// tables go back to their owners.
+	for _, p := range e.tables {
+		p.env = nil
+	}
+	tables := e.tables[:0]
+	*e = Envelope{tables: tables} // empty, and so unusable, until the shapes validate
 	if len(shapes) == 0 {
 		return fmt.Errorf("serve: an instance needs a non-empty shape envelope")
 	}
@@ -78,8 +94,27 @@ func (e *Envelope) Set(shapes []workload.Request) error {
 			return fmt.Errorf("serve: envelope shape %d: %w", i, err)
 		}
 	}
-	*e = Envelope{shapes: shapes}.folded()
+	*e = Envelope{shapes: shapes, tables: tables}.folded()
 	return nil
+}
+
+// table returns the pricing table shared on the envelope under key k, or
+// nil.
+func (e *Envelope) table(k pricingKey) *pricing {
+	for _, p := range e.tables {
+		if p.key == k {
+			return p
+		}
+	}
+	return nil
+}
+
+// share offers p to the instances built on the envelope after it.
+func (e *Envelope) share(p *pricing) {
+	if p.env != e {
+		p.env = e
+		e.tables = append(e.tables, p)
+	}
 }
 
 // possibleEnvelope is the pre-draw envelope of w: its possible extremes.
@@ -129,8 +164,12 @@ func NewInstance(s Spec, envelope []workload.Request) (*Instance, error) {
 // must be zero (the router owns the stream). It is armed on env as Run
 // arms on its drawn stream, while the request slabs grow with the pushes
 // — a replica holding a fraction of its envelope pays for that fraction.
-// The Runner's single-live-simulation contract applies: building a new
-// Instance (or calling Run) invalidates the previous one.
+// It prices through the table of an instance built on env before it under
+// an equal step-cost key, or shares its own with those built after it;
+// either way it prices exactly as a lone Run. Its Result keeps its sorted
+// latency samples for SummarizeInstances. The Runner's
+// single-live-simulation contract applies: building a new Instance (or
+// calling Run) invalidates the previous one.
 func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 	if err := s.capacityOnly(); err != nil {
 		return nil, err
@@ -144,6 +183,8 @@ func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 	if err := rn.sim.arm(s, env, 0, new(policyStore)); err != nil {
 		return nil, err
 	}
+	env.share(rn.sim.price)
+	rn.sim.keep = true
 	return &Instance{sim: &rn.sim}, nil
 }
 
@@ -164,8 +205,8 @@ func (in *Instance) Push(r workload.Request, t float64) error {
 	if err := r.Validate(); err != nil {
 		return fmt.Errorf("serve: push: %w", err)
 	}
-	if c := r.Context(); c > in.sim.kv1 {
-		return fmt.Errorf("serve: pushed request spans %d tokens, beyond the instance envelope's largest context %d", c, in.sim.kv1)
+	if c := r.Context(); c > in.sim.price.key.kv1 {
+		return fmt.Errorf("serve: pushed request spans %d tokens, beyond the instance envelope's largest context %d", c, in.sim.price.key.kv1)
 	}
 	if r.PrefixTokens > 0 {
 		if !in.sim.spec.cachesPrefixes() {
@@ -253,5 +294,7 @@ func (in *Instance) Result() (Result, error) {
 	if !in.drained {
 		return Result{}, fmt.Errorf("serve: result before drain (%d requests still in flight)", in.pushed-in.sim.completed)
 	}
-	return in.sim.finish(), nil
+	res := in.sim.finish()
+	in.tenants = res.PerTenant
+	return res, nil
 }

@@ -46,7 +46,7 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"optimus/internal/arch"
 	"optimus/internal/infer"
@@ -435,28 +435,34 @@ type Percentiles struct {
 // (nth-element for the ranks) would move Mean in its last bits
 // (TestPercentilesMeanSumsInSortedOrder).
 func percentiles(sample []float64) Percentiles {
-	sort.Float64s(sample)
-	if len(sample) == 0 {
+	slices.Sort(sample)
+	return sortedPercentiles(sample)
+}
+
+// sortedPercentiles computes the nearest-rank percentiles of an ascending
+// sample.
+func sortedPercentiles(sample []float64) Percentiles {
+	n := len(sample)
+	if n == 0 {
 		return Percentiles{}
-	}
-	rank := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(sample)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return sample[i]
 	}
 	var sum float64
 	for _, v := range sample {
 		sum += v
 	}
 	return Percentiles{
-		P50:  rank(0.50),
-		P95:  rank(0.95),
-		P99:  rank(0.99),
-		Mean: sum / float64(len(sample)),
-		Max:  sample[len(sample)-1],
+		P50:  sample[rankIndex(0.50, n)],
+		P95:  sample[rankIndex(0.95, n)],
+		P99:  sample[rankIndex(0.99, n)],
+		Mean: sum / float64(n),
+		Max:  sample[n-1],
 	}
+}
+
+// rankIndex is the 0-based index of nearest rank ceil(q·n) in an
+// ascending n-sample set.
+func rankIndex(q float64, n int) int {
+	return max(int(math.Ceil(q*float64(n)))-1, 0)
 }
 
 // Result is the outcome of one serving simulation.
@@ -659,6 +665,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	if err := sim.arm(s, &drawn, w.Requests, &ps); err != nil {
 		return Result{}, err
 	}
+	sim.keep = false
 	in := Instance{sim: sim}
 	if w.Closed {
 		// Every client issues at time zero, and each completion issues

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -13,6 +14,52 @@ import (
 // is linear in the KV length at fixed batch (TestDecodeStepLinearInKV), so
 // two samples price every intermediate length exactly.
 type decodeLine struct{ base, slope float64 }
+
+// pricingKey is what a step price depends on: the exact infer.Spec the
+// step coster is built from and the decode line's two KV sample points.
+type pricingKey struct {
+	spec     infer.Spec
+	kv0, kv1 int
+}
+
+// pricing is one key's step coster and its dense, lazily filled pricing
+// tables indexed by batch size: a bounds-checked array load per step. NaN
+// marks an unfilled slot (a NaN-priced cost is refilled each hit with
+// identical math, so results cannot drift). A slot is a pure function of
+// the key and the batch size, so simulators with equal keys can share one
+// table however their fills interleave: the instances armed on one
+// Envelope do, on the one goroutine that drives them.
+type pricing struct {
+	coster     *infer.StepCoster
+	prefillTab []float64
+	decodeTab  []decodeLine
+	// env is the Envelope the table is shared on, until that envelope is
+	// Set again; nil while only its owner prices through it.
+	env *Envelope
+	key pricingKey
+}
+
+// rekey makes p price k. An equal key keeps the coster and the filled
+// slots warm, the steady state of a sweep worker or a fleet slot
+// re-running one configuration; any other key rebuilds the coster and
+// empties every slot.
+func (p *pricing) rekey(k pricingKey) error {
+	if p.coster != nil && p.key == k {
+		return nil
+	}
+	coster, err := infer.NewStepCoster(k.spec)
+	if err != nil {
+		return err
+	}
+	p.coster, p.key = coster, k
+	for i := range p.prefillTab {
+		p.prefillTab[i] = math.NaN()
+	}
+	for i := range p.decodeTab {
+		p.decodeTab[i] = decodeLine{base: math.NaN()}
+	}
+	return nil
+}
 
 // indexDeque is a growable ring buffer of request indices — the FIFO wait
 // queue with O(1) pushFront for preemption re-queues, replacing the
@@ -106,22 +153,12 @@ type simulator struct {
 	// that its words serve every paged simulation the simulator arms.
 	cross []int32
 
-	coster *infer.StepCoster
-	// costerSpec is the pricing key: the exact infer.Spec the coster was
-	// built from. An arm whose spec prices identically (same key, same
-	// kv0/kv1 sample points) keeps the coster and the filled tables warm —
-	// the steady state of a sweep worker or cluster replica re-running one
-	// configuration.
-	costerSpec infer.Spec
-	kv0, kv1   int
-	refPrompt  int
-
-	// prefillTab/decodeTab are dense lazily-filled pricing tables indexed
-	// by batch size — a bounds-checked array load per step, replacing the
-	// map caches. NaN marks an unfilled slot (a NaN-priced cost is refilled
-	// each hit with identical math, so results cannot drift).
-	prefillTab []float64
-	decodeTab  []decodeLine
+	// price is the pricing table the simulation prices its steps through:
+	// own, or the table of an instance armed earlier on the same Envelope
+	// under an equal key.
+	price     *pricing
+	own       pricing
+	refPrompt int
 
 	budget float64
 	// invBudget caches 1/budget: utilization accrues once per iteration
@@ -130,11 +167,14 @@ type simulator struct {
 	batchCap  int
 
 	// closed marks closed-loop issuing on completion, of shapes[issued]
-	// next, until target requests are issued.
+	// next, until target requests are issued. keep marks an Instance's
+	// simulation, whose summary keeps a sorted plane per metric for
+	// SummarizeInstances.
 	shapes []workload.Request
 	issued int
 	target int
 	closed bool
+	keep   bool
 
 	now float64
 	// reqs is the request slab: one entry per issued id, indexed by id
@@ -174,11 +214,11 @@ type simulator struct {
 // arm re-arms the simulator for a capacity spec sized from env, its policy
 // built in ps — every simulation's one construction path — reusing every
 // slab the previous simulation grew (request pool, queue, running/victim
-// index buffers, pricing tables, percentile scratch) and pre-sizing the
-// request slabs for requests completions. The
-// per-spec state — policy, step coster, pricing samples — is rebuilt from
-// scratch, so an armed simulator is byte-identical to a fresh one
-// (TestRunnerReuseMatchesFresh).
+// index buffers, percentile scratch) and pre-sizing the request slabs for
+// requests completions. The policy is rebuilt from scratch, and the
+// pricing table is env's table for the key, or the simulator's own rekeyed
+// (warm under an equal key, empty otherwise), so an armed simulator is
+// byte-identical to a fresh one (TestRunnerReuseMatchesFresh).
 func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) error {
 	// One policy per simulation: the KV geometry behind it is derived
 	// exactly once, never per iteration.
@@ -213,32 +253,25 @@ func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) 
 	// lengths — for the degenerate single-tenant workload exactly the PR-3
 	// prompt+1 .. prompt+gen span — and, being a line, prices every
 	// intermediate per-request length exactly.
+	// An instance armed earlier on env under an equal key lends its table.
 	bounds := env.bounds
-	is := s.inferSpec(bounds)
-	kv0, kv1 := bounds.MinPrompt+1, bounds.MaxContext
-	if sim.coster == nil || is != sim.costerSpec || kv0 != sim.kv0 || kv1 != sim.kv1 {
-		// Pricing inputs changed (or first run): rebuild the coster and
-		// invalidate every cached sample. An identical key prices every
-		// batch size byte-identically (same coster math, same kv sample
-		// points), so the tables stay warm across such re-arms.
-		coster, err := infer.NewStepCoster(is)
-		if err != nil {
+	key := pricingKey{spec: s.inferSpec(bounds), kv0: bounds.MinPrompt + 1, kv1: bounds.MaxContext}
+	price := env.table(key)
+	if price == nil {
+		price = &sim.own
+		if price.env != nil {
+			// Instances on the envelope the own table is shared on may
+			// still price through it under its key: leave it to them.
+			price = new(pricing)
+		}
+		if err := price.rekey(key); err != nil {
 			return err
 		}
-		sim.coster = coster
-		sim.costerSpec = is
-		for i := range sim.prefillTab {
-			sim.prefillTab[i] = math.NaN()
-		}
-		for i := range sim.decodeTab {
-			sim.decodeTab[i] = decodeLine{base: math.NaN()}
-		}
 	}
+	sim.price = price
 	sim.spec = s
 	sim.pol = pol
 	sim.pp = pp
-	sim.kv0 = kv0
-	sim.kv1 = kv1
 	sim.refPrompt = bounds.MaxPrompt
 	sim.budget = pol.budgetBytes()
 	sim.invBudget = 1 / sim.budget
@@ -271,13 +304,14 @@ func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) 
 //
 //optimus:hotpath
 func (sim *simulator) prefill(batch int) float64 {
-	for batch >= len(sim.prefillTab) {
-		sim.prefillTab = append(sim.prefillTab, math.NaN())
+	p := sim.price
+	for batch >= len(p.prefillTab) {
+		p.prefillTab = append(p.prefillTab, math.NaN())
 	}
-	t := sim.prefillTab[batch]
+	t := p.prefillTab[batch]
 	if math.IsNaN(t) {
-		t = sim.coster.Prefill(batch).Time()
-		sim.prefillTab[batch] = t
+		t = p.coster.Prefill(batch).Time()
+		p.prefillTab[batch] = t
 	}
 	return t
 }
@@ -287,19 +321,21 @@ func (sim *simulator) prefill(batch int) float64 {
 //
 //optimus:hotpath
 func (sim *simulator) decode(kvMean float64, batch int) float64 {
-	for batch >= len(sim.decodeTab) {
-		sim.decodeTab = append(sim.decodeTab, decodeLine{base: math.NaN()})
+	p := sim.price
+	for batch >= len(p.decodeTab) {
+		p.decodeTab = append(p.decodeTab, decodeLine{base: math.NaN()})
 	}
-	ln := sim.decodeTab[batch]
+	ln := p.decodeTab[batch]
+	kv0, kv1 := p.key.kv0, p.key.kv1
 	if math.IsNaN(ln.base) {
-		ln.base = sim.coster.DecodeStep(sim.kv0, batch).Time()
+		ln.base = p.coster.DecodeStep(kv0, batch).Time()
 		ln.slope = 0
-		if sim.kv1 > sim.kv0 {
-			ln.slope = (sim.coster.DecodeStep(sim.kv1, batch).Time() - ln.base) / float64(sim.kv1-sim.kv0)
+		if kv1 > kv0 {
+			ln.slope = (p.coster.DecodeStep(kv1, batch).Time() - ln.base) / float64(kv1-kv0)
 		}
-		sim.decodeTab[batch] = ln
+		p.decodeTab[batch] = ln
 	}
-	return ln.base + ln.slope*(kvMean-float64(sim.kv0))
+	return ln.base + ln.slope*(kvMean-float64(kv0))
 }
 
 // pushShape appends one request to the FIFO queue; it joins the batch at
@@ -655,7 +691,7 @@ func (sim *simulator) observe(kv float64, newbies int) {
 // average).
 func (sim *simulator) finish() Result {
 	s := sim.spec
-	sum := sim.sums.summarize(sim.done)
+	sum := sim.sums.summarize(sim.done, sim.keep)
 	pageTokens, totalPages := sim.pol.PageGeometry()
 	preemptions, recomputed := sim.pol.counters()
 	res := Result{
@@ -684,7 +720,7 @@ func (sim *simulator) finish() Result {
 		res.KVSwapOuts, res.KVSwapIns, res.SwapTimeTotal = pp.swapOuts, pp.swapIns, pp.swapTotal
 		res.KVTransfers, res.TransferTimeTotal = pp.transfers, pp.transferTotal
 		if pp.split {
-			c := s.canonical(sim.kv1)
+			c := s.canonical(sim.price.key.kv1)
 			res.PrefillDevices, res.DecodeDevices = c.PrefillDevices, c.DecodeDevices
 			res.PrefillPagesTotal, res.DecodePagesTotal = pp.prefillTotal, pp.decodeTotal
 			res.PeakPrefillPages, res.PeakDecodePages = pp.peakPrefill, pp.peakDecode
@@ -710,90 +746,367 @@ type Summary struct {
 }
 
 // SummarizeRequests summarizes a completed request set with exactly the
-// math Run applies to its own ledger — exported so fleet-level
-// aggregations (internal/cluster) summarize merged request sets
-// identically.
+// math Run applies to its own ledger: the reference a fleet's merged
+// summary (SummarizeInstances) is pinned to.
 func SummarizeRequests(done []RequestMetrics) Summary {
 	var sc summaryScratch
-	return sc.summarize(done)
+	return sc.summarize(done, false)
 }
 
-// summaryScratch holds the buffers a summary pass reuses: the percentile
-// samples and the tenant-grouping permutation.
+// SummarizeInstances summarizes the union of the instances' completed
+// request sets exactly as SummarizeRequests summarizes their
+// concatenation, without sorting a sample again: each instance's Result
+// kept its tenants' sorted runs, and a tenant's runs from every instance
+// merge into the tenant's fleet run. Every instance must have assembled
+// its Result.
+func SummarizeInstances(ins []*Instance) (Summary, error) {
+	var names []string
+	for i, in := range ins {
+		if in.tenants == nil {
+			return Summary{}, fmt.Errorf("serve: instance %d: summary before its result", i)
+		}
+		for _, tm := range in.tenants {
+			names = append(names, tm.Tenant)
+		}
+	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+	R := len(ins)
+	s := Summary{PerTenant: make([]TenantMetrics, len(names))}
+	// spans[u*R+r] delimits instance r's run of tenant u in each of its
+	// planes; an instance without the tenant has an empty span.
+	spans := make([][2]int, len(names)*R)
+	for r, in := range ins {
+		lo, u := 0, 0
+		for _, tm := range in.tenants {
+			for names[u] != tm.Tenant {
+				u++
+			}
+			spans[u*R+r] = [2]int{lo, lo + tm.Requests}
+			lo += tm.Requests
+			pt := &s.PerTenant[u]
+			pt.Tenant = tm.Tenant
+			pt.Requests += tm.Requests
+			pt.GenTokens += tm.GenTokens
+		}
+	}
+	for _, pt := range s.PerTenant {
+		s.Requests += pt.Requests
+		s.GenTokens += pt.GenTokens
+	}
+	var m runMerger
+	plane := make([]float64, s.Requests)
+	runs := make([][]float64, 0, R)
+	for k := range numMetrics {
+		lo := 0
+		for u, pt := range s.PerTenant {
+			runs = runs[:0]
+			for r, in := range ins {
+				if sp := spans[u*R+r]; sp[1] > sp[0] {
+					runs = append(runs, in.sim.sums.plane(k, in.pushed)[sp[0]:sp[1]])
+				}
+			}
+			m.merge(plane[lo:lo+pt.Requests], runs)
+			lo += pt.Requests
+		}
+		m.fill(&s, plane, k)
+	}
+	return s, nil
+}
+
+// numMetrics counts the latency metrics a group summary reports: TTFT,
+// TPOT, E2E and Queue, in that order.
+const numMetrics = 4
+
+// sample returns m's latency metric k.
+func (m *RequestMetrics) sample(k int) float64 {
+	return [numMetrics]float64{m.TTFT, m.TPOT, m.E2E, m.Queue}[k]
+}
+
+// metric returns g's summary of latency metric k.
+func (g *TenantMetrics) metric(k int) *Percentiles {
+	return [numMetrics]*Percentiles{&g.TTFT, &g.TPOT, &g.E2E, &g.Queue}[k]
+}
+
+// summaryScratch holds the buffers a summary pass reuses and, after a
+// pass, the sorted samples it summarized. runs holds one plane of samples
+// per metric after a kept pass — an Instance's, for SummarizeInstances to
+// merge — and otherwise one plane the metrics take in turn. A plane holds
+// the tenants' runs in name order, each sorted, so the pass's breakdown
+// delimits them by request count.
 type summaryScratch struct {
-	buf  []float64
-	perm []int32
+	runs []float64
+	// tenants holds the multi-tenant grouping buffers, made by the first
+	// pass that groups.
+	tenants *tenantScratch
 }
 
-// summarize computes done's Summary in the scratch buffers. The aggregate
-// reads its samples straight from done; the tenants are the runs of perm,
-// an index permutation sorted by tenant name. In the ubiquitous
-// single-tenant case the tenant's summary is the aggregate (same samples,
-// same math — so reuse is byte-identical), skipping the grouping and four
-// re-sorts. An empty set yields a non-nil empty breakdown.
-func (sc *summaryScratch) summarize(done []RequestMetrics) Summary {
-	s := Summary{TenantMetrics: sc.group(done, nil)}
-	single := len(done) > 0
-	for i := 1; i < len(done) && single; i++ {
+// tenantScratch holds a multi-tenant pass's grouping: each request's
+// tenant slot (tid), the tenants in first-seen order (names) and their
+// slots by name (index); the slots' name order, each slot's rank in it
+// and the run cursors (ints).
+type tenantScratch struct {
+	tid   []int32
+	names []string
+	index map[string]int32
+	ints  []int
+	merge runMerger
+}
+
+// plane returns the samples of metric k after an n-request pass: the
+// metric's own plane after a kept pass, the shared one otherwise.
+func (sc *summaryScratch) plane(k, n int) []float64 {
+	if len(sc.runs) == n {
+		return sc.runs
+	}
+	return sc.runs[k*n : (k+1)*n]
+}
+
+// summarize computes done's Summary, keeping a plane per metric if keep
+// is set, and sorting each sample once: one bucketing pass gives each
+// tenant its run of a plane, and runMerger.fill reads the sorted runs. In
+// the ubiquitous single-tenant case the one run is the aggregate's and the
+// tenant's summary is a copy of it (same samples, same math). An empty set
+// yields a non-nil empty breakdown.
+func (sc *summaryScratch) summarize(done []RequestMetrics, keep bool) Summary {
+	n := len(done)
+	planes := 1
+	if keep {
+		planes = numMetrics
+	}
+	sc.runs = slices.Grow(sc.runs[:0], planes*n)[:planes*n]
+	single := n > 0
+	for i := 1; i < n && single; i++ {
 		single = done[i].Tenant == done[0].Tenant
 	}
+	s := Summary{TenantMetrics: TenantMetrics{Requests: n}}
 	if single {
+		for i := range done {
+			s.GenTokens += done[i].GenTokens
+		}
+		for k := range numMetrics {
+			run := sc.plane(k, n)
+			for i := range done {
+				run[i] = done[i].sample(k)
+			}
+			*s.metric(k) = percentiles(run)
+		}
 		s.PerTenant = []TenantMetrics{s.TenantMetrics}
 		s.PerTenant[0].Tenant = done[0].Tenant
 		return s
 	}
-	perm := sc.perm[:0]
-	for i := range done {
-		perm = append(perm, int32(i))
+	ts := sc.tenants
+	if ts == nil {
+		ts = new(tenantScratch)
+		sc.tenants = ts
 	}
-	slices.SortStableFunc(perm, func(a, b int32) int { return strings.Compare(done[a].Tenant, done[b].Tenant) })
-	sc.perm = perm
-	tenants := 0
-	for i, p := range perm {
-		if i == 0 || done[p].Tenant != done[perm[i-1]].Tenant {
-			tenants++
-		}
+	s.PerTenant = ts.bucket(done)
+	for _, tm := range s.PerTenant {
+		s.GenTokens += tm.GenTokens
 	}
-	s.PerTenant = make([]TenantMetrics, 0, tenants)
-	for lo := 0; lo < len(perm); {
-		name := done[perm[lo]].Tenant
-		hi := lo + 1
-		for hi < len(perm) && done[perm[hi]].Tenant == name {
-			hi++
+	at := ts.ints[2*len(s.PerTenant):]
+	for k := range numMetrics {
+		plane := sc.plane(k, n)
+		lo := 0
+		for t, tm := range s.PerTenant {
+			at[t] = lo
+			lo += tm.Requests
 		}
-		tm := sc.group(done, perm[lo:hi])
-		tm.Tenant = name
-		s.PerTenant = append(s.PerTenant, tm)
-		lo = hi
+		for i, t := range ts.tid {
+			plane[at[t]] = done[i].sample(k)
+			at[t]++
+		}
+		lo = 0
+		for t := range s.PerTenant {
+			slices.Sort(plane[lo:at[t]])
+			lo = at[t]
+		}
+		ts.merge.fill(&s, plane, k)
 	}
 	return s
 }
 
-// group summarizes the requests done[idx[...]], or all of done when idx
-// is nil: their count, generated tokens and the four latency percentile
-// sets, in that field order, each metric's samples sorted in sc.buf.
-// Nearest-rank percentiles depend only on the multiset of samples, so the
-// visiting order cannot change a result.
-func (sc *summaryScratch) group(done []RequestMetrics, idx []int32) TenantMetrics {
-	n := len(done)
-	if idx != nil {
-		n = len(idx)
+// bucket groups done by tenant in one pass over the requests, then
+// renumbers the slots in name order. It leaves each request's slot in
+// ts.tid and returns the breakdown with each tenant's name, request count
+// and generated tokens.
+func (ts *tenantScratch) bucket(done []RequestMetrics) []TenantMetrics {
+	if ts.index == nil {
+		ts.index = make(map[string]int32)
 	}
-	g := TenantMetrics{Requests: n}
-	sc.buf = slices.Grow(sc.buf[:0], n)[:n]
-	for k, p := range [...]*Percentiles{&g.TTFT, &g.TPOT, &g.E2E, &g.Queue} {
-		for j := range sc.buf {
-			i := j
-			if idx != nil {
-				i = int(idx[j])
+	clear(ts.index)
+	ts.names = ts.names[:0]
+	tid := slices.Grow(ts.tid[:0], len(done))[:len(done)]
+	t := int32(-1)
+	for i := range done {
+		// Consecutive requests often share a tenant: look up the changes.
+		if name := done[i].Tenant; t < 0 || ts.names[t] != name {
+			j, ok := ts.index[name]
+			if !ok {
+				j = int32(len(ts.names))
+				ts.names = append(ts.names, name)
+				ts.index[name] = j
 			}
-			m := &done[i]
-			sc.buf[j] = [...]float64{m.TTFT, m.TPOT, m.E2E, m.Queue}[k]
-			if k == 0 {
-				g.GenTokens += m.GenTokens
-			}
+			t = j
 		}
-		*p = percentiles(sc.buf)
+		tid[i] = t
 	}
-	return g
+	T := len(ts.names)
+	ts.ints = slices.Grow(ts.ints[:0], 3*T)[:3*T]
+	order, rank := ts.ints[:T], ts.ints[T:2*T]
+	for j := range order {
+		order[j] = j
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(ts.names[a], ts.names[b]) })
+	tenants := make([]TenantMetrics, T)
+	for j, o := range order {
+		rank[o] = j
+		tenants[j].Tenant = ts.names[o]
+	}
+	for i := range tid {
+		r := int32(rank[tid[i]])
+		tid[i] = r
+		tenants[r].Requests++
+		tenants[r].GenTokens += done[i].GenTokens
+	}
+	ts.tid = tid
+	return tenants
+}
+
+// runMerger k-way merges sorted runs through a min-heap of their heads.
+// A head caches its run's next sample and cursor, so the heap orders
+// plain floats and a merge step writes no pointer.
+type runMerger struct {
+	heap []runHead
+	segs [][]float64
+}
+
+// runHead is run's next unmerged sample v and the index after it.
+type runHead struct {
+	v         float64
+	run, next int32
+}
+
+// fill sets metric k of s's aggregate and tenant summaries from plane,
+// which holds the tenants' sorted runs in name order: each tenant reads
+// its run, and the aggregate their merge (a lone tenant's run is the
+// aggregate's).
+func (m *runMerger) fill(s *Summary, plane []float64, k int) {
+	if len(s.PerTenant) == 1 {
+		*s.metric(k) = sortedPercentiles(plane)
+		*s.PerTenant[0].metric(k) = *s.metric(k)
+		return
+	}
+	m.segs = m.segs[:0]
+	lo := 0
+	for t := range s.PerTenant {
+		run := plane[lo : lo+s.PerTenant[t].Requests]
+		lo += len(run)
+		*s.PerTenant[t].metric(k) = sortedPercentiles(run)
+		m.segs = append(m.segs, run)
+	}
+	*s.metric(k) = m.percentiles(m.segs)
+}
+
+// load starts a merge of runs: the heap of the non-empty runs' heads, in
+// heap order, and the runs' total length.
+//
+//optimus:hotpath
+func (m *runMerger) load(runs [][]float64) ([]runHead, int) {
+	h, n := m.heap[:0], 0
+	for i, r := range runs {
+		if len(r) > 0 {
+			h = append(h, runHead{v: r[0], run: int32(i), next: 1})
+			n += len(r)
+		}
+	}
+	m.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	return h, n
+}
+
+// pop advances the run at the heap's top past its head, dropping the run
+// once it is spent, and returns the heap.
+//
+//optimus:hotpath
+func pop(runs [][]float64, h []runHead) []runHead {
+	top := &h[0]
+	if r := runs[top.run]; int(top.next) < len(r) {
+		top.v = r[top.next]
+		top.next++
+	} else {
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+	}
+	siftDown(h, 0)
+	return h
+}
+
+// merge writes the sorted runs' union into dst, which it fills.
+//
+//optimus:hotpath
+func (m *runMerger) merge(dst []float64, runs [][]float64) {
+	h, _ := m.load(runs)
+	for j := range dst {
+		dst[j] = h[0].v
+		h = pop(runs, h)
+	}
+}
+
+// percentiles returns the Percentiles of the sorted runs' union: exactly
+// percentiles of their concatenation, since merging the runs yields the
+// one sorted sequence sorting would (no latency is NaN or −0, so equal
+// samples are equal bits), and Mean sums that sequence in the same order.
+//
+//optimus:hotpath
+func (m *runMerger) percentiles(runs [][]float64) Percentiles {
+	h, n := m.load(runs)
+	switch len(h) {
+	case 0:
+		return Percentiles{}
+	case 1:
+		return sortedPercentiles(runs[h[0].run])
+	}
+	p50, p95, p99 := rankIndex(0.50, n), rankIndex(0.95, n), rankIndex(0.99, n)
+	var p Percentiles
+	var sum, v float64
+	for j := range n {
+		v = h[0].v
+		h = pop(runs, h)
+		sum += v
+		if j == p50 {
+			p.P50 = v
+		}
+		if j == p95 {
+			p.P95 = v
+		}
+		if j == p99 {
+			p.P99 = v
+		}
+	}
+	p.Mean = sum / float64(n)
+	p.Max = v
+	return p
+}
+
+// siftDown restores the heap order below h[i].
+//
+//optimus:hotpath
+func siftDown(h []runHead, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].v < h[c].v {
+			c++
+		}
+		if !(h[c].v < h[i].v) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
