@@ -162,15 +162,17 @@ func cmdSweep(args []string) error {
 			return fmt.Errorf("-cache needs the engine path (drop -serial)")
 		}
 		res, err = optimus.SweepSerial(spec)
+	} else if *cache == "" {
+		// spec.Workers carries -workers, so this is the pool an engine
+		// of that size would run.
+		res, err = optimus.Sweep(context.Background(), spec)
 	} else {
 		eng := optimus.NewSweepEngine(*workers)
-		if *cache != "" {
-			if err := eng.LoadCacheFile(*cache); err != nil {
-				return err
-			}
+		if err := eng.LoadCacheFile(*cache); err != nil {
+			return err
 		}
 		res, err = eng.Run(context.Background(), spec)
-		if err == nil && *cache != "" {
+		if err == nil {
 			err = eng.SaveCacheFile(*cache)
 		}
 	}

@@ -79,7 +79,7 @@ type TrainSpec struct {
 	Bytes MixedPrecisionBytes
 }
 
-func (s TrainSpec) bytes() MixedPrecisionBytes {
+func (s *TrainSpec) bytes() MixedPrecisionBytes {
 	if s.Bytes == (MixedPrecisionBytes{}) {
 		return DefaultMixedPrecision()
 	}
@@ -109,7 +109,7 @@ func (b Breakdown) ModelState() float64 {
 // ParamsPerDevice returns the parameter count held by one first-stage
 // device: the stage's share of the layers plus the TP shard of the input
 // embedding. It also sizes the data-parallel gradient all-reduce.
-func ParamsPerDevice(cfg model.Config, m parallel.Mapping) float64 {
+func ParamsPerDevice(cfg *model.Config, m *parallel.Mapping) float64 {
 	layers := float64(m.LayersPerDevice(cfg.Layers))
 	p := layers * cfg.LayerParams() / float64(m.TP)
 	emb := float64(cfg.Vocab*cfg.Hidden) / float64(m.TP)
@@ -123,7 +123,7 @@ func ParamsPerDevice(cfg model.Config, m parallel.Mapping) float64 {
 // LayerActivationBytes returns the stored activation bytes of one
 // transformer layer for one microbatch under the given parallelism,
 // excluding any recomputation discount.
-func LayerActivationBytes(cfg model.Config, m parallel.Mapping, seq int) float64 {
+func LayerActivationBytes(cfg *model.Config, m *parallel.Mapping, seq int) float64 {
 	s := float64(seq)
 	b := float64(m.Microbatch)
 	h := float64(cfg.Hidden)
@@ -141,7 +141,7 @@ func LayerActivationBytes(cfg model.Config, m parallel.Mapping, seq int) float64
 
 // layerInputBytes is Ainp of Eq. (1): the 2-byte layer input s·b·h tensor.
 // Sequence parallelism shards the stored checkpoint across the TP group.
-func layerInputBytes(cfg model.Config, m parallel.Mapping, seq int) float64 {
+func layerInputBytes(cfg *model.Config, m *parallel.Mapping, seq int) float64 {
 	bytes := 2 * float64(seq) * float64(m.Microbatch) * float64(cfg.Hidden)
 	if m.SP {
 		bytes /= float64(m.TP)
@@ -151,7 +151,7 @@ func layerInputBytes(cfg model.Config, m parallel.Mapping, seq int) float64 {
 
 // selectiveSavedBytes is Asm+Ado_mask+Ado_out of Eq. (2): the attention
 // quadratic tensors selective recomputation discards.
-func selectiveSavedBytes(cfg model.Config, m parallel.Mapping, seq int) float64 {
+func selectiveSavedBytes(cfg *model.Config, m *parallel.Mapping, seq int) float64 {
 	s := float64(seq)
 	b := float64(m.Microbatch)
 	a := float64(cfg.Heads)
@@ -162,8 +162,8 @@ func selectiveSavedBytes(cfg model.Config, m parallel.Mapping, seq int) float64 
 // ActivationsPerDevice returns the stored activation bytes on the worst
 // pipeline stage, applying the recomputation regime and the schedule's
 // in-flight multiplier.
-func ActivationsPerDevice(spec TrainSpec) float64 {
-	cfg, m := spec.Model, spec.Map
+func ActivationsPerDevice(spec *TrainSpec) float64 {
+	cfg, m := &spec.Model, &spec.Map
 	layers := m.LayersPerDevice(cfg.Layers)
 	nMicro := m.Microbatches(spec.GlobalBatch)
 	inFlight := m.InFlight(nMicro)
@@ -195,13 +195,21 @@ func Train(spec TrainSpec) (Breakdown, error) {
 	if err := spec.Model.Validate(); err != nil {
 		return Breakdown{}, err
 	}
+	return TrainValidated(&spec)
+}
+
+// TrainValidated is Train for a spec whose model has passed
+// model.Config.Validate: the same footprint and the same errors, without
+// checking the model again. A plan sweep checks each model once per grid
+// cell, not once per candidate.
+func TrainValidated(spec *TrainSpec) (Breakdown, error) {
 	if err := spec.Map.Validate(spec.Model.Layers, spec.GlobalBatch); err != nil {
 		return Breakdown{}, err
 	}
 	if spec.Seq <= 0 {
 		return Breakdown{}, fmt.Errorf("memfoot: non-positive sequence length %d", spec.Seq)
 	}
-	p := ParamsPerDevice(spec.Model, spec.Map)
+	p := ParamsPerDevice(&spec.Model, &spec.Map)
 	by := spec.bytes()
 	return Breakdown{
 		Parameters:  p * by.Param,

@@ -27,7 +27,7 @@ func TestLayerActivationKorthikantiFormula(t *testing.T) {
 	// At TP=1, no SP: sbh(34 + 5as/h) bytes.
 	cfg := model.GPT175B()
 	m := parallel.Mapping{DP: 1, TP: 1, PP: 1, Microbatch: 1}
-	got := LayerActivationBytes(cfg, m, 2048)
+	got := LayerActivationBytes(&cfg, &m, 2048)
 	s, b, h, a := 2048.0, 1.0, 12288.0, 96.0
 	want := s * b * h * (34 + 5*a*s/h)
 	if math.Abs(got-want)/want > 1e-12 {
@@ -38,7 +38,7 @@ func TestLayerActivationKorthikantiFormula(t *testing.T) {
 func TestTPAndSPDivideActivations(t *testing.T) {
 	cfg := model.GPT175B()
 	tp8 := parallel.Mapping{DP: 1, TP: 8, PP: 1, Microbatch: 1}
-	got := LayerActivationBytes(cfg, tp8, 2048)
+	got := LayerActivationBytes(&cfg, &tp8, 2048)
 	s, b, h, a := 2048.0, 1.0, 12288.0, 96.0
 	want := s * b * h * (10 + 24/8.0 + 5*a*s/(h*8))
 	if math.Abs(got-want)/want > 1e-12 {
@@ -46,7 +46,7 @@ func TestTPAndSPDivideActivations(t *testing.T) {
 	}
 	sp := tp8
 	sp.SP = true
-	gotSP := LayerActivationBytes(cfg, sp, 2048)
+	gotSP := LayerActivationBytes(&cfg, &sp, 2048)
 	wantSP := s * b * h * (34/8.0 + 5*a*s/(h*8))
 	if math.Abs(gotSP-wantSP)/wantSP > 1e-12 {
 		t.Errorf("SP activation = %g, want %g", gotSP, wantSP)
@@ -117,9 +117,9 @@ func TestFullRecomputeEq1(t *testing.T) {
 	// With Nckp = resident layers, Eq. (1) degenerates to
 	// L·Ainp + (Atot − Ainp) per stage.
 	spec := gpt175Spec(Full)
-	got := ActivationsPerDevice(spec)
+	got := ActivationsPerDevice(&spec)
 	layers := 12.0 // 96 layers / PP 8
-	aTot := LayerActivationBytes(spec.Model, spec.Map, spec.Seq)
+	aTot := LayerActivationBytes(&spec.Model, &spec.Map, spec.Seq)
 	aInp := 2.0 * 2048 * 1 * 12288
 	inFlight := 8.0 // 1F1B, m=64 ≥ p=8
 	want := (layers*aInp + (aTot - aInp)) * inFlight
@@ -129,7 +129,7 @@ func TestFullRecomputeEq1(t *testing.T) {
 	// Fewer checkpoints trade memory: Nckp = 4 stores fewer inputs but a
 	// larger recompute segment.
 	spec.Checkpoints = 4
-	got4 := ActivationsPerDevice(spec)
+	got4 := ActivationsPerDevice(&spec)
 	want4 := (4*aInp + 12.0/4*(aTot-aInp)) * inFlight
 	if math.Abs(got4-want4)/want4 > 1e-12 {
 		t.Errorf("Eq.1 with Nckp=4 = %g, want %g", got4, want4)
@@ -138,8 +138,8 @@ func TestFullRecomputeEq1(t *testing.T) {
 
 func TestSelectiveEq2(t *testing.T) {
 	spec := gpt175Spec(Selective)
-	got := ActivationsPerDevice(spec)
-	aTot := LayerActivationBytes(spec.Model, spec.Map, spec.Seq)
+	got := ActivationsPerDevice(&spec)
+	aTot := LayerActivationBytes(&spec.Model, &spec.Map, spec.Seq)
 	saved := 5.0 * 96 * 2048 * 2048 * 1 / 8
 	want := 12 * (aTot - saved) * 8
 	if math.Abs(got-want)/want > 1e-12 {
@@ -150,9 +150,9 @@ func TestSelectiveEq2(t *testing.T) {
 func TestGPipeStoresAllMicrobatches(t *testing.T) {
 	spec := gpt175Spec(NoRecompute)
 	spec.Map.Schedule = parallel.GPipe
-	gpipe := ActivationsPerDevice(spec)
+	gpipe := ActivationsPerDevice(&spec)
 	spec.Map.Schedule = parallel.OneFOneB
-	f1b1 := ActivationsPerDevice(spec)
+	f1b1 := ActivationsPerDevice(&spec)
 	if ratio := gpipe / f1b1; math.Abs(ratio-8) > 1e-9 { // 64 vs 8 in flight
 		t.Errorf("GPipe/1F1B activation ratio = %g, want 8", ratio)
 	}
@@ -243,7 +243,7 @@ func TestActivationLinearInMicrobatchProperty(t *testing.T) {
 		mb := int(b)%8 + 1
 		m1 := parallel.Mapping{DP: 1, TP: 8, PP: 1, Microbatch: mb}
 		m2 := parallel.Mapping{DP: 1, TP: 8, PP: 1, Microbatch: 2 * mb}
-		return math.Abs(LayerActivationBytes(cfg, m2, 2048)-2*LayerActivationBytes(cfg, m1, 2048)) < 1
+		return math.Abs(LayerActivationBytes(&cfg, &m2, 2048)-2*LayerActivationBytes(&cfg, &m1, 2048)) < 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -257,7 +257,7 @@ func TestTPMonotoneProperty(t *testing.T) {
 		tp := 1 << (int(tpSeed) % 4) // 1,2,4,8
 		m1 := parallel.Mapping{DP: 1, TP: tp, PP: 1, Microbatch: 1}
 		m2 := parallel.Mapping{DP: 1, TP: tp * 2, PP: 1, Microbatch: 1}
-		return LayerActivationBytes(cfg, m2, 2048) < LayerActivationBytes(cfg, m1, 2048)
+		return LayerActivationBytes(&cfg, &m2, 2048) < LayerActivationBytes(&cfg, &m1, 2048)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

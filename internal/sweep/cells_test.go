@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"optimus/internal/arch"
@@ -20,8 +21,9 @@ import (
 // entries, duplicates included, with no identity set in any cell.
 func each(s Spec, visit func(Point)) {
 	g := s.layout(false)
+	var p Point
 	for i := range g.cells {
-		g.walk(&g.cells[i], visit)
+		g.walk(&g.cells[i], &p, func(p *Point) { visit(*p) })
 	}
 }
 
@@ -140,9 +142,10 @@ func warmEngine(t *testing.T, spec Spec) *Engine {
 
 // TestPassOneWorkerInvariance: pass 1 spreads the cells over the pool, and
 // neither the rankings nor any Stats count may depend on it. For a
-// training, an inference and a serving grid, on a cold engine and on one
-// whose memo holds half the grid, every worker count ranks byte for byte
-// as Serial does and reports the same counts.
+// training, an inference and a serving grid, on a cold engine, on one
+// whose memo holds half the grid and through the package-level Run (whose
+// engine keeps no memo), every worker count ranks byte for byte as Serial
+// does and reports the same counts; Run reports a cold engine's.
 func TestPassOneWorkerInvariance(t *testing.T) {
 	grids := identGrids(t)
 	cases := map[string]Spec{"training": grids["training"], "inference": grids["inference"], "serving": grids["policies"]}
@@ -154,25 +157,31 @@ func TestPassOneWorkerInvariance(t *testing.T) {
 	pruning.GlobalBatches = []int{64, 128}
 	pruning.Constraints.TopK = 1000
 	cases["training-pruned"] = pruning
+	modes := []string{"cold", "warm", "one-shot"}
 	for name, spec := range cases {
 		spec.Constraints.TopK = 1000
 		ref, err := Serial(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, warm := range []bool{false, true} {
+		var cold Stats
+		for _, mode := range modes {
 			var want Stats
 			for i, workers := range []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)} {
-				e := New(0)
-				if warm {
-					e = warmEngine(t, spec)
-				}
 				spec.Workers = workers
-				res, err := e.Run(context.Background(), spec)
+				var res Result
+				switch mode {
+				case "cold":
+					res, err = New(0).Run(context.Background(), spec)
+				case "warm":
+					res, err = warmEngine(t, spec).Run(context.Background(), spec)
+				default:
+					res, err = Run(context.Background(), spec)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				what := fmt.Sprintf("%s warm=%v workers=%d", name, warm, workers)
+				what := fmt.Sprintf("%s %s workers=%d", name, mode, workers)
 				st := res.Stats
 				st.Workers, st.Elapsed = 0, 0
 				if i == 0 {
@@ -181,13 +190,48 @@ func TestPassOneWorkerInvariance(t *testing.T) {
 					t.Errorf("%s: %+v, at one worker %+v", what, st, want)
 				}
 				if st.Enumerated != ref.Stats.Enumerated || st.Pruned+st.Evaluated+st.MemoHits+st.Errors != st.Enumerated ||
-					warm != (st.MemoHits > 0) {
+					(mode == "warm") != (st.MemoHits > 0) {
 					t.Errorf("%s: %s against Serial's %s", what, res.Stats, ref.Stats)
+				}
+				if mode == "cold" && i == 0 {
+					cold = st
+				}
+				if mode == "one-shot" && st != cold {
+					t.Errorf("%s: %+v, a cold engine's %+v", what, st, cold)
 				}
 				if !reflect.DeepEqual(res.Rows, ref.Rows) {
 					t.Errorf("%s: ranking diverges from Serial's", what)
 				}
 			}
+		}
+	}
+}
+
+// TestHeldEngineMemoizes: the package-level Run keeps no memo, and that
+// must not reach an engine a caller holds. A cold Run on an engine from
+// New puts every evaluation in its memo, and a second Run answers them
+// all from it.
+func TestHeldEngineMemoizes(t *testing.T) {
+	grids := identGrids(t)
+	for _, name := range []string{"training", "inference", "policies"} {
+		spec := grids[name]
+		e := New(2)
+		res, err := e.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Errors != 0 {
+			t.Fatalf("%s: %s; an errored evaluation enters the memo too", name, res.Stats)
+		}
+		if res.Stats.Evaluated == 0 || e.CacheSize() != res.Stats.Evaluated {
+			t.Errorf("%s: cold run evaluated %d, memo holds %d", name, res.Stats.Evaluated, e.CacheSize())
+		}
+		again, err := e.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Stats.Evaluated != 0 || again.Stats.MemoHits != res.Stats.Evaluated {
+			t.Errorf("%s: second run %s, want every evaluation a memo hit", name, again.Stats)
 		}
 	}
 }
@@ -199,4 +243,67 @@ func mustDGX(t *testing.T, gpus int) *arch.System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// TestFeasibleMatchesFootprint: pass 1 works the per-cell parts of the
+// feasibility check out once per cell, and that must not change a
+// verdict or an error. Over a grid of two models on two systems whose
+// devices differ in memory, Feasible agrees candidate by candidate with
+// memfoot.Train against the device's capacity, and the engine prunes
+// exactly the candidates it rejects, at one worker and at several. A
+// candidate with an invalid model and an invalid mapping reports
+// memfoot.Train's error, the model's first.
+func TestFeasibleMatchesFootprint(t *testing.T) {
+	small := arch.A100()
+	small.Mem[len(small.Mem)-1].Capacity /= 2
+	smallSys, err := arch.SystemOf(small, 64, 8, tech.NVLink3, tech.IBHDR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{
+		Models:        []model.Config{model.GPT175B(), model.GPT22B()},
+		Systems:       []*arch.System{mustDGX(t, 64), smallSys},
+		GlobalBatches: []int{64, 128},
+		Constraints:   Constraints{TopK: 1000},
+	}
+	footprint := func(p Point) (bool, error) {
+		bd, err := memfoot.Train(memfoot.TrainSpec{
+			Model: p.Model, Map: p.Map, Seq: p.Seq, GlobalBatch: p.GlobalBatch, Recompute: p.Recompute,
+		})
+		return err == nil && memfoot.FitsDevice(bd, p.System.Device.DRAMCapacity()), err
+	}
+	points := Enumerate(spec)
+	pruned := 0
+	for _, p := range points {
+		fit, err := Feasible(p)
+		want, werr := footprint(p)
+		if fit != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("%s: Feasible %v, %v; footprint %v, %v", p.Key(), fit, err, want, werr)
+		}
+		if !fit {
+			pruned++
+		}
+	}
+	if pruned == 0 || pruned == len(points) {
+		t.Fatalf("%d of %d candidates pruned; the grid must prune some and keep some", pruned, len(points))
+	}
+	for _, workers := range []int{1, 3} {
+		spec.Workers = workers
+		res, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Pruned != pruned || res.Stats.Errors != 0 {
+			t.Errorf("workers=%d: %s; Feasible rejects %d", workers, res.Stats, pruned)
+		}
+	}
+
+	bad := points[0]
+	bad.Model.KVHeads = 0
+	bad.Map.DP = 0
+	fit, err := Feasible(bad)
+	_, werr := footprint(bad)
+	if fit || err == nil || err.Error() != werr.Error() || !strings.Contains(err.Error(), "kv-heads") {
+		t.Errorf("invalid model and mapping: Feasible %v, %v; memfoot.Train %v", fit, err, werr)
+	}
 }

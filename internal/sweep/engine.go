@@ -20,22 +20,30 @@ type memoEntry struct {
 
 // Engine evaluates sweeps over a bounded worker pool with a memoization
 // cache that persists across Run calls, so repeated (model, system,
-// mapping, …) evaluations — within one grid or across successive sweeps —
-// are costed once.
+// mapping, …) evaluations across successive sweeps are costed once.
 type Engine struct {
 	workers int
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// memo is nil on the engine of the package-level Run, which no caller
+	// can reach once Run returns: it evaluates every survivor directly.
 	memo map[string]*memoEntry
 }
 
 // New returns an engine with the given pool size; workers <= 0 means
 // GOMAXPROCS.
 func New(workers int) *Engine {
+	e := oneShot(workers)
+	e.memo = make(map[string]*memoEntry)
+	return e
+}
+
+// oneShot returns an engine without a memo, for a single Run.
+func oneShot(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{workers: workers, memo: make(map[string]*memoEntry)}
+	return &Engine{workers: workers}
 }
 
 // CacheSize reports how many evaluations the memo holds.
@@ -75,11 +83,16 @@ type blocks[T any] struct {
 }
 
 func (l *blocks[T]) add(v T) {
+	*l.next() = v
+}
+
+// next appends a zero element and returns it, to be filled in place.
+func (l *blocks[T]) next() *T {
 	if l.n%blockLen == 0 {
 		l.b = append(l.b, make([]T, blockLen))
 	}
-	*l.at(l.n) = v
 	l.n++
+	return l.at(l.n - 1)
 }
 
 func (l *blocks[T]) at(i int) *T {
@@ -100,8 +113,11 @@ type sifter struct {
 	stopped bool
 	buf     []byte
 	kept    blocks[survivor]
-	// out is the account of the cell being sifted.
+	// out is the account of the cell being sifted and fit its footprint
+	// check; p is the scratch point the cell walk fills for each candidate.
 	out *sifted
+	fit footprintCheck
+	p   Point
 }
 
 // sifted is pass 1's account of one cell: the candidates it walked, how
@@ -121,7 +137,8 @@ type sifted struct {
 func (f *sifter) siftCell(c *cell, out *sifted) {
 	out.kept, out.first = &f.kept, f.kept.n
 	f.out = out
-	f.g.candidates(c, f.sift)
+	f.fit = checkFor(&f.g.s.Models[c.model], f.g.s.Systems[c.system])
+	f.g.candidates(c, &f.p, f.sift)
 	out.count = f.kept.n - out.first
 }
 
@@ -129,12 +146,13 @@ func (f *sifter) siftCell(c *cell, out *sifted) {
 // cell. A memoized candidate is kept whatever it would cost, and counts
 // as a memo hit in pass 2. Otherwise, when pruning is sound, the
 // footprint model decides: an error or an overflow is counted and the
-// candidate dropped. The memo is consulted only when it held entries as
-// the run began; a run's own evaluations start only in pass 2, and within
-// one grid every identity is distinct.
+// candidate dropped. A survivor is copied once, from the walk's scratch
+// point into its slot of kept. The memo is consulted only when it held
+// entries as the run began; a run's own evaluations start only in pass 2,
+// and within one grid every identity is distinct.
 //
 //optimus:hotpath
-func (f *sifter) sift(p Point) {
+func (f *sifter) sift(p *Point) {
 	out := f.out
 	order := out.n
 	out.n++
@@ -151,7 +169,7 @@ func (f *sifter) sift(p Point) {
 		f.e.mu.Unlock()
 	}
 	if ent == nil && f.prune {
-		fit, err := Feasible(p)
+		fit, err := f.fit.feasible(p)
 		if err != nil {
 			out.errors++
 			return
@@ -161,7 +179,8 @@ func (f *sifter) sift(p Point) {
 			return
 		}
 	}
-	f.kept.add(survivor{row: Row{Point: p, order: order}, ent: ent})
+	sv := f.kept.next()
+	sv.row.Point, sv.row.order, sv.ent = *p, order, ent
 }
 
 // survivorAt returns survivor i of the run without copying it: it sits in
@@ -211,7 +230,8 @@ func pool(n int, work func(w int)) {
 // cell's base, the candidates of the cells before it, plus its index in
 // the cell. Pass 2 starts once every cell is sifted and costs the
 // survivors where pass 1 left them: workers claim chunks of them from a
-// second cursor and write each outcome into that survivor's own slot.
+// second cursor and write each outcome into that survivor's own slot,
+// through the memo (settle) or, on an engine without one, directly.
 // Neither pass's result depends on scheduling: rankings are Serial's and
 // Stats the same at any worker count. On cancellation Run returns ctx.Err()
 // alongside the statistics accumulated so far; pass 1 still counts the
@@ -307,7 +327,7 @@ func (e *Engine) cost(ctx context.Context, cells []sifted, kept, workers int, ct
 		// One pooled evaluator per worker: simulator slabs, pricing
 		// tables and op buffers survive across the points this goroutine
 		// costs (byte-identical to fresh evaluation — see Evaluate).
-		ev := newEvaluator()
+		var ev evaluator
 		var buf []byte
 		for {
 			hi := int(cursor.Add(int64(chunk)))
@@ -319,7 +339,7 @@ func (e *Engine) cost(ctx context.Context, cells []sifted, kept, workers int, ct
 				if cancelled(done) {
 					return
 				}
-				buf = e.settle(ctx, survivorAt(cells, i), ct, ev, buf)
+				buf = e.settle(ctx, survivorAt(cells, i), ct, &ev, buf)
 			}
 		}
 	})
@@ -330,8 +350,13 @@ func (e *Engine) cost(ctx context.Context, cells []sifted, kept, workers int, ct
 // the survivor claims a new entry and evaluates it. Only full evaluations
 // enter the memo — a pruned point costs nothing and decides nothing beyond
 // its own run. The key is rendered into buf, which is returned for reuse;
-// a lookup does not allocate, only a claim does.
+// a lookup does not allocate, only a claim does. An engine without a memo
+// evaluates the survivor directly (settleDirect) and renders no key.
 func (e *Engine) settle(ctx context.Context, sv *survivor, ct *counters, ev *evaluator, buf []byte) []byte {
+	if e.memo == nil {
+		settleDirect(sv, ct, ev)
+		return buf
+	}
 	ent := sv.ent
 	if ent == nil {
 		id := sv.row.Point.ident()
@@ -342,7 +367,7 @@ func (e *Engine) settle(ctx context.Context, sv *survivor, ct *counters, ev *eva
 			ent = &memoEntry{done: make(chan struct{})}
 			e.memo[string(buf)] = ent
 			e.mu.Unlock()
-			ent.m, ent.err = ev.evaluate(sv.row.Point)
+			ent.m, ent.err = ev.evaluate(&sv.row.Point)
 			close(ent.done)
 			if ent.err != nil {
 				ct.errors.Add(1)
@@ -370,8 +395,25 @@ func (e *Engine) settle(ctx context.Context, sv *survivor, ct *counters, ev *eva
 	return buf
 }
 
-// Run evaluates the grid on a fresh engine — the package-level convenience
-// used by the public optimus.Sweep API.
+// settleDirect costs one survivor in place, through its own row: the
+// whole of pass 2 for an engine that keeps no memo.
+//
+//optimus:hotpath
+func settleDirect(sv *survivor, ct *counters, ev *evaluator) {
+	m, err := ev.evaluate(&sv.row.Point)
+	if err != nil {
+		ct.errors.Add(1)
+		return
+	}
+	ct.evaluated.Add(1)
+	sv.row.Metrics, sv.ok = m, true
+}
+
+// Run evaluates the grid on a fresh engine that keeps no memo — the
+// package-level convenience used by the public optimus.Sweep API. No
+// caller can run that engine again, and within one grid every identity
+// is distinct, so a memo could never hit: each survivor is evaluated
+// directly, without a key, a memo entry or a lock.
 func Run(ctx context.Context, s Spec) (Result, error) {
-	return New(s.Workers).Run(ctx, s)
+	return oneShot(s.Workers).Run(ctx, s)
 }

@@ -36,7 +36,10 @@ func enumerateOne(cfg model.Config, sys *arch.System, raw Point, shape servingSh
 	raw.Map = parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1}
 	shape.tok = workloadToken(shape.mix, shape.trace)
 	raw.tok = tokens{model: modelToken(cfg), system: systemToken(sys), schedule: workload.FormatSchedule(raw.Schedule)}
-	return servingPoint(raw, shape)
+	if !servingPoint(&raw, shape) {
+		return Point{}, false
+	}
+	return raw, true
 }
 
 // canonRate keeps the fuzzer inside the rates the sweep accepts (positive

@@ -189,7 +189,7 @@ func TestServingTurnsPageTokensMatchRun(t *testing.T) {
 		t.Fatalf("expected one candidate, got %d", len(pts))
 	}
 	p := pts[0]
-	raw := servingSpec(p)
+	raw := servingSpec(&p)
 	raw.PageTokens = spec.ServePageTokens
 	res, err := serve.Run(raw)
 	if err != nil {

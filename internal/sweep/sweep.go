@@ -14,18 +14,24 @@
 //   - Engine.Run is the production path, in two passes on a bounded
 //     worker pool. Pass 1 splits the grid into independent cells that
 //     workers claim from an atomic cursor; each worker walks its cells'
-//     distinct candidates and keeps only those that are memoized or pass
-//     the memory-feasibility check. Nothing is held for a pruned
-//     candidate: repeated axis entries are dropped before the walk, so
-//     only a serving cell, whose canonicalization can merge raw values,
-//     keeps an identity set. Pass 2 costs the survivors where pass 1
-//     left them, claiming chunks of them from a second cursor, memoizing
-//     repeated evaluations, and honours context cancellation. Its
-//     rankings are byte-identical to Serial's, and neither they nor its
-//     Stats depend on the worker count. The string key is rendered only for memo traffic, and the
-//     memo can be persisted across processes with SaveCache/LoadCache,
-//     so repeated CLI invocations and CI sweeps skip re-costing unchanged
-//     grid cells.
+//     distinct candidates, built in one scratch Point and passed by
+//     pointer, and keeps only those that are memoized or pass the
+//     memory-feasibility check, whose per-cell parts it works out once
+//     per cell. Nothing is held for a pruned candidate: repeated axis
+//     entries are dropped before the walk, so only a serving cell, whose
+//     canonicalization can merge raw values, keeps an identity set. Pass
+//     2 costs the survivors in place, claiming chunks of them from a
+//     second cursor, and honours context cancellation. Its rankings are
+//     byte-identical to Serial's, and neither they nor its Stats depend
+//     on the worker count.
+//   - An Engine from New memoizes its evaluations across Run calls, so
+//     a grid that overlaps an earlier one is costed once; the string key
+//     is rendered only for memo traffic, and the memo can be persisted
+//     across processes with SaveCache/LoadCache, so repeated CLI
+//     invocations and CI sweeps skip re-costing unchanged grid cells.
+//     The package-level Run is one-shot: within one grid every identity
+//     is distinct, so its engine keeps no memo and evaluates every
+//     survivor directly.
 package sweep
 
 import (
@@ -944,8 +950,14 @@ func divisors(n int) []int {
 }
 
 // eachTraining visits the training candidates of one grid cell at tensor
-// degree tp, stamped with the cell's tokens; c carries its defaults.
-func eachTraining(cfg model.Config, sys *arch.System, batch, seq, tp int, prec tech.Precision, c *Constraints, tok tokens, visit func(Point)) {
+// degree tp, stamped with the cell's tokens; c carries its defaults. Each
+// candidate is built in p, which visit must neither modify nor keep.
+func eachTraining(cfg *model.Config, sys *arch.System, batch, seq, tp int, prec tech.Precision, c *Constraints, tok tokens,
+	p *Point, visit func(*Point)) {
+	*p = Point{
+		Workload: Training, Model: *cfg, System: sys, Precision: prec,
+		GlobalBatch: batch, Seq: seq, tok: tok,
+	}
 	devices := sys.NumDevices()
 	for pp := 1; pp <= devices/tp; pp++ {
 		if devices%(tp*pp) != 0 {
@@ -977,12 +989,10 @@ func eachTraining(cfg model.Config, sys *arch.System, batch, seq, tp int, prec t
 					continue
 				}
 				pp1Done = true
+				p.Map = m
 				for _, rec := range c.Recomputes {
-					visit(Point{
-						Workload: Training, Model: cfg, System: sys,
-						Map: m, Recompute: rec, Precision: prec,
-						GlobalBatch: batch, Seq: seq, tok: tok,
-					})
+					p.Recompute = rec
+					visit(p)
 				}
 			}
 		}
@@ -1063,7 +1073,8 @@ func (s Spec) arrivals() []arrival {
 // false when the candidate cannot be simulated — a pool split wider than
 // the system, or a prefix that leaves no private prompt token or rides on
 // a session's — and the cell is skipped, like an indivisible head count.
-func servingPoint(p Point, shape servingShape) (Point, bool) {
+// It completes p in place.
+func servingPoint(p *Point, shape servingShape) bool {
 	if len(shape.trace) > 0 {
 		p.Trace, p.ServeRequests = shape.trace, len(shape.trace)
 		p.Rate, p.ServeSeed, p.Schedule, p.Turns, p.Think = 0, 0, nil, 0, 0
@@ -1075,23 +1086,24 @@ func servingPoint(p Point, shape servingShape) (Point, bool) {
 	tp := p.Map.TP
 	if c.PrefillDevices > tp || c.DecodeDevices > tp ||
 		(c.PrefixTokens > 0 && (c.PrefixTokens >= p.Seq || c.Turns > 1)) {
-		return Point{}, false
+		return false
 	}
 	p.PageTokens, p.PrefillDevices, p.DecodeDevices, p.TransferGBps = c.PageTokens, c.PrefillDevices, c.DecodeDevices, c.TransferGBps
 	p.PrefixTokens, p.HostKVBytes, p.SwapGBps = c.PrefixTokens, c.HostKVBytes, c.SwapGBps
 	p.Turns, p.Think = c.Turns, c.Think
 	p.tok.workload = shape.tok
-	return p, true
+	return true
 }
 
 // eachServing visits the serving candidates of one (model, system,
-// precision) cell. Serving maps are fixed to TP = device count, as in
-// inference; layout keeps only the cells whose heads divide over it.
-func (s *Spec) eachServing(cfg model.Config, sys *arch.System, prec tech.Precision, tok tokens,
-	shapes []servingShape, arrivals []arrival, visit func(Point)) {
+// precision) cell, each built in p, as eachTraining does. Serving maps are
+// fixed to TP = device count, as in inference; layout keeps only the
+// cells whose heads divide over it.
+func (s *Spec) eachServing(cfg *model.Config, sys *arch.System, prec tech.Precision, tok tokens,
+	shapes []servingShape, arrivals []arrival, p *Point, visit func(*Point)) {
 	tp := sys.NumDevices()
 	base := Point{
-		Workload: Serving, Model: cfg, System: sys,
+		Workload: Serving, Model: *cfg, System: sys,
 		Map:       parallel.Mapping{DP: 1, TP: tp, PP: 1, SP: tp > 1, Microbatch: 1},
 		Precision: prec, ServeRequests: s.ServeRequests, ServeSeed: s.ServeSeed,
 		PageTokens: s.ServePageTokens, TransferGBps: s.TransferGBps, SwapGBps: s.SwapGBps,
@@ -1105,30 +1117,27 @@ func (s *Spec) eachServing(cfg model.Config, sys *arch.System, prec tech.Precisi
 					for _, split := range s.PoolSplits {
 						for _, host := range s.HostKVBytes {
 							for _, shape := range shapes {
-								p := base
+								*p = base
 								p.Rate, p.Schedule, p.tok.schedule, p.Turns = ar.rate, ar.sched, ar.tok, turns
 								p.BatchCap, p.Policy = batchCap, pol
 								p.PrefillDevices, p.DecodeDevices, p.HostKVBytes = split.Prefill, split.Decode, host
-								p, ok := servingPoint(p, shape)
-								if !ok {
+								if !servingPoint(p, shape) {
 									continue
 								}
-								// The fleet axes: one copy per (fleet size,
-								// routing), the routing collapsed to
-								// round-robin for single-instance and
-								// one-replica entries (every policy routes a
-								// fleet of one identically).
+								// The fleet axes: one candidate per (fleet
+								// size, routing), the routing collapsed to
+								// round-robin (the zero Routing) for
+								// single-instance and one-replica entries
+								// (every policy routes a fleet of one
+								// identically).
 								for _, reps := range s.Replicas {
 									rts := s.Routings
 									if reps <= 1 {
 										rts = roundRobin
 									}
 									for _, rt := range rts {
-										q := p
-										if reps > 0 {
-											q.Replicas, q.Routing = reps, rt
-										}
-										visit(q)
+										p.Replicas, p.Routing = reps, rt
+										visit(p)
 									}
 								}
 							}
@@ -1251,27 +1260,31 @@ func firsts[T comparable](xs []T) []T {
 }
 
 // walk visits cell c's candidates in enumeration order, duplicates
-// included.
-func (g *grid) walk(c *cell, visit func(Point)) {
-	cfg, sys := g.s.Models[c.model], g.s.Systems[c.system]
+// included. Each candidate is built in the caller's scratch point p,
+// which visit must neither modify nor keep: a candidate is copied only
+// where it is kept.
+func (g *grid) walk(c *cell, p *Point, visit func(*Point)) {
+	cfg, sys := &g.s.Models[c.model], g.s.Systems[c.system]
 	tok := tokens{model: g.modelToks[c.model], system: g.sysToks[c.system]}
 	switch g.s.Workload {
 	case Serving:
-		g.s.eachServing(cfg, sys, c.prec, tok, g.shapes, g.arrivals, visit)
+		g.s.eachServing(cfg, sys, c.prec, tok, g.shapes, g.arrivals, p, visit)
 	case Inference:
+		*p = Point{
+			Workload: Inference, Model: *cfg, System: sys,
+			Map:       parallel.Mapping{DP: 1, TP: c.tp, PP: 1, SP: c.tp > 1, Microbatch: 1},
+			Precision: c.prec, tok: tok,
+		}
 		for _, batch := range g.s.GlobalBatches {
 			for _, seq := range g.s.Seqs {
 				for _, gen := range g.s.GenTokens {
-					visit(Point{
-						Workload: Inference, Model: cfg, System: sys,
-						Map:       parallel.Mapping{DP: 1, TP: c.tp, PP: 1, SP: c.tp > 1, Microbatch: 1},
-						Precision: c.prec, GlobalBatch: batch, Seq: seq, GenTokens: gen, tok: tok,
-					})
+					p.GlobalBatch, p.Seq, p.GenTokens = batch, seq, gen
+					visit(p)
 				}
 			}
 		}
 	default:
-		eachTraining(cfg, sys, c.batch, c.seq, c.tp, c.prec, &g.cons, tok, visit)
+		eachTraining(cfg, sys, c.batch, c.seq, c.tp, c.prec, &g.cons, tok, p, visit)
 	}
 }
 
@@ -1280,16 +1293,17 @@ func (g *grid) walk(c *cell, visit func(Point)) {
 // so it is walked as is. A serving cell's walk drops a candidate whose
 // ident an earlier one of the cell has; no other cell can hold it. The
 // cell keeps one numberSet per distinct tokens, found again only when the
-// tokens change, which the walk makes rare.
-func (g *grid) candidates(c *cell, visit func(Point)) {
+// tokens change, which the walk makes rare. Candidates are built in p, as
+// in walk.
+func (g *grid) candidates(c *cell, p *Point, visit func(*Point)) {
 	if g.s.Workload != Serving {
-		g.walk(c, visit)
+		g.walk(c, p, visit)
 		return
 	}
 	seen := make(map[tokens]*numberSet)
 	var tok tokens
 	var set *numberSet
-	g.walk(c, func(p Point) {
+	g.walk(c, p, func(p *Point) {
 		id := p.ident()
 		if set == nil || id.tok != tok {
 			tok = id.tok
@@ -1352,8 +1366,9 @@ func (s *numberSet) grow() {
 func Enumerate(s Spec) []Point {
 	g := s.layout(true)
 	var out []Point
+	var p Point
 	for i := range g.cells {
-		g.candidates(&g.cells[i], func(p Point) { out = append(out, p) })
+		g.candidates(&g.cells[i], &p, func(p *Point) { out = append(out, *p) })
 	}
 	return out
 }
@@ -1365,24 +1380,22 @@ func Enumerate(s Spec) []Point {
 // TestClusterRunnerReuseMatchesFresh and TestPredictorReuseMatchesFresh
 // (train) pin that reuse byte-identical, so the two paths cannot diverge.
 func Evaluate(p Point) (Metrics, error) {
-	return newEvaluator().evaluate(p)
+	var ev evaluator
+	return ev.evaluate(&p)
 }
 
 // evaluator carries the pooled serving simulators and the training op
-// buffer one sweep worker reuses across the points it costs. Inference
-// predictions are stateless. NOT safe for concurrent use — each worker
-// owns one.
+// buffer one sweep worker reuses across the points it costs. The
+// simulators are made by the first serving point that needs each, so a
+// training or inference sweep never builds them. Inference predictions
+// are stateless. NOT safe for concurrent use — each worker owns one.
 type evaluator struct {
 	serve   *serve.Runner
 	cluster *cluster.Runner
 	train   train.Predictor
 }
 
-func newEvaluator() *evaluator {
-	return &evaluator{serve: serve.NewRunner(), cluster: cluster.NewRunner()}
-}
-
-func (ev *evaluator) evaluate(p Point) (Metrics, error) {
+func (ev *evaluator) evaluate(p *Point) (Metrics, error) {
 	switch p.Workload {
 	case Inference:
 		return evaluateInference(p)
@@ -1393,7 +1406,7 @@ func (ev *evaluator) evaluate(p Point) (Metrics, error) {
 	}
 }
 
-func (ev *evaluator) evaluateTraining(p Point) (Metrics, error) {
+func (ev *evaluator) evaluateTraining(p *Point) (Metrics, error) {
 	res, err := ev.train.Predict(train.Spec{
 		Model:       p.Model,
 		System:      p.System,
@@ -1414,7 +1427,7 @@ func (ev *evaluator) evaluateTraining(p Point) (Metrics, error) {
 	}, nil
 }
 
-func evaluateInference(p Point) (Metrics, error) {
+func evaluateInference(p *Point) (Metrics, error) {
 	res, err := infer.Predict(infer.Spec{
 		Model:        p.Model,
 		System:       p.System,
@@ -1436,7 +1449,7 @@ func evaluateInference(p Point) (Metrics, error) {
 
 // servingSpec builds the simulator configuration of one serving point,
 // whose knobs enumeration already canonicalized.
-func servingSpec(p Point) serve.Spec {
+func servingSpec(p *Point) serve.Spec {
 	sp := capacitySpec(p)
 	sp.SetWorkload(p.workload())
 	return sp
@@ -1444,7 +1457,7 @@ func servingSpec(p Point) serve.Spec {
 
 // capacitySpec is the serving point's capacity alone: the instance a
 // single-instance candidate simulates and a fleet candidate replicates.
-func capacitySpec(p Point) serve.Spec {
+func capacitySpec(p *Point) serve.Spec {
 	return serve.Spec{
 		Model: p.Model, System: p.System, TP: p.Map.TP, Precision: p.Precision,
 		MaxBatch: p.BatchCap, Policy: p.Policy, PageTokens: p.PageTokens,
@@ -1456,7 +1469,7 @@ func capacitySpec(p Point) serve.Spec {
 
 // workload is the serving point's workload. Enumeration zeroes what the
 // point's shape excludes, so the fields map one to one.
-func (p Point) workload() workload.Spec {
+func (p *Point) workload() workload.Spec {
 	return workload.Spec{
 		PromptTokens: p.Seq, GenTokens: p.GenTokens, PrefixTokens: p.PrefixTokens,
 		Mix: p.Mix, Trace: p.Trace,
@@ -1468,7 +1481,7 @@ func (p Point) workload() workload.Spec {
 // clusterSpec builds the fleet configuration of a Replicas > 0 serving
 // point: the capacity instantiated Replicas times (sweep fleets are
 // homogeneous) serving the point's workload fleet-wide.
-func clusterSpec(p Point) cluster.Spec {
+func clusterSpec(p *Point) cluster.Spec {
 	cs := cluster.Spec{
 		Replicas: []cluster.Replica{{Spec: capacitySpec(p), Count: p.Replicas}},
 		Routing:  p.Routing,
@@ -1481,7 +1494,10 @@ func clusterSpec(p Point) cluster.Spec {
 // mapping the fleet-wide result onto the same serving Metrics surface as a
 // single instance (per-device footprint from the worst replica, KV
 // utilization averaged across the fleet).
-func (ev *evaluator) evaluateServingFleet(p Point) (Metrics, error) {
+func (ev *evaluator) evaluateServingFleet(p *Point) (Metrics, error) {
+	if ev.cluster == nil {
+		ev.cluster = cluster.NewRunner()
+	}
 	res, err := ev.cluster.Run(clusterSpec(p))
 	if err != nil {
 		return Metrics{}, err
@@ -1505,9 +1521,12 @@ func (ev *evaluator) evaluateServingFleet(p Point) (Metrics, error) {
 	}), nil
 }
 
-func (ev *evaluator) evaluateServing(p Point) (Metrics, error) {
+func (ev *evaluator) evaluateServing(p *Point) (Metrics, error) {
 	if p.Replicas > 0 {
 		return ev.evaluateServingFleet(p)
+	}
+	if ev.serve == nil {
+		ev.serve = serve.NewRunner()
 	}
 	res, err := ev.serve.Run(servingSpec(p))
 	if err != nil {
@@ -1517,7 +1536,7 @@ func (ev *evaluator) evaluateServing(p Point) (Metrics, error) {
 }
 
 // servingMetrics maps one serving run onto Metrics.
-func servingMetrics(p Point, res *serve.Result) Metrics {
+func servingMetrics(p *Point, res *serve.Result) Metrics {
 	m := Metrics{
 		Time: res.E2E.P95,
 		Footprint: memfoot.InferenceBreakdown{
@@ -1558,7 +1577,30 @@ func servingMetrics(p Point, res *serve.Result) Metrics {
 // whether the simulator can ever admit a request, which is when Evaluate
 // succeeds).
 func Feasible(p Point) (bool, error) {
-	capacity := p.System.Device.DRAMCapacity()
+	fc := checkFor(&p.Model, p.System)
+	return fc.feasible(&p)
+}
+
+// footprintCheck holds the parts of Feasible that do not change within a
+// cell, so that pass 1 works them out once per cell rather than once per
+// candidate.
+type footprintCheck struct {
+	// capacity is the system's device memory.
+	capacity float64
+	// model is the model's validation outcome, which memfoot.Train
+	// would otherwise repeat for every training candidate.
+	model error
+}
+
+func checkFor(cfg *model.Config, sys *arch.System) footprintCheck {
+	return footprintCheck{capacity: sys.Device.DRAMCapacity(), model: cfg.Validate()}
+}
+
+// feasible is Feasible for a candidate of fc's cell: the same verdicts
+// and the same errors, in memfoot.Train's order.
+//
+//optimus:hotpath
+func (fc *footprintCheck) feasible(p *Point) (bool, error) {
 	if p.Workload == Serving {
 		// Fleet candidates are homogeneous, so one replica's admission
 		// feasibility is the fleet's.
@@ -1566,16 +1608,19 @@ func Feasible(p Point) (bool, error) {
 	}
 	if p.Workload == Inference {
 		fp := memfoot.Inference(p.Model, p.Map.TP, p.GlobalBatch, p.Seq+p.GenTokens, p.Precision.Bytes())
-		return fp.Total() <= capacity, nil
+		return fp.Total() <= fc.capacity, nil
 	}
-	bd, err := memfoot.Train(memfoot.TrainSpec{
+	if fc.model != nil {
+		return false, fc.model
+	}
+	bd, err := memfoot.TrainValidated(&memfoot.TrainSpec{
 		Model: p.Model, Map: p.Map, Seq: p.Seq, GlobalBatch: p.GlobalBatch,
 		Recompute: p.Recompute,
 	})
 	if err != nil {
 		return false, err
 	}
-	return memfoot.FitsDevice(bd, capacity), nil
+	return memfoot.FitsDevice(bd, fc.capacity), nil
 }
 
 // rank filters and orders rows: fitting candidates first, then by
@@ -1619,21 +1664,21 @@ func Serial(s Spec) (Result, error) {
 	}
 	points := Enumerate(s)
 	c := s.Constraints.WithDefaults(firstSystem(s))
-	rows := make([]Row, 0, len(points))
+	rows := make([]Row, len(points))
+	ranked := make([]*Row, 0, len(points))
 	stats := Stats{Enumerated: len(points), Workers: 1}
-	ev := newEvaluator()
-	for i, p := range points {
-		m, err := ev.evaluate(p)
+	var ev evaluator
+	for i := range rows {
+		r := &rows[i]
+		r.Point, r.order = points[i], i
+		m, err := ev.evaluate(&r.Point)
 		if err != nil {
 			stats.Errors++
 			continue
 		}
 		stats.Evaluated++
-		rows = append(rows, Row{Point: p, Metrics: m, order: i})
-	}
-	ranked := make([]*Row, len(rows))
-	for i := range rows {
-		ranked[i] = &rows[i]
+		r.Metrics = m
+		ranked = append(ranked, r)
 	}
 	stats.Elapsed = time.Since(start) //lint:deterministic instrumentation-only elapsed time, not part of results
 	return Result{Rows: rank(ranked, c), Stats: stats}, nil

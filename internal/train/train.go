@@ -276,7 +276,7 @@ func (pr *Predictor) Predict(s Spec) (Result, error) {
 	// Data-parallel gradient all-reduce over the DP group.
 	var dpComm float64
 	if m.DP > 1 {
-		gradBytes := memfoot.ParamsPerDevice(s.Model, m) * s.store().Bytes()
+		gradBytes := memfoot.ParamsPerDevice(&s.Model, &m) * s.store().Bytes()
 		dpLink := sys.Inter
 		if m.Devices() <= sys.DevicesPerNode {
 			dpLink = sys.Intra
@@ -289,7 +289,7 @@ func (pr *Predictor) Predict(s Spec) (Result, error) {
 	// bytes per parameter at mixed precision).
 	const optimizerBytesPerParam = 28
 	dram := sys.Device.DRAMLevel()
-	optStep := memfoot.ParamsPerDevice(s.Model, m) * optimizerBytesPerParam / dram.EffBW()
+	optStep := memfoot.ParamsPerDevice(&s.Model, &m) * optimizerBytesPerParam / dram.EffBW()
 
 	bubble := m.BubbleSlots() * slot
 
@@ -338,14 +338,14 @@ func (pr *Predictor) Predict(s Spec) (Result, error) {
 	recompBytes := recompute.gemmBytes + recompute.ewBytes
 	boundaryBytes := (embCost.gemmBytes + embCost.ewBytes + logitCost.gemmBytes + logitCost.ewBytes) * (1 + bwdGEMMFactor)
 	res.DRAMBytes = busy*(lf*(fwdDevBytes+recompBytes)+boundaryBytes) +
-		memfoot.ParamsPerDevice(s.Model, m)*optimizerBytesPerParam
+		memfoot.ParamsPerDevice(&s.Model, &m)*optimizerBytesPerParam
 	res.WireBytes = busy * lf * (2*fwd.wireBytes + recompute.wireBytes)
 	if m.PP > 1 {
 		res.WireBytes += 2 * float64(m.P2PTransfersPerMicrobatch()) * p2pBytes
 	}
 	if m.DP > 1 {
 		d := float64(m.DP)
-		res.WireBytes += 2 * memfoot.ParamsPerDevice(s.Model, m) * s.store().Bytes() * (d - 1) / d
+		res.WireBytes += 2 * memfoot.ParamsPerDevice(&s.Model, &m) * s.store().Bytes() * (d - 1) / d
 	}
 
 	mem, err := memfoot.Train(memfoot.TrainSpec{

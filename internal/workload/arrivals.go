@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -88,9 +89,11 @@ func AppendScheduleArrivals(dst []float64, sched Schedule, n int, seed int64) []
 // draw tenants, weighted by share, from a second independently seeded
 // stream. Entries with a non-zero PromptSigma/GenSigma then draw
 // per-request lognormal lengths from a third salted stream; zero-sigma
-// mixes skip that pass entirely, consuming no randomness.
+// mixes skip that pass entirely, consuming no randomness. dst grows once,
+// by the n shapes.
 func AppendMixShapes(dst []Request, mix []TenantLoad, n int, seed int64) []Request {
 	start := len(dst)
+	dst = slices.Grow(dst, max(n, 0))
 	if len(mix) == 1 {
 		sh := mix[0].Shape()
 		for i := 0; i < n; i++ {

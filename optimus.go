@@ -23,8 +23,9 @@
 // Beyond single predictions, Sweep evaluates whole experiment grids —
 // models × systems × precisions × batch sizes × mappings × schedules ×
 // recomputation regimes — over a bounded worker pool with
-// memory-feasibility pruning and memoization, returning a deterministic
-// ranking (identical at any worker count):
+// memory-feasibility pruning, returning a deterministic ranking
+// (identical at any worker count); NewSweepEngine adds a memo that
+// successive sweeps share:
 //
 //	sysA, _ := optimus.NewSystem("a100", 64, "nvlink3", "hdr")
 //	sysH, _ := optimus.NewSystem("h100", 64, "nvlink4", "ndr")
@@ -569,10 +570,11 @@ func ReadSystemJSON(r io.Reader) (*System, error) { return arch.ReadSystem(r) }
 func WriteDeviceJSON(w io.Writer, d Device) error { return arch.WriteDevice(w, d) }
 
 // Sweep evaluates a cross-product experiment grid concurrently: candidates
-// are enumerated deterministically, pruned by the memory-feasibility model
-// before costing, deduplicated and memoized, and ranked fitting-first then
-// by predicted time — the same ranking at any worker count. Cancel ctx to
-// stop a large grid early.
+// are enumerated deterministically and deduplicated, pruned by the
+// memory-feasibility model before costing, and ranked fitting-first then
+// by predicted time — the same ranking at any worker count. It keeps no
+// memo (a grid's candidates are distinct); use NewSweepEngine to share
+// one across sweeps. Cancel ctx to stop a large grid early.
 func Sweep(ctx context.Context, s SweepSpec) (SweepResult, error) { return sweep.Run(ctx, s) }
 
 // SweepSerial evaluates the grid one candidate at a time — the golden
