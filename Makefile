@@ -13,7 +13,9 @@ vet:
 # The simulator-invariant analyzer suite (cmd/optimuslint): determinism,
 # keycomplete, hotpath, floateq plus the extra vet passes. Exit contract
 # matches go vet — any finding fails the gate; deliberate sites carry an
-# annotation with a justification (see README "Invariant lints").
+# annotation with a justification (see README "Invariant lints"). The
+# whole-module dead-export rule is a test, TestNoDeadExports in
+# cmd/optimuslint, run by the test pass of `make check`.
 lint:
 	$(GO) run ./cmd/optimuslint ./...
 

@@ -140,7 +140,7 @@ func TestClusterAllocBudget(t *testing.T) {
 		const k, budget = 16, 48e3
 		capacity := lkv.Replicas[0].Spec
 		shapes := workload.AppendMixShapes(nil, lkv.Mix, 1024, 1)
-		times := workload.AppendPoissonArrivals(nil, lkv.Rate/8, k, 1)
+		times, _ := workload.ArrivalProcess{Rate: lkv.Rate / 8, Seed: 1}.Generate(lkv.Mix, k, nil, nil)
 		for _, n := range []int{k, len(shapes)} {
 			env := new(serve.Envelope)
 			if err := env.Set(shapes[:n]); err != nil {

@@ -8,6 +8,8 @@ package optimus
 
 import (
 	"context"
+	"slices"
+	"strconv"
 	"testing"
 
 	"optimus/internal/arch"
@@ -92,19 +94,11 @@ func BenchmarkFig4(b *testing.B) {
 }
 
 // BenchmarkFig5 regenerates the GPU-generation scaling and reports the
-// A100→B200 speedup (paper: ~35x).
+// A100→B200 speedup (paper: ~35x): the A100-HDR row's per-sample time
+// normalized against B200-NVS-L.
 func BenchmarkFig5(b *testing.B) {
-	benchExperiment(b, "fig5")
-	plats := repro.Fig5Platforms()
-	first, err := repro.Fig5Predict(plats[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	last, err := repro.Fig5Predict(plats[len(plats)-1])
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric((first.Total/1024)/(last.Total/4096), "a100-to-b200-x")
+	tb := benchExperiment(b, "fig5")
+	b.ReportMetric(tableCell(b, tb, "normalized", "A100-HDR"), "a100-to-b200-x")
 }
 
 // BenchmarkFig6 regenerates the technology-node DSE sweep (42 optimizer
@@ -126,12 +120,26 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 regenerates the DRAM-technology scaling study and reports
 // the 8-GPU communication-to-memory ratio (paper: ~1.6x for Llama2-13B).
 func BenchmarkFig9(b *testing.B) {
-	benchExperiment(b, "fig9")
-	res, err := repro.Fig9Predict(repro.Fig9Points()[2], 8) // HBM2e-NV3
-	if err != nil {
-		b.Fatal(err)
+	tb := benchExperiment(b, "fig9")
+	b.ReportMetric(tableCell(b, tb, "comm/memory", "HBM2e-NV3", "8"), "comm-over-memory")
+}
+
+// tableCell parses the numeric cell in column col of the first row of tb
+// whose leading cells are key.
+func tableCell(b *testing.B, tb repro.Table, col string, key ...string) float64 {
+	b.Helper()
+	c := slices.Index(tb.Header, col)
+	for _, row := range tb.Rows {
+		if c >= 0 && slices.Equal(row[:len(key)], key) {
+			v, err := strconv.ParseFloat(row[c], 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return v
+		}
 	}
-	b.ReportMetric(res.CommTime/res.MemoryTime, "comm-over-memory")
+	b.Fatalf("%s: no %q cell in a row starting %q", tb.ID, col, key)
+	return 0
 }
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
@@ -300,8 +308,12 @@ func BenchmarkRooflineGEMM(b *testing.B) {
 
 // BenchmarkMemoryFootprint measures the footprint model.
 func BenchmarkMemoryFootprint(b *testing.B) {
+	cfg, err := model.ByName("gpt-530b")
+	if err != nil {
+		b.Fatal(err)
+	}
 	spec := memfoot.TrainSpec{
-		Model: model.GPT530B(),
+		Model: cfg,
 		Map: parallel.Mapping{
 			DP: 1, TP: 8, PP: 35, Microbatch: 1, Schedule: parallel.OneFOneB,
 		},

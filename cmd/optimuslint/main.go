@@ -11,6 +11,11 @@
 // Packages default to ./... relative to the working directory. Exit
 // status: 0 clean, 1 findings, 2 load/usage error — the same contract as
 // go vet, so `make lint` composes into `make check` and CI.
+//
+// The dead-export rule (no exported identifier under internal/ without a
+// caller outside its own package) needs the whole module in view, so it
+// is not an analyzer: TestNoDeadExports in this package's tests runs it
+// over ./..., under `go test ./cmd/optimuslint` and so `make check`.
 package main
 
 import (
@@ -101,14 +106,36 @@ func filterSuite(only string) ([]*analysis.Analyzer, error) {
 // printing findings in deterministic (position, analyzer) order. It
 // returns the number of findings.
 func run(w io.Writer, dir string, patterns []string, enabled []*analysis.Analyzer) (int, error) {
-	pkgs, err := loader.Expand(dir, patterns)
+	pkgs, err := load(dir, patterns)
 	if err != nil {
 		return 0, err
 	}
-	if len(pkgs) == 0 {
-		return 0, fmt.Errorf("no packages match %v", patterns)
+	return analyze(w, pkgs, enabled)
+}
+
+// load expands patterns relative to dir and type-checks every matched
+// package, in import-path order.
+func load(dir string, patterns []string) ([]*loader.Package, error) {
+	matched, err := loader.Expand(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	if len(matched) == 0 {
+		return nil, fmt.Errorf("no packages match %v", patterns)
 	}
 	l := loader.New()
+	pkgs := make([]*loader.Package, len(matched))
+	for i := range matched {
+		if pkgs[i], err = l.LoadDir(matched[i].Dir, matched[i].Path); err != nil {
+			return nil, err
+		}
+	}
+	return pkgs, nil
+}
+
+// analyze applies the enabled analyzers to pkgs and prints their findings
+// in deterministic (position, analyzer) order.
+func analyze(w io.Writer, pkgs []*loader.Package, enabled []*analysis.Analyzer) (int, error) {
 	sizes := loader.Sizes()
 
 	type finding struct {
@@ -119,11 +146,7 @@ func run(w io.Writer, dir string, patterns []string, enabled []*analysis.Analyze
 	}
 	var findings []finding
 
-	for i := range pkgs {
-		p, err := l.LoadDir(pkgs[i].Dir, pkgs[i].Path)
-		if err != nil {
-			return 0, err
-		}
+	for _, p := range pkgs {
 		for _, a := range enabled {
 			a := a
 			pass := &analysis.Pass{

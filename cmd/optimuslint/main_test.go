@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"optimus/internal/lint/loader"
@@ -16,18 +17,39 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
 	}
-	root, _, err := loader.ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	n, err := run(&buf, root, []string{"./..."}, suite)
+	n, err := analyze(&buf, loadTree(t).pkgs, suite)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
 		t.Fatalf("optimuslint reported %d findings on a tree expected clean:\n%s", n, buf.String())
 	}
+}
+
+// moduleTree is the whole module, loaded once for the tests that need
+// all of it.
+type moduleTree struct {
+	once    sync.Once
+	modPath string
+	pkgs    []*loader.Package
+	err     error
+}
+
+var tree moduleTree
+
+func loadTree(t *testing.T) *moduleTree {
+	t.Helper()
+	tree.once.Do(func() {
+		var root string
+		if root, tree.modPath, tree.err = loader.ModuleRoot("."); tree.err == nil {
+			tree.pkgs, tree.err = load(root, []string{"./..."})
+		}
+	})
+	if tree.err != nil {
+		t.Fatal(tree.err)
+	}
+	return &tree
 }
 
 func TestFilterSuite(t *testing.T) {

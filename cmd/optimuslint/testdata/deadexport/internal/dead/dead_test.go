@@ -1,0 +1,12 @@
+package dead
+
+import (
+	"testing"
+
+	"fixture/internal/testsupport"
+)
+
+func TestOnlyCaller(t *testing.T) {
+	TestOnly()
+	testsupport.Helper()
+}

@@ -170,9 +170,9 @@ type Link struct {
 // EffBW returns the achievable large-message bandwidth Util×BW.
 func (l Link) EffBW() float64 { return l.BW * l.Util }
 
-// LinkFromTech builds a Link from a technology-table entry, dividing
+// linkFromTech builds a Link from a technology-table entry, dividing
 // node-level (InfiniBand) bandwidth across devicesPerNode devices.
-func LinkFromTech(t tech.NetworkTech, devicesPerNode int, util float64) Link {
+func linkFromTech(t tech.NetworkTech, devicesPerNode int, util float64) Link {
 	spec := t.Spec()
 	bw := spec.BW
 	if spec.PerNode && devicesPerNode > 0 {

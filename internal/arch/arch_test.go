@@ -8,7 +8,7 @@ import (
 )
 
 func TestPresetsValidate(t *testing.T) {
-	for _, d := range []Device{A100(), A100_40GB(), H100(), H200(), B100(), B200(), V100(), P4(), TPUv4()} {
+	for _, d := range []Device{A100(), a100_40GB(), H100(), H200(), b100(), B200(), v100(), p4(), tpuV4()} {
 		if err := d.Validate(); err != nil {
 			t.Errorf("preset %s invalid: %v", d.Name, err)
 		}
@@ -105,12 +105,12 @@ func TestValidateRejectsBadDevices(t *testing.T) {
 
 func TestLinkFromTechPerNodeSplit(t *testing.T) {
 	// HDR IB is 200 GB/s per node; a DGX has 8 GPUs → 25 GB/s per GPU.
-	l := LinkFromTech(tech.IBHDR, 8, 0.85)
+	l := linkFromTech(tech.IBHDR, 8, 0.85)
 	if l.BW != 25e9 {
 		t.Errorf("per-GPU HDR share = %g, want 25e9", l.BW)
 	}
 	// NVLink is already per-GPU.
-	l = LinkFromTech(tech.NVLink4, 8, 0.8)
+	l = linkFromTech(tech.NVLink4, 8, 0.8)
 	if l.BW != 450e9 {
 		t.Errorf("NVLink4 per-GPU = %g, want 450e9", l.BW)
 	}

@@ -99,7 +99,7 @@ func decodeLink(c linkConfig, devicesPerNode int, defaultUtil float64) (Link, er
 		if err != nil {
 			return Link{}, err
 		}
-		l = LinkFromTech(t, devicesPerNode, defaultUtil)
+		l = linkFromTech(t, devicesPerNode, defaultUtil)
 		l.Latency = collLatency(t)
 	}
 	if c.BW > 0 {

@@ -40,8 +40,8 @@ func A100() Device {
 	}
 }
 
-// A100_40GB returns the 40 GB HBM2 variant.
-func A100_40GB() Device {
+// a100_40GB returns the 40 GB HBM2 variant.
+func a100_40GB() Device {
 	d := A100()
 	d.Name = "A100-40GB"
 	d.Mem[2] = MemLevel{Name: "HBM", Capacity: 40e9, BW: 1.555e12, Util: 0.80}
@@ -107,8 +107,8 @@ func B200() Device {
 	}
 }
 
-// B100 returns an NVIDIA B100 device (B200 at a lower power envelope).
-func B100() Device {
+// b100 returns an NVIDIA B100 device (B200 at a lower power envelope).
+func b100() Device {
 	d := B200()
 	d.Name = "B100"
 	for p, f := range d.Compute {
@@ -118,9 +118,9 @@ func B100() Device {
 	return d
 }
 
-// V100 returns an NVIDIA V100-SXM2-32GB device (DeepFlow's validation
+// v100 returns an NVIDIA V100-SXM2-32GB device (DeepFlow's validation
 // platform, kept for lineage and regression tests).
-func V100() Device {
+func v100() Device {
 	return Device{
 		Name: "V100",
 		Compute: map[tech.Precision]float64{
@@ -139,9 +139,9 @@ func V100() Device {
 	}
 }
 
-// P4 returns an NVIDIA P4 inference card (DeepFlow's second validation
+// p4 returns an NVIDIA P4 inference card (DeepFlow's second validation
 // platform).
-func P4() Device {
+func p4() Device {
 	return Device{
 		Name: "P4",
 		Compute: map[tech.Precision]float64{
@@ -161,9 +161,9 @@ func P4() Device {
 	}
 }
 
-// TPUv4 returns a Google TPU v4 device (the paper notes the framework was
+// tpuV4 returns a Google TPU v4 device (the paper notes the framework was
 // extended to accommodate TPUs; modeled from public figures).
-func TPUv4() Device {
+func tpuV4() Device {
 	return Device{
 		Name: "TPUv4",
 		Compute: map[tech.Precision]float64{
@@ -213,7 +213,7 @@ func collLatency(t tech.NetworkTech) float64 {
 // IntraLink builds the per-GPU intra-node link for a fabric generation with
 // the calibrated collective latency.
 func IntraLink(t tech.NetworkTech) Link {
-	l := LinkFromTech(t, 0, 0.80)
+	l := linkFromTech(t, 0, 0.80)
 	l.Latency = collLatency(t)
 	return l
 }
@@ -222,7 +222,7 @@ func IntraLink(t tech.NetworkTech) Link {
 // devicesPerNode GPUs. NVLink-Switch systems expose per-GPU bandwidth
 // directly; InfiniBand bandwidth is a node aggregate split across GPUs.
 func InterLink(t tech.NetworkTech, devicesPerNode int) Link {
-	l := LinkFromTech(t, devicesPerNode, 0.85)
+	l := linkFromTech(t, devicesPerNode, 0.85)
 	l.Latency = collLatency(t)
 	return l
 }
@@ -259,18 +259,13 @@ func DGXA100(n int) (*System, error) {
 	return SystemOf(A100(), n, 8, tech.NVLink3, tech.IBHDR)
 }
 
-// DGXH100 builds an H100 cluster in nodes of 8 with NVLink4 and NDR IB.
-func DGXH100(n int) (*System, error) {
-	return SystemOf(H100(), n, 8, tech.NVLink4, tech.IBNDR)
-}
-
 // DeviceByName returns a preset device by its conventional name.
 func DeviceByName(name string) (Device, error) {
 	builders := map[string]func() Device{
-		"a100": A100, "a100-80gb": A100, "a100-40gb": A100_40GB,
+		"a100": A100, "a100-80gb": A100, "a100-40gb": a100_40GB,
 		"h100": H100, "h100-sxm": H100, "h200": H200,
-		"b100": B100, "b200": B200,
-		"v100": V100, "p4": P4, "tpuv4": TPUv4,
+		"b100": b100, "b200": B200,
+		"v100": v100, "p4": p4, "tpuv4": tpuV4,
 	}
 	if b, ok := builders[lower(name)]; ok {
 		return b(), nil

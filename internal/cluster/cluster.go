@@ -110,6 +110,11 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("cluster: unknown routing policy %v", s.Routing)
 	}
 	w := s.Workload()
+	if w.Trace == nil || len(w.Trace) > 0 { // an empty trace is named as empty first
+		if err := workload.Check(w.SetFields(), fleetField); err != nil {
+			return fmt.Errorf("cluster: workload: %w", err)
+		}
+	}
 	if err := w.Validate(); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
@@ -129,6 +134,16 @@ func (s Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// fleetField names a workload field as cluster.Spec spells it: as
+// serve.Spec does, less the closed-loop Arrival and Clients a fleet lacks
+// ("" leaves them out of the rules' messages).
+func fleetField(f workload.Field) string {
+	if f == workload.FieldClosed || f == workload.FieldClients {
+		return ""
+	}
+	return f.String()
 }
 
 // RequestMetrics is one completed request in the fleet-merged view: the

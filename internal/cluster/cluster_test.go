@@ -548,7 +548,7 @@ func TestClusterValidate(t *testing.T) {
 		s.PromptTokens, s.GenTokens, s.Rate = 0, 0, 0
 		s.Trace = []workload.TraceEvent{}
 	})
-	check("trace with rate", "leave Arrival/Rate/Clients/Seed/Schedule/Turns/Think unset", func(s *Spec) {
+	check("trace with rate", "leave Rate/Seed/Schedule/Turns/Think unset", func(s *Spec) {
 		s.PromptTokens, s.GenTokens = 0, 0
 		s.Trace = []workload.TraceEvent{{Arrival: 0, Request: workload.Request{Tenant: "a", PromptTokens: 100, GenTokens: 10}}}
 	})

@@ -53,9 +53,9 @@ var deviceTable = map[string]DeviceEnergy{
 	"TPUv4":     {PJPerFLOP: 0.55, DRAMPJPerByte: 28, NetPJPerByte: 45, StaticW: 60, TDPW: 250},
 }
 
-// ForDevice returns the energy coefficients for a preset device, or a
+// forDevice returns the energy coefficients for a preset device, or a
 // generic A100-class table for derived/custom devices.
-func ForDevice(d arch.Device) DeviceEnergy {
+func forDevice(d arch.Device) DeviceEnergy {
 	if e, ok := deviceTable[d.Name]; ok {
 		return e
 	}
@@ -105,7 +105,7 @@ func analyze(dev arch.Device, prec tech.Precision, flops, dramBytes, wireBytes, 
 	if seconds <= 0 {
 		return Report{}, fmt.Errorf("energy: non-positive duration %g", seconds)
 	}
-	e := ForDevice(dev)
+	e := forDevice(dev)
 	b := Breakdown{
 		Compute: flops * e.PJPerFLOP * precisionFactor(prec) * 1e-12,
 		DRAM:    dramBytes * e.DRAMPJPerByte * 1e-12,
@@ -179,9 +179,9 @@ type Cost struct {
 // Total sums the cost.
 func (c Cost) Total() float64 { return c.ComputeUSD + c.EnergyUSD }
 
-// RunCost prices a workload of the given duration on n devices with the
+// runCost prices a workload of the given duration on n devices with the
 // given system energy.
-func RunCost(seconds float64, devices int, systemJoules float64, p Prices) Cost {
+func runCost(seconds float64, devices int, systemJoules float64, p Prices) Cost {
 	hours := seconds / 3600 * float64(devices)
 	kwh := systemJoules / 3.6e6 * p.PUE
 	return Cost{
@@ -219,7 +219,7 @@ func PriceTrainingRun(spec train.Spec, res train.Result, tokens float64, p Price
 	}
 	seconds := float64(iters) * res.Total
 	systemJ := rep.SystemJ * float64(iters)
-	cost := RunCost(seconds, spec.System.NumDevices(), systemJ, p)
+	cost := runCost(seconds, spec.System.NumDevices(), systemJ, p)
 	run := TrainingRun{
 		Iterations: iters,
 		Days:       seconds / 86400,

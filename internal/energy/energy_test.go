@@ -109,10 +109,10 @@ func TestPrecisionFactor(t *testing.T) {
 func TestForDeviceFallsBack(t *testing.T) {
 	custom := arch.A100()
 	custom.Name = "custom-n3-HBM4"
-	if ForDevice(custom) != deviceTable["A100-80GB"] {
+	if forDevice(custom) != deviceTable["A100-80GB"] {
 		t.Error("unknown device should fall back to the A100 table")
 	}
-	if ForDevice(arch.H100()).TDPW != 700 {
+	if forDevice(arch.H100()).TDPW != 700 {
 		t.Error("H100 table wrong")
 	}
 }
@@ -154,7 +154,7 @@ func TestPerfPerTCOImprovesAcrossGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h100sys, err := arch.DGXH100(64)
+	h100sys, err := arch.SystemOf(arch.H100(), 64, 8, tech.NVLink4, tech.IBNDR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestPerfPerTCOImprovesAcrossGenerations(t *testing.T) {
 func TestRunCostArithmetic(t *testing.T) {
 	// 3600 s on 10 devices at $2/h = $20; 3.6e6 J = 1 kWh → at PUE 1.2
 	// and $0.10/kWh = $0.12.
-	c := RunCost(3600, 10, 3.6e6, Prices{GPUHourUSD: 2, USDPerKWh: 0.10, PUE: 1.2})
+	c := runCost(3600, 10, 3.6e6, Prices{GPUHourUSD: 2, USDPerKWh: 0.10, PUE: 1.2})
 	if c.ComputeUSD != 20 {
 		t.Errorf("compute cost = %g, want 20", c.ComputeUSD)
 	}

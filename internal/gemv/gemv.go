@@ -58,9 +58,6 @@ func NewOracle(seed int64) *Oracle {
 	}
 }
 
-// Device returns the oracle's device.
-func (o *Oracle) Device() arch.Device { return o.dev }
-
 // footprint returns the bytes a GEMV streams from DRAM (dominated by the
 // weight matrix).
 func footprint(g roofline.GEMM) float64 { return g.CompulsoryBytes() }
@@ -80,9 +77,9 @@ func (o *Oracle) trueUtil(g roofline.GEMM) float64 {
 	return u
 }
 
-// Measure returns one simulated "GPU time" for the kernel, including launch
+// measure returns one simulated "GPU time" for the kernel, including launch
 // overhead and measurement noise.
-func (o *Oracle) Measure(g roofline.GEMM) float64 {
+func (o *Oracle) measure(g roofline.GEMM) float64 {
 	peak := o.dev.DRAMLevel().BW
 	t := footprint(g)/(peak*o.trueUtil(g)) + o.Launch
 	noise := 1 + o.NoiseSigma*o.rng.NormFloat64()
@@ -92,12 +89,12 @@ func (o *Oracle) Measure(g roofline.GEMM) float64 {
 	return t * noise
 }
 
-// MeasuredUtil converts a measured time back into an apparent DRAM
+// measuredUtil converts a measured time back into an apparent DRAM
 // utilization — what the paper extracts from its profiling runs. The
 // known software launch overhead is deducted first so the factor reflects
 // pure bandwidth utilization (the model re-adds its own launch estimate
 // when predicting).
-func (o *Oracle) MeasuredUtil(g roofline.GEMM, t float64) float64 {
+func (o *Oracle) measuredUtil(g roofline.GEMM, t float64) float64 {
 	if t <= 0 {
 		return 0
 	}
@@ -150,8 +147,8 @@ type Sample struct {
 func Profile(o *Oracle, kernels []roofline.GEMM) []Sample {
 	out := make([]Sample, len(kernels))
 	for i, g := range kernels {
-		t := o.Measure(g)
-		out[i] = Sample{Kernel: g, Measured: t, Util: o.MeasuredUtil(g, t)}
+		t := o.measure(g)
+		out[i] = Sample{Kernel: g, Measured: t, Util: o.measuredUtil(g, t)}
 	}
 	return out
 }
@@ -263,11 +260,11 @@ func Calibrate(samples []Sample, k int) (Calibration, error) {
 	return cal, nil
 }
 
-// UtilFor returns the clustered utilization factor for a kernel: the
+// utilFor returns the clustered utilization factor for a kernel: the
 // log-footprint position is interpolated between the neighbouring cluster
 // centroids (in log-utilization space, since the ramp is multiplicative),
 // clamping at the extreme clusters.
-func (c Calibration) UtilFor(g roofline.GEMM) float64 {
+func (c Calibration) utilFor(g roofline.GEMM) float64 {
 	if len(c.Clusters) == 0 {
 		return c.Constant
 	}
@@ -324,7 +321,7 @@ type Prediction struct {
 
 // Evaluate predicts every sample with both calibrations.
 func Evaluate(o *Oracle, cal Calibration, samples []Sample) []Prediction {
-	clustered := engineWith(o.dev, cal.UtilFor)
+	clustered := engineWith(o.dev, cal.utilFor)
 	constant := engineWith(o.dev, func(roofline.GEMM) float64 { return cal.Constant })
 	out := make([]Prediction, len(samples))
 	for i, s := range samples {

@@ -75,12 +75,12 @@ func TestConstantFactorFineForLargeKernels(t *testing.T) {
 
 func TestOracleDeterministicPerSeed(t *testing.T) {
 	g := roofline.GEMM{M: 1, N: 4096, K: 4096, Precision: tech.FP16}
-	a := NewOracle(7).Measure(g)
-	b := NewOracle(7).Measure(g)
+	a := NewOracle(7).measure(g)
+	b := NewOracle(7).measure(g)
 	if a != b {
 		t.Error("same seed must reproduce the same measurement")
 	}
-	c := NewOracle(8).Measure(g)
+	c := NewOracle(8).measure(g)
 	if a == c {
 		t.Error("different seeds should perturb the measurement")
 	}
@@ -138,7 +138,7 @@ func TestUtilForPicksNearestCluster(t *testing.T) {
 	_, _, cal := profileAll(t)
 	tiny := roofline.GEMM{M: 1, N: 128, K: 128, Precision: tech.FP16}
 	huge := roofline.GEMM{M: 1, N: 51200, K: 12288, Precision: tech.FP16}
-	if cal.UtilFor(tiny) >= cal.UtilFor(huge) {
+	if cal.utilFor(tiny) >= cal.utilFor(huge) {
 		t.Error("nearest-cluster utilization should grow with footprint")
 	}
 }

@@ -11,10 +11,8 @@ package analysistest
 
 import (
 	"fmt"
-	"go/token"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -152,16 +150,4 @@ func parseWants(s string) ([]*regexp.Regexp, error) {
 		out = append(out, re)
 	}
 	return out, nil
-}
-
-// Sorted is a small debugging aid: the diagnostics of a run in position
-// order as "file:line: message" strings.
-func Sorted(fset *token.FileSet, ds []analysis.Diagnostic) []string {
-	out := make([]string, len(ds))
-	for i, d := range ds {
-		pos := fset.Position(d.Pos)
-		out[i] = fmt.Sprintf("%s:%d: %s", filepath.Base(pos.Filename), pos.Line, d.Message)
-	}
-	sort.Strings(out)
-	return out
 }

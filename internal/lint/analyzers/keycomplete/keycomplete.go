@@ -13,10 +13,10 @@
 // (ident), without rendering the key; a field missing from it would
 // silently drop a distinct candidate as a duplicate. This analyzer makes
 // either omission a lint failure instead: for each identity it walks
-// every function statically reachable from its builders (Key and
-// buildKey for the string key; ident and tokensOf, which derives the
-// tokens ident compares, for the struct identity — so token helpers like
-// modelToken count) and reports any Point field never read along the
+// every function statically reachable from its builders (Key for the
+// string key; ident and tokensOf, which derives the tokens ident
+// compares, for the struct identity — so token helpers like modelToken
+// count) and reports any Point field never read along the
 // way. A package without the struct identity's builders is checked
 // against the string key alone.
 //
@@ -38,14 +38,14 @@ import (
 // code path.
 var (
 	StructName = "Point"
-	KeyFuncs   = []string{"Key", "buildKey"}
+	KeyFuncs   = []string{"Key"}
 	IdentFuncs = []string{"ident", "tokensOf"}
 )
 
 // Analyzer is the key-completeness check.
 var Analyzer = &analysis.Analyzer{
 	Name: "keycomplete",
-	Doc:  "every sweep.Point field must be referenced from Key/buildKey and from ident/tokensOf (directly or via a helper) or carry //lint:nokey",
+	Doc:  "every sweep.Point field must be referenced from Key and from ident/tokensOf (directly or via a helper) or carry //lint:nokey",
 	Run:  run,
 }
 

@@ -14,7 +14,7 @@ type Point struct {
 	Model string
 	Batch int
 	Seed  int64   // want `Point\.Seed is not folded into \[ident tokensOf\]: two candidates differing only in it would be deduplicated as one`
-	Rate  float64 // want `Point\.Rate is not folded into \[Key buildKey\]: two candidates differing only in it would alias one memo entry`
+	Rate  float64 // want `Point\.Rate is not folded into \[Key\]: two candidates differing only in it would alias one memo entry`
 	tok   tokens
 }
 

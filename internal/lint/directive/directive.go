@@ -4,13 +4,18 @@
 //	//lint:floateq <why>         — this exact float comparison is deliberate
 //	//lint:alloc <why>           — this allocation in a hot path is deliberate
 //	//lint:nokey <why>           — this sweep.Point field is not a sweep axis
+//	//lint:export <why>          — this exported declaration stays exported
+//	                               though no other package calls it
 //	//optimus:hotpath            — function must stay allocation-free
 //
 // A //lint: directive suppresses a finding only at its own site: it must
 // sit on the reported line or alone on the line immediately above, and it
 // must carry a justification — a bare directive is itself a finding, so
-// suppressions stay self-documenting. //optimus:hotpath is not a
-// suppression but an opt-in pragma in a function's doc comment.
+// suppressions stay self-documenting. //lint:export is read by
+// TestNoDeadExports in cmd/optimuslint, a whole-module test rather than
+// an analyzer; on a doc comment it goes on the comment's last line.
+// //optimus:hotpath is not a suppression but an opt-in pragma in a
+// function's doc comment.
 package directive
 
 import (
@@ -27,6 +32,8 @@ const Prefix = "lint:"
 // At looks up the //lint:<name> directive governing pos: on the same
 // line, or alone on the line immediately above. It reports whether the
 // directive is present and whether it carries a justification.
+//
+//lint:export cmd/optimuslint's whole-module dead-export test reads //lint:export through it
 func At(fset *token.FileSet, file *ast.File, pos token.Pos, name string) (reason string, found bool) {
 	line := fset.Position(pos).Line
 	for _, cg := range file.Comments {
@@ -49,7 +56,7 @@ func At(fset *token.FileSet, file *ast.File, pos token.Pos, name string) (reason
 // reason is unreviewable, so the lint stays red until the why is written
 // down.
 func Suppressed(pass *analysis.Pass, pos token.Pos, name string) bool {
-	f := FileFor(pass.Files, pos)
+	f := fileFor(pass.Files, pos)
 	if f == nil {
 		return false
 	}
@@ -63,8 +70,8 @@ func Suppressed(pass *analysis.Pass, pos token.Pos, name string) bool {
 	return true
 }
 
-// FileFor returns the file in files containing pos, or nil.
-func FileFor(files []*ast.File, pos token.Pos) *ast.File {
+// fileFor returns the file in files containing pos, or nil.
+func fileFor(files []*ast.File, pos token.Pos) *ast.File {
 	for _, f := range files {
 		if f.FileStart <= pos && pos < f.FileEnd {
 			return f

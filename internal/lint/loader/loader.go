@@ -88,6 +88,8 @@ func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
 
 // ModuleRoot walks upward from dir to the enclosing go.mod and returns
 // the module root directory and module path.
+//
+//lint:export cmd/optimuslint's whole-module tests find the tree to load through it
 func ModuleRoot(dir string) (root, modPath string, err error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {

@@ -83,11 +83,11 @@ func Search(r Request) ([]Candidate, error) {
 		return nil, fmt.Errorf("mapsearch: no feasible strategy for %s on %d devices (batch %d)",
 			r.Model.Name, r.System.NumDevices(), r.GlobalBatch)
 	}
-	return Candidates(res.Rows), nil
+	return candidates(res.Rows), nil
 }
 
-// Candidates converts ranked sweep rows to the planner's result type.
-func Candidates(rows []sweep.Row) []Candidate {
+// candidates converts ranked sweep rows to the planner's result type.
+func candidates(rows []sweep.Row) []Candidate {
 	out := make([]Candidate, len(rows))
 	for i, row := range rows {
 		out[i] = Candidate{

@@ -87,7 +87,11 @@ func TestTPStaysInNode(t *testing.T) {
 func TestLargeModelNeedsRecompute(t *testing.T) {
 	// GPT-1008B on 512 GPUs cannot fit without activation recomputation;
 	// every fitting strategy must use one.
-	cands, err := Search(request(t, model.GPT1008B(), 512, 512))
+	cfg, err := model.ByName("gpt-1008b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := Search(request(t, cfg, 512, 512))
 	if err != nil {
 		t.Fatal(err)
 	}

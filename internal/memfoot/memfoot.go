@@ -56,8 +56,8 @@ type MixedPrecisionBytes struct {
 	Optim float64
 }
 
-// DefaultMixedPrecision is the standard 2/2/12-byte accounting.
-func DefaultMixedPrecision() MixedPrecisionBytes {
+// defaultMixedPrecision is the standard 2/2/12-byte accounting.
+func defaultMixedPrecision() MixedPrecisionBytes {
 	return MixedPrecisionBytes{Param: 2, Grad: 2, Optim: 12}
 }
 
@@ -75,13 +75,13 @@ type TrainSpec struct {
 	// resident layer (the Megatron default).
 	Checkpoints int
 	// Bytes is the precision accounting; zero value means
-	// DefaultMixedPrecision.
+	// defaultMixedPrecision.
 	Bytes MixedPrecisionBytes
 }
 
 func (s *TrainSpec) bytes() MixedPrecisionBytes {
 	if s.Bytes == (MixedPrecisionBytes{}) {
-		return DefaultMixedPrecision()
+		return defaultMixedPrecision()
 	}
 	return s.Bytes
 }
@@ -120,10 +120,10 @@ func ParamsPerDevice(cfg *model.Config, m *parallel.Mapping) float64 {
 	return p
 }
 
-// LayerActivationBytes returns the stored activation bytes of one
+// layerActivationBytes returns the stored activation bytes of one
 // transformer layer for one microbatch under the given parallelism,
 // excluding any recomputation discount.
-func LayerActivationBytes(cfg *model.Config, m *parallel.Mapping, seq int) float64 {
+func layerActivationBytes(cfg *model.Config, m *parallel.Mapping, seq int) float64 {
 	s := float64(seq)
 	b := float64(m.Microbatch)
 	h := float64(cfg.Hidden)
@@ -159,16 +159,16 @@ func selectiveSavedBytes(cfg *model.Config, m *parallel.Mapping, seq int) float6
 	return 5 * a * s * s * b / t
 }
 
-// ActivationsPerDevice returns the stored activation bytes on the worst
+// activationsPerDevice returns the stored activation bytes on the worst
 // pipeline stage, applying the recomputation regime and the schedule's
 // in-flight multiplier.
-func ActivationsPerDevice(spec *TrainSpec) float64 {
+func activationsPerDevice(spec *TrainSpec) float64 {
 	cfg, m := &spec.Model, &spec.Map
 	layers := m.LayersPerDevice(cfg.Layers)
 	nMicro := m.Microbatches(spec.GlobalBatch)
 	inFlight := m.InFlight(nMicro)
 
-	aTot := LayerActivationBytes(cfg, m, spec.Seq)
+	aTot := layerActivationBytes(cfg, m, spec.Seq)
 	aInp := layerInputBytes(cfg, m, spec.Seq)
 
 	var perStage float64
@@ -215,7 +215,7 @@ func TrainValidated(spec *TrainSpec) (Breakdown, error) {
 		Parameters:  p * by.Param,
 		Gradients:   p * by.Grad,
 		Optimizer:   p * by.Optim,
-		Activations: ActivationsPerDevice(spec),
+		Activations: activationsPerDevice(spec),
 	}, nil
 }
 
@@ -245,21 +245,4 @@ func Inference(cfg model.Config, tp, batch, context int, elemBytes float64) Infe
 		Weights: cfg.Params() * elemBytes / float64(tp),
 		KVCache: cfg.KVCacheBytes(batch, context, elemBytes) / float64(tp),
 	}
-}
-
-// MaxServingBatch returns the largest batch whose weights + KV-cache fit
-// the per-device capacity at the given context length, or zero when even
-// the weights alone overflow — the §3.5 trade-off ("the increased memory
-// and bandwidth required to store and load the Key and Value states")
-// turned into a capacity-planning answer.
-func MaxServingBatch(cfg model.Config, tp, context int, elemBytes, capacity float64) int {
-	weights := cfg.Params() * elemBytes / float64(tp)
-	if weights >= capacity {
-		return 0
-	}
-	perSeq := cfg.KVCacheBytes(1, context, elemBytes) / float64(tp)
-	if perSeq <= 0 {
-		return 0
-	}
-	return int((capacity - weights) / perSeq)
 }

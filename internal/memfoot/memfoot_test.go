@@ -27,7 +27,7 @@ func TestLayerActivationKorthikantiFormula(t *testing.T) {
 	// At TP=1, no SP: sbh(34 + 5as/h) bytes.
 	cfg := model.GPT175B()
 	m := parallel.Mapping{DP: 1, TP: 1, PP: 1, Microbatch: 1}
-	got := LayerActivationBytes(&cfg, &m, 2048)
+	got := layerActivationBytes(&cfg, &m, 2048)
 	s, b, h, a := 2048.0, 1.0, 12288.0, 96.0
 	want := s * b * h * (34 + 5*a*s/h)
 	if math.Abs(got-want)/want > 1e-12 {
@@ -38,7 +38,7 @@ func TestLayerActivationKorthikantiFormula(t *testing.T) {
 func TestTPAndSPDivideActivations(t *testing.T) {
 	cfg := model.GPT175B()
 	tp8 := parallel.Mapping{DP: 1, TP: 8, PP: 1, Microbatch: 1}
-	got := LayerActivationBytes(&cfg, &tp8, 2048)
+	got := layerActivationBytes(&cfg, &tp8, 2048)
 	s, b, h, a := 2048.0, 1.0, 12288.0, 96.0
 	want := s * b * h * (10 + 24/8.0 + 5*a*s/(h*8))
 	if math.Abs(got-want)/want > 1e-12 {
@@ -46,7 +46,7 @@ func TestTPAndSPDivideActivations(t *testing.T) {
 	}
 	sp := tp8
 	sp.SP = true
-	gotSP := LayerActivationBytes(&cfg, &sp, 2048)
+	gotSP := layerActivationBytes(&cfg, &sp, 2048)
 	wantSP := s * b * h * (34/8.0 + 5*a*s/(h*8))
 	if math.Abs(gotSP-wantSP)/wantSP > 1e-12 {
 		t.Errorf("SP activation = %g, want %g", gotSP, wantSP)
@@ -117,9 +117,9 @@ func TestFullRecomputeEq1(t *testing.T) {
 	// With Nckp = resident layers, Eq. (1) degenerates to
 	// L·Ainp + (Atot − Ainp) per stage.
 	spec := gpt175Spec(Full)
-	got := ActivationsPerDevice(&spec)
+	got := activationsPerDevice(&spec)
 	layers := 12.0 // 96 layers / PP 8
-	aTot := LayerActivationBytes(&spec.Model, &spec.Map, spec.Seq)
+	aTot := layerActivationBytes(&spec.Model, &spec.Map, spec.Seq)
 	aInp := 2.0 * 2048 * 1 * 12288
 	inFlight := 8.0 // 1F1B, m=64 ≥ p=8
 	want := (layers*aInp + (aTot - aInp)) * inFlight
@@ -129,7 +129,7 @@ func TestFullRecomputeEq1(t *testing.T) {
 	// Fewer checkpoints trade memory: Nckp = 4 stores fewer inputs but a
 	// larger recompute segment.
 	spec.Checkpoints = 4
-	got4 := ActivationsPerDevice(&spec)
+	got4 := activationsPerDevice(&spec)
 	want4 := (4*aInp + 12.0/4*(aTot-aInp)) * inFlight
 	if math.Abs(got4-want4)/want4 > 1e-12 {
 		t.Errorf("Eq.1 with Nckp=4 = %g, want %g", got4, want4)
@@ -138,8 +138,8 @@ func TestFullRecomputeEq1(t *testing.T) {
 
 func TestSelectiveEq2(t *testing.T) {
 	spec := gpt175Spec(Selective)
-	got := ActivationsPerDevice(&spec)
-	aTot := LayerActivationBytes(&spec.Model, &spec.Map, spec.Seq)
+	got := activationsPerDevice(&spec)
+	aTot := layerActivationBytes(&spec.Model, &spec.Map, spec.Seq)
 	saved := 5.0 * 96 * 2048 * 2048 * 1 / 8
 	want := 12 * (aTot - saved) * 8
 	if math.Abs(got-want)/want > 1e-12 {
@@ -150,9 +150,9 @@ func TestSelectiveEq2(t *testing.T) {
 func TestGPipeStoresAllMicrobatches(t *testing.T) {
 	spec := gpt175Spec(NoRecompute)
 	spec.Map.Schedule = parallel.GPipe
-	gpipe := ActivationsPerDevice(&spec)
+	gpipe := activationsPerDevice(&spec)
 	spec.Map.Schedule = parallel.OneFOneB
-	f1b1 := ActivationsPerDevice(&spec)
+	f1b1 := activationsPerDevice(&spec)
 	if ratio := gpipe / f1b1; math.Abs(ratio-8) > 1e-9 { // 64 vs 8 in flight
 		t.Errorf("GPipe/1F1B activation ratio = %g, want 8", ratio)
 	}
@@ -190,30 +190,6 @@ func TestInferenceFootprint(t *testing.T) {
 	}
 }
 
-func TestMaxServingBatch(t *testing.T) {
-	cfg := model.Llama2_13B()
-	// One A100: 80 GB - 26 GB of weights leaves 54 GB; each 4k-context
-	// sequence's cache is 2·4096·2·40·5120 ≈ 3.36 GB → 16 sequences.
-	got := MaxServingBatch(cfg, 1, 4096, 2, 80e9)
-	if got < 14 || got > 18 {
-		t.Errorf("max batch = %d, want ≈ 16", got)
-	}
-	// TP=8 shards weights and cache alike, and the freed weight room buys
-	// extra sequences: the max batch grows super-linearly in TP.
-	got8 := MaxServingBatch(cfg, 8, 4096, 2, 80e9)
-	if got8 < 8*got {
-		t.Errorf("TP=8 max batch = %d, want > 8x%d (weights shard too)", got8, got)
-	}
-	// 70B at fp16 does not fit one device at all.
-	if MaxServingBatch(model.Llama2_70B(), 1, 4096, 2, 80e9) != 0 {
-		t.Error("70B weights alone overflow a single 80 GB device")
-	}
-	// Longer context shrinks the feasible batch.
-	if MaxServingBatch(cfg, 1, 8192, 2, 80e9) >= got {
-		t.Error("doubling context should shrink the max batch")
-	}
-}
-
 func TestRecomputeString(t *testing.T) {
 	if NoRecompute.String() != "none" || Selective.String() != "selective" || Full.String() != "full" {
 		t.Error("recompute names wrong")
@@ -221,7 +197,7 @@ func TestRecomputeString(t *testing.T) {
 }
 
 func TestDefaultMixedPrecision(t *testing.T) {
-	b := DefaultMixedPrecision()
+	b := defaultMixedPrecision()
 	if b.Param != 2 || b.Grad != 2 || b.Optim != 12 {
 		t.Errorf("default mixed precision = %+v", b)
 	}
@@ -243,7 +219,7 @@ func TestActivationLinearInMicrobatchProperty(t *testing.T) {
 		mb := int(b)%8 + 1
 		m1 := parallel.Mapping{DP: 1, TP: 8, PP: 1, Microbatch: mb}
 		m2 := parallel.Mapping{DP: 1, TP: 8, PP: 1, Microbatch: 2 * mb}
-		return math.Abs(LayerActivationBytes(&cfg, &m2, 2048)-2*LayerActivationBytes(&cfg, &m1, 2048)) < 1
+		return math.Abs(layerActivationBytes(&cfg, &m2, 2048)-2*layerActivationBytes(&cfg, &m1, 2048)) < 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -257,7 +233,7 @@ func TestTPMonotoneProperty(t *testing.T) {
 		tp := 1 << (int(tpSeed) % 4) // 1,2,4,8
 		m1 := parallel.Mapping{DP: 1, TP: tp, PP: 1, Microbatch: 1}
 		m2 := parallel.Mapping{DP: 1, TP: tp * 2, PP: 1, Microbatch: 1}
-		return LayerActivationBytes(&cfg, &m2, 2048) < LayerActivationBytes(&cfg, &m1, 2048)
+		return layerActivationBytes(&cfg, &m2, 2048) < layerActivationBytes(&cfg, &m1, 2048)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -16,18 +16,18 @@ func TestPresetParamCounts(t *testing.T) {
 		{GPT7B(), 7e9, 0.6},
 		{GPT22B(), 22e9, 1.0},
 		{GPT175B(), 175e9, 4.0},
-		{GPT310B(), 310e9, 6.0},
-		{GPT530B(), 530e9, 10.0},
-		{GPT1008B(), 1008e9, 16.0},
+		{gpt310B(), 310e9, 6.0},
+		{gpt530B(), 530e9, 10.0},
+		{gpt1008B(), 1008e9, 16.0},
 		{Llama2_7B(), 6.74e9, 0.2},
 		{Llama2_13B(), 13.0e9, 0.3},
 		{Llama2_70B(), 69e9, 1.5},
-		{GPT1_7B(), 1.7e9, 0.2},
-		{GPT3_6B(), 3.6e9, 0.4},
-		{GPT18B(), 18.4e9, 1.0},
-		{GPT39B(), 39.1e9, 2.0},
-		{GPT76B(), 76.1e9, 3.0},
-		{GPT145B(), 145.6e9, 5.0},
+		{gpt1_7B(), 1.7e9, 0.2},
+		{gpt3_6B(), 3.6e9, 0.4},
+		{gpt18B(), 18.4e9, 1.0},
+		{gpt39B(), 39.1e9, 2.0},
+		{gpt76B(), 76.1e9, 3.0},
+		{gpt145B(), 145.6e9, 5.0},
 	}
 	for _, c := range cases {
 		got := c.cfg.Params()

@@ -44,18 +44,18 @@ func llama(name string, layers, hidden, heads, kvHeads, ffn int) Config {
 func GPT7B() Config    { return gpt("GPT-7B", 32, 4096, 32) }
 func GPT22B() Config   { return gpt("GPT-22B", 48, 6144, 48) }
 func GPT175B() Config  { return gpt("GPT-175B", 96, 12288, 96) }
-func GPT310B() Config  { return gpt("GPT-310B", 96, 16384, 128) }
-func GPT530B() Config  { return gpt("GPT-530B", 105, 20480, 128) }
-func GPT1008B() Config { return gpt("GPT-1008B", 128, 25600, 160) }
+func gpt310B() Config  { return gpt("GPT-310B", 96, 16384, 128) }
+func gpt530B() Config  { return gpt("GPT-530B", 105, 20480, 128) }
+func gpt1008B() Config { return gpt("GPT-1008B", 128, 25600, 160) }
 
 // The smaller rungs of the Megatron-LM scaling ladder ([28] Table 1),
 // useful for sweeps below the paper's validation sizes.
-func GPT1_7B() Config { return gpt("GPT-1.7B", 24, 2304, 24) }
-func GPT3_6B() Config { return gpt("GPT-3.6B", 30, 3072, 32) }
-func GPT18B() Config  { return gpt("GPT-18B", 40, 6144, 48) }
-func GPT39B() Config  { return gpt("GPT-39B", 48, 8192, 64) }
-func GPT76B() Config  { return gpt("GPT-76B", 60, 10240, 80) }
-func GPT145B() Config { return gpt("GPT-145B", 80, 12288, 96) }
+func gpt1_7B() Config { return gpt("GPT-1.7B", 24, 2304, 24) }
+func gpt3_6B() Config { return gpt("GPT-3.6B", 30, 3072, 32) }
+func gpt18B() Config  { return gpt("GPT-18B", 40, 6144, 48) }
+func gpt39B() Config  { return gpt("GPT-39B", 48, 8192, 64) }
+func gpt76B() Config  { return gpt("GPT-76B", 60, 10240, 80) }
+func gpt145B() Config { return gpt("GPT-145B", 80, 12288, 96) }
 
 // The Llama-2 zoo of the paper's inference studies (Tables 2, 4; Figs. 8-9).
 func Llama2_7B() Config  { return llama("Llama2-7B", 32, 4096, 32, 32, 11008) }
@@ -66,9 +66,9 @@ func Llama2_70B() Config { return llama("Llama2-70B", 80, 8192, 64, 8, 28672) }
 // then the smaller scaling-ladder rungs.
 func All() []Config {
 	return []Config{
-		GPT7B(), GPT22B(), GPT175B(), GPT310B(), GPT530B(), GPT1008B(),
+		GPT7B(), GPT22B(), GPT175B(), gpt310B(), gpt530B(), gpt1008B(),
 		Llama2_7B(), Llama2_13B(), Llama2_70B(),
-		GPT1_7B(), GPT3_6B(), GPT18B(), GPT39B(), GPT76B(), GPT145B(),
+		gpt1_7B(), gpt3_6B(), gpt18B(), gpt39B(), gpt76B(), gpt145B(),
 	}
 }
 

@@ -303,18 +303,3 @@ func dependency(c Config, stage int, tk task) (task, int, bool) {
 	// own forward (ordering handled by the stage serialization).
 	return task{micro: tk.micro, chunk: tk.chunk}, stage, true
 }
-
-// IdealTotal returns the closed-form 1F1B/GPipe makespan the simulator
-// should agree with when transfers are free:
-// (m + p - 1)·(tf + tb) for the non-interleaved schedules.
-func IdealTotal(c Config) float64 {
-	slots := float64(c.Microbatches) + float64(c.Stages-1)/float64(max(1, c.Chunks))
-	return slots * (c.FwdTime + c.BwdTime)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

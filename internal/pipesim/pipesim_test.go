@@ -23,6 +23,14 @@ func TestSingleStageIsSequential(t *testing.T) {
 
 // The simulator must reproduce the closed-form 1F1B makespan
 // (m + p - 1)(tf + tb) when transfers are free.
+// idealTotal is the closed-form 1F1B/GPipe makespan the simulator should
+// agree with when transfers are free: (m + p - 1)·(tf + tb) for the
+// non-interleaved schedules.
+func idealTotal(c Config) float64 {
+	slots := float64(c.Microbatches) + float64(c.Stages-1)/float64(max(1, c.Chunks))
+	return slots * (c.FwdTime + c.BwdTime)
+}
+
 func TestMatchesClosedForm1F1B(t *testing.T) {
 	cases := []Config{
 		{Stages: 4, Microbatches: 8, Chunks: 1, FwdTime: 1, BwdTime: 2},
@@ -35,7 +43,7 @@ func TestMatchesClosedForm1F1B(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := IdealTotal(c)
+		want := idealTotal(c)
 		if math.Abs(res.Total-want)/want > 1e-9 {
 			t.Errorf("p=%d m=%d: simulated %g, closed form %g",
 				c.Stages, c.Microbatches, res.Total, want)

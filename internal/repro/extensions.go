@@ -16,11 +16,11 @@ import (
 // printed in the paper. They are registered alongside the paper's tables
 // and figures ("ext-flash", "ext-tco") and carry the same test treatment.
 
-// ExtFlash sweeps sequence length for standard vs FlashAttention training
+// extFlash sweeps sequence length for standard vs FlashAttention training
 // on the GPT-175B validation platform — quantifying the §1.1 discussion
 // ("execution time and memory complexity of attention grows quadratically
 // with sequence length"; FlashAttention trades FLOPs for DRAM traffic).
-func ExtFlash() (Table, error) {
+func extFlash() (Table, error) {
 	t := Table{
 		ID:    "ext-flash",
 		Title: "Standard vs FlashAttention training time, GPT-175B on 64 A100s (equal token budget)",
@@ -70,9 +70,9 @@ func ExtFlash() (Table, error) {
 	return t, nil
 }
 
-// ExtTCO prices GPT-175B training per generation — the perf/TCO analysis
+// extTCO prices GPT-175B training per generation — the perf/TCO analysis
 // of the paper's introduction, regenerated with the §7 energy model.
-func ExtTCO() (Table, error) {
+func extTCO() (Table, error) {
 	t := Table{
 		ID:    "ext-tco",
 		Title: "Cost to train GPT-175B for 300B tokens across GPU generations (8192 GPUs, Fig. 5 configs)",
@@ -84,8 +84,8 @@ func ExtTCO() (Table, error) {
 		"A100-HDR": 2.0, "H100-NDR": 4.0, "H100-NVS": 4.0,
 		"H200-NVS-L": 4.5, "B200-NDR": 6.0, "B200-NVS": 6.0, "B200-NVS-L": 6.0,
 	}
-	for _, p := range Fig5Platforms() {
-		res, err := Fig5Predict(p)
+	for _, p := range fig5Platforms() {
+		res, err := fig5Predict(p)
 		if err != nil {
 			return Table{}, err
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestExtFlashShape(t *testing.T) {
-	tb, err := ExtFlash()
+	tb, err := extFlash()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestExtFlashShape(t *testing.T) {
 }
 
 func TestExtTCOShape(t *testing.T) {
-	tb, err := ExtTCO()
+	tb, err := extTCO()
 	if err != nil {
 		t.Fatal(err)
 	}

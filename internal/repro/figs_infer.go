@@ -40,9 +40,9 @@ func fig8Split(dev arch.Device, batch int) (computeBound, memoryBound float64) {
 	return computeBound, memoryBound
 }
 
-// Fig8 regenerates the prefill GEMM bound-type fractions for A100/H100 at
+// fig8 regenerates the prefill GEMM bound-type fractions for A100/H100 at
 // B=1 and B=16, with the KV-cache/weights memory inset.
-func Fig8() (Table, error) {
+func fig8() (Table, error) {
 	t := Table{
 		ID:    "fig8",
 		Title: "Prefill GEMM time per layer by bound type, Llama2-13B (200-token prompt) + memory inset",
@@ -67,17 +67,17 @@ func Fig8() (Table, error) {
 	return t, nil
 }
 
-// Fig9DRAMSeries returns the §6.2 sweep: A100-class compute with the DRAM
-// generation swapped, NVLink-Gen3 fabric (plus the HBMX-NV4 point).
-type Fig9Point struct {
+// fig9Point is one point of the §6.2 sweep: A100-class compute with the
+// DRAM generation swapped, NVLink-Gen3 fabric (plus the HBMX-NV4 point).
+type fig9Point struct {
 	Label string
 	DRAM  tech.DRAMTech
 	NV    tech.NetworkTech
 }
 
-// Fig9Points returns the sweep in paper order.
-func Fig9Points() []Fig9Point {
-	return []Fig9Point{
+// fig9Points returns the sweep in paper order.
+func fig9Points() []fig9Point {
+	return []fig9Point{
 		{"GDR6-NV3", tech.GDDR6, tech.NVLink3},
 		{"HBM2-NV3", tech.HBM2, tech.NVLink3},
 		{"HBM2e-NV3", tech.HBM2E, tech.NVLink3},
@@ -88,9 +88,9 @@ func Fig9Points() []Fig9Point {
 	}
 }
 
-// A100WithDRAM returns an A100-class device with the off-chip memory
+// a100WithDRAM returns an A100-class device with the off-chip memory
 // generation replaced — "the on-chip specifications are same as A100".
-func A100WithDRAM(d tech.DRAMTech) arch.Device {
+func a100WithDRAM(d tech.DRAMTech) arch.Device {
 	dev := arch.A100()
 	spec := d.Spec()
 	capacity := dev.DRAMCapacity()
@@ -105,9 +105,9 @@ func A100WithDRAM(d tech.DRAMTech) arch.Device {
 	return dev
 }
 
-// Fig9Predict evaluates one sweep point at the given GPU count.
-func Fig9Predict(p Fig9Point, gpus int) (infer.Result, error) {
-	sys, err := arch.SystemOf(A100WithDRAM(p.DRAM), gpus, 8, p.NV, tech.IBNDR)
+// fig9Predict evaluates one sweep point at the given GPU count.
+func fig9Predict(p fig9Point, gpus int) (infer.Result, error) {
+	sys, err := arch.SystemOf(a100WithDRAM(p.DRAM), gpus, 8, p.NV, tech.IBNDR)
 	if err != nil {
 		return infer.Result{}, err
 	}
@@ -117,18 +117,18 @@ func Fig9Predict(p Fig9Point, gpus int) (infer.Result, error) {
 	})
 }
 
-// Fig9 regenerates the DRAM-technology scaling of inference latency for 2-
+// fig9 regenerates the DRAM-technology scaling of inference latency for 2-
 // and 8-GPU systems, with the H100-HBM3e reference lines.
-func Fig9() (Table, error) {
+func fig9() (Table, error) {
 	t := Table{
 		ID:    "fig9",
 		Title: "Inference latency vs DRAM technology, Llama2-13B (B=1, 200+200 tokens), A100-class compute",
 		Header: []string{"Memory-Fabric", "#GPUs", "total (ms)", "memory (ms)",
 			"comm (ms)", "comm/memory"},
 	}
-	for _, p := range Fig9Points() {
+	for _, p := range fig9Points() {
 		for _, gpus := range []int{2, 8} {
-			res, err := Fig9Predict(p, gpus)
+			res, err := fig9Predict(p, gpus)
 			if err != nil {
 				return Table{}, err
 			}

@@ -13,12 +13,13 @@ import (
 	"optimus/internal/train"
 	"optimus/internal/uarch"
 	"optimus/internal/units"
+	"optimus/internal/valdata"
 )
 
-// Fig3 regenerates the GEMV validation: predicted vs (synthetically)
+// fig3 regenerates the GEMV validation: predicted vs (synthetically)
 // measured kernel times under the clustered and constant DRAM-utilization
 // calibrations.
-func Fig3() (Table, error) {
+func fig3() (Table, error) {
 	o := gemv.NewOracle(42)
 	samples := gemv.Profile(o, gemv.LLMKernels())
 	cal, err := gemv.Calibrate(samples, 6)
@@ -57,9 +58,9 @@ type fig4Case struct {
 	batch int
 }
 
-// Fig4 regenerates the training memory dissection for the three GPT models
+// fig4 regenerates the training memory dissection for the three GPT models
 // under the three recomputation regimes.
-func Fig4() (Table, error) {
+func fig4() (Table, error) {
 	cases := []fig4Case{
 		{"GPT-175B", 8, 64},
 		{"GPT-530B", 35, 280},
@@ -120,8 +121,8 @@ type fig5Platform struct {
 	batch int
 }
 
-// Fig5Platforms returns the seven configurations of §5.2 in paper order.
-func Fig5Platforms() []fig5Platform {
+// fig5Platforms returns the seven configurations of §5.2 in paper order.
+func fig5Platforms() []fig5Platform {
 	return []fig5Platform{
 		{"A100-HDR", arch.A100(), tech.NVLink3, tech.IBHDR, tech.BF16, 1024},
 		{"H100-NDR", arch.H100(), tech.NVLink4, tech.IBNDR, tech.FP8, 1024},
@@ -133,8 +134,8 @@ func Fig5Platforms() []fig5Platform {
 	}
 }
 
-// Fig5Predict runs the GPT-175B projection for one platform.
-func Fig5Predict(p fig5Platform) (train.Result, error) {
+// fig5Predict runs the GPT-175B projection for one platform.
+func fig5Predict(p fig5Platform) (train.Result, error) {
 	sys, err := arch.SystemOf(p.dev, 8192, 8, p.intra, p.inter)
 	if err != nil {
 		return train.Result{}, err
@@ -153,11 +154,11 @@ func Fig5Predict(p fig5Platform) (train.Result, error) {
 	})
 }
 
-// Fig5 regenerates the GPU-generation training scaling (GPT-175B, 8192
+// fig5 regenerates the GPU-generation training scaling (GPT-175B, 8192
 // GPUs, 128-8-8-8) with the compute/communication/other decomposition,
 // normalized per sample against B200-NVS-L.
-func Fig5() (Table, error) {
-	plats := Fig5Platforms()
+func fig5() (Table, error) {
+	plats := fig5Platforms()
 	type row struct {
 		p       fig5Platform
 		res     train.Result
@@ -165,7 +166,7 @@ func Fig5() (Table, error) {
 	}
 	rows := make([]row, len(plats))
 	for i, p := range plats {
-		res, err := Fig5Predict(p)
+		res, err := fig5Predict(p)
 		if err != nil {
 			return Table{}, err
 		}
@@ -191,7 +192,7 @@ func Fig5() (Table, error) {
 	}
 	speedup := rows[0].perSamp / ref
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("A100-HDR to B200-NVS-L speedup: %.1fx (paper: ~35x following NVIDIA's trend)", speedup),
+		fmt.Sprintf("A100-HDR to B200-NVS-L speedup: %.1fx (paper: ~%gx following NVIDIA's trend)", speedup, valdata.Fig5Speedup),
 		"precision column is the tensor-engine format: FP8 transformer engine on Hopper, FP4 on Blackwell (§5.2)")
 	return t, nil
 }
@@ -202,8 +203,8 @@ type fig6Series struct {
 	net  tech.NetworkTech
 }
 
-// Fig6Series returns the six curves of §5.3 in legend order.
-func Fig6Series() []fig6Series {
+// fig6Curves returns the six curves of §5.3 in legend order.
+func fig6Curves() []fig6Series {
 	return []fig6Series{
 		{tech.HBM2, tech.IBNDRx8},
 		{tech.HBM2E, tech.IBNDRx8},
@@ -241,9 +242,9 @@ func fig6Objective(d uarch.Design) (float64, error) {
 // dseOptions are reduced search settings for the sweep (42 DSE runs).
 var dseOptions = dse.Options{MaxIters: 12, Starts: 2}
 
-// Fig6Optimize runs the §3.6 DSE at one node for one memory/network choice
+// fig6Optimize runs the §3.6 DSE at one node for one memory/network choice
 // and returns the optimized iteration time.
-func Fig6Optimize(node tech.Node, s fig6Series) (float64, error) {
+func fig6Optimize(node tech.Node, s fig6Series) (float64, error) {
 	base := uarch.Design{
 		Node:    node,
 		DRAM:    s.dram,
@@ -258,11 +259,11 @@ func Fig6Optimize(node tech.Node, s fig6Series) (float64, error) {
 	return res.Cost, nil
 }
 
-// Fig6 regenerates the technology-node scaling study: execution time per
+// fig6 regenerates the technology-node scaling study: execution time per
 // iteration for GPT-7B across N12..N1 for the six memory/network series,
 // with the architecture DSE-optimized at every point.
-func Fig6() (Table, error) {
-	series := Fig6Series()
+func fig6() (Table, error) {
+	series := fig6Curves()
 	t := Table{
 		ID:    "fig6",
 		Title: "Technology-node scaling, GPT-7B on 1024 GPUs (64-4-4-4), DSE-optimized per point (s/iter)",
@@ -274,7 +275,7 @@ func Fig6() (Table, error) {
 	for _, s := range series {
 		row := []string{fmt.Sprintf("%s-%s", s.dram, s.net)}
 		for _, n := range tech.Nodes {
-			cost, err := Fig6Optimize(n, s)
+			cost, err := fig6Optimize(n, s)
 			if err != nil {
 				return Table{}, err
 			}
@@ -288,9 +289,9 @@ func Fig6() (Table, error) {
 	return t, nil
 }
 
-// Fig7 regenerates the per-layer GEMM bound-type breakdown across nodes
+// fig7 regenerates the per-layer GEMM bound-type breakdown across nodes
 // for HBM2/HBM3/HBM4 (forward+backward, ms per transformer layer).
-func Fig7() (Table, error) {
+func fig7() (Table, error) {
 	t := Table{
 		ID:    "fig7",
 		Title: "GEMM time per transformer layer by bound type across nodes (GPT-7B study)",

@@ -71,29 +71,29 @@ func (t Table) String() string {
 // Generator produces one experiment.
 type Generator func() (Table, error)
 
-// All returns the experiment registry keyed by ID.
-func All() map[string]Generator {
+// all returns the experiment registry keyed by ID.
+func all() map[string]Generator {
 	return map[string]Generator{
-		"table1": Table1,
-		"table2": Table2,
-		"table4": Table4,
-		"fig3":   Fig3,
-		"fig4":   Fig4,
-		"fig5":   Fig5,
-		"fig6":   Fig6,
-		"fig7":   Fig7,
-		"fig8":   Fig8,
-		"fig9":   Fig9,
+		"table1": table1,
+		"table2": table2,
+		"table4": table4,
+		"fig3":   fig3,
+		"fig4":   fig4,
+		"fig5":   fig5,
+		"fig6":   fig6,
+		"fig7":   fig7,
+		"fig8":   fig8,
+		"fig9":   fig9,
 		// Extension studies beyond the paper's evaluation (DESIGN.md).
-		"ext-flash":   ExtFlash,
-		"ext-tco":     ExtTCO,
-		"ext-scaling": ExtScaling,
+		"ext-flash":   extFlash,
+		"ext-tco":     extTCO,
+		"ext-scaling": extScaling,
 	}
 }
 
 // IDs returns the experiment keys in stable order.
 func IDs() []string {
-	m := All()
+	m := all()
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -104,7 +104,7 @@ func IDs() []string {
 
 // Run generates one experiment by ID.
 func Run(id string) (Table, error) {
-	g, ok := All()[id]
+	g, ok := all()[id]
 	if !ok {
 		return Table{}, fmt.Errorf("repro: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
 	}

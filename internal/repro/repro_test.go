@@ -62,7 +62,7 @@ func TestRunUnknownID(t *testing.T) {
 }
 
 func TestTable1ErrorsWithinBand(t *testing.T) {
-	tb, err := Table1()
+	tb, err := table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestTable1ErrorsWithinBand(t *testing.T) {
 }
 
 func TestTable2ErrorsWithinBand(t *testing.T) {
-	tb, err := Table2()
+	tb, err := table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTable2ErrorsWithinBand(t *testing.T) {
 }
 
 func TestTable4BoundFlips(t *testing.T) {
-	tb, err := Table4()
+	tb, err := table4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestTable4BoundFlips(t *testing.T) {
 }
 
 func TestFig4RecomputeOrderingAndFit(t *testing.T) {
-	tb, err := Fig4()
+	tb, err := fig4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestFig4RecomputeOrderingAndFit(t *testing.T) {
 }
 
 func TestFig5MonotoneSpeedups(t *testing.T) {
-	tb, err := Fig5()
+	tb, err := fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFig5MonotoneSpeedups(t *testing.T) {
 }
 
 func TestFig6ScalingShape(t *testing.T) {
-	tb, err := Fig6()
+	tb, err := fig6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFig6ScalingShape(t *testing.T) {
 }
 
 func TestFig7MemoryShareGrows(t *testing.T) {
-	tb, err := Fig7()
+	tb, err := fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestFig7MemoryShareGrows(t *testing.T) {
 }
 
 func TestFig8Fractions(t *testing.T) {
-	tb, err := Fig8()
+	tb, err := fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestFig8Fractions(t *testing.T) {
 }
 
 func TestFig9SaturationAndComm(t *testing.T) {
-	tb, err := Fig9()
+	tb, err := fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestFig9SaturationAndComm(t *testing.T) {
 }
 
 func TestFig3Notes(t *testing.T) {
-	tb, err := Fig3()
+	tb, err := fig3()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,11 @@ import (
 	"optimus/internal/train"
 )
 
-// ExtScaling is a weak-scaling study the paper's validation spans but
+// extScaling is a weak-scaling study the paper's validation spans but
 // never isolates: GPT-175B from 64 to 8192 A100s at a fixed per-GPU
 // workload (batch grows with the data-parallel degree), showing where
 // the efficiency goes as the cluster grows.
-func ExtScaling() (Table, error) {
+func extScaling() (Table, error) {
 	t := Table{
 		ID:    "ext-scaling",
 		Title: "Weak scaling, GPT-175B on A100-HDR clusters (fixed per-GPU work, TP=8, PP=8)",

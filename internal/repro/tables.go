@@ -38,8 +38,8 @@ func TrainSpecFor(c valdata.TrainCase) (train.Spec, error) {
 	}, nil
 }
 
-// Table1 regenerates the training-time validation.
-func Table1() (Table, error) {
+// table1 regenerates the training-time validation.
+func table1() (Table, error) {
 	t := Table{
 		ID:    "table1",
 		Title: "Training time per batch on A100 systems vs published Megatron-LM data",
@@ -87,8 +87,8 @@ func InferSpecFor(modelName string, gpus int, dev arch.Device, nv tech.NetworkTe
 	}, nil
 }
 
-// Table2 regenerates the inference-latency validation.
-func Table2() (Table, error) {
+// table2 regenerates the inference-latency validation.
+func table2() (Table, error) {
 	t := Table{
 		ID:    "table2",
 		Title: "Inference latency (B=1, 200+200 tokens) vs NVIDIA published data",
@@ -129,9 +129,9 @@ func Table2() (Table, error) {
 	return t, nil
 }
 
-// Table4 regenerates the per-GEMM bound analysis of the Llama2-13B
+// table4 regenerates the per-GEMM bound analysis of the Llama2-13B
 // summarization phase.
-func Table4() (Table, error) {
+func table4() (Table, error) {
 	t := Table{
 		ID:    "table4",
 		Title: "Per-GEMM time and bound type, Llama2-13B prefill (B=1, 200 tokens)",

@@ -11,10 +11,20 @@ import (
 // V100 GPUs. These regression checks keep those older presets honest so
 // the lineage claims in DESIGN.md stay true.
 
+// preset looks up an arch device preset by name.
+func preset(t *testing.T, name string) arch.Device {
+	t.Helper()
+	d, err := arch.DeviceByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestV100FatGEMMThroughput(t *testing.T) {
 	// V100 peaks at 125 TFLOPS FP16; well-shaped training GEMMs achieve
 	// ~80 TFLOPS in practice (cuBLAS measurements of the era).
-	e := New(arch.V100())
+	e := New(preset(t, "v100"))
 	g := GEMM{M: 4096, N: 4096, K: 4096, Precision: tech.FP16}
 	est := e.EstimateGEMM(g)
 	achieved := est.FLOPs / est.Time
@@ -28,7 +38,7 @@ func TestV100FatGEMMThroughput(t *testing.T) {
 
 func TestV100GEMVBandwidth(t *testing.T) {
 	// V100's 900 GB/s HBM2 serves decode GEMVs at ~60-70% of peak.
-	e := New(arch.V100())
+	e := New(preset(t, "v100"))
 	g := GEMM{M: 1, N: 8192, K: 8192, Precision: tech.FP16}
 	est := e.EstimateGEMM(g)
 	achieved := est.DRAMBytes / est.Time
@@ -40,7 +50,7 @@ func TestV100GEMVBandwidth(t *testing.T) {
 func TestP4IsInferenceClass(t *testing.T) {
 	// The P4 is an inference card: no fast FP16 path, INT8 at 22 TOPS,
 	// and a GDDR-class memory system that bounds even modest GEMMs.
-	p4 := arch.P4()
+	p4 := preset(t, "p4")
 	if f, _ := p4.PeakCompute(tech.INT8); f != 22e12 {
 		t.Errorf("P4 INT8 = %g, want 22e12", f)
 	}
@@ -57,7 +67,7 @@ func TestGenerationOrdering(t *testing.T) {
 	// times on identical kernels.
 	fat := GEMM{M: 4096, N: 4096, K: 4096, Precision: tech.FP16}
 	gemv := GEMM{M: 1, N: 8192, K: 8192, Precision: tech.FP16}
-	devices := []arch.Device{arch.V100(), arch.A100(), arch.H100(), arch.B200()}
+	devices := []arch.Device{preset(t, "v100"), arch.A100(), arch.H100(), arch.B200()}
 	for i := 1; i < len(devices); i++ {
 		prev := New(devices[i-1])
 		cur := New(devices[i])

@@ -50,7 +50,15 @@ func mapTenantBreakdown(done []RequestMetrics) []TenantMetrics {
 	return out
 }
 
-// TestTenantBreakdownMatchesMapOracle pins SummarizeRequests to the
+// summarizeRequests summarizes a completed request set with exactly the
+// math Run applies to its own ledger: the reference SummarizeInstances'
+// merged fleet summary is pinned to.
+func summarizeRequests(done []RequestMetrics) Summary {
+	var sc summaryScratch
+	return sc.summarize(done, false)
+}
+
+// TestTenantBreakdownMatchesMapOracle pins summarizeRequests to the
 // map-based oracle, reflect and JSON, over seeded random request sets: one
 // tenant up to many, tenants with a single request, +Inf samples (a
 // saturated SLO) and the empty set, whose breakdown must stay non-nil and
@@ -64,7 +72,7 @@ func TestTenantBreakdownMatchesMapOracle(t *testing.T) {
 	check := func(name string, done []RequestMetrics) {
 		t.Helper()
 		want := mapTenantBreakdown(done)
-		sum := SummarizeRequests(done)
+		sum := summarizeRequests(done)
 		got := sum.PerTenant
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: breakdown diverges from the map oracle\n got %+v\nwant %+v", name, got, want)
@@ -90,7 +98,7 @@ func TestTenantBreakdownMatchesMapOracle(t *testing.T) {
 			t.Fatalf("%s: aggregate diverges from the map oracle\n got %+v\nwant %+v", name, sum.TenantMetrics, agg[0])
 		}
 		if pooled := sc.summarize(done, false); !reflect.DeepEqual(pooled, sum) {
-			t.Fatalf("%s: the pooled scratch's summary diverges from SummarizeRequests'", name)
+			t.Fatalf("%s: the pooled scratch's summary diverges from summarizeRequests'", name)
 		}
 	}
 	sample := func(inf float64) float64 {
@@ -139,7 +147,7 @@ func keptInstance(done []RequestMetrics) *Instance {
 // TestSummarizeInstancesMatchesConcatenation is the fleet merge's
 // property: random multi-tenant ledgers split across k replicas — with
 // tied and zero latencies, one-request tenants, replicas that drew nothing
-// and k = 1 — must summarize, merged, exactly as SummarizeRequests
+// and k = 1 — must summarize, merged, exactly as summarizeRequests
 // summarizes their concatenation, and as the map oracle breaks it down.
 func TestSummarizeInstancesMatchesConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
@@ -182,7 +190,7 @@ func TestSummarizeInstancesMatchesConcatenation(t *testing.T) {
 			t.Fatal(err)
 		}
 		name := fmt.Sprintf("trial %d (%d replicas, %d tenants, %d requests)", trial, k, tenants, n)
-		if want := SummarizeRequests(all); !reflect.DeepEqual(got, want) {
+		if want := summarizeRequests(all); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: merged summary diverges from the concatenation's\n got %+v\nwant %+v", name, got, want)
 		}
 		if want := mapTenantBreakdown(all); !reflect.DeepEqual(got.PerTenant, want) {

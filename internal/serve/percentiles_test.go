@@ -100,7 +100,7 @@ func TestPercentilesMeanSumsInSortedOrder(t *testing.T) {
 	for i, v := range sample {
 		done[i] = RequestMetrics{ID: i, E2E: v}
 	}
-	if got := SummarizeRequests(done).E2E.Mean; got != inOrder/4 {
+	if got := summarizeRequests(done).E2E.Mean; got != inOrder/4 {
 		t.Errorf("E2E mean %v, want the sorted-order %v (arrival order gives %v)", got, inOrder/4, arrival/4)
 	}
 }

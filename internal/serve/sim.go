@@ -745,17 +745,8 @@ type Summary struct {
 	PerTenant []TenantMetrics
 }
 
-// SummarizeRequests summarizes a completed request set with exactly the
-// math Run applies to its own ledger: the reference a fleet's merged
-// summary (SummarizeInstances) is pinned to.
-func SummarizeRequests(done []RequestMetrics) Summary {
-	var sc summaryScratch
-	return sc.summarize(done, false)
-}
-
 // SummarizeInstances summarizes the union of the instances' completed
-// request sets exactly as SummarizeRequests summarizes their
-// concatenation, without sorting a sample again: each instance's Result
+// request sets exactly as Run summarizes their concatenation, without sorting a sample again: each instance's Result
 // kept its tenants' sorted runs, and a tenant's runs from every instance
 // merge into the tenant's fleet run. Every instance must have assembled
 // its Result.

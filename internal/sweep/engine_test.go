@@ -16,12 +16,22 @@ import (
 	"optimus/internal/sweep"
 )
 
+// modelPreset looks up a model preset by name.
+func modelPreset(t testing.TB, name string) model.Config {
+	t.Helper()
+	cfg, err := model.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 // bigGrid is a grid large enough (several thousand candidates, all fully
 // costed) that a sweep takes tens of milliseconds — room for a
 // cancellation to land mid-run.
 func bigGrid(t testing.TB) sweep.Spec {
 	return sweep.Spec{
-		Models:        []model.Config{model.GPT175B(), model.GPT310B(), model.GPT530B()},
+		Models:        []model.Config{model.GPT175B(), modelPreset(t, "gpt-310b"), modelPreset(t, "gpt-530b")},
 		Systems:       []*arch.System{dgx(t, 64), dgx(t, 128), dgx(t, 256)},
 		GlobalBatches: []int{64, 128, 256, 512},
 		Seqs:          []int{2048, 4096},

@@ -37,6 +37,22 @@ func formatCandidates(cands []mapsearch.Candidate) string {
 	return b.String()
 }
 
+// candidatesOf converts ranked rows to candidates as mapsearch.Search does.
+func candidatesOf(rows []sweep.Row) []mapsearch.Candidate {
+	out := make([]mapsearch.Candidate, len(rows))
+	for i, row := range rows {
+		out[i] = mapsearch.Candidate{
+			Map:       row.Point.Map,
+			Recompute: row.Point.Recompute,
+			Time:      row.Metrics.Time,
+			MFU:       row.Metrics.MFU,
+			Memory:    row.Metrics.Memory,
+			Fits:      row.Metrics.Fits,
+		}
+	}
+	return out
+}
+
 // TestEngineMatchesSerialMapsearch is the core equivalence guarantee: the
 // concurrent engine returns byte-identical rankings to the serial
 // mapsearch.Search golden reference at any worker count, including the
@@ -88,7 +104,7 @@ func TestEngineMatchesSerialMapsearch(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				got := formatCandidates(mapsearch.Candidates(res.Rows))
+				got := formatCandidates(candidatesOf(res.Rows))
 				if got != golden {
 					t.Errorf("workers=%d ranking diverges from serial mapsearch:\ngot:\n%swant:\n%s",
 						workers, got, golden)
@@ -121,7 +137,7 @@ func TestSerialMatchesSweepSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := formatCandidates(mapsearch.Candidates(res.Rows)); got != formatCandidates(want) {
+	if got := formatCandidates(candidatesOf(res.Rows)); got != formatCandidates(want) {
 		t.Errorf("sweep.Serial diverges from mapsearch.Search:\n%s", got)
 	}
 	if res.Stats.Pruned != 0 || res.Stats.MemoHits != 0 {
@@ -333,7 +349,7 @@ func TestSameNameDifferentConfigNoCollision(t *testing.T) {
 func TestInferenceSweep(t *testing.T) {
 	var systems []*arch.System
 	for _, gpus := range []int{1, 2, 4} {
-		sys, err := arch.DGXH100(gpus)
+		sys, err := arch.SystemOf(arch.H100(), gpus, 8, tech.NVLink4, tech.IBNDR)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,9 +18,6 @@ const (
 	HBMX // futuristic node from §6.2 (6.8 TB/s)
 )
 
-// DRAMTechs lists all modeled DRAM generations in bandwidth order.
-var DRAMTechs = []DRAMTech{GDDR6, HBM2, HBM2E, HBM3, HBM3Fast, HBM3E, HBM4, HBMX}
-
 // DRAMSpec is one generation's headline numbers.
 type DRAMSpec struct {
 	Tech DRAMTech

@@ -182,7 +182,7 @@ func TestFasterSystemIsFaster(t *testing.T) {
 	a100Spec := specFor(t, c)
 	a100, _ := Predict(a100Spec)
 
-	h100Sys, err := arch.DGXH100(c.GPUs)
+	h100Sys, err := arch.SystemOf(arch.H100(), c.GPUs, 8, tech.NVLink4, tech.IBNDR)
 	if err != nil {
 		t.Fatal(err)
 	}

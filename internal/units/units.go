@@ -1,7 +1,8 @@
-// Package units provides scalar quantity helpers shared across the Optimus
-// performance model: byte sizes, rates, durations-as-seconds, and tolerant
-// floating-point comparison. All model arithmetic uses float64 seconds,
-// bytes, and FLOPs so that expressions read like the paper's equations.
+// Package units provides the scalar helpers shared across the Optimus
+// performance model: decimal scale factors, human-readable byte, time,
+// FLOP and bandwidth formatting, relative error, and small slice
+// statistics. All model arithmetic uses plain float64 seconds, bytes and
+// FLOPs so that expressions read like the paper's equations.
 package units
 
 import (
@@ -9,44 +10,20 @@ import (
 	"math"
 )
 
-// Common scale factors. The model follows vendor convention: bandwidths and
-// FLOP rates are decimal (1 GB/s = 1e9 B/s), capacities are binary where the
-// vendor quotes GiB but the paper rounds to decimal GB; we use decimal
-// throughout for consistency with the paper's numbers (80 GB = 80e9 B).
+// Common scale factors. Bandwidths and FLOP rates are decimal by vendor
+// convention (1 GB/s = 1e9 B/s); capacities are decimal too, for
+// consistency with the paper's numbers (80 GB = 80e9 B), where a vendor
+// quotes GiB.
 const (
 	KB = 1e3
 	MB = 1e6
 	GB = 1e9
 	TB = 1e12
 
-	KiB = 1024
-	MiB = 1024 * 1024
-	GiB = 1024 * 1024 * 1024
-
 	GFLOP = 1e9
 	TFLOP = 1e12
 	PFLOP = 1e15
-
-	Micro = 1e-6
-	Milli = 1e-3
 )
-
-// Seconds is an elapsed model time. A plain float64 keeps the arithmetic in
-// the performance equations readable; the type alias exists purely for
-// documentation in signatures.
-type Seconds = float64
-
-// Bytes is a data volume in bytes.
-type Bytes = float64
-
-// FLOPs is a count of floating-point operations.
-type FLOPs = float64
-
-// BytesPerSec is a bandwidth.
-type BytesPerSec = float64
-
-// FLOPsPerSec is a compute throughput.
-type FLOPsPerSec = float64
 
 // FormatBytes renders a byte count with a binary-free decimal unit suffix,
 // e.g. 1.50 GB, matching how the paper reports capacities.
@@ -122,13 +99,10 @@ func RelErr(pred, ref float64) float64 {
 	return math.Abs(pred-ref) / math.Abs(ref)
 }
 
-// WithinRel reports whether pred is within tol relative error of ref.
-func WithinRel(pred, ref, tol float64) bool {
-	return RelErr(pred, ref) <= tol
-}
-
 // AlmostEqual reports whether two floats agree to within an absolute epsilon
 // scaled by magnitude, suitable for unit-test comparisons of model outputs.
+//
+//lint:export the sum-of-parts checks in internal/train and internal/infer tests compare through it
 func AlmostEqual(a, b, eps float64) bool {
 	//lint:floateq deliberate exact fast path: handles equal infinities, where a-b is NaN and the epsilon test fails
 	if a == b {
@@ -146,37 +120,8 @@ func AlmostEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps*scale
 }
 
-// Ceil divides a by b rounding up; it panics on a non-positive divisor since
-// every call site passes a structural count (tiles, microbatches, chunks).
-func Ceil(a, b int) int {
-	if b <= 0 {
-		panic(fmt.Sprintf("units.Ceil: non-positive divisor %d", b))
-	}
-	return (a + b - 1) / b
-}
-
-// CeilF is the float ceiling-division helper for tile counts derived from
-// float dimensions.
-func CeilF(a, b float64) float64 {
-	if b <= 0 {
-		panic(fmt.Sprintf("units.CeilF: non-positive divisor %g", b))
-	}
-	return math.Ceil(a / b)
-}
-
-// Clamp bounds x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// Sum adds a slice of float64.
-func Sum(xs []float64) float64 {
+// sum adds a slice of float64.
+func sum(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		s += x
@@ -189,7 +134,7 @@ func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	return Sum(xs) / float64(len(xs))
+	return sum(xs) / float64(len(xs))
 }
 
 // Max returns the maximum of xs, or 0 for an empty slice.
@@ -204,21 +149,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// GeoMean returns the geometric mean of positive xs, or 0 if empty.
-// Non-positive entries are rejected with a panic: geometric means of model
-// times are only meaningful for positive samples.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("units.GeoMean: non-positive sample %g", x))
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }

@@ -74,57 +74,10 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-func TestWithinRel(t *testing.T) {
-	if !WithinRel(105, 100, 0.05) {
-		t.Error("105 should be within 5% of 100")
-	}
-	if WithinRel(106, 100, 0.05) {
-		t.Error("106 should not be within 5% of 100")
-	}
-}
-
-func TestCeil(t *testing.T) {
-	cases := []struct{ a, b, want int }{
-		{0, 4, 0}, {1, 4, 1}, {4, 4, 1}, {5, 4, 2}, {8, 4, 2}, {9, 4, 3},
-	}
-	for _, c := range cases {
-		if got := Ceil(c.a, c.b); got != c.want {
-			t.Errorf("Ceil(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestCeilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Ceil with zero divisor should panic")
-		}
-	}()
-	Ceil(1, 0)
-}
-
-func TestCeilF(t *testing.T) {
-	if got := CeilF(10, 4); got != 3 {
-		t.Errorf("CeilF(10,4) = %g, want 3", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(-1, 0, 1); got != 0 {
-		t.Errorf("Clamp(-1,0,1) = %g", got)
-	}
-	if got := Clamp(2, 0, 1); got != 1 {
-		t.Errorf("Clamp(2,0,1) = %g", got)
-	}
-	if got := Clamp(0.5, 0, 1); got != 0.5 {
-		t.Errorf("Clamp(0.5,0,1) = %g", got)
-	}
-}
-
 func TestSumMeanMax(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
-	if Sum(xs) != 10 {
-		t.Errorf("Sum = %g", Sum(xs))
+	if sum(xs) != 10 {
+		t.Errorf("sum = %g", sum(xs))
 	}
 	if Mean(xs) != 2.5 {
 		t.Errorf("Mean = %g", Mean(xs))
@@ -132,18 +85,8 @@ func TestSumMeanMax(t *testing.T) {
 	if Max(xs) != 4 {
 		t.Errorf("Max = %g", Max(xs))
 	}
-	if Mean(nil) != 0 || Max(nil) != 0 || Sum(nil) != 0 {
+	if Mean(nil) != 0 || Max(nil) != 0 || sum(nil) != 0 {
 		t.Error("empty-slice helpers should return 0")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 4})
-	if math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean(1,4) = %g, want 2", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) should be 0")
 	}
 }
 
@@ -169,32 +112,6 @@ func TestRelErrScaleInvariantProperty(t *testing.T) {
 		}
 		s := 1.0 + float64(scaleSeed)
 		return math.Abs(RelErr(a*s, b*s)-RelErr(a, b)) < 1e-9*(1+RelErr(a, b))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Ceil(a,b)*b >= a and (Ceil(a,b)-1)*b < a for positive a, b.
-func TestCeilProperty(t *testing.T) {
-	f := func(a, b uint16) bool {
-		ai, bi := int(a), int(b)%64+1
-		c := Ceil(ai, bi)
-		return c*bi >= ai && (c-1)*bi < ai
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Clamp output is always within bounds.
-func TestClampProperty(t *testing.T) {
-	f := func(x float64) bool {
-		if math.IsNaN(x) {
-			return true
-		}
-		c := Clamp(x, -1, 1)
-		return c >= -1 && c <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

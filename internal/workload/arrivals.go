@@ -21,11 +21,11 @@ const shapeSeedSalt = 0x2545F4914F6CDD1D
 // the xor runs in uint64 and converts back.
 const lengthSeedSalt uint64 = 0x9E3779B97F4A7C15
 
-// AppendPoissonArrivals appends n open-loop Poisson arrival timestamps at
+// appendPoissonArrivals appends n open-loop Poisson arrival timestamps at
 // rate requests/sec to dst: the cumulative sums of seeded exponential
 // interarrivals. It panics on a non-positive/non-finite rate or a negative
 // count — NaN or Inf timestamps would stall every downstream event loop.
-func AppendPoissonArrivals(dst []float64, rate float64, n int, seed int64) []float64 {
+func appendPoissonArrivals(dst []float64, rate float64, n int, seed int64) []float64 {
 	if !(rate > 0) || math.IsInf(rate, 0) {
 		panic(fmt.Sprintf("workload: Poisson arrivals need a positive finite rate, got %g", rate))
 	}
@@ -41,18 +41,18 @@ func AppendPoissonArrivals(dst []float64, rate float64, n int, seed int64) []flo
 	return dst
 }
 
-// AppendScheduleArrivals appends n arrival timestamps of an inhomogeneous
+// appendScheduleArrivals appends n arrival timestamps of an inhomogeneous
 // Poisson process shaped by a validated rate schedule, via time
 // rescaling: each arrival consumes one unit-exponential draw, spent
 // against segment rates until it is exhausted (a segment of rate r and
 // width w absorbs r·w units; zero-rate segments absorb nothing and are
 // jumped over; the final segment's rate extends indefinitely). The draw
-// stream is identical to AppendPoissonArrivals' at the same seed, but the
+// stream is identical to appendPoissonArrivals' at the same seed, but the
 // segment-crossing arithmetic differs from the constant-rate fast path
 // even for a constant schedule — callers wanting the byte-identical
 // degenerate corner must canonicalize first (CanonicalSchedule collapses
 // constant schedules, and ArrivalProcess.Generate does so).
-func AppendScheduleArrivals(dst []float64, sched Schedule, n int, seed int64) []float64 {
+func appendScheduleArrivals(dst []float64, sched Schedule, n int, seed int64) []float64 {
 	if err := sched.Validate(); err != nil {
 		panic(fmt.Sprintf("workload: schedule arrivals: %v", err))
 	}
@@ -276,9 +276,9 @@ func (p ArrivalProcess) Generate(mix []TenantLoad, n int, arrivals []float64, sh
 		count = (n + turns - 1) / turns
 	}
 	if sched == nil {
-		arrivals = AppendPoissonArrivals(arrivals, rate, count, p.Seed)
+		arrivals = appendPoissonArrivals(arrivals, rate, count, p.Seed)
 	} else {
-		arrivals = AppendScheduleArrivals(arrivals, sched, count, p.Seed)
+		arrivals = appendScheduleArrivals(arrivals, sched, count, p.Seed)
 	}
 	shapes = AppendMixShapes(shapes, mix, count, p.Seed)
 	if turns > 1 {

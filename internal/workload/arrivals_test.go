@@ -8,12 +8,12 @@ import (
 )
 
 func TestAppendPoissonArrivalsDeterministic(t *testing.T) {
-	a := AppendPoissonArrivals(nil, 2, 64, 7)
-	b := AppendPoissonArrivals(nil, 2, 64, 7)
+	a := appendPoissonArrivals(nil, 2, 64, 7)
+	b := appendPoissonArrivals(nil, 2, 64, 7)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("equal seeds must be byte-identical")
 	}
-	c := AppendPoissonArrivals(nil, 2, 64, 8)
+	c := appendPoissonArrivals(nil, 2, 64, 8)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds should differ")
 	}
@@ -21,7 +21,7 @@ func TestAppendPoissonArrivalsDeterministic(t *testing.T) {
 		t.Fatal("arrivals must be non-decreasing")
 	}
 	// Appending extends the destination in place.
-	ext := AppendPoissonArrivals(a[:len(a):len(a)], 2, 4, 9)
+	ext := appendPoissonArrivals(a[:len(a):len(a)], 2, 4, 9)
 	if len(ext) != 68 || !reflect.DeepEqual(ext[:64], a) {
 		t.Fatal("append should extend dst without disturbing the prefix")
 	}
@@ -53,7 +53,7 @@ func TestAppendPoissonArrivalsPanics(t *testing.T) {
 					t.Errorf("panic = %v, wantPanic %v", r, tc.wantPanic)
 				}
 			}()
-			times := AppendPoissonArrivals(nil, tc.rate, tc.n, 1)
+			times := appendPoissonArrivals(nil, tc.rate, tc.n, 1)
 			if len(times) != tc.n {
 				t.Errorf("got %d timestamps, want %d", len(times), tc.n)
 			}
@@ -76,7 +76,7 @@ func TestAppendScheduleArrivalsPanics(t *testing.T) {
 				t.Error("invalid schedule should panic")
 			}
 		}()
-		AppendScheduleArrivals(nil, Schedule{{1, 2, 5}}, 4, 1)
+		appendScheduleArrivals(nil, Schedule{{1, 2, 5}}, 4, 1)
 	}()
 	func() {
 		defer func() {
@@ -84,7 +84,7 @@ func TestAppendScheduleArrivalsPanics(t *testing.T) {
 				t.Error("negative count should panic")
 			}
 		}()
-		AppendScheduleArrivals(nil, Schedule{{0, 10, 5}}, -1, 1)
+		appendScheduleArrivals(nil, Schedule{{0, 10, 5}}, -1, 1)
 	}()
 }
 
@@ -92,7 +92,7 @@ func TestAppendScheduleArrivalsPanics(t *testing.T) {
 // stream spent against a 10x rate advances time 10x slower.
 func TestAppendScheduleArrivalsShapesRate(t *testing.T) {
 	sched := Schedule{{0, 100, 0.5}, {100, 200, 20}}
-	got := AppendScheduleArrivals(nil, sched, 400, 3)
+	got := appendScheduleArrivals(nil, sched, 400, 3)
 	if !sort.Float64sAreSorted(got) {
 		t.Fatal("arrivals must be non-decreasing")
 	}
@@ -116,7 +116,7 @@ func TestAppendScheduleArrivalsShapesRate(t *testing.T) {
 // land strictly inside a quiet period.
 func TestAppendScheduleArrivalsJumpsQuietPeriods(t *testing.T) {
 	sched := Schedule{{0, 10, 5}, {10, 20, 0}, {20, 30, 5}}
-	got := AppendScheduleArrivals(nil, sched, 200, 11)
+	got := appendScheduleArrivals(nil, sched, 200, 11)
 	for _, ts := range got {
 		if ts > 10 && ts < 20 {
 			t.Fatalf("arrival %g inside the zero-rate window", ts)
@@ -128,7 +128,7 @@ func TestAppendScheduleArrivalsJumpsQuietPeriods(t *testing.T) {
 // generated even when the schedule's span is short.
 func TestAppendScheduleArrivalsExtendsFinalRate(t *testing.T) {
 	sched := Schedule{{0, 1, 100}, {1, 2, 0.1}}
-	got := AppendScheduleArrivals(nil, sched, 500, 5)
+	got := appendScheduleArrivals(nil, sched, 500, 5)
 	if len(got) != 500 {
 		t.Fatalf("want 500 arrivals, got %d", len(got))
 	}
@@ -232,7 +232,7 @@ func TestLengthDrawBounds(t *testing.T) {
 
 func TestGenerateDegenerateMatchesPoisson(t *testing.T) {
 	mix := []TenantLoad{{Tenant: "chat", Share: 1, PromptTokens: 100, GenTokens: 50}}
-	wantT := AppendPoissonArrivals(nil, 2, 128, 7)
+	wantT := appendPoissonArrivals(nil, 2, 128, 7)
 	wantS := AppendMixShapes(nil, mix, 128, 7)
 	for _, p := range []ArrivalProcess{
 		{Rate: 2, Seed: 7},

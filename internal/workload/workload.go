@@ -71,11 +71,11 @@ type Request struct {
 func (r Request) Context() int { return r.PromptTokens + r.GenTokens }
 
 // Validate checks one request shape: a tenant name that survives the
-// renderings (ValidateTenantName), at least one prompt and one generated
-// token, and a well-formed shared prefix (ValidatePrefix). Mix entries,
+// renderings (validateTenantName), at least one prompt and one generated
+// token, and a well-formed shared prefix (validatePrefix). Mix entries,
 // trace events and every pushed request pass through it.
 func (r Request) Validate() error {
-	if err := ValidateTenantName(r.Tenant); err != nil {
+	if err := validateTenantName(r.Tenant); err != nil {
 		return err
 	}
 	switch {
@@ -84,7 +84,7 @@ func (r Request) Validate() error {
 	case r.GenTokens < 1:
 		return fmt.Errorf("needs at least one generated token, got %d", r.GenTokens)
 	}
-	return ValidatePrefix(r.PrefixID, r.PrefixTokens, r.PromptTokens)
+	return validatePrefix(r.PrefixID, r.PrefixTokens, r.PromptTokens)
 }
 
 // TenantLoad is one tenant's contribution to a generated workload mix: a
@@ -154,7 +154,7 @@ type TraceEvent struct {
 	Request
 }
 
-// ValidateTenantName rejects names that would corrupt rendered workload
+// validateTenantName rejects names that would corrupt rendered workload
 // artifacts: FormatMix joins entries with ',' and fields with ':'
 // unescaped, so a tenant name carrying either separator lets two distinct
 // workloads render to one identical token — the sweep's CSV mix column
@@ -162,7 +162,7 @@ type TraceEvent struct {
 // cached result. Leading/trailing whitespace is rejected too: ParseMix
 // trims it, so such a name can never round-trip through its own
 // rendering.
-func ValidateTenantName(name string) error {
+func validateTenantName(name string) error {
 	if name == "" {
 		return fmt.Errorf("empty tenant name")
 	}
@@ -177,13 +177,13 @@ func ValidateTenantName(name string) error {
 	return nil
 }
 
-// ValidatePrefix checks one request shape's shared-prefix fields: a
+// validatePrefix checks one request shape's shared-prefix fields: a
 // non-negative prefix that leaves at least one non-shared prompt token (the
 // prefill pass must always have a suffix to price), a PrefixID whenever the
 // prefix is non-empty, and an id that survives the mix/trace renderings
-// (ValidateTenantName's separator rules). A zero-token prefix with an id is
+// (validateTenantName's separator rules). A zero-token prefix with an id is
 // legal — it is the degenerate no-prefix request the equivalence tests pin.
-func ValidatePrefix(prefixID string, prefixTokens, promptTokens int) error {
+func validatePrefix(prefixID string, prefixTokens, promptTokens int) error {
 	if prefixTokens < 0 {
 		return fmt.Errorf("negative prefix length %d", prefixTokens)
 	}
@@ -195,7 +195,7 @@ func ValidatePrefix(prefixID string, prefixTokens, promptTokens int) error {
 		return fmt.Errorf("a %d-token prefix needs a PrefixID", prefixTokens)
 	}
 	if prefixID != "" {
-		if err := ValidateTenantName(prefixID); err != nil {
+		if err := validateTenantName(prefixID); err != nil {
 			return fmt.Errorf("prefix id: %w", err)
 		}
 	}
@@ -269,7 +269,7 @@ func ValidateMix(mix []TenantLoad) error {
 		}
 		// A heavy-tailed prompt with a shared prefix stays legal only
 		// because the draw clamps to PrefixTokens+1; the median itself must
-		// still clear the prefix (ValidatePrefix above uses the median).
+		// still clear the prefix (validatePrefix above uses the median).
 		if prefixes, err = prefixConsistency(prefixes, t.PrefixID, t.PrefixTokens, false); err != nil {
 			return fmt.Errorf("workload: %w", err)
 		}
