@@ -409,15 +409,17 @@ func sweepServeSpec(tb testing.TB) sweep.Spec {
 //   - plan: the package-level Run over a pruning-heavy training grid.
 //     Pass 1 holds nothing for a pruned training candidate, not even an
 //     identity, and builds each candidate in one scratch point per
-//     worker; pass 2 predicts into per-worker op buffers and, with no
-//     memo to fill, renders no key. Measured 140 bytes and 0.23
-//     allocations per candidate (139 and 0.23 under -race), most of both
+//     worker; pass 2 predicts through per-worker Predictors, which price
+//     each layer shape once and keep it in an inline table, and, with no
+//     memo to fill, renders no key. Measured 130 bytes and 0.10
+//     allocations per candidate (136 and 0.116 under -race), most of both
 //     in the survivors' rows and the ranking; the budgets leave 30%
-//     headroom. With a memo entry, channel and key per survivor it took
-//     184 bytes and 0.45 allocations; an identity set over the grid (232
-//     bytes a candidate plus its table), op lists rebuilt from nil per
-//     prediction, or rejected mappings formatting an error each break
-//     the budgets.
+//     headroom. Pricing every survivor's layer afresh took 140 bytes and
+//     0.23 allocations (the previous budgets were 185 and 0.3); a memo
+//     entry, channel and key per survivor 184 bytes and 0.45
+//     allocations; an identity set over the grid (232 bytes a candidate
+//     plus its table) or rejected mappings formatting an error each
+//     break the budgets.
 //   - serving-warm: a held engine whose memo already holds the whole
 //     serving grid, so every candidate is a memo hit and the run is
 //     pass 1's walk, sifting and ranking. Measured 2,168 bytes and 1.17
@@ -435,7 +437,7 @@ func TestSweepEngineAllocBudget(t *testing.T) {
 		bytesBudget  float64
 		allocsBudget float64
 	}{
-		{name: "plan", spec: sweepPlanSpec(t), bytesBudget: 185, allocsBudget: 0.3},
+		{name: "plan", spec: sweepPlanSpec(t), bytesBudget: 170, allocsBudget: 0.13},
 		{name: "serving-warm", spec: sweepServeSpec(t), warm: true, bytesBudget: 2200, allocsBudget: 1.25},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -195,17 +195,20 @@ func Train(spec TrainSpec) (Breakdown, error) {
 	if err := spec.Model.Validate(); err != nil {
 		return Breakdown{}, err
 	}
+	if err := spec.Map.Validate(spec.Model.Layers, spec.GlobalBatch); err != nil {
+		return Breakdown{}, err
+	}
 	return TrainValidated(&spec)
 }
 
 // TrainValidated is Train for a spec whose model has passed
-// model.Config.Validate: the same footprint and the same errors, without
-// checking the model again. A plan sweep checks each model once per grid
-// cell, not once per candidate.
+// model.Config.Validate and whose mapping has passed
+// parallel.Mapping.Validate against the model's layers and the global
+// batch: the same footprint, without checking either again. Of Train's
+// errors it reports only a non-positive sequence length. A plan sweep
+// checks each model once per grid cell and walks only valid mappings;
+// train.Predict has validated both before it sizes the footprint.
 func TrainValidated(spec *TrainSpec) (Breakdown, error) {
-	if err := spec.Map.Validate(spec.Model.Layers, spec.GlobalBatch); err != nil {
-		return Breakdown{}, err
-	}
 	if spec.Seq <= 0 {
 		return Breakdown{}, fmt.Errorf("memfoot: non-positive sequence length %d", spec.Seq)
 	}

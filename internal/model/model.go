@@ -65,10 +65,10 @@ type Config struct {
 }
 
 // HeadDim returns the per-head dimension h/a.
-func (c Config) HeadDim() int { return c.Hidden / c.Heads }
+func (c *Config) HeadDim() int { return c.Hidden / c.Heads }
 
 // KVDim returns the total key (or value) projection width: HeadDim×KVHeads.
-func (c Config) KVDim() int { return c.HeadDim() * c.KVHeads }
+func (c *Config) KVDim() int { return c.HeadDim() * c.KVHeads }
 
 // Validate checks structural invariants.
 func (c Config) Validate() error {
@@ -86,7 +86,7 @@ func (c Config) Validate() error {
 // AttnParams returns the attention-block parameter count per layer:
 // Q and output projections (h×h each) plus K and V projections
 // (h×kvdim each). Biases are included for GPT-style models.
-func (c Config) AttnParams() float64 {
+func (c *Config) AttnParams() float64 {
 	h := float64(c.Hidden)
 	kv := float64(c.KVDim())
 	p := 2*h*h + 2*h*kv
@@ -97,7 +97,7 @@ func (c Config) AttnParams() float64 {
 }
 
 // MLPParams returns the feed-forward parameter count per layer.
-func (c Config) MLPParams() float64 {
+func (c *Config) MLPParams() float64 {
 	h, f := float64(c.Hidden), float64(c.FFN)
 	switch c.MLP {
 	case MLPSwiGLU:
@@ -110,7 +110,7 @@ func (c Config) MLPParams() float64 {
 // NormParams returns the normalization parameter count per layer (two
 // norms; LayerNorm has scale+bias, RMSNorm scale only — the difference is
 // negligible, both modeled as 2h per norm for GPT and h for Llama).
-func (c Config) NormParams() float64 {
+func (c *Config) NormParams() float64 {
 	h := float64(c.Hidden)
 	if c.MLP == MLPSwiGLU {
 		return 2 * h
@@ -119,7 +119,7 @@ func (c Config) NormParams() float64 {
 }
 
 // LayerParams returns the per-layer parameter count.
-func (c Config) LayerParams() float64 {
+func (c *Config) LayerParams() float64 {
 	return c.AttnParams() + c.MLPParams() + c.NormParams()
 }
 

@@ -251,8 +251,9 @@ func mustDGX(t *testing.T, gpus int) *arch.System {
 // devices differ in memory, Feasible agrees candidate by candidate with
 // memfoot.Train against the device's capacity, and the engine prunes
 // exactly the candidates it rejects, at one worker and at several. A
-// candidate with an invalid model and an invalid mapping reports
-// memfoot.Train's error, the model's first.
+// candidate with an invalid model, mapping or sequence length reports
+// memfoot.Train's error, in its order: the model's, the mapping's, the
+// sequence length's.
 func TestFeasibleMatchesFootprint(t *testing.T) {
 	small := arch.A100()
 	small.Mem[len(small.Mem)-1].Capacity /= 2
@@ -298,12 +299,24 @@ func TestFeasibleMatchesFootprint(t *testing.T) {
 		}
 	}
 
-	bad := points[0]
-	bad.Model.KVHeads = 0
-	bad.Map.DP = 0
-	fit, err := Feasible(bad)
-	_, werr := footprint(bad)
-	if fit || err == nil || err.Error() != werr.Error() || !strings.Contains(err.Error(), "kv-heads") {
-		t.Errorf("invalid model and mapping: Feasible %v, %v; memfoot.Train %v", fit, err, werr)
+	// The walk yields only valid mappings, so pass 1 does not check them;
+	// Feasible, given any point, still does.
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*Point)
+	}{
+		{"invalid model and mapping", "kv-heads", func(p *Point) { p.Model.KVHeads, p.Map.DP = 0, 0 }},
+		{"invalid mapping", "non-positive degrees", func(p *Point) { p.Map.DP = 0 }},
+		{"indivisible batch", "not divisible by DP", func(p *Point) { p.GlobalBatch++ }},
+		{"invalid mapping and sequence", "non-positive degrees", func(p *Point) { p.Map.DP, p.Seq = 0, 0 }},
+		{"invalid sequence", "sequence length", func(p *Point) { p.Seq = 0 }},
+	} {
+		bad := points[0]
+		tc.edit(&bad)
+		fit, err := Feasible(bad)
+		_, werr := footprint(bad)
+		if fit || err == nil || werr == nil || err.Error() != werr.Error() || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Feasible %v, %v; memfoot.Train %v", tc.name, fit, err, werr)
+		}
 	}
 }

@@ -33,10 +33,13 @@ func bigGrid(t testing.TB) sweep.Spec {
 	return sweep.Spec{
 		Models:        []model.Config{model.GPT175B(), modelPreset(t, "gpt-310b"), modelPreset(t, "gpt-530b")},
 		Systems:       []*arch.System{dgx(t, 64), dgx(t, 128), dgx(t, 256)},
-		GlobalBatches: []int{64, 128, 256, 512},
-		Seqs:          []int{2048, 4096},
+		GlobalBatches: []int{64, 128, 256, 512, 1024},
+		Seqs:          []int{1024, 2048, 4096, 8192},
 		// AllowOverflow forces full costing of every candidate, making
-		// the grid expensive enough for cancellation to land mid-run.
+		// the grid expensive enough for cancellation to land mid-run. At
+		// GOMAXPROCS=1 a cancelling goroutine runs only once the sweep is
+		// preempted, about every 10 ms, so the run must take several
+		// times that.
 		Constraints: sweep.Constraints{AllowOverflow: true, TopK: 10},
 	}
 }

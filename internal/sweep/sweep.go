@@ -1375,20 +1375,24 @@ func Enumerate(s Spec) []Point {
 
 // Evaluate runs the full cost model on one point — on fresh simulator
 // state. The engine and Serial evaluate through a pooled per-worker
-// evaluator instead, which reuses simulator slabs and the training op
-// buffer across points; TestRunnerReuseMatchesFresh (serve),
-// TestClusterRunnerReuseMatchesFresh and TestPredictorReuseMatchesFresh
-// (train) pin that reuse byte-identical, so the two paths cannot diverge.
+// evaluator instead, which reuses simulator slabs, the training op
+// buffer and priced layer shapes across points;
+// TestRunnerReuseMatchesFresh (serve), TestClusterRunnerReuseMatchesFresh
+// and TestPredictorReuseMatchesFresh and TestPredictorTableKey (train)
+// pin that reuse byte-identical, so the two paths cannot diverge.
 func Evaluate(p Point) (Metrics, error) {
 	var ev evaluator
 	return ev.evaluate(&p)
 }
 
-// evaluator carries the pooled serving simulators and the training op
-// buffer one sweep worker reuses across the points it costs. The
+// evaluator carries the pooled serving simulators and the training
+// predictor one sweep worker reuses across the points it costs. The
 // simulators are made by the first serving point that needs each, so a
-// training or inference sweep never builds them. Inference predictions
-// are stateless. NOT safe for concurrent use — each worker owns one.
+// training or inference sweep never builds them. The predictor keys its
+// priced layer shapes on the system's pointer, which is sound because an
+// evaluator lives for one pass 2 of one Run (or one Serial), whose spec
+// stays unchanged while it runs. Inference predictions are stateless.
+// NOT safe for concurrent use — each worker owns one.
 type evaluator struct {
 	serve   *serve.Runner
 	cluster *cluster.Runner
@@ -1578,6 +1582,13 @@ func servingMetrics(p *Point, res *serve.Result) Metrics {
 // succeeds).
 func Feasible(p Point) (bool, error) {
 	fc := checkFor(&p.Model, p.System)
+	if fc.model == nil && p.Workload != Serving && p.Workload != Inference {
+		// A training walk yields only valid mappings, so feasible does not
+		// check them; a caller's point may hold any.
+		if err := p.Map.Validate(p.Model.Layers, p.GlobalBatch); err != nil {
+			return false, err
+		}
+	}
 	return fc.feasible(&p)
 }
 
@@ -1596,8 +1607,9 @@ func checkFor(cfg *model.Config, sys *arch.System) footprintCheck {
 	return footprintCheck{capacity: sys.Device.DRAMCapacity(), model: cfg.Validate()}
 }
 
-// feasible is Feasible for a candidate of fc's cell: the same verdicts
-// and the same errors, in memfoot.Train's order.
+// feasible is Feasible for a candidate of fc's cell whose mapping, if it
+// is a training candidate, is valid (eachTraining yields no other): the
+// same verdicts and the same errors, in memfoot.Train's order.
 //
 //optimus:hotpath
 func (fc *footprintCheck) feasible(p *Point) (bool, error) {

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"reflect"
 	"testing"
 
 	"optimus/internal/arch"
@@ -280,7 +281,8 @@ func TestMoreMicrobatchesAmortizeBubble(t *testing.T) {
 // TestPredictorReuseMatchesFresh: one Predictor reused across every
 // Table 1 row under every recompute regime, whose op lists differ in
 // length, predicts exactly what a fresh Predict does, and once its buffer
-// has grown it allocates less than a fresh prediction.
+// has grown and its table holds the shape it allocates less than a fresh
+// prediction.
 func TestPredictorReuseMatchesFresh(t *testing.T) {
 	var pr Predictor
 	var specs []Spec
@@ -305,9 +307,127 @@ func TestPredictorReuseMatchesFresh(t *testing.T) {
 		}
 	}
 	s := specs[0]
+	if _, err := pr.Predict(s); err != nil {
+		t.Fatal(err)
+	}
 	fresh := testing.AllocsPerRun(10, func() { _, _ = Predict(s) })
 	reused := testing.AllocsPerRun(10, func() { _, _ = pr.Predict(s) })
 	if reused >= fresh {
 		t.Errorf("reused predictor allocates %v times a call, fresh %v", reused, fresh)
+	}
+}
+
+// TestPredictorTableKey: the layer table's key holds every input the
+// pricing reads. A base spec and its perturbations, one input each (every
+// model.Config field, walked by reflection; every field that feeds
+// Spec.exec; the recompute regime, whose specs share the base's entry; a
+// system with another device and one with another intra-node link), are
+// predicted in turn on one Predictor, the base between each pair so that
+// its entry is in the table when a perturbation is looked up. There are
+// more shapes than the table holds, and three rounds of them, so entries
+// are evicted and priced again; each prediction must equal a fresh one
+// bit for bit.
+func TestPredictorTableKey(t *testing.T) {
+	sys := func(d arch.Device, intra tech.NetworkTech) *arch.System {
+		s, err := arch.SystemOf(d, 16, 8, intra, tech.IBNDR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	base := Spec{
+		Model:  model.GPT22B(),
+		System: sys(arch.H100(), tech.NVLink4),
+		Map: parallel.Mapping{
+			DP: 1, TP: 8, PP: 2, Microbatch: 1, Schedule: parallel.OneFOneB,
+		},
+		GlobalBatch: 16,
+		Seq:         2048,
+		Precision:   tech.FP8,
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	var specs []Spec
+	add := func(name string, edit func(*Spec)) {
+		s := base
+		edit(&s)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		names, specs = append(names, name), append(specs, s)
+	}
+
+	// Every model field: an int doubled, halved or incremented, whichever
+	// first keeps the spec valid; a bool flipped; a string extended.
+	cfg := reflect.TypeOf(base.Model)
+	for i := 0; i < cfg.NumField(); i++ {
+		f := cfg.Field(i)
+		var edits []func(v reflect.Value)
+		switch f.Type.Kind() {
+		case reflect.Int:
+			for _, next := range []func(int64) int64{
+				func(x int64) int64 { return 2 * x },
+				func(x int64) int64 { return x / 2 },
+				func(x int64) int64 { return x + 1 },
+			} {
+				edits = append(edits, func(v reflect.Value) { v.SetInt(next(v.Int())) })
+			}
+		case reflect.Bool:
+			edits = append(edits, func(v reflect.Value) { v.SetBool(!v.Bool()) })
+		case reflect.String:
+			edits = append(edits, func(v reflect.Value) { v.SetString(v.String() + "'") })
+		default:
+			t.Fatalf("model.Config.%s: no perturbation for kind %v", f.Name, f.Type.Kind())
+		}
+		edit := func(s *Spec) {
+			for _, e := range edits {
+				*s = base
+				e(reflect.ValueOf(&s.Model).Elem().Field(i))
+				if s.Model != base.Model && s.Validate() == nil {
+					return
+				}
+			}
+		}
+		add("Model."+f.Name, edit)
+	}
+
+	// Every field that feeds Spec.exec, the regime and the system.
+	add("Map.Microbatch", func(s *Spec) { s.Map.Microbatch = 2 })
+	add("Seq", func(s *Spec) { s.Seq = 1024 })
+	add("Map.TP", func(s *Spec) { s.Map.TP, s.Map.DP = 4, 2 })
+	add("Map.SP", func(s *Spec) { s.Map.SP = true })
+	add("Flash", func(s *Spec) { s.Flash = true })
+	add("Precision", func(s *Spec) { s.Precision = tech.BF16 })
+	add("Store", func(s *Spec) { s.Store = tech.FP8 })
+	add("Recompute=selective", func(s *Spec) { s.Recompute = memfoot.Selective })
+	add("Recompute=full", func(s *Spec) { s.Recompute = memfoot.Full })
+	add("System.Device", func(s *Spec) { s.System = sys(arch.A100(), tech.NVLink4) })
+	add("System.Intra", func(s *Spec) { s.System = sys(arch.H100(), tech.NVLink3) })
+	if shapes := len(specs) - 1; shapes <= layerTableLen { // the base and two regimes share one
+		t.Fatalf("%d shapes do not overflow a table of %d", shapes, layerTableLen)
+	}
+
+	check := func(pr *Predictor, name string, s Spec) {
+		t.Helper()
+		want, err := Predict(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pr.Predict(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: reused predictor %+v, fresh %+v", name, got, want)
+		}
+	}
+	var pr Predictor
+	for round := 0; round < 3; round++ {
+		for i, s := range specs {
+			check(&pr, "base", base)
+			check(&pr, names[i], s)
+		}
 	}
 }
