@@ -58,7 +58,7 @@ bench-json:
 # feasibility pruning as well as in parallelism; bench/README.md's
 # sweep.prune_speedup measures pruning's share. Its
 # sweep.parallel_speedup no longer isolates the pool, since pass 1 runs
-# on it too (ROADMAP item 3 redefines it).
+# on it too (ROADMAP item 1 redefines it).
 sweep-bench:
 	$(GO) test -run xxx -bench 'BenchmarkSweep' -benchmem .
 

@@ -1,30 +1,55 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"unicode/utf8"
+	"strings"
 )
 
-// The memo cache file is the JSON that json.Encoder with SetIndent("",
-// " ") writes for
+// The memo cache file holds one entry per line:
 //
-//	struct {
-//		Version   int                `json:"version"`
-//		CostModel string             `json:"cost_model"`
-//		Entries   map[string]Metrics `json:"entries"`
-//	}
+//	{"version":2,"cost_model":"drawn-stream-geometry","entries":{
+//	"<Point.Key>":[Time,MFU,…,SwapTime,PerTenant],
+//	…
+//	"<Point.Key>":[…]
+//	}}
 //
-// This file writes and reads exactly that schema without reflection. The
-// writer reproduces encoding/json's bytes: every field of every struct in
-// declaration order, map keys sorted, encoding/json's float format and
-// string escaping, and null for a nil PerTenant. The reader accepts only
-// what json.Unmarshal accepts and decodes it to the same values, and it
-// is stricter: an unknown field, a null other than a nil PerTenant or
-// trailing data is an error.
+// An entry's array holds its Metrics' values in the order of columns,
+// then PerTenant: null for a nil slice, otherwise one
+// ["<tenant>",Requests,TTFTP95,TPOTP95,E2EP95] array per tenant. Floats
+// are written in the shortest form that parses back to the same bits,
+// and keys are sorted. The file is JSON, so other tools can read it, but
+// the reader accepts only this layout: every separator where the writer
+// puts it, keys strictly increasing, numbers in range and nothing after
+// the last line.
+const (
+	cacheVersionHead = `{"version":` + cacheFileVersion + `,"cost_model":`
+	cacheEntriesHead = `,"entries":{`
+	cacheTail        = "\n}}\n"
+)
+
+// columns points at m's values in the order an entry lists them. Writer
+// and reader both walk it, so a field added to Metrics is stored once it
+// is added here.
+func columns(m *Metrics) [22]any {
+	return [...]any{
+		&m.Time, &m.MFU,
+		&m.Memory.Parameters, &m.Memory.Gradients, &m.Memory.Optimizer, &m.Memory.Activations,
+		&m.Footprint.Weights, &m.Footprint.KVCache, &m.Fits,
+		&m.TTFTP95, &m.TPOTP95, &m.TokensPerSec, &m.Preemptions, &m.RecomputedTokens, &m.KVUtil,
+		&m.KVTransfers, &m.TransferTime,
+		&m.PrefixHits, &m.PrefixSavedTokens, &m.KVSwapOuts, &m.KVSwapIns, &m.SwapTime,
+	}
+}
+
+// tenantColumns points at t's values after its name.
+func tenantColumns(t *TenantSLO) [4]any {
+	return [...]any{&t.Requests, &t.TTFTP95, &t.TPOTP95, &t.E2EP95}
+}
 
 // savedEntry is one memo entry on its way to the cache file.
 type savedEntry struct {
@@ -39,21 +64,22 @@ type loadedEntry struct {
 	ent memoEntry
 }
 
-// Bounds on the encoding, for sizing the output once: the text of a
-// Metrics with every number at its longest (-2.2250738585072014e-308,
-// math.MinInt) and a nil PerTenant, what each tenant adds, and the file's
-// header and trailer. Quoted strings are counted apart, by quotedLen.
+// Bounds on the encoding, for sizing the output once: an entry's line
+// but its key, with every value at its longest
+// (-2.2250738585072014e-308) and a null PerTenant; what each tenant adds
+// but its name; and the file's head and tail. Quoted strings are counted
+// apart, by quotedLen.
 const (
-	metricsLen = 961
-	tenantLen  = 196
-	fileLen    = 74
+	entryLen  = len(",\n:[") + 22*len("-2.2250738585072014e-308,") + len("null]")
+	tenantLen = len("[") + 4*len(",-2.2250738585072014e-308") + len("],")
+	fileLen   = len(cacheVersionHead) + len(cacheEntriesHead) + len(cacheTail)
 )
 
 // cacheSize bounds the bytes appendCache writes for entries.
 func cacheSize(entries []savedEntry) int {
-	n := fileLen
+	n := fileLen + quotedLen(costModelVersion)
 	for _, c := range entries {
-		n += quotedLen(c.key) + metricsLen
+		n += quotedLen(c.key) + entryLen
 		for _, t := range c.m.PerTenant {
 			n += quotedLen(t.Tenant) + tenantLen
 		}
@@ -61,21 +87,22 @@ func cacheSize(entries []savedEntry) int {
 	return n
 }
 
-// writeAsIs marks the bytes encoding/json writes unescaped in a string:
-// printable ASCII but for " \ < > and &. readAsIs marks the bytes a JSON
-// string holds as they are: all but " and \, control bytes and non-ASCII.
-var writeAsIs, readAsIs = func() (w, r [256]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		r[c] = c != '"' && c != '\\'
-		w[c] = r[c] && c != '<' && c != '>' && c != '&' && c != 0x7f
+// asIs marks the bytes a string holds as they are in the file: printable
+// ASCII but for " and \. numeric marks the bytes of a number.
+var asIs, numeric = func() (s, n [256]bool) {
+	for c := ' '; c < 0x7f; c++ {
+		s[c] = c != '"' && c != '\\'
 	}
-	return w, r
+	for _, c := range "0123456789.eE+-" {
+		n[c] = true
+	}
+	return s, n
 }()
 
-// plain reports whether encoding/json writes s unescaped.
+// plain reports whether s is written as it is, between quotes.
 func plain(s string) bool {
 	for i := 0; i < len(s); i++ {
-		if !writeAsIs[s[i]] {
+		if !asIs[s[i]] {
 			return false
 		}
 	}
@@ -92,213 +119,117 @@ func quotedLen(s string) int {
 }
 
 // appendCache appends the cache file holding entries, which are sorted by
-// key, to b. A NaN or infinite metric is an error, as in encoding/json.
+// key, to b. A NaN or infinite metric is an error: JSON cannot hold it.
 func appendCache(b []byte, entries []savedEntry) ([]byte, error) {
-	w := cacheWriter{b: b}
-	w.open('{')
-	w.int(1, "version", cacheFileVersion)
-	w.name(1, "cost_model")
-	w.str(costModelVersion)
-	w.name(1, "entries")
-	w.open('{')
-	for _, c := range entries {
-		w.next(2)
-		w.str(c.key)
-		w.b = append(w.b, ": "...)
-		w.metrics(c.m)
-		if w.bad {
-			return nil, fmt.Errorf("entry %q: unsupported value %v", c.key, w.badValue)
+	b = append(b, cacheVersionHead...)
+	b = appendString(b, costModelVersion)
+	b = append(b, cacheEntriesHead...)
+	for i, c := range entries {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '\n')
+		b = appendString(b, c.key)
+		b = append(b, ':')
+		var ok bool
+		if b, ok = appendMetrics(b, c.m); !ok {
+			return nil, fmt.Errorf("entry %q: a metric is NaN or infinite", c.key)
 		}
 	}
-	w.close(1, '}')
-	w.close(0, '}')
-	return append(w.b, '\n'), nil
+	return append(b, cacheTail...), nil
 }
 
-// cacheWriter appends indented JSON. first is set while the object or
-// array just opened has no member yet; bad records a value JSON cannot
-// hold.
-type cacheWriter struct {
-	b        []byte
-	first    bool
-	bad      bool
-	badValue float64
-}
-
-// indent is a newline and enough spaces for the deepest member.
-const indent = "\n      "
-
-func (w *cacheWriter) open(c byte) {
-	w.b = append(w.b, c)
-	w.first = true
-}
-
-// close ends the object or array opened at depth: an empty one stays on
-// its line, as encoding/json writes {} and [].
-func (w *cacheWriter) close(depth int, c byte) {
-	if !w.first {
-		w.b = append(w.b, indent[:1+depth]...)
+// appendMetrics appends m's array; ok is false if a value is not finite.
+func appendMetrics(b []byte, m *Metrics) (_ []byte, ok bool) {
+	ok = true
+	b = append(b, '[')
+	for _, v := range columns(m) {
+		b = appendValue(b, v, &ok)
+		b = append(b, ',')
 	}
-	w.b = append(w.b, c)
-	w.first = false
-}
-
-// next starts a member at depth: a comma after the previous member, a
-// newline and the indentation.
-func (w *cacheWriter) next(depth int) {
-	if !w.first {
-		w.b = append(w.b, ',')
-	}
-	w.b = append(w.b, indent[:1+depth]...)
-	w.first = false
-}
-
-// name starts a struct field at depth; field names need no escaping.
-func (w *cacheWriter) name(depth int, name string) {
-	w.next(depth)
-	w.b = append(w.b, '"')
-	w.b = append(w.b, name...)
-	w.b = append(w.b, `": `...)
-}
-
-func (w *cacheWriter) int(depth int, name string, v int) {
-	w.name(depth, name)
-	w.b = strconv.AppendInt(w.b, int64(v), 10)
-}
-
-// float writes f as encoding/json does: the shortest decimal that round
-// trips, in exponent form below 1e-6 or from 1e21 on, with a one-digit
-// negative exponent not padded.
-func (w *cacheWriter) float(depth int, name string, f float64) {
-	w.name(depth, name)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		if !w.bad {
-			w.bad, w.badValue = true, f
-		}
-		return
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
-	if n := len(w.b); format == 'e' && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
-		w.b[n-2] = w.b[n-1]
-		w.b = w.b[:n-1]
-	}
-}
-
-// str writes s quoted. A plain string is copied; any other is quoted by
-// encoding/json itself.
-func (w *cacheWriter) str(s string) {
-	if !plain(s) {
-		q, _ := json.Marshal(s) // a string always marshals
-		w.b = append(w.b, q...)
-		return
-	}
-	w.b = append(w.b, '"')
-	w.b = append(w.b, s...)
-	w.b = append(w.b, '"')
-}
-
-// metrics writes m as the value of an entry at depth 2, its fields in
-// declaration order.
-func (w *cacheWriter) metrics(m *Metrics) {
-	w.open('{')
-	w.float(3, "Time", m.Time)
-	w.float(3, "MFU", m.MFU)
-	w.name(3, "Memory")
-	w.open('{')
-	w.float(4, "Parameters", m.Memory.Parameters)
-	w.float(4, "Gradients", m.Memory.Gradients)
-	w.float(4, "Optimizer", m.Memory.Optimizer)
-	w.float(4, "Activations", m.Memory.Activations)
-	w.close(3, '}')
-	w.name(3, "Footprint")
-	w.open('{')
-	w.float(4, "Weights", m.Footprint.Weights)
-	w.float(4, "KVCache", m.Footprint.KVCache)
-	w.close(3, '}')
-	w.name(3, "Fits")
-	w.b = strconv.AppendBool(w.b, m.Fits)
-	w.float(3, "TTFTP95", m.TTFTP95)
-	w.float(3, "TPOTP95", m.TPOTP95)
-	w.float(3, "TokensPerSec", m.TokensPerSec)
-	w.int(3, "Preemptions", m.Preemptions)
-	w.int(3, "RecomputedTokens", m.RecomputedTokens)
-	w.float(3, "KVUtil", m.KVUtil)
-	w.int(3, "KVTransfers", m.KVTransfers)
-	w.float(3, "TransferTime", m.TransferTime)
-	w.int(3, "PrefixHits", m.PrefixHits)
-	w.int(3, "PrefixSavedTokens", m.PrefixSavedTokens)
-	w.int(3, "KVSwapOuts", m.KVSwapOuts)
-	w.int(3, "KVSwapIns", m.KVSwapIns)
-	w.float(3, "SwapTime", m.SwapTime)
-	w.name(3, "PerTenant")
 	if m.PerTenant == nil {
-		w.b = append(w.b, "null"...)
+		b = append(b, "null"...)
 	} else {
-		w.open('[')
+		b = append(b, '[')
 		for i := range m.PerTenant {
 			t := &m.PerTenant[i]
-			w.next(4)
-			w.open('{')
-			w.name(5, "Tenant")
-			w.str(t.Tenant)
-			w.int(5, "Requests", t.Requests)
-			w.float(5, "TTFTP95", t.TTFTP95)
-			w.float(5, "TPOTP95", t.TPOTP95)
-			w.float(5, "E2EP95", t.E2EP95)
-			w.close(4, '}')
-		}
-		w.close(3, ']')
-	}
-	w.close(2, '}')
-}
-
-// decodedCache is what a cache file holds. hasEntries tells an empty
-// "entries" object from a missing one.
-type decodedCache struct {
-	version    int
-	costModel  string
-	entries    blocks[loadedEntry]
-	hasEntries bool
-}
-
-// decodeCache reads a cache file. Of duplicate names the last wins, and a
-// repeated object or array is decoded into the value before it, as
-// json.Unmarshal does.
-func decodeCache(data []byte) (*decodedCache, error) {
-	r := cacheReader{data: data}
-	c := new(decodedCache)
-	for ok := r.open('{', '}'); ok; ok = r.more('}') {
-		switch name := r.name(); string(name) {
-		case "version":
-			c.version = r.int()
-		case "cost_model":
-			c.costModel = string(r.str())
-		case "entries":
-			c.hasEntries = true
-			for ok := r.open('{', '}'); ok; ok = r.more('}') {
-				c.entries.add(loadedEntry{key: string(r.name())})
-				r.metrics(&c.entries.at(c.entries.n - 1).ent.m)
+			if i > 0 {
+				b = append(b, ',')
 			}
-		default:
-			r.unknown(name)
+			b = append(b, '[')
+			b = appendString(b, t.Tenant)
+			for _, v := range tenantColumns(t) {
+				b = append(b, ',')
+				b = appendValue(b, v, &ok)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, ']')
+	}
+	return append(b, ']'), ok
+}
+
+// appendValue appends the number or boolean v points at, clearing ok if
+// it is a NaN or an infinity.
+func appendValue(b []byte, v any, ok *bool) []byte {
+	switch v := v.(type) {
+	case *float64:
+		if math.IsNaN(*v) || math.IsInf(*v, 0) {
+			*ok = false
+		}
+		return strconv.AppendFloat(b, *v, 'g', -1, 64)
+	case *int:
+		return strconv.AppendInt(b, int64(*v), 10)
+	}
+	return strconv.AppendBool(b, *v.(*bool))
+}
+
+// appendString appends s quoted. A plain string is copied; any other is
+// quoted by encoding/json, after its invalid UTF-8 is replaced, so that
+// what is read back is written back the same.
+func appendString(b []byte, s string) []byte {
+	if !plain(s) {
+		q, _ := json.Marshal(strings.ToValidUTF8(s, "\uFFFD")) // a string always marshals
+		return append(b, q...)
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// decodeCache reads a cache file's entries, in file order. The entries
+// are only of use when the error is nil.
+func decodeCache(data []byte) (*blocks[loadedEntry], error) {
+	r := cacheReader{data: data}
+	if !r.next(cacheVersionHead) {
+		return nil, fmt.Errorf("not a version %s cache file", cacheFileVersion)
+	}
+	if cm := r.str(); r.err == nil && cm != costModelVersion {
+		return nil, fmt.Errorf("written by cost model %q, this binary is %q", cm, costModelVersion)
+	}
+	r.lit(cacheEntriesHead)
+	in := new(blocks[loadedEntry])
+	for more := !r.next(cacheTail); more && r.err == nil; {
+		r.lit("\n")
+		c := in.next()
+		c.key = r.str()
+		if in.n > 1 && r.err == nil && c.key <= in.at(in.n-2).key {
+			r.fail("key not after the one before it")
+		}
+		r.lit(":")
+		r.metrics(&c.ent.m)
+		if more = r.next(","); !more {
+			r.lit(cacheTail)
 		}
 	}
-	r.space()
 	if r.err == nil && r.pos != len(data) {
 		r.fail("trailing data")
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return c, nil
+	return in, r.err
 }
 
-// cacheReader scans the cache file. err holds the first error; once it
-// is set every method returns at once and every member loop ends.
+// cacheReader scans a cache file. err holds the first error; once it is
+// set every method returns at once.
 type cacheReader struct {
 	data []byte
 	pos  int
@@ -307,344 +238,136 @@ type cacheReader struct {
 
 func (r *cacheReader) fail(msg string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%s at offset %d", msg, r.pos)
+		r.err = fmt.Errorf("line %d: %s", 1+bytes.Count(r.data[:r.pos], []byte{'\n'}), msg)
 	}
 }
 
-func (r *cacheReader) unknown(name []byte) {
-	r.fail(fmt.Sprintf("unknown field %q", name))
-}
-
-// space skips JSON whitespace.
-func (r *cacheReader) space() {
-	for r.pos < len(r.data) {
-		switch r.data[r.pos] {
-		case ' ', '\t', '\n', '\r':
-			r.pos++
-		default:
-			return
-		}
-	}
-}
-
-// peek skips whitespace and returns the next byte, or 0 at the end.
-func (r *cacheReader) peek() byte {
-	r.space()
-	if r.pos < len(r.data) {
-		return r.data[r.pos]
-	}
-	return 0
-}
-
-// open consumes the c that opens an object or array and reports whether
-// a member follows before its end.
-func (r *cacheReader) open(c, end byte) bool {
-	if r.err != nil {
+// next consumes s if it comes next.
+func (r *cacheReader) next(s string) bool {
+	if r.err != nil || len(r.data)-r.pos < len(s) || string(r.data[r.pos:r.pos+len(s)]) != s {
 		return false
 	}
-	if r.peek() != c {
-		r.fail("expected " + string(c))
-		return false
-	}
-	r.pos++
-	if r.peek() == end {
-		r.pos++
-		return false
-	}
+	r.pos += len(s)
 	return true
 }
 
-// more consumes what follows a member and reports whether another member
-// follows before end.
-func (r *cacheReader) more(end byte) bool {
-	if r.err != nil {
-		return false
+// lit consumes s, which must come next.
+func (r *cacheReader) lit(s string) {
+	if r.err == nil && !r.next(s) {
+		r.fail("expected " + strconv.Quote(s))
 	}
-	switch r.peek() {
-	case ',':
-		r.pos++
-		return true
-	case end:
-		r.pos++
-		return false
-	}
-	r.fail("expected , or " + string(end))
-	return false
 }
 
-// name reads an object member's name and the colon after it.
-func (r *cacheReader) name() []byte {
-	s := r.str()
-	if r.err == nil && r.peek() != ':' {
-		r.fail("expected :")
-		return nil
-	}
-	r.pos++
-	return s
-}
-
-// str reads a string. One of readAsIs bytes is returned in place; any
-// other is unquoted by encoding/json, so escapes and invalid UTF-8 decode
-// as json.Unmarshal decodes them.
-func (r *cacheReader) str() []byte {
+// str reads a quoted string. One of asIs bytes is copied out; any other
+// is unquoted by encoding/json.
+func (r *cacheReader) str() string {
 	if r.err != nil {
-		return nil
+		return ""
 	}
-	if r.peek() != '"' {
-		r.fail("expected string")
-		return nil
+	if r.pos == len(r.data) || r.data[r.pos] != '"' {
+		r.fail("expected a string")
+		return ""
 	}
-	start, i := r.pos, r.pos+1
-	for i < len(r.data) && readAsIs[r.data[i]] {
+	i := r.pos + 1
+	for i < len(r.data) && asIs[r.data[i]] {
 		i++
 	}
-	switch {
-	case i == len(r.data):
-		r.fail("unterminated string")
-		return nil
-	case r.data[i] == '"':
+	if i < len(r.data) && r.data[i] == '"' {
+		s := string(r.data[r.pos+1 : i])
 		r.pos = i + 1
-		return r.data[start+1 : i]
-	case r.data[i] < ' ':
-		r.pos = i
-		r.fail("control character in string")
-		return nil
+		return s
 	}
-	return r.quoted(start)
+	return r.unquote()
 }
 
-// quoted unquotes the string starting at start with encoding/json.
-func (r *cacheReader) quoted(start int) []byte {
-	end := start + 1
+// unquote reads the string at pos as json.Unmarshal decodes it. It is a
+// function of its own so that str's plain strings stay off the heap
+// until they are copied.
+func (r *cacheReader) unquote() string {
+	end := r.pos + 1
 	for ; end < len(r.data) && r.data[end] != '"'; end++ {
 		if r.data[end] == '\\' {
 			end++
 		}
 	}
-	if end >= len(r.data) {
-		r.fail("unterminated string")
-		return nil
-	}
 	var s string
-	if err := json.Unmarshal(r.data[start:end+1], &s); err != nil {
+	if end >= len(r.data) || json.Unmarshal(r.data[r.pos:end+1], &s) != nil {
 		r.fail("invalid string")
-		return nil
+		return ""
 	}
 	r.pos = end + 1
-	return []byte(s)
-}
-
-// number reads a number, checked against JSON's grammar.
-func (r *cacheReader) number() []byte {
-	if r.err != nil {
-		return nil
-	}
-	r.space()
-	d, i := r.data, r.pos
-	if i < len(d) && d[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(d) && d[i] == '0':
-		i++
-	case i < len(d) && '1' <= d[i] && d[i] <= '9':
-		i = digits(d, i)
-	default:
-		r.fail("expected number")
-		return nil
-	}
-	if i < len(d) && d[i] == '.' {
-		j := digits(d, i+1)
-		if j == i+1 {
-			r.fail("expected digit")
-			return nil
-		}
-		i = j
-	}
-	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		i++
-		if i < len(d) && (d[i] == '+' || d[i] == '-') {
-			i++
-		}
-		if j := digits(d, i); j > i {
-			i = j
-		} else {
-			r.fail("expected digit")
-			return nil
-		}
-	}
-	tok := d[r.pos:i]
-	r.pos = i
-	return tok
-}
-
-// digits returns the index of the first non-digit of d from i on.
-func digits(d []byte, i int) int {
-	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-func (r *cacheReader) float() float64 {
-	tok := r.number()
-	if r.err != nil {
-		return 0
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		r.fail("number " + string(tok) + " out of range")
-	}
-	return f
-}
-
-// int reads an int as encoding/json does: an integer literal that fits
-// the platform's int.
-func (r *cacheReader) int() int {
-	tok := r.number()
-	if r.err != nil {
-		return 0
-	}
-	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
-	if err != nil {
-		r.fail("number " + string(tok) + " is not an int")
-	}
-	return int(n)
-}
-
-// literal consumes word if it is next.
-func (r *cacheReader) literal(word string) bool {
-	if r.err != nil {
-		return false
-	}
-	r.space()
-	if end := r.pos + len(word); end <= len(r.data) && string(r.data[r.pos:end]) == word {
-		r.pos = end
-		return true
-	}
-	return false
-}
-
-func (r *cacheReader) boolean() bool {
-	if r.literal("true") {
-		return true
-	}
-	if !r.literal("false") {
-		r.fail("expected true or false")
-	}
-	return false
+	return s
 }
 
 func (r *cacheReader) metrics(m *Metrics) {
-	for ok := r.open('{', '}'); ok; ok = r.more('}') {
-		switch name := r.name(); string(name) {
-		case "Time":
-			m.Time = r.float()
-		case "MFU":
-			m.MFU = r.float()
-		case "Memory":
-			for ok := r.open('{', '}'); ok; ok = r.more('}') {
-				switch name := r.name(); string(name) {
-				case "Parameters":
-					m.Memory.Parameters = r.float()
-				case "Gradients":
-					m.Memory.Gradients = r.float()
-				case "Optimizer":
-					m.Memory.Optimizer = r.float()
-				case "Activations":
-					m.Memory.Activations = r.float()
-				default:
-					r.unknown(name)
-				}
-			}
-		case "Footprint":
-			for ok := r.open('{', '}'); ok; ok = r.more('}') {
-				switch name := r.name(); string(name) {
-				case "Weights":
-					m.Footprint.Weights = r.float()
-				case "KVCache":
-					m.Footprint.KVCache = r.float()
-				default:
-					r.unknown(name)
-				}
-			}
-		case "Fits":
-			m.Fits = r.boolean()
-		case "TTFTP95":
-			m.TTFTP95 = r.float()
-		case "TPOTP95":
-			m.TPOTP95 = r.float()
-		case "TokensPerSec":
-			m.TokensPerSec = r.float()
-		case "Preemptions":
-			m.Preemptions = r.int()
-		case "RecomputedTokens":
-			m.RecomputedTokens = r.int()
-		case "KVUtil":
-			m.KVUtil = r.float()
-		case "KVTransfers":
-			m.KVTransfers = r.int()
-		case "TransferTime":
-			m.TransferTime = r.float()
-		case "PrefixHits":
-			m.PrefixHits = r.int()
-		case "PrefixSavedTokens":
-			m.PrefixSavedTokens = r.int()
-		case "KVSwapOuts":
-			m.KVSwapOuts = r.int()
-		case "KVSwapIns":
-			m.KVSwapIns = r.int()
-		case "SwapTime":
-			m.SwapTime = r.float()
-		case "PerTenant":
-			m.PerTenant = r.tenants(m.PerTenant)
-		default:
-			r.unknown(name)
-		}
+	r.lit("[")
+	for _, v := range columns(m) {
+		r.value(v)
+		r.lit(",")
 	}
+	m.PerTenant = r.tenants()
+	r.lit("]")
 }
 
-// tenants reads a PerTenant array into s as json.Unmarshal does: null is
-// nil, [] is empty and not nil, and each element is decoded into the one
-// already at its index, within the slice's capacity.
-func (r *cacheReader) tenants(s []TenantSLO) []TenantSLO {
-	if r.literal("null") {
+// tenants reads a PerTenant array: null is nil, [] is empty and not nil.
+func (r *cacheReader) tenants() []TenantSLO {
+	if r.next("null") {
 		return nil
 	}
-	i := 0
-	for ok := r.open('[', ']'); ok; ok = r.more(']') {
-		if i == cap(s) {
-			s = append(s[:cap(s)], TenantSLO{})
-		}
-		if i >= len(s) {
-			s = s[:i+1]
-		}
-		r.tenant(&s[i])
-		i++
+	r.lit("[")
+	s := []TenantSLO{}
+	if r.next("]") {
+		return s
 	}
-	if i == 0 {
-		return []TenantSLO{}
+	for r.err == nil {
+		s = append(s, TenantSLO{})
+		t := &s[len(s)-1]
+		r.lit("[")
+		t.Tenant = r.str()
+		for _, v := range tenantColumns(t) {
+			r.lit(",")
+			r.value(v)
+		}
+		r.lit("]")
+		if !r.next(",") {
+			r.lit("]")
+			break
+		}
 	}
-	return s[:i]
+	return s
 }
 
-func (r *cacheReader) tenant(t *TenantSLO) {
-	for ok := r.open('{', '}'); ok; ok = r.more('}') {
-		switch name := r.name(); string(name) {
-		case "Tenant":
-			t.Tenant = string(r.str())
-		case "Requests":
-			t.Requests = r.int()
-		case "TTFTP95":
-			t.TTFTP95 = r.float()
-		case "TPOTP95":
-			t.TPOTP95 = r.float()
-		case "E2EP95":
-			t.E2EP95 = r.float()
-		default:
-			r.unknown(name)
+// value reads the number or boolean v points at. A float must be finite
+// and an int must fit the platform's int.
+func (r *cacheReader) value(v any) {
+	var err error
+	switch v := v.(type) {
+	case *float64:
+		*v, err = strconv.ParseFloat(string(r.number()), 64)
+	case *int:
+		var n int64
+		n, err = strconv.ParseInt(string(r.number()), 10, strconv.IntSize)
+		*v = int(n)
+	default:
+		b := v.(*bool)
+		if *b = r.next("true"); !*b {
+			r.lit("false")
 		}
 	}
+	if err != nil {
+		r.fail("bad number")
+	}
+}
+
+// number returns the bytes of the number at pos.
+func (r *cacheReader) number() []byte {
+	i := r.pos
+	for i < len(r.data) && numeric[r.data[i]] {
+		i++
+	}
+	tok := r.data[r.pos:i]
+	r.pos = i
+	return tok
 }
 
 // readAll reads r to its end, sized up front when r reports its length

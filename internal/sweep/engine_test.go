@@ -27,33 +27,45 @@ func modelPreset(t testing.TB, name string) model.Config {
 }
 
 // bigGrid is a grid large enough (several thousand candidates, all fully
-// costed) that a sweep takes tens of milliseconds — room for a
-// cancellation to land mid-run.
+// costed) that a sweep takes tens of milliseconds, so that a run which
+// missed its cancellation would show it.
 func bigGrid(t testing.TB) sweep.Spec {
 	return sweep.Spec{
 		Models:        []model.Config{model.GPT175B(), modelPreset(t, "gpt-310b"), modelPreset(t, "gpt-530b")},
 		Systems:       []*arch.System{dgx(t, 64), dgx(t, 128), dgx(t, 256)},
 		GlobalBatches: []int{64, 128, 256, 512, 1024},
 		Seqs:          []int{1024, 2048, 4096, 8192},
-		// AllowOverflow forces full costing of every candidate, making
-		// the grid expensive enough for cancellation to land mid-run. At
-		// GOMAXPROCS=1 a cancelling goroutine runs only once the sweep is
-		// preempted, about every 10 ms, so the run must take several
-		// times that.
+		// AllowOverflow forces full costing of every candidate.
 		Constraints: sweep.Constraints{AllowOverflow: true, TopK: 10},
 	}
 }
 
-// TestCancellationStopsEarly cancels a large sweep shortly after it
-// starts and checks it returns promptly, reports the cancellation, and
-// did not evaluate the whole grid.
+// cancelAfterCheck is a cancellable context whose first Err call reports
+// it live and cancels it. Engine.Run's first call is its check before
+// enumeration, so the run passes that check and finds the context
+// cancelled from then on, however its goroutines are scheduled.
+type cancelAfterCheck struct {
+	context.Context
+	cancel  context.CancelFunc
+	checked atomic.Bool
+}
+
+func (c *cancelAfterCheck) Err() error {
+	if !c.checked.Swap(true) {
+		c.cancel()
+		return nil
+	}
+	return c.Context.Err()
+}
+
+// TestCancellationStopsEarly cancels a large sweep once it has started
+// and checks it returns promptly, reports the cancellation, and did not
+// evaluate the whole grid.
 func TestCancellationStopsEarly(t *testing.T) {
 	spec := bigGrid(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(time.Millisecond)
-		cancel()
-	}()
+	ctx := &cancelAfterCheck{}
+	ctx.Context, ctx.cancel = context.WithCancel(context.Background())
+	defer ctx.cancel()
 	start := time.Now()
 	res, err := sweep.Run(ctx, spec)
 	if !errors.Is(err, context.Canceled) {

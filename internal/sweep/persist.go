@@ -6,15 +6,14 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"unicode/utf8"
 )
 
-// cacheFileVersion guards the on-disk format; bump it when Metrics or the
-// canonical Point.Key change incompatibly (a file without a new field
-// loads it as zero). Metrics is also the schema of the file's codec
-// (cachecodec.go): a field added, removed or retyped must be written and
-// read there too, and TestCacheCodecMatchesEncodingJSON fails until it
-// is.
-const cacheFileVersion = 1
+// cacheFileVersion guards the on-disk format (cachecodec.go); bump it
+// when the layout, Metrics or the canonical Point.Key change. A field
+// added to Metrics is stored once columns lists it, and
+// TestCacheFileRoundTrip fails until it does.
+const cacheFileVersion = "2"
 
 // costModelVersion stamps the predictors behind the cached numbers. The
 // Point.Key fingerprints configurations, not the cost model itself, so a
@@ -32,12 +31,14 @@ const cacheFileVersion = 1
 // stream it serves, which moves every heavy-tailed candidate's metrics.
 const costModelVersion = "drawn-stream-geometry"
 
-// SaveCache writes every completed, successful evaluation in the memo as
-// indented JSON, keyed by the canonical Point.Key. Keys already
-// fingerprint the full model and system configuration, so stale entries
-// for edited configurations can never be served — they simply stop
-// matching. In-flight and errored entries are skipped: an error is cheap
-// to rediscover and may be transient across binary versions. Nothing is
+// SaveCache writes every completed, successful evaluation in the memo,
+// one line per entry keyed by the canonical Point.Key, in key order. Keys
+// already fingerprint the full model and system configuration, so stale
+// entries for edited configurations can never be served — they simply
+// stop matching. In-flight and errored entries are skipped: an error is
+// cheap to rediscover and may be transient across binary versions. So is
+// a key that is not valid UTF-8: JSON cannot hold it, and the key it
+// would be read back as could only match another point. Nothing is
 // written when a metric is NaN or infinite.
 func (e *Engine) SaveCache(w io.Writer) error {
 	e.mu.Lock()
@@ -49,7 +50,7 @@ func (e *Engine) SaveCache(w io.Writer) error {
 		default:
 			continue // still being evaluated
 		}
-		if ent.err == nil {
+		if ent.err == nil && utf8.ValidString(k) {
 			entries = append(entries, savedEntry{k, &ent.m})
 		}
 	}
@@ -68,8 +69,8 @@ func (e *Engine) SaveCache(w io.Writer) error {
 
 // LoadCache merges a SaveCache snapshot into the memo. Entries already in
 // the memo win — they were computed by this process and are at least as
-// fresh. Unknown versions are rejected rather than misread, and so is a
-// file with an unknown field or trailing data.
+// fresh. A file of another version or cost model is rejected rather than
+// misread, and so is one that departs from the layout SaveCache writes.
 func (e *Engine) LoadCache(r io.Reader) error {
 	data, err := readAll(r)
 	if err != nil {
@@ -78,31 +79,23 @@ func (e *Engine) LoadCache(r io.Reader) error {
 	return e.loadCache(data)
 }
 
-// loadCache merges the cache file held in data into the memo.
+// loadCache merges the cache file held in data into the memo, all of it
+// or, when data is not a cache file of this binary, none of it.
 func (e *Engine) loadCache(data []byte) error {
 	in, err := decodeCache(data)
 	if err != nil {
-		return fmt.Errorf("sweep: load cache: %w", err)
-	}
-	if in.version != cacheFileVersion {
-		return fmt.Errorf("sweep: cache version %d unsupported (want %d)", in.version, cacheFileVersion)
-	}
-	if in.costModel != costModelVersion {
-		return fmt.Errorf("sweep: cache written by cost model %q, this binary is %q — delete the cache file",
-			in.costModel, costModelVersion)
+		return fmt.Errorf("sweep: load cache: %w; delete the cache file", err)
 	}
 	closed := make(chan struct{})
 	close(closed)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Backwards, so that of a key the file repeats the last one wins.
-	for i := in.entries.n - 1; i >= 0; i-- {
-		c := in.entries.at(i)
-		if _, ok := e.memo[c.key]; ok {
-			continue
+	for i := range in.n {
+		c := in.at(i)
+		if _, ok := e.memo[c.key]; !ok {
+			c.ent.done = closed
+			e.memo[c.key] = &c.ent
 		}
-		c.ent.done = closed
-		e.memo[c.key] = &c.ent
 	}
 	return nil
 }

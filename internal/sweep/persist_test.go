@@ -114,58 +114,56 @@ func TestLoadCacheMissingAndMalformed(t *testing.T) {
 	if err := eng.LoadCache(strings.NewReader("{not json")); err == nil {
 		t.Error("malformed cache should error")
 	}
-	if err := eng.LoadCache(strings.NewReader(`{"version":99,"entries":{}}`)); err == nil {
-		t.Error("unknown version should error")
-	}
-	stale := `{"version":1,"cost_model":"pr1-monolith","entries":{}}`
-	if err := eng.LoadCache(strings.NewReader(stale)); err == nil {
-		t.Error("cache from a different cost model should error, not serve stale metrics")
-	}
-	// The per-request workload refactor changed serving metrics (PerTenant)
-	// and every Point.Key, so a PR-3 snapshot must be rejected outright.
-	pr3 := `{"version":1,"cost_model":"pr3-paged-kv","entries":{}}`
-	if err := eng.LoadCache(strings.NewReader(pr3)); err == nil {
-		t.Error("pre-multi-tenant cache should be rejected by the cost-model bump")
-	}
-	// The disaggregated-pools refactor grew every Point.Key (pool split +
-	// transfer bandwidth) and serving Metrics (KV-transfer fields), so a
-	// PR-4 snapshot must be refused, not silently served.
-	pr4 := `{"version":1,"cost_model":"pr4-multi-tenant","entries":{}}`
-	if err := eng.LoadCache(strings.NewReader(pr4)); err == nil {
-		t.Error("pre-disaggregation cache should be rejected by the cost-model bump")
-	}
-	// The cluster-serving refactor grew every Point.Key (fleet size +
-	// routing policy), so a PR-5 snapshot must be refused, not silently
-	// served.
-	pr5 := `{"version":1,"cost_model":"pr5-disagg-serving","entries":{}}`
-	if err := eng.LoadCache(strings.NewReader(pr5)); err == nil {
-		t.Error("pre-cluster cache should be rejected by the cost-model bump")
-	}
-	// The temporal-workload refactor grew every Point.Key (schedule, session
-	// turns, think time) and changed the paged policy's session prefix
-	// growth, so a PR-8 snapshot must be refused, not silently served.
-	pr8 := `{"version":1,"cost_model":"pr8-prefix-tiered-kv","entries":{}}`
-	if err := eng.LoadCache(strings.NewReader(pr8)); err == nil {
-		t.Error("pre-temporal-workload cache should be rejected by the cost-model bump")
-	}
-	// The reader is stricter than encoding/json, which ignores unknown
-	// fields and, through a Decoder, trailing data; and it refuses what
-	// encoding/json refuses: a number of the wrong type or one that
-	// overflows an int.
-	head := `{"version":1,"cost_model":"` + costModelVersion + `","entries":{"k":`
-	for _, tc := range []struct{ name, in string }{
-		{"trailing data", head + `{"Time":1}}} {}`},
-		{"unknown field", head + `{"Time":1,"Latency":2}}}`},
-		{"unknown top-level field", `{"version":1,"cost_model":"` + costModelVersion + `","entries":{},"extra":0}`},
-		{"float for an int", head + `{"Preemptions":1.5}}}`},
-		{"string for a float", head + `{"Time":"1"}}}`},
-		{"int overflow", head + `{"KVSwapIns":9223372036854775808}}}`},
-		{"float overflow", head + `{"Time":1e400}}}`},
-	} {
-		err := New(1).LoadCache(strings.NewReader(tc.in))
-		if err == nil || !strings.HasPrefix(err.Error(), "sweep: load cache: ") {
-			t.Errorf("%s: got %v, want a load cache error", tc.name, err)
+	// Each cost-model bump changed metrics or every Point.Key, so a
+	// snapshot of an earlier model must be refused by the cost model, not
+	// silently served: pr3-paged-kv predates the per-request workload
+	// (PerTenant), pr4-multi-tenant the disaggregated pools,
+	// pr5-disagg-serving the fleet axes and pr8-prefix-tiered-kv the
+	// temporal workload.
+	for _, old := range []string{"pr1-monolith", "pr3-paged-kv", "pr4-multi-tenant", "pr5-disagg-serving", "pr8-prefix-tiered-kv"} {
+		err := eng.LoadCache(strings.NewReader(cacheText(old, entryText("k", "1"))))
+		if err == nil || !strings.Contains(err.Error(), "cost model") {
+			t.Errorf("cache of cost model %s: got %v, want a cost-model error", old, err)
 		}
+	}
+	// The reader accepts only the layout SaveCache writes.
+	cm := costModelVersion
+	ok := entryText("k", "1")
+	for _, tc := range []struct{ name, in string }{
+		{"unknown version", `{"version":99,"cost_model":"` + cm + `","entries":{` + "\n}}\n"},
+		{"version 1", `{"version":1,"cost_model":"` + cm + `","entries":{"k":{"Time":1}}}`},
+		{"version 1, indented", "{\n \"version\": 1,\n \"cost_model\": \"" + cm + "\",\n \"entries\": {}\n}\n"},
+		{"trailing data", cacheText(cm, ok) + "{}"},
+		{"missing tail", strings.TrimSuffix(cacheText(cm, ok), "}}\n")},
+		{"unknown top-level field", `{"version":2,"cost_model":"` + cm + `","extra":0,"entries":{` + "\n}}\n"},
+		{"unsorted keys", cacheText(cm, entryText("b", "1"), entryText("a", "1"))},
+		{"duplicate key", cacheText(cm, ok, ok)},
+		{"short value array", cacheText(cm, `"k":[1,2,3]`)},
+		{"long value array", cacheText(cm, strings.Replace(ok, "null]", "null,0]", 1))},
+		{"space after a comma", cacheText(cm, strings.Replace(ok, ",0,", ", 0,", 1))},
+		{"float for an int", cacheText(cm, strings.Replace(ok, "false,0,0,0,0", "false,0,0,0,1.5", 1))},
+		{"string for a float", cacheText(cm, entryText("k", `"1"`))},
+		{"int overflow", cacheText(cm, strings.Replace(ok, "false,0,0,0,0", "false,0,0,0,9223372036854775808", 1))},
+		{"float overflow", cacheText(cm, entryText("k", "1e400"))},
+		{"non-finite number", cacheText(cm, entryText("k", "NaN"))},
+		{"infinity", cacheText(cm, entryText("k", "Inf"))},
+		{"hex float", cacheText(cm, entryText("k", "0x1p-2"))},
+		{"PerTenant neither null nor an array", cacheText(cm, strings.Replace(ok, "null]", "{}]", 1))},
+		{"short tenant", cacheText(cm, strings.Replace(ok, "null]", `[["a",1,2,3]]]`, 1))},
+		{"unterminated key", cacheText(cm, `"k\":[1]`)},
+	} {
+		e := New(1)
+		err := e.LoadCache(strings.NewReader(tc.in))
+		if err == nil || !strings.HasPrefix(err.Error(), "sweep: load cache: ") || !strings.Contains(err.Error(), "delete") {
+			t.Errorf("%s: got %v, want a load cache error that says to delete the file", tc.name, err)
+		}
+		if e.CacheSize() != 0 {
+			t.Errorf("%s: a rejected file loaded %d entries", tc.name, e.CacheSize())
+		}
+	}
+	e := New(1)
+	if err := e.LoadCache(strings.NewReader(cacheText(cm, entryText("a", "1"), ok))); err != nil || e.CacheSize() != 2 {
+		t.Errorf("well-formed file: %v, %d entries", err, e.CacheSize())
 	}
 }
 
@@ -242,7 +240,7 @@ func TestLoadCachePrefersLiveEntries(t *testing.T) {
 
 	// A forged snapshot with one of the live keys and absurd metrics.
 	key := first.Rows[0].Point.Key()
-	forged := `{"version":1,"cost_model":"` + costModelVersion + `","entries":{"` + key + `":{"Time":123456}}}`
+	forged := cacheText(costModelVersion, entryText(key, "123456"))
 	if err := eng.LoadCache(strings.NewReader(forged)); err != nil {
 		t.Fatal(err)
 	}
