@@ -42,7 +42,7 @@ func BenchmarkClusterFleet(b *testing.B) {
 	} {
 		b.Run(fmt.Sprintf("R=%d/%v", bench.reps, bench.rt), func(b *testing.B) {
 			spec := clusterBenchSpec(b, bench.reps, bench.rt, requests)
-			rn := cluster.NewRunner()
+			rn := new(cluster.Runner)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var last cluster.Result
@@ -114,7 +114,7 @@ func TestClusterAllocBudget(t *testing.T) {
 	lkv := disaggFleetSpec(t, requests)
 	rr := lkv
 	rr.Routing = cluster.RoundRobin
-	pooled := cluster.NewRunner()
+	pooled := new(cluster.Runner)
 	for _, tc := range []struct {
 		name          string
 		allocs, bytes float64
@@ -147,7 +147,7 @@ func TestClusterAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, bytes := allocsPerRun(5, func() {
-				in, err := serve.NewRunner().Instance(capacity, env)
+				in, err := new(serve.Runner).Instance(capacity, env)
 				if err != nil {
 					t.Fatal(err)
 				}

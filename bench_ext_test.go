@@ -4,6 +4,7 @@
 package optimus
 
 import (
+	"context"
 	"testing"
 
 	"optimus/internal/arch"
@@ -11,12 +12,12 @@ import (
 	"optimus/internal/graph"
 	"optimus/internal/infer"
 	"optimus/internal/kernels"
-	"optimus/internal/mapsearch"
 	"optimus/internal/memfoot"
 	"optimus/internal/model"
 	"optimus/internal/pipesim"
 	"optimus/internal/repro"
 	"optimus/internal/roofline"
+	"optimus/internal/sweep"
 	"optimus/internal/tech"
 	"optimus/internal/train"
 	"optimus/internal/valdata"
@@ -67,25 +68,24 @@ func BenchmarkPipelineSimulator(b *testing.B) {
 	b.ReportMetric(res.BubbleFraction, "bubble-fraction")
 }
 
-// BenchmarkMapSearch plans GPT-175B on 64 A100s and reports the best MFU
-// found.
-func BenchmarkMapSearch(b *testing.B) {
+// BenchmarkPlan plans GPT-175B on 64 A100s — the planner's one-cell
+// training sweep — and reports the best MFU found.
+func BenchmarkPlan(b *testing.B) {
 	sys, err := arch.DGXA100(64)
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := mapsearch.Request{
-		Model: model.GPT175B(), System: sys,
-		GlobalBatch: 64, Seq: 2048, Precision: tech.BF16,
+	spec := sweep.Spec{
+		Models: []model.Config{model.GPT175B()}, Systems: []*arch.System{sys},
+		Precisions: []tech.Precision{tech.BF16}, GlobalBatches: []int{64}, Seqs: []int{2048},
 	}
-	var best mapsearch.Candidate
+	var res sweep.Result
 	for i := 0; i < b.N; i++ {
-		best, err = mapsearch.Best(req)
-		if err != nil {
+		if res, err = sweep.Run(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(100*best.MFU, "best-mfu-%")
+	b.ReportMetric(100*res.Rows[0].Metrics.MFU, "best-mfu-%")
 }
 
 // BenchmarkEnergyModel prices a GPT-3-class training run and reports the

@@ -39,7 +39,7 @@ func serveBenchSpec(tb testing.TB, requests int) serve.Spec {
 func BenchmarkServeSimulator(b *testing.B) {
 	const requests = 256
 	spec := serveBenchSpec(b, requests)
-	rn := serve.NewRunner()
+	rn := new(serve.Runner)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var last serve.Result
@@ -67,7 +67,7 @@ func BenchmarkServeSimulatorPaged(b *testing.B) {
 	perRequest := memfoot.Inference(spec.Model, spec.TP, 1,
 		spec.PromptTokens+spec.GenTokens, spec.Precision.Bytes()).KVCache
 	spec.KVCapacity = 8 * perRequest
-	rn := serve.NewRunner()
+	rn := new(serve.Runner)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var last serve.Result
@@ -101,7 +101,7 @@ func BenchmarkServeSimulatorPrefixTiered(b *testing.B) {
 	spec.KVCapacity = 8 * perRequest
 	spec.HostKVBytes = 16 * perRequest
 	spec.SwapGBps = serve.DefaultSwapGBps
-	rn := serve.NewRunner()
+	rn := new(serve.Runner)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var last serve.Result
@@ -136,7 +136,7 @@ func BenchmarkServeBursty(b *testing.B) {
 		{Start: 30, End: 45, Rate: 16},
 		{Start: 45, End: 90, Rate: 2},
 	}
-	rn := serve.NewRunner()
+	rn := new(serve.Runner)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var last serve.Result
@@ -166,7 +166,7 @@ func BenchmarkServeSessionCohorts(b *testing.B) {
 	perRequest := memfoot.Inference(spec.Model, spec.TP, 1,
 		spec.PromptTokens+spec.GenTokens, spec.Precision.Bytes()).KVCache
 	spec.KVCapacity = 48 * perRequest
-	rn := serve.NewRunner()
+	rn := new(serve.Runner)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var last serve.Result
@@ -251,7 +251,7 @@ func TestServeSimulatorAllocBudget(t *testing.T) {
 				t.Errorf("fresh Run: %v allocs per 256-request simulation, budget %v — a hot-path allocation crept in",
 					got, tc.fresh)
 			}
-			rn := serve.NewRunner()
+			rn := new(serve.Runner)
 			got = testing.AllocsPerRun(5, func() {
 				if _, err := rn.Run(spec); err != nil {
 					t.Fatal(err)
@@ -273,7 +273,7 @@ func BenchmarkServeSimulatorClosedLoop(b *testing.B) {
 	spec.Arrival = serve.ClosedLoop
 	spec.Rate = 0
 	spec.Clients = 16
-	rn := serve.NewRunner()
+	rn := new(serve.Runner)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

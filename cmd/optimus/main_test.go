@@ -66,11 +66,19 @@ func TestCmdPlan(t *testing.T) {
 	if err := cmdPlan([]string{"-model", "gpt-22b", "-gpus", "8", "-batch", "8", "-top", "3"}); err != nil {
 		t.Fatal(err)
 	}
+	const noFit = "no feasible strategy for GPT-530B on 8 devices (batch 64)"
+	if err := cmdPlan([]string{"-model", "gpt-530b", "-gpus", "8"}); err == nil || err.Error() != noFit {
+		t.Errorf("plan with no fitting strategy: got %v, want %q", err, noFit)
+	}
 }
 
 func TestCmdCost(t *testing.T) {
 	if err := cmdCost([]string{"-model", "gpt-22b", "-gpus", "8", "-batch", "8", "-tokens", "1e9"}); err != nil {
 		t.Fatal(err)
+	}
+	const noFit = "no feasible strategy for GPT-530B on 8 devices (batch 64)"
+	if err := cmdCost([]string{"-model", "gpt-530b", "-gpus", "8"}); err == nil || err.Error() != noFit {
+		t.Errorf("cost with no fitting strategy: got %v, want %q", err, noFit)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -37,26 +38,43 @@ func cmdPlan(args []string) error {
 	if err != nil {
 		return err
 	}
-	cands, err := optimus.PlanMapping(optimus.PlanRequest{
-		Model: cfg, System: sys, GlobalBatch: *batch, Seq: *seq, Precision: p,
-		Constraints: optimus.PlanConstraints{TopK: *topK, AllowOverflow: *overflow},
-	})
+	rows, err := planMappings(cfg, sys, *batch, *seq, p,
+		optimus.PlanConstraints{TopK: *topK, AllowOverflow: *overflow})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("best strategies for %s on %s (batch %d):\n", cfg.Name, sys, *batch)
 	fmt.Printf("  %-28s %-10s %12s %6s %10s %5s\n",
 		"mapping", "recompute", "s/batch", "MFU", "mem/dev", "fits")
-	for _, c := range cands {
+	for _, r := range rows {
 		fits := "yes"
-		if !c.Fits {
+		if !r.Metrics.Fits {
 			fits = "NO"
 		}
 		fmt.Printf("  %-28s %-10s %12.2f %5.0f%% %10s %5s\n",
-			c.Map.String(), c.Recompute, c.Time, 100*c.MFU,
-			units.FormatBytes(c.Memory.Total()), fits)
+			r.Point.Map.String(), r.Point.Recompute, r.Metrics.Time, 100*r.Metrics.MFU,
+			units.FormatBytes(r.Metrics.Memory.Total()), fits)
 	}
 	return nil
+}
+
+// planMappings ranks the parallelization strategies of one model on one
+// system at one global batch, sequence length and precision: the planner
+// is the one-cell training sweep.
+func planMappings(cfg optimus.Model, sys *optimus.System, batch, seq int, p optimus.Precision, c optimus.PlanConstraints) ([]optimus.SweepRow, error) {
+	res, err := optimus.Sweep(context.Background(), optimus.SweepSpec{
+		Models: []optimus.Model{cfg}, Systems: []*optimus.System{sys},
+		Precisions: []optimus.Precision{p}, GlobalBatches: []int{batch}, Seqs: []int{seq},
+		Constraints: c,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Rows) == 0 {
+		return nil, fmt.Errorf("no feasible strategy for %s on %d devices (batch %d)",
+			cfg.Name, sys.NumDevices(), batch)
+	}
+	return res.Rows, nil
 }
 
 // cmdCost prices a full training run (the §7 future-work TCO analysis).
@@ -83,12 +101,11 @@ func cmdCost(args []string) error {
 	if err != nil {
 		return err
 	}
-	best, err := optimus.BestMapping(optimus.PlanRequest{
-		Model: cfg, System: sys, GlobalBatch: *batch, Seq: 2048, Precision: optimus.BF16,
-	})
+	rows, err := planMappings(cfg, sys, *batch, 2048, optimus.BF16, optimus.PlanConstraints{})
 	if err != nil {
 		return err
 	}
+	best := rows[0].Point
 	spec := optimus.TrainSpec{
 		Model: cfg, System: sys, Map: best.Map,
 		GlobalBatch: *batch, Seq: 2048, Precision: optimus.BF16,

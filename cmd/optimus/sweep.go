@@ -57,7 +57,6 @@ func cmdSweep(args []string) error {
 	overflow := fs.Bool("allow-overflow", false, "also rank memory-overflowing candidates")
 	topK := fs.Int("top", 20, "rows to keep")
 	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	serial := fs.Bool("serial", false, "use the serial reference path instead of the engine")
 	cache := fs.String("cache", "", "persist the memoization cache to this JSON file (load on start, save on exit)")
 	prof := addProfileFlags(fs)
 	stopProf, err := prof.parse(fs, args)
@@ -157,12 +156,7 @@ func cmdSweep(args []string) error {
 	}
 
 	var res optimus.SweepResult
-	if *serial {
-		if *cache != "" {
-			return fmt.Errorf("-cache needs the engine path (drop -serial)")
-		}
-		res, err = optimus.SweepSerial(spec)
-	} else if *cache == "" {
+	if *cache == "" {
 		// spec.Workers carries -workers, so this is the pool an engine
 		// of that size would run.
 		res, err = optimus.Sweep(context.Background(), spec)

@@ -17,7 +17,7 @@ func TestCmdSweep(t *testing.T) {
 	if err := cmdSweep([]string{"-models", "gpt-22b", "-gpus", "8", "-batches", "8", "-top", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdSweep([]string{"-models", "gpt-22b", "-gpus", "8", "-batches", "8", "-serial", "-format", "csv"}); err != nil {
+	if err := cmdSweep([]string{"-models", "gpt-22b", "-gpus", "8", "-batches", "8", "-format", "csv"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdSweep([]string{"-workload", "infer", "-models", "llama2-13b", "-devices", "h100",
@@ -67,7 +67,6 @@ func TestCmdSweep(t *testing.T) {
 		{"-workload", "serve", "-models", "llama2-13b", "-gpus", "2", "-batches", "4"},
 		{"-workload", "serve", "-models", "llama2-13b", "-gpus", "2", "-rates", "zero"},
 		{"-workload", "serve", "-models", "llama2-13b", "-gpus", "2", "-batch-caps", "four"},
-		{"-workload", "serve", "-models", "llama2-13b", "-gpus", "2", "-serial", "-cache", "x.json"},
 	} {
 		if err := cmdSweep(bad); err == nil {
 			t.Errorf("args %v should fail", bad)

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -31,7 +33,11 @@ func TestNoDeadExports(t *testing.T) {
 		t.Skip("type-checks the whole module from source")
 	}
 	tr := loadTree(t)
-	for _, f := range deadExports(tr.pkgs, tr.modPath) {
+	found, err := deadExports(tr.loader, tr.pkgs, tr.modPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range found {
 		t.Errorf("%s", f)
 	}
 }
@@ -43,19 +49,19 @@ func TestDeadExportsFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a fixture module from source")
 	}
-	// The source importer resolves imports with the go command run in
-	// the working directory, so the fixture module loads from inside it.
-	dir, err := filepath.Abs(filepath.Join("testdata", "deadexport"))
+	// The fixture is a module of its own, loaded from this package's
+	// directory: its imports resolve in its own go.mod.
+	l := loader.New()
+	pkgs, err := load(l, filepath.Join("testdata", "deadexport"), []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Chdir(dir)
-	pkgs, err := load(dir, []string{"./..."})
+	found, err := deadExports(l, pkgs, "fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, f := range deadExports(pkgs, "fixture") {
+	for _, f := range found {
 		got = append(got, f.rule+" "+f.name)
 	}
 	want := []string{
@@ -64,6 +70,8 @@ func TestDeadExportsFixture(t *testing.T) {
 		"R1 fixture/internal/dead.TestOnly",
 		"bare fixture/internal/dead.BareExport",
 		"R1 fixture/internal/orphan.Orphan",
+		"R1 fixture/internal/testsupport.Unneeded",
+		"R1 fixture/internal/testsupport.Kit.Spare",
 		"R2 fixture/internal/dead.Local",
 		"R2 fixture/internal/dead.Holder.Local",
 		"R2 fixture/internal/api.Hidden.Get",
@@ -95,34 +103,38 @@ func (f exportFinding) String() string {
 // wellKnown are the method names of the standard interfaces the program
 // satisfies without declaring them: a method of that name is called
 // through the interface, which TypesInfo.Uses does not attribute to it.
-var wellKnown = []string{"Error", "String", "MarshalJSON", "UnmarshalJSON"}
+var wellKnown = []string{"Error", "String", "MarshalJSON", "UnmarshalJSON", "Import", "ImportFrom"}
 
 // deadExports applies R1 and R2 to the packages under modPath/internal,
 // counting the non-test references of every package in pkgs, and returns
-// the findings in package, file and line order. Exempt are
+// the findings in package, file and line order. A package that only test
+// files import is used through them, so for it alone the references of
+// those test files, loaded through l, count too. Exempt are
 //   - a method whose name belongs to an interface declared in pkgs or to
 //     one of the wellKnown ones;
 //   - a method of a type reachable from package modPath's exported API,
 //     through aliases, fields, params and results;
-//   - a package that only test files import;
 //   - a declaration under a justified //lint:export directive.
-func deadExports(pkgs []*loader.Package, modPath string) []exportFinding {
+func deadExports(l *loader.Loader, pkgs []*loader.Package, modPath string) ([]exportFinding, error) {
 	refs := make(map[string]map[string]bool) // object key → referencing packages
+	addRef := func(obj types.Object, from string) {
+		if k := objKey(obj); k != "" {
+			if refs[k] == nil {
+				refs[k] = make(map[string]bool)
+			}
+			refs[k][from] = true
+		}
+	}
 	ifaceMethods := make(map[string]bool)
 	for _, name := range wellKnown {
 		ifaceMethods[name] = true
 	}
-	imported := make(map[string]bool)     // by a non-test file
-	testImported := make(map[string]bool) // by a test file
+	imported := make(map[string]bool)        // by a non-test file
+	testImports := make(map[string][]string) // package → its test files' imports
 	var api *types.Package
 	for _, p := range pkgs {
 		for _, obj := range p.TypesInfo.Uses {
-			if k := objKey(obj); k != "" {
-				if refs[k] == nil {
-					refs[k] = make(map[string]bool)
-				}
-				refs[k][p.Path] = true
-			}
+			addRef(obj, p.Path)
 		}
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -139,12 +151,33 @@ func deadExports(pkgs []*loader.Package, modPath string) []exportFinding {
 			imported[imp.Path()] = true
 		}
 		if bp, err := build.Default.ImportDir(p.Dir, 0); err == nil {
-			for _, path := range append(bp.TestImports, bp.XTestImports...) {
-				testImported[path] = true
-			}
+			testImports[p.Path] = append(bp.TestImports, bp.XTestImports...)
 		}
 		if p.Path == modPath {
 			api = p.Pkg
+		}
+	}
+	prefix := modPath + "/internal/"
+	testOnly := make(map[string]bool)
+	for _, paths := range testImports {
+		for _, path := range paths {
+			if strings.HasPrefix(path, prefix) && !imported[path] {
+				testOnly[path] = true
+			}
+		}
+	}
+	for _, p := range pkgs {
+		if !slices.ContainsFunc(testImports[p.Path], func(path string) bool { return testOnly[path] }) {
+			continue
+		}
+		uses, err := testUses(l, p.Dir, p.Path)
+		if err != nil {
+			return nil, err
+		}
+		for _, obj := range uses {
+			if obj.Pkg() != nil && obj.Pkg().Path() != p.Path && testOnly[obj.Pkg().Path()] {
+				addRef(obj, p.Path)
+			}
 		}
 	}
 	reached := make(map[string]bool) // named types reachable from the API
@@ -158,9 +191,8 @@ func deadExports(pkgs []*loader.Package, modPath string) []exportFinding {
 	}
 
 	var out []exportFinding
-	prefix := modPath + "/internal/"
 	for _, p := range pkgs {
-		if !strings.HasPrefix(p.Path, prefix) || (!imported[p.Path] && testImported[p.Path]) {
+		if !strings.HasPrefix(p.Path, prefix) {
 			continue
 		}
 		for _, f := range p.Files {
@@ -193,7 +225,44 @@ func deadExports(pkgs []*loader.Package, modPath string) []exportFinding {
 			}
 		}
 	}
-	return out
+	return out, nil
+}
+
+// testUses type-checks the tests of the package in dir — the package with
+// its in-package test files, and the external pkgPath_test package — and
+// returns the objects they reference. The external package imports
+// pkgPath without the in-package test files.
+func testUses(l *loader.Loader, dir, pkgPath string) ([]types.Object, error) {
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var uses []types.Object
+	for _, t := range []struct {
+		path        string
+		tests, with []string
+	}{{pkgPath, bp.TestGoFiles, bp.GoFiles}, {pkgPath + "_test", bp.XTestGoFiles, nil}} {
+		if len(t.tests) == 0 {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range append(slices.Clip(t.with), t.tests...) {
+			f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+		cfg := types.Config{Importer: l}
+		if _, err := cfg.Check(t.path, l.Fset, files, info); err != nil {
+			return nil, fmt.Errorf("tests of %s: %w", pkgPath, err)
+		}
+		for _, obj := range info.Uses {
+			uses = append(uses, obj)
+		}
+	}
+	return uses, nil
 }
 
 // exportedDecls returns the identifiers of f's exported package-level
@@ -227,7 +296,7 @@ func exportedDecls(f *ast.File) []*ast.Ident {
 }
 
 // objKey names a package-level object or a method the same way in every
-// copy the loader's importer makes of its package: "path.Name", or
+// copy of its package, a test build's included: "path.Name", or
 // "path.Type.Method". It returns "" for anything else.
 func objKey(obj types.Object) string {
 	if obj.Pkg() == nil {

@@ -106,7 +106,7 @@ func filterSuite(only string) ([]*analysis.Analyzer, error) {
 // printing findings in deterministic (position, analyzer) order. It
 // returns the number of findings.
 func run(w io.Writer, dir string, patterns []string, enabled []*analysis.Analyzer) (int, error) {
-	pkgs, err := load(dir, patterns)
+	pkgs, err := load(loader.New(), dir, patterns)
 	if err != nil {
 		return 0, err
 	}
@@ -114,8 +114,8 @@ func run(w io.Writer, dir string, patterns []string, enabled []*analysis.Analyze
 }
 
 // load expands patterns relative to dir and type-checks every matched
-// package, in import-path order.
-func load(dir string, patterns []string) ([]*loader.Package, error) {
+// package with l, in import-path order.
+func load(l *loader.Loader, dir string, patterns []string) ([]*loader.Package, error) {
 	matched, err := loader.Expand(dir, patterns)
 	if err != nil {
 		return nil, err
@@ -123,7 +123,6 @@ func load(dir string, patterns []string) ([]*loader.Package, error) {
 	if len(matched) == 0 {
 		return nil, fmt.Errorf("no packages match %v", patterns)
 	}
-	l := loader.New()
 	pkgs := make([]*loader.Package, len(matched))
 	for i := range matched {
 		if pkgs[i], err = l.LoadDir(matched[i].Dir, matched[i].Path); err != nil {

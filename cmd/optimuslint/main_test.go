@@ -32,6 +32,7 @@ func TestSuiteCleanOnTree(t *testing.T) {
 type moduleTree struct {
 	once    sync.Once
 	modPath string
+	loader  *loader.Loader
 	pkgs    []*loader.Package
 	err     error
 }
@@ -43,7 +44,8 @@ func loadTree(t *testing.T) *moduleTree {
 	tree.once.Do(func() {
 		var root string
 		if root, tree.modPath, tree.err = loader.ModuleRoot("."); tree.err == nil {
-			tree.pkgs, tree.err = load(root, []string{"./..."})
+			tree.loader = loader.New()
+			tree.pkgs, tree.err = load(tree.loader, root, []string{"./..."})
 		}
 	})
 	if tree.err != nil {

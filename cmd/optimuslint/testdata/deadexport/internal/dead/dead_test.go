@@ -8,5 +8,5 @@ import (
 
 func TestOnlyCaller(t *testing.T) {
 	TestOnly()
-	testsupport.Helper()
+	testsupport.Helper().Use()
 }

@@ -3,24 +3,17 @@ package optimus
 import (
 	"optimus/internal/energy"
 	"optimus/internal/graph"
-	"optimus/internal/mapsearch"
 	"optimus/internal/pipesim"
 )
 
 // Extension surface: capabilities built on top of the paper's model — the
-// automatic parallelization planner (§5.1's "determine the best parallelism
-// mapping"), the discrete-event pipeline-schedule simulator that
-// cross-checks the closed-form bubble model, the task-graph view of
-// Fig. 1, and the energy/TCO model the paper names as future work (§7).
+// discrete-event pipeline-schedule simulator that cross-checks the
+// closed-form bubble model, the task-graph view of Fig. 1, and the
+// energy/TCO model the paper names as future work (§7). The automatic
+// parallelization planner (§5.1's "determine the best parallelism
+// mapping") is a one-cell training Sweep.
 
 type (
-	// PlanRequest describes an automatic parallelization search.
-	PlanRequest = mapsearch.Request
-	// PlanConstraints bound the search space.
-	PlanConstraints = mapsearch.Constraints
-	// PlanCandidate is one evaluated strategy.
-	PlanCandidate = mapsearch.Candidate
-
 	// PipelineConfig describes a pipeline-schedule simulation.
 	PipelineConfig = pipesim.Config
 	// PipelineResult is a simulated schedule timeline.
@@ -38,13 +31,6 @@ type (
 	// TrainingRunCost summarizes full-run training economics.
 	TrainingRunCost = energy.TrainingRun
 )
-
-// PlanMapping searches the (DP, TP, PP, SP, microbatch, schedule,
-// recomputation) space for the fastest strategy that fits device memory.
-func PlanMapping(r PlanRequest) ([]PlanCandidate, error) { return mapsearch.Search(r) }
-
-// BestMapping returns only the top strategy.
-func BestMapping(r PlanRequest) (PlanCandidate, error) { return mapsearch.Best(r) }
 
 // SimulatePipeline executes a pipeline schedule microbatch by microbatch
 // and returns its timeline — an independent check of the closed-form

@@ -2,6 +2,7 @@ package optimus
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -21,21 +22,16 @@ func TestPublicPlannerFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := BestMapping(PlanRequest{
-		Model: cfg, System: sys, GlobalBatch: 16, Seq: 2048, Precision: BF16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !best.Fits || best.Time <= 0 {
-		t.Errorf("planner returned a bad best: %+v", best)
-	}
-	all, err := PlanMapping(PlanRequest{
-		Model: cfg, System: sys, GlobalBatch: 16, Seq: 2048, Precision: BF16,
+	res, err := Sweep(context.Background(), SweepSpec{
+		Models: []Model{cfg}, Systems: []*System{sys},
+		Precisions: []Precision{BF16}, GlobalBatches: []int{16}, Seqs: []int{2048},
 		Constraints: PlanConstraints{TopK: 3},
 	})
-	if err != nil || len(all) == 0 || len(all) > 3 {
-		t.Fatalf("PlanMapping = %d candidates, %v", len(all), err)
+	if err != nil || len(res.Rows) == 0 || len(res.Rows) > 3 {
+		t.Fatalf("planner cell = %d rows, %v", len(res.Rows), err)
+	}
+	if best := res.Rows[0]; !best.Metrics.Fits || best.Metrics.Time <= 0 {
+		t.Errorf("planner returned a bad best: %+v", best)
 	}
 }
 

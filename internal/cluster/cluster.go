@@ -218,7 +218,8 @@ type Result struct {
 // knee bisection re-running one fleet at many rates.
 // A Runner is NOT safe for concurrent use and supports one live fleet
 // simulation at a time; results are byte-identical to the package-level
-// Run (TestClusterRunnerReuseMatchesFresh).
+// Run (TestClusterRunnerReuseMatchesFresh). The zero Runner is ready to
+// use; its replica slots grow on first use.
 type Runner struct {
 	reps []*serve.Runner
 	// env is the fleet's envelope, on which every replica is armed and
@@ -230,9 +231,6 @@ type Runner struct {
 	shapes []workload.Request
 	assign []int32
 }
-
-// NewRunner returns an empty Runner; replica slots are grown on first use.
-func NewRunner() *Runner { return new(Runner) }
 
 // Run executes the fleet simulation: generate the seeded fleet-wide
 // arrival stream (byte-identical to what serve.Run would generate for the
@@ -276,7 +274,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	}
 	R := len(specs)
 	for len(rn.reps) < R {
-		rn.reps = append(rn.reps, serve.NewRunner())
+		rn.reps = append(rn.reps, new(serve.Runner))
 	}
 	instances := make([]*serve.Instance, R)
 	for i, cap := range specs {

@@ -124,7 +124,7 @@ func FindKnee(ks KneeSpec) (Knee, error) {
 	// One pooled Runner serves every probe: the bisection re-runs the same
 	// fleet at different rates, exactly the steady state the pooling seam
 	// keeps warm (slabs, pricing tables).
-	rn := NewRunner()
+	rn := new(Runner)
 	probe := func(rate float64) (KneeProbe, error) {
 		cs := ks.Cluster
 		cs.Rate = rate

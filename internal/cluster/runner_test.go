@@ -48,7 +48,7 @@ func TestClusterRunnerReuseMatchesFresh(t *testing.T) {
 	het.Requests = 48
 	cases = append(cases, tcase{"heterogeneous", het})
 
-	rn := NewRunner()
+	rn := new(Runner)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fresh, err := Run(tc.spec)

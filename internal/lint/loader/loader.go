@@ -1,10 +1,9 @@
 // Package loader turns package directories into type-checked
 // analysis.Pass inputs using only the standard library.
 //
-// Imports — both stdlib and module-internal "optimus/..." paths — are
-// resolved by go/importer's source importer: go/build locates module
-// packages through the go command, and everything is type-checked from
-// source, so no pre-built export data (and no network) is required.
+// Everything is type-checked from source, so no pre-built export data
+// (and no network) is required: the standard library through
+// go/importer's source importer, every other import by the Loader itself.
 // Test files are not loaded; the lint invariants are about shipped
 // simulator code, and the _test.go suffix is already every analyzer's
 // test-file boundary.
@@ -35,18 +34,25 @@ type Package struct {
 	TypesInfo *types.Info
 }
 
-// Loader parses and type-checks package directories, sharing one file
-// set and one source importer (so stdlib and cross-package work is done
-// once per process, not once per package).
+// Loader parses and type-checks package directories. It is the importer
+// of the packages it checks, so a module package is checked once per
+// Loader, whether it is loaded or imported first, and every package sees
+// the same copy of it. The standard library goes through one shared
+// source importer.
 type Loader struct {
 	Fset *token.FileSet
-	imp  types.Importer
+	std  types.ImporterFrom
+	pkgs map[string]*Package // by directory; nil while being checked
 }
 
 // New returns a Loader with a fresh file set and source importer.
 func New() *Loader {
 	fset := token.NewFileSet()
-	return &Loader{Fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	return &Loader{
+		Fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs: make(map[string]*Package),
+	}
 }
 
 // Sizes is the std gc size model for the host platform — what the gc
@@ -58,6 +64,16 @@ func Sizes() types.Sizes {
 // LoadDir loads the single package in dir under the import path pkgPath,
 // honoring build constraints and skipping test files.
 func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	if p, ok := l.pkgs[dir]; ok {
+		if p == nil {
+			return nil, fmt.Errorf("loader: import cycle through %s", pkgPath)
+		}
+		return p, nil
+	}
 	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("loader: %s: %w", dir, err)
@@ -78,13 +94,41 @@ func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	cfg := types.Config{Importer: l.imp, Sizes: Sizes()}
+	l.pkgs[dir] = nil
+	cfg := types.Config{Importer: l, Sizes: Sizes()}
 	pkg, err := cfg.Check(pkgPath, l.Fset, files, info)
 	if err != nil {
+		delete(l.pkgs, dir)
 		return nil, fmt.Errorf("loader: typecheck %s: %w", pkgPath, err)
 	}
-	return &Package{Path: pkgPath, Dir: dir, Fset: l.Fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
+	l.pkgs[dir] = &Package{Path: pkgPath, Dir: dir, Fset: l.Fset, Files: files, Pkg: pkg, TypesInfo: info}
+	return l.pkgs[dir], nil
 }
+
+// ImportFrom implements types.ImporterFrom. A path outside the standard
+// library is located by the go command run in srcDir, so it resolves in
+// the importing package's own module, whatever the process's working
+// directory.
+func (l *Loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Package, error) {
+	ctxt := build.Default
+	ctxt.Dir = srcDir
+	bp, err := ctxt.Import(path, srcDir, build.FindOnly)
+	if err != nil {
+		return nil, fmt.Errorf("loader: %w", err)
+	}
+	if bp.Goroot {
+		return l.std.ImportFrom(path, srcDir, 0)
+	}
+	p, err := l.LoadDir(bp.Dir, bp.ImportPath)
+	if err != nil {
+		return nil, err
+	}
+	return p.Pkg, nil
+}
+
+// Import implements types.Importer, resolving path in the working
+// directory's module.
+func (l *Loader) Import(path string) (*types.Package, error) { return l.ImportFrom(path, "", 0) }
 
 // ModuleRoot walks upward from dir to the enclosing go.mod and returns
 // the module root directory and module path.

@@ -56,7 +56,7 @@ func TestEnvelopeSharesPricingTables(t *testing.T) {
 	if err := env.Set(shapes); err != nil {
 		t.Fatal(err)
 	}
-	a, b, c := NewRunner(), NewRunner(), NewRunner()
+	a, b, c := new(Runner), new(Runner), new(Runner)
 	ia, err := a.Instance(capSpec, env)
 	if err != nil {
 		t.Fatal(err)

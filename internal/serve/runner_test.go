@@ -101,7 +101,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	}
 	cases = append(cases, tcase{"disagg/after-pages", dis, true})
 
-	rn := NewRunner()
+	rn := new(Runner)
 	// abandon arms rn as a paged instance with 32-token pages and leaves
 	// it undrained.
 	abandon := func(t *testing.T) {
@@ -190,7 +190,7 @@ func TestRunnerInstanceMatchesNewInstance(t *testing.T) {
 	}
 	want := drive(t, fresh)
 
-	rn := NewRunner()
+	rn := new(Runner)
 	// Dirty the Runner's slabs with a full simulation first: the re-armed
 	// instance must not see any of it.
 	if _, err := rn.Run(s); err != nil {

@@ -633,6 +633,7 @@ func Run(s Spec) (Result, error) {
 // specs — a sweep worker goroutine, a cluster replica slot, a knee
 // bisection — skips the per-run slab allocations entirely. Results are
 // byte-identical to fresh construction (TestRunnerReuseMatchesFresh).
+// The zero Runner is ready to use; its slabs grow on first use.
 //
 // A Runner is NOT safe for concurrent use, and at most one of its Run or
 // Instance simulations may be live at a time (a new call re-arms the
@@ -645,9 +646,6 @@ type Runner struct {
 	arrivalsBuf []float64
 	shapesBuf   []workload.Request
 }
-
-// NewRunner builds an empty Runner; slabs grow on first use.
-func NewRunner() *Runner { return new(Runner) }
 
 // Run executes one simulation on the Runner's pooled state. See Run (the
 // package function) for semantics.

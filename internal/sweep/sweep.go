@@ -9,8 +9,8 @@
 // The package has two execution paths over the same candidate enumeration:
 //
 //   - Serial is the golden reference: it costs every candidate one at a
-//     time, in enumeration order, with no shortcuts. internal/mapsearch
-//     builds its single-cell planner on it.
+//     time, in enumeration order, with no shortcuts. Only tests and
+//     benchmarks run it.
 //   - Engine.Run is the production path, in two passes on a bounded
 //     worker pool. Pass 1 splits the grid into independent cells that
 //     workers claim from an atomic cursor; each worker walks its cells'
@@ -1500,7 +1500,7 @@ func clusterSpec(p *Point) cluster.Spec {
 // utilization averaged across the fleet).
 func (ev *evaluator) evaluateServingFleet(p *Point) (Metrics, error) {
 	if ev.cluster == nil {
-		ev.cluster = cluster.NewRunner()
+		ev.cluster = new(cluster.Runner)
 	}
 	res, err := ev.cluster.Run(clusterSpec(p))
 	if err != nil {
@@ -1530,7 +1530,7 @@ func (ev *evaluator) evaluateServing(p *Point) (Metrics, error) {
 		return ev.evaluateServingFleet(p)
 	}
 	if ev.serve == nil {
-		ev.serve = serve.NewRunner()
+		ev.serve = new(serve.Runner)
 	}
 	res, err := ev.serve.Run(servingSpec(p))
 	if err != nil {
@@ -1669,6 +1669,8 @@ func rank(rows []*Row, c Constraints) []Row {
 // Serial evaluates the grid one candidate at a time in enumeration order,
 // with no pruning, memoization, or concurrency — the golden reference the
 // concurrent engine must reproduce byte for byte.
+//
+//lint:export the package's equivalence tests and the root BenchmarkSweepSerial measure the engine against it
 func Serial(s Spec) (Result, error) {
 	start := time.Now() //lint:deterministic wall-clock feeds Stats.Elapsed instrumentation only, never rankings or metrics
 	if err := s.Validate(); err != nil {

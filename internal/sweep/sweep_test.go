@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"optimus/internal/arch"
-	"optimus/internal/mapsearch"
 	"optimus/internal/memfoot"
 	"optimus/internal/model"
 	"optimus/internal/parallel"
@@ -27,36 +26,21 @@ func dgx(t testing.TB, gpus int) *arch.System {
 
 // formatCandidates renders a ranking to the byte string the equivalence
 // tests compare: every field that matters, at full float precision.
-func formatCandidates(cands []mapsearch.Candidate) string {
+func formatCandidates(rows []sweep.Row) string {
 	var b strings.Builder
-	for _, c := range cands {
+	for _, r := range rows {
+		m := r.Point.Map
 		fmt.Fprintf(&b, "%s mb%d v%d %v t=%.17g mfu=%.17g mem=%.17g fits=%v\n",
-			c.Map, c.Map.Microbatch, c.Map.VirtualStages, c.Recompute,
-			c.Time, c.MFU, c.Memory.Total(), c.Fits)
+			m, m.Microbatch, m.VirtualStages, r.Point.Recompute,
+			r.Metrics.Time, r.Metrics.MFU, r.Metrics.Memory.Total(), r.Metrics.Fits)
 	}
 	return b.String()
 }
 
-// candidatesOf converts ranked rows to candidates as mapsearch.Search does.
-func candidatesOf(rows []sweep.Row) []mapsearch.Candidate {
-	out := make([]mapsearch.Candidate, len(rows))
-	for i, row := range rows {
-		out[i] = mapsearch.Candidate{
-			Map:       row.Point.Map,
-			Recompute: row.Point.Recompute,
-			Time:      row.Metrics.Time,
-			MFU:       row.Metrics.MFU,
-			Memory:    row.Metrics.Memory,
-			Fits:      row.Metrics.Fits,
-		}
-	}
-	return out
-}
-
-// TestEngineMatchesSerialMapsearch is the core equivalence guarantee: the
-// concurrent engine returns byte-identical rankings to the serial
-// mapsearch.Search golden reference at any worker count, including the
-// AllowOverflow and TopK paths.
+// TestEngineMatchesSerialMapsearch is the core equivalence guarantee: on
+// the one-cell grids of the mapping planner, the concurrent engine
+// returns byte-identical rankings to the Serial golden reference at any
+// worker count, including the AllowOverflow and TopK paths.
 func TestEngineMatchesSerialMapsearch(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -80,33 +64,26 @@ func TestEngineMatchesSerialMapsearch(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req := mapsearch.Request{
-				Model: tc.model, System: dgx(t, tc.gpus),
-				GlobalBatch: tc.batch, Seq: 2048, Precision: tech.BF16,
-				Constraints: tc.constraints,
-			}
-			want, err := mapsearch.Search(req)
+			spec := planCell(t, tc.model, tc.gpus, tc.batch, tc.constraints)
+			want, err := sweep.Serial(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			golden := formatCandidates(want)
-			spec := sweep.Spec{
-				Models:        []model.Config{tc.model},
-				Systems:       []*arch.System{req.System},
-				Precisions:    []tech.Precision{tech.BF16},
-				GlobalBatches: []int{tc.batch},
-				Seqs:          []int{2048},
-				Constraints:   tc.constraints,
+			if len(want.Rows) == 0 {
+				t.Fatal("empty reference ranking")
 			}
+			if want.Stats.Pruned != 0 || want.Stats.MemoHits != 0 {
+				t.Errorf("serial path must not prune or memoize: %s", want.Stats)
+			}
+			golden := formatCandidates(want.Rows)
 			for _, workers := range workerCounts {
 				spec.Workers = workers
 				res, err := sweep.Run(context.Background(), spec)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				got := formatCandidates(candidatesOf(res.Rows))
-				if got != golden {
-					t.Errorf("workers=%d ranking diverges from serial mapsearch:\ngot:\n%swant:\n%s",
+				if got := formatCandidates(res.Rows); got != golden {
+					t.Errorf("workers=%d ranking diverges from Serial:\ngot:\n%swant:\n%s",
 						workers, got, golden)
 				}
 				if tc.name == "gpt175b-64gpu-defaults" && res.Stats.Pruned == 0 {
@@ -115,33 +92,6 @@ func TestEngineMatchesSerialMapsearch(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSerialMatchesSweepSerial pins mapsearch.Search to sweep.Serial: the
-// planner is a single-cell sweep through the reference path.
-func TestSerialMatchesSweepSerial(t *testing.T) {
-	sys := dgx(t, 16)
-	req := mapsearch.Request{
-		Model: model.GPT22B(), System: sys,
-		GlobalBatch: 16, Seq: 2048, Precision: tech.BF16,
-	}
-	want, err := mapsearch.Search(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sweep.Serial(sweep.Spec{
-		Models: []model.Config{req.Model}, Systems: []*arch.System{sys},
-		Precisions: []tech.Precision{tech.BF16}, GlobalBatches: []int{16}, Seqs: []int{2048},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := formatCandidates(candidatesOf(res.Rows)); got != formatCandidates(want) {
-		t.Errorf("sweep.Serial diverges from mapsearch.Search:\n%s", got)
-	}
-	if res.Stats.Pruned != 0 || res.Stats.MemoHits != 0 {
-		t.Errorf("serial path must not prune or memoize: %s", res.Stats)
 	}
 }
 

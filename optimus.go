@@ -282,6 +282,11 @@ type (
 
 	// SweepSpec describes a cross-product experiment grid.
 	SweepSpec = sweep.Spec
+	// PlanConstraints bound a sweep's mapping space and ranking
+	// (SweepSpec.Constraints). A one-cell training grid — one model,
+	// system, precision, batch and sequence length — is the automatic
+	// parallelization planner (§5.1).
+	PlanConstraints = sweep.Constraints
 	// SweepResult is a ranked grid evaluation with execution statistics.
 	SweepResult = sweep.Result
 	// SweepRow is one ranked sweep candidate.
@@ -576,11 +581,6 @@ func WriteDeviceJSON(w io.Writer, d Device) error { return arch.WriteDevice(w, d
 // memo (a grid's candidates are distinct); use NewSweepEngine to share
 // one across sweeps. Cancel ctx to stop a large grid early.
 func Sweep(ctx context.Context, s SweepSpec) (SweepResult, error) { return sweep.Run(ctx, s) }
-
-// SweepSerial evaluates the grid one candidate at a time — the golden
-// reference path the concurrent engine is tested against, and the baseline
-// for its speedup benchmarks.
-func SweepSerial(s SweepSpec) (SweepResult, error) { return sweep.Serial(s) }
 
 // NewSweepEngine returns a reusable sweep evaluator with the given worker
 // count (0 means GOMAXPROCS); successive Run calls share its memoization

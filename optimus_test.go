@@ -1,6 +1,7 @@
 package optimus
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -165,7 +166,7 @@ func TestPublicDisaggServingFlow(t *testing.T) {
 		t.Errorf("per-pool geometry missing: %+v", res)
 	}
 
-	sweep, err := SweepSerial(SweepSpec{
+	sweep, err := Sweep(context.Background(), SweepSpec{
 		Workload: ServingSweep,
 		Models:   []Model{cfg}, Systems: []*System{sys},
 		Rates: []float64{2}, ServeRequests: 16,
