@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test test-procs1 race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 loc examples
+.PHONY: check vet lint build test test-procs1 race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 fma loc examples
 
 check: vet lint build cover-race
 
@@ -78,6 +78,30 @@ cluster-bench:
 # unbuilt.
 build-386:
 	GOOS=linux GOARCH=386 $(GO) build ./...
+
+# No fused multiply-add in the serving simulator (ROADMAP item 14). The Go
+# spec lets a compiler fuse x*y + z into one instruction that rounds once
+# instead of twice: amd64 never does, arm64 and ppc64le do, so a fused
+# line would give those hosts other bits. Cross-compile internal/serve
+# for both (offline, no emulator) and fail on any fused instruction
+# whose source line is in internal/serve; `float64(x*y) + z` is the form
+# that cannot fuse. Code inlined from other packages is listed under its
+# own file and is left to the rest of item 14.
+FMA_ARCHS := arm64 ppc64le
+fma:
+	@set -e; \
+	for arch in $(FMA_ARCHS); do \
+		out=$$(GOOS=linux GOARCH=$$arch $(GO) build -gcflags=-S ./internal/serve 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
+		printf '%s\n' "$$out" | grep -q 'optimus/internal/serve\..* STEXT' || \
+			{ echo "fma: no $$arch listing for internal/serve"; exit 1; }; \
+		hits=$$(printf '%s\n' "$$out" | grep -E '/internal/serve/[^)]*\)[[:space:]]+F(N)?M(ADD|SUB)' || true); \
+		if [ -n "$$hits" ]; then \
+			printf '%s\n' "$$hits"; \
+			echo "fma: FAIL — fused multiply-add at an internal/serve line on $$arch; round the product with float64(x*y)"; \
+			exit 1; \
+		fi; \
+		echo "fma: $$arch: no fused multiply-add in internal/serve"; \
+	done
 
 # Run every example program end to end; a non-zero exit fails the
 # target. The examples drive the public API, sweeps included, so `go

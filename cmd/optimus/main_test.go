@@ -66,9 +66,20 @@ func TestCmdPlan(t *testing.T) {
 	if err := cmdPlan([]string{"-model", "gpt-22b", "-gpus", "8", "-batch", "8", "-top", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	const noFit = "no feasible strategy for GPT-530B on 8 devices (batch 64)"
-	if err := cmdPlan([]string{"-model", "gpt-530b", "-gpus", "8"}); err == nil || err.Error() != noFit {
-		t.Errorf("plan with no fitting strategy: got %v, want %q", err, noFit)
+	// A bad axis is named by the flag that set it, as optimus sweep names
+	// its own.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-model", "gpt-530b", "-gpus", "8"}, "no feasible strategy for GPT-530B on 8 devices (batch 64)"},
+		{[]string{"-batch", "0"}, "sweep: -batch: non-positive batch 0"},
+		{[]string{"-batch", "-4"}, "sweep: -batch: non-positive batch -4"},
+		{[]string{"-seq", "0"}, "sweep: -seq: non-positive sequence length 0"},
+	} {
+		if err := cmdPlan(tc.args); err == nil || err.Error() != tc.want {
+			t.Errorf("plan %v: got %v, want %q", tc.args, err, tc.want)
+		}
 	}
 }
 
@@ -76,9 +87,16 @@ func TestCmdCost(t *testing.T) {
 	if err := cmdCost([]string{"-model", "gpt-22b", "-gpus", "8", "-batch", "8", "-tokens", "1e9"}); err != nil {
 		t.Fatal(err)
 	}
-	const noFit = "no feasible strategy for GPT-530B on 8 devices (batch 64)"
-	if err := cmdCost([]string{"-model", "gpt-530b", "-gpus", "8"}); err == nil || err.Error() != noFit {
-		t.Errorf("cost with no fitting strategy: got %v, want %q", err, noFit)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-model", "gpt-530b", "-gpus", "8"}, "no feasible strategy for GPT-530B on 8 devices (batch 64)"},
+		{[]string{"-batch", "0"}, "sweep: -batch: non-positive batch 0"},
+	} {
+		if err := cmdCost(tc.args); err == nil || err.Error() != tc.want {
+			t.Errorf("cost %v: got %v, want %q", tc.args, err, tc.want)
+		}
 	}
 }
 

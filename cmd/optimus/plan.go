@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"optimus"
+	"optimus/internal/sweep"
 	"optimus/internal/tech"
 	"optimus/internal/units"
 )
@@ -58,15 +59,31 @@ func cmdPlan(args []string) error {
 	return nil
 }
 
+// planFlags names the one-cell sweep's user-set axes by the plan
+// commands' flags.
+var planFlags = map[string]string{"GlobalBatches": "-batch", "Seqs": "-seq"}
+
 // planMappings ranks the parallelization strategies of one model on one
 // system at one global batch, sequence length and precision: the planner
-// is the one-cell training sweep.
+// is the one-cell training sweep, its axes checked as the commands spell
+// them, as optimus sweep checks its own flags.
 func planMappings(cfg optimus.Model, sys *optimus.System, batch, seq int, p optimus.Precision, c optimus.PlanConstraints) ([]optimus.SweepRow, error) {
-	res, err := optimus.Sweep(context.Background(), optimus.SweepSpec{
+	spec := optimus.SweepSpec{
 		Models: []optimus.Model{cfg}, Systems: []*optimus.System{sys},
 		Precisions: []optimus.Precision{p}, GlobalBatches: []int{batch}, Seqs: []int{seq},
 		Constraints: c,
-	})
+	}
+	if err := spec.CheckAxes(
+		func(a sweep.Axis) bool { return planFlags[a.Field] != "" },
+		func(a sweep.Axis) string {
+			if f := planFlags[a.Field]; f != "" {
+				return f
+			}
+			return a.Field
+		}); err != nil {
+		return nil, err
+	}
+	res, err := optimus.Sweep(context.Background(), spec)
 	if err != nil {
 		return nil, err
 	}

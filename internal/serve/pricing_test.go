@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"testing"
 
 	"optimus/internal/arch"
@@ -12,12 +11,12 @@ import (
 func filledSlots(p *pricing) int {
 	n := 0
 	for _, t := range p.prefillTab {
-		if !math.IsNaN(t) {
+		if t > 0 {
 			n++
 		}
 	}
 	for _, ln := range p.decodeTab {
-		if !math.IsNaN(ln.base) {
+		if ln.base > 0 {
 			n++
 		}
 	}

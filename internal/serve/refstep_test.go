@@ -69,6 +69,11 @@ func FuzzStepMatchesReference(f *testing.F) {
 	f.Add(uint8(1), 200, 100, 0.0, 0.0, false, 0, 0, 0.0, false, 4.0, 16, int64(3), 0, 0.4, 16, false, 0.0, false, 4)
 	f.Add(uint8(2), 100, 50, 0.3, 0.3, false, 0, 0, 0.0, false, 16.0, 16, int64(5), 0, 1.0, 16, false, 0.0, true, 0)
 	f.Add(uint8(1), 200, 100, 0.3, 0.3, false, 0, 0, 0.0, false, 4.0, 16, int64(17), 0, 1.4, 16, true, 0.0, false, 4)
+	// The serve-reserve-closed benchmark's shape at the harness's request
+	// cap: full reservation, one tenant of 200+200 tokens and a closed
+	// loop of 16 clients, whose lockstep decoders coast from each wave of
+	// completions to the next.
+	f.Add(uint8(0), 200, 200, 0.0, 0.0, false, 0, 0, 0.0, false, 0.0, 24, int64(18), 0, 0.0, 0, false, 0.0, false, 16)
 
 	f.Fuzz(func(t *testing.T, policy uint8, prompt, gen int, promptSigma, genSigma float64, second bool,
 		prefix, turns int, think float64, schedule bool, rate float64, requests int, seed int64, maxBatch int,
@@ -296,7 +301,7 @@ func (sim *simulator) refStep() {
 	if up := sim.pol.usedPages(); up > sim.peakPages {
 		sim.peakPages = up
 	}
-	sim.utilSum += kv * sim.invBudget
+	sim.utilSum += float64(kv * sim.invBudget)
 	if len(sim.running) > sim.peakBatch {
 		sim.peakBatch = len(sim.running)
 	}
@@ -321,7 +326,7 @@ func (sim *simulator) refStep() {
 		// attention share but keeps recompute far from free (and leaves
 		// uniform fresh-only batches, the degenerate-equivalence path,
 		// untouched).
-		t := sim.prefill(newbies)
+		t := sim.price.prefill(newbies)
 		if ref := newbies * sim.refPrompt; prefillTokens != ref {
 			t *= float64(prefillTokens) / float64(ref)
 		}
@@ -336,7 +341,8 @@ func (sim *simulator) refStep() {
 			r := &sim.reqs[id]
 			kvSum += r.prompt + r.produced + 1
 		}
-		iterTime += sim.decode(float64(kvSum)/float64(len(deciders)), len(deciders))
+		p := sim.price
+		iterTime += p.line(len(deciders)).at(float64(kvSum)/float64(len(deciders)), float64(p.key.kv0))
 	}
 	if sim.pp != nil {
 		// KV migrations accrued by this iteration's pool hand-offs, and

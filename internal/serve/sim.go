@@ -15,6 +15,17 @@ import (
 // two samples price every intermediate length exactly.
 type decodeLine struct{ base, slope float64 }
 
+// at prices one decode step at mean KV length kvMean on a line sampled
+// first at kv0: the one expression every decode step is priced by. The
+// conversion rounds the product before the add, so no architecture may
+// fuse the two into a multiply-add (amd64 never does, and others would
+// differ from it in the last bit).
+//
+//optimus:hotpath
+func (ln decodeLine) at(kvMean, kv0 float64) float64 {
+	return ln.base + float64(ln.slope*(kvMean-kv0))
+}
+
 // pricingKey is what a step price depends on: the exact infer.Spec the
 // step coster is built from and the decode line's two KV sample points.
 type pricingKey struct {
@@ -23,12 +34,15 @@ type pricingKey struct {
 }
 
 // pricing is one key's step coster and its dense, lazily filled pricing
-// tables indexed by batch size: a bounds-checked array load per step. NaN
-// marks an unfilled slot (a NaN-priced cost is refilled each hit with
-// identical math, so results cannot drift). A slot is a pure function of
-// the key and the batch size, so simulators with equal keys can share one
-// table however their fills interleave: the instances armed on one
-// Envelope do, on the one goroutine that drives them.
+// tables indexed by batch size. prefill and line are a length check and a
+// load that inline at the call site; only an unfilled slot calls their
+// cold fillPrefill or fillLine. A slot whose price is not positive is
+// unfilled: the zero value, as growth and rekey leave it (a price of zero
+// or NaN would be refilled each hit with identical math, so results
+// cannot drift). A slot is a pure function of the key and the batch size,
+// so simulators with equal keys can share one table however their fills
+// interleave: the instances armed on one Envelope do, on the one
+// goroutine that drives them.
 type pricing struct {
 	coster     *infer.StepCoster
 	prefillTab []float64
@@ -52,13 +66,58 @@ func (p *pricing) rekey(k pricingKey) error {
 		return err
 	}
 	p.coster, p.key = coster, k
-	for i := range p.prefillTab {
-		p.prefillTab[i] = math.NaN()
-	}
-	for i := range p.decodeTab {
-		p.decodeTab[i] = decodeLine{base: math.NaN()}
-	}
+	clear(p.prefillTab)
+	clear(p.decodeTab)
 	return nil
+}
+
+// prefill prices one prefill pass over batch newly admitted sequences at
+// the reference prompt length: a filled slot's load, inlined at the call
+// site, or fillPrefill's fill.
+//
+//optimus:hotpath
+func (p *pricing) prefill(batch int) float64 {
+	if batch < len(p.prefillTab) && p.prefillTab[batch] > 0 {
+		return p.prefillTab[batch]
+	}
+	return p.fillPrefill(batch)
+}
+
+// fillPrefill is prefill's cold path: it grows the table to batch and
+// prices the slot.
+func (p *pricing) fillPrefill(batch int) float64 {
+	for batch >= len(p.prefillTab) {
+		p.prefillTab = append(p.prefillTab, 0)
+	}
+	t := p.coster.Prefill(batch).Time()
+	p.prefillTab[batch] = t
+	return t
+}
+
+// line returns batch's decode line: a filled slot's load, inlined at the
+// call site, or fillLine's fill.
+//
+//optimus:hotpath
+func (p *pricing) line(batch int) decodeLine {
+	if batch < len(p.decodeTab) && p.decodeTab[batch].base > 0 {
+		return p.decodeTab[batch]
+	}
+	return p.fillLine(batch)
+}
+
+// fillLine is line's cold path: it grows the table to batch and samples
+// the slot's line at the key's two KV lengths.
+func (p *pricing) fillLine(batch int) decodeLine {
+	for batch >= len(p.decodeTab) {
+		p.decodeTab = append(p.decodeTab, decodeLine{})
+	}
+	kv0, kv1 := p.key.kv0, p.key.kv1
+	ln := decodeLine{base: p.coster.DecodeStep(kv0, batch).Time()}
+	if kv1 > kv0 {
+		ln.slope = (p.coster.DecodeStep(kv1, batch).Time() - ln.base) / float64(kv1-kv0)
+	}
+	p.decodeTab[batch] = ln
+	return ln
 }
 
 // indexDeque is a growable ring buffer of request indices — the FIFO wait
@@ -299,45 +358,6 @@ func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) 
 	return nil
 }
 
-// prefill prices one prefill pass over batch newly admitted sequences at
-// the reference prompt length, caching per batch size.
-//
-//optimus:hotpath
-func (sim *simulator) prefill(batch int) float64 {
-	p := sim.price
-	for batch >= len(p.prefillTab) {
-		p.prefillTab = append(p.prefillTab, math.NaN())
-	}
-	t := p.prefillTab[batch]
-	if math.IsNaN(t) {
-		t = p.coster.Prefill(batch).Time()
-		p.prefillTab[batch] = t
-	}
-	return t
-}
-
-// decode prices one step at a possibly fractional mean KV length — the
-// linear model makes mean-of-batch pricing exact without rounding.
-//
-//optimus:hotpath
-func (sim *simulator) decode(kvMean float64, batch int) float64 {
-	p := sim.price
-	for batch >= len(p.decodeTab) {
-		p.decodeTab = append(p.decodeTab, decodeLine{base: math.NaN()})
-	}
-	ln := p.decodeTab[batch]
-	kv0, kv1 := p.key.kv0, p.key.kv1
-	if math.IsNaN(ln.base) {
-		ln.base = p.coster.DecodeStep(kv0, batch).Time()
-		ln.slope = 0
-		if kv1 > kv0 {
-			ln.slope = (p.coster.DecodeStep(kv1, batch).Time() - ln.base) / float64(kv1-kv0)
-		}
-		p.decodeTab[batch] = ln
-	}
-	return ln.base + ln.slope*(kvMean-float64(kv0))
-}
-
 // pushShape appends one request to the FIFO queue; it joins the batch at
 // the next iteration boundary (iteration-level batching). Ids are issued
 // densely in order, so the request lands at slab and ledger position id.
@@ -365,7 +385,7 @@ func (sim *simulator) pushShape(id int, sh workload.Request, t float64) {
 //
 //optimus:hotpath
 func (sim *simulator) recomputeCost(tokens int) float64 {
-	t := sim.prefill(1)
+	t := sim.price.prefill(1)
 	if tokens != sim.refPrompt {
 		t *= float64(tokens) / float64(sim.refPrompt)
 	}
@@ -452,7 +472,10 @@ func (sim *simulator) step() {
 	}
 	kv := sim.pol.usedBytes()
 	sim.notePeaks(kv, sim.pol.usedPages())
-	sim.utilSum += kv * sim.invBudget
+	// The conversion rounds the product before the add, so no
+	// architecture fuses them: stretch's hoisted increment is the same
+	// rounded product.
+	sim.utilSum += float64(kv * sim.invBudget)
 	if len(sim.running) > sim.peakBatch {
 		sim.peakBatch = len(sim.running)
 	}
@@ -476,7 +499,7 @@ func (sim *simulator) step() {
 		// attention share but keeps recompute far from free (and leaves
 		// uniform fresh-only batches, the degenerate-equivalence path,
 		// untouched).
-		t := sim.prefill(newbies)
+		t := sim.price.prefill(newbies)
 		if ref := newbies * sim.refPrompt; prefillTokens != ref {
 			t *= float64(prefillTokens) / float64(ref)
 		}
@@ -488,7 +511,8 @@ func (sim *simulator) step() {
 		// new one: Σ(prompt + offset + epoch + 1) over the decoders, the
 		// running set's kvBase without the newcomers' terms.
 		kvSum := sim.kvBase - newbieKV + deciders*(sim.epoch+1)
-		iterTime += sim.decode(float64(kvSum)/float64(deciders), deciders)
+		p := sim.price
+		iterTime += p.line(deciders).at(float64(kvSum)/float64(deciders), float64(p.key.kv0))
 	}
 	if sim.pp != nil {
 		// KV migrations accrued by this iteration's pool hand-offs, and
@@ -529,8 +553,9 @@ func (sim *simulator) step() {
 // beginStep's scan would (pagedPolicy.absorb) and re-derives the
 // iteration's KV bytes and peaks; when they do not, it stops and leaves
 // the eviction to step. Each coasted iteration still prices its decode
-// step and makes the one add apiece to utilSum, batchSum and now, in
-// step's order, so a coasted run is bit-identical to stepping it
+// step on the batch's line and makes the one add apiece to utilSum,
+// batchSum and now, in step's order, with the operands step would add, so
+// a coasted run is bit-identical to stepping it on every architecture
 // (FuzzStepMatchesReference). The committed pages are exact whenever
 // coast returns, for a router reading Load; the crossers' held page
 // counts catch up once at its end. The probe observes every iteration,
@@ -575,16 +600,27 @@ func (sim *simulator) coast(t float64) {
 }
 
 // stretch runs coast's decode-only iterations from the current epoch up
-// to stop while the clock is short of t, each at KV bytes kv.
+// to stop while the clock is short of t, each at KV bytes kv. Everything
+// an iteration's price and accruals share is read once, before the loop:
+// the batch's decode line and its first KV sample, the batch size as a
+// float, and the utilization increment, rounded by its conversion exactly
+// as step rounds its own, so no architecture fuses it into the loop's add.
+// The loop body is then step's three adds, in step's order, and one
+// decode price; the decoders' KV sum is integer math, advanced by the
+// batch size each epoch.
 //
 //optimus:hotpath
 func (sim *simulator) stretch(stop int, t, kv float64) {
 	n, e := len(sim.running), sim.epoch
+	ln, kv0 := sim.price.line(n), float64(sim.price.key.kv0)
+	fn, du := float64(n), float64(kv*sim.invBudget)
+	kvSum := sim.kvBase + n*(e+1)
 	now, utilSum, batchSum := sim.now, sim.utilSum, sim.batchSum
 	for ; e < stop && now < t; e++ {
-		utilSum += kv * sim.invBudget
-		now += sim.decode(float64(sim.kvBase+n*(e+1))/float64(n), n)
-		batchSum += float64(n)
+		utilSum += du
+		now += ln.at(float64(kvSum)/fn, kv0)
+		batchSum += fn
+		kvSum += n
 	}
 	sim.iterations += e - sim.epoch
 	sim.epoch = e
@@ -623,25 +659,23 @@ func (sim *simulator) complete() {
 		sim.kvBase -= r.prompt + r.produced
 		r.produced += sim.epoch
 		sim.pol.release(r)
-		m := RequestMetrics{
-			ID: r.id, Tenant: r.tenant,
-			PromptTokens: r.prompt, GenTokens: r.gen,
-			Arrival: r.arrival, Admitted: r.admitted,
-			FirstToken: r.firstToken, Done: sim.now,
-			Queue:          r.admitted - r.arrival,
-			TTFT:           r.firstToken - r.arrival,
-			E2E:            sim.now - r.arrival,
-			Preemptions:    r.preempts,
-			KVTransfers:    r.transfers,
-			KVTransferTime: r.transferTime,
-		}
+		// The ledger slot is still zero from pushShape: write each field
+		// in place, with no temporary record to copy.
+		m := &sim.done[r.id]
+		m.ID, m.Tenant = r.id, r.tenant
+		m.PromptTokens, m.GenTokens = r.prompt, r.gen
+		m.Arrival, m.Admitted, m.FirstToken, m.Done = r.arrival, r.admitted, r.firstToken, sim.now
+		m.Queue = r.admitted - r.arrival
+		m.TTFT = r.firstToken - r.arrival
+		m.E2E = sim.now - r.arrival
+		m.Preemptions, m.KVTransfers, m.KVTransferTime = r.preempts, r.transfers, r.transferTime
 		if r.gen > 1 {
 			m.TPOT = (sim.now - r.firstToken) / float64(r.gen-1)
 		}
-		sim.done[r.id] = m
 		sim.completed++
 		if sim.closed && sim.issued < sim.target {
-			// pushShape may grow the slab; r is not referenced past here.
+			// pushShape may grow the slab and the ledger; r and m are not
+			// referenced past here.
 			sim.pushShape(sim.issued, sim.shapes[sim.issued], sim.now)
 			sim.issued++
 		}
@@ -833,11 +867,11 @@ type summaryScratch struct {
 }
 
 // tenantScratch holds a multi-tenant pass's grouping: each request's
-// tenant slot (tid), the tenants in first-seen order (names) and their
-// slots by name (index); the slots' name order, each slot's rank in it
-// and the run cursors (ints).
+// position in a plane (pos), the tenants in first-seen order (names) and
+// their slots by name (index); the slots' name order, each slot's rank in
+// it and the run cursors (ints).
 type tenantScratch struct {
-	tid   []int32
+	pos   []int32
 	names []string
 	index map[string]int32
 	ints  []int
@@ -895,22 +929,15 @@ func (sc *summaryScratch) summarize(done []RequestMetrics, keep bool) Summary {
 	for _, tm := range s.PerTenant {
 		s.GenTokens += tm.GenTokens
 	}
-	at := ts.ints[2*len(s.PerTenant):]
 	for k := range numMetrics {
 		plane := sc.plane(k, n)
+		for i, j := range ts.pos {
+			plane[j] = done[i].sample(k)
+		}
 		lo := 0
-		for t, tm := range s.PerTenant {
-			at[t] = lo
+		for _, tm := range s.PerTenant {
+			slices.Sort(plane[lo : lo+tm.Requests])
 			lo += tm.Requests
-		}
-		for i, t := range ts.tid {
-			plane[at[t]] = done[i].sample(k)
-			at[t]++
-		}
-		lo = 0
-		for t := range s.PerTenant {
-			slices.Sort(plane[lo:at[t]])
-			lo = at[t]
 		}
 		ts.merge.fill(&s, plane, k)
 	}
@@ -918,16 +945,19 @@ func (sc *summaryScratch) summarize(done []RequestMetrics, keep bool) Summary {
 }
 
 // bucket groups done by tenant in one pass over the requests, then
-// renumbers the slots in name order. It leaves each request's slot in
-// ts.tid and returns the breakdown with each tenant's name, request count
-// and generated tokens.
+// renumbers the slots in name order. It leaves in ts.pos each request's
+// position in a plane that holds the tenants' runs in name order, each in
+// request order, and returns the breakdown with each tenant's name,
+// request count and generated tokens.
 func (ts *tenantScratch) bucket(done []RequestMetrics) []TenantMetrics {
 	if ts.index == nil {
 		ts.index = make(map[string]int32)
 	}
 	clear(ts.index)
 	ts.names = ts.names[:0]
-	tid := slices.Grow(ts.tid[:0], len(done))[:len(done)]
+	// pos holds each request's tenant slot, then the slot's rank, then
+	// the request's plane position.
+	pos := slices.Grow(ts.pos[:0], len(done))[:len(done)]
 	t := int32(-1)
 	for i := range done {
 		// Consecutive requests often share a tenant: look up the changes.
@@ -940,11 +970,11 @@ func (ts *tenantScratch) bucket(done []RequestMetrics) []TenantMetrics {
 			}
 			t = j
 		}
-		tid[i] = t
+		pos[i] = t
 	}
 	T := len(ts.names)
 	ts.ints = slices.Grow(ts.ints[:0], 3*T)[:3*T]
-	order, rank := ts.ints[:T], ts.ints[T:2*T]
+	order, rank, at := ts.ints[:T], ts.ints[T:2*T], ts.ints[2*T:]
 	for j := range order {
 		order[j] = j
 	}
@@ -954,13 +984,22 @@ func (ts *tenantScratch) bucket(done []RequestMetrics) []TenantMetrics {
 		rank[o] = j
 		tenants[j].Tenant = ts.names[o]
 	}
-	for i := range tid {
-		r := int32(rank[tid[i]])
-		tid[i] = r
+	for i := range pos {
+		r := int32(rank[pos[i]])
+		pos[i] = r
 		tenants[r].Requests++
 		tenants[r].GenTokens += done[i].GenTokens
 	}
-	ts.tid = tid
+	lo := 0
+	for r, tm := range tenants {
+		at[r] = lo
+		lo += tm.Requests
+	}
+	for i, r := range pos {
+		pos[i] = int32(at[r])
+		at[r]++
+	}
+	ts.pos = pos
 	return tenants
 }
 
