@@ -79,28 +79,31 @@ cluster-bench:
 build-386:
 	GOOS=linux GOARCH=386 $(GO) build ./...
 
-# No fused multiply-add in the serving simulator (ROADMAP item 14). The Go
-# spec lets a compiler fuse x*y + z into one instruction that rounds once
-# instead of twice: amd64 never does, arm64 and ppc64le do, so a fused
-# line would give those hosts other bits. Cross-compile internal/serve
-# for both (offline, no emulator) and fail on any fused instruction
-# whose source line is in internal/serve; `float64(x*y) + z` is the form
-# that cannot fuse. Code inlined from other packages is listed under its
-# own file and is left to the rest of item 14.
+# No fused multiply-add in the serving simulator and the workload draws
+# (ROADMAP item 14). The Go spec lets a compiler fuse x*y + z into one
+# instruction that rounds once instead of twice: amd64 never does, arm64
+# and ppc64le do, so a fused line would give those hosts other bits.
+# Cross-compile the packages for both (offline, no emulator) and fail on
+# any fused instruction whose source line is in one of them; `float64(x*y)
+# + z` is the form that cannot fuse. Code inlined from other packages is
+# listed under its own file and is left to the rest of item 14.
 FMA_ARCHS := arm64 ppc64le
+FMA_PKGS := internal/serve internal/workload
 fma:
 	@set -e; \
 	for arch in $(FMA_ARCHS); do \
-		out=$$(GOOS=linux GOARCH=$$arch $(GO) build -gcflags=-S ./internal/serve 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
-		printf '%s\n' "$$out" | grep -q 'optimus/internal/serve\..* STEXT' || \
-			{ echo "fma: no $$arch listing for internal/serve"; exit 1; }; \
-		hits=$$(printf '%s\n' "$$out" | grep -E '/internal/serve/[^)]*\)[[:space:]]+F(N)?M(ADD|SUB)' || true); \
-		if [ -n "$$hits" ]; then \
-			printf '%s\n' "$$hits"; \
-			echo "fma: FAIL — fused multiply-add at an internal/serve line on $$arch; round the product with float64(x*y)"; \
-			exit 1; \
-		fi; \
-		echo "fma: $$arch: no fused multiply-add in internal/serve"; \
+		out=$$(GOOS=linux GOARCH=$$arch $(GO) build -gcflags=-S $(addprefix ./,$(FMA_PKGS)) 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
+		for pkg in $(FMA_PKGS); do \
+			printf '%s\n' "$$out" | grep -q "optimus/$$pkg\..* STEXT" || \
+				{ echo "fma: no $$arch listing for $$pkg"; exit 1; }; \
+			hits=$$(printf '%s\n' "$$out" | grep -E "/$$pkg/[^)]*\)[[:space:]]+F(N)?M(ADD|SUB)" || true); \
+			if [ -n "$$hits" ]; then \
+				printf '%s\n' "$$hits"; \
+				echo "fma: FAIL — fused multiply-add at a $$pkg line on $$arch; round the product with float64(x*y)"; \
+				exit 1; \
+			fi; \
+			echo "fma: $$arch: no fused multiply-add in $$pkg"; \
+		done; \
 	done
 
 # Run every example program end to end; a non-zero exit fails the

@@ -100,15 +100,23 @@ func disaggFleetSpec(tb testing.TB, requests int) cluster.Spec {
 
 // TestClusterAllocBudget pins the fleet simulator's allocations per run
 // (count and bytes) on the benchmark's fleet shape: a fresh and a pooled
-// least-kv fleet and a fresh round-robin one. Budgets are the measured
-// values with about 2.5× headroom. A fresh fleet of eight identical
-// replicas builds one step coster and fills one pricing table, and its
-// summaries merge the replicas' sorted samples instead of copying every
-// request into one more ledger: about 406 allocations and 357 KB for
-// least-kv and 394 and 314 KB for round-robin (439 and 427 allocations
-// under -race). The instance row pins that a replica pushed k requests
-// allocates for k, however long its envelope: one envelope-sized request
-// slab alone would be 1,024 × 152 bytes.
+// least-kv fleet and a fresh round-robin one. A fresh fleet of eight
+// identical replicas builds one step coster and fills one pricing table,
+// each replica's request slab holds only its own requests in flight, and
+// its summaries merge the replicas' sorted samples instead of copying
+// every request into one more ledger: about 380 allocations and 234 KB
+// for least-kv and 371 and 223 KB for round-robin (411 and 405
+// allocations, 313 and 304 KB under -race). A pooled fleet keeps its
+// replicas' ledgers, its merged PerRequest and PerReplica and its summary
+// plane, and its workload draws recycle their generators, so it allocates
+// no per-request memory: 48 allocations and 15 KB (21 KB under -race),
+// where the replicas' ledgers alone would be 256 × 128 bytes and the
+// merged PerRequest 256 × 136. Allocation budgets are the measured counts
+// with about 2.5× headroom, byte budgets the -race measurements with
+// about 1.4×. The instance row
+// pins that a replica pushed k requests allocates for k, however long its
+// envelope: one envelope-sized request slab alone would be 1,024 × 128
+// bytes.
 func TestClusterAllocBudget(t *testing.T) {
 	const requests = 256
 	lkv := disaggFleetSpec(t, requests)
@@ -120,9 +128,9 @@ func TestClusterAllocBudget(t *testing.T) {
 		allocs, bytes float64
 		run           func() (cluster.Result, error)
 	}{
-		{"least-kv/fresh", 1100, 900e3, func() (cluster.Result, error) { return cluster.Run(lkv) }},
-		{"least-kv/pooled", 550, 550e3, func() (cluster.Result, error) { return pooled.Run(lkv) }},
-		{"round-robin/fresh", 1050, 800e3, func() (cluster.Result, error) { return cluster.Run(rr) }},
+		{"least-kv/fresh", 1000, 450e3, func() (cluster.Result, error) { return cluster.Run(lkv) }},
+		{"least-kv/pooled", 125, 28e3, func() (cluster.Result, error) { return pooled.Run(lkv) }},
+		{"round-robin/fresh", 1000, 450e3, func() (cluster.Result, error) { return cluster.Run(rr) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs, bytes := allocsPerRun(5, func() {

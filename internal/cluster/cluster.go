@@ -212,14 +212,21 @@ type Result struct {
 }
 
 // Runner pools fleet simulation state across runs: one serve.Runner per
-// replica slot and the fleet's envelope, so every replica's slabs and
-// scratch, and the pricing tables the replicas share, survive from one
-// fleet simulation to the next — the steady state of a rate sweep or a
-// knee bisection re-running one fleet at many rates.
+// replica slot and the fleet's envelope, so every replica's slabs,
+// ledger and scratch, and the pricing tables the replicas share, survive
+// from one fleet simulation to the next — the steady state of a rate
+// sweep or a knee bisection re-running one fleet at many rates.
 // A Runner is NOT safe for concurrent use and supports one live fleet
 // simulation at a time; results are byte-identical to the package-level
 // Run (TestClusterRunnerReuseMatchesFresh). The zero Runner is ready to
 // use; its replica slots grow on first use.
+//
+// A Result from the Runner's Run refers to the Runner's memory: its
+// PerRequest, its PerReplica and each replica's own PerRequest are
+// written over by the Runner's next Run. A caller that keeps them past
+// that copies them first; a caller that reads only the summaries, as a
+// sweep or a knee search does, allocates no per-request memory in steady
+// state. The package-level Run returns a Result the caller owns.
 type Runner struct {
 	reps []*serve.Runner
 	// env is the fleet's envelope, on which every replica is armed and
@@ -230,6 +237,13 @@ type Runner struct {
 	times  []float64
 	shapes []workload.Request
 	assign []int32
+	// instances, perReplica and perRequest back the last Run's replicas
+	// and its Result's PerReplica and PerRequest; plane is the fleet
+	// summary's merge buffer.
+	instances  []*serve.Instance
+	perReplica []ReplicaResult
+	perRequest []RequestMetrics
+	plane      []float64
 }
 
 // Run executes the fleet simulation: generate the seeded fleet-wide
@@ -276,7 +290,8 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	for len(rn.reps) < R {
 		rn.reps = append(rn.reps, new(serve.Runner))
 	}
-	instances := make([]*serve.Instance, R)
+	instances := slices.Grow(rn.instances[:0], R)[:R]
+	rn.instances = instances
 	for i, cap := range specs {
 		in, err := rn.reps[i].Instance(cap, env)
 		if err != nil {
@@ -307,7 +322,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		in.Drain()
 	}
 
-	return merge(s, instances, assign, descriptor)
+	return rn.merge(s, descriptor)
 }
 
 // leastLoaded is the load-aware routers' pick for an arrival at t:
@@ -341,15 +356,17 @@ func lessLoaded(r Routing, a, b serve.Load) bool {
 	return a.InFlight() < b.InFlight()
 }
 
-// merge assembles the fleet Result from drained replicas: per-replica
+// merge assembles the fleet Result from the drained replicas: per-replica
 // results in index order, the global-ID-remapped request view, and
 // fleet-wide summaries that merge the replicas' sorted samples.
-func merge(s Spec, instances []*serve.Instance, assign []int32, descriptor []int) (Result, error) {
+func (rn *Runner) merge(s Spec, descriptor []int) (Result, error) {
+	instances, assign := rn.instances, rn.assign
 	R := len(instances)
+	rn.perReplica = slices.Grow(rn.perReplica[:0], R)[:R]
 	res := Result{
 		Replicas:   R,
 		Routing:    s.Routing,
-		PerReplica: make([]ReplicaResult, R),
+		PerReplica: rn.perReplica,
 	}
 	for r, in := range instances {
 		rr, err := in.Result()
@@ -378,14 +395,15 @@ func merge(s Spec, instances []*serve.Instance, assign []int32, descriptor []int
 	// the next unread entry of its replica's ledger: a cursor per replica
 	// maps local push indices to global arrival indices.
 	next := make([]int, R)
-	res.PerRequest = make([]RequestMetrics, len(assign))
+	rn.perRequest = slices.Grow(rn.perRequest[:0], len(assign))[:len(assign)]
+	res.PerRequest = rn.perRequest
 	for i, r := range assign {
 		m := res.PerReplica[r].Result.PerRequest[next[r]]
 		next[r]++
 		m.ID = i
 		res.PerRequest[i] = RequestMetrics{RequestMetrics: m, Replica: int(r)}
 	}
-	sum, err := serve.SummarizeInstances(instances)
+	sum, err := serve.SummarizeInstances(instances, &rn.plane)
 	if err != nil {
 		return Result{}, fmt.Errorf("cluster: %w", err)
 	}

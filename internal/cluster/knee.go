@@ -123,7 +123,7 @@ func FindKnee(ks KneeSpec) (Knee, error) {
 	knee := Knee{SLOE2EP95: ks.SLOE2EP95}
 	// One pooled Runner serves every probe: the bisection re-runs the same
 	// fleet at different rates, exactly the steady state the pooling seam
-	// keeps warm (slabs, pricing tables).
+	// keeps warm (slabs, ledgers, pricing tables).
 	rn := new(Runner)
 	probe := func(rate float64) (KneeProbe, error) {
 		cs := ks.Cluster

@@ -139,9 +139,9 @@ func TestTenantBreakdownMatchesMapOracle(t *testing.T) {
 // keptInstance is a drained instance whose assembled Result summarized
 // done, as a fleet replica's does.
 func keptInstance(done []RequestMetrics) *Instance {
-	sim := new(simulator)
+	sim := &simulator{done: done}
 	sum := sim.sums.summarize(done, true)
-	return &Instance{sim: sim, pushed: len(done), drained: true, tenants: sum.PerTenant}
+	return &Instance{sim: sim, drained: true, tenants: sum.PerTenant}
 }
 
 // TestSummarizeInstancesMatchesConcatenation is the fleet merge's
@@ -185,7 +185,7 @@ func TestSummarizeInstancesMatchesConcatenation(t *testing.T) {
 		for r, share := range shares {
 			ins[r] = keptInstance(share)
 		}
-		got, err := SummarizeInstances(ins)
+		got, err := SummarizeInstances(ins, new([]float64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestSummarizeInstancesMatchesConcatenation(t *testing.T) {
 			t.Fatalf("%s: merged breakdown diverges from the map oracle\n got %+v\nwant %+v", name, got.PerTenant, want)
 		}
 	}
-	if _, err := SummarizeInstances([]*Instance{keptInstance(nil), {sim: new(simulator), drained: true}}); err == nil {
+	if _, err := SummarizeInstances([]*Instance{keptInstance(nil), {sim: new(simulator), drained: true}}, new([]float64)); err == nil {
 		t.Error("an instance without an assembled Result was merged")
 	}
 }

@@ -43,7 +43,6 @@ func (l Load) InFlight() int { return l.Queued + l.Running }
 // same request sequence on the same envelope.
 type Instance struct {
 	sim     *simulator
-	pushed  int
 	lastT   float64
 	drained bool
 	// tenants is the breakdown of the assembled Result, nil until then:
@@ -162,14 +161,16 @@ func NewInstance(s Spec, envelope []workload.Request) (*Instance, error) {
 // The spec carries capacity only — model/system/precision, batching and
 // KV limits, and the admission policy; its workload and arrival fields
 // must be zero (the router owns the stream). It is armed on env as Run
-// arms on its drawn stream, while the request slabs grow with the pushes
-// — a replica holding a fraction of its envelope pays for that fraction.
+// arms on its drawn stream, while its ledger grows with the pushes and
+// its request slab only to its own peak of requests in flight — a replica
+// holding a fraction of its envelope pays for that fraction.
 // It prices through the table of an instance built on env before it under
 // an equal step-cost key, or shares its own with those built after it;
 // either way it prices exactly as a lone Run. Its Result keeps its sorted
 // latency samples for SummarizeInstances. The Runner's
 // single-live-simulation contract applies: building a new Instance (or
-// calling Run) invalidates the previous one.
+// calling Run) invalidates the previous one, and the Instance's Result
+// refers to the Runner's ledger as a Run's does.
 func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 	if err := s.capacityOnly(); err != nil {
 		return nil, err
@@ -180,7 +181,7 @@ func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 	if err := s.validateCapacity(env); err != nil {
 		return nil, err
 	}
-	if err := rn.sim.arm(s, env, 0, new(policyStore)); err != nil {
+	if err := rn.sim.arm(s, env, 0, 0, new(policyStore)); err != nil {
 		return nil, err
 	}
 	env.share(rn.sim.price)
@@ -243,8 +244,7 @@ func (in *Instance) push(r workload.Request, t float64) {
 	if sim.idle() && sim.now < t {
 		sim.now = t
 	}
-	sim.pushShape(in.pushed, r, t)
-	in.pushed++
+	sim.pushShape(r, t)
 }
 
 // AdvanceTo runs batching iterations until the instance's clock reaches t
@@ -269,7 +269,7 @@ func (in *Instance) Drain() {
 }
 
 // Pushed returns the number of requests routed to this instance so far.
-func (in *Instance) Pushed() int { return in.pushed }
+func (in *Instance) Pushed() int { return len(in.sim.done) }
 
 // Load samples the instance's current load. Between a router's barrier
 // advances the snapshot is deterministic: it depends only on the push
@@ -292,7 +292,7 @@ func (in *Instance) Load() Load {
 // indices.
 func (in *Instance) Result() (Result, error) {
 	if !in.drained {
-		return Result{}, fmt.Errorf("serve: result before drain (%d requests still in flight)", in.pushed-in.sim.completed)
+		return Result{}, fmt.Errorf("serve: result before drain (%d requests still in flight)", len(in.sim.done)-in.sim.completed)
 	}
 	res := in.sim.finish()
 	in.tenants = res.PerTenant

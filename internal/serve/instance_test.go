@@ -293,7 +293,8 @@ func TestCoastedLoadMatchesProbed(t *testing.T) {
 				t.Fatal(err)
 			}
 			var probed *Instance
-			capSpec.probe = func(probeState) { checkNextEvent(t, probed.sim) }
+			peak := 0
+			capSpec.probe = func(probeState) { checkNextEvent(t, probed.sim, &peak) }
 			if probed, err = NewInstance(capSpec, shapes); err != nil {
 				t.Fatal(err)
 			}

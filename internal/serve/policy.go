@@ -270,8 +270,8 @@ func (p *reservePolicy) beginStep(pool []request, running, victims []int32) ([]i
 		return running, victims
 	}
 	kv := 0.0
-	for _, id := range running {
-		r := &pool[id]
+	for _, slot := range running {
+		r := &pool[slot]
 		kv += p.contextBytes(r.prompt + r.gen)
 	}
 	p.kvUsed, p.stale = kv, false
@@ -664,8 +664,8 @@ func (p *pagedPolicy) beginStep(pool []request, running, victims []int32) (kept,
 	}
 scan:
 	for i := 0; i < len(kept); i++ {
-		id := kept[i]
-		r := &pool[id]
+		slot := kept[i]
+		r := &pool[slot]
 		if !r.inDecode {
 			// The hand-off: the prefill pool's copy of r's cache moves to
 			// the decode pool before its first decode step. Migration never
@@ -709,7 +709,7 @@ scan:
 			// Only the decode pool binds when the shared budget has room —
 			// unreachable with one pool, where both limits coincide.
 			kept, outVictims = p.evictYoungest(pool, kept, outVictims, p.used+extra <= p.totalPages)
-			if outVictims[len(outVictims)-1] == id {
+			if outVictims[len(outVictims)-1] == slot {
 				// r itself was the LIFO victim. Sequences still behind it —
 				// only prefill-held ones, when the decode-restricted scan
 				// chose r — shifted down one slot and must keep scanning (and
@@ -793,8 +793,8 @@ func (p *pagedPolicy) absorb(epoch int) bool {
 //
 //optimus:hotpath
 func (p *pagedPolicy) settle(pool []request, running []int32, epoch int) {
-	for _, id := range running {
-		r := &pool[id]
+	for _, slot := range running {
+		r := &pool[slot]
 		if tokens := r.prompt - r.prefix + r.produced + epoch; tokens > r.pages*p.pageTokens {
 			r.pages = p.pagesFor(tokens)
 		}

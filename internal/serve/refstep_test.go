@@ -125,7 +125,8 @@ func FuzzStepMatchesReference(f *testing.F) {
 		for _, probed := range []bool{true, false} {
 			s.probe = nil
 			if probed {
-				s.probe = func(probeState) { checkNextEvent(t, &rn.sim) }
+				peak := 0
+				s.probe = func(probeState) { checkNextEvent(t, &rn.sim, &peak) }
 			}
 			got, err := rn.Run(s)
 			if err != nil {
@@ -148,9 +149,11 @@ func FuzzStepMatchesReference(f *testing.F) {
 // prefix is resident, and the idle bitset names exactly the resident
 // unreferenced prefixes. Some of these (a ring count under NoPreempt, a
 // stale idle bit on a referenced prefix) can be wrong without changing a
-// Result until much later, if ever.
-func checkNextEvent(t *testing.T, sim *simulator) {
+// Result until much later, if ever. It also checks the request slab
+// (checkSlots); peak carries the in-flight peak from call to call.
+func checkNextEvent(t *testing.T, sim *simulator, peak *int) {
 	t.Helper()
+	checkSlots(t, sim, peak)
 	kv, prefillHeld := 0, false
 	var cross []int32
 	if pp := sim.pp; pp != nil {
@@ -197,6 +200,57 @@ func checkNextEvent(t *testing.T, sim *simulator) {
 	}
 }
 
+// checkSlots asserts the request slab between admission and pricing,
+// when every request in flight is queued or running: no slot is on two
+// of the free list, the queue and the running set (a freed slot that a
+// request still holds would be written over by the next push), every slot
+// is on one of them, every pushed request that has not completed holds a
+// slot, and the slab holds no more slots than the peak in-flight count
+// seen so far. Every push is seen by the next call before any
+// completion, so *peak is the true peak.
+func checkSlots(t *testing.T, sim *simulator, peak *int) {
+	t.Helper()
+	const (
+		free = iota + 1
+		queued
+		running
+	)
+	state := make([]uint8, len(sim.reqs))
+	mark := func(slot int, s uint8) {
+		if slot < 0 || slot >= len(state) {
+			t.Fatalf("epoch %d: slot %d outside the %d-slot slab", sim.epoch, slot, len(state))
+		}
+		if state[slot] != 0 {
+			t.Fatalf("epoch %d: slot %d is both %v and %v (1 free, 2 queued, 3 running)", sim.epoch, slot, state[slot], s)
+		}
+		state[slot] = s
+	}
+	// A cycle in the free list revisits a slot, which mark reports.
+	for f := sim.free; f >= 0; f = sim.reqs[f].id {
+		mark(f, free)
+	}
+	q := sim.queue
+	for i := range q.n {
+		mark(int(q.buf[(q.head+i)&(len(q.buf)-1)]), queued)
+	}
+	for _, slot := range sim.running {
+		mark(int(slot), running)
+	}
+	for slot, s := range state {
+		if s == 0 {
+			t.Fatalf("epoch %d: slot %d is neither free, queued nor running", sim.epoch, slot)
+		}
+	}
+	inFlight := len(sim.done) - sim.completed
+	if held := q.n + len(sim.running); held != inFlight {
+		t.Fatalf("epoch %d: %d requests in flight, but %d slots queued or running", sim.epoch, inFlight, held)
+	}
+	*peak = max(*peak, inFlight)
+	if len(sim.reqs) > *peak {
+		t.Fatalf("epoch %d: the slab holds %d slots, beyond the in-flight peak %d", sim.epoch, len(sim.reqs), *peak)
+	}
+}
+
 // refRun is Runner.Run driven by refStep: the same resolve, stream,
 // envelope and arming, and Instance's push and advance rules inlined.
 func refRun(s Spec) (Result, error) {
@@ -211,7 +265,7 @@ func refRun(s Spec) (Result, error) {
 	drawn := Envelope{shapes: shapes}.folded()
 	s.SetWorkload(workload.Spec{})
 	sim := &rn.sim
-	if err := sim.arm(s, &drawn, w.Requests, &ps); err != nil {
+	if err := sim.arm(s, &drawn, 0, 0, &ps); err != nil {
 		return Result{}, err
 	}
 	advance := func(t float64) {
@@ -221,9 +275,8 @@ func refRun(s Spec) (Result, error) {
 	}
 	if w.Closed {
 		sim.shapes, sim.closed, sim.target = shapes, true, w.Requests
-		sim.issued = min(w.Clients, w.Requests)
-		for i := range sim.issued {
-			sim.pushShape(i, shapes[i], 0)
+		for _, sh := range shapes[:min(w.Clients, w.Requests)] {
+			sim.pushShape(sh, 0)
 		}
 	} else {
 		for i, t := range arrivals {
@@ -231,7 +284,7 @@ func refRun(s Spec) (Result, error) {
 			if sim.idle() && sim.now < t {
 				sim.now = t
 			}
-			sim.pushShape(i, shapes[i], t)
+			sim.pushShape(shapes[i], t)
 		}
 	}
 	advance(math.Inf(1))
@@ -372,27 +425,23 @@ func (sim *simulator) refStep() {
 			continue
 		}
 		sim.pol.release(r)
-		m := RequestMetrics{
-			ID: r.id, Tenant: r.tenant,
-			PromptTokens: r.prompt, GenTokens: r.gen,
-			Arrival: r.arrival, Admitted: r.admitted,
-			FirstToken: r.firstToken, Done: sim.now,
-			Queue:          r.admitted - r.arrival,
-			TTFT:           r.firstToken - r.arrival,
-			E2E:            sim.now - r.arrival,
-			Preemptions:    r.preempts,
-			KVTransfers:    r.transfers,
-			KVTransferTime: r.transferTime,
-		}
+		// The ledger entry holds the shape and arrival pushShape wrote.
+		m := sim.done[r.id]
+		m.Admitted, m.FirstToken, m.Done = r.admitted, r.firstToken, sim.now
+		m.Queue = r.admitted - m.Arrival
+		m.TTFT = r.firstToken - m.Arrival
+		m.E2E = sim.now - m.Arrival
+		m.Preemptions, m.KVTransfers, m.KVTransferTime = r.preempts, r.transfers, r.transferTime
 		if r.gen > 1 {
 			m.TPOT = (sim.now - r.firstToken) / float64(r.gen-1)
 		}
 		sim.done[r.id] = m
 		sim.completed++
-		if sim.closed && sim.issued < sim.target {
-			// pushShape may grow the slab; r is not referenced past here.
-			sim.pushShape(sim.issued, sim.shapes[sim.issued], sim.now)
-			sim.issued++
+		// The slot goes back to the free list; r is not referenced past
+		// here.
+		r.id, sim.free = sim.free, int(id)
+		if sim.closed && len(sim.done) < sim.target {
+			sim.pushShape(sim.shapes[len(sim.done)], sim.now)
 		}
 	}
 	sim.running = alive

@@ -567,13 +567,17 @@ type TenantMetrics struct {
 	Queue Percentiles
 }
 
-// request is the in-flight simulator state of one sequence.
+// request is the in-flight simulator state of one sequence: a slot of
+// the simulator's request slab. It holds no pointer, so the slab is
+// never scanned by the garbage collector; the tenant and the arrival
+// time live in the request's ledger entry, which pushShape writes.
 type request struct {
-	id      int
-	arrival float64
-	// tenant, prompt and gen are the request's workload shape; every
-	// admission, decode step and KV allocation is priced off them.
-	tenant string
+	// id is the request's push index, its ledger position. While the slot
+	// is free, id links the slab's free list instead: the next free slot,
+	// or -1.
+	id int
+	// prompt and gen are the request's workload shape; every admission,
+	// decode step and KV allocation is priced off them.
 	prompt int
 	gen    int
 	// admitted and firstToken are timestamps filled as the request moves
@@ -595,7 +599,7 @@ type request struct {
 	// the request's private page math spans prompt-prefix+produced tokens.
 	// inDecode marks pages held in the decode pool (every admission under
 	// Paged's one pool, after the migration under Disaggregated); it packs
-	// into prefixSlot's alignment padding, keeping the slab entry at 152
+	// into prefixSlot's alignment padding, keeping the slab entry at 128
 	// bytes.
 	prefix     int
 	prefixSlot int32
@@ -622,7 +626,8 @@ type request struct {
 // does, draws the stream, arms the simulator on the stream's Envelope and
 // drives it as an Instance (closed-loop clients issue on completion), so a
 // one-replica fleet or a trace replay of the stream reproduces it
-// byte-identically.
+// byte-identically. It runs on a fresh Runner, so the Result, its
+// PerRequest ledger included, is the caller's.
 func Run(s Spec) (Result, error) {
 	return new(Runner).Run(s)
 }
@@ -639,6 +644,14 @@ func Run(s Spec) (Result, error) {
 // Instance simulations may be live at a time (a new call re-arms the
 // shared slabs, invalidating the previous Instance); give each goroutine
 // its own Runner.
+//
+// The Runner keeps its request ledger too, so a Result from its Run, or
+// from an Instance it built, refers to the Runner's memory: its
+// PerRequest entries are written over by the Runner's next Run or
+// Instance. A caller that keeps PerRequest past that copies it first; a
+// caller that reads only the summaries, as a sweep or a knee search does,
+// allocates no per-request memory in steady state. The package-level Run
+// returns a Result the caller owns.
 type Runner struct {
 	sim simulator
 	// arrivalsBuf/shapesBuf are the reusable buffers of Run's drawn
@@ -660,7 +673,14 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	drawn := Envelope{shapes: rn.shapesBuf}.folded()
 	s.SetWorkload(workload.Spec{})
 	sim := &rn.sim
-	if err := sim.arm(s, &drawn, w.Requests, &ps); err != nil {
+	// The slab holds the requests in flight: at most the clients of a
+	// closed loop, and up to every request of an open one, whose bursts
+	// may queue them all.
+	slots := w.Requests
+	if w.Closed {
+		slots = min(w.Clients, w.Requests)
+	}
+	if err := sim.arm(s, &drawn, slots, w.Requests, &ps); err != nil {
 		return Result{}, err
 	}
 	sim.keep = false
@@ -669,9 +689,8 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		// Every client issues at time zero, and each completion issues
 		// the next arrival index's pre-drawn shape.
 		sim.shapes, sim.closed, sim.target = rn.shapesBuf, true, w.Requests
-		sim.issued = min(w.Clients, w.Requests)
-		for i := range sim.issued {
-			sim.pushShape(i, rn.shapesBuf[i], 0)
+		for _, sh := range rn.shapesBuf[:slots] {
+			sim.pushShape(sh, 0)
 		}
 	} else {
 		for i, t := range rn.arrivalsBuf {

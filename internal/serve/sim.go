@@ -192,11 +192,13 @@ func (d *indexDeque) front() int32 { return d.buf[d.head] }
 // load (the cluster router hook) without perturbing the sealed admission
 // policies. arm sizes it from a capacity spec and an Envelope.
 //
-// The in-flight request state lives in a flat struct-of-arrays slab
-// (reqs), with the queue and running set as index views over it — the
-// steady-state event loop moves int32 indices, never pointers, so it
-// neither allocates nor pays GC write barriers. arm reuses every slab
-// across simulations (the Runner pooling seam).
+// The in-flight request state lives in a slab of pointer-free slots
+// (reqs), with the queue and running set as slot-index views over it —
+// the steady-state event loop moves int32 indices, never pointers, so it
+// neither allocates nor pays GC write barriers. A completed request gives
+// its slot back to a free list threaded through the slab, so the slab
+// holds only the requests in flight. arm reuses every slab across
+// simulations (the Runner pooling seam).
 type simulator struct {
 	spec Spec
 	pol  admissionPolicy
@@ -225,28 +227,32 @@ type simulator struct {
 	invBudget float64
 	batchCap  int
 
-	// closed marks closed-loop issuing on completion, of shapes[issued]
-	// next, until target requests are issued. keep marks an Instance's
-	// simulation, whose summary keeps a sorted plane per metric for
-	// SummarizeInstances.
+	// closed marks closed-loop issuing on completion, of the shape at the
+	// next push id, until target requests are issued. keep marks an
+	// Instance's simulation, whose summary keeps a sorted plane per metric
+	// for SummarizeInstances.
 	shapes []workload.Request
-	issued int
 	target int
 	closed bool
 	keep   bool
 
 	now float64
-	// reqs is the request slab: one entry per issued id, indexed by id
-	// (ids are issued densely, so id == slab position).
+	// reqs is the request slab: one slot per request in flight, which
+	// keeps the request's push id. It grows only when every slot is in
+	// flight, so its length is the simulation's peak in-flight count.
+	// free heads the list of free slots, linked through their id fields
+	// (-1 ends it).
 	reqs    []request
-	queue   indexDeque     // FIFO; preemption re-queues victims at the head
-	running []int32        // admission order
+	free    int
+	queue   indexDeque     // slots, FIFO; preemption re-queues victims at the head
+	running []int32        // slots, in admission order
 	victims []int32        // beginStep's reusable victim buffer
 	sums    summaryScratch // reusable percentile and tenant-grouping buffers
-	// done is the request ledger, indexed by id: pushShape appends each
-	// request's slot and complete writes its metrics there, so the ledger
-	// is in push order however completions interleave. completed counts
-	// the slots written.
+	// done is the request ledger, indexed by push id: pushShape appends
+	// each request's entry with its shape and arrival, and complete
+	// writes its timeline there, so the ledger is in push order however
+	// completions interleave. Its length is the pushed count; completed
+	// counts the entries complete wrote.
 	done      []RequestMetrics
 	completed int
 
@@ -272,13 +278,14 @@ type simulator struct {
 
 // arm re-arms the simulator for a capacity spec sized from env, its policy
 // built in ps — every simulation's one construction path — reusing every
-// slab the previous simulation grew (request pool, queue, running/victim
-// index buffers, percentile scratch) and pre-sizing the request slabs for
-// requests completions. The policy is rebuilt from scratch, and the
-// pricing table is env's table for the key, or the simulator's own rekeyed
-// (warm under an equal key, empty otherwise), so an armed simulator is
-// byte-identical to a fresh one (TestRunnerReuseMatchesFresh).
-func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) error {
+// slab the previous simulation grew (request slab, ledger, queue,
+// running/victim index buffers, percentile scratch), and sizes the
+// request slab for slots requests in flight and the ledger for requests
+// pushes. The policy is rebuilt from scratch, and the pricing table is
+// env's table for the key, or the simulator's own rekeyed (warm under an
+// equal key, empty otherwise), so an armed simulator is byte-identical to
+// a fresh one (TestRunnerReuseMatchesFresh).
+func (sim *simulator) arm(s Spec, env *Envelope, slots, requests int, ps *policyStore) error {
 	// One policy per simulation: the KV geometry behind it is derived
 	// exactly once, never per iteration.
 	pol, err := s.fit(env, ps)
@@ -335,19 +342,16 @@ func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) 
 	sim.budget = pol.budgetBytes()
 	sim.invBudget = 1 / sim.budget
 	sim.batchCap = pol.BatchCap()
-	sim.shapes, sim.issued, sim.target, sim.closed = nil, 0, 0, false
+	sim.shapes, sim.target, sim.closed = nil, 0, false
 	sim.now = 0
-	if cap(sim.reqs) < requests {
-		sim.reqs = make([]request, 0, requests)
-	} else {
-		sim.reqs = sim.reqs[:0]
-	}
+	sim.reqs, sim.free = reuse(sim.reqs, slots), -1
 	sim.queue.reset()
 	sim.running = sim.running[:0]
 	sim.victims = sim.victims[:0]
-	// done escapes into Result.PerRequest, so it is the one per-run
-	// allocation reuse cannot elide.
-	sim.done, sim.completed = make([]RequestMetrics, 0, requests), 0
+	// done becomes Result.PerRequest: the next arm writes over the
+	// previous simulation's ledger, which is why a pooled Runner's Result
+	// refers to it only until the Runner's next simulation.
+	sim.done, sim.completed = reuse(sim.done, requests), 0
 	sim.epoch, sim.kvBase, sim.nextDone = 0, 0, 0
 	sim.iterations = 0
 	sim.batchSum = 0
@@ -358,24 +362,45 @@ func (sim *simulator) arm(s Spec, env *Envelope, requests int, ps *policyStore) 
 	return nil
 }
 
-// pushShape appends one request to the FIFO queue; it joins the batch at
-// the next iteration boundary (iteration-level batching). Ids are issued
-// densely in order, so the request lands at slab and ledger position id.
-// A shared prefix is interned into the paged policy's registry here, once
-// per id — admission then works with a slot index, never the string.
+// reuse empties buf, replacing it with an empty slice of capacity n if
+// it holds less.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
+}
+
+// pushShape appends one request arriving at t to the FIFO queue; it joins
+// the batch at the next iteration boundary (iteration-level batching).
+// Push ids are issued densely in order, so the request's id is the
+// ledger's length: pushShape appends its ledger entry, with its shape and
+// arrival, and gives it a slab slot, a free one if any. A shared prefix
+// is interned into the paged policy's registry here, once per push —
+// admission then works with a registry slot, never the string.
 //
 //optimus:hotpath
-func (sim *simulator) pushShape(id int, sh workload.Request, t float64) {
-	sim.reqs = append(sim.reqs, request{
-		id: id, arrival: t,
-		tenant: sh.Tenant, prompt: sh.PromptTokens, gen: sh.GenTokens,
-		prefix: sh.PrefixTokens, prefixSlot: -1,
-	})
-	if sh.PrefixTokens > 0 {
-		sim.reqs[len(sim.reqs)-1].prefixSlot = sim.pp.intern(sh.PrefixID, sh.PrefixTokens)
-	}
+func (sim *simulator) pushShape(sh workload.Request, t float64) {
+	// Both records are written in place: a composite literal appended or
+	// assigned whole is built in a temporary and copied.
+	id := len(sim.done)
 	sim.done = append(sim.done, RequestMetrics{})
-	sim.queue.pushBack(int32(id))
+	m := &sim.done[id]
+	m.ID, m.Tenant, m.PromptTokens, m.GenTokens, m.Arrival = id, sh.Tenant, sh.PromptTokens, sh.GenTokens, t
+	slot := sim.free
+	if slot < 0 {
+		slot = len(sim.reqs)
+		sim.reqs = append(sim.reqs, request{})
+	} else {
+		sim.free = sim.reqs[slot].id
+		sim.reqs[slot] = request{}
+	}
+	r := &sim.reqs[slot]
+	r.id, r.prompt, r.gen, r.prefix, r.prefixSlot = id, sh.PromptTokens, sh.GenTokens, sh.PrefixTokens, -1
+	if sh.PrefixTokens > 0 {
+		r.prefixSlot = sim.pp.intern(sh.PrefixID, sh.PrefixTokens)
+	}
+	sim.queue.pushBack(int32(slot))
 }
 
 // recomputeCost prices a recompute-readmission prefill over tokens: the
@@ -446,13 +471,13 @@ func (sim *simulator) step() {
 	newbies, prefillTokens, newbieKV := 0, 0, 0
 	if len(victims) == 0 {
 		for sim.queue.len() > 0 && len(sim.running) < sim.batchCap && sim.pol.admit(&sim.reqs[sim.queue.front()]) {
-			id := sim.queue.popFront()
-			r := &sim.reqs[id]
+			slot := sim.queue.popFront()
+			r := &sim.reqs[slot]
 			if r.admissions == 0 {
 				r.admitted = sim.now
 			}
 			r.admissions++
-			sim.running = append(sim.running, id)
+			sim.running = append(sim.running, slot)
 			newbies++
 			// The pass prefills this request's own prompt; a resumed
 			// victim's recompute prefill spans its generated tokens
@@ -532,8 +557,8 @@ func (sim *simulator) step() {
 	// across preemptions (every iteration has positive duration, so 0
 	// means unset).
 	sim.epoch++
-	for _, id := range sim.running[len(sim.running)-newbies:] {
-		r := &sim.reqs[id]
+	for _, slot := range sim.running[len(sim.running)-newbies:] {
+		r := &sim.reqs[slot]
 		if r.produced+sim.epoch == 1 && r.firstToken == 0 {
 			r.firstToken = sim.now
 		}
@@ -641,43 +666,42 @@ func (sim *simulator) notePeaks(kv float64, pages int) {
 }
 
 // complete walks the running set in admission order once an advance
-// reaches nextDone: completed requests leave, free their KV and write
-// their metrics into the ledger, and the survivors' earliest completion
-// epoch becomes nextDone.
+// reaches nextDone: completed requests leave, free their KV, write their
+// timeline into the ledger and give their slots back, and the survivors'
+// earliest completion epoch becomes nextDone.
 //
 //optimus:hotpath
 func (sim *simulator) complete() {
 	alive := sim.running[:0]
 	next := math.MaxInt
-	for _, id := range sim.running {
-		r := &sim.reqs[id]
+	for _, slot := range sim.running {
+		r := &sim.reqs[slot]
 		if done := r.gen - r.produced; done > sim.epoch {
-			alive = append(alive, id)
+			alive = append(alive, slot)
 			next = min(next, done)
 			continue
 		}
 		sim.kvBase -= r.prompt + r.produced
 		r.produced += sim.epoch
 		sim.pol.release(r)
-		// The ledger slot is still zero from pushShape: write each field
-		// in place, with no temporary record to copy.
+		// pushShape wrote the entry's shape and arrival, and zeroed the
+		// rest: write the timeline in place, with no temporary record to
+		// copy.
 		m := &sim.done[r.id]
-		m.ID, m.Tenant = r.id, r.tenant
-		m.PromptTokens, m.GenTokens = r.prompt, r.gen
-		m.Arrival, m.Admitted, m.FirstToken, m.Done = r.arrival, r.admitted, r.firstToken, sim.now
-		m.Queue = r.admitted - r.arrival
-		m.TTFT = r.firstToken - r.arrival
-		m.E2E = sim.now - r.arrival
+		m.Admitted, m.FirstToken, m.Done = r.admitted, r.firstToken, sim.now
+		m.Queue = r.admitted - m.Arrival
+		m.TTFT = r.firstToken - m.Arrival
+		m.E2E = sim.now - m.Arrival
 		m.Preemptions, m.KVTransfers, m.KVTransferTime = r.preempts, r.transfers, r.transferTime
 		if r.gen > 1 {
 			m.TPOT = (sim.now - r.firstToken) / float64(r.gen-1)
 		}
 		sim.completed++
-		if sim.closed && sim.issued < sim.target {
-			// pushShape may grow the slab and the ledger; r and m are not
+		r.id, sim.free = sim.free, int(slot)
+		if sim.closed && len(sim.done) < sim.target {
+			// pushShape takes the slot just freed; r and m are not
 			// referenced past here.
-			sim.pushShape(sim.issued, sim.shapes[sim.issued], sim.now)
-			sim.issued++
+			sim.pushShape(sim.shapes[len(sim.done)], sim.now)
 		}
 	}
 	sim.running = alive
@@ -689,8 +713,8 @@ func (sim *simulator) complete() {
 // iteration) and before pricing.
 func (sim *simulator) observe(kv float64, newbies int) {
 	held := 0
-	for _, id := range sim.running {
-		held += sim.reqs[id].pages
+	for _, slot := range sim.running {
+		held += sim.reqs[slot].pages
 	}
 	_, totalPages := sim.pol.PageGeometry()
 	ps := probeState{
@@ -703,16 +727,16 @@ func (sim *simulator) observe(kv float64, newbies int) {
 		ps.hostPages, ps.hostTotal = pp.hostUsed, pp.hostTotal
 		ps.prefillPages, ps.prefillTotal = pp.prefillUsed, pp.prefillTotal
 		ps.decodePages, ps.decodeTotal = pp.used-pp.prefillUsed, pp.decodeTotal
-		for _, id := range sim.running {
-			r := &sim.reqs[id]
+		for _, slot := range sim.running {
+			r := &sim.reqs[slot]
 			if r.inDecode {
 				ps.runningDecodePages += r.pages
 			} else {
 				ps.runningPrefillPages += r.pages
 			}
 		}
-		for _, id := range sim.running[:len(sim.running)-newbies] {
-			if !sim.reqs[id].inDecode {
+		for _, slot := range sim.running[:len(sim.running)-newbies] {
+			if !sim.reqs[slot].inDecode {
 				ps.decidersInPrefill++
 			}
 		}
@@ -780,11 +804,14 @@ type Summary struct {
 }
 
 // SummarizeInstances summarizes the union of the instances' completed
-// request sets exactly as Run summarizes their concatenation, without sorting a sample again: each instance's Result
-// kept its tenants' sorted runs, and a tenant's runs from every instance
-// merge into the tenant's fleet run. Every instance must have assembled
-// its Result.
-func SummarizeInstances(ins []*Instance) (Summary, error) {
+// request sets exactly as Run summarizes their concatenation, without
+// sorting a sample again: each instance's Result kept its tenants' sorted
+// runs, and a tenant's runs from every instance merge into the tenant's
+// fleet run. Every instance must have assembled its Result. The merge
+// writes the fleet's samples into *plane, grown if it is short, so a
+// caller that keeps the buffer from call to call allocates no
+// per-request memory here.
+func SummarizeInstances(ins []*Instance, plane *[]float64) (Summary, error) {
 	var names []string
 	for i, in := range ins {
 		if in.tenants == nil {
@@ -820,7 +847,7 @@ func SummarizeInstances(ins []*Instance) (Summary, error) {
 		s.GenTokens += pt.GenTokens
 	}
 	var m runMerger
-	plane := make([]float64, s.Requests)
+	*plane = reuse(*plane, s.Requests)[:s.Requests]
 	runs := make([][]float64, 0, R)
 	for k := range numMetrics {
 		lo := 0
@@ -828,13 +855,13 @@ func SummarizeInstances(ins []*Instance) (Summary, error) {
 			runs = runs[:0]
 			for r, in := range ins {
 				if sp := spans[u*R+r]; sp[1] > sp[0] {
-					runs = append(runs, in.sim.sums.plane(k, in.pushed)[sp[0]:sp[1]])
+					runs = append(runs, in.sim.sums.plane(k, len(in.sim.done))[sp[0]:sp[1]])
 				}
 			}
-			m.merge(plane[lo:lo+pt.Requests], runs)
+			m.merge((*plane)[lo:lo+pt.Requests], runs)
 			lo += pt.Requests
 		}
-		m.fill(&s, plane, k)
+		m.fill(&s, *plane, k)
 	}
 	return s, nil
 }

@@ -7,7 +7,23 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 )
+
+// sources recycles the generators the draws below run on: a fresh
+// rand.Source is a table of about 4.9 KB, and a workload takes up to
+// three of them per draw. Seed resets a generator's whole state, so a
+// recycled one draws exactly the stream a fresh one seeded alike would
+// (TestSeededSourceMatchesFresh).
+var sources = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seeded returns a generator seeded with seed, to be given back to
+// sources once its stream is drawn.
+func seeded(seed int64) *rand.Rand {
+	rng := sources.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
 
 // shapeSeedSalt decorrelates the tenant-assignment stream from the arrival
 // stream, which is seeded with the raw seed. Without it the two
@@ -32,7 +48,8 @@ func appendPoissonArrivals(dst []float64, rate float64, n int, seed int64) []flo
 	if n < 0 {
 		panic(fmt.Sprintf("workload: Poisson arrivals need a non-negative count, got %d", n))
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded(seed)
+	defer sources.Put(rng)
 	t := 0.0
 	for i := 0; i < n; i++ {
 		t += rng.ExpFloat64() / rate
@@ -59,14 +76,17 @@ func appendScheduleArrivals(dst []float64, sched Schedule, n int, seed int64) []
 	if n < 0 {
 		panic(fmt.Sprintf("workload: schedule arrivals need a non-negative count, got %d", n))
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded(seed)
+	defer sources.Put(rng)
 	t := 0.0
 	seg := 0
 	for i := 0; i < n; i++ {
 		e := rng.ExpFloat64()
 		for seg < len(sched)-1 {
 			s := sched[seg]
-			if span := (s.End - t) * s.Rate; e <= span {
+			// The conversion rounds the product, so no architecture fuses
+			// it into the subtraction below.
+			if span := float64((s.End - t) * s.Rate); e <= span {
 				break
 			} else {
 				e -= span
@@ -104,7 +124,8 @@ func AppendMixShapes(dst []Request, mix []TenantLoad, n int, seed int64) []Reque
 		for _, t := range mix {
 			total += t.Share
 		}
-		rng := rand.New(rand.NewSource(seed ^ shapeSeedSalt))
+		rng := seeded(seed ^ shapeSeedSalt)
+		defer sources.Put(rng)
 		for i := 0; i < n; i++ {
 			x := rng.Float64() * total
 			k := 0
@@ -143,7 +164,8 @@ func applyLengthDraws(shapes []Request, mix []TenantLoad, seed int64) {
 	for _, t := range mix {
 		byTenant[t.Tenant] = t
 	}
-	rng := rand.New(rand.NewSource(int64(uint64(seed) ^ lengthSeedSalt)))
+	rng := seeded(int64(uint64(seed) ^ lengthSeedSalt))
+	defer sources.Put(rng)
 	for i := range shapes {
 		t := byTenant[shapes[i].Tenant]
 		if t.PromptSigma != 0 {
@@ -214,7 +236,9 @@ func expandSessions(arrivals []float64, shapes []Request, n, turns int, think fl
 			if k > 1 {
 				r.PrefixID = id
 			}
-			outT = append(outT, base+float64(k-1)*think)
+			// The conversion rounds the product, so no architecture fuses
+			// it into the add.
+			outT = append(outT, base+float64(float64(k-1)*think))
 			outS = append(outS, r)
 		}
 	}

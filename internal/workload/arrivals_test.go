@@ -2,10 +2,37 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 )
+
+// TestSeededSourceMatchesFresh: a recycled generator, part of whose
+// stream was drawn under another seed, draws exactly a fresh generator's
+// stream once seeded, for each kind of draw the workload makes.
+func TestSeededSourceMatchesFresh(t *testing.T) {
+	draws := []func(*rand.Rand) float64{(*rand.Rand).ExpFloat64, (*rand.Rand).Float64, (*rand.Rand).NormFloat64}
+	salted := uint64(42) ^ lengthSeedSalt
+	for _, seed := range []int64{0, 1, 7, -3, 42 ^ shapeSeedSalt, int64(salted)} {
+		for _, used := range []int{0, 1, 1000} {
+			rng := seeded(seed + 1)
+			for range used {
+				rng.NormFloat64()
+			}
+			// What seeded does to the generator the pool hands back.
+			rng.Seed(seed)
+			fresh := rand.New(rand.NewSource(seed))
+			for i := range 3000 {
+				draw := draws[i%len(draws)]
+				if got, want := draw(rng), draw(fresh); got != want {
+					t.Fatalf("seed %d, %d draws used: draw %d is %v, a fresh source gives %v", seed, used, i, got, want)
+				}
+			}
+			sources.Put(rng)
+		}
+	}
+}
 
 func TestAppendPoissonArrivalsDeterministic(t *testing.T) {
 	a := appendPoissonArrivals(nil, 2, 64, 7)
