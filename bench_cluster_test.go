@@ -109,9 +109,10 @@ func disaggFleetSpec(tb testing.TB, requests int) cluster.Spec {
 // allocations, 313 and 304 KB under -race). A pooled fleet keeps its
 // replicas' ledgers, its merged PerRequest and PerReplica and its summary
 // plane, and its workload draws recycle their generators, so it allocates
-// no per-request memory: 48 allocations and 15 KB (21 KB under -race),
-// where the replicas' ledgers alone would be 256 × 128 bytes and the
-// merged PerRequest 256 × 136. Allocation budgets are the measured counts
+// no per-request memory; it also keeps its merge cursors, and each replica
+// slot keeps its Instance and admission policy: 23 allocations and 5 KB
+// (12 KB under -race), where the replicas' ledgers alone would be 256 ×
+// 128 bytes and the merged PerRequest 256 × 136. Allocation budgets are the measured counts
 // with about 2.5× headroom, byte budgets the -race measurements with
 // about 1.4×. The instance row
 // pins that a replica pushed k requests allocates for k, however long its
@@ -129,7 +130,7 @@ func TestClusterAllocBudget(t *testing.T) {
 		run           func() (cluster.Result, error)
 	}{
 		{"least-kv/fresh", 1000, 450e3, func() (cluster.Result, error) { return cluster.Run(lkv) }},
-		{"least-kv/pooled", 125, 28e3, func() (cluster.Result, error) { return pooled.Run(lkv) }},
+		{"least-kv/pooled", 64, 16e3, func() (cluster.Result, error) { return pooled.Run(lkv) }},
 		{"round-robin/fresh", 1000, 450e3, func() (cluster.Result, error) { return cluster.Run(rr) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

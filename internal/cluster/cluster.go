@@ -244,6 +244,8 @@ type Runner struct {
 	perReplica []ReplicaResult
 	perRequest []RequestMetrics
 	plane      []float64
+	// next holds merge's cursor into each replica's ledger.
+	next []int
 }
 
 // Run executes the fleet simulation: generate the seeded fleet-wide
@@ -276,28 +278,27 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		return Result{}, err
 	}
 
-	// Flatten the descriptors' Counts (zero instantiates one) into the
-	// per-replica capacity list, remembering each one's descriptor.
-	var specs []serve.Spec
-	var descriptor []int
-	for d, r := range s.Replicas {
-		for range max(r.Count, 1) {
-			specs = append(specs, r.Spec)
-			descriptor = append(descriptor, d)
-		}
+	// Each descriptor instantiates its Count replicas (zero means one),
+	// in replica-index order.
+	R := 0
+	for _, r := range s.Replicas {
+		R += max(r.Count, 1)
 	}
-	R := len(specs)
 	for len(rn.reps) < R {
 		rn.reps = append(rn.reps, new(serve.Runner))
 	}
 	instances := slices.Grow(rn.instances[:0], R)[:R]
 	rn.instances = instances
-	for i, cap := range specs {
-		in, err := rn.reps[i].Instance(cap, env)
-		if err != nil {
-			return Result{}, fmt.Errorf("cluster: replica %d: %w", i, err)
+	i := 0
+	for d := range s.Replicas {
+		for range max(s.Replicas[d].Count, 1) {
+			in, err := rn.reps[i].Instance(s.Replicas[d].Spec, env)
+			if err != nil {
+				return Result{}, fmt.Errorf("cluster: replica %d: %w", i, err)
+			}
+			instances[i] = in
+			i++
 		}
-		instances[i] = in
 	}
 	// assign[i] is arrival i's replica, from which the merge maps each
 	// replica's local push indices back to global arrival indices.
@@ -322,7 +323,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		in.Drain()
 	}
 
-	return rn.merge(s, descriptor)
+	return rn.merge(s)
 }
 
 // leastLoaded is the load-aware routers' pick for an arrival at t:
@@ -359,7 +360,7 @@ func lessLoaded(r Routing, a, b serve.Load) bool {
 // merge assembles the fleet Result from the drained replicas: per-replica
 // results in index order, the global-ID-remapped request view, and
 // fleet-wide summaries that merge the replicas' sorted samples.
-func (rn *Runner) merge(s Spec, descriptor []int) (Result, error) {
+func (rn *Runner) merge(s Spec) (Result, error) {
 	instances, assign := rn.instances, rn.assign
 	R := len(instances)
 	rn.perReplica = slices.Grow(rn.perReplica[:0], R)[:R]
@@ -368,33 +369,41 @@ func (rn *Runner) merge(s Spec, descriptor []int) (Result, error) {
 		Routing:    s.Routing,
 		PerReplica: rn.perReplica,
 	}
-	for r, in := range instances {
-		rr, err := in.Result()
-		if err != nil {
-			return Result{}, fmt.Errorf("cluster: replica %d: %w", r, err)
+	// Replica indices follow the descriptors' expansion, as in Run.
+	r := 0
+	for d := range s.Replicas {
+		for range max(s.Replicas[d].Count, 1) {
+			in := instances[r]
+			rr, err := in.Result()
+			if err != nil {
+				return Result{}, fmt.Errorf("cluster: replica %d: %w", r, err)
+			}
+			res.PerReplica[r] = ReplicaResult{
+				Index: r, Descriptor: d,
+				Assigned: in.Pushed(), Result: rr,
+			}
+			r++
+			if rr.SimTime > res.SimTime {
+				res.SimTime = rr.SimTime
+			}
+			res.Preemptions += rr.Preemptions
+			res.RecomputedTokens += rr.RecomputedTokens
+			res.KVTransfers += rr.KVTransfers
+			res.TransferTimeTotal += rr.TransferTimeTotal
+			res.PrefixHits += rr.PrefixHits
+			res.PrefixSavedTokens += rr.PrefixSavedTokens
+			res.KVSwapOuts += rr.KVSwapOuts
+			res.KVSwapIns += rr.KVSwapIns
+			res.SwapTimeTotal += rr.SwapTimeTotal
 		}
-		res.PerReplica[r] = ReplicaResult{
-			Index: r, Descriptor: descriptor[r],
-			Assigned: in.Pushed(), Result: rr,
-		}
-		if rr.SimTime > res.SimTime {
-			res.SimTime = rr.SimTime
-		}
-		res.Preemptions += rr.Preemptions
-		res.RecomputedTokens += rr.RecomputedTokens
-		res.KVTransfers += rr.KVTransfers
-		res.TransferTimeTotal += rr.TransferTimeTotal
-		res.PrefixHits += rr.PrefixHits
-		res.PrefixSavedTokens += rr.PrefixSavedTokens
-		res.KVSwapOuts += rr.KVSwapOuts
-		res.KVSwapIns += rr.KVSwapIns
-		res.SwapTimeTotal += rr.SwapTimeTotal
 	}
 
 	// Every replica drained its whole share in push order, so arrival i is
 	// the next unread entry of its replica's ledger: a cursor per replica
 	// maps local push indices to global arrival indices.
-	next := make([]int, R)
+	next := slices.Grow(rn.next[:0], R)[:R]
+	rn.next = next
+	clear(next)
 	rn.perRequest = slices.Grow(rn.perRequest[:0], len(assign))[:len(assign)]
 	res.PerRequest = rn.perRequest
 	for i, r := range assign {

@@ -92,7 +92,7 @@ func AllGatherTime(k float64, n int, link arch.Link) float64 {
 		return math.Inf(1)
 	}
 	nf := float64(n)
-	return k*(nf-1)/(nf*bw) + link.Latency*(nf-1)
+	return k*(nf-1)/(nf*bw) + float64(link.Latency*(nf-1))
 }
 
 // ReduceScatterTime returns the time to reduce-scatter k bytes across n

@@ -168,9 +168,10 @@ func NewInstance(s Spec, envelope []workload.Request) (*Instance, error) {
 // an equal step-cost key, or shares its own with those built after it;
 // either way it prices exactly as a lone Run. Its Result keeps its sorted
 // latency samples for SummarizeInstances. The Runner's
-// single-live-simulation contract applies: building a new Instance (or
-// calling Run) invalidates the previous one, and the Instance's Result
-// refers to the Runner's ledger as a Run's does.
+// single-live-simulation contract applies: the Instance returned is the
+// Runner's own, so building a new one (or calling Run) invalidates the
+// previous one, and the Instance's Result refers to the Runner's ledger
+// as a Run's does.
 func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 	if err := s.capacityOnly(); err != nil {
 		return nil, err
@@ -181,12 +182,13 @@ func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 	if err := s.validateCapacity(env); err != nil {
 		return nil, err
 	}
-	if err := rn.sim.arm(s, env, 0, 0, new(policyStore)); err != nil {
+	if err := rn.sim.arm(s, env, 0, 0); err != nil {
 		return nil, err
 	}
 	env.share(rn.sim.price)
 	rn.sim.keep = true
-	return &Instance{sim: &rn.sim}, nil
+	rn.in = Instance{sim: &rn.sim}
+	return &rn.in, nil
 }
 
 // Push hands the instance one request arriving at time t. Requests must

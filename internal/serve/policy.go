@@ -9,6 +9,8 @@ import (
 	"optimus/internal/arch"
 	"optimus/internal/comm"
 	"optimus/internal/memfoot"
+	"optimus/internal/model"
+	"optimus/internal/tech"
 )
 
 // Policy selects the KV-cache admission policy of a serving simulation.
@@ -160,14 +162,24 @@ type admissionPolicy interface {
 	counters() (preemptions, recomputedTokens int)
 }
 
-// policyStore is where one spec's policies are built, each kind allocated
-// once, with the last footprint evaluation: Run's verdict and its arming
-// share both, the evaluation when the stream reaches the largest context.
+// policyStore is where policies are built, each kind allocated once, with
+// the last footprint evaluation and what it was evaluated for: Run's
+// verdict and its arming share both, the evaluation when the stream
+// reaches the largest context. A simulator keeps its store, so a pooled
+// Runner builds its policies in place run after run.
 type policyStore struct {
 	paged   *pagedPolicy
 	reserve *reservePolicy
 	fp      memfoot.InferenceBreakdown
-	context int
+	fpFor   footprintKey
+}
+
+// footprintKey is what an inference footprint at batch 1 depends on.
+type footprintKey struct {
+	model     model.Config
+	tp        int
+	precision tech.Precision
+	context   int
 }
 
 // newPolicy builds the spec's admission policy over env's geometry, in
@@ -176,8 +188,8 @@ type policyStore struct {
 // so the policy never diverges from the footprint the predictors check.
 func newPolicy(s Spec, env *Envelope, ps *policyStore) admissionPolicy {
 	b := env.bounds
-	if ps.context != b.MaxContext || b.MaxContext == 0 {
-		ps.context, ps.fp = b.MaxContext, inferenceFootprint(s.Model, s.TP, 1, b.MaxContext, s.Precision.Bytes())
+	if key := (footprintKey{s.Model, s.TP, s.Precision, b.MaxContext}); key != ps.fpFor || b.MaxContext == 0 {
+		ps.fpFor, ps.fp = key, inferenceFootprint(s.Model, s.TP, 1, b.MaxContext, s.Precision.Bytes())
 	}
 	budget, perRequest := s.KVCapacity, ps.fp.KVCache
 	if budget <= 0 {
@@ -443,6 +455,8 @@ func (p *pagedPolicy) init(s Spec, env *Envelope, budget, perRequest float64) {
 	context := b.MaxContext
 	c := s.canonical(context)
 	pt := c.PageTokens
+	// The prefix registry's buffers serve the policy built in their place.
+	clear(p.prefixIdx)
 	*p = pagedPolicy{
 		budget:     budget,
 		pageTokens: pt,
@@ -450,6 +464,9 @@ func (p *pagedPolicy) init(s Spec, env *Envelope, budget, perRequest float64) {
 		userCap:    s.MaxBatch,
 		noPreempt:  s.NoPreempt,
 		link:       arch.Link{BW: c.TransferGBps * 1e9, Util: 1},
+		prefixes:   p.prefixes[:0],
+		prefixIdx:  p.prefixIdx,
+		idle:       p.idle[:0],
 	}
 	if pt == 0 {
 		return // context-free garbage spec; totalPages stays 0 → infeasible
@@ -683,7 +700,7 @@ scan:
 				p.peakDecode = d
 			}
 			r.inDecode = true
-			t := comm.P2PTime(float64(r.prompt)*p.perToken, p.link)
+			t := comm.P2PTime(float64(float64(r.prompt)*p.perToken), p.link)
 			p.pendingTransfer += t
 			p.transfers++
 			r.transfers++
@@ -975,7 +992,7 @@ func (p *pagedPolicy) release(r *request) {
 // bytes point-to-point over the swap link. An infinite-bandwidth link
 // prices to exactly zero.
 func (p *pagedPolicy) swapTime(tokens int) float64 {
-	return comm.P2PTime(float64(tokens)*p.perToken, p.swapLink)
+	return comm.P2PTime(float64(float64(tokens)*p.perToken), p.swapLink)
 }
 
 // drainLinks hands the event loop the link seconds accrued by this

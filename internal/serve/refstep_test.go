@@ -255,8 +255,7 @@ func checkSlots(t *testing.T, sim *simulator, peak *int) {
 // envelope and arming, and Instance's push and advance rules inlined.
 func refRun(s Spec) (Result, error) {
 	var rn Runner
-	var ps policyStore
-	s, err := s.resolve(&ps)
+	s, err := s.resolve(&rn.sim.ps)
 	if err != nil {
 		return Result{}, err
 	}
@@ -265,7 +264,7 @@ func refRun(s Spec) (Result, error) {
 	drawn := Envelope{shapes: shapes}.folded()
 	s.SetWorkload(workload.Spec{})
 	sim := &rn.sim
-	if err := sim.arm(s, &drawn, 0, 0, &ps); err != nil {
+	if err := sim.arm(s, &drawn, 0, 0); err != nil {
 		return Result{}, err
 	}
 	advance := func(t float64) {

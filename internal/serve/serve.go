@@ -654,6 +654,8 @@ func Run(s Spec) (Result, error) {
 // returns a Result the caller owns.
 type Runner struct {
 	sim simulator
+	// in is the Instance that Instance returns, re-armed by each call.
+	in Instance
 	// arrivalsBuf/shapesBuf are the reusable buffers of Run's drawn
 	// stream.
 	arrivalsBuf []float64
@@ -663,8 +665,7 @@ type Runner struct {
 // Run executes one simulation on the Runner's pooled state. See Run (the
 // package function) for semantics.
 func (rn *Runner) Run(s Spec) (Result, error) {
-	var ps policyStore
-	s, err := s.resolve(&ps)
+	s, err := s.resolve(&rn.sim.ps)
 	if err != nil {
 		return Result{}, err
 	}
@@ -680,7 +681,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	if w.Closed {
 		slots = min(w.Clients, w.Requests)
 	}
-	if err := sim.arm(s, &drawn, slots, w.Requests, &ps); err != nil {
+	if err := sim.arm(s, &drawn, slots, w.Requests); err != nil {
 		return Result{}, err
 	}
 	sim.keep = false

@@ -208,6 +208,9 @@ type simulator struct {
 	// accrued link time each iteration (exactly zero without a migration
 	// or a swap).
 	pp *pagedPolicy
+	// ps holds the policies the simulator arms, rebuilt in place by each
+	// arming.
+	ps policyStore
 	// cross is the paged policy's crossing ring (pagedPolicy.crossSlot):
 	// cross[e % pageTokens] counts the running sequences whose next token
 	// at epoch e needs another page. It lives here, not on the policy, so
@@ -276,19 +279,20 @@ type simulator struct {
 	utilSum    float64
 }
 
-// arm re-arms the simulator for a capacity spec sized from env, its policy
-// built in ps — every simulation's one construction path — reusing every
-// slab the previous simulation grew (request slab, ledger, queue,
-// running/victim index buffers, percentile scratch), and sizes the
-// request slab for slots requests in flight and the ledger for requests
-// pushes. The policy is rebuilt from scratch, and the pricing table is
-// env's table for the key, or the simulator's own rekeyed (warm under an
-// equal key, empty otherwise), so an armed simulator is byte-identical to
-// a fresh one (TestRunnerReuseMatchesFresh).
-func (sim *simulator) arm(s Spec, env *Envelope, slots, requests int, ps *policyStore) error {
+// arm re-arms the simulator for a capacity spec sized from env — every
+// simulation's one construction path — reusing every slab the previous
+// simulation grew (request slab, ledger, queue, running/victim index
+// buffers, percentile scratch), and sizes the request slab for slots
+// requests in flight and the ledger for requests pushes. The policy is
+// rebuilt in the simulator's store, every field reset and only its
+// buffers kept, and the pricing table is env's table for the key, or the
+// simulator's own rekeyed (warm under an equal key, empty otherwise), so
+// an armed simulator is byte-identical to a fresh one
+// (TestRunnerReuseMatchesFresh).
+func (sim *simulator) arm(s Spec, env *Envelope, slots, requests int) error {
 	// One policy per simulation: the KV geometry behind it is derived
 	// exactly once, never per iteration.
-	pol, err := s.fit(env, ps)
+	pol, err := s.fit(env, &sim.ps)
 	if err != nil {
 		return err
 	}
@@ -297,11 +301,6 @@ func (sim *simulator) arm(s Spec, env *Envelope, slots, requests int, ps *policy
 		// The readmission swap-in-vs-recompute decision prices the
 		// recompute path through the simulator's prefill table.
 		pp.sim = sim
-		if sim.pp != nil {
-			// The previous simulation's policy is dead; its idle-prefix
-			// bitset words serve this one.
-			pp.idle = sim.pp.idle[:0]
-		}
 		// An instance abandoned before it drained leaves counts in the
 		// crossing ring.
 		if cap(sim.cross) < pp.pageTokens {

@@ -17,14 +17,12 @@ import (
 	"optimus/internal/serve"
 )
 
-// engineWith returns an engine whose memo holds entries as completed
+// engineWith returns an engine whose memo holds entries as finished
 // evaluations.
 func engineWith(entries map[string]Metrics) *Engine {
-	closed := make(chan struct{})
-	close(closed)
 	e := New(1)
 	for k, m := range entries {
-		e.memo[k] = &memoEntry{done: closed, m: m}
+		e.memo[k] = &memoEntry{m: m}
 	}
 	return e
 }

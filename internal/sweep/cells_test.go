@@ -132,9 +132,8 @@ func warmEngine(t *testing.T, spec Spec) *Engine {
 		if i%2 != 0 {
 			continue
 		}
-		ent := &memoEntry{done: make(chan struct{})}
+		ent := new(memoEntry)
 		ent.m, ent.err = Evaluate(p)
-		close(ent.done)
 		e.memo[p.Key()] = ent
 	}
 	return e

@@ -10,17 +10,20 @@ import (
 	"time"
 )
 
-// memoEntry is one cached evaluation. The claiming worker closes done
-// after filling m/err; other workers block on done instead of recomputing.
+// memoEntry is one finished evaluation: the memo holds nothing else, and
+// an entry never changes once it is in.
 type memoEntry struct {
-	done chan struct{}
-	m    Metrics
-	err  error
+	m   Metrics
+	err error
 }
 
 // Engine evaluates sweeps over a bounded worker pool with a memoization
 // cache that persists across Run calls, so repeated (model, system,
 // mapping, …) evaluations across successive sweeps are costed once.
+// Runs may overlap on one engine: each is race-free and ranks as it would
+// alone, but evaluates whatever the memo lacked as it began, so a
+// candidate two overlapping Runs share may be evaluated by both; the
+// first to record it keeps its entry.
 type Engine struct {
 	workers int
 
@@ -62,12 +65,14 @@ type counters struct {
 
 // survivor is a candidate pass 1 kept for costing: its row (order set to
 // its index in its cell, metrics filled by pass 2; Run adds the cell's
-// base to the order), the memo entry pass 1 found for it
-// (nil when pass 2 must look it up or claim it) and whether pass 2 costed
-// it successfully.
+// base to the order), the memo entry pass 1 found for it (nil when pass 2
+// must evaluate it) and pass 2's outcome: ok once it is costed, err when
+// its evaluation failed. A survivor neither ok nor failed was not reached
+// before a cancellation, or hit an errored memo entry.
 type survivor struct {
 	row Row
 	ent *memoEntry
+	err error
 	ok  bool
 }
 
@@ -148,8 +153,8 @@ func (f *sifter) siftCell(c *cell, out *sifted) {
 // footprint model decides: an error or an overflow is counted and the
 // candidate dropped. A survivor is copied once, from the walk's scratch
 // point into its slot of kept. The memo is consulted only when it held
-// entries as the run began; a run's own evaluations start only in pass 2,
-// and within one grid every identity is distinct.
+// entries as the run began; a run's own evaluations enter it only after
+// pass 2, and within one grid every identity is distinct.
 //
 //optimus:hotpath
 func (f *sifter) sift(p *Point) {
@@ -230,12 +235,13 @@ func pool(n int, work func(w int)) {
 // cell's base, the candidates of the cells before it, plus its index in
 // the cell. Pass 2 starts once every cell is sifted and costs the
 // survivors where pass 1 left them: workers claim chunks of them from a
-// second cursor and write each outcome into that survivor's own slot,
-// through the memo (settle) or, on an engine without one, directly.
-// Neither pass's result depends on scheduling: rankings are Serial's and
-// Stats the same at any worker count. On cancellation Run returns ctx.Err()
-// alongside the statistics accumulated so far; pass 1 still counts the
-// whole grid, so Stats.Enumerated stays the grid size.
+// second cursor and write each outcome into that survivor's own slot
+// (settle). An engine with a memo then records what pass 2 evaluated
+// (record), also when the run was cancelled. Neither pass's result
+// depends on scheduling: rankings are Serial's and Stats the same at any
+// worker count. On cancellation Run returns ctx.Err() alongside the
+// statistics accumulated so far; pass 1 still counts the whole grid, so
+// Stats.Enumerated stays the grid size.
 func (e *Engine) Run(ctx context.Context, s Spec) (Result, error) {
 	start := time.Now() //lint:deterministic wall-clock feeds Stats.Elapsed instrumentation only, never rankings or metrics
 	if err := s.Validate(); err != nil {
@@ -266,7 +272,10 @@ func (e *Engine) Run(ctx context.Context, s Spec) (Result, error) {
 	}
 	workers = max(1, min(workers, stats.Enumerated))
 	var ct counters
-	e.cost(ctx, cells, kept, workers, &ct)
+	cost(ctx, cells, kept, workers, &ct)
+	if e.memo != nil {
+		e.record(cells)
+	}
 	stats.Evaluated = int(ct.evaluated.Load())
 	stats.MemoHits = int(ct.memoHits.Load())
 	stats.Errors += int(ct.errors.Load())
@@ -315,7 +324,7 @@ func (e *Engine) siftCells(ctx context.Context, g *grid, workers int, prune bool
 // survivors of cells from an atomic cursor until it runs out or ctx is
 // cancelled. A chunk is an eighth of a worker's even share, at most 64
 // survivors, so claims stay rare without leaving one worker a long tail.
-func (e *Engine) cost(ctx context.Context, cells []sifted, kept, workers int, ct *counters) {
+func cost(ctx context.Context, cells []sifted, kept, workers int, ct *counters) {
 	if kept == 0 || ctx.Err() != nil {
 		return
 	}
@@ -328,7 +337,6 @@ func (e *Engine) cost(ctx context.Context, cells []sifted, kept, workers int, ct
 		// tables and op buffers survive across the points this goroutine
 		// costs (byte-identical to fresh evaluation — see Evaluate).
 		var ev evaluator
-		var buf []byte
 		for {
 			hi := int(cursor.Add(int64(chunk)))
 			lo := hi - chunk
@@ -339,69 +347,34 @@ func (e *Engine) cost(ctx context.Context, cells []sifted, kept, workers int, ct
 				if cancelled(done) {
 					return
 				}
-				buf = e.settle(ctx, survivorAt(cells, i), ct, &ev, buf)
+				settle(survivorAt(cells, i), ct, &ev)
 			}
 		}
 	})
 }
 
-// settle costs one survivor through the memo: the entry pass 1 found, or
-// the one another run has put in the memo since, is waited on; otherwise
-// the survivor claims a new entry and evaluates it. Only full evaluations
-// enter the memo — a pruned point costs nothing and decides nothing beyond
-// its own run. The key is rendered into buf, which is returned for reuse;
-// a lookup does not allocate, only a claim does. An engine without a memo
-// evaluates the survivor directly (settleDirect) and renders no key.
-func (e *Engine) settle(ctx context.Context, sv *survivor, ct *counters, ev *evaluator, buf []byte) []byte {
-	if e.memo == nil {
-		settleDirect(sv, ct, ev)
-		return buf
-	}
-	ent := sv.ent
-	if ent == nil {
-		id := sv.row.Point.ident()
-		buf = id.appendKey(buf[:0])
-		e.mu.Lock()
-		ent = e.memo[string(buf)]
-		if ent == nil {
-			ent = &memoEntry{done: make(chan struct{})}
-			e.memo[string(buf)] = ent
-			e.mu.Unlock()
-			ent.m, ent.err = ev.evaluate(&sv.row.Point)
-			close(ent.done)
-			if ent.err != nil {
-				ct.errors.Add(1)
-				return buf
-			}
-			ct.evaluated.Add(1)
-			sv.row.Metrics, sv.ok = ent.m, true
-			return buf
-		}
-		e.mu.Unlock()
-	}
-	select {
-	case <-ent.done:
-	case <-ctx.Done():
-		return buf
-	}
-	// An errored cache entry counts as an error, not a hit, so the stats
-	// components stay disjoint (their sum never exceeds Enumerated).
-	if ent.err != nil {
-		ct.errors.Add(1)
-		return buf
-	}
-	ct.memoHits.Add(1)
-	sv.row.Metrics, sv.ok = ent.m, true
-	return buf
-}
-
-// settleDirect costs one survivor in place, through its own row: the
-// whole of pass 2 for an engine that keeps no memo.
+// settle is pass 2's body for one survivor: it copies the memo entry
+// pass 1 found, or evaluates the survivor in its own row. It renders no
+// key and takes no lock; an engine with a memo records the evaluation
+// once pass 2 is over.
 //
 //optimus:hotpath
-func settleDirect(sv *survivor, ct *counters, ev *evaluator) {
+func settle(sv *survivor, ct *counters, ev *evaluator) {
+	if ent := sv.ent; ent != nil {
+		// An errored cache entry counts as an error, not a hit, so the
+		// stats components stay disjoint (their sum never exceeds
+		// Enumerated).
+		if ent.err != nil {
+			ct.errors.Add(1)
+			return
+		}
+		ct.memoHits.Add(1)
+		sv.row.Metrics, sv.ok = ent.m, true
+		return
+	}
 	m, err := ev.evaluate(&sv.row.Point)
 	if err != nil {
+		sv.err = err
 		ct.errors.Add(1)
 		return
 	}
@@ -409,11 +382,35 @@ func settleDirect(sv *survivor, ct *counters, ev *evaluator) {
 	sv.row.Metrics, sv.ok = m, true
 }
 
+// record enters every survivor pass 2 evaluated, errors included, in the
+// memo, under one lock. An entry already there wins, as in LoadCache: it
+// came from a load or an overlapping Run. Only evaluations enter the memo
+// — a pruned point costs nothing and decides nothing beyond its own run.
+func (e *Engine) record(cells []sifted) {
+	var buf []byte
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range cells {
+		out := &cells[i]
+		for j := out.first; j < out.first+out.count; j++ {
+			sv := out.kept.at(j)
+			if sv.ent != nil || !sv.ok && sv.err == nil {
+				continue // a memo hit, or not reached before a cancellation
+			}
+			id := sv.row.Point.ident()
+			buf = id.appendKey(buf[:0])
+			if _, ok := e.memo[string(buf)]; !ok {
+				e.memo[string(buf)] = &memoEntry{m: sv.row.Metrics, err: sv.err}
+			}
+		}
+	}
+}
+
 // Run evaluates the grid on a fresh engine that keeps no memo — the
 // package-level convenience used by the public optimus.Sweep API. No
 // caller can run that engine again, and within one grid every identity
-// is distinct, so a memo could never hit: each survivor is evaluated
-// directly, without a key, a memo entry or a lock.
+// is distinct, so a memo could never hit: pass 2 runs as on any engine,
+// and nothing is recorded, so no key is rendered.
 func Run(ctx context.Context, s Spec) (Result, error) {
 	return oneShot(s.Workers).Run(ctx, s)
 }

@@ -132,10 +132,11 @@ func TestMemoAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestMemoStress hammers one engine's memoization cache from many
-// concurrent sweeps over the same grid — the -race workout for the
-// claim/wait protocol. Every run must see the identical ranking, and each
-// unique candidate must be costed exactly once across all runs.
+// TestMemoStress runs many sweeps over the same grid on one engine at
+// once — the -race workout for the memo. Each run evaluates whatever the
+// memo lacked as it began, so how the work splits between evaluations and
+// hits depends on scheduling; what must not is the ranking, every run's
+// account of the whole grid, and one memo entry per candidate afterwards.
 func TestMemoStress(t *testing.T) {
 	spec := sweep.Spec{
 		Models:        []model.Config{model.GPT22B(), model.GPT7B()},
@@ -160,7 +161,6 @@ func TestMemoStress(t *testing.T) {
 	if golden == "" {
 		t.Fatal("empty ranking")
 	}
-	var evaluated, hits int
 	for i := 0; i < runs; i++ {
 		if errs[i] != nil {
 			t.Fatalf("run %d: %v", i, errs[i])
@@ -168,16 +168,47 @@ func TestMemoStress(t *testing.T) {
 		if got := formatRows(results[i].Rows); got != golden {
 			t.Errorf("run %d ranking diverges under contention", i)
 		}
-		evaluated += results[i].Stats.Evaluated
-		hits += results[i].Stats.MemoHits
+		if st := results[i].Stats; st.Evaluated+st.MemoHits+st.Errors+st.Pruned != st.Enumerated {
+			t.Errorf("run %d does not account for its grid: %s", i, st)
+		}
 	}
-	unique := results[0].Stats.Enumerated
-	if evaluated != unique {
-		t.Errorf("unique candidates costed %d times total, want exactly %d (once each)",
-			evaluated, unique)
+	if unique := results[0].Stats.Enumerated; e.CacheSize() != unique {
+		t.Errorf("memo holds %d entries after the runs, want one per candidate (%d)", e.CacheSize(), unique)
 	}
-	if want := (runs - 1) * unique; hits != want {
-		t.Errorf("memo hits %d, want %d", hits, want)
+}
+
+// TestCancelledRunKeepsItsEvaluations: a memo engine's run cancelled in
+// pass 2 records what it finished, successes and errors, and nothing
+// else. The cancellation lands after a delay, so each attempt checks the
+// memo against the run's counts; the attempts go on until one was
+// cancelled with part of the grid evaluated.
+func TestCancelledRunKeepsItsEvaluations(t *testing.T) {
+	spec := bigGrid(t)
+	start := time.Now()
+	full, err := sweep.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := time.Since(start)
+	partial := false
+	for attempt := 1; attempt <= 8 && !partial; attempt++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(whole*time.Duration(attempt)/9, cancel)
+		e := sweep.New(2)
+		res, err := e.Run(ctx, spec)
+		timer.Stop()
+		cancel()
+		st := res.Stats
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatal(err)
+		}
+		if got, want := e.CacheSize(), st.Evaluated+st.Errors; got != want {
+			t.Fatalf("attempt %d: memo holds %d entries after %s, want Evaluated+Errors = %d", attempt, got, st, want)
+		}
+		partial = err != nil && st.Evaluated > 0 && st.Evaluated < full.Stats.Evaluated
+	}
+	if !partial {
+		t.Errorf("no attempt was cancelled part way through pass 2 (an uncancelled run takes %s)", whole)
 	}
 }
 

@@ -31,25 +31,21 @@ const cacheFileVersion = "2"
 // stream it serves, which moves every heavy-tailed candidate's metrics.
 const costModelVersion = "drawn-stream-geometry"
 
-// SaveCache writes every completed, successful evaluation in the memo,
-// one line per entry keyed by the canonical Point.Key, in key order. Keys
-// already fingerprint the full model and system configuration, so stale
-// entries for edited configurations can never be served — they simply
-// stop matching. In-flight and errored entries are skipped: an error is
-// cheap to rediscover and may be transient across binary versions. So is
-// a key that is not valid UTF-8: JSON cannot hold it, and the key it
-// would be read back as could only match another point. Nothing is
-// written when a metric is NaN or infinite.
+// SaveCache writes every successful evaluation in the memo, one line per
+// entry keyed by the canonical Point.Key, in key order. The memo holds
+// finished evaluations only, so a Run that overlaps the save adds nothing
+// until it ends. Keys already fingerprint the full model and system
+// configuration, so stale entries for edited configurations can never be
+// served — they simply stop matching. Errored entries are skipped: an
+// error is cheap to rediscover and may be transient across binary
+// versions. So is a key that is not valid UTF-8: JSON cannot hold it, and
+// the key it would be read back as could only match another point.
+// Nothing is written when a metric is NaN or infinite.
 func (e *Engine) SaveCache(w io.Writer) error {
 	e.mu.Lock()
 	entries := make([]savedEntry, 0, len(e.memo))
 	//lint:deterministic collected in any order, then sorted by key below
 	for k, ent := range e.memo {
-		select {
-		case <-ent.done:
-		default:
-			continue // still being evaluated
-		}
 		if ent.err == nil && utf8.ValidString(k) {
 			entries = append(entries, savedEntry{k, &ent.m})
 		}
@@ -68,9 +64,10 @@ func (e *Engine) SaveCache(w io.Writer) error {
 }
 
 // LoadCache merges a SaveCache snapshot into the memo. Entries already in
-// the memo win — they were computed by this process and are at least as
-// fresh. A file of another version or cost model is rejected rather than
-// misread, and so is one that departs from the layout SaveCache writes.
+// the memo win, as they do when a Run records its evaluations: they were
+// computed by this process and are at least as fresh. A file of another
+// version or cost model is rejected rather than misread, and so is one
+// that departs from the layout SaveCache writes.
 func (e *Engine) LoadCache(r io.Reader) error {
 	data, err := readAll(r)
 	if err != nil {
@@ -86,14 +83,11 @@ func (e *Engine) loadCache(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("sweep: load cache: %w; delete the cache file", err)
 	}
-	closed := make(chan struct{})
-	close(closed)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := range in.n {
 		c := in.at(i)
 		if _, ok := e.memo[c.key]; !ok {
-			c.ent.done = closed
 			e.memo[c.key] = &c.ent
 		}
 	}

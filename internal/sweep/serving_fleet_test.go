@@ -106,7 +106,7 @@ func TestServingFleetMatchesCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cluster.Run(clusterSpec(&p))
+	res, err := cluster.Run(clusterSpec(&p, make([]cluster.Replica, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}

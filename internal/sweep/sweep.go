@@ -21,17 +21,22 @@
 //     entries are dropped before the walk, so only a serving cell, whose
 //     canonicalization can merge raw values, keeps an identity set. Pass
 //     2 costs the survivors in place, claiming chunks of them from a
-//     second cursor, and honours context cancellation. Its rankings are
+//     second cursor, with one body on every engine: it copies the memo
+//     entry pass 1 found or evaluates the survivor, with no key and no
+//     lock. It honours context cancellation. Its rankings are
 //     byte-identical to Serial's, and neither they nor its Stats depend
 //     on the worker count.
 //   - An Engine from New memoizes its evaluations across Run calls, so
-//     a grid that overlaps an earlier one is costed once; the string key
-//     is rendered only for memo traffic, and the memo can be persisted
+//     a grid that overlaps an earlier one is costed once. The memo holds
+//     finished evaluations only: a Run records what its pass 2 evaluated
+//     once pass 2 ends, cancelled or not, so Runs that overlap on one
+//     engine stay race-free and rank alike but may each evaluate a
+//     candidate the other has not recorded yet. The string key is
+//     rendered only for memo traffic, and the memo can be persisted
 //     across processes with SaveCache/LoadCache, so repeated CLI
 //     invocations and CI sweeps skip re-costing unchanged grid cells.
 //     The package-level Run is one-shot: within one grid every identity
-//     is distinct, so its engine keeps no memo and evaluates every
-//     survivor directly.
+//     is distinct, so its engine keeps no memo and records nothing.
 package sweep
 
 import (
@@ -1396,7 +1401,9 @@ func Evaluate(p Point) (Metrics, error) {
 type evaluator struct {
 	serve   *serve.Runner
 	cluster *cluster.Runner
-	train   train.Predictor
+	// fleet is the one-entry Replicas list of every fleet candidate.
+	fleet []cluster.Replica
+	train train.Predictor
 }
 
 func (ev *evaluator) evaluate(p *Point) (Metrics, error) {
@@ -1484,12 +1491,11 @@ func (p *Point) workload() workload.Spec {
 
 // clusterSpec builds the fleet configuration of a Replicas > 0 serving
 // point: the capacity instantiated Replicas times (sweep fleets are
-// homogeneous) serving the point's workload fleet-wide.
-func clusterSpec(p *Point) cluster.Spec {
-	cs := cluster.Spec{
-		Replicas: []cluster.Replica{{Spec: capacitySpec(p), Count: p.Replicas}},
-		Routing:  p.Routing,
-	}
+// homogeneous) serving the point's workload fleet-wide. The one
+// descriptor is written into fleet, a one-entry list.
+func clusterSpec(p *Point, fleet []cluster.Replica) cluster.Spec {
+	fleet[0] = cluster.Replica{Spec: capacitySpec(p), Count: p.Replicas}
+	cs := cluster.Spec{Replicas: fleet, Routing: p.Routing}
 	cs.SetWorkload(p.workload())
 	return cs
 }
@@ -1500,9 +1506,9 @@ func clusterSpec(p *Point) cluster.Spec {
 // utilization averaged across the fleet).
 func (ev *evaluator) evaluateServingFleet(p *Point) (Metrics, error) {
 	if ev.cluster == nil {
-		ev.cluster = new(cluster.Runner)
+		ev.cluster, ev.fleet = new(cluster.Runner), make([]cluster.Replica, 1)
 	}
-	res, err := ev.cluster.Run(clusterSpec(p))
+	res, err := ev.cluster.Run(clusterSpec(p, ev.fleet))
 	if err != nil {
 		return Metrics{}, err
 	}

@@ -584,7 +584,9 @@ func Sweep(ctx context.Context, s SweepSpec) (SweepResult, error) { return sweep
 
 // NewSweepEngine returns a reusable sweep evaluator with the given worker
 // count (0 means GOMAXPROCS); successive Run calls share its memoization
-// cache, so overlapping grids are costed once.
+// cache, so overlapping grids are costed once. Runs that overlap in time
+// on one engine are safe and rank alike, but each evaluates what the
+// memo lacked as it began.
 func NewSweepEngine(workers int) *SweepEngine { return sweep.New(workers) }
 
 // Reproduce regenerates one of the paper's experiments ("table1",
