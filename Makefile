@@ -79,17 +79,19 @@ cluster-bench:
 build-386:
 	GOOS=linux GOARCH=386 $(GO) build ./...
 
-# No fused multiply-add in the serving simulator, the workload draws and
-# the collective models it prices transfers with (ROADMAP item 14). The Go
-# spec lets a compiler fuse x*y + z into one instruction that rounds once
-# instead of twice: amd64 never does, arm64 and ppc64le do, so a fused
-# line would give those hosts other bits. Cross-compile the packages for
-# both (offline, no emulator) and fail on any fused instruction whose
-# source line is in one of them, inlined code included: a comm line
-# inlined into serve is listed under comm.go. `float64(x*y) + z` is the
-# form that cannot fuse. Other packages are left to the rest of item 14.
+# No fused multiply-add in the serving simulator, the workload draws, the
+# collective models it prices transfers with, the fleet simulator and the
+# sweep engine (ROADMAP item 14). The Go spec lets a compiler fuse
+# x*y + z into one instruction that rounds once instead of twice: amd64
+# never does, arm64 and ppc64le do, so a fused line would give those
+# hosts other bits. Cross-compile the packages for both (offline, no
+# emulator) and fail on any fused instruction whose source line is in one
+# of them, inlined code included: a comm line inlined into serve is
+# listed under comm.go, so a line inlined from an unlisted package is
+# not checked. `float64(x*y) + z` is the form that cannot fuse. Other
+# packages are left to the rest of item 14.
 FMA_ARCHS := arm64 ppc64le
-FMA_PKGS := internal/serve internal/workload internal/comm
+FMA_PKGS := internal/serve internal/workload internal/comm internal/cluster internal/sweep
 fma:
 	@set -e; \
 	for arch in $(FMA_ARCHS); do \

@@ -104,20 +104,25 @@ func disaggFleetSpec(tb testing.TB, requests int) cluster.Spec {
 // identical replicas builds one step coster and fills one pricing table,
 // each replica's request slab holds only its own requests in flight, and
 // its summaries merge the replicas' sorted samples instead of copying
-// every request into one more ledger: about 380 allocations and 234 KB
-// for least-kv and 371 and 223 KB for round-robin (411 and 405
-// allocations, 313 and 304 KB under -race). A pooled fleet keeps its
-// replicas' ledgers, its merged PerRequest and PerReplica and its summary
-// plane, and its workload draws recycle their generators, so it allocates
-// no per-request memory; it also keeps its merge cursors, and each replica
-// slot keeps its Instance and admission policy: 23 allocations and 5 KB
-// (12 KB under -race), where the replicas' ledgers alone would be 256 ×
-// 128 bytes and the merged PerRequest 256 × 136. Allocation budgets are the measured counts
-// with about 2.5× headroom, byte budgets the -race measurements with
-// about 1.4×. The instance row
-// pins that a replica pushed k requests allocates for k, however long its
-// envelope: one envelope-sized request slab alone would be 1,024 × 128
-// bytes.
+// every request into one more ledger: about 363 allocations and 229 KB
+// for least-kv and 353 and 219 KB for round-robin (403 and 395
+// allocations, 314 and 304 KB under -race). A pooled fleet keeps its
+// replicas' ledgers, its merged PerRequest and PerReplica, and its
+// workload draws recycle their generators, so it allocates no
+// per-request memory; it also keeps its merge cursors, each replica slot
+// keeps its Instance, admission policy and tenant breakdown, the first
+// slot's policy store builds the validation's fit checks and its
+// simulator the fleet summary's merge buffers: it measures nothing at
+// all, where the replicas' ledgers alone would be 256 × 128 bytes and the
+// merged PerRequest 256 × 136. Its budget is what the generator pool can
+// cost: a run takes three generators, and one that sync.Pool dropped (at
+// a GC, or a quarter of those put back under -race) is built again for 2
+// allocations and 5.4 KB, so a run allocates at most 6 times and 16.3 KB.
+// The other allocation budgets are the measured counts with about 2.5×
+// headroom, and their byte budgets the -race measurements with about
+// 1.4×. The instance row pins that a replica pushed k requests allocates
+// for k, however long its envelope: one envelope-sized request slab alone
+// would be 1,024 × 128 bytes.
 func TestClusterAllocBudget(t *testing.T) {
 	const requests = 256
 	lkv := disaggFleetSpec(t, requests)
@@ -130,7 +135,7 @@ func TestClusterAllocBudget(t *testing.T) {
 		run           func() (cluster.Result, error)
 	}{
 		{"least-kv/fresh", 1000, 450e3, func() (cluster.Result, error) { return cluster.Run(lkv) }},
-		{"least-kv/pooled", 64, 16e3, func() (cluster.Result, error) { return pooled.Run(lkv) }},
+		{"least-kv/pooled", 6, 16e3, func() (cluster.Result, error) { return pooled.Run(lkv) }},
 		{"round-robin/fresh", 1000, 450e3, func() (cluster.Result, error) { return cluster.Run(rr) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -298,7 +298,7 @@ func raceBytes() float64 {
 // TestRunResultsAreTheCallers: the package-level serve.Run and
 // cluster.Run return Results that no later run writes over — neither a
 // later package-level run nor a pooled Runner's, which writes over its
-// own ledgers.
+// own ledgers and tenant breakdowns.
 func TestRunResultsAreTheCallers(t *testing.T) {
 	spec := serveBenchSpec(t, 64)
 	fleet := clusterBenchSpec(t, 2, cluster.LeastQueue, 64)
@@ -312,6 +312,8 @@ func TestRunResultsAreTheCallers(t *testing.T) {
 	}
 	want, fwant := slices.Clone(res.PerRequest), slices.Clone(fres.PerRequest)
 	replica := slices.Clone(fres.PerReplica[0].Result.PerRequest)
+	tenants, ftenants := slices.Clone(res.PerTenant), slices.Clone(fres.PerTenant)
+	rtenants := slices.Clone(fres.PerReplica[0].Result.PerTenant)
 	spec.Seed, spec.Rate = 2, 8
 	fleet.Seed, fleet.Rate = 2, 16
 	rn, frn := new(serve.Runner), new(cluster.Runner)
@@ -334,6 +336,10 @@ func TestRunResultsAreTheCallers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fres.PerRequest, fwant) || !reflect.DeepEqual(fres.PerReplica[0].Result.PerRequest, replica) {
 		t.Error("later runs wrote over cluster.Run's PerRequest or a replica's")
+	}
+	if !reflect.DeepEqual(res.PerTenant, tenants) || !reflect.DeepEqual(fres.PerTenant, ftenants) ||
+		!reflect.DeepEqual(fres.PerReplica[0].Result.PerTenant, rtenants) {
+		t.Error("later runs wrote over a package-level run's PerTenant or a replica's")
 	}
 }
 

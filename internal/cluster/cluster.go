@@ -102,7 +102,12 @@ const MaxReplicas = 4096
 // routing policy, the workload once for the whole fleet, then each
 // descriptor — a non-negative count, a fleet of at most MaxReplicas, and
 // a pure capacity spec that can serve the workload's largest request.
-func (s Spec) Validate() error {
+func (s Spec) Validate() error { return s.validate(nil) }
+
+// validate is Validate with each descriptor's fit check built in rn's
+// policy store (serve.Spec.ValidateCapacity): a pooled Runner passes its
+// first replica slot, which its next arming rebuilds in place anyway.
+func (s Spec) validate(rn *serve.Runner) error {
 	if len(s.Replicas) == 0 {
 		return fmt.Errorf("cluster: fleet needs at least one replica")
 	}
@@ -129,7 +134,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("cluster: replica %d: count %d expands the fleet beyond the %d-replica limit", i, r.Count, MaxReplicas)
 		}
 		total += n
-		if err := r.Spec.ValidateCapacity(w); err != nil {
+		if err := r.Spec.ValidateCapacity(w, rn); err != nil {
 			return fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
 	}
@@ -222,11 +227,12 @@ type Result struct {
 // use; its replica slots grow on first use.
 //
 // A Result from the Runner's Run refers to the Runner's memory: its
-// PerRequest, its PerReplica and each replica's own PerRequest are
-// written over by the Runner's next Run. A caller that keeps them past
-// that copies them first; a caller that reads only the summaries, as a
-// sweep or a knee search does, allocates no per-request memory in steady
-// state. The package-level Run returns a Result the caller owns.
+// PerRequest, PerTenant and PerReplica, and each replica's own
+// PerRequest and PerTenant, are written over by the Runner's next Run. A
+// caller that keeps them past that copies them first; a caller that reads
+// only the summaries, as a sweep or a knee search does, allocates nothing
+// in steady state (TestClusterAllocBudget). The package-level Run returns
+// a Result the caller owns.
 type Runner struct {
 	reps []*serve.Runner
 	// env is the fleet's envelope, on which every replica is armed and
@@ -238,12 +244,10 @@ type Runner struct {
 	shapes []workload.Request
 	assign []int32
 	// instances, perReplica and perRequest back the last Run's replicas
-	// and its Result's PerReplica and PerRequest; plane is the fleet
-	// summary's merge buffer.
+	// and its Result's PerReplica and PerRequest.
 	instances  []*serve.Instance
 	perReplica []ReplicaResult
 	perRequest []RequestMetrics
-	plane      []float64
 	// next holds merge's cursor into each replica's ledger.
 	next []int
 }
@@ -259,7 +263,10 @@ func Run(s Spec) (Result, error) { return new(Runner).Run(s) }
 // re-armed from the Runner's per-slot serve.Runners, and the stream
 // reuses the Runner's buffers, instead of being built fresh.
 func (rn *Runner) Run(s Spec) (Result, error) {
-	if err := s.Validate(); err != nil {
+	if len(rn.reps) == 0 {
+		rn.reps = append(rn.reps, new(serve.Runner))
+	}
+	if err := s.validate(rn.reps[0]); err != nil {
 		return Result{}, err
 	}
 
@@ -330,7 +337,11 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 // barrier every replica to t, then scan their loads in index order and
 // take the least loaded (ties to the lowest index). The snapshot each
 // replica reports at t depends only on its own push history, so the pick
-// is a pure function of the stream.
+// is a pure function of the stream. The barrier is not an event to a
+// replica: one coasting past t stops there and resumes its coast at the
+// next advance, so a fleet runs the full steps its replicas' own pushes
+// need and no more. What the barrier still costs is a visit to every
+// replica per arrival, idle ones included (ROADMAP item 4).
 func leastLoaded(r Routing, instances []*serve.Instance, t float64) int {
 	for _, in := range instances {
 		in.AdvanceTo(t)
@@ -412,7 +423,7 @@ func (rn *Runner) merge(s Spec) (Result, error) {
 		m.ID = i
 		res.PerRequest[i] = RequestMetrics{RequestMetrics: m, Replica: int(r)}
 	}
-	sum, err := serve.SummarizeInstances(instances, &rn.plane)
+	sum, err := serve.SummarizeInstances(instances)
 	if err != nil {
 		return Result{}, fmt.Errorf("cluster: %w", err)
 	}

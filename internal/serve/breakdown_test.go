@@ -138,8 +138,8 @@ func TestTenantBreakdownMatchesMapOracle(t *testing.T) {
 
 // keptInstance is a drained instance whose assembled Result summarized
 // done, as a fleet replica's does.
-func keptInstance(done []RequestMetrics) *Instance {
-	sim := &simulator{done: done}
+func keptInstance(sim *simulator, done []RequestMetrics) *Instance {
+	sim.done = done
 	sum := sim.sums.summarize(done, true)
 	return &Instance{sim: sim, drained: true, tenants: sum.PerTenant}
 }
@@ -161,6 +161,9 @@ func TestSummarizeInstancesMatchesConcatenation(t *testing.T) {
 		}
 		return rng.ExpFloat64()
 	}
+	// The first replica's simulator, and with it the merge's buffers,
+	// carries over from trial to trial, as a pooled fleet's does.
+	lead := new(simulator)
 	for trial := 0; trial < 300; trial++ {
 		k := 1 + rng.Intn(9)
 		tenants := 1 + rng.Intn(12)
@@ -183,9 +186,13 @@ func TestSummarizeInstancesMatchesConcatenation(t *testing.T) {
 		}
 		ins := make([]*Instance, k)
 		for r, share := range shares {
-			ins[r] = keptInstance(share)
+			sim := new(simulator)
+			if r == 0 {
+				sim = lead
+			}
+			ins[r] = keptInstance(sim, share)
 		}
-		got, err := SummarizeInstances(ins, new([]float64))
+		got, err := SummarizeInstances(ins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +204,7 @@ func TestSummarizeInstancesMatchesConcatenation(t *testing.T) {
 			t.Fatalf("%s: merged breakdown diverges from the map oracle\n got %+v\nwant %+v", name, got.PerTenant, want)
 		}
 	}
-	if _, err := SummarizeInstances([]*Instance{keptInstance(nil), {sim: new(simulator), drained: true}}, new([]float64)); err == nil {
+	if _, err := SummarizeInstances([]*Instance{keptInstance(new(simulator), nil), {sim: new(simulator), drained: true}}); err == nil {
 		t.Error("an instance without an assembled Result was merged")
 	}
 }

@@ -38,9 +38,11 @@ func (l Load) InFlight() int { return l.Queued + l.Running }
 // order; each Push first advances the clock to the arrival (so a request
 // can never be admitted before it exists, and explicit AdvanceTo calls are
 // purely observational — their granularity never changes the outcome: a
-// replica's result depends only on its Push sequence). Drain runs the loop
-// to completion; Result then assembles exactly what Run returns for the
-// same request sequence on the same envelope.
+// replica's result depends only on its Push sequence). A cut is not an
+// event: an AdvanceTo that nothing follows but another AdvanceTo costs no
+// iteration that the next would not run anyway. Drain runs the loop to
+// completion; Result then assembles exactly what Run returns for the same
+// request sequence on the same envelope.
 type Instance struct {
 	sim     *simulator
 	lastT   float64
@@ -252,14 +254,19 @@ func (in *Instance) push(r workload.Request, t float64) {
 // AdvanceTo runs batching iterations until the instance's clock reaches t
 // or it runs out of work. Iterations are atomic, so the clock may
 // overshoot t: an arrival landing mid-iteration waits for the next
-// boundary. Between events the instance coasts, through the KV page
-// crossings that fit too: see simulator.coast. Whatever it coasted, the
-// Load it returns to is the one stepping every iteration would show.
+// boundary. Each pass coasts first, through the decode-only iterations
+// and the KV page crossings that fit (simulator.coast), and steps only
+// where coast stopped short of t, at an event. So a cut at t is not an
+// event: the next advance resumes the stretch the cut stopped, with no
+// step and no settle between. Whatever it coasted, the Load it returns
+// to is the one stepping every iteration would show.
 func (in *Instance) AdvanceTo(t float64) {
 	sim := in.sim
 	for !sim.idle() && sim.now < t {
+		if sim.coast(t); !(sim.now < t) {
+			return
+		}
 		sim.step()
-		sim.coast(t)
 	}
 }
 

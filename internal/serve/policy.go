@@ -806,7 +806,10 @@ func (p *pagedPolicy) absorb(epoch int) bool {
 // settle sets every running sequence's held pages to those the absorbed
 // crossings grew it to: the pages covering its private tokens up to
 // epoch, where the next scan expects them. Only a sequence that crossed
-// pays the division.
+// pays the division. step calls it at the current epoch, before the scan,
+// once coasts have absorbed crossings since the last step: one call
+// covers every coast between, since a crossing that did not fit stops
+// the coast at its epoch, where the pages cover the tokens exactly.
 //
 //optimus:hotpath
 func (p *pagedPolicy) settle(pool []request, running []int32, epoch int) {

@@ -34,7 +34,9 @@ import (
 // byte-identical JSON Results under Run — probed, which steps every
 // iteration, and unprobed, which coasts between events — and under
 // refRun, and the live loop's next-event state must hold at every probed
-// iteration (checkNextEvent).
+// iteration (checkNextEvent). An open-loop input is also pushed into an
+// Instance that is advanced to barriers between its arrivals, which must
+// give the same bytes.
 func FuzzStepMatchesReference(f *testing.F) {
 	base := fuzzBase(f)
 	// Two devices, so a split can give each pool a strict half.
@@ -136,6 +138,42 @@ func FuzzStepMatchesReference(f *testing.F) {
 				t.Fatalf("Run (probed %v) diverges from the reference loop: E2E p95 %g vs %g, %d vs %d iterations, %d vs %d preemptions",
 					probed, got.E2E.P95, want.E2E.P95, got.Iterations, want.Iterations, got.Preemptions, want.Preemptions)
 			}
+		}
+		if clients != 0 {
+			return // a closed loop issues on completion: there is no stream to push
+		}
+		// Barrier cuts: an Instance armed on the drawn stream is advanced
+		// to three evenly spaced times in each gap before its push, as a
+		// load-aware router's barrier advances a replica that nothing is
+		// pushed to. A cut is not an event, so the drained Result is the
+		// reference's.
+		capSpec, times, shapes := capacityOf(t, s)
+		var env Envelope
+		if err := env.Set(shapes); err != nil {
+			t.Fatal(err)
+		}
+		in, err := rn.Instance(capSpec, &env)
+		if err != nil {
+			t.Fatalf("validated spec rejected as an instance: %v", err)
+		}
+		prev := 0.0
+		for i, at := range times {
+			for k := 1.0; k <= 3; k++ {
+				in.AdvanceTo(prev + (at-prev)*k/4)
+			}
+			if err := in.Push(shapes[i], at); err != nil {
+				t.Fatalf("push %d: %v", i, err)
+			}
+			prev = at
+		}
+		in.Drain()
+		got, err := in.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jg, _ := json.Marshal(got); string(jw) != string(jg) {
+			t.Fatalf("an instance cut at barriers diverges from the reference loop: E2E p95 %g vs %g, %d vs %d iterations, %d vs %d preemptions",
+				got.E2E.P95, want.E2E.P95, got.Iterations, want.Iterations, got.Preemptions, want.Preemptions)
 		}
 	})
 }

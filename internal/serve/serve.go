@@ -274,13 +274,19 @@ func (s Spec) resolve(ps *policyStore) (Spec, error) {
 // fields zero — serving the workload w: the step-cost configuration, the
 // policy knobs against w, and the fit of w's largest possible request. A
 // fleet validates its one workload first, so that its errors name the
-// fleet, then each replica against it this way.
-func (s Spec) ValidateCapacity(w workload.Spec) error {
+// fleet, then each replica against it this way. The fit check builds its
+// policy in rn's store, as rn's next simulation would, so a pooled caller
+// allocates none; a nil rn builds it afresh.
+func (s Spec) ValidateCapacity(w workload.Spec, rn *Runner) error {
 	if err := s.capacityOnly(); err != nil {
 		return err
 	}
 	s.SetWorkload(w)
-	_, err := s.resolve(new(policyStore))
+	ps := new(policyStore)
+	if rn != nil {
+		ps = &rn.sim.ps
+	}
+	_, err := s.resolve(ps)
 	return err
 }
 
@@ -645,13 +651,13 @@ func Run(s Spec) (Result, error) {
 // shared slabs, invalidating the previous Instance); give each goroutine
 // its own Runner.
 //
-// The Runner keeps its request ledger too, so a Result from its Run, or
-// from an Instance it built, refers to the Runner's memory: its
-// PerRequest entries are written over by the Runner's next Run or
-// Instance. A caller that keeps PerRequest past that copies it first; a
-// caller that reads only the summaries, as a sweep or a knee search does,
-// allocates no per-request memory in steady state. The package-level Run
-// returns a Result the caller owns.
+// The Runner keeps its request ledger and tenant breakdown too, so a
+// Result from its Run, or from an Instance it built, refers to the
+// Runner's memory: its PerRequest and PerTenant entries are written over
+// by the Runner's next Run or Instance. A caller that keeps them past
+// that copies them first; a caller that reads only the summaries, as a
+// sweep or a knee search does, allocates no per-request memory in steady
+// state. The package-level Run returns a Result the caller owns.
 type Runner struct {
 	sim simulator
 	// in is the Instance that Instance returns, re-armed by each call.

@@ -233,11 +233,13 @@ type simulator struct {
 	// closed marks closed-loop issuing on completion, of the shape at the
 	// next push id, until target requests are issued. keep marks an
 	// Instance's simulation, whose summary keeps a sorted plane per metric
-	// for SummarizeInstances.
-	shapes []workload.Request
-	target int
-	closed bool
-	keep   bool
+	// for SummarizeInstances. unsettled marks held page counts behind the
+	// crossings coast absorbed, until step's settle.
+	shapes    []workload.Request
+	target    int
+	closed    bool
+	keep      bool
+	unsettled bool
 
 	now float64
 	// reqs is the request slab: one slot per request in flight, which
@@ -351,7 +353,7 @@ func (sim *simulator) arm(s Spec, env *Envelope, slots, requests int) error {
 	// previous simulation's ledger, which is why a pooled Runner's Result
 	// refers to it only until the Runner's next simulation.
 	sim.done, sim.completed = reuse(sim.done, requests), 0
-	sim.epoch, sim.kvBase, sim.nextDone = 0, 0, 0
+	sim.epoch, sim.kvBase, sim.nextDone, sim.unsettled = 0, 0, 0, false
 	sim.iterations = 0
 	sim.batchSum = 0
 	sim.peakBatch = 0
@@ -437,10 +439,16 @@ func (sim *simulator) idle() bool {
 // whose page crossings fit, run in coast's tight loop. The float adds to
 // now, utilSum and batchSum stay one per iteration, in order, so results
 // are bit-identical to walking every sequence
-// (FuzzStepMatchesReference).
+// (FuzzStepMatchesReference). step first settles the held pages of the
+// crossings coasts absorbed since the last step (pagedPolicy.settle):
+// held pages are read only inside step, by beginStep, evict and release.
 //
 //optimus:hotpath
 func (sim *simulator) step() {
+	if sim.unsettled {
+		sim.pp.settle(sim.reqs, sim.running, sim.epoch)
+		sim.unsettled = false
+	}
 	// Let the policy make room for every established sequence's next
 	// token; under the paged policy this is where victims are chosen
 	// (LIFO) and sent back to the head of the queue for a recompute
@@ -582,7 +590,10 @@ func (sim *simulator) step() {
 // a coasted run is bit-identical to stepping it on every architecture
 // (FuzzStepMatchesReference). The committed pages are exact whenever
 // coast returns, for a router reading Load; the crossers' held page
-// counts catch up once at its end. The probe observes every iteration,
+// counts are not; coast marks them unsettled and the next step settles
+// them, however many coasts come between, before anything reads them.
+// coast checks its own preconditions, so it may be called where a step
+// is due, which it leaves to step. The probe observes every iteration,
 // so a probed run never coasts.
 //
 //optimus:hotpath
@@ -605,7 +616,6 @@ func (sim *simulator) coast(t float64) {
 	if n > sim.peakBatch {
 		sim.peakBatch = n
 	}
-	grew := false
 	for {
 		sim.stretch(min(cross, last), t, kv)
 		// Short of last and t, the stretch stopped at a page crossing.
@@ -613,13 +623,10 @@ func (sim *simulator) coast(t float64) {
 		if e == last || !(sim.now < t) || !sim.pp.absorb(e) {
 			break
 		}
-		grew = true
+		sim.unsettled = true
 		cross = sim.pp.nextCross(e+1, last)
 		kv = sim.pp.usedBytes()
 		sim.notePeaks(kv, sim.pp.usedPages())
-	}
-	if grew {
-		sim.pp.settle(sim.reqs, sim.running, e)
 	}
 }
 
@@ -807,63 +814,82 @@ type Summary struct {
 // sorting a sample again: each instance's Result kept its tenants' sorted
 // runs, and a tenant's runs from every instance merge into the tenant's
 // fleet run. Every instance must have assembled its Result. The merge
-// writes the fleet's samples into *plane, grown if it is short, so a
-// caller that keeps the buffer from call to call allocates no
-// per-request memory here.
-func SummarizeInstances(ins []*Instance, plane *[]float64) (Summary, error) {
-	var names []string
+// keeps its buffers, the Summary's PerTenant among them, on the first
+// instance's simulator: a caller that summarizes the same pooled
+// instances run after run, as a pooled cluster.Runner does, allocates
+// nothing here in steady state, and the Summary's PerTenant is written
+// over by the next merge that instance leads.
+func SummarizeInstances(ins []*Instance) (Summary, error) {
+	if len(ins) == 0 {
+		return Summary{PerTenant: []TenantMetrics{}}, nil
+	}
+	fs := ins[0].sim.sums.fleet
+	if fs == nil {
+		fs = new(fleetScratch)
+		ins[0].sim.sums.fleet = fs
+	}
+	// The instances' tenants, united in name order.
+	per := fs.per[:0]
 	for i, in := range ins {
 		if in.tenants == nil {
 			return Summary{}, fmt.Errorf("serve: instance %d: summary before its result", i)
 		}
 		for _, tm := range in.tenants {
-			names = append(names, tm.Tenant)
+			if u, found := slices.BinarySearchFunc(per, tm.Tenant, byTenant); !found {
+				per = slices.Insert(per, u, TenantMetrics{Tenant: tm.Tenant})
+			}
 		}
 	}
-	slices.Sort(names)
-	names = slices.Compact(names)
+	if per == nil {
+		per = []TenantMetrics{} // an empty breakdown is not nil, as summarize's
+	}
+	fs.per = per
 	R := len(ins)
-	s := Summary{PerTenant: make([]TenantMetrics, len(names))}
+	s := Summary{PerTenant: per}
 	// spans[u*R+r] delimits instance r's run of tenant u in each of its
 	// planes; an instance without the tenant has an empty span.
-	spans := make([][2]int, len(names)*R)
+	spans := slices.Grow(fs.spans[:0], len(per)*R)[:len(per)*R]
+	clear(spans)
+	fs.spans = spans
 	for r, in := range ins {
 		lo, u := 0, 0
 		for _, tm := range in.tenants {
-			for names[u] != tm.Tenant {
+			for per[u].Tenant != tm.Tenant {
 				u++
 			}
 			spans[u*R+r] = [2]int{lo, lo + tm.Requests}
 			lo += tm.Requests
-			pt := &s.PerTenant[u]
-			pt.Tenant = tm.Tenant
-			pt.Requests += tm.Requests
-			pt.GenTokens += tm.GenTokens
+			per[u].Requests += tm.Requests
+			per[u].GenTokens += tm.GenTokens
 		}
 	}
-	for _, pt := range s.PerTenant {
+	for _, pt := range per {
 		s.Requests += pt.Requests
 		s.GenTokens += pt.GenTokens
 	}
-	var m runMerger
-	*plane = reuse(*plane, s.Requests)[:s.Requests]
-	runs := make([][]float64, 0, R)
+	m := &fs.merge
+	fs.plane = reuse(fs.plane, s.Requests)[:s.Requests]
+	plane := fs.plane
 	for k := range numMetrics {
 		lo := 0
-		for u, pt := range s.PerTenant {
-			runs = runs[:0]
+		for u, pt := range per {
+			runs := fs.runs[:0]
 			for r, in := range ins {
 				if sp := spans[u*R+r]; sp[1] > sp[0] {
 					runs = append(runs, in.sim.sums.plane(k, len(in.sim.done))[sp[0]:sp[1]])
 				}
 			}
-			m.merge((*plane)[lo:lo+pt.Requests], runs)
+			fs.runs = runs
+			m.merge(plane[lo:lo+pt.Requests], runs)
 			lo += pt.Requests
 		}
-		m.fill(&s, *plane, k)
+		m.fill(&s, plane, k)
 	}
 	return s, nil
 }
+
+// byTenant orders a breakdown by tenant name.
+func byTenant(tm TenantMetrics, name string) int { return strings.Compare(tm.Tenant, name) }
 
 // numMetrics counts the latency metrics a group summary reports: TTFT,
 // TPOT, E2E and Queue, in that order.
@@ -887,9 +913,26 @@ func (g *TenantMetrics) metric(k int) *Percentiles {
 // delimits them by request count.
 type summaryScratch struct {
 	runs []float64
+	// per backs the pass's breakdown (Summary.PerTenant), so a pooled
+	// Runner's Result refers to it as it does to the ledger.
+	per []TenantMetrics
 	// tenants holds the multi-tenant grouping buffers, made by the first
 	// pass that groups.
 	tenants *tenantScratch
+	// fleet holds the buffers of the SummarizeInstances merges this
+	// simulator's instance leads, made by the first such merge.
+	fleet *fleetScratch
+}
+
+// fleetScratch holds a SummarizeInstances merge's buffers: the merged
+// breakdown, each tenant's span in each instance's planes, the runs of
+// one tenant's merge, the merged plane and the merge heap.
+type fleetScratch struct {
+	per   []TenantMetrics
+	spans [][2]int
+	runs  [][]float64
+	plane []float64
+	merge runMerger
 }
 
 // tenantScratch holds a multi-tenant pass's grouping: each request's
@@ -921,12 +964,15 @@ func (sc *summaryScratch) plane(k, n int) []float64 {
 // yields a non-nil empty breakdown.
 func (sc *summaryScratch) summarize(done []RequestMetrics, keep bool) Summary {
 	n := len(done)
+	if n == 0 {
+		return Summary{PerTenant: []TenantMetrics{}}
+	}
 	planes := 1
 	if keep {
 		planes = numMetrics
 	}
 	sc.runs = slices.Grow(sc.runs[:0], planes*n)[:planes*n]
-	single := n > 0
+	single := true
 	for i := 1; i < n && single; i++ {
 		single = done[i].Tenant == done[0].Tenant
 	}
@@ -942,8 +988,9 @@ func (sc *summaryScratch) summarize(done []RequestMetrics, keep bool) Summary {
 			}
 			*s.metric(k) = percentiles(run)
 		}
-		s.PerTenant = []TenantMetrics{s.TenantMetrics}
-		s.PerTenant[0].Tenant = done[0].Tenant
+		sc.per = append(sc.per[:0], s.TenantMetrics)
+		sc.per[0].Tenant = done[0].Tenant
+		s.PerTenant = sc.per
 		return s
 	}
 	ts := sc.tenants
@@ -951,7 +998,8 @@ func (sc *summaryScratch) summarize(done []RequestMetrics, keep bool) Summary {
 		ts = new(tenantScratch)
 		sc.tenants = ts
 	}
-	s.PerTenant = ts.bucket(done)
+	sc.per = ts.bucket(done, sc.per)
+	s.PerTenant = sc.per
 	for _, tm := range s.PerTenant {
 		s.GenTokens += tm.GenTokens
 	}
@@ -974,8 +1022,8 @@ func (sc *summaryScratch) summarize(done []RequestMetrics, keep bool) Summary {
 // renumbers the slots in name order. It leaves in ts.pos each request's
 // position in a plane that holds the tenants' runs in name order, each in
 // request order, and returns the breakdown with each tenant's name,
-// request count and generated tokens.
-func (ts *tenantScratch) bucket(done []RequestMetrics) []TenantMetrics {
+// request count and generated tokens, written over dst's memory.
+func (ts *tenantScratch) bucket(done []RequestMetrics, dst []TenantMetrics) []TenantMetrics {
 	if ts.index == nil {
 		ts.index = make(map[string]int32)
 	}
@@ -1005,7 +1053,8 @@ func (ts *tenantScratch) bucket(done []RequestMetrics) []TenantMetrics {
 		order[j] = j
 	}
 	slices.SortFunc(order, func(a, b int) int { return strings.Compare(ts.names[a], ts.names[b]) })
-	tenants := make([]TenantMetrics, T)
+	tenants := slices.Grow(dst[:0], T)[:T]
+	clear(tenants)
 	for j, o := range order {
 		rank[o] = j
 		tenants[j].Tenant = ts.names[o]
