@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test test-procs1 race bench bench-json sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 fma loc examples
+.PHONY: check vet lint build test test-procs1 race bench bench-json bench-module sweep-bench serve-bench cluster-bench cover cover-race fuzz-smoke build-386 fma loc examples
 
-check: vet lint build cover-race
+check: vet lint build cover-race bench-module
 
 vet:
 	$(GO) vet ./...
@@ -21,6 +21,12 @@ lint:
 
 build:
 	$(GO) build ./...
+
+# The benchmark module (bench/, its own go.mod, which the root ./...
+# does not reach): golden result digests at seed 1, the BENCHMARK.json
+# parity test and a smoke run of every workload.
+bench-module:
+	cd bench && $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -58,7 +64,7 @@ bench-json:
 # feasibility pruning as well as in parallelism; bench/README.md's
 # sweep.prune_speedup measures pruning's share. Its
 # sweep.parallel_speedup no longer isolates the pool, since pass 1 runs
-# on it too (ROADMAP item 1 redefines it).
+# on it too (ROADMAP item 1b redefines it).
 sweep-bench:
 	$(GO) test -run xxx -bench 'BenchmarkSweep' -benchmem .
 
@@ -79,19 +85,20 @@ cluster-bench:
 build-386:
 	GOOS=linux GOARCH=386 $(GO) build ./...
 
-# No fused multiply-add in the serving simulator, the workload draws, the
-# collective models it prices transfers with, the fleet simulator and the
-# sweep engine (ROADMAP item 14). The Go spec lets a compiler fuse
-# x*y + z into one instruction that rounds once instead of twice: amd64
-# never does, arm64 and ppc64le do, so a fused line would give those
-# hosts other bits. Cross-compile the packages for both (offline, no
-# emulator) and fail on any fused instruction whose source line is in one
-# of them, inlined code included: a comm line inlined into serve is
-# listed under comm.go, so a line inlined from an unlisted package is
-# not checked. `float64(x*y) + z` is the form that cannot fuse. Other
-# packages are left to the rest of item 14.
+# No fused multiply-add in the serving simulator, the step costs it
+# prices, the workload draws, the collective models it prices transfers
+# with, the fleet simulator and the sweep engine (ROADMAP item 14). The
+# Go spec lets a compiler fuse x*y + z into one instruction that rounds
+# once instead of twice: amd64 never does, arm64 and ppc64le do, so a
+# fused line would give those hosts other bits. Cross-compile the
+# packages for both (offline, no emulator) and fail on any fused
+# instruction whose source line is in one of them, inlined code
+# included: a comm line inlined into serve is listed under comm.go, so
+# a line inlined from an unlisted package is not checked.
+# `float64(x*y) + z` is the form that cannot fuse. Other packages are
+# left to the rest of item 14.
 FMA_ARCHS := arm64 ppc64le
-FMA_PKGS := internal/serve internal/workload internal/comm internal/cluster internal/sweep
+FMA_PKGS := internal/serve internal/infer internal/workload internal/comm internal/cluster internal/sweep
 fma:
 	@set -e; \
 	for arch in $(FMA_ARCHS); do \

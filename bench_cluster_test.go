@@ -118,6 +118,9 @@ func disaggFleetSpec(tb testing.TB, requests int) cluster.Spec {
 // cost: a run takes three generators, and one that sync.Pool dropped (at
 // a GC, or a quarter of those put back under -race) is built again for 2
 // allocations and 5.4 KB, so a run allocates at most 6 times and 16.3 KB.
+// The spec-wide pooled row, the cluster-bench fleet, pins that defaulting
+// and validating a spec-wide shape allocates nothing either: its one
+// generator bounds it at 2 allocations and 5.4 KB.
 // The other allocation budgets are the measured counts with about 2.5×
 // headroom, and their byte budgets the -race measurements with about
 // 1.4×. The instance row pins that a replica pushed k requests allocates
@@ -128,6 +131,7 @@ func TestClusterAllocBudget(t *testing.T) {
 	lkv := disaggFleetSpec(t, requests)
 	rr := lkv
 	rr.Routing = cluster.RoundRobin
+	wide := clusterBenchSpec(t, 4, cluster.RoundRobin, requests)
 	pooled := new(cluster.Runner)
 	for _, tc := range []struct {
 		name          string
@@ -136,6 +140,7 @@ func TestClusterAllocBudget(t *testing.T) {
 	}{
 		{"least-kv/fresh", 1000, 450e3, func() (cluster.Result, error) { return cluster.Run(lkv) }},
 		{"least-kv/pooled", 6, 16e3, func() (cluster.Result, error) { return pooled.Run(lkv) }},
+		{"spec-wide/pooled", 2, 5.5e3, func() (cluster.Result, error) { return pooled.Run(wide) }},
 		{"round-robin/fresh", 1000, 450e3, func() (cluster.Result, error) { return cluster.Run(rr) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -216,25 +216,28 @@ func TestServeSimulatorAllocBudget(t *testing.T) {
 		// headroom for toolchain drift; freshBytes/pooledBytes the
 		// measured bytes with ~30% headroom, except pooledBytes, which
 		// is far below one 32 KB ledger: a pooled run builds its
-		// admission policy in place and measures 3 to 6 allocations and
-		// 350 to 610 bytes (up to 2.4 KB under -race).
+		// admission policy in place and defaults its workload without
+		// allocating, so it measures 0 allocations, except 2 and 144 to
+		// 256 bytes for a schedule or a prefix, and up to 4.4 KB under
+		// -race, where sync.Pool drops some of the arrival generators
+		// put back (2 allocations and 5.4 KB to build one again).
 		freshAllocs, pooledAllocs float64
 		freshBytes, pooledBytes   float64
 		mut                       func(*serve.Spec)
 	}{
-		{"reserve", 300, 12, 130e3, 4e3, func(s *serve.Spec) {}},
-		{"paged", 300, 12, 130e3, 4e3, func(s *serve.Spec) {
+		{"reserve", 300, 5, 130e3, 4e3, func(s *serve.Spec) {}},
+		{"paged", 300, 5, 130e3, 4e3, func(s *serve.Spec) {
 			s.Policy = serve.Paged
 			per := memfoot.Inference(s.Model, s.TP, 1, s.PromptTokens+s.GenTokens, s.Precision.Bytes()).KVCache
 			s.KVCapacity = 8 * per
 		}},
-		{"disagg", 300, 12, 130e3, 4e3, func(s *serve.Spec) {
+		{"disagg", 300, 5, 130e3, 4e3, func(s *serve.Spec) {
 			s.Policy = serve.Disaggregated
 			s.TransferGBps = 50
 			per := memfoot.Inference(s.Model, s.TP, 1, s.PromptTokens+s.GenTokens, s.Precision.Bytes()).KVCache
 			s.KVCapacity = 12 * per
 		}},
-		{"prefix+tiered", 300, 12, 130e3, 4e3, func(s *serve.Spec) {
+		{"prefix+tiered", 300, 5, 130e3, 4e3, func(s *serve.Spec) {
 			s.Policy = serve.Paged
 			s.PrefixTokens = 64
 			per := memfoot.Inference(s.Model, s.TP, 1, s.PromptTokens+s.GenTokens, s.Precision.Bytes()).KVCache
@@ -242,7 +245,7 @@ func TestServeSimulatorAllocBudget(t *testing.T) {
 			s.HostKVBytes = 16 * per
 			s.SwapGBps = serve.DefaultSwapGBps
 		}},
-		{"bursty", 300, 12, 135e3, 4e3, func(s *serve.Spec) {
+		{"bursty", 300, 5, 135e3, 4e3, func(s *serve.Spec) {
 			s.Rate = 0
 			s.Schedule = workload.Schedule{
 				{Start: 0, End: 30, Rate: 1},
@@ -250,7 +253,7 @@ func TestServeSimulatorAllocBudget(t *testing.T) {
 				{Start: 45, End: 90, Rate: 2},
 			}
 		}},
-		{"closed-loop", 150, 12, 80e3, 4e3, func(s *serve.Spec) {
+		{"closed-loop", 150, 5, 80e3, 4e3, func(s *serve.Spec) {
 			s.Arrival = serve.ClosedLoop
 			s.Rate = 0
 			s.Clients = 16

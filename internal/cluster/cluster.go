@@ -19,12 +19,13 @@
 // instant and sample their loads there; each replica's state at that
 // barrier is a pure function of the requests pushed so far. Results merge
 // in replica-index order with global-ID remapping, so a fleet Result is
-// byte-identical at any GOMAXPROCS. A replica is armed like serve.Run, on
-// the envelope of the whole stream, so it prices exactly as a
-// single-replica Run: through a pricing table it shares with every
-// replica of an equal step-cost key, each slot of which is a pure
-// function of that key. The fleet summaries merge the replicas' sorted
-// latency samples rather than sort them again.
+// byte-identical at any GOMAXPROCS. The fleet draws its stream into a
+// serve.Envelope exactly as serve.Run draws its own, and arms every
+// replica on it, so each prices exactly as a single-replica Run: through
+// the envelope's pricing table for its step-cost key, which every replica
+// of an equal key shares and each slot of which is a pure function of
+// that key. The fleet summaries merge the replicas' sorted latency
+// samples rather than sort them again.
 package cluster
 
 import (
@@ -217,10 +218,11 @@ type Result struct {
 }
 
 // Runner pools fleet simulation state across runs: one serve.Runner per
-// replica slot and the fleet's envelope, so every replica's slabs,
-// ledger and scratch, and the pricing tables the replicas share, survive
-// from one fleet simulation to the next — the steady state of a rate
-// sweep or a knee bisection re-running one fleet at many rates.
+// replica slot and the fleet's Envelope, so every replica's slabs, ledger
+// and scratch, and the drawn stream's buffers and the pricing tables the
+// envelope owns, survive from one fleet simulation to the next — the
+// steady state of a rate sweep or a knee bisection re-running one fleet
+// at many rates.
 // A Runner is NOT safe for concurrent use and supports one live fleet
 // simulation at a time; results are byte-identical to the package-level
 // Run (TestClusterRunnerReuseMatchesFresh). The zero Runner is ready to
@@ -235,13 +237,10 @@ type Result struct {
 // a Result the caller owns.
 type Runner struct {
 	reps []*serve.Runner
-	// env is the fleet's envelope, on which every replica is armed and
-	// whose pricing tables the replicas share; made by the first Run.
-	env *serve.Envelope
-	// times and shapes hold the fleet stream; assign holds each arrival's
-	// replica.
-	times  []float64
-	shapes []workload.Request
+	// env holds the drawn fleet stream, on which every replica is armed
+	// and through whose pricing tables the replicas price.
+	env serve.Envelope
+	// assign holds each arrival's replica.
 	assign []int32
 	// instances, perReplica and perRequest back the last Run's replicas
 	// and its Result's PerReplica and PerRequest.
@@ -260,8 +259,8 @@ type Runner struct {
 func Run(s Spec) (Result, error) { return new(Runner).Run(s) }
 
 // Run is the pooled form of the package-level Run: replica instances are
-// re-armed from the Runner's per-slot serve.Runners, and the stream
-// reuses the Runner's buffers, instead of being built fresh.
+// re-armed from the Runner's per-slot serve.Runners, and the stream is
+// drawn into the Runner's Envelope, instead of being built fresh.
 func (rn *Runner) Run(s Spec) (Result, error) {
 	if len(rn.reps) == 0 {
 		rn.reps = append(rn.reps, new(serve.Runner))
@@ -269,21 +268,11 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	if err := s.validate(rn.reps[0]); err != nil {
 		return Result{}, err
 	}
-
-	// The fleet arrival stream, through the same workload.Spec.Stream
-	// serve.Run draws from — byte-identical timestamps and shapes for the
-	// same workload and seed.
-	times, shapes := s.Workload().WithDefaults().Stream(rn.times[:0], rn.shapes[:0])
-	rn.times, rn.shapes = times, shapes
-	// Every replica is built on the whole stream's shapes, so each prices
-	// exactly as a single-replica Run of the fleet workload would.
-	if rn.env == nil {
-		rn.env = new(serve.Envelope)
-	}
-	env := rn.env
-	if err := env.Set(shapes); err != nil {
-		return Result{}, err
-	}
+	// The fleet stream, drawn as serve.Run draws its own — byte-identical
+	// timestamps and shapes for the same workload and seed. Every replica
+	// is armed on the whole stream, so each prices exactly as a
+	// single-replica Run of the fleet workload would.
+	times, shapes := rn.env.Draw(s.Workload().WithDefaults())
 
 	// Each descriptor instantiates its Count replicas (zero means one),
 	// in replica-index order.
@@ -299,7 +288,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	i := 0
 	for d := range s.Replicas {
 		for range max(s.Replicas[d].Count, 1) {
-			in, err := rn.reps[i].Instance(s.Replicas[d].Spec, env)
+			in, err := rn.reps[i].Instance(s.Replicas[d].Spec, &rn.env)
 			if err != nil {
 				return Result{}, fmt.Errorf("cluster: replica %d: %w", i, err)
 			}

@@ -31,8 +31,8 @@ const (
 	TenantAffinity
 )
 
-// routings enumerates every routing policy in enum order (the sweep axis
-// and the CLI both iterate it).
+// routings enumerates every routing policy in enum order, for the tests
+// that cover each.
 var routings = []Routing{RoundRobin, LeastQueue, LeastKV, TenantAffinity}
 
 // String names the routing policy.

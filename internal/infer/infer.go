@@ -138,10 +138,11 @@ func passCost(s Spec, eng *roofline.Engine, exec kernels.Exec, scratch *[]kernel
 	ops = kernels.AppendLayerForward(ops[:0], s.Model, exec)
 	var layer phaseCost
 	layer.add(p, ops)
-	c.device += layer.device * float64(s.Model.Layers)
-	c.comm += layer.comm * float64(s.Model.Layers)
-	c.dramBytes += layer.dramBytes * float64(s.Model.Layers)
-	c.wireBytes += layer.wireBytes * float64(s.Model.Layers)
+	// Each product is rounded before its add, so no host fuses the two.
+	c.device += float64(layer.device * float64(s.Model.Layers))
+	c.comm += float64(layer.comm * float64(s.Model.Layers))
+	c.dramBytes += float64(layer.dramBytes * float64(s.Model.Layers))
+	c.wireBytes += float64(layer.wireBytes * float64(s.Model.Layers))
 	ops = kernels.AppendLogitsForward(ops[:0], s.Model, exec)
 	c.add(p, ops)
 	*scratch = ops

@@ -52,41 +52,49 @@ type Instance struct {
 	tenants []TenantMetrics
 }
 
-// Envelope is the set of request shapes a simulation is sized from
-// (duplicates are fine): the step coster, KV geometry and batch caps read
-// its bounds, and a prefixed envelope's page units each shape's prefix
-// split. Run arms on the stream it draws and a fleet every replica on the
-// fleet's stream; only the pre-draw rules read a workload's possible
-// shapes. The bounds and the prefixed bit are folded once, when the
-// envelope is set; Set re-arms it in place, invalidating the instances
-// built on its previous contents.
+// Envelope is the drawn workload: the stream Run or a fleet draws into
+// it (Draw), or shapes a caller sets (Set; duplicates are fine), which
+// size the simulations armed on it. The step coster, KV geometry and
+// batch caps read its bounds, and a prefixed envelope's page units each
+// shape's prefix split; both are folded once, when the contents are
+// drawn or set, which invalidates the instances built on the previous
+// contents. Only the pre-draw rules read a workload's possible shapes.
 //
-// The instances built on one envelope share a pricing table wherever
-// their step-cost keys are equal — a fleet of identical replicas prices
-// each step shape once — so they must be driven from one goroutine.
+// The Envelope owns the pricing tables its instances price through, one
+// per step-cost key: instances of equal keys share one — a fleet of
+// identical replicas prices each step shape once — so they must be
+// driven from one goroutine. The tables outlive the contents, so a Runner
+// or a fleet re-run under an unchanged key prices warm.
 type Envelope struct {
+	// shapes are the contents, and times the arrival times Draw drew with
+	// them (none for a closed loop).
+	times  []float64
 	shapes []workload.Request
 	// work's possible extremes stand in for shapes in a pre-draw
 	// envelope, which possible marks.
 	work workload.Spec
-	// tables are the pricing tables of the instances built on the
-	// envelope's contents, one per key.
+	// tables[:live] are the tables in use on the contents, one per key;
+	// the rest priced the previous contents.
 	tables   []*pricing
+	live     int
 	bounds   workload.Bounds
 	possible bool
 	prefixed bool
 }
 
-// Set validates shapes and makes them the envelope, by reference: they
-// must stay unchanged while an instance built on it is live.
+// Draw draws the validated, defaulted workload w (workload.Spec.Stream)
+// and makes the stream the envelope's contents. The arrival times and
+// shapes it returns are the envelope's buffers, written over by its next
+// Draw or Set.
+func (e *Envelope) Draw(w workload.Spec) ([]float64, []workload.Request) {
+	e.times, e.shapes = w.Stream(e.times[:0], e.shapes[:0])
+	*e = e.folded()
+	return e.times, e.shapes
+}
+
+// Set validates shapes and makes a copy of them the envelope's contents.
 func (e *Envelope) Set(shapes []workload.Request) error {
-	// The instances built on the previous contents are dead, so their
-	// tables go back to their owners.
-	for _, p := range e.tables {
-		p.env = nil
-	}
-	tables := e.tables[:0]
-	*e = Envelope{tables: tables} // empty, and so unusable, until the shapes validate
+	e.shapes = e.shapes[:0] // empty, and so unusable, until the shapes validate
 	if len(shapes) == 0 {
 		return fmt.Errorf("serve: an instance needs a non-empty shape envelope")
 	}
@@ -95,27 +103,35 @@ func (e *Envelope) Set(shapes []workload.Request) error {
 			return fmt.Errorf("serve: envelope shape %d: %w", i, err)
 		}
 	}
-	*e = Envelope{shapes: shapes, tables: tables}.folded()
+	e.shapes = append(e.shapes, shapes...)
+	*e = e.folded()
 	return nil
 }
 
-// table returns the pricing table shared on the envelope under key k, or
-// nil.
-func (e *Envelope) table(k pricingKey) *pricing {
-	for _, p := range e.tables {
+// table returns the pricing table for key k on the envelope's contents:
+// the one in use under k, else one the previous contents priced through —
+// under k if any, still warm, else rekeyed — else a new one. A table in
+// use on the contents is never rekeyed.
+func (e *Envelope) table(k pricingKey) (*pricing, error) {
+	i := e.live
+	for j, p := range e.tables { // no two tables share a key
 		if p.key == k {
-			return p
+			if j < e.live {
+				return p, nil
+			}
+			i = j
 		}
 	}
-	return nil
-}
-
-// share offers p to the instances built on the envelope after it.
-func (e *Envelope) share(p *pricing) {
-	if p.env != e {
-		p.env = e
-		e.tables = append(e.tables, p)
+	if i == len(e.tables) {
+		e.tables = append(e.tables, new(pricing))
 	}
+	p := e.tables[i]
+	if err := p.rekey(k); err != nil {
+		return nil, err
+	}
+	e.tables[e.live], e.tables[i] = p, e.tables[e.live]
+	e.live++
+	return p, nil
 }
 
 // possibleEnvelope is the pre-draw envelope of w: its possible extremes.
@@ -132,10 +148,12 @@ func (e *Envelope) each(f func(first bool, prompt, gen, prefix int)) {
 	}
 }
 
-// folded returns e with its bounds derived and whether any shape carries
-// a prefix.
+// folded returns e with the bounds of its new contents derived and
+// whether any shape carries a prefix; no instance prices through a table
+// on them yet.
 func (e Envelope) folded() Envelope {
 	b := &e.bounds
+	e.prefixed, e.live = false, 0
 	e.each(func(first bool, prompt, gen, prefix int) {
 		c := prompt + gen
 		if first {
@@ -165,15 +183,14 @@ func NewInstance(s Spec, envelope []workload.Request) (*Instance, error) {
 // must be zero (the router owns the stream). It is armed on env as Run
 // arms on its drawn stream, while its ledger grows with the pushes and
 // its request slab only to its own peak of requests in flight — a replica
-// holding a fraction of its envelope pays for that fraction.
-// It prices through the table of an instance built on env before it under
-// an equal step-cost key, or shares its own with those built after it;
-// either way it prices exactly as a lone Run. Its Result keeps its sorted
-// latency samples for SummarizeInstances. The Runner's
-// single-live-simulation contract applies: the Instance returned is the
-// Runner's own, so building a new one (or calling Run) invalidates the
-// previous one, and the Instance's Result refers to the Runner's ledger
-// as a Run's does.
+// holding a fraction of its envelope pays for that fraction. It prices
+// through env's table for its step-cost key, shared with every instance
+// built on env's contents under an equal key, and so exactly as a lone
+// Run. Its Result keeps its sorted latency samples for SummarizeInstances.
+// The Runner's single-live-simulation contract applies: the Instance
+// returned is the Runner's own, so building a new one (or calling Run)
+// invalidates the previous one, and the Instance's Result refers to the
+// Runner's ledger as a Run's does.
 func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 	if err := s.capacityOnly(); err != nil {
 		return nil, err
@@ -187,7 +204,6 @@ func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 	if err := rn.sim.arm(s, env, 0, 0); err != nil {
 		return nil, err
 	}
-	env.share(rn.sim.price)
 	rn.sim.keep = true
 	rn.in = Instance{sim: &rn.sim}
 	return &rn.in, nil

@@ -25,10 +25,12 @@ func filledSlots(p *pricing) int {
 
 // TestEnvelopeSharesPricingTables pins who prices through which table.
 // Instances armed on one Envelope under equal step-cost keys hold one
-// table; a replica of another tensor-parallel degree holds its own. A
-// Runner re-armed under an equal key keeps its table warm, and under a
-// changed key starts cold; a Runner whose table is still shared on a live
-// envelope leaves it to the instances there rather than rekeying it.
+// table; a replica of another tensor-parallel degree holds its own. An
+// instance re-armed on new contents under a key the envelope priced
+// before finds that table warm, and under a changed key gets a previous
+// table rekeyed, cold; a table in use on the contents is never rekeyed
+// under the instances sharing it, by another key on the envelope or by a
+// Run of a Runner that built one of them.
 func TestEnvelopeSharesPricingTables(t *testing.T) {
 	s := spec0(t)
 	s.Rate, s.Requests = 2, 24
@@ -51,26 +53,27 @@ func TestEnvelopeSharesPricingTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	instance := func(t *testing.T, rn *Runner, s Spec, env *Envelope) *Instance {
+		t.Helper()
+		in, err := rn.Instance(s, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	set := func(t *testing.T, env *Envelope) {
+		t.Helper()
+		if err := env.Set(shapes); err != nil {
+			t.Fatal(err)
+		}
+	}
 	env := new(Envelope)
-	if err := env.Set(shapes); err != nil {
-		t.Fatal(err)
-	}
+	set(t, env)
 	a, b, c := new(Runner), new(Runner), new(Runner)
-	ia, err := a.Instance(capSpec, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ib, err := b.Instance(capSpec, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ic, err := c.Instance(wide, env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ia, ib, ic := instance(t, a, capSpec, env), instance(t, b, capSpec, env), instance(t, c, wide, env)
 
 	t.Run("equal specs share", func(t *testing.T) {
-		if ia.sim.price != &a.sim.own || ib.sim.price != ia.sim.price {
+		if ib.sim.price != ia.sim.price {
 			t.Fatal("two instances armed on one envelope with equal specs hold different pricing tables")
 		}
 		drive(t, ia)
@@ -85,7 +88,7 @@ func TestEnvelopeSharesPricingTables(t *testing.T) {
 	})
 
 	t.Run("heterogeneous pair does not share", func(t *testing.T) {
-		if ic.sim.price == ia.sim.price || ic.sim.price != &c.sim.own {
+		if ic.sim.price == ia.sim.price {
 			t.Fatal("a TP=2 instance prices through the TP=1 instances' table")
 		}
 		if ic.sim.price.key.spec.TP != 2 || ia.sim.price.key.spec.TP != 1 {
@@ -94,43 +97,69 @@ func TestEnvelopeSharesPricingTables(t *testing.T) {
 	})
 
 	t.Run("pooled re-arm", func(t *testing.T) {
-		// Setting the envelope again ends the instances built on it, so
-		// each Runner takes its own table back.
-		if err := env.Set(shapes); err != nil {
-			t.Fatal(err)
-		}
-		warm := filledSlots(&a.sim.own)
-		again, err := a.Instance(capSpec, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.sim.price != &a.sim.own || filledSlots(again.sim.price) != warm {
+		// Setting the envelope again ends the instances built on it; the
+		// next instance under an equal key finds their table warm.
+		warmTable := ia.sim.price
+		warm := filledSlots(warmTable)
+		set(t, env)
+		again := instance(t, a, capSpec, env)
+		if again.sim.price != warmTable || filledSlots(again.sim.price) != warm {
 			t.Fatalf("a re-arm under an equal key left %d of %d slots warm", filledSlots(again.sim.price), warm)
 		}
-		if err := env.Set(shapes); err != nil {
-			t.Fatal(err)
-		}
-		cold, err := a.Instance(wide, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cold.sim.price != &a.sim.own || filledSlots(cold.sim.price) != 0 || cold.sim.price.key.spec.TP != 2 {
+		// A fresh envelope's contents priced only TP=1, so its TP=2
+		// instance gets that table rekeyed and empty.
+		env2 := new(Envelope)
+		set(t, env2)
+		drive(t, instance(t, a, capSpec, env2))
+		spare := a.sim.price
+		set(t, env2)
+		cold := instance(t, a, wide, env2)
+		if cold.sim.price != spare || filledSlots(cold.sim.price) != 0 || cold.sim.price.key.spec.TP != 2 {
 			t.Fatalf("a re-arm under a changed key kept %d filled slots", filledSlots(cold.sim.price))
 		}
-		// b now shares a's table on the live envelope; a, re-armed
-		// elsewhere under the old key, must not rekey it under b.
-		shared, err := b.Instance(wide, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shared.sim.price != &a.sim.own {
+		// b shares a's table on the live contents; neither a TP=1
+		// instance on them nor a Run on a may rekey it under b.
+		shared := instance(t, b, wide, env2)
+		if shared.sim.price != cold.sim.price {
 			t.Fatal("the second TP=2 instance on the envelope does not share the first's table")
+		}
+		if narrow := instance(t, c, capSpec, env2); narrow.sim.price == shared.sim.price {
+			t.Fatal("a TP=1 instance rekeyed the table TP=2 instances share")
 		}
 		if _, err := a.Run(s); err != nil {
 			t.Fatal(err)
 		}
-		if a.sim.price == &a.sim.own || shared.sim.price.key.spec.TP != 2 {
+		if a.sim.price == shared.sim.price || shared.sim.price.key.spec.TP != 2 {
 			t.Fatal("a Run on the Runner rekeyed the table a live instance shares")
 		}
 	})
+}
+
+// TestRunPricesWarmAfterFleetInstance pins that a Runner's Run tables
+// belong to the Envelope it draws into: building an instance on a fleet's
+// live envelope in between leaves the next Run's table warm.
+func TestRunPricesWarmAfterFleetInstance(t *testing.T) {
+	s := spec0(t)
+	s.Rate, s.Requests = 2, 24
+	capSpec, _, shapes := capacityOf(t, s)
+	rn := new(Runner)
+	if _, err := rn.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	table, warm := rn.sim.price, filledSlots(rn.sim.price)
+	fleet := new(Envelope)
+	if err := fleet.Set(shapes); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Runner{rn, new(Runner)} {
+		if _, err := r.Instance(capSpec, fleet); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rn.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	if rn.sim.price != table || filledSlots(table) != warm {
+		t.Fatalf("the Run after a fleet instance priced through another table (%d of %d slots warm)", filledSlots(rn.sim.price), warm)
+	}
 }

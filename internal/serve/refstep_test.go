@@ -298,8 +298,8 @@ func refRun(s Spec) (Result, error) {
 		return Result{}, err
 	}
 	w := s.Workload()
-	arrivals, shapes := w.Stream(nil, nil)
-	drawn := Envelope{shapes: shapes}.folded()
+	var drawn Envelope
+	arrivals, shapes := drawn.Draw(w)
 	s.SetWorkload(workload.Spec{})
 	sim := &rn.sim
 	if err := sim.arm(s, &drawn, 0, 0); err != nil {

@@ -262,21 +262,28 @@ func (s Spec) resolve(ps *policyStore) (Spec, error) {
 		return s, fmt.Errorf("serve: %w", err)
 	}
 	s.SetWorkload(w.WithDefaults())
+	return s, s.checkCapacity(ps)
+}
+
+// checkCapacity is resolve's capacity half: the step-cost configuration,
+// the policy knobs against the spec's validated workload, and the fit of
+// its largest possible request, built in ps.
+func (s Spec) checkCapacity(ps *policyStore) error {
 	env := possibleEnvelope(s.Workload())
 	if err := s.validateCapacity(&env); err != nil {
-		return s, err
+		return err
 	}
 	_, err := s.fit(&env, ps)
-	return s, err
+	return err
 }
 
 // ValidateCapacity checks a capacity-only spec — workload and arrival
-// fields zero — serving the workload w: the step-cost configuration, the
-// policy knobs against w, and the fit of w's largest possible request. A
-// fleet validates its one workload first, so that its errors name the
-// fleet, then each replica against it this way. The fit check builds its
-// policy in rn's store, as rn's next simulation would, so a pooled caller
-// allocates none; a nil rn builds it afresh.
+// fields zero — serving the validated workload w: the step-cost
+// configuration, the policy knobs against w, and the fit of w's largest
+// possible request. A fleet validates its one workload first, so that its
+// errors name the fleet, then each replica against it this way. The fit
+// check builds its policy in rn's store, as rn's next simulation would,
+// so a pooled caller allocates none; a nil rn builds it afresh.
 func (s Spec) ValidateCapacity(w workload.Spec, rn *Runner) error {
 	if err := s.capacityOnly(); err != nil {
 		return err
@@ -286,8 +293,7 @@ func (s Spec) ValidateCapacity(w workload.Spec, rn *Runner) error {
 	if rn != nil {
 		ps = &rn.sim.ps
 	}
-	_, err := s.resolve(ps)
-	return err
+	return s.checkCapacity(ps)
 }
 
 // capacityOnly rejects the workload and arrival fields of a capacity
@@ -629,20 +635,21 @@ type request struct {
 // Run executes the simulation. It is fully deterministic: the only
 // randomness is the seeded arrival process, and the event loop is a single
 // goroutine over slices in arrival order. Run judges the spec as Validate
-// does, draws the stream, arms the simulator on the stream's Envelope and
-// drives it as an Instance (closed-loop clients issue on completion), so a
-// one-replica fleet or a trace replay of the stream reproduces it
-// byte-identically. It runs on a fresh Runner, so the Result, its
-// PerRequest ledger included, is the caller's.
+// does, draws the stream into an Envelope as a fleet draws its own (Draw),
+// arms the simulator on it and drives it as an Instance (closed-loop
+// clients issue on completion), so a one-replica fleet or a trace replay
+// of the stream reproduces it byte-identically. It runs on a fresh
+// Runner, so the Result, its PerRequest ledger included, is the caller's.
 func Run(s Spec) (Result, error) {
 	return new(Runner).Run(s)
 }
 
 // Runner is a reusable simulator: it owns the slabs one simulation grows
-// (request pool, index queues, pricing tables, workload buffers) and
-// re-arms them for every Run call, so a worker evaluating thousands of
-// specs — a sweep worker goroutine, a cluster replica slot, a knee
-// bisection — skips the per-run slab allocations entirely. Results are
+// (request pool, index queues) and the Envelope its Run draws into (the
+// stream's buffers, the pricing tables), and re-arms them for every Run
+// call, so a worker evaluating thousands of specs — a sweep worker
+// goroutine, a cluster replica slot, a knee bisection — skips the per-run
+// slab allocations entirely. Results are
 // byte-identical to fresh construction (TestRunnerReuseMatchesFresh).
 // The zero Runner is ready to use; its slabs grow on first use.
 //
@@ -662,10 +669,9 @@ type Runner struct {
 	sim simulator
 	// in is the Instance that Instance returns, re-armed by each call.
 	in Instance
-	// arrivalsBuf/shapesBuf are the reusable buffers of Run's drawn
-	// stream.
-	arrivalsBuf []float64
-	shapesBuf   []workload.Request
+	// env is the Envelope Run draws into; an Instance is armed on its
+	// caller's.
+	env Envelope
 }
 
 // Run executes one simulation on the Runner's pooled state. See Run (the
@@ -676,8 +682,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		return Result{}, err
 	}
 	w := s.Workload()
-	rn.arrivalsBuf, rn.shapesBuf = w.Stream(rn.arrivalsBuf[:0], rn.shapesBuf[:0])
-	drawn := Envelope{shapes: rn.shapesBuf}.folded()
+	times, shapes := rn.env.Draw(w)
 	s.SetWorkload(workload.Spec{})
 	sim := &rn.sim
 	// The slab holds the requests in flight: at most the clients of a
@@ -687,7 +692,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	if w.Closed {
 		slots = min(w.Clients, w.Requests)
 	}
-	if err := sim.arm(s, &drawn, slots, w.Requests); err != nil {
+	if err := sim.arm(s, &rn.env, slots, w.Requests); err != nil {
 		return Result{}, err
 	}
 	sim.keep = false
@@ -695,13 +700,13 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	if w.Closed {
 		// Every client issues at time zero, and each completion issues
 		// the next arrival index's pre-drawn shape.
-		sim.shapes, sim.closed, sim.target = rn.shapesBuf, true, w.Requests
-		for _, sh := range rn.shapesBuf[:slots] {
+		sim.shapes, sim.closed, sim.target = shapes, true, w.Requests
+		for _, sh := range shapes[:slots] {
 			sim.pushShape(sh, 0)
 		}
 	} else {
-		for i, t := range rn.arrivalsBuf {
-			in.push(rn.shapesBuf[i], t)
+		for i, t := range times {
+			in.push(shapes[i], t)
 		}
 	}
 	in.Drain()

@@ -41,22 +41,19 @@ type pricingKey struct {
 // or NaN would be refilled each hit with identical math, so results
 // cannot drift). A slot is a pure function of the key and the batch size,
 // so simulators with equal keys can share one table however their fills
-// interleave: the instances armed on one Envelope do, on the one
-// goroutine that drives them.
+// interleave: the instances armed on one Envelope, which owns the table,
+// do, on the one goroutine that drives them.
 type pricing struct {
 	coster     *infer.StepCoster
 	prefillTab []float64
 	decodeTab  []decodeLine
-	// env is the Envelope the table is shared on, until that envelope is
-	// Set again; nil while only its owner prices through it.
-	env *Envelope
-	key pricingKey
+	key        pricingKey
 }
 
 // rekey makes p price k. An equal key keeps the coster and the filled
-// slots warm, the steady state of a sweep worker or a fleet slot
-// re-running one configuration; any other key rebuilds the coster and
-// empties every slot.
+// slots warm, the steady state of a sweep worker or a fleet re-running
+// one configuration; any other key rebuilds the coster and empties every
+// slot.
 func (p *pricing) rekey(k pricingKey) error {
 	if p.coster != nil && p.key == k {
 		return nil
@@ -217,11 +214,9 @@ type simulator struct {
 	// that its words serve every paged simulation the simulator arms.
 	cross []int32
 
-	// price is the pricing table the simulation prices its steps through:
-	// own, or the table of an instance armed earlier on the same Envelope
-	// under an equal key.
+	// price is the table of the Envelope the simulation is armed on that
+	// it prices its steps through.
 	price     *pricing
-	own       pricing
 	refPrompt int
 
 	budget float64
@@ -287,10 +282,9 @@ type simulator struct {
 // buffers, percentile scratch), and sizes the request slab for slots
 // requests in flight and the ledger for requests pushes. The policy is
 // rebuilt in the simulator's store, every field reset and only its
-// buffers kept, and the pricing table is env's table for the key, or the
-// simulator's own rekeyed (warm under an equal key, empty otherwise), so
-// an armed simulator is byte-identical to a fresh one
-// (TestRunnerReuseMatchesFresh).
+// buffers kept, and the pricing table is env's for the key (warm under a
+// key env priced before, empty otherwise), so an armed simulator is
+// byte-identical to a fresh one (TestRunnerReuseMatchesFresh).
 func (sim *simulator) arm(s Spec, env *Envelope, slots, requests int) error {
 	// One policy per simulation: the KV geometry behind it is derived
 	// exactly once, never per iteration.
@@ -320,22 +314,10 @@ func (sim *simulator) arm(s Spec, env *Envelope, slots, requests int) error {
 	// lengths — for the degenerate single-tenant workload exactly the PR-3
 	// prompt+1 .. prompt+gen span — and, being a line, prices every
 	// intermediate per-request length exactly.
-	// An instance armed earlier on env under an equal key lends its table.
 	bounds := env.bounds
-	key := pricingKey{spec: s.inferSpec(bounds), kv0: bounds.MinPrompt + 1, kv1: bounds.MaxContext}
-	price := env.table(key)
-	if price == nil {
-		price = &sim.own
-		if price.env != nil {
-			// Instances on the envelope the own table is shared on may
-			// still price through it under its key: leave it to them.
-			price = new(pricing)
-		}
-		if err := price.rekey(key); err != nil {
-			return err
-		}
+	if sim.price, err = env.table(pricingKey{spec: s.inferSpec(bounds), kv0: bounds.MinPrompt + 1, kv1: bounds.MaxContext}); err != nil {
+		return err
 	}
-	sim.price = price
 	sim.spec = s
 	sim.pol = pol
 	sim.pp = pp

@@ -223,7 +223,8 @@ func (s Spec) Validate() error {
 			extent = max(extent, float64(ev.PromptTokens)+float64(ev.GenTokens))
 		}
 	} else {
-		mix := s.WithDefaults().Mix
+		var one [1]TenantLoad
+		mix := s.mix(&one)
 		err = ValidateMix(mix)
 		for _, t := range mix {
 			extent = max(extent, float64(max(s.Turns, 1))*(lengthExtent(t.PromptTokens, t.PromptSigma)+lengthExtent(t.GenTokens, t.GenSigma)))
@@ -250,26 +251,30 @@ func lengthExtent(median int, sigma float64) float64 {
 	return float64(median)
 }
 
-// WithDefaults fills the derivable fields: a replay's request count, or
-// a generated workload's degenerate one-entry mix and DefaultRequests.
+// WithDefaults fills the derivable field, the request count: a replay's
+// trace length, or DefaultRequests. It leaves a spec-wide shape as it is,
+// so a defaulted spec still validates.
 func (s Spec) WithDefaults() Spec {
+	n := DefaultRequests
 	if len(s.Trace) > 0 {
-		s.Requests = cmp.Or(s.Requests, len(s.Trace))
-		return s
+		n = len(s.Trace)
 	}
-	if len(s.Mix) == 0 {
-		pid := ""
-		if s.PrefixTokens > 0 {
-			pid = DefaultTenant
-		}
-		s.Mix = []TenantLoad{{
-			Tenant: DefaultTenant, Share: 1,
-			PromptTokens: s.PromptTokens, GenTokens: s.GenTokens,
-			PrefixID: pid, PrefixTokens: s.PrefixTokens,
-		}}
-	}
-	s.Requests = cmp.Or(s.Requests, DefaultRequests)
+	s.Requests = cmp.Or(s.Requests, n)
 	return s
+}
+
+// mix returns the generated workload's tenants: Mix, or the spec-wide
+// shape as a one-entry mix under DefaultTenant, its prefix named
+// DefaultTenant too, written into one so that no call allocates it.
+func (s Spec) mix(one *[1]TenantLoad) []TenantLoad {
+	if len(s.Mix) > 0 {
+		return s.Mix
+	}
+	one[0] = TenantLoad{Tenant: DefaultTenant, Share: 1, PromptTokens: s.PromptTokens, GenTokens: s.GenTokens, PrefixTokens: s.PrefixTokens}
+	if s.PrefixTokens > 0 {
+		one[0].PrefixID = DefaultTenant
+	}
+	return one[:]
 }
 
 // Stream appends a defaulted, validated workload's requests to the given
@@ -278,18 +283,20 @@ func (s Spec) WithDefaults() Spec {
 // requests on completion, so only the shapes are drawn, in arrival-index
 // order.
 func (s Spec) Stream(arrivals []float64, shapes []Request) ([]float64, []Request) {
-	switch {
-	case len(s.Trace) > 0:
+	if len(s.Trace) > 0 {
 		for _, ev := range s.Trace {
 			arrivals = append(arrivals, ev.Arrival)
 			shapes = append(shapes, ev.Request)
 		}
 		return arrivals, shapes
-	case s.Closed:
-		return arrivals, AppendMixShapes(shapes, s.Mix, s.Requests, s.Seed)
+	}
+	var one [1]TenantLoad
+	mix := s.mix(&one)
+	if s.Closed {
+		return arrivals, AppendMixShapes(shapes, mix, s.Requests, s.Seed)
 	}
 	proc := ArrivalProcess{Rate: s.Rate, Schedule: s.Schedule, Turns: s.Turns, Think: s.Think, Seed: s.Seed}
-	return proc.Generate(s.Mix, s.Requests, arrivals, shapes)
+	return proc.Generate(mix, s.Requests, arrivals, shapes)
 }
 
 // Bounds are the extreme shapes of a set of requests: a simulator
@@ -315,11 +322,8 @@ func (s Spec) Extremes(f func(first bool, prompt, gen, prefix int)) {
 		}
 		return
 	}
-	mix := s.Mix
-	if len(mix) == 0 {
-		mix = []TenantLoad{{PromptTokens: s.PromptTokens, GenTokens: s.GenTokens, PrefixTokens: s.PrefixTokens}}
-	}
-	for i, t := range mix {
+	var one [1]TenantLoad
+	for i, t := range s.mix(&one) {
 		pmin, pmax := t.PromptBounds()
 		gmin, gmax := t.GenBounds()
 		if s.Turns <= 1 {

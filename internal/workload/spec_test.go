@@ -99,7 +99,7 @@ func TestCheckDoesNotAllocate(t *testing.T) {
 
 // TestStream: a replay streams the trace verbatim, a closed loop draws
 // shapes only, and an open loop is exactly the ArrivalProcess draw over
-// the defaulted mix.
+// the spec-wide shape's one-entry mix.
 func TestStream(t *testing.T) {
 	tr := traceSpec().WithDefaults()
 	arrivals, shapes := tr.Stream(nil, nil)
@@ -118,7 +118,8 @@ func TestStream(t *testing.T) {
 	d := open.WithDefaults()
 	arrivals, shapes = d.Stream(nil, nil)
 	proc := ArrivalProcess{Rate: open.Rate, Turns: 3, Think: 1, Seed: open.Seed}
-	wantT, wantS := proc.Generate(d.Mix, d.Requests, nil, nil)
+	var one [1]TenantLoad
+	wantT, wantS := proc.Generate(d.mix(&one), d.Requests, nil, nil)
 	if !reflect.DeepEqual(arrivals, wantT) || !reflect.DeepEqual(shapes, wantS) {
 		t.Error("open-loop stream differs from ArrivalProcess.Generate")
 	}
