@@ -81,7 +81,8 @@ func TestServingTemporalValidation(t *testing.T) {
 // TestServingScheduleAxisEnumeration: schedules enumerate as an arrival
 // axis — a constant schedule canonicalizes to the plain-rate candidate and
 // deduplicates against an equivalent schedule, while a genuinely piecewise
-// schedule keeps its timeline (rate zero) under a distinct key.
+// schedule keeps its timeline (rate zero), in a copy of its own, under a
+// distinct key.
 func TestServingScheduleAxisEnumeration(t *testing.T) {
 	s := servingSpec0(t)
 	s.Systems = s.Systems[:1]
@@ -109,6 +110,9 @@ func TestServingScheduleAxisEnumeration(t *testing.T) {
 	}
 	if piecewise == nil || piecewise.Rate != 0 || len(piecewise.Schedule) != 2 {
 		t.Fatalf("piecewise schedule should keep its timeline with rate 0: %+v", pts)
+	}
+	if &piecewise.Schedule[0] == &s.Schedules[2][0] {
+		t.Fatal("a candidate must own its schedule, not share the spec's")
 	}
 	if constant.Key() == piecewise.Key() {
 		t.Fatal("constant and piecewise candidates must not share a key")

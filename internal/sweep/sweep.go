@@ -1060,7 +1060,9 @@ func (s Spec) arrivals() []arrival {
 		out = append(out, arrival{rate: r})
 	}
 	for _, sch := range s.Schedules {
+		// The Points keep the schedule, so they get their own copy.
 		cs, cr := workload.CanonicalSchedule(sch, 0)
+		cs = slices.Clone(cs)
 		out = append(out, arrival{rate: cr, sched: cs, tok: workload.FormatSchedule(cs)})
 	}
 	return out

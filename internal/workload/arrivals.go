@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -38,8 +37,8 @@ const shapeSeedSalt = 0x2545F4914F6CDD1D
 const lengthSeedSalt uint64 = 0x9E3779B97F4A7C15
 
 // appendPoissonArrivals appends n open-loop Poisson arrival timestamps at
-// rate requests/sec to dst: the cumulative sums of seeded exponential
-// interarrivals. It panics on a non-positive/non-finite rate or a negative
+// rate requests/sec to dst, growing it once: the cumulative sums of
+// seeded exponential interarrivals. It panics on a non-positive/non-finite rate or a negative
 // count — NaN or Inf timestamps would stall every downstream event loop.
 func appendPoissonArrivals(dst []float64, rate float64, n int, seed int64) []float64 {
 	if !(rate > 0) || math.IsInf(rate, 0) {
@@ -48,6 +47,7 @@ func appendPoissonArrivals(dst []float64, rate float64, n int, seed int64) []flo
 	if n < 0 {
 		panic(fmt.Sprintf("workload: Poisson arrivals need a non-negative count, got %d", n))
 	}
+	dst = slices.Grow(dst, n)
 	rng := seeded(seed)
 	defer sources.Put(rng)
 	t := 0.0
@@ -59,11 +59,12 @@ func appendPoissonArrivals(dst []float64, rate float64, n int, seed int64) []flo
 }
 
 // appendScheduleArrivals appends n arrival timestamps of an inhomogeneous
-// Poisson process shaped by a validated rate schedule, via time
-// rescaling: each arrival consumes one unit-exponential draw, spent
-// against segment rates until it is exhausted (a segment of rate r and
-// width w absorbs r·w units; zero-rate segments absorb nothing and are
-// jumped over; the final segment's rate extends indefinitely). The draw
+// Poisson process shaped by a validated rate schedule to dst, growing it
+// once. It draws them by time rescaling: each arrival consumes one
+// unit-exponential draw, spent against segment rates until it is
+// exhausted (a segment of rate r and width w absorbs r·w units; zero-rate
+// segments absorb nothing and are jumped over; the final segment's rate
+// extends indefinitely). The draw
 // stream is identical to appendPoissonArrivals' at the same seed, but the
 // segment-crossing arithmetic differs from the constant-rate fast path
 // even for a constant schedule — callers wanting the byte-identical
@@ -76,6 +77,7 @@ func appendScheduleArrivals(dst []float64, sched Schedule, n int, seed int64) []
 	if n < 0 {
 		panic(fmt.Sprintf("workload: schedule arrivals need a non-negative count, got %d", n))
 	}
+	dst = slices.Grow(dst, n)
 	rng := seeded(seed)
 	defer sources.Put(rng)
 	t := 0.0
@@ -108,74 +110,68 @@ func appendScheduleArrivals(dst []float64, sched Schedule, n int, seed int64) []
 // stream untouched — the PR-3 byte-identity guarantee. Multi-tenant mixes
 // draw tenants, weighted by share, from a second independently seeded
 // stream. Entries with a non-zero PromptSigma/GenSigma then draw
-// per-request lognormal lengths from a third salted stream; zero-sigma
-// mixes skip that pass entirely, consuming no randomness. dst grows once,
-// by the n shapes.
+// per-request lognormal lengths from a third salted stream, in request
+// order, prompt before generation, and only for fields whose sigma is
+// non-zero — so the length draws are a pure function of (mix, shape
+// assignment, seed), and a zero-sigma mix consumes no randomness for
+// them. The tenant and length streams are separate generators, so
+// drawing a shape's lengths as it is assigned consumes each stream in
+// the same order as assigning every shape first. dst grows once, by the
+// n shapes.
 func AppendMixShapes(dst []Request, mix []TenantLoad, n int, seed int64) []Request {
-	start := len(dst)
 	dst = slices.Grow(dst, max(n, 0))
+	var lengths *rand.Rand
+	if slices.ContainsFunc(mix, func(t TenantLoad) bool { return t.PromptSigma != 0 || t.GenSigma != 0 }) {
+		lengths = seeded(int64(uint64(seed) ^ lengthSeedSalt))
+		defer sources.Put(lengths)
+	}
 	if len(mix) == 1 {
+		start := len(dst)
 		sh := mix[0].Shape()
 		for i := 0; i < n; i++ {
 			dst = append(dst, sh)
 		}
-	} else {
-		total := 0.0
-		for _, t := range mix {
-			total += t.Share
-		}
-		rng := seeded(seed ^ shapeSeedSalt)
-		defer sources.Put(rng)
-		for i := 0; i < n; i++ {
-			x := rng.Float64() * total
-			k := 0
-			for k < len(mix)-1 {
-				x -= mix[k].Share
-				if x < 0 {
-					break
-				}
-				k++
+		if lengths != nil {
+			for i := start; i < len(dst); i++ {
+				drawLengths(&dst[i], &mix[0], lengths)
 			}
-			dst = append(dst, mix[k].Shape())
+		}
+		return dst
+	}
+	total := 0.0
+	for _, t := range mix {
+		total += t.Share
+	}
+	rng := seeded(seed ^ shapeSeedSalt)
+	defer sources.Put(rng)
+	for i := 0; i < n; i++ {
+		x := rng.Float64() * total
+		k := 0
+		for k < len(mix)-1 {
+			x -= mix[k].Share
+			if x < 0 {
+				break
+			}
+			k++
+		}
+		dst = append(dst, mix[k].Shape())
+		if lengths != nil {
+			drawLengths(&dst[len(dst)-1], &mix[k], lengths)
 		}
 	}
-	applyLengthDraws(dst[start:], mix, seed)
 	return dst
 }
 
-// applyLengthDraws overwrites the prompt/generation lengths of shapes
-// generated from sigma-carrying mix entries with seeded lognormal draws.
-// Draws are consumed in request order, prompt before generation, and only
-// for fields whose sigma is non-zero — so the draw sequence is a pure
-// function of (mix, shape assignment, seed), and a zero-sigma mix draws
-// nothing at all.
-func applyLengthDraws(shapes []Request, mix []TenantLoad, seed int64) {
-	heavy := false
-	for _, t := range mix {
-		if t.PromptSigma != 0 || t.GenSigma != 0 {
-			heavy = true
-			break
-		}
+// drawLengths draws r's lengths from mix entry t's lognormals, prompt
+// before generation, each only if its sigma is non-zero.
+func drawLengths(r *Request, t *TenantLoad, rng *rand.Rand) {
+	if t.PromptSigma != 0 {
+		lo, hi := t.PromptBounds()
+		r.PromptTokens = lognormalDraw(rng, t.PromptTokens, t.PromptSigma, lo, hi)
 	}
-	if !heavy {
-		return
-	}
-	byTenant := make(map[string]TenantLoad, len(mix))
-	for _, t := range mix {
-		byTenant[t.Tenant] = t
-	}
-	rng := seeded(int64(uint64(seed) ^ lengthSeedSalt))
-	defer sources.Put(rng)
-	for i := range shapes {
-		t := byTenant[shapes[i].Tenant]
-		if t.PromptSigma != 0 {
-			lo, hi := t.PromptBounds()
-			shapes[i].PromptTokens = lognormalDraw(rng, t.PromptTokens, t.PromptSigma, lo, hi)
-		}
-		if t.GenSigma != 0 {
-			lo, hi := t.GenBounds()
-			shapes[i].GenTokens = lognormalDraw(rng, t.GenTokens, t.GenSigma, lo, hi)
-		}
+	if t.GenSigma != 0 {
+		lo, hi := t.GenBounds()
+		r.GenTokens = lognormalDraw(rng, t.GenTokens, t.GenSigma, lo, hi)
 	}
 }
 
@@ -199,64 +195,118 @@ func sessionPrefixID(session int) string {
 	return "~s" + strconv.Itoa(session)
 }
 
-// expandSessions turns per-session base arrivals and shapes into the
-// per-turn request stream: session s's turn k (1-based) arrives at
-// base(s) + (k-1)·think carrying the session's whole prior context as a
-// growing shared prefix — prompt (k-1)·(P+G)+P, prefix (k-1)·(P+G), where
-// P/G are the session's (possibly heavy-tailed) drawn lengths, constant
-// across its turns. Turn 1 carries no prefix id (there is nothing cached
-// yet to share). The merged stream is stably sorted by arrival and
-// truncated to n requests, so a cohort workload simulates exactly n
-// requests like any other. A session's turns past the n-th can never
-// survive the truncation (its first n turns arrive no later and precede
-// them in generation order), so none past the n-th is built.
-func expandSessions(arrivals []float64, shapes []Request, n, turns int, think float64) ([]float64, []Request) {
-	if think >= 0 {
-		turns = min(turns, n)
+// expandSessions appends to arrivals and shapes the first n requests of
+// the per-turn stream that per-session base arrivals and shapes expand
+// into: session s's turn k (1-based) arrives at base(s) + (k-1)·think
+// carrying the session's whole prior context as a growing shared prefix
+// — prompt (k-1)·(P+G)+P, prefix (k-1)·(P+G), where P/G are the
+// session's (possibly heavy-tailed) drawn lengths, constant across its
+// turns. Turn 1 carries no prefix id (there is nothing cached yet to
+// share). The stream is ordered by arrival, equal arrivals in generation
+// order — session-major, turns ascending — and truncated to n requests,
+// so a cohort workload simulates exactly n requests like any other.
+//
+// It merges rather than sorts. Base arrivals never decrease, so neither
+// does turn k's run over the sessions; and with think ≥ 0 session s's
+// turn k+1 follows its turn k. Each run is therefore merged in only once
+// its session-0 head is due — after session 0's previous turn — so the
+// merge holds at most one head per turn begun, costs O(n log turns) and
+// builds nothing past the n-th request. A session's prefix id is built
+// once, at its turn 2, and kept in its sessions entry for later turns.
+func expandSessions(arrivals []float64, shapes []Request, base []float64, sessions []Request,
+	n, turns int, think float64) ([]float64, []Request) {
+	if n == 0 {
+		return arrivals, shapes
 	}
-	sessions := len(arrivals)
-	total := sessions * turns
-	outT := make([]float64, 0, total)
-	outS := make([]Request, 0, total)
-	for s := 0; s < sessions; s++ {
-		base := arrivals[s]
-		sh := shapes[s]
+	var scratch [16]turnHead
+	heads := append(scratch[:0], headAt(base, think, 0, 1))
+	for range n {
+		h := heads[0]
+		sh := &sessions[h.s]
 		p, g := sh.PromptTokens, sh.GenTokens
-		id := sessionPrefixID(s + 1)
-		for k := 1; k <= turns; k++ {
-			ctx := (k - 1) * (p + g)
-			r := Request{
-				Tenant:       sh.Tenant,
-				PromptTokens: ctx + p,
-				GenTokens:    g,
-				PrefixTokens: ctx,
-				Session:      s + 1,
-				Turn:         k,
-			}
-			if k > 1 {
-				r.PrefixID = id
-			}
-			// The conversion rounds the product, so no architecture fuses
-			// it into the add.
-			outT = append(outT, base+float64(float64(k-1)*think))
-			outS = append(outS, r)
+		ctx := (h.k - 1) * (p + g)
+		r := Request{
+			Tenant:       sh.Tenant,
+			PromptTokens: ctx + p,
+			GenTokens:    g,
+			PrefixTokens: ctx,
+			Session:      h.s + 1,
+			Turn:         h.k,
+		}
+		if h.k == 2 {
+			sh.PrefixID = sessionPrefixID(h.s + 1)
+		}
+		if h.k > 1 {
+			r.PrefixID = sh.PrefixID
+		}
+		arrivals = append(arrivals, h.t)
+		shapes = append(shapes, r)
+
+		if h.s+1 < len(base) {
+			heads[0] = headAt(base, think, h.s+1, h.k)
+		} else {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		siftDown(heads)
+		if h.s == 0 && h.k < turns {
+			heads = append(heads, headAt(base, think, 0, h.k+1))
+			siftUp(heads)
 		}
 	}
-	// Stable by arrival: equal timestamps (zero think, coincident bases)
-	// keep generation order — session-major, turns ascending — so the
-	// expansion is deterministic and a session's turns never invert.
-	idx := make([]int, total)
-	for i := range idx {
-		idx[i] = i
+	return arrivals, shapes
+}
+
+// turnHead is the next request of one turn's run in expandSessions'
+// merge: session s's turn k, arriving at t.
+type turnHead struct {
+	t    float64
+	s, k int
+}
+
+// headAt is session s's turn k over the given base arrivals.
+func headAt(base []float64, think float64, s, k int) turnHead {
+	// The conversion rounds the product, so no architecture fuses it
+	// into the add.
+	return turnHead{t: base[s] + float64(float64(k-1)*think), s: s, k: k}
+}
+
+// before orders heads by arrival, equal arrivals in generation order.
+func (a turnHead) before(b turnHead) bool {
+	if a.t < b.t || b.t < a.t {
+		return a.t < b.t
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return outT[idx[a]] < outT[idx[b]] })
-	mergedT := make([]float64, 0, n)
-	mergedS := make([]Request, 0, n)
-	for _, i := range idx[:n] {
-		mergedT = append(mergedT, outT[i])
-		mergedS = append(mergedS, outS[i])
+	return a.s < b.s || a.s == b.s && a.k < b.k
+}
+
+// siftDown restores the min-heap order of h after its root changed.
+func siftDown(h []turnHead) {
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	return mergedT, mergedS
+}
+
+// siftUp restores the min-heap order of h after an append.
+func siftUp(h []turnHead) {
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
 }
 
 // ArrivalProcess is the seeded, deterministic description of how a
@@ -281,32 +331,39 @@ type ArrivalProcess struct {
 	Seed int64
 }
 
-// Generate produces the arrival timestamps and request shapes of n
-// requests drawn from the process over the given mix, appending into the
-// provided buffers (pass nil or length-zero slices; the session-cohort
-// path returns fresh slices). The degenerate process — empty or constant
-// schedule, zero/one turns, zero sigmas — reproduces the plain
-// constant-rate Poisson stream byte-identically.
+// Generate appends the arrival timestamps and request shapes of n
+// requests drawn from the process over the given mix to the provided
+// buffers, keeping what they already hold. Each buffer grows once: by n,
+// and with sessions by one more entry per session, which holds the
+// sessions' base arrivals and shapes past the returned length while the
+// turns are merged. The degenerate process — empty or constant schedule,
+// zero/one turns, zero sigmas — reproduces the plain constant-rate
+// Poisson stream byte-identically. It panics on a negative n, and with
+// sessions on a Think that is not finite and non-negative.
 func (p ArrivalProcess) Generate(mix []TenantLoad, n int, arrivals []float64, shapes []Request) ([]float64, []Request) {
+	if p.Turns <= 1 {
+		return p.appendArrivals(arrivals, n), AppendMixShapes(shapes, mix, n, p.Seed)
+	}
+	if n < 0 || !(p.Think >= 0) || math.IsInf(p.Think, 0) {
+		panic(fmt.Sprintf("workload: session arrivals need a non-negative count and a finite non-negative think time, got %d and %g",
+			n, p.Think))
+	}
+	// One base arrival per session; ceil so truncation trims rather than
+	// starves.
+	sessions := (n + p.Turns - 1) / p.Turns
+	at, as := len(arrivals), len(shapes)
+	arrivals, shapes = slices.Grow(arrivals, n+sessions), slices.Grow(shapes, n+sessions)
+	base := p.appendArrivals(arrivals[at+n:at+n], sessions)
+	sess := AppendMixShapes(shapes[as+n:as+n], mix, sessions, p.Seed)
+	return expandSessions(arrivals, shapes, base, sess, n, p.Turns, p.Think)
+}
+
+// appendArrivals appends n of the process's arrival timestamps to dst,
+// on the constant-rate path when the schedule canonicalizes to one.
+func (p ArrivalProcess) appendArrivals(dst []float64, n int) []float64 {
 	sched, rate := CanonicalSchedule(p.Schedule, p.Rate)
-	turns := p.Turns
-	if turns < 1 {
-		turns = 1
-	}
-	count := n
-	if turns > 1 {
-		// One base arrival per session; ceil so truncation trims rather
-		// than starves.
-		count = (n + turns - 1) / turns
-	}
 	if sched == nil {
-		arrivals = appendPoissonArrivals(arrivals, rate, count, p.Seed)
-	} else {
-		arrivals = appendScheduleArrivals(arrivals, sched, count, p.Seed)
+		return appendPoissonArrivals(dst, rate, n, p.Seed)
 	}
-	shapes = AppendMixShapes(shapes, mix, count, p.Seed)
-	if turns > 1 {
-		return expandSessions(arrivals, shapes, n, turns, p.Think)
-	}
-	return arrivals, shapes
+	return appendScheduleArrivals(dst, sched, n, p.Seed)
 }

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -355,8 +357,8 @@ func TestGenerateSessionTruncation(t *testing.T) {
 	}
 }
 
-// With zero think time a session's turns arrive coincident; the stable
-// sort must keep them in turn order.
+// With zero think time a session's turns arrive coincident; the merge
+// must keep them in turn order.
 func TestGenerateZeroThinkKeepsTurnOrder(t *testing.T) {
 	mix := []TenantLoad{{Tenant: "chat", Share: 1, PromptTokens: 10, GenTokens: 5}}
 	_, gotS := ArrivalProcess{Rate: 2, Turns: 3, Seed: 3}.Generate(mix, 30, nil, nil)
@@ -367,4 +369,177 @@ func TestGenerateZeroThinkKeepsTurnOrder(t *testing.T) {
 		}
 		last[r.Session] = r.Turn
 	}
+}
+
+// TestExpandSessionsMatchesStableSort: the merged session expansion is
+// bit for bit the stream the sort-based expansion it replaced produced
+// (sortedSessions), across rates and schedules, turn counts up to and
+// past the request count, zero think (coincident turns) and positive
+// think, heavy-tailed and multi-tenant mixes, and buffers that already
+// hold a prefix, which Generate keeps and appends after.
+func TestExpandSessionsMatchesStableSort(t *testing.T) {
+	mixes := map[string][]TenantLoad{
+		"one":   {{Tenant: "chat", Share: 1, PromptTokens: 100, GenTokens: 50}},
+		"heavy": {{Tenant: "chat", Share: 1, PromptTokens: 100, GenTokens: 50, PromptSigma: 1.1, GenSigma: 0.4}},
+		"tenants": {
+			{Tenant: "a", Share: 1, PromptTokens: 30, GenTokens: 10},
+			{Tenant: "b", Share: 3, PromptTokens: 200, GenTokens: 20, GenSigma: 0.7},
+			{Tenant: "c", Share: 0.5, PromptTokens: 8, GenTokens: 300, PromptSigma: 0.3},
+		},
+	}
+	arrivals := map[string]ArrivalProcess{
+		"slow":     {Rate: 0.5},
+		"fast":     {Rate: 40},
+		"bursty":   {Schedule: Schedule{{Start: 0, End: 30, Rate: 1}, {Start: 30, End: 45, Rate: 16}, {Start: 45, End: 90, Rate: 2}}},
+		"quiet":    {Schedule: Schedule{{Start: 0, End: 5, Rate: 3}, {Start: 5, End: 50, Rate: 0}, {Start: 50, End: 60, Rate: 9}}},
+		"constant": {Schedule: Schedule{{Start: 0, End: 5, Rate: 2}, {Start: 5, End: 9, Rate: 2}}},
+	}
+	for mixName, mix := range mixes {
+		for procName, proc := range arrivals {
+			for _, n := range []int{0, 1, 7, 64, 129} {
+				turnCounts := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, n, n + 3, 1 << 30}
+				for _, turns := range turnCounts {
+					if turns < 2 {
+						continue
+					}
+					for _, think := range []float64{0, 0.25, 5} {
+						p := proc
+						p.Turns, p.Think, p.Seed = turns, think, int64(n*31+turns)
+						name := fmt.Sprintf("%s/%s/n=%d/turns=%d/think=%g", mixName, procName, n, turns, think)
+						wantT, wantS := sortedSessions(p, mix, n)
+						gotT, gotS := p.Generate(mix, n, nil, nil)
+						assertSameStream(t, name, gotT, gotS, wantT, wantS)
+
+						preT := []float64{-3, -2}
+						preS := []Request{{Tenant: "x", PromptTokens: 1, GenTokens: 1}}
+						gotT, gotS = p.Generate(mix, n, slices.Clone(preT), slices.Clone(preS))
+						if !slices.Equal(gotT[:len(preT)], preT) || !slices.Equal(gotS[:len(preS)], preS) {
+							t.Fatalf("%s: Generate overwrote the buffers' prefix", name)
+						}
+						assertSameStream(t, name+"/prefixed", gotT[len(preT):], gotS[len(preS):], wantT, wantS)
+					}
+				}
+			}
+		}
+	}
+
+	// Integer bases and think make ties across sessions as well as
+	// within them, so the (session, turn) tie break decides the order.
+	base := make([]float64, 40)
+	sessions := make([]Request, len(base))
+	for s := range base {
+		base[s] = float64(s / 3)
+		sessions[s] = Request{Tenant: "t", PromptTokens: 10 + s, GenTokens: 1 + s%4}
+	}
+	for _, turns := range []int{2, 3, 5, 40} {
+		for _, think := range []float64{0, 1, 2} {
+			n := len(base) * min(turns, 3)
+			wantT, wantS := sortedExpansion(base, sessions, n, turns, think)
+			gotT, gotS := expandSessions(nil, nil, base, slices.Clone(sessions), n, turns, think)
+			assertSameStream(t, fmt.Sprintf("ties/turns=%d/think=%g", turns, think), gotT, gotS, wantT, wantS)
+		}
+	}
+}
+
+// assertSameStream fails unless the two streams agree bit for bit.
+func assertSameStream(t *testing.T, name string, gotT []float64, gotS []Request, wantT []float64, wantS []Request) {
+	t.Helper()
+	if len(gotT) != len(wantT) || len(gotS) != len(wantS) {
+		t.Fatalf("%s: %d arrivals and %d shapes, want %d and %d", name, len(gotT), len(gotS), len(wantT), len(wantS))
+	}
+	for i := range wantT {
+		if math.Float64bits(gotT[i]) != math.Float64bits(wantT[i]) || gotS[i] != wantS[i] {
+			t.Fatalf("%s: request %d is %v %+v, want %v %+v", name, i, gotT[i], gotS[i], wantT[i], wantS[i])
+		}
+	}
+}
+
+// sortedSessions is the session-cohort Generate as it was before the
+// merge: per-session base arrivals and shapes drawn into fresh slices
+// (lengths applied in a second pass over the shapes), then expanded by
+// a stable sort.
+func sortedSessions(p ArrivalProcess, mix []TenantLoad, n int) ([]float64, []Request) {
+	count := (n + p.Turns - 1) / p.Turns
+	sched, rate := CanonicalSchedule(p.Schedule, p.Rate)
+	var base []float64
+	if sched == nil {
+		base = appendPoissonArrivals(nil, rate, count, p.Seed)
+	} else {
+		base = appendScheduleArrivals(nil, sched, count, p.Seed)
+	}
+	shapes := make([]Request, 0, count)
+	if len(mix) == 1 {
+		for range count {
+			shapes = append(shapes, mix[0].Shape())
+		}
+	} else {
+		total := 0.0
+		for _, t := range mix {
+			total += t.Share
+		}
+		rng := rand.New(rand.NewSource(p.Seed ^ shapeSeedSalt))
+		for range count {
+			x := rng.Float64() * total
+			k := 0
+			for k < len(mix)-1 {
+				x -= mix[k].Share
+				if x < 0 {
+					break
+				}
+				k++
+			}
+			shapes = append(shapes, mix[k].Shape())
+		}
+	}
+	byTenant := make(map[string]TenantLoad, len(mix))
+	for _, t := range mix {
+		byTenant[t.Tenant] = t
+	}
+	rng := rand.New(rand.NewSource(int64(uint64(p.Seed) ^ lengthSeedSalt)))
+	for i := range shapes {
+		t := byTenant[shapes[i].Tenant]
+		if t.PromptSigma != 0 {
+			lo, hi := t.PromptBounds()
+			shapes[i].PromptTokens = lognormalDraw(rng, t.PromptTokens, t.PromptSigma, lo, hi)
+		}
+		if t.GenSigma != 0 {
+			lo, hi := t.GenBounds()
+			shapes[i].GenTokens = lognormalDraw(rng, t.GenTokens, t.GenSigma, lo, hi)
+		}
+	}
+	return sortedExpansion(base, shapes, n, p.Turns, p.Think)
+}
+
+// sortedExpansion is the sort-based session expansion: every turn of
+// every session (up to n per session), stably sorted by arrival, then
+// truncated to n.
+func sortedExpansion(arrivals []float64, shapes []Request, n, turns int, think float64) ([]float64, []Request) {
+	turns = min(turns, n)
+	var outT []float64
+	var outS []Request
+	for s := range arrivals {
+		sh := shapes[s]
+		p, g := sh.PromptTokens, sh.GenTokens
+		for k := 1; k <= turns; k++ {
+			ctx := (k - 1) * (p + g)
+			r := Request{Tenant: sh.Tenant, PromptTokens: ctx + p, GenTokens: g, PrefixTokens: ctx, Session: s + 1, Turn: k}
+			if k > 1 {
+				r.PrefixID = sessionPrefixID(s + 1)
+			}
+			outT = append(outT, arrivals[s]+float64(float64(k-1)*think))
+			outS = append(outS, r)
+		}
+	}
+	idx := make([]int, len(outT))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return outT[idx[a]] < outT[idx[b]] })
+	mergedT := make([]float64, 0, n)
+	mergedS := make([]Request, 0, n)
+	for _, i := range idx[:n] {
+		mergedT = append(mergedT, outT[i])
+		mergedS = append(mergedS, outS[i])
+	}
+	return mergedT, mergedS
 }

@@ -62,10 +62,19 @@ func (s Schedule) Validate() error {
 // after merging collapses to (nil, rate) — the plain Poisson form — so a
 // degenerate schedule fingerprints (and simulates) identically to the
 // rate it encodes. With no schedule the pair passes through unchanged.
-// The input is assumed validated; the canonical form revalidates clean.
+// A schedule that is already canonical is returned itself, not copied,
+// so a caller that keeps the result past the input clones it. The input
+// is assumed validated; the canonical form revalidates clean.
 func CanonicalSchedule(s Schedule, rate float64) (Schedule, float64) {
 	if len(s) == 0 {
 		return nil, rate
+	}
+	canonical := len(s) > 1
+	for i := 1; i < len(s) && canonical; i++ {
+		canonical = s[i].Rate != s[i-1].Rate //lint:floateq canonicalization merges exactly-equal rates only; nearly-equal segments are distinct on purpose
+	}
+	if canonical {
+		return s, 0
 	}
 	out := Schedule{s[0]}
 	for _, seg := range s[1:] {

@@ -58,10 +58,10 @@ func TestCanonicalSchedule(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Errorf("canonical form should revalidate clean: %v", err)
 	}
-	// A genuinely piecewise schedule is untouched.
+	// A genuinely piecewise schedule is untouched, and not copied.
 	in := Schedule{{0, 60, 5}, {60, 120, 25}}
-	if s, _ := CanonicalSchedule(in, 0); !reflect.DeepEqual(s, in) {
-		t.Errorf("piecewise schedule changed: %v", s)
+	if s, _ := CanonicalSchedule(in, 0); !reflect.DeepEqual(s, in) || &s[0] != &in[0] {
+		t.Errorf("piecewise schedule changed or copied: %v", s)
 	}
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -141,8 +142,10 @@ func TestGenerateSessionTurnCap(t *testing.T) {
 
 // FuzzWorkloadSpec: for arbitrary field combinations Validate never
 // panics, and whenever it accepts a spec the stream carries exactly the
-// defaulted Requests (a replay's length), arrivals never decrease, and
-// every shape lies inside the bounds of the spec's Extremes.
+// defaulted Requests (a replay's length), arrivals never decrease,
+// drawing into buffers that already hold requests keeps them and appends
+// the same stream, and every shape lies inside the bounds of the spec's
+// Extremes.
 func FuzzWorkloadSpec(f *testing.F) {
 	// prompt, gen, prefix, shape (kind in the low bits; 0x80 keeps the
 	// spec-wide fields beside a mix or trace), rate, sched, turns, think,
@@ -213,6 +216,12 @@ func FuzzWorkloadSpec(f *testing.F) {
 			if !(arrivals[i] >= arrivals[i-1]) {
 				t.Fatalf("arrival %d at %g precedes %g", i, arrivals[i], arrivals[i-1])
 			}
+		}
+		pre := Request{Tenant: "x", PromptTokens: 1, GenTokens: 1}
+		moreT, moreS := d.Stream([]float64{-1}, []Request{pre, pre})
+		if moreT[0] != -1 || moreS[0] != pre || moreS[1] != pre ||
+			!slices.Equal(moreT[1:], arrivals) || !slices.Equal(moreS[2:], shapes) {
+			t.Fatal("a stream appended to filled buffers must keep their contents and append the same stream")
 		}
 		var b Bounds
 		s.Extremes(func(first bool, prompt, gen, _ int) {

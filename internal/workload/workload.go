@@ -202,32 +202,54 @@ func validatePrefix(prefixID string, prefixTokens, promptTokens int) error {
 	return nil
 }
 
-// prefixConsistency folds one shape's prefix into the id→length map shared
-// by ValidateMix and ValidateTrace: a PrefixID names one concrete token
-// sequence, so every shape carrying it must agree on its length — except
-// session rows, whose per-turn prefix is the session's growing context and
-// may only extend (never shrink) across occurrences.
-func prefixConsistency(seen map[string]int, prefixID string, prefixTokens int, session bool) (map[string]int, error) {
+// prefixLengths is the id→length record shared by ValidateMix and
+// ValidateTrace: a PrefixID names one concrete token sequence, so every
+// shape carrying it must agree on its length — except session rows,
+// whose per-turn prefix is the session's growing context and may only
+// extend (never shrink) across occurrences. The first id seen is kept in
+// place; a map is built only once a second distinct id appears.
+type prefixLengths struct {
+	id     string
+	tokens int
+	more   map[string]int
+}
+
+// check folds one shape's prefix into the record.
+func (p *prefixLengths) check(prefixID string, prefixTokens int, session bool) error {
 	if prefixID == "" {
-		return seen, nil
+		return nil
 	}
-	if seen == nil {
-		seen = make(map[string]int, 4)
+	var prev int
+	var ok bool
+	switch {
+	case p.id == "":
+		p.id, p.tokens = prefixID, prefixTokens
+		return nil
+	case p.id == prefixID:
+		prev, ok = p.tokens, true
+	default:
+		prev, ok = p.more[prefixID]
 	}
-	prev, ok := seen[prefixID]
 	switch {
 	case !ok:
 	case session:
 		if prefixTokens < prev {
-			return seen, fmt.Errorf("session prefix %q shrank from %d to %d tokens — a session's context only grows",
+			return fmt.Errorf("session prefix %q shrank from %d to %d tokens — a session's context only grows",
 				prefixID, prev, prefixTokens)
 		}
 	case prev != prefixTokens:
-		return seen, fmt.Errorf("prefix %q spans %d tokens in one shape and %d in another — a shared prefix has one length",
+		return fmt.Errorf("prefix %q spans %d tokens in one shape and %d in another — a shared prefix has one length",
 			prefixID, prev, prefixTokens)
 	}
-	seen[prefixID] = prefixTokens
-	return seen, nil
+	if p.id == prefixID {
+		p.tokens = prefixTokens
+		return nil
+	}
+	if p.more == nil {
+		p.more = make(map[string]int, 4)
+	}
+	p.more[prefixID] = prefixTokens
+	return nil
 }
 
 // validateSigma checks one heavy-tail sigma: finite and non-negative
@@ -248,7 +270,7 @@ func ValidateMix(mix []TenantLoad) error {
 		return fmt.Errorf("workload: empty mix")
 	}
 	seen := make(map[string]bool, len(mix))
-	var prefixes map[string]int
+	var prefixes prefixLengths
 	for _, t := range mix {
 		err := t.Shape().Validate()
 		if err == nil {
@@ -270,7 +292,7 @@ func ValidateMix(mix []TenantLoad) error {
 		// A heavy-tailed prompt with a shared prefix stays legal only
 		// because the draw clamps to PrefixTokens+1; the median itself must
 		// still clear the prefix (validatePrefix above uses the median).
-		if prefixes, err = prefixConsistency(prefixes, t.PrefixID, t.PrefixTokens, false); err != nil {
+		if err := prefixes.check(t.PrefixID, t.PrefixTokens, false); err != nil {
 			return fmt.Errorf("workload: %w", err)
 		}
 	}
@@ -287,7 +309,7 @@ func ValidateTrace(trace []TraceEvent) error {
 		return fmt.Errorf("workload: empty trace — a replay needs at least one event (leave Trace nil to generate a workload)")
 	}
 	prev := 0.0
-	var prefixes map[string]int
+	var prefixes prefixLengths
 	for i, ev := range trace {
 		if !(ev.Arrival >= prev) || math.IsInf(ev.Arrival, 0) {
 			return fmt.Errorf("workload: trace event %d: arrival %g not finite and non-decreasing (previous %g)",
@@ -304,8 +326,7 @@ func ValidateTrace(trace []TraceEvent) error {
 			return fmt.Errorf("workload: trace event %d: Session and Turn mark a cohort row together (session %d, turn %d)",
 				i, ev.Session, ev.Turn)
 		}
-		var err error
-		if prefixes, err = prefixConsistency(prefixes, ev.PrefixID, ev.PrefixTokens, ev.Session > 0); err != nil {
+		if err := prefixes.check(ev.PrefixID, ev.PrefixTokens, ev.Session > 0); err != nil {
 			return fmt.Errorf("workload: trace event %d: %w", i, err)
 		}
 	}

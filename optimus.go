@@ -154,6 +154,7 @@ package optimus
 import (
 	"context"
 	"io"
+	"slices"
 
 	"optimus/internal/arch"
 	"optimus/internal/cluster"
@@ -501,8 +502,10 @@ func FormatServeSchedule(s ServeSchedule) string { return workload.FormatSchedul
 // CanonicalServeSchedule reduces a (schedule, rate) pair to canonical
 // form: adjacent equal-rate segments merge, and a constant schedule
 // collapses to (nil, rate) — the byte-identical plain Poisson process.
+// The result never shares the input's segments.
 func CanonicalServeSchedule(s ServeSchedule, rate float64) (ServeSchedule, float64) {
-	return workload.CanonicalSchedule(s, rate)
+	cs, cr := workload.CanonicalSchedule(s, rate)
+	return slices.Clone(cs), cr
 }
 
 // NewServeInstance builds a steppable single-replica simulator from a
