@@ -86,8 +86,9 @@ build-386:
 	GOOS=linux GOARCH=386 $(GO) build ./...
 
 # No fused multiply-add in the serving simulator, the step costs it
-# prices, the workload draws, the collective models it prices transfers
-# with, the fleet simulator and the sweep engine (ROADMAP item 14). The
+# prices and the kernel lists and roofline arithmetic under them, the
+# workload draws, the collective models it prices transfers with, the
+# fleet simulator and the sweep engine (ROADMAP item 14). The
 # Go spec lets a compiler fuse x*y + z into one instruction that rounds
 # once instead of twice: amd64 never does, arm64 and ppc64le do, so a
 # fused line would give those hosts other bits. Cross-compile the
@@ -98,7 +99,7 @@ build-386:
 # `float64(x*y) + z` is the form that cannot fuse. Other packages are
 # left to the rest of item 14.
 FMA_ARCHS := arm64 ppc64le
-FMA_PKGS := internal/serve internal/infer internal/workload internal/comm internal/cluster internal/sweep
+FMA_PKGS := internal/serve internal/infer internal/kernels internal/roofline internal/workload internal/comm internal/cluster internal/sweep
 fma:
 	@set -e; \
 	for arch in $(FMA_ARCHS); do \

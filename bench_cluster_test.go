@@ -120,7 +120,12 @@ func disaggFleetSpec(tb testing.TB, requests int) cluster.Spec {
 // allocations and 5.4 KB, so a run allocates at most 6 times and 16.3 KB.
 // The spec-wide pooled row, the cluster-bench fleet, pins that defaulting
 // and validating a spec-wide shape allocates nothing either: its one
-// generator bounds it at 2 allocations and 5.4 KB.
+// generator bounds it at 2 allocations and 5.4 KB. The spec-wide fresh
+// row pins that the fleet's drawn stream holds one shape and its kernel
+// lists build no op names: it measures 121 allocations and 163 KB (134
+// and 219 KB under -race, which raceBytes covers), where a shape per
+// request and a name per priced line measured 162 and 183 KB (176 and
+// 257 KB).
 // The other allocation budgets are the measured counts with about 2.5×
 // headroom, and their byte budgets the -race measurements with about
 // 1.4×. The instance row pins that a replica pushed k requests allocates
@@ -141,6 +146,7 @@ func TestClusterAllocBudget(t *testing.T) {
 		{"least-kv/fresh", 1000, 450e3, func() (cluster.Result, error) { return cluster.Run(lkv) }},
 		{"least-kv/pooled", 6, 16e3, func() (cluster.Result, error) { return pooled.Run(lkv) }},
 		{"spec-wide/pooled", 2, 5.5e3, func() (cluster.Result, error) { return pooled.Run(wide) }},
+		{"spec-wide/fresh", 150, 175e3 * raceBytes(), func() (cluster.Result, error) { return cluster.Run(wide) }},
 		{"round-robin/fresh", 1000, 450e3, func() (cluster.Result, error) { return cluster.Run(rr) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -193,11 +193,12 @@ func BenchmarkServeSessionCohorts(b *testing.B) {
 // simulation, per admission policy and arrival process. The event loop
 // itself is allocation-free in steady state (pointer-free request slab,
 // index deques, dense pricing tables, reusable percentile scratch), so a
-// fresh Run costs its setup and the memory its Result owns — ~100
-// allocations (the pointer-per-request era took ~1590) and ~100 KB, most
-// of it the 256 × 128-byte ledger, the request slab and the drawn shape
-// stream — and a pooled Runner re-run, which writes over its own ledger,
-// allocates nothing but a session workload's prefix ids. A per-iteration or
+// fresh Run costs its setup and the memory its Result owns — ~35
+// allocations (the pointer-per-request era took ~1590) and ~80 KB, most
+// of it the 256 × 128-byte ledger and the request slab, since a
+// fixed-shape workload draws one shape, not 256 × 72 bytes of them — and
+// a pooled Runner re-run, which writes over its own ledger, allocates
+// nothing but a session workload's one string of prefix ids. A per-iteration or
 // per-request allocation regression — the way `make serve-bench`
 // throughput would quietly decay — blows straight through these budgets.
 // Wall-clock throughput itself stays a benchmark (BenchmarkServeSimulator*),
@@ -205,11 +206,15 @@ func BenchmarkServeSessionCohorts(b *testing.B) {
 //
 // The closed-loop row pins that a one-shot Run sizes its request slab by
 // the requests that can be in flight, its 16 clients, not by its 256
-// requests: measured 66 KB, where a request-count slab adds 30 KB. The
-// sessions row (64 four-turn sessions) pins that session expansion
-// merges into the drawn buffers: a pooled run allocates only each
-// session's prefix id, and a fresh one measures 121 KB where the
-// sort-based expansion took 144 KB.
+// requests: measured 46 KB, where a request-count slab adds 30 KB. The
+// fixed-shape rows' byte budgets fail a draw of one shape per request,
+// 18 KB more: reserve measures 78 KB, and 98 KB with a shape per request;
+// closed-loop 46 KB, and 65 KB. Their allocation budgets fail a kernel
+// list that builds an op name per priced line (reserve: 30 allocations
+// here, 96 then). The sessions row (64 four-turn sessions) pins that
+// session expansion merges into the drawn buffers: a pooled run
+// allocates only the one string of the sessions' prefix ids, and a fresh
+// one measures 120 KB where the sort-based expansion took 144 KB.
 // Under -race every fresh byte budget is scaled by raceBytes, since the
 // instrumented build allocates the temporary of every slices.Grow (the
 // closed-loop row measures 86 KB). A pooled budget is the row's own
@@ -218,28 +223,29 @@ func TestServeSimulatorAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		// freshAllocs/freshBytes are the measured fresh-run counts and
-		// bytes with ~2.5× and ~30% headroom for toolchain drift.
+		// bytes with ~2.5× and ~20% headroom for toolchain drift.
 		// pooledAllocs/pooledBytes are exact: a pooled run builds its
 		// admission policy in place, defaults its workload and draws its
 		// stream without allocating, so it measures 0, except the
-		// sessions row's 64 prefix ids of at most 16 bytes each.
+		// sessions row's one string of 64 prefix ids, 247 bytes in a
+		// 256-byte size class.
 		freshAllocs, pooledAllocs float64
 		freshBytes, pooledBytes   float64
 		mut                       func(*serve.Spec)
 	}{
-		{"reserve", 300, 0, 130e3, 0, func(s *serve.Spec) {}},
-		{"paged", 300, 0, 130e3, 0, func(s *serve.Spec) {
+		{"reserve", 80, 0, 95e3, 0, func(s *serve.Spec) {}},
+		{"paged", 80, 0, 95e3, 0, func(s *serve.Spec) {
 			s.Policy = serve.Paged
 			per := memfoot.Inference(s.Model, s.TP, 1, s.PromptTokens+s.GenTokens, s.Precision.Bytes()).KVCache
 			s.KVCapacity = 8 * per
 		}},
-		{"disagg", 300, 0, 130e3, 0, func(s *serve.Spec) {
+		{"disagg", 80, 0, 95e3, 0, func(s *serve.Spec) {
 			s.Policy = serve.Disaggregated
 			s.TransferGBps = 50
 			per := memfoot.Inference(s.Model, s.TP, 1, s.PromptTokens+s.GenTokens, s.Precision.Bytes()).KVCache
 			s.KVCapacity = 12 * per
 		}},
-		{"prefix+tiered", 300, 0, 130e3, 0, func(s *serve.Spec) {
+		{"prefix+tiered", 80, 0, 95e3, 0, func(s *serve.Spec) {
 			s.Policy = serve.Paged
 			s.PrefixTokens = 64
 			per := memfoot.Inference(s.Model, s.TP, 1, s.PromptTokens+s.GenTokens, s.Precision.Bytes()).KVCache
@@ -247,7 +253,7 @@ func TestServeSimulatorAllocBudget(t *testing.T) {
 			s.HostKVBytes = 16 * per
 			s.SwapGBps = serve.DefaultSwapGBps
 		}},
-		{"bursty", 300, 0, 135e3, 0, func(s *serve.Spec) {
+		{"bursty", 80, 0, 95e3, 0, func(s *serve.Spec) {
 			s.Rate = 0
 			s.Schedule = workload.Schedule{
 				{Start: 0, End: 30, Rate: 1},
@@ -255,13 +261,13 @@ func TestServeSimulatorAllocBudget(t *testing.T) {
 				{Start: 45, End: 90, Rate: 2},
 			}
 		}},
-		{"sessions", 450, 64, 140e3, 64 * 16, func(s *serve.Spec) {
+		{"sessions", 140, 1, 140e3, 256, func(s *serve.Spec) {
 			s.Policy = serve.Paged
 			s.Turns, s.Think = 4, 5
 			per := memfoot.Inference(s.Model, s.TP, 1, s.PromptTokens+s.GenTokens, s.Precision.Bytes()).KVCache
 			s.KVCapacity = 8 * per
 		}},
-		{"closed-loop", 150, 0, 80e3, 0, func(s *serve.Spec) {
+		{"closed-loop", 80, 0, 55e3, 0, func(s *serve.Spec) {
 			s.Arrival = serve.ClosedLoop
 			s.Rate = 0
 			s.Clients = 16

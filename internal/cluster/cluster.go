@@ -272,7 +272,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	// timestamps and shapes for the same workload and seed. Every replica
 	// is armed on the whole stream, so each prices exactly as a
 	// single-replica Run of the fleet workload would.
-	times, shapes := rn.env.Draw(s.Workload().WithDefaults())
+	times := rn.env.Draw(s.Workload().WithDefaults())
 
 	// Each descriptor instantiates its Count replicas (zero means one),
 	// in replica-index order.
@@ -306,11 +306,14 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		case RoundRobin:
 			r = i % R
 		case TenantAffinity:
-			r = tenantReplica(shapes[i].Tenant, R)
+			r = tenantReplica(rn.env.Shape(i).Tenant, R)
 		default: // LeastQueue, LeastKV: Validate rejected every other policy
 			r = leastLoaded(s.Routing, instances, at)
 		}
-		if err := instances[r].Push(shapes[i], at); err != nil {
+		// The stream is the validated fleet workload's, drawn into the
+		// envelope every replica is armed on, so each push checks only
+		// its order.
+		if err := instances[r].PushDrawn(i); err != nil {
 			return Result{}, fmt.Errorf("cluster: replica %d: %w", r, err)
 		}
 		assign[i] = int32(r)

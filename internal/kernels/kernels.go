@@ -290,11 +290,12 @@ func AppendLayerForward(dst []Op, cfg model.Config, e Exec) []Op {
 	}
 	// The block output partial sums are combined with an all-reduce, or a
 	// reduce-scatter under SP (§3.2, Fig. 2).
-	combineOut := func(name string) Op {
+	// Both names are constants, so no call builds a string.
+	combineOut := func(reduceScatter, allReduce string) Op {
 		if e.SP {
-			return Op{Name: name + "-reduce-scatter", Kind: KindReduceScatter, CommBytes: hiddenElems * eb}
+			return Op{Name: reduceScatter, Kind: KindReduceScatter, CommBytes: hiddenElems * eb}
 		}
-		return Op{Name: name + "-all-reduce", Kind: KindAllReduce, CommBytes: hiddenElems * eb}
+		return Op{Name: allReduce, Kind: KindAllReduce, CommBytes: hiddenElems * eb}
 	}
 	skipJoin := func(name string) Op {
 		acc, extra := residualAccesses, 0.0
@@ -304,7 +305,7 @@ func AppendLayerForward(dst []Op, cfg model.Config, e Exec) []Op {
 		return Op{Name: name, Kind: KindElementwise, EW: roofline.Elementwise{
 			Name:         name,
 			Elements:     hiddenElems / e.spDiv(),
-			BytesPerElem: float64(acc)*eb + extra,
+			BytesPerElem: float64(float64(acc)*eb) + extra,
 			FLOPsPerElem: 3,
 		}}
 	}
@@ -332,8 +333,10 @@ func AppendLayerForward(dst []Op, cfg model.Config, e Exec) []Op {
 		// One IO-aware kernel: both attention GEMMs' FLOPs, but DRAM
 		// traffic only for Q, K, V and the output — the score matrix
 		// stays in on-chip memory (§1.1).
-		qBytes := float64(e.Batch*e.Seq*headsPerRank*hd) * eb
-		kvBytes := 2 * float64(e.Batch*e.Context*kvPerRank*hd) * eb
+		// Both products are rounded, so no architecture fuses either into
+		// the DRAM sum below.
+		qBytes := float64(float64(e.Batch*e.Seq*headsPerRank*hd) * eb)
+		kvBytes := float64(2 * float64(e.Batch*e.Context*kvPerRank*hd) * eb)
 		flops := 4 * float64(scoreBatch) * float64(e.Seq) * float64(e.Context) * float64(hd)
 		add(Op{Name: "flash-attention", Kind: KindFused, Fused: roofline.Fused{
 			Name:      "flash-attention",
@@ -367,7 +370,7 @@ func AppendLayerForward(dst []Op, cfg model.Config, e Exec) []Op {
 	add(Op{Name: "attn-proj", Kind: KindGEMM, GEMM: roofline.GEMM{
 		M: rows, N: h, K: headsPerRank * hd, Precision: e.Precision,
 	}})
-	add(combineOut("attn"))
+	add(combineOut("attn-reduce-scatter", "attn-all-reduce"))
 	add(skipJoin("attn-skip"))
 
 	// ---- MLP block ----
@@ -400,7 +403,7 @@ func AppendLayerForward(dst []Op, cfg model.Config, e Exec) []Op {
 	add(Op{Name: "mlp-down", Kind: KindGEMM, GEMM: roofline.GEMM{
 		M: rows, N: h, K: fPerRank, Precision: e.Precision,
 	}})
-	add(combineOut("mlp"))
+	add(combineOut("mlp-reduce-scatter", "mlp-all-reduce"))
 	add(skipJoin("mlp-skip"))
 
 	return ops
@@ -477,11 +480,11 @@ func Summarize(ops []Op) Totals {
 	for _, o := range ops {
 		switch o.Kind {
 		case KindGEMM:
-			t.GEMMFLOPs += o.GEMM.FLOPs()
-			t.GEMMBytes += o.GEMM.CompulsoryBytes()
+			t.GEMMFLOPs += float64(o.GEMM.FLOPs())
+			t.GEMMBytes += float64(o.GEMM.CompulsoryBytes())
 			t.GEMMCount++
 		case KindElementwise:
-			t.EWBytes += o.EW.Elements * o.EW.BytesPerElem
+			t.EWBytes += float64(o.EW.Elements * o.EW.BytesPerElem)
 			t.EWCount++
 		case KindFused:
 			t.GEMMFLOPs += o.Fused.FLOPs

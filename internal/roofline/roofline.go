@@ -77,7 +77,7 @@ func (g GEMM) FLOPs() float64 {
 // once and the result written once.
 func (g GEMM) CompulsoryBytes() float64 {
 	eb := g.Precision.Bytes()
-	per := (float64(g.M)*float64(g.K) + float64(g.K)*float64(g.N) + float64(g.M)*float64(g.N)) * eb
+	per := (float64(float64(g.M)*float64(g.K)) + float64(float64(g.K)*float64(g.N)) + float64(float64(g.M)*float64(g.N))) * eb
 	return per * float64(g.Instances())
 }
 
@@ -259,8 +259,8 @@ func trafficThrough(g GEMM, capacity float64) float64 {
 	eb := g.Precision.Bytes()
 	m, n, k := float64(g.M), float64(g.N), float64(g.K)
 	t := tileEdge(capacity, eb)
-	perInstance := 2*m*n*k*eb/t + m*n*eb
-	compulsory := (m*k + k*n + m*n) * eb
+	perInstance := 2*m*n*k*eb/t + float64(m*n*eb)
+	compulsory := (float64(m*k) + float64(k*n) + float64(m*n)) * eb
 	if perInstance < compulsory {
 		perInstance = compulsory
 	}

@@ -54,11 +54,14 @@ type Instance struct {
 
 // Envelope is the drawn workload: the stream Run or a fleet draws into
 // it (Draw), or shapes a caller sets (Set; duplicates are fine), which
-// size the simulations armed on it. The step coster, KV geometry and
-// batch caps read its bounds, and a prefixed envelope's page units each
-// shape's prefix split; both are folded once, when the contents are
-// drawn or set, which invalidates the instances built on the previous
-// contents. Only the pre-draw rules read a workload's possible shapes.
+// size the simulations armed on it. A uniform workload's draw holds its
+// arrival times and one shape that every request shares, whatever the
+// count; any other holds a shape per request, which Shape reads either
+// way. The step coster, KV geometry and batch caps read its bounds, and a
+// prefixed envelope's page units each shape's prefix split; both are
+// folded once, over the shapes it holds, when the contents are drawn or
+// set, which invalidates the instances built on the previous contents.
+// Only the pre-draw rules read a workload's possible shapes.
 //
 // The Envelope owns the pricing tables its instances price through, one
 // per step-cost key: instances of equal keys share one — a fleet of
@@ -66,8 +69,9 @@ type Instance struct {
 // driven from one goroutine. The tables outlive the contents, so a Runner
 // or a fleet re-run under an unchanged key prices warm.
 type Envelope struct {
-	// shapes are the contents, and times the arrival times Draw drew with
-	// them (none for a closed loop).
+	// shapes are the contents, a shape per request or a uniform draw's
+	// one shape for all of them, and times the arrival times Draw drew
+	// with them (none for a closed loop).
 	times  []float64
 	shapes []workload.Request
 	// work's possible extremes stand in for shapes in a pre-draw
@@ -82,14 +86,23 @@ type Envelope struct {
 	prefixed bool
 }
 
-// Draw draws the validated, defaulted workload w (workload.Spec.Stream)
-// and makes the stream the envelope's contents. The arrival times and
-// shapes it returns are the envelope's buffers, written over by its next
-// Draw or Set.
-func (e *Envelope) Draw(w workload.Spec) ([]float64, []workload.Request) {
-	e.times, e.shapes = w.Stream(e.times[:0], e.shapes[:0])
+// Draw draws the validated, defaulted workload w (workload.Spec.Draw)
+// and makes its w.Requests requests the envelope's contents, a uniform
+// workload's as one shape. It returns their arrival times (none for a
+// closed loop), the envelope's buffer, written over by its next Draw or
+// Set; Shape reads their shapes.
+func (e *Envelope) Draw(w workload.Spec) []float64 {
+	e.times, e.shapes = w.Draw(e.times[:0], e.shapes[:0])
 	*e = e.folded()
-	return e.times, e.shapes
+	return e.times
+}
+
+// Shape returns the shape of request i of the contents.
+func (e *Envelope) Shape(i int) workload.Request {
+	if len(e.shapes) == 1 {
+		return e.shapes[0]
+	}
+	return e.shapes[i]
 }
 
 // Set validates shapes and makes a copy of them the envelope's contents.
@@ -217,11 +230,8 @@ func (rn *Runner) Instance(s Spec, env *Envelope) (*Instance, error) {
 // the arrival joins the queue); pushing into an instance left idle before
 // t jumps the clock to t.
 func (in *Instance) Push(r workload.Request, t float64) error {
-	if in.drained {
-		return fmt.Errorf("serve: push after drain")
-	}
-	if !(t >= in.lastT) || math.IsInf(t, 0) {
-		return fmt.Errorf("serve: push at %g not finite and non-decreasing (previous %g)", t, in.lastT)
+	if err := in.inOrder(t); err != nil {
+		return err
 	}
 	if err := r.Validate(); err != nil {
 		return fmt.Errorf("serve: push: %w", err)
@@ -253,6 +263,37 @@ func (in *Instance) Push(r workload.Request, t float64) error {
 		}
 	}
 	in.push(r, t)
+	return nil
+}
+
+// PushDrawn pushes request i of the open-loop stream drawn into the
+// instance's envelope (Envelope.Draw) at its arrival time, as a fleet
+// pushes its own stream. The draw came from a validated workload and the
+// envelope's bounds were folded from it, so PushDrawn checks only that i
+// is a drawn arrival and that arrivals stay in order; Push checks a
+// request of the caller's own.
+func (in *Instance) PushDrawn(i int) error {
+	env := in.sim.env
+	if i < 0 || i >= len(env.times) {
+		return fmt.Errorf("serve: push of arrival %d, outside the envelope's %d drawn arrivals", i, len(env.times))
+	}
+	t := env.times[i]
+	if err := in.inOrder(t); err != nil {
+		return err
+	}
+	in.push(env.Shape(i), t)
+	return nil
+}
+
+// inOrder checks that an arrival at t may be pushed: before the drain,
+// and finite and no earlier than the previous push.
+func (in *Instance) inOrder(t float64) error {
+	if in.drained {
+		return fmt.Errorf("serve: push after drain")
+	}
+	if !(t >= in.lastT) || math.IsInf(t, 0) {
+		return fmt.Errorf("serve: push at %g not finite and non-decreasing (previous %g)", t, in.lastT)
+	}
 	return nil
 }
 

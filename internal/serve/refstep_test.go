@@ -299,7 +299,7 @@ func refRun(s Spec) (Result, error) {
 	}
 	w := s.Workload()
 	var drawn Envelope
-	arrivals, shapes := drawn.Draw(w)
+	arrivals := drawn.Draw(w)
 	s.SetWorkload(workload.Spec{})
 	sim := &rn.sim
 	if err := sim.arm(s, &drawn, 0, 0); err != nil {
@@ -311,9 +311,9 @@ func refRun(s Spec) (Result, error) {
 		}
 	}
 	if w.Closed {
-		sim.shapes, sim.closed, sim.target = shapes, true, w.Requests
-		for _, sh := range shapes[:min(w.Clients, w.Requests)] {
-			sim.pushShape(sh, 0)
+		sim.closed, sim.target = true, w.Requests
+		for i := range min(w.Clients, w.Requests) {
+			sim.pushShape(drawn.Shape(i), 0)
 		}
 	} else {
 		for i, t := range arrivals {
@@ -321,7 +321,7 @@ func refRun(s Spec) (Result, error) {
 			if sim.idle() && sim.now < t {
 				sim.now = t
 			}
-			sim.pushShape(shapes[i], t)
+			sim.pushShape(drawn.Shape(i), t)
 		}
 	}
 	advance(math.Inf(1))
@@ -478,7 +478,7 @@ func (sim *simulator) refStep() {
 		// here.
 		r.id, sim.free = sim.free, int(id)
 		if sim.closed && len(sim.done) < sim.target {
-			sim.pushShape(sim.shapes[len(sim.done)], sim.now)
+			sim.pushShape(sim.env.Shape(len(sim.done)), sim.now)
 		}
 	}
 	sim.running = alive

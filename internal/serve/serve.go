@@ -682,7 +682,7 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 		return Result{}, err
 	}
 	w := s.Workload()
-	times, shapes := rn.env.Draw(w)
+	times := rn.env.Draw(w)
 	s.SetWorkload(workload.Spec{})
 	sim := &rn.sim
 	// The slab holds the requests in flight: at most the clients of a
@@ -700,13 +700,13 @@ func (rn *Runner) Run(s Spec) (Result, error) {
 	if w.Closed {
 		// Every client issues at time zero, and each completion issues
 		// the next arrival index's pre-drawn shape.
-		sim.shapes, sim.closed, sim.target = shapes, true, w.Requests
-		for _, sh := range shapes[:slots] {
-			sim.pushShape(sh, 0)
+		sim.closed, sim.target = true, w.Requests
+		for i := range slots {
+			sim.pushShape(rn.env.Shape(i), 0)
 		}
 	} else {
 		for i, t := range times {
-			in.push(shapes[i], t)
+			in.push(rn.env.Shape(i), t)
 		}
 	}
 	in.Drain()

@@ -214,8 +214,9 @@ type simulator struct {
 	// that its words serve every paged simulation the simulator arms.
 	cross []int32
 
-	// price is the table of the Envelope the simulation is armed on that
-	// it prices its steps through.
+	// env is the Envelope the simulation is armed on, and price the
+	// table of env's that it prices its steps through.
+	env       *Envelope
 	price     *pricing
 	refPrompt int
 
@@ -225,12 +226,11 @@ type simulator struct {
 	invBudget float64
 	batchCap  int
 
-	// closed marks closed-loop issuing on completion, of the shape at the
-	// next push id, until target requests are issued. keep marks an
+	// closed marks closed-loop issuing on completion, of env's shape at
+	// the next push id, until target requests are issued. keep marks an
 	// Instance's simulation, whose summary keeps a sorted plane per metric
 	// for SummarizeInstances. unsettled marks held page counts behind the
 	// crossings coast absorbed, until step's settle.
-	shapes    []workload.Request
 	target    int
 	closed    bool
 	keep      bool
@@ -325,7 +325,7 @@ func (sim *simulator) arm(s Spec, env *Envelope, slots, requests int) error {
 	sim.budget = pol.budgetBytes()
 	sim.invBudget = 1 / sim.budget
 	sim.batchCap = pol.BatchCap()
-	sim.shapes, sim.target, sim.closed = nil, 0, false
+	sim.env, sim.target, sim.closed = env, 0, false
 	sim.now = 0
 	sim.reqs, sim.free = reuse(sim.reqs, slots), -1
 	sim.queue.reset()
@@ -689,7 +689,7 @@ func (sim *simulator) complete() {
 		if sim.closed && len(sim.done) < sim.target {
 			// pushShape takes the slot just freed; r and m are not
 			// referenced past here.
-			sim.pushShape(sim.shapes[len(sim.done)], sim.now)
+			sim.pushShape(sim.env.Shape(len(sim.done)), sim.now)
 		}
 	}
 	sim.running = alive

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -188,11 +189,24 @@ func lognormalDraw(rng *rand.Rand, median int, sigma float64, lo, hi int) int {
 	return v
 }
 
-// sessionPrefixID names session s's shared context prefix. The '~' sigil
-// keeps generated ids visually distinct from tenant-named prefixes; it is
-// an ordinary legal prefix id (no mix separators).
-func sessionPrefixID(session int) string {
-	return "~s" + strconv.Itoa(session)
+// sessionPrefixIDs returns the shared context prefix ids of sessions 1
+// to n, "~s1~s2…~s<n>", in one string built with one allocation: session
+// s's id is the substring from its '~' to the next. The '~' sigil keeps
+// generated ids visually distinct from tenant-named prefixes; it is an
+// ordinary legal prefix id (no mix separators).
+func sessionPrefixIDs(n int) string {
+	size := 2 * n
+	for p := 1; p <= n; p *= 10 {
+		size += n - p + 1 // every id from p up has a digit for p's place
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var digits [20]byte
+	for s := 1; s <= n; s++ {
+		b.WriteString("~s")
+		b.Write(strconv.AppendInt(digits[:0], int64(s), 10))
+	}
+	return b.String()
 }
 
 // expandSessions appends to arrivals and shapes the first n requests of
@@ -211,8 +225,10 @@ func sessionPrefixID(session int) string {
 // turn k+1 follows its turn k. Each run is therefore merged in only once
 // its session-0 head is due — after session 0's previous turn — so the
 // merge holds at most one head per turn begun, costs O(n log turns) and
-// builds nothing past the n-th request. A session's prefix id is built
-// once, at its turn 2, and kept in its sessions entry for later turns.
+// builds nothing past the n-th request. Turn 2's run yields the sessions
+// in order, so their prefix ids are cut in order from one string of every
+// session's id (sessionPrefixIDs), built at the first turn 2, and each is
+// kept in its sessions entry for later turns.
 func expandSessions(arrivals []float64, shapes []Request, base []float64, sessions []Request,
 	n, turns int, think float64) ([]float64, []Request) {
 	if n == 0 {
@@ -220,6 +236,7 @@ func expandSessions(arrivals []float64, shapes []Request, base []float64, sessio
 	}
 	var scratch [16]turnHead
 	heads := append(scratch[:0], headAt(base, think, 0, 1))
+	ids, next := "", 0 // next is the start of the next session's id in ids
 	for range n {
 		h := heads[0]
 		sh := &sessions[h.s]
@@ -234,7 +251,14 @@ func expandSessions(arrivals []float64, shapes []Request, base []float64, sessio
 			Turn:         h.k,
 		}
 		if h.k == 2 {
-			sh.PrefixID = sessionPrefixID(h.s + 1)
+			if ids == "" {
+				ids = sessionPrefixIDs(len(base))
+			}
+			end := len(ids)
+			if j := strings.IndexByte(ids[next+1:], '~'); j >= 0 {
+				end = next + 1 + j
+			}
+			sh.PrefixID, next = ids[next:end], end
 		}
 		if h.k > 1 {
 			r.PrefixID = sh.PrefixID

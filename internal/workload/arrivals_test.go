@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -542,4 +544,29 @@ func sortedExpansion(arrivals []float64, shapes []Request, n, turns int, think f
 		mergedS = append(mergedS, outS[i])
 	}
 	return mergedT, mergedS
+}
+
+// sessionPrefixID is session s's prefix id built alone, the reference
+// for the ids expandSessions cuts from one string.
+func sessionPrefixID(session int) string {
+	return "~s" + strconv.Itoa(session)
+}
+
+// TestSessionPrefixIDs: the one string holds every session's id in order,
+// each cut at the next '~', across digit-count boundaries, and is built
+// with exactly its own length.
+func TestSessionPrefixIDs(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 11, 99, 100, 101, 1000, 1234} {
+		ids := sessionPrefixIDs(n)
+		var want strings.Builder
+		for s := 1; s <= n; s++ {
+			want.WriteString(sessionPrefixID(s))
+		}
+		if ids != want.String() {
+			t.Fatalf("n=%d: ids %q, want %q", n, ids, want.String())
+		}
+		if got := testing.AllocsPerRun(5, func() { sessionPrefixIDs(n) }); n > 0 && got != 1 {
+			t.Errorf("n=%d: %v allocations, want 1", n, got)
+		}
+	}
 }

@@ -337,3 +337,23 @@ func (s Spec) Extremes(f func(first bool, prompt, gen, prefix int)) {
 		f(false, ctx+pmax, gmax, ctx)
 	}
 }
+
+// Draw appends a defaulted, validated workload's stream to the given
+// buffers as Stream does, but a uniform workload keeps one shape: with no
+// trace, at most one turn, and one mix entry (the spec-wide shape, its
+// prefix included, or an explicit one) with zero sigmas, every request
+// has that entry's shape, and Draw appends it once, whatever the count.
+// The arrival times are Stream's, bit for bit, and the shape stream is
+// not drawn, as it never is for such a mix. So the shapes Draw appends
+// are either one per request or one that all s.Requests share.
+func (s Spec) Draw(arrivals []float64, shapes []Request) ([]float64, []Request) {
+	var one [1]TenantLoad
+	mix := s.mix(&one)
+	if len(s.Trace) > 0 || s.Turns > 1 || len(mix) > 1 || mix[0].PromptSigma != 0 || mix[0].GenSigma != 0 {
+		return s.Stream(arrivals, shapes)
+	}
+	if !s.Closed {
+		arrivals = ArrivalProcess{Rate: s.Rate, Schedule: s.Schedule, Seed: s.Seed}.appendArrivals(arrivals, s.Requests)
+	}
+	return arrivals, append(shapes, mix[0].Shape())
+}

@@ -126,6 +126,67 @@ func TestStream(t *testing.T) {
 	}
 }
 
+// TestDrawKeepsOneShape: Draw appends Stream's arrival times bit for bit
+// and, for a uniform workload (no trace, at most one turn, one mix entry
+// with zero sigmas), the one shape every Stream entry has; any other
+// workload's Draw is its Stream.
+func TestDrawKeepsOneShape(t *testing.T) {
+	sched := Schedule{{Start: 0, End: 5, Rate: 1}, {Start: 5, End: 10, Rate: 6}}
+	for _, tc := range []struct {
+		name    string
+		uniform bool
+		mut     func(*Spec)
+	}{
+		{"poisson", true, func(s *Spec) {}},
+		{"schedule", true, func(s *Spec) { s.Rate, s.Schedule = 0, sched }},
+		{"closed", true, func(s *Spec) { s.Rate, s.Closed, s.Clients = 0, true, 4 }},
+		{"spec-wide prefix", true, func(s *Spec) { s.PrefixTokens = 64 }},
+		{"one turn", true, func(s *Spec) { s.Turns = 1 }},
+		{"one-entry mix", true, func(s *Spec) {
+			s.PromptTokens, s.GenTokens = 0, 0
+			s.Mix = []TenantLoad{{Tenant: "a", Share: 1, PromptTokens: 90, GenTokens: 30, PrefixID: "p", PrefixTokens: 16}}
+		}},
+		{"two tenants", false, func(s *Spec) {
+			s.PromptTokens, s.GenTokens = 0, 0
+			s.Mix = []TenantLoad{{Tenant: "a", Share: 1, PromptTokens: 90, GenTokens: 30}, {Tenant: "b", Share: 1, PromptTokens: 40, GenTokens: 60}}
+		}},
+		{"sigma", false, func(s *Spec) {
+			s.PromptTokens, s.GenTokens = 0, 0
+			s.Mix = []TenantLoad{{Tenant: "a", Share: 1, PromptTokens: 90, GenTokens: 30, GenSigma: 0.5}}
+		}},
+		{"sessions", false, func(s *Spec) { s.Turns, s.Think = 3, 1 }},
+		{"trace", false, func(s *Spec) { *s = traceSpec() }},
+	} {
+		s := openSpec()
+		tc.mut(&s)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		d := s.WithDefaults()
+		wantT, wantS := d.Stream(nil, nil)
+		pre := Request{Tenant: "x", PromptTokens: 1, GenTokens: 1}
+		gotT, gotS := d.Draw([]float64{-1}, []Request{pre})
+		if gotT[0] != -1 || gotS[0] != pre || !slices.Equal(gotT[1:], wantT) {
+			t.Errorf("%s: Draw's arrival times are not Stream's, appended", tc.name)
+		}
+		gotS = gotS[1:]
+		switch {
+		case !tc.uniform:
+			if !slices.Equal(gotS, wantS) {
+				t.Errorf("%s: Draw's shapes are not Stream's", tc.name)
+			}
+		case len(gotS) != 1:
+			t.Errorf("%s: a uniform draw of %d requests holds %d shapes, want 1", tc.name, d.Requests, len(gotS))
+		default:
+			for i, sh := range wantS {
+				if sh != gotS[0] {
+					t.Fatalf("%s: Stream's shape %d %+v is not the drawn one %+v", tc.name, i, sh, gotS[0])
+				}
+			}
+		}
+	}
+}
+
 // TestGenerateSessionTurnCap: a session deeper than the request count is
 // built only as deep as the truncation keeps, which changes nothing —
 // and a billion-turn session over four requests stays cheap.
@@ -222,6 +283,18 @@ func FuzzWorkloadSpec(f *testing.F) {
 		if moreT[0] != -1 || moreS[0] != pre || moreS[1] != pre ||
 			!slices.Equal(moreT[1:], arrivals) || !slices.Equal(moreS[2:], shapes) {
 			t.Fatal("a stream appended to filled buffers must keep their contents and append the same stream")
+		}
+		drawT, drawS := d.Draw(nil, nil)
+		if !slices.Equal(drawT, arrivals) {
+			t.Fatal("Draw's arrival times must be Stream's")
+		}
+		if len(drawS) != 1 && !slices.Equal(drawS, shapes) {
+			t.Fatal("a draw of more than one shape must be Stream's shapes")
+		}
+		for i, r := range shapes {
+			if len(drawS) == 1 && r != drawS[0] {
+				t.Fatalf("Stream's shape %d is not the one shape Draw holds", i)
+			}
 		}
 		var b Bounds
 		s.Extremes(func(first bool, prompt, gen, _ int) {
